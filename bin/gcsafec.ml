@@ -417,17 +417,6 @@ let run_cmd =
       & opt (some int) None
       & info [ "gc-pause-budget" ] ~docv:"WORDS" ~doc)
   in
-  let nursery_pages_arg =
-    let doc =
-      "Bump-allocated nursery budget in pages for the generational and \
-       incremental modes (0 disables the nursery and restores legacy \
-       shared-page young allocation).  Ignored with --gc-mode stw."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nursery-pages" ] ~docv:"PAGES" ~doc)
-  in
   let stats_arg =
     let doc = "Print cycle/instruction/GC statistics to stderr." in
     Arg.(value & flag & info [ "stats" ] ~doc)
@@ -455,10 +444,9 @@ let run_cmd =
     let doc = "C source file ('-' for standard input)." in
     Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
-  let run config machine analysis gc_mode gc_threshold gc_pause_budget
-      nursery_pages async gc_at gc_at_allocs integrity max_instrs max_heap
-      heap_limit oom_policy alloc_fail stats trace metrics no_cache workload
-      file =
+  let run config machine analysis gc_mode gc_threshold gc_pause_budget async
+      gc_at gc_at_allocs integrity max_instrs max_heap heap_limit oom_policy
+      alloc_fail stats trace metrics no_cache workload file =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
         let src =
@@ -503,7 +491,7 @@ let run_cmd =
         let req =
           Harness.Request.make ~config ~machine ~analysis ~gc_mode ~schedule
             ~check_integrity:integrity ?gc_threshold ?gc_pause_budget
-            ?nursery_pages ?max_instrs ?max_heap ~heap_limit ~oom_policy
+            ?max_instrs ?max_heap ~heap_limit ~oom_policy
             ~alloc_failpoints:alloc_fail src
         in
         let b =
@@ -563,9 +551,9 @@ let run_cmd =
     (Cmd.info "run" ~doc)
     Term.(
       const run $ config_arg $ machine_arg $ analysis_arg $ gc_mode_arg
-      $ threshold_arg $ pause_budget_arg $ nursery_pages_arg $ async_arg
-      $ gc_at_arg $ gc_at_allocs_arg $ integrity_arg $ max_instrs_arg
-      $ max_heap_arg $ heap_limit_arg $ oom_policy_arg $ alloc_fail_arg
+      $ threshold_arg $ pause_budget_arg $ async_arg $ gc_at_arg
+      $ gc_at_allocs_arg $ integrity_arg $ max_instrs_arg $ max_heap_arg
+      $ heap_limit_arg $ oom_policy_arg $ alloc_fail_arg
       $ stats_arg $ trace_arg $ metrics_arg $ no_cache_arg $ workload_arg
       $ opt_file_arg)
 
@@ -719,19 +707,8 @@ let stress_cmd =
     let doc = "Allocation ordinals swept per subject in --chaos mode." in
     Arg.(value & opt int 64 & info [ "chaos-points" ] ~docv:"N" ~doc)
   in
-  let nursery_pages_arg =
-    let doc =
-      "Nursery size in pages applied to every subject in the matrix (0 \
-       disables the bump nursery; only the gen/inc subjects are affected)."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nursery-pages" ] ~docv:"PAGES" ~doc)
-  in
   let run machines analyses gc_modes every at_allocs exhaustive cap max_instrs
-      max_heap nursery_pages trace_dir chaos chaos_seed chaos_points jobs
-      no_cache targets =
+      max_heap trace_dir chaos chaos_seed chaos_points jobs no_cache targets =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
         let resolved =
@@ -759,7 +736,6 @@ let stress_cmd =
                        default_matrix.Harness.Request.m_machines
                      else machines);
                   Harness.Request.m_gc_modes = gc_modes;
-                  Harness.Request.m_nursery_pages = nursery_pages;
                 };
               Stress.Chaos.c_seed = chaos_seed;
               Stress.Chaos.c_max_points = chaos_points;
@@ -797,7 +773,6 @@ let stress_cmd =
                 Harness.Request.m_gc_modes = gc_modes;
                 Harness.Request.m_max_instrs = max_instrs;
                 Harness.Request.m_max_heap = max_heap;
-                Harness.Request.m_nursery_pages = nursery_pages;
               };
             Stress.Driver.p_modes = modes;
             Stress.Driver.p_exhaustive_cap = cap;
@@ -819,9 +794,8 @@ let stress_cmd =
     Term.(
       const run $ machines_arg $ analyses_arg $ gc_modes_arg $ every_arg
       $ at_allocs_arg $ exhaustive_arg $ cap_arg $ max_instrs_arg
-      $ max_heap_arg $ nursery_pages_arg $ trace_dir_arg $ chaos_arg
-      $ chaos_seed_arg $ chaos_points_arg $ jobs_arg $ no_cache_arg
-      $ targets_arg)
+      $ max_heap_arg $ trace_dir_arg $ chaos_arg $ chaos_seed_arg
+      $ chaos_points_arg $ jobs_arg $ no_cache_arg $ targets_arg)
 
 (* --- profile ----------------------------------------------------------------- *)
 
@@ -1038,16 +1012,6 @@ let heap_census_cmd =
       & opt (some int) None
       & info [ "gc-pause-budget" ] ~docv:"WORDS" ~doc)
   in
-  let nursery_pages_arg =
-    let doc =
-      "Bump-allocated nursery budget in pages (0 disables the nursery); \
-       only meaningful with --gc-mode gen or inc."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "nursery-pages" ] ~docv:"PAGES" ~doc)
-  in
   let workload_arg =
     let doc = "Census a registered workload instead of a FILE." in
     Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
@@ -1057,7 +1021,7 @@ let heap_census_cmd =
     Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let run config machine analysis gc_mode gc_threshold gc_pause_budget
-      nursery_pages heap_limit oom_policy json no_cache workload file =
+      heap_limit oom_policy json no_cache workload file =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
         let source_name, src =
@@ -1078,8 +1042,8 @@ let heap_census_cmd =
         in
         let req =
           Harness.Request.make ~config ~machine ~analysis ~gc_mode
-            ~final_collect:true ?gc_threshold ?gc_pause_budget ?nursery_pages
-            ~heap_limit ~oom_policy src
+            ~final_collect:true ?gc_threshold ?gc_pause_budget ~heap_limit
+            ~oom_policy src
         in
         let b =
           Harness.Build.compile
@@ -1130,8 +1094,8 @@ let heap_census_cmd =
     (Cmd.info "heap-census" ~doc)
     Term.(
       const run $ config_arg $ machine_arg $ analysis_arg $ gc_mode_arg
-      $ threshold_arg $ pause_budget_arg $ nursery_pages_arg $ heap_limit_arg
-      $ oom_policy_arg $ json_arg $ no_cache_arg $ workload_arg $ opt_file_arg)
+      $ threshold_arg $ pause_budget_arg $ heap_limit_arg $ oom_policy_arg
+      $ json_arg $ no_cache_arg $ workload_arg $ opt_file_arg)
 
 (* --- tables ------------------------------------------------------------------ *)
 

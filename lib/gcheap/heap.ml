@@ -79,8 +79,8 @@ type config = {
           step may perform before yielding back to the mutator *)
   mutable nursery_pages : int;
       (** pages of bump-allocated nursery a generational or incremental
-          heap may open between collections before a minor cycle is due;
-          [0] disables the nursery (legacy shared-page allocation) *)
+          heap may open between collections before a minor cycle is due
+          (positive) *)
 }
 
 type stats = {
@@ -251,9 +251,7 @@ let create ?(config = default_config ()) () =
 (** Is the bump-pointer nursery in service?  Only the generational and
     incremental modes segregate generations; stop-the-world heaps keep
     the seed allocator bit for bit. *)
-let nursery_enabled t =
-  t.config.nursery_pages > 0
-  && (t.config.generational || t.config.incremental)
+let nursery_enabled t = t.config.generational || t.config.incremental
 
 let add_root_range t start stop = t.roots <- (start, stop) :: t.roots
 
@@ -324,16 +322,30 @@ let gray_old_value t v =
                 :: t.gray
           end)
 
-(** The store write-barrier: record writes that land inside old
-    collectable objects so their pages are rescanned by the next minor
-    collection.  Stores anywhere else need no card — young objects are
-    scanned by every minor anyway, and stacks, statics and registers are
-    roots — and filtering them out matters: young and old slots share
-    pages, so an unfiltered barrier would drag the old slots of every
-    freshly-initialized page into every minor.  Writes that survive
-    inside an object promoted later are covered by promotion dirtying
-    the promoted slot's pages.  A single branch when generational mode
-    is off; charges no VM cycles either way. *)
+(* Does any byte of [lo, hi] (inclusive, within [blk]) fall in an
+   allocated slot of [blk] that is already old? *)
+let touches_old_slot t blk lo hi =
+  let slot a = (a - blk.Block.blk_start) / blk.Block.blk_obj_size in
+  let stop = min (blk.Block.blk_count - 1) (slot hi) in
+  let rec probe i =
+    i <= stop && ((Block.is_allocated blk i && is_old t blk i) || probe (i + 1))
+  in
+  probe (slot lo)
+
+(** The store write-barrier: dirty the card of every old-generation page
+    a write touches, so the next minor collection rescans it.  Young
+    (nursery) pages never need cards, since every minor scans the whole
+    nursery; stacks, statics and registers are roots.  Any other
+    collectable page the write touches is dirtied outright, with no slot
+    or age resolution, so straddling (cross-object) writes are covered
+    by construction.  The one exception is an aging block, an old block
+    whose freed slots {!alloc} has handed out again as young objects:
+    there only a touched allocated slot that is already old dirties the
+    page.  Without that probe the initializing stores into every reused
+    slot would drag its page into every minor.  The probe is sound
+    because the minor sweep that ages a reused slot into the old
+    generation dirties the slot's pages.  A single branch when
+    generational mode is off; charges no VM cycles either way. *)
 let note_store t addr len =
   (* SATB shading runs first: the generational branch below never writes
      memory, but keeping the read of the doomed old values ahead of any
@@ -351,41 +363,17 @@ let note_store t addr len =
    end);
   if t.config.generational && len > 0 then begin
     let last = addr + len - 1 in
-    if nursery_enabled t then
-      (* page-segregated generations make the barrier a page-kind test:
-         young pages never need cards (every minor scans the whole
-         nursery), and any other collectable page the write touches is
-         dirtied outright — no slot or age resolution, and straddling
-         (cross-object) writes are covered by construction because every
-         touched page gets its card.  Over-dirtying a page whose old
-         block holds a reused young slot is merely conservative:
-         [recompute_cards] cleans it at the next collection. *)
-      for p = page_index addr to page_index last do
-        match Page_map.find t.map (p lsl Mem.page_bits) with
-        | Some blk when Block.collectable blk && not blk.Block.blk_young ->
-            mark_page_dirty t p
-        | Some _ | None -> ()
-      done
-    else begin
-      let dirty_if_old a =
-        match Page_map.find t.map a with
-        | Some blk when Block.collectable blk -> (
-            match Block.slot_of_addr blk a with
-            | Some i when Block.is_allocated blk i && is_old t blk i ->
-                mark_page_dirty t (page_index a)
-            | Some _ | None -> ())
-        | Some _ | None -> ()
-      in
-      (* probe the first and last written byte, and the head of every
-         page the write crosses — including the last page's head, so a
-         store that straddles objects across a page boundary still
-         dirties a page whose old object it touched mid-page *)
-      dirty_if_old addr;
-      if last <> addr then dirty_if_old last;
-      for p = page_index addr + 1 to page_index last do
-        dirty_if_old (p lsl Mem.page_bits)
-      done
-    end
+    for p = page_index addr to page_index last do
+      let page_start = p lsl Mem.page_bits in
+      match Page_map.find t.map page_start with
+      | Some blk when Block.collectable blk && not blk.Block.blk_young ->
+          if
+            (not blk.Block.blk_aging)
+            || touches_old_slot t blk (max addr page_start)
+                 (min last (page_start + Mem.page_size - 1))
+          then mark_page_dirty t p
+      | Some _ | None -> ()
+    done
   end
 
 (** Age of the allocated object at [addr] in minor collections survived
@@ -729,7 +717,7 @@ let sweep ?(minor = false) t =
           end
       done
   in
-  if minor && nursery_enabled t then begin
+  if minor then begin
     (* segregated generations let a minor sweep touch only the blocks
        where young objects can live: the nursery pages themselves plus
        old blocks holding reused (age-restarted) slots *)
@@ -861,13 +849,13 @@ let collect ?(generation = Major) ?(extra_roots = []) ?(extra_ranges = []) t =
 let should_collect t = t.since_gc >= t.config.gc_threshold
 
 (** Should the allocator trigger a minor collection?  Never true outside
-    generational mode.  With the nursery in service, filling the
-    configured number of nursery pages is also a trigger: the minor cost
-    tracks nursery occupancy, not just bytes. *)
+    generational mode.  Filling the configured number of nursery pages is
+    also a trigger: the minor cost tracks nursery occupancy, not just
+    bytes. *)
 let should_collect_minor t =
   t.config.generational
   && (t.since_minor >= t.config.minor_threshold
-     || (nursery_enabled t && t.nursery_opened >= t.config.nursery_pages))
+     || t.nursery_opened >= t.config.nursery_pages)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation (under the heap ceiling)                                 *)
@@ -1063,8 +1051,7 @@ let alloc_large t ~req bytes kind =
   (* large objects live outside the nursery but are born young: with the
      segregated minor sweep, their block must join the aging set so
      minors can age and promote them *)
-  if t.config.generational && nursery_enabled t && not blk.Block.blk_aging
-  then begin
+  if t.config.generational && not blk.Block.blk_aging then begin
     blk.Block.blk_aging <- true;
     t.aging_blocks <- blk :: t.aging_blocks
   end;
@@ -1094,7 +1081,7 @@ let open_young_block t cls kind start =
    any new page is opened — reuse keeps segregation from costing
    footprint — and only then is a fresh young page claimed (reclaim pool
    first, then growth under the ceiling, with the same collect-expand
-   fallback as the legacy path). *)
+   fallback as the stop-the-world path). *)
 let rec alloc_nursery t ~req cls kind =
   match Hashtbl.find_opt t.nursery_cursors (cls, kind) with
   | Some blk when blk.Block.blk_bump < blk.Block.blk_count ->

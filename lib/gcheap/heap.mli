@@ -75,8 +75,8 @@ type config = {
           before yielding back to the mutator *)
   mutable nursery_pages : int;
       (** pages of bump-allocated nursery a generational or incremental
-          heap may open between collections before a minor cycle is due;
-          [0] disables the nursery (legacy shared-page allocation) *)
+          heap may open between collections before a minor cycle is due
+          (positive; default 8) *)
 }
 
 type stats = {
@@ -191,15 +191,15 @@ val create : ?config:config -> unit -> t
 
 val nursery_enabled : t -> bool
 (** Is the bump-pointer nursery in service?  True on generational and
-    incremental heaps with [config.nursery_pages > 0]; always false on
-    stop-the-world heaps, which keep the seed allocator bit for bit. *)
+    incremental heaps; always false on stop-the-world heaps, which keep
+    the seed allocator bit for bit. *)
 
 val flush_nursery : t -> unit
 (** Close out the nursery: wholly dead young pages return to the reclaim
     pool, surviving young pages are promoted in place (their free slots
     join the size-class free lists), and the bump cursors are sealed.
     The {!Incremental} collector calls this when a cycle completes; a
-    no-op when the nursery is disabled or empty. *)
+    no-op on stop-the-world heaps and when the nursery is empty. *)
 
 val add_root_range : t -> int -> int -> unit
 (** Register a permanent root range [start, stop)] (scanned word-wise). *)
@@ -229,12 +229,14 @@ val extent_of : t -> int -> (int * int) option
     allocated object. *)
 
 val note_store : t -> int -> int -> unit
-(** [note_store t addr len]: the store write-barrier.  When the write
-    lands inside an old collectable object, records its pages in the
-    remembered set so the next minor cycle rescans them; writes to young
-    objects, stacks, statics and registers need no card (minors scan all
-    of those anyway).  A single branch (and no allocation) when the heap
-    is not generational. *)
+(** [note_store t addr len]: the store write-barrier.  Every page of a
+    collectable old-generation block that [addr, addr+len) touches joins
+    the remembered set, so the next minor cycle rescans it; on an aging
+    block (an old block whose freed slots were reused as young objects)
+    only a page where the write touches an allocated old slot does.
+    Nursery pages, stacks, statics and registers need no card (minors
+    scan all of those anyway).  A single branch (and no allocation) when
+    the heap is not generational. *)
 
 val page_is_dirty : t -> int -> bool
 (** Is the card (page) holding [addr] in the remembered set? *)

@@ -69,9 +69,6 @@ let exec ?gc_point_sink ?telemetry ?(census = false) (r : Request.t)
       Machine.Vm.vm_gc_pause_budget =
         Option.value ~default:dc.Machine.Vm.vm_gc_pause_budget
           r.Request.gc_pause_budget;
-      Machine.Vm.vm_nursery_pages =
-        Option.value ~default:dc.Machine.Vm.vm_nursery_pages
-          r.Request.nursery_pages;
       Machine.Vm.vm_gc_point_sink = gc_point_sink;
       Machine.Vm.vm_telemetry = telemetry;
       Machine.Vm.vm_heap_limit_words = r.Request.heap_limit;

@@ -14,7 +14,6 @@ type t = {
   final_collect : bool;
   gc_threshold : int option;
   gc_pause_budget : int option;
-  nursery_pages : int option;
   max_instrs : int option;
   max_heap : int option;
   heap_limit : int;
@@ -26,8 +25,7 @@ type t = {
 let make ?(label = "") ?(config = Build.Safe)
     ?(machine = Machine.Machdesc.sparc10) ?analysis ?gc_mode ?loop_heuristic
     ?use_cache ?(schedule = Machine.Schedule.Auto) ?(check_integrity = false)
-    ?(final_collect = false) ?gc_threshold ?gc_pause_budget ?nursery_pages
-    ?max_instrs
+    ?(final_collect = false) ?gc_threshold ?gc_pause_budget ?max_instrs
     ?max_heap ?(heap_limit = 0) ?(oom_policy = Gcheap.Heap.Collect_expand)
     ?(alloc_failpoints = Gcheap.Failpoint.Never) ?(trace_id = 0) source =
   let d = Build.for_machine machine in
@@ -45,7 +43,6 @@ let make ?(label = "") ?(config = Build.Safe)
     final_collect;
     gc_threshold;
     gc_pause_budget;
-    nursery_pages;
     max_instrs;
     max_heap;
     heap_limit;
@@ -101,7 +98,6 @@ type matrix = {
   m_final_collect : bool;
   m_max_instrs : int option;
   m_max_heap : int option;
-  m_nursery_pages : int option;
 }
 
 let default_matrix =
@@ -119,7 +115,6 @@ let default_matrix =
     m_final_collect = true;
     m_max_instrs = None;
     m_max_heap = None;
-    m_nursery_pages = None;
   }
 
 let expand (m : matrix) (source : string) : t list =
@@ -139,8 +134,7 @@ let expand (m : matrix) (source : string) : t list =
                   make ~config ~machine ~analysis ~gc_mode
                     ~check_integrity:m.m_check_integrity
                     ~final_collect:m.m_final_collect
-                    ?max_instrs:m.m_max_instrs ?max_heap:m.m_max_heap
-                    ?nursery_pages:m.m_nursery_pages source)
+                    ?max_instrs:m.m_max_instrs ?max_heap:m.m_max_heap source)
                 gc_modes)
             (variants config))
         m.m_configs)
@@ -176,7 +170,6 @@ let to_json (r : t) : Json.t =
     (base
     @ opt "gc_threshold" r.gc_threshold
     @ opt "gc_pause_budget" r.gc_pause_budget
-    @ opt "nursery_pages" r.nursery_pages
     @ opt "max_instrs" r.max_instrs
     @ opt "max_heap" r.max_heap
     @ opt "trace_id" (if r.trace_id = 0 then None else Some r.trace_id))
@@ -239,7 +232,6 @@ let of_json (doc : Json.t) : (t, string) result =
   let* final_collect = boolean "final_collect" ~default:false in
   let* gc_threshold = int_opt "gc_threshold" in
   let* gc_pause_budget = int_opt "gc_pause_budget" in
-  let* nursery_pages = int_opt "nursery_pages" in
   let* max_instrs = int_opt "max_instrs" in
   let* max_heap = int_opt "max_heap" in
   let* heap_limit = int_opt "heap_limit" in
@@ -247,7 +239,7 @@ let of_json (doc : Json.t) : (t, string) result =
   let r =
     make ?label ?config ?machine ?analysis ?gc_mode ~loop_heuristic ~use_cache
       ?schedule ~check_integrity ~final_collect ?gc_threshold ?gc_pause_budget
-      ?nursery_pages ?max_instrs ?max_heap ?heap_limit ?oom_policy ?alloc_failpoints ?trace_id
+      ?max_instrs ?max_heap ?heap_limit ?oom_policy ?alloc_failpoints ?trace_id
       source
   in
   Ok r

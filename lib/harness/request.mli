@@ -28,12 +28,6 @@ type t = {
       (** incremental-marking pause budget in words of collector work
           per increment; [None] keeps the VM default.  The service's
           SLO layer also reads this as the per-request pause SLO. *)
-  nursery_pages : int option;
-      (** bump-allocated nursery budget in pages for the generational
-          and incremental modes; [Some 0] disables the nursery (legacy
-          shared-page young allocation), [None] keeps the VM default.
-          Ignored — like the rest of the generational machinery — in
-          stop-the-world mode. *)
   max_instrs : int option;
   max_heap : int option;
   heap_limit : int;  (** hard arena ceiling in words; 0 = unlimited *)
@@ -61,7 +55,6 @@ val make :
   ?final_collect:bool ->
   ?gc_threshold:int ->
   ?gc_pause_budget:int ->
-  ?nursery_pages:int ->
   ?max_instrs:int ->
   ?max_heap:int ->
   ?heap_limit:int ->
@@ -115,9 +108,6 @@ type matrix = {
   m_final_collect : bool;
   m_max_instrs : int option;
   m_max_heap : int option;
-  m_nursery_pages : int option;
-      (** nursery size applied to every expanded request; [None] keeps
-          the VM default on each subject *)
 }
 
 val default_matrix : matrix

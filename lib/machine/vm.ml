@@ -62,11 +62,6 @@ type config = {
           increment, on the deterministic VM-tick/words clock (the
           snapshot root scan and the atomic final mark may overrun it;
           overruns are counted) *)
-  vm_nursery_pages : int;
-      (** bump-allocated nursery pages a generational or incremental
-          heap may open between collections before a minor cycle is due
-          ([0] disables the nursery — legacy shared-page allocation);
-          ignored in stop-the-world mode *)
   vm_max_instrs : int;  (** step ceiling; exceeding it raises [Trap] *)
   vm_max_heap_bytes : int;
       (** arena footprint ceiling; exceeding it raises [Trap] *)
@@ -111,7 +106,6 @@ let default_config ?(machine = Machdesc.sparc10) () =
     vm_gc_threshold = 256 * 1024;
     vm_gc_mode = Gcheap.Heap.Stw;
     vm_gc_pause_budget = 1024;
-    vm_nursery_pages = 8;
     vm_max_instrs = 400_000_000;
     vm_max_heap_bytes = 1 lsl 30;
     vm_heap_limit_words = 0;
@@ -354,7 +348,6 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
   heap_config.Gcheap.Heap.incremental <- cfg.vm_gc_mode = Gcheap.Heap.Inc;
   heap_config.Gcheap.Heap.pause_budget_words <- max 1 cfg.vm_gc_pause_budget;
   heap_config.Gcheap.Heap.minor_threshold <- max 1024 (cfg.vm_gc_threshold / 8);
-  heap_config.Gcheap.Heap.nursery_pages <- max 0 cfg.vm_nursery_pages;
   heap_config.Gcheap.Heap.heap_limit_words <- cfg.vm_heap_limit_words;
   heap_config.Gcheap.Heap.oom_policy <- cfg.vm_oom_policy;
   let heap = Gcheap.Heap.create ~config:heap_config () in

@@ -55,11 +55,6 @@ type config = {
           atomic snapshot root scan and the atomic final mark may
           overrun it; overruns are counted in
           [vm/gc/incremental/budget_overruns]. *)
-  vm_nursery_pages : int;
-      (** bump-allocated nursery pages a generational or incremental
-          heap may open between collections before a minor cycle is due
-          ([0] disables the nursery — legacy shared-page allocation);
-          ignored in stop-the-world mode *)
   vm_max_instrs : int;  (** step ceiling; exceeding it raises [Trap] *)
   vm_max_heap_bytes : int;
       (** arena footprint ceiling; exceeding it raises [Trap] *)

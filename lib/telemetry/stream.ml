@@ -104,7 +104,10 @@ let advance t ~now =
 
 let finish t ~now =
   advance t ~now;
-  if now > t.start || t.index = 0 then flush t ~to_:(max now t.start)
+  (* a run that ends exactly on a window boundary may still have recorded
+     deltas at that very tick: they go out in a zero-length last window *)
+  if now > t.start || t.index = 0 || Metrics.snapshot t.metrics <> t.base then
+    flush t ~to_:(max now t.start)
 
 let windows t = List.rev t.diffs
 

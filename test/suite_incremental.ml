@@ -219,10 +219,10 @@ let test_full_collection_abandons_soundly () =
 
 (* --- mode identity over random programs ------------------------------- *)
 
-let digest ?nursery_pages gc_mode ~budget ~schedule src =
+let digest gc_mode ~budget ~schedule src =
   let req =
     Harness.Request.make ~config:Harness.Build.Safe ~gc_mode
-      ~gc_pause_budget:budget ?nursery_pages ~schedule ~check_integrity:true
+      ~gc_pause_budget:budget ~schedule ~check_integrity:true
       ~final_collect:true src
   in
   let b =
@@ -239,21 +239,15 @@ let digest ?nursery_pages gc_mode ~budget ~schedule src =
 
 let prop_modes_identical =
   QCheck.Test.make ~count:20
-    ~name:
-      "random programs: stw == gen == inc under schedule and nursery sweeps"
-    QCheck.(pair Testgen.arbitrary_program (int_bound 6))
-    (fun (src, nursery_pages) ->
-      (* 0 disables the bump nursery, so the sweep also pins the legacy
-         shared-page young allocator to the same outputs *)
+    ~name:"random programs: stw == gen == inc under schedule sweeps"
+    Testgen.arbitrary_program
+    (fun src ->
       List.for_all
         (fun schedule ->
           let base = digest Gcheap.Heap.Stw ~budget:64 ~schedule src in
-          digest ~nursery_pages Gcheap.Heap.Gen ~budget:64 ~schedule src
-          = base
-          && digest ~nursery_pages Gcheap.Heap.Inc ~budget:64 ~schedule src
-             = base
-          && digest ~nursery_pages Gcheap.Heap.Inc ~budget:7 ~schedule src
-             = base)
+          digest Gcheap.Heap.Gen ~budget:64 ~schedule src = base
+          && digest Gcheap.Heap.Inc ~budget:64 ~schedule src = base
+          && digest Gcheap.Heap.Inc ~budget:7 ~schedule src = base)
         [
           Machine.Schedule.Auto;
           Machine.Schedule.Every 3;

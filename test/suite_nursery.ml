@@ -1,6 +1,6 @@
 (* The page-segregated bump nursery: bump allocation, cohort promotion,
    reclaim-pool recycling with card hygiene, age hygiene across
-   free/realloc, straddling-store remembered-set completeness, and
+   free/realloc, the store barrier on straddled and aging blocks, and
    qcheck invariants over random scripts and nursery sizes. *)
 
 open Gcheap
@@ -29,12 +29,15 @@ let set_card h p =
 let card h p =
   if p < Bytes.length h.Heap.dirty then Bytes.get h.Heap.dirty p else '\000'
 
-let promote h obj =
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ obj ] h);
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ obj ] h);
-  Alcotest.(check bool)
-    "promoted" true
-    (match Heap.slot_age h obj with Some a -> a >= 2 | None -> false)
+let promote h objs =
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:objs h);
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:objs h);
+  List.iter
+    (fun obj ->
+      Alcotest.(check bool)
+        "promoted" true
+        (match Heap.slot_age h obj with Some a -> a >= 2 | None -> false))
+    objs
 
 let no_violations name h =
   Alcotest.(check int) name 0 (List.length (Heap.check_integrity h))
@@ -87,7 +90,7 @@ let test_promotion_preserves_bytes () =
   for i = 0 to 47 do
     Mem.store h.Heap.mem ~width:1 (o + i) ((i * 7) land 0xff)
   done;
-  promote h o;
+  promote h [ o ];
   (match Page_map.find h.Heap.map o with
   | Some blk ->
       Alcotest.(check bool) "promoted in place: block no longer young" false
@@ -144,7 +147,7 @@ let test_retired_page_cards_clean () =
 let test_age_resets_on_realloc () =
   let h = nursery_heap () in
   let o = Heap.alloc h 32 in
-  promote h o;
+  promote h [ o ];
   (* drop the root: a full collection frees the promoted slot onto its
      old block's free list *)
   ignore (Heap.collect h);
@@ -181,15 +184,15 @@ let test_age_resets_on_realloc () =
 (* One store covering a multi-page old object: every touched page's card
    must go dirty, in particular the last page — where the only
    old-to-young pointer lives. *)
-let straddling_store_scenario nursery_pages =
-  let h = nursery_heap ~nursery_pages () in
+let test_straddling_store () =
+  let h = nursery_heap () in
   let o = Heap.alloc h (3 * Mem.page_size) in
   let base, sz =
     match Heap.extent_of h o with
     | Some e -> e
     | None -> Alcotest.fail "no extent"
   in
-  promote h o;
+  promote h [ o ];
   let y = Heap.alloc h 24 in
   (* the pointer sits in the object's final word, pages away from its
      head *)
@@ -209,9 +212,55 @@ let straddling_store_scenario nursery_pages =
     (Heap.valid_access h y 24);
   no_violations "integrity clean after the minor" h
 
-let test_straddling_store_nursery () = straddling_store_scenario 8
+(* --- the barrier on an aging block --------------------------------------- *)
 
-let test_straddling_store_legacy () = straddling_store_scenario 0
+(* An old block whose freed slot was handed out again as a young object:
+   returns the heap, the old survivor [b] and the young reuse [c] of the
+   freed slot right beside it, after checking that initializing [c]
+   leaves the card clean. *)
+let aging_block_scenario () =
+  let h = nursery_heap () in
+  let a = Heap.alloc h 32 in
+  let b = Heap.alloc h 32 in
+  promote h [ a; b ];
+  (* a major with only [b] rooted frees [a]'s slot onto the free list *)
+  ignore (Heap.collect ~extra_roots:[ b ] h);
+  Alcotest.(check bool) "a's slot freed" false (Heap.valid_access h a 32);
+  let c = Heap.alloc h 32 in
+  Alcotest.(check int) "the freed old slot is reused" a c;
+  Alcotest.(check (option int)) "the reuse is young" (Some 0)
+    (Heap.slot_age h c);
+  (match Page_map.find h.Heap.map c with
+  | Some blk ->
+      Alcotest.(check bool) "old block now aging" true blk.Block.blk_aging
+  | None -> Alcotest.fail "old block unmapped");
+  Alcotest.(check bool) "card clean before the stores" false
+    (Heap.page_is_dirty h c);
+  Mem.store_word h.Heap.mem c b;
+  Heap.note_store h c 8;
+  Alcotest.(check bool) "a store into the young reuse leaves the card clean"
+    false (Heap.page_is_dirty h c);
+  no_violations "integrity clean after the young store" h;
+  (h, b, c)
+
+let test_aging_block_barrier () =
+  let h, b, c = aging_block_scenario () in
+  Mem.store_word h.Heap.mem b c;
+  Heap.note_store h b 8;
+  Alcotest.(check bool) "a store into the old neighbour dirties the card"
+    true (Heap.page_is_dirty h b);
+  no_violations "old-to-young pointer on a dirty card" h;
+  let h, b, c = aging_block_scenario () in
+  let sz =
+    match Heap.extent_of h c with
+    | Some (_, sz) -> sz
+    | None -> Alcotest.fail "no extent"
+  in
+  Alcotest.(check int) "neighbours" (c + sz) b;
+  Heap.note_store h (c + sz - 4) 8;
+  Alcotest.(check bool) "a store straddling both slots dirties the card"
+    true (Heap.page_is_dirty h b);
+  no_violations "integrity clean after the straddling store" h
 
 (* --- qcheck invariants ------------------------------------------------- *)
 
@@ -223,7 +272,7 @@ let prop_nursery_equivalence =
   QCheck.Test.make ~count:40
     ~name:"nursery scripts: invariants hold and stw live set is preserved"
     QCheck.(
-      pair (int_bound 4)
+      pair (int_range 1 4)
         (list_of_size Gen.(int_range 1 80)
            (triple (int_range 1 300) bool bool)))
     (fun (nursery_pages, spec) ->
@@ -275,9 +324,9 @@ let suite =
       test_retired_page_cards_clean;
     Alcotest.test_case "age restarts at zero across free/realloc" `Quick
       test_age_resets_on_realloc;
-    Alcotest.test_case "straddling store dirties the last page (nursery)"
-      `Quick test_straddling_store_nursery;
-    Alcotest.test_case "straddling store dirties the last page (legacy)"
-      `Quick test_straddling_store_legacy;
+    Alcotest.test_case "straddling store dirties the last page" `Quick
+      test_straddling_store;
+    Alcotest.test_case "aging-block barrier dirties only for old slots"
+      `Quick test_aging_block_barrier;
     QCheck_alcotest.to_alcotest prop_nursery_equivalence;
   ]

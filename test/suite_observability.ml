@@ -192,6 +192,30 @@ let test_window_merge_law =
       Json.to_string (Metrics.to_json merged)
       = Json.to_string (Metrics.to_json whole))
 
+(* A run ending exactly on a window boundary: the delta recorded at that
+   tick must still reach the merged windows. *)
+let test_finish_on_window_boundary () =
+  let m = Metrics.create () in
+  let x = Metrics.counter m "x" in
+  let s0 = Metrics.snapshot m in
+  let s = Stream.create ~window:16 ~metrics:m ~emit:ignore () in
+  Metrics.incr x;
+  Stream.advance s ~now:16;
+  Metrics.incr x;
+  Stream.advance s ~now:16;
+  Stream.finish s ~now:16;
+  let merged =
+    match Stream.windows s with
+    | [] -> []
+    | w :: ws -> List.fold_left Metrics.merge w ws
+  in
+  let whole = Metrics.diff (Metrics.snapshot m) s0 in
+  Alcotest.(check string) "whole-run diff" "{\"x\":2}"
+    (Json.to_string (Metrics.to_json whole));
+  Alcotest.(check string) "merged windows equal the whole run"
+    (Json.to_string (Metrics.to_json whole))
+    (Json.to_string (Metrics.to_json merged))
+
 (* --- heap census --------------------------------------------------------- *)
 
 let test_census_invariants_direct () =
@@ -399,5 +423,7 @@ let suite =
     Alcotest.test_case "sharded counters merge on snapshot" `Quick
       test_sharded_counters_merge_on_snapshot;
     Alcotest.test_case "pool recorder events" `Quick test_pool_recorder_events;
+    Alcotest.test_case "stream finish on a window boundary keeps its deltas"
+      `Quick test_finish_on_window_boundary;
   ]
   @ qsuite [ test_ring_wraparound; test_window_merge_law ]
