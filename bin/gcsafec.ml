@@ -36,53 +36,72 @@ let read_input = function
   | "-" -> In_channel.input_all In_channel.stdin
   | path -> In_channel.with_open_text path In_channel.input_all
 
-(* --- shared arguments -------------------------------------------------- *)
+let handle_errors = Harness.Diagnostics.handle
 
-let file_arg =
-  let doc = "C source file ('-' for standard input)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
+(* --- the knob table ------------------------------------------------------ *)
+
+(* Each Harness.Request knob is defined once here, and every subcommand
+   that takes it composes that definition.  A conv delegates to the module
+   that owns the knob's spelling — the same function Request.of_json uses —
+   so the command line and the serve wire format accept exactly one
+   spelling per knob. *)
+
+let knob_conv ~err of_string to_string =
+  let parse s =
+    match of_string s with
+    | Some v -> Ok v
+    | None -> Error (`Msg (Printf.sprintf "%s %s" err s))
+  in
+  Arg.conv (parse, fun fmt v -> Format.pp_print_string fmt (to_string v))
+
+(* a list knob: one spelling of [conv], or one of its named [aliases] *)
+let list_conv ~aliases conv =
+  let parse s =
+    match List.assoc_opt s aliases with
+    | Some vs -> Ok vs
+    | None -> Result.map (fun v -> [ v ]) (Arg.conv_parser conv s)
+  in
+  let print =
+    Format.pp_print_list
+      ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ',')
+      (Arg.conv_printer conv)
+  in
+  Arg.conv (parse, print)
+
+let machine_conv =
+  knob_conv ~err:"unknown machine" Machine.Machdesc.by_name (fun m ->
+      m.Machine.Machdesc.md_name)
+
+let analysis_conv =
+  knob_conv ~err:"unknown analysis" Gcsafe.Mode.analysis_of_string
+    Gcsafe.Mode.analysis_to_string
+
+let gc_mode_conv =
+  knob_conv ~err:"unknown gc mode" Gcheap.Heap.gc_mode_of_string
+    Gcheap.Heap.gc_mode_name
+
+(* the analysis list knobs' "both": fully annotated and analysis-pruned *)
+let both_analyses = [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ]
+
+let analyses_conv =
+  list_conv ~aliases:[ ("both", both_analyses) ] analysis_conv
+
+let config_arg =
+  let doc = "Build configuration: base, safe, safe-peep, debug or checked." in
+  Arg.(
+    value
+    & opt
+        (knob_conv ~err:"unknown configuration" Harness.Build.config_of_string
+           Harness.Build.config_id)
+        Harness.Build.Safe
+    & info [ "config"; "c" ] ~docv:"CONFIG" ~doc)
 
 let machine_arg =
   let doc = "Machine model: sparc2, sparc10 or pentium90." in
-  let parse s =
-    match Machine.Machdesc.by_name s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown machine %s" s))
-  in
-  let print fmt m = Format.pp_print_string fmt m.Machine.Machdesc.md_name in
   Arg.(
     value
-    & opt (conv (parse, print)) Machine.Machdesc.sparc10
+    & opt machine_conv Machine.Machdesc.sparc10
     & info [ "machine" ] ~docv:"MACHINE" ~doc)
-
-let config_arg =
-  let doc =
-    "Build configuration: base, safe, safe-peep, debug or checked."
-  in
-  let parse = function
-    | "base" -> Ok Harness.Build.Base
-    | "safe" -> Ok Harness.Build.Safe
-    | "safe-peep" -> Ok Harness.Build.Safe_peephole
-    | "debug" | "g" -> Ok Harness.Build.Debug
-    | "checked" -> Ok Harness.Build.Debug_checked
-    | s -> Error (`Msg (Printf.sprintf "unknown configuration %s" s))
-  in
-  let print fmt c = Format.pp_print_string fmt (Harness.Build.config_name c) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Harness.Build.Safe
-    & info [ "config"; "c" ] ~docv:"CONFIG" ~doc)
-
-let analysis_conv =
-  let parse s =
-    match Gcsafe.Mode.analysis_of_string s with
-    | Some a -> Ok a
-    | None -> Error (`Msg (Printf.sprintf "unknown analysis %s" s))
-  in
-  let print fmt a =
-    Format.pp_print_string fmt (Gcsafe.Mode.analysis_to_string a)
-  in
-  Arg.conv (parse, print)
 
 let analysis_arg =
   let doc =
@@ -93,15 +112,6 @@ let analysis_arg =
     value
     & opt analysis_conv Gcsafe.Mode.A_flow
     & info [ "analysis" ] ~docv:"ANALYSIS" ~doc)
-
-let gc_mode_conv =
-  let parse s =
-    match Gcheap.Heap.gc_mode_of_string s with
-    | Some m -> Ok m
-    | None -> Error (`Msg (Printf.sprintf "unknown gc mode %s" s))
-  in
-  let print fmt m = Format.pp_print_string fmt (Gcheap.Heap.gc_mode_name m) in
-  Arg.conv (parse, print)
 
 let gc_mode_arg =
   let doc =
@@ -117,7 +127,87 @@ let gc_mode_arg =
     & opt gc_mode_conv Gcheap.Heap.Stw
     & info [ "gc-mode" ] ~docv:"MODE" ~doc)
 
-let handle_errors = Harness.Diagnostics.handle
+let gc_threshold_arg =
+  let doc =
+    "Allocation volume (bytes) between automatic collections.  Default: \
+     the VM's, except for profile (2048)."
+  in
+  Arg.(value & opt (some int) None & info [ "gc-threshold" ] ~docv:"BYTES" ~doc)
+
+let gc_pause_budget_arg =
+  let doc =
+    "Incremental-mode pause budget: words of collector work per marking \
+     increment (the deterministic VM-tick clock).  Only meaningful with \
+     --gc-mode inc; run also prints a one-line increment summary on \
+     stderr."
+  in
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "gc-pause-budget" ] ~docv:"WORDS" ~doc)
+
+let gc_schedule_arg =
+  let doc =
+    "Forced-collection schedule: 'auto' (allocation volume triggers \
+     collections, the default), 'every-N' (collect at every Nth \
+     instruction), 'at:{K,...}' (collect right after the listed \
+     instruction indices — the spelling stress reports print) or \
+     'at-allocs' (collect at every allocation).  The same spelling as the \
+     serve wire format's \"schedule\" field."
+  in
+  Arg.(
+    value
+    & opt
+        (knob_conv ~err:"bad schedule" Machine.Schedule.of_string
+           Machine.Schedule.to_string)
+        Machine.Schedule.Auto
+    & info [ "gc-schedule" ] ~docv:"SPEC" ~doc)
+
+let max_instrs_arg =
+  let doc = "Step ceiling: abort with a limit diagnostic after N instructions." in
+  Arg.(value & opt (some int) None & info [ "max-instrs" ] ~docv:"N" ~doc)
+
+let max_heap_arg =
+  let doc = "Heap ceiling in bytes: abort with a limit diagnostic beyond it." in
+  Arg.(value & opt (some int) None & info [ "max-heap" ] ~docv:"BYTES" ~doc)
+
+let heap_limit_arg =
+  let doc =
+    "Hard heap ceiling in words (8 bytes each); 0 means unlimited.  An \
+     allocation the ceiling blocks follows --oom-policy instead of growing \
+     the arena."
+  in
+  Arg.(value & opt int 0 & info [ "heap-limit" ] ~docv:"WORDS" ~doc)
+
+let oom_policy_arg =
+  let doc =
+    "What an allocation that cannot be satisfied under --heap-limit does: \
+     'collect-expand' (run an emergency collection, retry, grow within the \
+     limit, and only then stop — the default) or 'trap' (stop immediately \
+     with a structured heap-exhausted diagnostic)."
+  in
+  Arg.(
+    value
+    & opt
+        (knob_conv ~err:"unknown oom policy" Gcheap.Heap.oom_policy_of_string
+           Gcheap.Heap.oom_policy_name)
+        Gcheap.Heap.Collect_expand
+    & info [ "oom-policy" ] ~docv:"POLICY" ~doc)
+
+let alloc_fail_arg =
+  let doc =
+    "Inject deterministic allocation failures: 'nth:K' (the Kth allocation), \
+     'every:K', or a comma-separated ordinal list.  Each failure follows \
+     --oom-policy (an emergency collection under collect-expand, a \
+     structured stop under trap)."
+  in
+  Arg.(
+    value
+    & opt
+        (knob_conv ~err:"bad failpoint spec" Gcheap.Failpoint.of_string
+           Gcheap.Failpoint.to_string)
+        Gcheap.Failpoint.Never
+    & info [ "alloc-fail" ] ~docv:"PLAN" ~doc)
 
 let jobs_arg =
   let doc =
@@ -140,20 +230,77 @@ let no_cache_arg =
 let apply_cache_flag no_cache =
   if no_cache then Harness.Build.set_cache_enabled false
 
+let json_flag_arg =
+  let doc = "Emit one JSON document instead of tables." in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+(* --- the program source -------------------------------------------------- *)
+
+let file_doc = "C source file ('-' for standard input)."
+
+let file_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:file_doc)
+
+(* FILE or --workload NAME, as (name, text).  Names resolve through the
+   stress corpus, so every target a stress report names replays here.  The
+   term yields a thunk: the command body forces it inside [handle_errors],
+   where a read failure becomes a structured diagnostic. *)
+let source_term =
+  let workload_arg =
+    let doc =
+      "Use a registered workload (cordtest, cfrac, gawk, gs, ...) or stress \
+       corpus program (hazard, indexfold, strcopy, interior, churn) instead \
+       of a FILE."
+    in
+    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
+  in
+  let opt_file_arg =
+    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc:file_doc)
+  in
+  let resolve workload file () =
+    match (workload, file) with
+    | Some w, None -> (
+        match Stress.Corpus.by_name w with
+        | Some t -> (w, t.Stress.Corpus.t_source)
+        | None ->
+            Printf.eprintf "unknown workload: %s\n" w;
+            exit 2)
+    | None, Some f -> (f, read_input f)
+    | Some _, Some _ ->
+        Printf.eprintf "give either FILE or --workload, not both\n";
+        exit 2
+    | None, None ->
+        Printf.eprintf "a FILE argument or --workload is required\n";
+        exit 2
+  in
+  Term.(const resolve $ workload_arg $ opt_file_arg)
+
+(* build exactly what a request names: its config, source and options *)
+let build ?telemetry (req : Harness.Request.t) =
+  Harness.Build.compile ?telemetry
+    ~options:(Harness.Request.build_options req)
+    req.Harness.Request.config req.Harness.Request.source
+
+(* a run that did not complete: its diagnostic, then its exit code *)
+let exit_with (outcome, message) =
+  Harness.Diagnostics.report outcome message;
+  exit (Harness.Diagnostics.exit_code outcome)
+
 (* --- annotate ----------------------------------------------------------- *)
 
 let annotate_cmd =
   let mode_arg =
     let doc = "Insertion mode: 'safe' (KEEP_LIVE) or 'checked' (GC_same_obj)." in
-    let parse = function
-      | "safe" -> Ok Gcsafe.Mode.Safe
-      | "checked" -> Ok Gcsafe.Mode.Checked
-      | s -> Error (`Msg (Printf.sprintf "unknown mode %s" s))
+    let of_string = function
+      | "safe" -> Some Gcsafe.Mode.Safe
+      | "checked" -> Some Gcsafe.Mode.Checked
+      | _ -> None
     in
-    let print fmt m = Format.pp_print_string fmt (Gcsafe.Mode.to_string m) in
     Arg.(
       value
-      & opt (conv (parse, print)) Gcsafe.Mode.Safe
+      & opt
+          (knob_conv ~err:"unknown mode" of_string Gcsafe.Mode.to_string)
+          Gcsafe.Mode.Safe
       & info [ "mode"; "m" ] ~docv:"MODE" ~doc)
   in
   let naive_arg =
@@ -201,21 +348,10 @@ let annotate_cmd =
   in
   let stats_out_arg =
     let doc =
-      "Write the --stats JSON object to $(docv) instead of stderr (implies \
+      "Write the --stats output to $(docv) instead of stderr (implies \
        --stats)."
     in
     Arg.(value & opt (some string) None & info [ "stats-out" ] ~docv:"FILE" ~doc)
-  in
-  let workload_arg =
-    let doc =
-      "Annotate a registered workload (cordtest, cfrac, gawk, gs, ...) \
-       instead of a FILE."
-    in
-    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
-  in
-  let opt_file_arg =
-    let doc = "C source file ('-' for standard input)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   (* one JSON object on one line: the CI regression guard jq-parses it *)
   let stats_json ~source_name ~mode ~analysis (r : Gcsafe.Annotate.result) =
@@ -249,24 +385,9 @@ let annotate_cmd =
     ^ "}"
   in
   let run mode analysis naive heuristic calls_only heapness base_stores patch
-      stats stats_out workload file =
+      stats stats_out source =
     handle_errors (fun () ->
-        let source_name, src =
-          match (workload, file) with
-          | Some w, None -> (
-              match Workloads.Registry.by_name w with
-              | Some wl -> (w, wl.Workloads.Registry.w_source)
-              | None ->
-                  Printf.eprintf "unknown workload: %s\n" w;
-                  exit 2)
-          | None, Some f -> (f, read_input f)
-          | Some _, Some _ ->
-              Printf.eprintf "give either FILE or --workload, not both\n";
-              exit 2
-          | None, None ->
-              Printf.eprintf "a FILE argument or --workload is required\n";
-              exit 2
-        in
+        let source_name, src = source () in
         let ast = Csyntax.Parser.parse_program src in
         let opts =
           {
@@ -278,12 +399,21 @@ let annotate_cmd =
             Gcsafe.Mode.analysis;
           }
         in
+        (* both modes' stats go through here: to --stats-out's file, or
+           to stderr under --stats *)
+        let write_stats line =
+          match stats_out with
+          | Some path ->
+              Out_channel.with_open_text path (fun oc ->
+                  Out_channel.output_string oc (line ^ "\n"))
+          | None -> if stats then Printf.eprintf "%s\n" line
+        in
         if patch then begin
           let r = Gcsafe.Patch_mode.annotate_source ~opts src in
           print_string r.Gcsafe.Patch_mode.pr_source;
-          if stats then
-            Printf.eprintf "%d annotation(s) inserted, %d skipped (need rewrites)\n"
-              r.Gcsafe.Patch_mode.pr_inserted r.Gcsafe.Patch_mode.pr_skipped
+          write_stats
+            (Printf.sprintf "%d annotation(s) inserted, %d skipped (need rewrites)"
+               r.Gcsafe.Patch_mode.pr_inserted r.Gcsafe.Patch_mode.pr_skipped)
         end
         else begin
           let r = Gcsafe.Annotate.run ~opts ast in
@@ -293,14 +423,7 @@ let annotate_cmd =
             else r.Gcsafe.Annotate.program
           in
           print_string (Csyntax.Pretty.program_to_string program);
-          if stats || stats_out <> None then begin
-            let json = stats_json ~source_name ~mode ~analysis r in
-            match stats_out with
-            | Some path ->
-                Out_channel.with_open_text path (fun oc ->
-                    Out_channel.output_string oc (json ^ "\n"))
-            | None -> Printf.eprintf "%s\n" json
-          end
+          write_stats (stats_json ~source_name ~mode ~analysis r)
         end)
   in
   let doc = "annotate C source for GC-safety or pointer-arithmetic checking" in
@@ -309,7 +432,7 @@ let annotate_cmd =
     Term.(
       const run $ mode_arg $ analysis_arg $ naive_arg $ heuristic_arg
       $ calls_only_arg $ heapness_arg $ base_stores_arg $ patch_arg $ stats_arg
-      $ stats_out_arg $ workload_arg $ opt_file_arg)
+      $ stats_out_arg $ source_term)
 
 (* --- check ---------------------------------------------------------------- *)
 
@@ -330,92 +453,10 @@ let check_cmd =
 
 (* --- run -------------------------------------------------------------------- *)
 
-let max_instrs_arg =
-  let doc = "Step ceiling: abort with a limit diagnostic after N instructions." in
-  Arg.(value & opt (some int) None & info [ "max-instrs" ] ~docv:"N" ~doc)
-
-let max_heap_arg =
-  let doc = "Heap ceiling in bytes: abort with a limit diagnostic beyond it." in
-  Arg.(value & opt (some int) None & info [ "max-heap" ] ~docv:"BYTES" ~doc)
-
-let heap_limit_arg =
-  let doc =
-    "Hard heap ceiling in words (8 bytes each); 0 means unlimited.  An \
-     allocation the ceiling blocks follows --oom-policy instead of growing \
-     the arena."
-  in
-  Arg.(value & opt int 0 & info [ "heap-limit" ] ~docv:"WORDS" ~doc)
-
-let oom_policy_arg =
-  let doc =
-    "What an allocation that cannot be satisfied under --heap-limit does: \
-     'collect-expand' (run an emergency collection, retry, grow within the \
-     limit, and only then stop — the default) or 'trap' (stop immediately \
-     with a structured heap-exhausted diagnostic)."
-  in
-  let parse s =
-    match Gcheap.Heap.oom_policy_of_string s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown oom policy %s" s))
-  in
-  let print fmt p =
-    Format.pp_print_string fmt (Gcheap.Heap.oom_policy_name p)
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Gcheap.Heap.Collect_expand
-    & info [ "oom-policy" ] ~docv:"POLICY" ~doc)
-
-let alloc_fail_arg =
-  let doc =
-    "Inject deterministic allocation failures: 'nth:K' (the Kth allocation), \
-     'every:K', or a comma-separated ordinal list.  Each failure follows \
-     --oom-policy (an emergency collection under collect-expand, a \
-     structured stop under trap)."
-  in
-  let parse s =
-    match Gcheap.Failpoint.of_string s with
-    | Some fp -> Ok fp
-    | None -> Error (`Msg (Printf.sprintf "bad failpoint spec %s" s))
-  in
-  let print fmt fp = Format.pp_print_string fmt (Gcheap.Failpoint.to_string fp) in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Gcheap.Failpoint.Never
-    & info [ "alloc-fail" ] ~docv:"PLAN" ~doc)
-
 let run_cmd =
-  let async_arg =
-    let doc = "Force a collection every N instructions (asynchronous GC)." in
-    Arg.(value & opt (some int) None & info [ "async-gc" ] ~docv:"N" ~doc)
-  in
-  let gc_at_arg =
-    let doc = "Force collections exactly after the listed instruction indices." in
-    Arg.(value & opt (list int) [] & info [ "gc-at" ] ~docv:"K,K,..." ~doc)
-  in
-  let gc_at_allocs_arg =
-    let doc = "Force a collection at every allocation." in
-    Arg.(value & flag & info [ "gc-at-allocs" ] ~doc)
-  in
   let integrity_arg =
     let doc = "Run the heap-integrity sanitizer after every collection." in
     Arg.(value & flag & info [ "check-integrity" ] ~doc)
-  in
-  let threshold_arg =
-    let doc = "Allocation volume (bytes) between automatic collections." in
-    Arg.(
-      value & opt (some int) None & info [ "gc-threshold" ] ~docv:"BYTES" ~doc)
-  in
-  let pause_budget_arg =
-    let doc =
-      "Incremental-mode pause budget: words of collector work per marking \
-       increment (the deterministic VM-tick clock).  Implies a one-line \
-       increment summary on stderr.  Only meaningful with --gc-mode inc."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-pause-budget" ] ~docv:"WORDS" ~doc)
   in
   let stats_arg =
     let doc = "Print cycle/instruction/GC statistics to stderr." in
@@ -436,35 +477,12 @@ let run_cmd =
     in
     Arg.(value & flag & info [ "metrics" ] ~doc)
   in
-  let workload_arg =
-    let doc = "Run a registered workload instead of a FILE." in
-    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
-  in
-  let opt_file_arg =
-    let doc = "C source file ('-' for standard input)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
-  let run config machine analysis gc_mode gc_threshold gc_pause_budget async
-      gc_at gc_at_allocs integrity max_instrs max_heap heap_limit oom_policy
-      alloc_fail stats trace metrics no_cache workload file =
+  let run config machine analysis gc_mode gc_threshold gc_pause_budget schedule
+      integrity max_instrs max_heap heap_limit oom_policy alloc_fail stats trace
+      metrics no_cache source =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
-        let src =
-          match (workload, file) with
-          | Some w, None -> (
-              match Workloads.Registry.by_name w with
-              | Some wl -> wl.Workloads.Registry.w_source
-              | None ->
-                  Printf.eprintf "unknown workload: %s\n" w;
-                  exit 2)
-          | None, Some f -> read_input f
-          | Some _, Some _ ->
-              Printf.eprintf "give either FILE or --workload, not both\n";
-              exit 2
-          | None, None ->
-              Printf.eprintf "a FILE argument or --workload is required\n";
-              exit 2
-        in
+        let _, src = source () in
         let tracer = Option.map (fun _ -> Telemetry.Trace.create ()) trace in
         let telemetry =
           if trace <> None || metrics then
@@ -480,25 +498,13 @@ let run_cmd =
               (Telemetry.Metrics.snapshot
                  (Telemetry.Sink.metrics telemetry))
         in
-        let schedule =
-          if gc_at <> [] then Machine.Schedule.at_list gc_at
-          else if gc_at_allocs then Machine.Schedule.At_allocs
-          else
-            match async with
-            | Some n -> Machine.Schedule.Every n
-            | None -> Machine.Schedule.Auto
-        in
         let req =
           Harness.Request.make ~config ~machine ~analysis ~gc_mode ~schedule
             ~check_integrity:integrity ?gc_threshold ?gc_pause_budget
             ?max_instrs ?max_heap ~heap_limit ~oom_policy
             ~alloc_failpoints:alloc_fail src
         in
-        let b =
-          Harness.Build.compile ?telemetry
-            ~options:(Harness.Request.build_options req)
-            config src
-        in
+        let b = build ?telemetry req in
         (* one line, structured, on stderr — stdout stays byte-identical
            for the determinism diffs *)
         let summary outcome ~emergency ~injected =
@@ -543,19 +549,17 @@ let run_cmd =
             let outcome, message = Harness.Diagnostics.of_measure o in
             if heap_limit > 0 || alloc_fail <> Gcheap.Failpoint.Never then
               summary outcome ~emergency:0 ~injected:0;
-            Harness.Diagnostics.report outcome message;
-            exit (Harness.Diagnostics.exit_code outcome))
+            exit_with (outcome, message))
   in
   let doc = "build a configuration and execute it on the VM" in
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
       const run $ config_arg $ machine_arg $ analysis_arg $ gc_mode_arg
-      $ threshold_arg $ pause_budget_arg $ async_arg $ gc_at_arg
-      $ gc_at_allocs_arg $ integrity_arg $ max_instrs_arg $ max_heap_arg
-      $ heap_limit_arg $ oom_policy_arg $ alloc_fail_arg
-      $ stats_arg $ trace_arg $ metrics_arg $ no_cache_arg $ workload_arg
-      $ opt_file_arg)
+      $ gc_threshold_arg $ gc_pause_budget_arg $ gc_schedule_arg
+      $ integrity_arg $ max_instrs_arg $ max_heap_arg $ heap_limit_arg
+      $ oom_policy_arg $ alloc_fail_arg $ stats_arg $ trace_arg $ metrics_arg
+      $ no_cache_arg $ source_term)
 
 (* --- ir --------------------------------------------------------------------- *)
 
@@ -563,15 +567,8 @@ let ir_cmd =
   let run config machine analysis file =
     handle_errors (fun () ->
         let src = read_input file in
-        let b =
-          Harness.Build.compile
-            ~options:
-              {
-                (Harness.Build.for_machine machine) with
-                Harness.Build.analysis;
-              }
-            config src
-        in
+        let req = Harness.Request.make ~config ~machine ~analysis src in
+        let b = build req in
         List.iter
           (fun f -> Format.printf "%a@." Ir.Instr.pp_func f)
           b.Harness.Build.b_ir.Ir.Instr.p_funcs)
@@ -597,16 +594,7 @@ let stress_cmd =
       "Restrict to one machine model (sparc2, sparc10, pentium90); \
        repeatable.  Default: all three."
     in
-    let parse s =
-      match Machine.Machdesc.by_name s with
-      | Some m -> Ok m
-      | None -> Error (`Msg (Printf.sprintf "unknown machine %s" s))
-    in
-    let print fmt m = Format.pp_print_string fmt m.Machine.Machdesc.md_name in
-    Arg.(
-      value
-      & opt_all (conv (parse, print)) []
-      & info [ "machine" ] ~docv:"MACHINE" ~doc)
+    Arg.(value & opt_all machine_conv [] & info [ "machine" ] ~docv:"MACHINE" ~doc)
   in
   let every_arg =
     let doc = "Use an every-N schedule (repeatable) instead of automatic mode \
@@ -637,19 +625,9 @@ let stress_cmd =
        default), 'none', or 'both' to cross-check analysis-pruned builds \
        against fully-annotated ones under every schedule."
     in
-    let parse = function
-      | "none" -> Ok [ Gcsafe.Mode.A_none ]
-      | "flow" -> Ok [ Gcsafe.Mode.A_flow ]
-      | "both" -> Ok [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ]
-      | s -> Error (`Msg (Printf.sprintf "unknown analysis %s" s))
-    in
-    let print fmt a =
-      Format.pp_print_string fmt
-        (String.concat "," (List.map Gcsafe.Mode.analysis_to_string a))
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) [ Gcsafe.Mode.A_flow ]
+      & opt analyses_conv [ Gcsafe.Mode.A_flow ]
       & info [ "analysis" ] ~docv:"ANALYSIS" ~doc)
   in
   let trace_dir_arg =
@@ -669,21 +647,12 @@ let stress_cmd =
        barrier-based collectors against the paper's stop-the-world \
        collector under every schedule."
     in
-    let parse = function
-      | "stw" -> Ok [ Gcheap.Heap.Stw ]
-      | "gen" -> Ok [ Gcheap.Heap.Gen ]
-      | "inc" | "incremental" -> Ok [ Gcheap.Heap.Inc ]
-      | "both" -> Ok [ Gcheap.Heap.Stw; Gcheap.Heap.Gen ]
-      | "all" -> Ok [ Gcheap.Heap.Stw; Gcheap.Heap.Gen; Gcheap.Heap.Inc ]
-      | s -> Error (`Msg (Printf.sprintf "unknown gc mode %s" s))
-    in
-    let print fmt ms =
-      Format.pp_print_string fmt
-        (String.concat "," (List.map Gcheap.Heap.gc_mode_name ms))
+    let aliases =
+      Gcheap.Heap.[ ("both", [ Stw; Gen ]); ("all", [ Stw; Gen; Inc ]) ]
     in
     Arg.(
       value
-      & opt (conv (parse, print)) [ Gcheap.Heap.Stw ]
+      & opt (list_conv ~aliases gc_mode_conv) [ Gcheap.Heap.Stw ]
       & info [ "gc-mode" ] ~docv:"MODE" ~doc)
   in
   let chaos_arg =
@@ -721,22 +690,28 @@ let stress_cmd =
                   exit 2)
             targets
         in
+        (* one matrix from the flags, over the chosen sweep's defaults *)
+        let defaults =
+          if chaos then Stress.Chaos.default_plan.Stress.Chaos.c_matrix
+          else Stress.Driver.default_plan.Stress.Driver.p_matrix
+        in
+        let matrix =
+          {
+            defaults with
+            Harness.Request.m_machines =
+              (if machines = [] then defaults.Harness.Request.m_machines
+               else machines);
+            Harness.Request.m_analyses = analyses;
+            Harness.Request.m_gc_modes = gc_modes;
+            Harness.Request.m_max_instrs = max_instrs;
+            Harness.Request.m_max_heap = max_heap;
+          }
+        in
         if chaos then begin
-          let default_matrix =
-            Stress.Chaos.default_plan.Stress.Chaos.c_matrix
-          in
           let plan =
             {
               Stress.Chaos.default_plan with
-              Stress.Chaos.c_matrix =
-                {
-                  default_matrix with
-                  Harness.Request.m_machines =
-                    (if machines = [] then
-                       default_matrix.Harness.Request.m_machines
-                     else machines);
-                  Harness.Request.m_gc_modes = gc_modes;
-                };
+              Stress.Chaos.c_matrix = matrix;
               Stress.Chaos.c_seed = chaos_seed;
               Stress.Chaos.c_max_points = chaos_points;
               Stress.Chaos.c_jobs = jobs;
@@ -757,23 +732,9 @@ let stress_cmd =
           in
           if m = [] then None else Some m
         in
-        let default_matrix =
-          Stress.Driver.default_plan.Stress.Driver.p_matrix
-        in
         let plan =
           {
-            Stress.Driver.p_matrix =
-              {
-                default_matrix with
-                Harness.Request.m_machines =
-                  (if machines = [] then
-                     default_matrix.Harness.Request.m_machines
-                   else machines);
-                Harness.Request.m_analyses = analyses;
-                Harness.Request.m_gc_modes = gc_modes;
-                Harness.Request.m_max_instrs = max_instrs;
-                Harness.Request.m_max_heap = max_heap;
-              };
+            Stress.Driver.p_matrix = matrix;
             Stress.Driver.p_modes = modes;
             Stress.Driver.p_exhaustive_cap = cap;
             Stress.Driver.p_jobs = jobs;
@@ -807,61 +768,19 @@ let profile_cmd =
        what the pruned KEEP_LIVE annotations cost or save in retained \
        garbage."
     in
-    let parse = function
-      | "none" -> Ok [ Gcsafe.Mode.A_none ]
-      | "flow" -> Ok [ Gcsafe.Mode.A_flow ]
-      | "both" -> Ok [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ]
-      | s -> Error (`Msg (Printf.sprintf "unknown analysis %s" s))
-    in
-    let print fmt a =
-      Format.pp_print_string fmt
-        (String.concat "," (List.map Gcsafe.Mode.analysis_to_string a))
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ]
+      & opt analyses_conv both_analyses
       & info [ "analysis" ] ~docv:"ANALYSIS" ~doc)
   in
-  let json_arg =
-    let doc = "Emit the profile as one JSON document instead of tables." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let threshold_arg =
-    let doc =
-      "Allocation volume (bytes) between automatic collections.  Small \
-       values reclaim garbage promptly, so drag measures retention rather \
-       than collector laziness."
-    in
-    Arg.(value & opt int 2048 & info [ "gc-threshold" ] ~docv:"BYTES" ~doc)
-  in
-  let workload_arg =
-    let doc = "Profile a registered workload instead of a FILE." in
-    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
-  in
-  let opt_file_arg =
-    let doc = "C source file ('-' for standard input)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
-  let run config machine analyses gc_mode json threshold max_instrs max_heap
-      no_cache workload file =
+  let run config machine analyses gc_mode json gc_threshold max_instrs max_heap
+      no_cache source =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
-        let source_name, src =
-          match (workload, file) with
-          | Some w, None -> (
-              match Workloads.Registry.by_name w with
-              | Some wl -> (w, wl.Workloads.Registry.w_source)
-              | None ->
-                  Printf.eprintf "unknown workload: %s\n" w;
-                  exit 2)
-          | None, Some f -> (f, read_input f)
-          | Some _, Some _ ->
-              Printf.eprintf "give either FILE or --workload, not both\n";
-              exit 2
-          | None, None ->
-              Printf.eprintf "a FILE argument or --workload is required\n";
-              exit 2
-        in
+        let source_name, src = source () in
+        (* a small threshold reclaims garbage promptly, so drag measures
+           retention rather than collector laziness *)
+        let threshold = Option.value gc_threshold ~default:2048 in
         (* per-function KEEP_LIVE survivors, for the annotation column of
            the drag table (preprocessed configurations only) *)
         let keep_lives_by_func analysis =
@@ -891,19 +810,12 @@ let profile_cmd =
               ~final_collect:true ~gc_threshold:threshold ?max_instrs
               ?max_heap src
           in
-          let b =
-            Harness.Build.compile
-              ~options:(Harness.Request.build_options req)
-              config src
-          in
+          let b = build req in
           let profiler = Telemetry.Heap_profiler.create () in
           let telemetry = Some (Telemetry.Sink.make ~profiler ()) in
           (match Harness.Measure.exec ?telemetry req b with
           | Harness.Measure.Ran _ -> ()
-          | o ->
-              let outcome, message = Harness.Diagnostics.of_measure o in
-              Harness.Diagnostics.report outcome message;
-              exit (Harness.Diagnostics.exit_code outcome));
+          | o -> exit_with (Harness.Diagnostics.of_measure o));
           (analysis, Telemetry.Heap_profiler.report profiler)
         in
         let profiles = List.map profile_one analyses in
@@ -955,8 +867,8 @@ let profile_cmd =
     (Cmd.info "profile" ~doc)
     Term.(
       const run $ config_arg $ machine_arg $ analyses_arg $ gc_mode_arg
-      $ json_arg $ threshold_arg $ max_instrs_arg $ max_heap_arg
-      $ no_cache_arg $ workload_arg $ opt_file_arg)
+      $ json_flag_arg $ gc_threshold_arg $ max_instrs_arg $ max_heap_arg
+      $ no_cache_arg $ source_term)
 
 (* --- trace-check ------------------------------------------------------------- *)
 
@@ -993,63 +905,17 @@ let trace_check_cmd =
 (* --- heap-census ------------------------------------------------------------- *)
 
 let heap_census_cmd =
-  let json_arg =
-    let doc = "Emit the censuses as one JSON document instead of tables." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let threshold_arg =
-    let doc = "Allocation volume (bytes) between automatic collections." in
-    Arg.(
-      value & opt (some int) None & info [ "gc-threshold" ] ~docv:"BYTES" ~doc)
-  in
-  let pause_budget_arg =
-    let doc =
-      "Incremental-mode pause budget (words per increment); only meaningful \
-       with --gc-mode inc."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gc-pause-budget" ] ~docv:"WORDS" ~doc)
-  in
-  let workload_arg =
-    let doc = "Census a registered workload instead of a FILE." in
-    Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
-  in
-  let opt_file_arg =
-    let doc = "C source file ('-' for standard input)." in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
-  in
   let run config machine analysis gc_mode gc_threshold gc_pause_budget
-      heap_limit oom_policy json no_cache workload file =
+      heap_limit oom_policy json no_cache source =
     handle_errors (fun () ->
         apply_cache_flag no_cache;
-        let source_name, src =
-          match (workload, file) with
-          | Some w, None -> (
-              match Workloads.Registry.by_name w with
-              | Some wl -> (w, wl.Workloads.Registry.w_source)
-              | None ->
-                  Printf.eprintf "unknown workload: %s\n" w;
-                  exit 2)
-          | None, Some f -> (f, read_input f)
-          | Some _, Some _ ->
-              Printf.eprintf "give either FILE or --workload, not both\n";
-              exit 2
-          | None, None ->
-              Printf.eprintf "a FILE argument or --workload is required\n";
-              exit 2
-        in
+        let source_name, src = source () in
         let req =
           Harness.Request.make ~config ~machine ~analysis ~gc_mode
             ~final_collect:true ?gc_threshold ?gc_pause_budget ~heap_limit
             ~oom_policy src
         in
-        let b =
-          Harness.Build.compile
-            ~options:(Harness.Request.build_options req)
-            config src
-        in
+        let b = build req in
         match Harness.Measure.exec ~census:true req b with
         | Harness.Measure.Ran r ->
             let censuses = r.Harness.Measure.o_census in
@@ -1080,10 +946,7 @@ let heap_census_cmd =
               List.iter
                 (fun c -> Format.printf "%a@." Gcheap.Census.pp c)
                 censuses
-        | o ->
-            let outcome, message = Harness.Diagnostics.of_measure o in
-            Harness.Diagnostics.report outcome message;
-            exit (Harness.Diagnostics.exit_code outcome))
+        | o -> exit_with (Harness.Diagnostics.of_measure o))
   in
   let doc =
     "run a program and print the per-collection heap census: size-class \
@@ -1094,8 +957,8 @@ let heap_census_cmd =
     (Cmd.info "heap-census" ~doc)
     Term.(
       const run $ config_arg $ machine_arg $ analysis_arg $ gc_mode_arg
-      $ threshold_arg $ pause_budget_arg $ heap_limit_arg $ oom_policy_arg
-      $ json_arg $ no_cache_arg $ workload_arg $ opt_file_arg)
+      $ gc_threshold_arg $ gc_pause_budget_arg $ heap_limit_arg
+      $ oom_policy_arg $ json_flag_arg $ no_cache_arg $ source_term)
 
 (* --- tables ------------------------------------------------------------------ *)
 
@@ -1342,17 +1205,12 @@ let bomb_cmd =
   in
   let mix_arg =
     let doc = "Traffic mix: all, generated, examples or workloads." in
-    let parse s =
-      match Service.Trafficgen.mix_of_string s with
-      | Some m -> Ok m
-      | None -> Error (`Msg (Printf.sprintf "unknown mix %s" s))
-    in
-    let print fmt m =
-      Format.pp_print_string fmt (Service.Trafficgen.mix_name m)
-    in
     Arg.(
       value
-      & opt (conv (parse, print)) Service.Trafficgen.All
+      & opt
+          (knob_conv ~err:"unknown mix" Service.Trafficgen.mix_of_string
+             Service.Trafficgen.mix_name)
+          Service.Trafficgen.All
       & info [ "mix" ] ~docv:"MIX" ~doc)
   in
   let seed_arg =
