@@ -1278,9 +1278,19 @@ let check_range t p n =
 (** Is [addr, addr+len) fully inside some allocated heap object?  The VM
     uses this to detect access to swept (prematurely collected) objects. *)
 let valid_access t addr len =
-  match extent_of t addr with
-  | Some (base, size) -> addr + len <= base + size
+  (* the checks of [extent_of], inlined so that the VM's per-access test
+     allocates nothing *)
+  match Page_map.find t.map addr with
   | None -> false
+  | Some blk ->
+      let off = addr - blk.Block.blk_start in
+      off >= 0
+      &&
+      let size = blk.Block.blk_obj_size in
+      let i = off / size in
+      i < blk.Block.blk_count
+      && Bytes.unsafe_get blk.Block.blk_alloc i <> '\000'
+      && off + len <= (i + 1) * size
 
 (* ------------------------------------------------------------------ *)
 (* Heap-integrity sanitizer                                            *)

@@ -88,8 +88,9 @@ type config = {
           faults, which is what the schedule shrinker replays *)
   vm_stack_bytes : int;
   vm_telemetry : Telemetry.Sink.t option;
-      (** metrics / span tracing / heap profiling; [None] costs one
-          dead-branch test per instruction *)
+      (** metrics / span tracing / heap profiling; nothing on the
+          per-step path: step and dispatch counts are plain ints added
+          to the metrics once per run *)
   vm_census : bool;
       (** sample a {!Gcheap.Census} after every completed collection
           (incremental cycles included); off by default — sampling walks
@@ -123,64 +124,24 @@ let default_config ?(machine = Machdesc.sparc10) () =
 (* Telemetry                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Alloc-call instructions are keyed by physical identity: the program
-   structure is static during a run, and structurally equal calls at
-   different sites must stay distinct. *)
-module Instrtbl = Hashtbl.Make (struct
-  type t = instr
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 let alloc_builtin = function
   | "malloc" | "GC_malloc" | "GC_malloc_atomic" | "calloc" | "realloc" -> true
   | _ -> false
-
-(* Site ids are [fn:callee#k] with [k] the ordinal of the call among
-   same-callee alloc calls of the function, counted in static
-   block-label order.  Annotation passes insert or remove [KeepLive]
-   markers but never alloc calls, so ids join across
-   [--analysis none|flow] builds of one program. *)
-let site_table (p : program) =
-  let tab = Instrtbl.create 64 in
-  List.iter
-    (fun (f : func) ->
-      let ord = Hashtbl.create 8 in
-      let blocks =
-        List.sort (fun a b -> compare a.b_label b.b_label) f.fn_blocks
-      in
-      List.iter
-        (fun b ->
-          List.iter
-            (fun i ->
-              match i with
-              | Call (_, callee, _) when alloc_builtin callee ->
-                  let k =
-                    Option.value ~default:0 (Hashtbl.find_opt ord callee)
-                  in
-                  Hashtbl.replace ord callee (k + 1);
-                  Instrtbl.replace tab i
-                    (Printf.sprintf "%s:%s#%d" f.fn_name callee k)
-              | _ -> ())
-            b.b_instrs)
-        blocks)
-    p.p_funcs;
-  tab
 
 let dispatch_class_names =
   [| "mov"; "alu"; "rel"; "load"; "store"; "push"; "call"; "keep_live";
      "branch" |]
 
-let class_of_instr = function
-  | Mov _ | Opaque _ -> 0
-  | Bin _ -> 1
-  | Rel _ -> 2
-  | Load _ -> 3
-  | Store _ -> 4
-  | Push _ -> 5
-  | Call _ -> 6
-  | KeepLive _ -> 7
+(* Indices into [dispatch_class_names]. *)
+let cls_mov = 0
+let cls_alu = 1
+let cls_rel = 2
+let cls_load = 3
+let cls_store = 4
+let cls_push = 5
+let cls_call = 6
+let cls_keep_live = 7
+let cls_branch = 8
 
 type tele = {
   tl_on : bool;
@@ -188,7 +149,9 @@ type tele = {
   tl_prof : Telemetry.Heap_profiler.t option;
   tl_rec : Telemetry.Flight_recorder.t option;
   tl_steps : Telemetry.Metrics.counter;
-  tl_dispatch : Telemetry.Metrics.counter array;  (** by {!class_of_instr} *)
+  tl_dispatch : Telemetry.Metrics.counter array;
+      (** by dispatch class; both are added once per run, from the
+          state's plain counts *)
   tl_gc : Telemetry.Metrics.counter;
   tl_gc_minor : Telemetry.Metrics.counter;
   tl_gc_emergency : Telemetry.Metrics.counter;
@@ -220,11 +183,9 @@ type tele = {
   tl_alloc_bytes : Telemetry.Metrics.histogram;
   tl_faults : Telemetry.Metrics.counter;
   tl_traps : Telemetry.Metrics.counter;
-  tl_sites : string Instrtbl.t;
-  mutable tl_cur_site : string;
 }
 
-let make_tele sink p =
+let make_tele sink =
   let m = Telemetry.Sink.metrics sink in
   let m = Telemetry.Metrics.scope m "vm" in
   let trace = match sink with Some s -> s.Telemetry.Sink.trace | None -> None in
@@ -264,38 +225,223 @@ let make_tele sink p =
     tl_alloc_bytes = Telemetry.Metrics.histogram m "alloc/bytes";
     tl_faults = Telemetry.Metrics.counter m "faults";
     tl_traps = Telemetry.Metrics.counter m "traps";
-    tl_sites = (match prof with Some _ -> site_table p | None -> Instrtbl.create 1);
-    tl_cur_site = "?";
   }
 
+(* ------------------------------------------------------------------ *)
+(* Execution form                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [load] lowers each function once into arrays: blocks addressed by
+   dense index, terminators resolved to block indices, operands decoded
+   (a [Glob] is already relocated into the statics region), callees
+   resolved to a function index, and each instruction's cycle cost taken
+   from the machine description.  A step is then an array read and one
+   match. *)
+
+type xop = R of reg | K of int  (** register, or a resolved constant *)
+
+type call = {
+  c_dst : reg;  (** [-1]: the result is discarded *)
+  c_name : string;
+  c_nargs : int;
+  c_func : int;  (** index into [st.funcs]; [-1]: a builtin *)
+  c_site : string;
+      (** heap-profiler site id [fn:callee#k] of an allocation call, when
+          profiling; otherwise ["?"] *)
+}
+
+type xinstr =
+  | XMov of reg * xop  (** [Mov] and [Opaque] *)
+  | XBin of binop * reg * xop * xop
+  | XRel of relop * reg * xop * xop
+  | XLoad of int * reg * xop * xop  (** width in bytes *)
+  | XStore of int * xop * xop * xop
+  | XPush of xop
+  | XCall of call
+  | XKeepLive
+
+(* A jump target is a block index; an unknown label [l] is kept as
+   [-1 - l] and faults only when the jump is taken. *)
+type xterm = XJmp of int | XBr of xop * int * int | XRet of xop
+
+type xblock = {
+  xb_label : label;
+  xb_src : instr array;  (** the IR instructions, for {!point_context} *)
+  xb_code : xinstr array;
+  xb_cost : int array;  (** cycles of each instruction *)
+  xb_term : xterm;
+}
+
+type xfunc = {
+  xf_name : string;
+  xf_params : reg array;
+  xf_nreg : int;
+  xf_frame : int;  (** frame size rounded to 16 bytes *)
+  xf_blocks : xblock array;  (** entry block first *)
+}
+
 type frame = {
-  fr_func : func;
+  fr_func : xfunc;
   fr_regs : int array;
   fr_base : int;  (** frame base address in the VM stack region *)
-  fr_blocks : (label, block) Hashtbl.t;
-  mutable fr_block : block;
-  mutable fr_pc : instr list;  (** instructions left in the current block *)
-  fr_dst : reg option;  (** caller register receiving our result *)
+  mutable fr_block : xblock;
+  mutable fr_pc : int;  (** index of the next instruction in [fr_block] *)
+  fr_dst : reg;  (** caller register receiving our result; [-1]: none *)
 }
+
+(* Site ids are [fn:callee#k] with [k] the ordinal of the call among
+   same-callee alloc calls of the function, counted in static
+   block-label order.  Annotation passes insert or remove [KeepLive]
+   markers but never alloc calls, so ids join across
+   [--analysis none|flow] builds of one program.  Keyed by block label
+   and position in the block. *)
+let site_ids (f : func) =
+  let tab = Hashtbl.create 8 and ord = Hashtbl.create 8 in
+  List.iter
+    (fun b ->
+      List.iteri
+        (fun k i ->
+          match i with
+          | Call (_, callee, _) when alloc_builtin callee ->
+              let n = Option.value ~default:0 (Hashtbl.find_opt ord callee) in
+              Hashtbl.replace ord callee (n + 1);
+              Hashtbl.replace tab (b.b_label, k)
+                (Printf.sprintf "%s:%s#%d" f.fn_name callee n)
+          | _ -> ())
+        b.b_instrs)
+    (List.sort (fun a b -> compare a.b_label b.b_label) f.fn_blocks);
+  tab
+
+let lower_func (m : Machdesc.t) ~statics_base ~func_index ~profile (f : func)
+    =
+  let op = function
+    | Reg r -> R r
+    | Imm n -> K n
+    | Glob off -> K (statics_base + off)
+  in
+  let index = Hashtbl.create 8 in
+  List.iteri (fun k b -> Hashtbl.replace index b.b_label k) f.fn_blocks;
+  let target l =
+    match Hashtbl.find_opt index l with Some k -> k | None -> -1 - l
+  in
+  let sites = if profile then site_ids f else Hashtbl.create 1 in
+  let cost = function
+    | Mov _ | Opaque _ | Push _ -> m.Machdesc.md_cost_mov
+    | Bin (op, d, a, _) ->
+        let base =
+          match op with
+          | Mul -> m.Machdesc.md_cost_mul
+          | Div | Mod -> m.Machdesc.md_cost_div
+          | _ -> m.Machdesc.md_cost_alu
+        in
+        (* two-operand machines need a move when dst <> first source *)
+        if m.Machdesc.md_two_operand && a <> Reg d then
+          base + m.Machdesc.md_cost_mov
+        else base
+    | Rel _ -> m.Machdesc.md_cost_alu + 1
+    | Load _ -> m.Machdesc.md_cost_load
+    | Store _ -> m.Machdesc.md_cost_store
+    | Call _ -> 0 (* overhead charged at dispatch, body separately *)
+    | KeepLive _ -> 0
+  in
+  let lower_block b =
+    let src = Array.of_list b.b_instrs in
+    let code =
+      Array.mapi
+        (fun k -> function
+          | Mov (d, s) | Opaque (d, s) -> XMov (d, op s)
+          | Bin (o, d, a, c) -> XBin (o, d, op a, op c)
+          | Rel (o, d, a, c) -> XRel (o, d, op a, op c)
+          | Load (w, d, a, c) -> XLoad (bytes_of_width w, d, op a, op c)
+          | Store (w, v, a, c) -> XStore (bytes_of_width w, op v, op a, op c)
+          | Push v -> XPush (op v)
+          | Call (dst, name, nargs) ->
+              XCall
+                {
+                  c_dst = Option.value ~default:(-1) dst;
+                  c_name = name;
+                  c_nargs = nargs;
+                  c_func = func_index name;
+                  c_site =
+                    Option.value ~default:"?"
+                      (Hashtbl.find_opt sites (b.b_label, k));
+                }
+          | KeepLive _ -> XKeepLive)
+        src
+    in
+    {
+      xb_label = b.b_label;
+      xb_src = src;
+      xb_code = code;
+      xb_cost = Array.map cost src;
+      xb_term =
+        (match b.b_term with
+        | Jmp l -> XJmp (target l)
+        | Br (c, l1, l2) -> XBr (op c, target l1, target l2)
+        | Ret v -> XRet (match v with Some o -> op o | None -> K 0));
+    }
+  in
+  {
+    xf_name = f.fn_name;
+    xf_params = Array.of_list f.fn_params;
+    xf_nreg = max f.fn_nreg 1;
+    xf_frame = (f.fn_frame + 15) / 16 * 16;
+    xf_blocks = Array.of_list (List.map lower_block f.fn_blocks);
+  }
+
+(* Lower every function; a name defined twice resolves to its last
+   definition.  Returns the functions and the name lookup. *)
+let lower_program m ~statics_base ~profile (p : program) =
+  let names = Hashtbl.create 16 in
+  List.iteri (fun k f -> Hashtbl.replace names f.fn_name k) p.p_funcs;
+  let func_index name =
+    Option.value ~default:(-1) (Hashtbl.find_opt names name)
+  in
+  ( Array.of_list
+      (List.map (lower_func m ~statics_base ~func_index ~profile) p.p_funcs),
+    func_index )
+
+(* The frame of no function, current before [main] is entered: its one
+   block returns, which faults with no frame to return from. *)
+let no_frame =
+  let b =
+    { xb_label = 0; xb_src = [||]; xb_code = [||]; xb_cost = [||];
+      xb_term = XRet (K 0) }
+  in
+  {
+    fr_func =
+      { xf_name = "?"; xf_params = [||]; xf_nreg = 1; xf_frame = 0;
+        xf_blocks = [| b |] };
+    fr_regs = [| 0 |];
+    fr_base = 0;
+    fr_block = b;
+    fr_pc = 0;
+    fr_dst = -1;
+  }
 
 type state = {
   cfg : config;
   heap : Gcheap.Heap.t;
-  funcs : (string, func) Hashtbl.t;
+  funcs : xfunc array;
+  main : int;  (** index of [main] in [funcs]; [-1]: none *)
   statics_base : int;
   stack_base : int;
   mutable sp : int;  (** next free offset within the stack region *)
-  mutable frames : frame list;  (** innermost first *)
+  mutable cur : frame;  (** the innermost frame, the head of [frames] *)
+  mutable frames : frame list;
+      (** innermost first: the register files the collector scans *)
   mutable depth : int;  (** call depth, for frames with empty frame areas *)
   out : Buffer.t;
-  mutable instrs : int;
+  mutable instrs : int;  (** steps executed: the [vm/steps] count *)
   mutable cycles : int;
+  dispatch : int array;  (** steps by dispatch class *)
   mutable gc_count : int;
   mutable inc_grays_seen : int;
       (** barrier grays already ticked into telemetry (incremental mode:
           the SATB barrier accrues during mutator time, between steps) *)
   mutable rand_state : int;
-  mutable arg_queue : int list;  (** reversed: arguments pushed so far *)
+  mutable args : int array;  (** pushed arguments, oldest first *)
+  mutable nargs : int;  (** arguments pushed and not yet taken *)
   mutable at_call : bool;  (** the last executed instruction was a call *)
   mutable gc_points : (int * string) list;
       (** injected collections that actually fired: safepoint index and a
@@ -369,9 +515,11 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
   let stack_base =
     Gcheap.Heap.alloc ~kind:Gcheap.Block.Stack heap cfg.vm_stack_bytes
   in
-  let funcs = Hashtbl.create 16 in
-  List.iter (fun f -> Hashtbl.replace funcs f.fn_name f) p.p_funcs;
-  let tele = make_tele cfg.vm_telemetry p in
+  let tele = make_tele cfg.vm_telemetry in
+  let funcs, func_index =
+    lower_program cfg.vm_machine ~statics_base
+      ~profile:(Option.is_some tele.tl_prof) p
+  in
   (match tele.tl_prof with
   | Some pr ->
       heap.Gcheap.Heap.on_free <-
@@ -381,18 +529,22 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
     cfg;
     heap;
     funcs;
+    main = func_index "main";
     statics_base;
     stack_base;
     sp = 0;
+    cur = no_frame;
     frames = [];
     depth = 0;
     out = Buffer.create 256;
     instrs = 0;
     cycles = 0;
+    dispatch = Array.make (Array.length dispatch_class_names) 0;
     gc_count = 0;
     inc_grays_seen = 0;
     rand_state = 42;
-    arg_queue = [];
+    args = Array.make 16 0;
+    nargs = 0;
     at_call = false;
     gc_points = [];
     gc_max_pause_words = 0;
@@ -511,16 +663,13 @@ let point_context st =
   match st.frames with
   | [] -> "program exit"
   | fr :: _ ->
-      let total = List.length fr.fr_block.b_instrs in
-      let executed = total - List.length fr.fr_pc in
+      let b = fr.fr_block in
       let where =
-        if executed = 0 then "block entry"
+        if fr.fr_pc = 0 then "block entry"
         else
-          Format.asprintf "after %a" Ir.Instr.pp_instr
-            (List.nth fr.fr_block.b_instrs (executed - 1))
+          Format.asprintf "after %a" Ir.Instr.pp_instr b.xb_src.(fr.fr_pc - 1)
       in
-      Printf.sprintf "%s, L%d, %s" fr.fr_func.fn_name fr.fr_block.b_label
-        where
+      Printf.sprintf "%s, L%d, %s" fr.fr_func.xf_name b.xb_label where
 
 let forced_collect st =
   let ctx = point_context st in
@@ -530,7 +679,7 @@ let forced_collect st =
 
 (** Is an injected collection due at the current safepoint (the boundary
     after instruction [st.instrs])? *)
-let forced_gc_due st =
+let[@inline] forced_gc_due st =
   (match st.cfg.vm_gc_schedule with
   | Schedule.Auto | Schedule.At_allocs -> false
   | Schedule.Every n -> n > 0 && st.instrs mod n = 0
@@ -623,51 +772,56 @@ let check_heap_ceiling st =
 (* Frames                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let push_frame st (f : func) (args : int list) (dst : reg option) =
-  let frame_size = (f.fn_frame + 15) / 16 * 16 in
+(* Enter [f] with the [n] arguments at [st.args.(first)] onward. *)
+let push_frame st (f : xfunc) first n (dst : reg) =
   st.depth <- st.depth + 1;
   if
-    st.sp + frame_size > st.cfg.vm_stack_bytes
+    st.sp + f.xf_frame > st.cfg.vm_stack_bytes
     || st.depth > st.cfg.vm_stack_bytes / 64
   then raise (Fault "stack overflow");
   let base = st.stack_base + st.sp in
-  st.sp <- st.sp + frame_size;
-  let regs = Array.make (max f.fn_nreg 1) 0 in
+  st.sp <- st.sp + f.xf_frame;
+  let regs = Array.make f.xf_nreg 0 in
   regs.(fp) <- base;
+  let arity () =
+    raise (Fault (Printf.sprintf "arity mismatch calling %s" f.xf_name))
+  in
+  if n <> Array.length f.xf_params then arity ();
   (try
-     List.iter2 (fun r v -> regs.(r) <- v) f.fn_params args
-   with Invalid_argument _ ->
-     raise (Fault (Printf.sprintf "arity mismatch calling %s" f.fn_name)));
-  let blocks = Hashtbl.create 8 in
-  List.iter (fun b -> Hashtbl.replace blocks b.b_label b) f.fn_blocks;
-  let entry = List.hd f.fn_blocks in
-  st.frames <-
+     for k = 0 to n - 1 do
+       regs.(f.xf_params.(k)) <- st.args.(first + k)
+     done
+   with Invalid_argument _ -> arity ());
+  let entry = f.xf_blocks.(0) in
+  let fr =
     {
       fr_func = f;
       fr_regs = regs;
       fr_base = base;
-      fr_blocks = blocks;
       fr_block = entry;
-      fr_pc = entry.b_instrs;
+      fr_pc = 0;
       fr_dst = dst;
     }
-    :: st.frames
+  in
+  st.cur <- fr;
+  st.frames <- fr :: st.frames
 
 let pop_frame st (ret : int) =
   match st.frames with
   | [] -> raise (Fault "return with no frame")
   | fr :: rest ->
-      let frame_size = (fr.fr_func.fn_frame + 15) / 16 * 16 in
+      let frame_size = fr.fr_func.xf_frame in
       (* clear the dead frame so stale locals do not linger as roots *)
       if frame_size > 0 then
         Gcheap.Mem.fill st.heap.Gcheap.Heap.mem fr.fr_base frame_size '\000';
       st.sp <- st.sp - frame_size;
       st.depth <- st.depth - 1;
       st.frames <- rest;
-      (match (fr.fr_dst, rest) with
-      | Some d, caller :: _ -> caller.fr_regs.(d) <- ret
-      | _, _ -> ());
-      (match rest with [] -> raise (Exit_program ret) | _ -> ())
+      match rest with
+      | [] -> raise (Exit_program ret)
+      | caller :: _ ->
+          st.cur <- caller;
+          if fr.fr_dst >= 0 then caller.fr_regs.(fr.fr_dst) <- ret
 
 (* ------------------------------------------------------------------ *)
 (* Memory access with safety checking                                  *)
@@ -693,14 +847,14 @@ let check_access st addr len what =
   | None -> ()
 
 let load_mem st width addr =
-  check_access st addr (bytes_of_width width) "load";
-  Gcheap.Mem.load st.heap.Gcheap.Heap.mem ~width:(bytes_of_width width) addr
+  check_access st addr width "load";
+  Gcheap.Mem.load st.heap.Gcheap.Heap.mem ~width addr
 
 let store_mem st width addr v =
-  check_access st addr (bytes_of_width width) "store";
+  check_access st addr width "store";
   (* generational write barrier; charges no cycles in either gc mode *)
-  Gcheap.Heap.note_store st.heap addr (bytes_of_width width);
-  Gcheap.Mem.store st.heap.Gcheap.Heap.mem ~width:(bytes_of_width width) addr v
+  Gcheap.Heap.note_store st.heap addr width;
+  Gcheap.Mem.store st.heap.Gcheap.Heap.mem ~width addr v
 
 (* ------------------------------------------------------------------ *)
 (* Builtins                                                            *)
@@ -712,7 +866,7 @@ let cstring st addr =
 
 let charge st n = st.cycles <- st.cycles + n
 
-let alloc ?kind st n =
+let alloc ?kind ~site st n =
   maybe_collect_for_alloc st;
   let a = Gcheap.Heap.alloc ?kind st.heap (max n 1) in
   if st.tele.tl_on then begin
@@ -720,8 +874,7 @@ let alloc ?kind st n =
     match st.tele.tl_prof with
     | Some pr ->
         Telemetry.Heap_profiler.set_tick pr st.instrs;
-        Telemetry.Heap_profiler.on_alloc pr ~site:st.tele.tl_cur_site ~addr:a
-          ~bytes:(max n 1)
+        Telemetry.Heap_profiler.on_alloc pr ~site ~addr:a ~bytes:(max n 1)
     | None -> ()
   end;
   check_heap_ceiling st;
@@ -742,23 +895,24 @@ let do_printf st fmt args =
   let rec loop i =
     if i < n then
       if fmt.[i] = '%' && i + 1 < n then begin
-        (match fmt.[i + 1] with
-        | 'd' | 'i' -> Buffer.add_string buf (string_of_int (next ()))
-        | 'l' ->
-            (* %ld *)
+        (* an [l] length modifier changes nothing: every integer is a
+           word, so [%ld] is [%d] and [%lx] is [%x] *)
+        let long = fmt.[i + 1] = 'l' && i + 2 < n in
+        let len = if long then 3 else 2 in
+        (match (long, fmt.[i + len - 1]) with
+        | _, ('d' | 'i' | 'u') ->
             Buffer.add_string buf (string_of_int (next ()))
-        | 'x' -> Buffer.add_string buf (Printf.sprintf "%x" (next ()))
-        | 'c' -> Buffer.add_char buf (Char.chr (next () land 0xff))
-        | 's' -> Buffer.add_string buf (cstring st (next ()))
-        | 'p' -> Buffer.add_string buf (Printf.sprintf "0x%x" (next ()))
-        | '%' -> Buffer.add_char buf '%'
-        | c -> raise (Fault (Printf.sprintf "printf: unsupported %%%c" c)));
-        let skip =
-          match fmt.[i + 1] with
-          | 'l' when i + 2 < n && (fmt.[i + 2] = 'd' || fmt.[i + 2] = 'u') -> 3
-          | _ -> 2
-        in
-        loop (i + skip)
+        | _, 'x' -> Buffer.add_string buf (Printf.sprintf "%x" (next ()))
+        | false, 'c' -> Buffer.add_char buf (Char.chr (next () land 0xff))
+        | false, 's' -> Buffer.add_string buf (cstring st (next ()))
+        | false, 'p' -> Buffer.add_string buf (Printf.sprintf "0x%x" (next ()))
+        | false, '%' -> Buffer.add_char buf '%'
+        | _ ->
+            raise
+              (Fault
+                 (Printf.sprintf "printf: unsupported %%%s"
+                    (String.sub fmt (i + 1) (len - 1)))));
+        loop (i + len)
       end
       else begin
         Buffer.add_char buf fmt.[i];
@@ -769,24 +923,25 @@ let do_printf st fmt args =
   Buffer.add_buffer st.out buf;
   Buffer.length buf
 
-let builtin st name (args : int list) : int =
+(* [site]: the heap-profiler id of this call, for the allocators *)
+let builtin st ~site name (args : int list) : int =
   let m = st.cfg.vm_machine in
   charge st m.Machdesc.md_cost_call;
   match (name, args) with
   | ("malloc" | "GC_malloc"), [ n ] ->
       charge st 40;
-      alloc st n
+      alloc ~site st n
   | "GC_malloc_atomic", [ n ] ->
       charge st 40;
-      alloc ~kind:Gcheap.Block.Atomic st n
+      alloc ~kind:Gcheap.Block.Atomic ~site st n
   | "calloc", [ a; b ] ->
       charge st 45;
-      alloc st (a * b)
+      alloc ~site st (a * b)
   | "realloc", [ p; n ] ->
       charge st 50;
-      if p = 0 then alloc st n
+      if p = 0 then alloc ~site st n
       else begin
-        let fresh = alloc st n in
+        let fresh = alloc ~site st n in
         (match Gcheap.Heap.extent_of st.heap p with
         | Some (base, size) ->
             let old_len = size - (p - base) in
@@ -925,10 +1080,7 @@ let builtin st name (args : int list) : int =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let operand st fr = function
-  | Reg r -> fr.fr_regs.(r)
-  | Imm n -> n
-  | Glob off -> st.statics_base + off
+let[@inline] opnd regs = function R r -> regs.(r) | K n -> n
 
 let eval_bin op a b =
   match op with
@@ -955,111 +1107,92 @@ let eval_rel op a b =
   in
   if r then 1 else 0
 
-let instr_cost st fr (i : instr) =
-  let m = st.cfg.vm_machine in
-  match i with
-  | Mov _ | Opaque _ -> m.Machdesc.md_cost_mov
-  | Bin (op, d, a, _) ->
-      let base =
-        match op with
-        | Mul -> m.Machdesc.md_cost_mul
-        | Div | Mod -> m.Machdesc.md_cost_div
-        | _ -> m.Machdesc.md_cost_alu
-      in
-      (* two-operand machines need a move when dst <> first source *)
-      let penalty =
-        if m.Machdesc.md_two_operand && a <> Reg d then
-          m.Machdesc.md_cost_mov
-        else 0
-      in
-      ignore fr;
-      base + penalty
-  | Rel _ -> m.Machdesc.md_cost_alu + 1
-  | Load _ -> m.Machdesc.md_cost_load
-  | Store _ -> m.Machdesc.md_cost_store
-  | Push _ -> m.Machdesc.md_cost_mov
-  | Call _ -> 0 (* overhead charged at dispatch, body separately *)
-  | KeepLive _ -> 0
+let[@inline] count st cls = st.dispatch.(cls) <- st.dispatch.(cls) + 1
 
-let rec step st =
-  match st.frames with
-  | [] -> raise (Fault "no frame")
-  | fr :: _ -> (
-      match fr.fr_pc with
-      | i :: rest ->
-          fr.fr_pc <- rest;
-          st.instrs <- st.instrs + 1;
-          st.cycles <- st.cycles + instr_cost st fr i;
-          st.at_call <- (match i with Call _ -> true | _ -> false);
-          if st.tele.tl_on then begin
-            Telemetry.Metrics.incr st.tele.tl_steps;
-            Telemetry.Metrics.incr st.tele.tl_dispatch.(class_of_instr i);
-            match st.tele.tl_prof with
-            | Some _ -> (
-                match Instrtbl.find_opt st.tele.tl_sites i with
-                | Some site -> st.tele.tl_cur_site <- site
-                | None -> ())
-            | None -> ()
-          end;
-          (match i with
-          | Mov (d, s) -> fr.fr_regs.(d) <- operand st fr s
-          | Opaque (d, s) -> fr.fr_regs.(d) <- operand st fr s
-          | Bin (op, d, a, b) ->
-              fr.fr_regs.(d) <- eval_bin op (operand st fr a) (operand st fr b)
-          | Rel (op, d, a, b) ->
-              fr.fr_regs.(d) <- eval_rel op (operand st fr a) (operand st fr b)
-          | Load (w, d, base, off) ->
-              fr.fr_regs.(d) <-
-                load_mem st w (operand st fr base + operand st fr off)
-          | Store (w, src, base, off) ->
-              store_mem st w
-                (operand st fr base + operand st fr off)
-                (operand st fr src)
-          | KeepLive _ -> ()
-          | Push v -> st.arg_queue <- operand st fr v :: st.arg_queue
-          | Call (dst, fname, nargs) -> (
-              let vargs =
-                let rec take n acc q =
-                  if n = 0 then (acc, q)
-                  else
-                    match q with
-                    | v :: rest -> take (n - 1) (v :: acc) rest
-                    | [] -> raise (Fault "argument queue underflow")
-                in
-                let args, rest = take nargs [] st.arg_queue in
-                st.arg_queue <- rest;
-                args
-              in
-              match Hashtbl.find_opt st.funcs fname with
-              | Some f ->
-                  st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_call;
-                  push_frame st f vargs dst
-              | None ->
-                  let r = builtin st fname vargs in
-                  Option.iter (fun d -> fr.fr_regs.(d) <- r) dst))
-      | [] ->
-          (* terminator *)
-          st.instrs <- st.instrs + 1;
-          st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_branch;
-          if st.tele.tl_on then begin
-            Telemetry.Metrics.incr st.tele.tl_steps;
-            Telemetry.Metrics.incr st.tele.tl_dispatch.(8)
-          end;
-          (match fr.fr_block.b_term with
-          | Jmp l -> jump st fr l
-          | Br (c, l1, l2) ->
-              if operand st fr c <> 0 then jump st fr l1 else jump st fr l2
-          | Ret v ->
-              let rv = match v with Some o -> operand st fr o | None -> 0 in
-              pop_frame st rv))
+let push_arg st v =
+  if st.nargs = Array.length st.args then begin
+    let grown = Array.make (2 * st.nargs) 0 in
+    Array.blit st.args 0 grown 0 st.nargs;
+    st.args <- grown
+  end;
+  st.args.(st.nargs) <- v;
+  st.nargs <- st.nargs + 1
 
-and jump st fr l =
-  ignore st;
-  match Hashtbl.find_opt fr.fr_blocks l with
-  | Some b ->
-      fr.fr_block <- b;
-      fr.fr_pc <- b.b_instrs
-  | None -> raise (Fault (Printf.sprintf "jump to unknown label L%d" l))
+let rec arg_list st first k acc =
+  if k < first then acc else arg_list st first (k - 1) (st.args.(k) :: acc)
+
+let goto fr t =
+  if t < 0 then
+    raise (Fault (Printf.sprintf "jump to unknown label L%d" (-1 - t)));
+  fr.fr_block <- fr.fr_func.xf_blocks.(t);
+  fr.fr_pc <- 0
+
+let call st regs c =
+  let n = c.c_nargs in
+  if n < 0 || n > st.nargs then raise (Fault "argument queue underflow");
+  let first = st.nargs - n in
+  st.nargs <- first;
+  if c.c_func >= 0 then begin
+    st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_call;
+    push_frame st st.funcs.(c.c_func) first n c.c_dst
+  end
+  else
+    let r =
+      builtin st ~site:c.c_site c.c_name (arg_list st first (first + n - 1) [])
+    in
+    if c.c_dst >= 0 then regs.(c.c_dst) <- r
+
+let step st =
+  let fr = st.cur in
+  let b = fr.fr_block in
+  let pc = fr.fr_pc in
+  let regs = fr.fr_regs in
+  st.instrs <- st.instrs + 1;
+  if pc < Array.length b.xb_code then begin
+    fr.fr_pc <- pc + 1;
+    st.cycles <- st.cycles + b.xb_cost.(pc);
+    match b.xb_code.(pc) with
+    | XMov (d, s) ->
+        count st cls_mov;
+        st.at_call <- false;
+        regs.(d) <- opnd regs s
+    | XBin (op, d, a, c) ->
+        count st cls_alu;
+        st.at_call <- false;
+        regs.(d) <- eval_bin op (opnd regs a) (opnd regs c)
+    | XRel (op, d, a, c) ->
+        count st cls_rel;
+        st.at_call <- false;
+        regs.(d) <- eval_rel op (opnd regs a) (opnd regs c)
+    | XLoad (w, d, a, c) ->
+        count st cls_load;
+        st.at_call <- false;
+        regs.(d) <- load_mem st w (opnd regs a + opnd regs c)
+    | XStore (w, v, a, c) ->
+        count st cls_store;
+        st.at_call <- false;
+        store_mem st w (opnd regs a + opnd regs c) (opnd regs v)
+    | XPush v ->
+        count st cls_push;
+        st.at_call <- false;
+        push_arg st (opnd regs v)
+    | XCall c ->
+        count st cls_call;
+        st.at_call <- true;
+        call st regs c
+    | XKeepLive ->
+        count st cls_keep_live;
+        st.at_call <- false
+  end
+  else begin
+    (* terminator *)
+    st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_branch;
+    count st cls_branch;
+    match b.xb_term with
+    | XJmp t -> goto fr t
+    | XBr (c, t1, t2) -> goto fr (if opnd regs c <> 0 then t1 else t2)
+    | XRet v -> pop_frame st (opnd regs v)
+  end
 
 (** Run [main] to completion. *)
 let run ?(config = default_config ()) ?(args = []) (p : program) : result =
@@ -1076,12 +1209,18 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
             Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.emergency" []
         | None -> ());
         collect ~trigger:"emergency" st);
-  (match Hashtbl.find_opt st.funcs "main" with
-  | Some f -> push_frame st f args None
-  | None -> raise (Fault "no main function"));
+  if st.main < 0 then raise (Fault "no main function");
+  List.iter (push_arg st) args;
+  st.nargs <- 0;
+  push_frame st st.funcs.(st.main) 0 (List.length args) (-1);
   let tl = st.tele in
   let finally () =
-    (* faulting runs still get a closed trace and a finished profile *)
+    (* faulting and trapping runs still count their steps, and get a
+       closed trace and a finished profile *)
+    Telemetry.Metrics.add tl.tl_steps st.instrs;
+    Array.iteri
+      (fun k c -> Telemetry.Metrics.add c st.dispatch.(k))
+      tl.tl_dispatch;
     (match tl.tl_prof with
     | Some pr ->
         Telemetry.Heap_profiler.set_tick pr st.instrs;

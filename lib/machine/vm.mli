@@ -91,8 +91,10 @@ type config = {
           [--analysis] variants).  A sink's flight recorder receives
           [gc.begin]/[gc.end] spans, [gc.step]/[gc.emergency] instants
           and [vm.fault]/[vm.trap] instants, timestamped on the
-          executed-instruction clock.  [None] — the default — costs one
-          dead-branch test per instruction. *)
+          executed-instruction clock.  Step and dispatch counts are
+          kept as plain ints and added to the metrics once, when the run
+          ends (faulting and trapping runs included), so a sink costs
+          nothing per step. *)
   vm_census : bool;
       (** sample a {!Gcheap.Census} after every completed collection
           (incremental cycles included) into [r_census]; off by

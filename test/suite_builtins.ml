@@ -98,6 +98,13 @@ let test_printf_conversions () =
        {|int main(void) {
   printf("x=%d c=%c s=%s pct=%% hex=%x\n", -5, 'A', "hi", 255);
   return 0;
+}|});
+  Alcotest.(check string) "the l modifier before every integer conversion"
+    "ff 255 -3 255\n"
+    (run
+       {|int main(void) {
+  printf("%lx %li %ld %lu\n", 255L, 255L, -3L, 255L);
+  return 0;
 }|})
 
 let test_putchar_puts () =

@@ -275,6 +275,94 @@ let test_faults () =
   expect_fault "wild store"
     "int main(void) { long *p = (long *)99999999; *p = 1; return 0; }"
 
+(* Hand-built IR for the faults a VM could raise at load time instead of
+   at the step that hits them, or lose: each must carry its exact message,
+   and only when executed. *)
+let hand_program funcs =
+  let open Ir.Instr in
+  let func ?(params = []) name blocks =
+    {
+      fn_name = name;
+      fn_params = params;
+      fn_ret_void = false;
+      fn_blocks =
+        List.mapi
+          (fun l (is, t) -> { b_label = l; b_instrs = is; b_term = t })
+          blocks;
+      fn_nreg = 4;
+      fn_frame = 0;
+    }
+  in
+  {
+    p_funcs =
+      List.map (fun (name, params, blocks) -> func ~params name blocks) funcs;
+    p_statics = Bytes.empty;
+    p_relocs = [];
+  }
+
+let test_fault_messages () =
+  let open Ir.Instr in
+  let expect name msg p =
+    match Machine.Vm.run p with
+    | exception Machine.Vm.Fault m -> Alcotest.(check string) name msg m
+    | _ -> Alcotest.failf "%s: expected the fault %S" name msg
+  in
+  let ret0 = Ret (Some (Imm 0)) in
+  expect "unknown label" "jump to unknown label L5"
+    (hand_program [ ("main", [], [ ([ Mov (1, Imm 1) ], Jmp 5) ]) ]);
+  expect "unknown branch target" "jump to unknown label L9"
+    (hand_program
+       [ ("main", [], [ ([ Mov (1, Imm 0) ], Br (Reg 1, 0, 9)) ]) ]);
+  let unreachable =
+    hand_program [ ("main", [], [ ([], ret0); ([], Jmp 99) ]) ]
+  in
+  Alcotest.(check int) "an unreachable bad label never faults" 0
+    (Machine.Vm.run unreachable).Machine.Vm.r_exit;
+  expect "underflow" "argument queue underflow"
+    (hand_program
+       [ ("main", [], [ ([ Push (Imm 1); Call (None, "f", 2) ], ret0) ]);
+         ("f", [ 1; 2 ], [ ([], ret0) ]) ]);
+  expect "builtin underflow" "argument queue underflow"
+    (hand_program [ ("main", [], [ ([ Call (None, "putchar", 1) ], ret0) ]) ]);
+  expect "arity" "arity mismatch calling f"
+    (hand_program
+       [ ("main", [], [ ([ Push (Imm 1); Push (Imm 2); Call (None, "f", 2) ],
+                         ret0) ]);
+         ("f", [ 1 ], [ ([], ret0) ]) ]);
+  expect "unknown builtin" "unknown builtin foo/2"
+    (hand_program
+       [ ("main", [], [ ([ Push (Imm 1); Push (Imm 2); Call (Some 1, "foo", 2) ],
+                         ret0) ]) ])
+
+(* The step ceiling is checked after every step except the one that
+   leaves [main]: a run of [n] steps needs [n - 1] checked steps, so it
+   completes under a ceiling of [n - 1] and traps under [n - 2]. *)
+let test_step_ceiling_exact () =
+  let irp =
+    Util.compile
+      "int main(void) { int i; long s = 0;\n\
+       for (i = 0; i < 50; i++) s += i; return s % 7; }"
+  in
+  let full = Machine.Vm.run irp in
+  let n = full.Machine.Vm.r_instrs in
+  let with_ceiling k =
+    Machine.Vm.run
+      ~config:
+        { (Machine.Vm.default_config ()) with Machine.Vm.vm_max_instrs = k }
+      irp
+  in
+  let r = with_ceiling (n - 1) in
+  Alcotest.(check int) "same steps under ceiling n - 1" n r.Machine.Vm.r_instrs;
+  Alcotest.(check int) "same exit" full.Machine.Vm.r_exit r.Machine.Vm.r_exit;
+  Alcotest.(check int) "same cycles" full.Machine.Vm.r_cycles
+    r.Machine.Vm.r_cycles;
+  match with_ceiling (n - 2) with
+  | exception Machine.Vm.Trap (Machine.Vm.Step_limit, msg) ->
+      Alcotest.(check string) "trap message"
+        (Printf.sprintf "instruction budget exceeded (%d steps)" (n - 2))
+        msg
+  | _ -> Alcotest.fail "expected a step-limit trap under ceiling n - 2"
+
 let test_stack_overflow () =
   let irp =
     Util.compile "int f(int n) { return f(n + 1); } int main(void) { return f(0); }"
@@ -367,6 +455,9 @@ let suite =
     Alcotest.test_case "memory builtins" `Quick test_builtin_memory;
     Alcotest.test_case "exit codes" `Quick test_exit_code;
     Alcotest.test_case "faults" `Quick test_faults;
+    Alcotest.test_case "fault messages on hand-built IR" `Quick
+      test_fault_messages;
+    Alcotest.test_case "step ceiling is exact" `Quick test_step_ceiling_exact;
     Alcotest.test_case "stack overflow" `Quick test_stack_overflow;
     Alcotest.test_case "gc during run" `Quick test_gc_during_run;
     Alcotest.test_case "deterministic rand" `Quick test_rand_deterministic;
