@@ -564,9 +564,9 @@ let run_cmd =
 (* --- ir --------------------------------------------------------------------- *)
 
 let ir_cmd =
-  let run config machine analysis file =
+  let run config machine analysis source =
     handle_errors (fun () ->
-        let src = read_input file in
+        let _, src = source () in
         let req = Harness.Request.make ~config ~machine ~analysis src in
         let b = build req in
         List.iter
@@ -576,7 +576,7 @@ let ir_cmd =
   let doc = "dump the optimized, register-allocated IR" in
   Cmd.v
     (Cmd.info "ir" ~doc)
-    Term.(const run $ config_arg $ machine_arg $ analysis_arg $ file_arg)
+    Term.(const run $ config_arg $ machine_arg $ analysis_arg $ source_term)
 
 (* --- stress ------------------------------------------------------------------ *)
 

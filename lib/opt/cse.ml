@@ -3,25 +3,47 @@
     [Opaque] results are never CSE sources or targets: "the compiler loses
     all information about how the resulting value was computed, thus
     preventing it from discarding the value and subsequently recomputing
-    it" — and conversely from reusing an older computation for it. *)
+    it" — and conversely from reusing an older computation for it.
+
+    Linear in the block: a definition of [r] kills only the entries that
+    read [r] or hold their value in it, found through a reverse index
+    instead of a scan of every available expression. *)
 
 open Ir.Instr
 
 type key = K_bin of binop * operand * operand | K_rel of relop * operand * operand
 
+let reads k r =
+  match k with K_bin (_, a, b) | K_rel (_, a, b) -> a = Reg r || b = Reg r
+
 let run_block (b : block) =
   let avail : (key, reg) Hashtbl.t = Hashtbl.create 16 in
+  (* register -> keys entered while reading it or held in it; an entry
+     goes stale when its key is killed or re-entered under another
+     register, so [kill] re-checks each one against [avail] *)
+  let index : (reg, key list) Hashtbl.t = Hashtbl.create 16 in
+  let add_index r k =
+    Hashtbl.replace index r
+      (k :: Option.value ~default:[] (Hashtbl.find_opt index r))
+  in
   let kill r =
-    let victims =
-      Hashtbl.fold
-        (fun k v acc ->
-          let ops =
-            match k with K_bin (_, a, b) | K_rel (_, a, b) -> [ a; b ]
-          in
-          if v = r || List.mem (Reg r) ops then k :: acc else acc)
-        avail []
-    in
-    List.iter (Hashtbl.remove avail) victims
+    match Hashtbl.find_opt index r with
+    | None -> ()
+    | Some keys ->
+        Hashtbl.remove index r;
+        List.iter
+          (fun k ->
+            match Hashtbl.find_opt avail k with
+            | Some v when v = r || reads k r -> Hashtbl.remove avail k
+            | _ -> ())
+          keys
+  in
+  let record k d =
+    Hashtbl.replace avail k d;
+    add_index d k;
+    match k with
+    | K_bin (_, a, b) | K_rel (_, a, b) ->
+        List.iter (fun r -> add_index r k) (op_uses a @ op_uses b)
   in
   let instrs =
     List.map
@@ -41,9 +63,11 @@ let run_block (b : block) =
           | _ -> i
         in
         (match Ir.Instr.def i with Some d -> kill d | None -> ());
+        (* [d = d + c] reads the old [d]: the key names a value [d] no
+           longer holds, so it is not entered *)
         (match (i, key) with
-        | (Bin (_, d, _, _) | Rel (_, d, _, _)), Some k ->
-            Hashtbl.replace avail k d
+        | (Bin (_, d, _, _) | Rel (_, d, _, _)), Some k when not (reads k d) ->
+            record k d
         | _ -> ());
         i)
       b.b_instrs

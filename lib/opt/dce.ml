@@ -7,28 +7,45 @@
 
 open Ir.Instr
 
+module ISet = Ir.Liveness.ISet
+
+(* One backward sweep over [b] from its live-out set.  A removed
+   instruction adds no uses, so a whole dead chain within the block goes
+   in one sweep.  Returns whether anything was removed. *)
+let sweep live (b : block) =
+  let live_now =
+    ref
+      (ISet.union
+         (Ir.Liveness.live_out live b.b_label)
+         (ISet.of_list (term_uses b.b_term)))
+  in
+  let removed = ref false in
+  let keep =
+    List.fold_left
+      (fun keep i ->
+        match Ir.Instr.def i with
+        | Some d when (not (ISet.mem d !live_now)) && not (has_side_effect i) ->
+            removed := true;
+            keep
+        | d ->
+            Option.iter (fun d -> live_now := ISet.remove d !live_now) d;
+            List.iter (fun r -> live_now := ISet.add r !live_now) (uses i);
+            i :: keep)
+      [] (List.rev b.b_instrs)
+  in
+  if !removed then b.b_instrs <- keep;
+  !removed
+
+(* Removing a dead instruction only shrinks liveness, so no removal makes
+   another instruction live again and the fixpoint does not depend on the
+   order of removals.  A new round recomputes liveness only to catch
+   chains that cross blocks. *)
 let run (f : func) =
   let changed = ref true in
   while !changed do
-    changed := false;
     let live = Ir.Liveness.compute f in
-    List.iter
-      (fun b ->
-        let after = Ir.Liveness.per_instr live b in
-        let keep = ref [] in
-        List.iteri
-          (fun idx i ->
-            let dead =
-              match Ir.Instr.def i with
-              | Some d ->
-                  (not (Ir.Liveness.ISet.mem d after.(idx)))
-                  && not (has_side_effect i)
-              | None -> false
-            in
-            if dead then changed := true else keep := i :: !keep)
-          b.b_instrs;
-        b.b_instrs <- List.rev !keep)
-      f.fn_blocks
+    changed :=
+      List.fold_left (fun changed b -> sweep live b || changed) false f.fn_blocks
   done
 
 (** Also drop trivially unreachable blocks (no predecessors, not entry). *)

@@ -14,25 +14,70 @@ let block_by_label f =
   List.iter (fun b -> Hashtbl.replace tbl b.b_label b) f.fn_blocks;
   tbl
 
-(* resolve a jump target through chains of empty forwarding blocks *)
-let rec resolve tbl visited l =
+(* the target of an empty forwarding block *)
+let forwards tbl l =
+  match Hashtbl.find_opt tbl l with
+  | Some { b_instrs = []; b_term = Jmp l2; _ } -> Some l2
+  | _ -> None
+
+(* resolve a jump target through chains of empty forwarding blocks,
+   stopping at the first label seen twice ([visited] starts with the
+   block being rewritten) *)
+let rec walk tbl visited l =
   if List.mem l visited then l
   else
-    match Hashtbl.find_opt tbl l with
-    | Some { b_instrs = []; b_term = Jmp l2; _ } ->
-        resolve tbl (l :: visited) l2
-    | _ -> l
+    match forwards tbl l with
+    | Some l2 -> walk tbl (l :: visited) l2
+    | None -> l
+
+(* where a chain of forwarding blocks leads, memoized per label *)
+type chain =
+  | Visiting  (** on the chain being walked *)
+  | Ends of label  (** at this block, which did not forward when seen *)
+  | Cycles  (** into a cycle of forwarding blocks *)
+
+(* The end of the chain from [l], settling every label on the way.  An
+   [Ends t] entry goes stale when [t] later starts forwarding (an empty
+   block whose two-way branch folds to a jump); the chain then runs on
+   through [t].  [Cycles] never goes stale: rewriting a jump on a cycle
+   retargets it to a label of that cycle. *)
+let chain_end tbl chains l =
+  let settle path c =
+    List.iter (fun l -> Hashtbl.replace chains l c) path;
+    c
+  in
+  let rec go path l =
+    match Hashtbl.find_opt chains l with
+    | Some (Visiting | Cycles) -> settle path Cycles
+    | Some (Ends t) when forwards tbl t = None -> settle path (Ends t)
+    | _ -> (
+        match forwards tbl l with
+        | Some l2 ->
+            Hashtbl.replace chains l Visiting;
+            go (l :: path) l2
+        | None -> settle path (Ends l))
+  in
+  go [] l
+
+(* An acyclic chain ends where it ends whichever block jumps into it: the
+   block being rewritten can lie on it only as its end.  A chain that runs
+   into a cycle takes the walk, whose answer depends on where it started. *)
+let resolve tbl chains from l =
+  match chain_end tbl chains l with
+  | Ends t -> t
+  | Visiting | Cycles -> walk tbl [ from ] l
 
 let forward_jumps (f : func) =
   let tbl = block_by_label f in
+  let chains = Hashtbl.create 16 in
   List.iter
     (fun b ->
+      let resolve = resolve tbl chains b.b_label in
       b.b_term <-
         (match b.b_term with
-        | Jmp l -> Jmp (resolve tbl [ b.b_label ] l)
+        | Jmp l -> Jmp (resolve l)
         | Br (c, l1, l2) ->
-            let l1 = resolve tbl [ b.b_label ] l1
-            and l2 = resolve tbl [ b.b_label ] l2 in
+            let l1 = resolve l1 and l2 = resolve l2 in
             if l1 = l2 then Jmp l1 else Br (c, l1, l2)
         | Ret _ as t -> t))
     f.fn_blocks

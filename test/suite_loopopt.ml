@@ -72,6 +72,74 @@ let test_unreachable_dropped () =
   Opt.Simplify_cfg.run f;
   Alcotest.(check int) "dead block dropped" 1 (List.length f.fn_blocks)
 
+(* Jump forwarding into cycles of empty blocks.  A walk that runs into a
+   cycle stops at the first label it has already seen, counting the block
+   being rewritten, and earlier rewrites in the same sweep change what
+   later walks see; these pin the exact labels that produces. *)
+
+let blocks_of f =
+  String.concat " | "
+    (List.map
+       (fun b ->
+         Printf.sprintf "L%d:%d %s" b.b_label (List.length b.b_instrs)
+           (Format.asprintf "%a" pp_term b.b_term))
+       f.fn_blocks)
+
+let test_forward_self_loop () =
+  let f =
+    mk_blocks
+      [
+        (0, [ Mov (1, Imm 5) ], Br (Reg 1, 1, 3));
+        (1, [], Jmp 2);
+        (2, [], Jmp 2);
+        (3, [], Ret (Some (Reg 1)));
+      ]
+      8
+  in
+  Opt.Simplify_cfg.run f;
+  Alcotest.(check string) "blocks"
+    "L0:1 br    r1, L2, L3 | L2:0 jmp   L2 | L3:0 ret   r1" (blocks_of f)
+
+let test_forward_into_two_cycle () =
+  (* 0 enters the cycle 4 <-> 5 at 4 through 1 -> 2, and at 5 through 3 *)
+  let f =
+    mk_blocks
+      [
+        (0, [ Mov (1, Imm 5) ], Br (Reg 1, 1, 3));
+        (1, [], Jmp 2);
+        (2, [], Jmp 4);
+        (3, [], Jmp 5);
+        (4, [], Jmp 5);
+        (5, [], Jmp 4);
+      ]
+      8
+  in
+  Opt.Simplify_cfg.run f;
+  (* 4's own jump stops at 4, and 5's walk then meets the rewritten 4 *)
+  Alcotest.(check string) "blocks"
+    "L0:1 br    r1, L4, L5 | L4:0 jmp   L4 | L5:0 jmp   L4" (blocks_of f)
+
+let test_forward_after_branch_fold () =
+  (* 1 is empty and folds its two-way branch into [jmp 4] during the
+     sweep; the chain from 5, resolved later, must run on through it *)
+  let f =
+    mk_blocks
+      [
+        (0, [ Mov (1, Imm 5) ], Br (Reg 1, 1, 6));
+        (1, [], Br (Reg 1, 2, 3));
+        (2, [], Jmp 4);
+        (3, [], Jmp 4);
+        (4, [ Bin (Sub, 1, Reg 1, Imm 1) ], Br (Reg 1, 5, 6));
+        (5, [], Jmp 1);
+        (6, [], Ret (Some (Reg 1)));
+      ]
+      8
+  in
+  Opt.Simplify_cfg.run f;
+  Alcotest.(check string) "blocks"
+    "L0:1 br    r1, L1, L6 | L1:0 jmp   L4 | L4:1 br    r1, L4, L6 | L6:0 ret   r1"
+    (blocks_of f)
+
 (* --- induction ------------------------------------------------------------ *)
 
 let array_sum_ir () =
@@ -203,6 +271,12 @@ let suite =
     Alcotest.test_case "cfg: loops survive" `Quick test_loop_not_destroyed;
     Alcotest.test_case "cfg: unreachable dropped" `Quick
       test_unreachable_dropped;
+    Alcotest.test_case "cfg: forwarding into a self-loop" `Quick
+      test_forward_self_loop;
+    Alcotest.test_case "cfg: forwarding into a two-block cycle" `Quick
+      test_forward_into_two_cycle;
+    Alcotest.test_case "cfg: forwarding through a folded branch" `Quick
+      test_forward_after_branch_fold;
     Alcotest.test_case "induction: multiply removed" `Quick test_mul_removed;
     Alcotest.test_case "induction: semantics kept" `Quick test_semantics_kept;
     Alcotest.test_case "induction: repeated sums correct" `Quick

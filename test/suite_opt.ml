@@ -129,6 +129,34 @@ let test_cse_killed_by_redef () =
   | [ _; _; Bin (Add, 3, Reg 1, Imm 4) ] -> ()
   | _ -> Alcotest.fail "CSE across operand redefinition"
 
+let test_cse_killed_by_value_redef () =
+  (* redefining the register holding the value, not an operand, also
+     kills the entry: r2 no longer holds r1 + 4 *)
+  let f =
+    mk_func
+      [
+        Bin (Add, 2, Reg 1, Imm 4);
+        Mov (2, Imm 0);
+        Bin (Add, 3, Reg 1, Imm 4);
+      ]
+      (Ret (Some (Reg 3)))
+  in
+  Opt.Cse.run f;
+  match instrs_of f with
+  | [ _; _; Bin (Add, 3, Reg 1, Imm 4) ] -> ()
+  | _ -> Alcotest.fail "CSE reused a redefined value register"
+
+let test_cse_self_update () =
+  (* [r1 = r1 + 8] reads the old r1, so it makes no entry for the new one:
+     the second add reads the new r1 and must stay *)
+  let instrs = [ Bin (Add, 1, Reg 1, Imm 8); Bin (Add, 2, Reg 1, Imm 8) ] in
+  let f = mk_func instrs (Ret (Some (Reg 2))) in
+  Opt.Cse.run f;
+  if instrs_of f <> instrs then
+    Alcotest.failf "unexpected: %s"
+      (String.concat "; "
+         (List.map (Format.asprintf "%a" pp_instr) (instrs_of f)))
+
 (* --- DCE ------------------------------------------------------------------ *)
 
 let test_dce () =
@@ -149,6 +177,32 @@ let test_dce () =
   | is ->
       Alcotest.failf "unexpected: %s"
         (String.concat "; " (List.map (Format.asprintf "%a" pp_instr) is))
+
+let test_dce_across_blocks () =
+  (* r2's only use is r3's definition in the successor, and r3 is dead:
+     both go *)
+  let f =
+    {
+      fn_name = "t";
+      fn_params = [ 1 ];
+      fn_ret_void = false;
+      fn_blocks =
+        [
+          { b_label = 0; b_instrs = [ Bin (Add, 2, Reg 1, Imm 1) ]; b_term = Jmp 1 };
+          {
+            b_label = 1;
+            b_instrs = [ Bin (Mul, 3, Reg 2, Imm 3); Bin (Add, 4, Reg 1, Imm 2) ];
+            b_term = Ret (Some (Reg 4));
+          };
+        ];
+      fn_nreg = 8;
+      fn_frame = 0;
+    }
+  in
+  Opt.Dce.run f;
+  match List.map (fun b -> b.b_instrs) f.fn_blocks with
+  | [ []; [ Bin (Add, 4, Reg 1, Imm 2) ] ] -> ()
+  | _ -> Alcotest.fail "dead chain across blocks survived"
 
 let test_prune_unreachable () =
   let f =
@@ -299,7 +353,11 @@ let suite =
     Alcotest.test_case "branch folding" `Quick test_constfold_branches;
     Alcotest.test_case "cse" `Quick test_cse;
     Alcotest.test_case "cse invalidation" `Quick test_cse_killed_by_redef;
+    Alcotest.test_case "cse value invalidation" `Quick
+      test_cse_killed_by_value_redef;
+    Alcotest.test_case "cse self-update" `Quick test_cse_self_update;
     Alcotest.test_case "dce" `Quick test_dce;
+    Alcotest.test_case "dce across blocks" `Quick test_dce_across_blocks;
     Alcotest.test_case "unreachable blocks" `Quick test_prune_unreachable;
     Alcotest.test_case "collapse" `Quick test_collapse;
     Alcotest.test_case "collapse blocked" `Quick
