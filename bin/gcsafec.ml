@@ -484,8 +484,13 @@ let run_cmd =
         apply_cache_flag no_cache;
         let _, src = source () in
         let tracer = Option.map (fun _ -> Telemetry.Trace.create ()) trace in
+        let oom_summary =
+          heap_limit > 0 || alloc_fail <> Gcheap.Failpoint.Never
+        in
+        (* the OOM summary reads its counts from the VM's metrics, which
+           a run stopped by the heap still reports *)
         let telemetry =
-          if trace <> None || metrics then
+          if trace <> None || metrics || oom_summary then
             Some (Telemetry.Sink.make ?trace:tracer ())
           else Telemetry.Sink.none
         in
@@ -507,13 +512,25 @@ let run_cmd =
         let b = build ?telemetry req in
         (* one line, structured, on stderr — stdout stays byte-identical
            for the determinism diffs *)
-        let summary outcome ~emergency ~injected =
-          Printf.eprintf
-            "gcsafec: outcome=%s policy=%s heap-limit=%d \
-             emergency-collections=%d injected-failures=%d\n"
-            (Harness.Diagnostics.outcome_name outcome)
-            (Gcheap.Heap.oom_policy_name oom_policy)
-            heap_limit emergency injected
+        let summary outcome =
+          if oom_summary then begin
+            let snap =
+              Telemetry.Metrics.snapshot (Telemetry.Sink.metrics telemetry)
+            in
+            let counter name =
+              match Telemetry.Metrics.find snap name with
+              | Some (Telemetry.Metrics.Counter n) -> n
+              | _ -> 0
+            in
+            Printf.eprintf
+              "gcsafec: outcome=%s policy=%s heap-limit=%d \
+               emergency-collections=%d injected-failures=%d\n"
+              (Harness.Diagnostics.outcome_name outcome)
+              (Gcheap.Heap.oom_policy_name oom_policy)
+              heap_limit
+              (counter "vm/gc/emergency_collections")
+              (counter "vm/gc/injected_failures")
+          end
         in
         (* same one-line stderr style as the OOM summary above *)
         let pause_summary (r : Harness.Measure.run_info) =
@@ -529,10 +546,7 @@ let run_cmd =
         | Harness.Measure.Ran r ->
             print_string r.Harness.Measure.o_output;
             finish_telemetry ();
-            if heap_limit > 0 || alloc_fail <> Gcheap.Failpoint.Never then
-              summary Harness.Diagnostics.Ok
-                ~emergency:r.Harness.Measure.o_emergency
-                ~injected:r.Harness.Measure.o_injected_failures;
+            summary Harness.Diagnostics.Ok;
             if gc_pause_budget <> None then pause_summary r;
             if stats then
               Printf.eprintf
@@ -547,8 +561,7 @@ let run_cmd =
         | o ->
             finish_telemetry ();
             let outcome, message = Harness.Diagnostics.of_measure o in
-            if heap_limit > 0 || alloc_fail <> Gcheap.Failpoint.Never then
-              summary outcome ~emergency:0 ~injected:0;
+            summary outcome;
             exit_with (outcome, message))
   in
   let doc = "build a configuration and execute it on the VM" in

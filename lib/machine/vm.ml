@@ -156,6 +156,8 @@ type tele = {
   tl_gc_minor : Telemetry.Metrics.counter;
   tl_gc_emergency : Telemetry.Metrics.counter;
       (** collect-expand cycles run on allocation failure *)
+  tl_gc_injected : Telemetry.Metrics.counter;
+      (** allocation failpoints that fired; added once per run *)
   tl_gc_pause : Telemetry.Metrics.histogram;  (** nanoseconds *)
   tl_gc_minor_pause : Telemetry.Metrics.histogram;  (** nanoseconds *)
   tl_gc_major_pause : Telemetry.Metrics.histogram;  (** nanoseconds *)
@@ -205,6 +207,7 @@ let make_tele sink =
     tl_gc = Telemetry.Metrics.counter m "gc/collections";
     tl_gc_minor = Telemetry.Metrics.counter m "gc/minor/collections";
     tl_gc_emergency = Telemetry.Metrics.counter m "gc/emergency_collections";
+    tl_gc_injected = Telemetry.Metrics.counter m "gc/injected_failures";
     tl_gc_pause = Telemetry.Metrics.histogram m "gc/pause_ns";
     tl_gc_minor_pause = Telemetry.Metrics.histogram m "gc/minor/pause_ns";
     tl_gc_major_pause = Telemetry.Metrics.histogram m "gc/major/pause_ns";
@@ -1215,12 +1218,15 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
   push_frame st st.funcs.(st.main) 0 (List.length args) (-1);
   let tl = st.tele in
   let finally () =
-    (* faulting and trapping runs still count their steps, and get a
-       closed trace and a finished profile *)
+    (* faulting, trapping and exhausted runs still count their steps
+       and injected failures, and get a closed trace and a finished
+       profile *)
     Telemetry.Metrics.add tl.tl_steps st.instrs;
     Array.iteri
       (fun k c -> Telemetry.Metrics.add c st.dispatch.(k))
       tl.tl_dispatch;
+    Telemetry.Metrics.add tl.tl_gc_injected
+      st.heap.Gcheap.Heap.stats.Gcheap.Heap.injected_failures;
     (match tl.tl_prof with
     | Some pr ->
         Telemetry.Heap_profiler.set_tick pr st.instrs;

@@ -183,6 +183,78 @@ let test_measured_trap_is_structured () =
         (Harness.Diagnostics.exit_code outcome)
   | o -> Alcotest.fail ("expected Exhausted, got " ^ Harness.Measure.describe o)
 
+(* --- the paper workloads ------------------------------------------------ *)
+
+(* Chaos off is free and invisible: threading the OOM machinery through
+   explicitly (an effectively unlimited ceiling, collect-expand, no
+   failpoints) leaves cycles and output bit-identical to the default
+   run, in both stop-the-world and generational mode. *)
+let test_chaos_off_identity () =
+  List.iter
+    (fun (w : Workloads.Registry.workload) ->
+      List.iter
+        (fun gc_mode ->
+          let what =
+            w.Workloads.Registry.w_name ^ " " ^ Heap.gc_mode_name gc_mode
+          in
+          let run ?heap_limit () =
+            Util.ran what
+              (Util.exec
+                 (Harness.Request.make ~gc_mode ?heap_limit
+                    ~oom_policy:Heap.Collect_expand
+                    ~alloc_failpoints:Failpoint.Never
+                    w.Workloads.Registry.w_source))
+          in
+          let plain = run () and guarded = run ~heap_limit:(1 lsl 30) () in
+          Alcotest.(check int) (what ^ ": cycles")
+            plain.Harness.Measure.o_cycles guarded.Harness.Measure.o_cycles;
+          Alcotest.(check string) (what ^ ": output")
+            plain.Harness.Measure.o_output guarded.Harness.Measure.o_output)
+        [ Heap.Stw; Heap.Gen ])
+    Workloads.Registry.paper_suite
+
+(* Emergency collection earns its keep.  Per workload (safe, sparc10):
+   the smallest heap ceiling in words under which collect-expand
+   completes, found by bisection, and the emergency collections it runs
+   there.  At that ceiling the trap policy exhausts — the margin is
+   exactly what collect-then-expand recovers — and one word less
+   exhausts collect-expand too. *)
+let recovery_margins =
+  [ ("cordtest", 38912, 5); ("cfrac", 35840, 71); ("gawk", 39936, 2);
+    ("gs", 39936, 9) ]
+
+let test_recovery_margin () =
+  List.iter
+    (fun (name, ceiling, emergencies) ->
+      let src =
+        match Workloads.Registry.by_name name with
+        | Some w -> w.Workloads.Registry.w_source
+        | None -> Alcotest.failf "no workload %s" name
+      in
+      let run heap_limit oom_policy =
+        Util.exec (Harness.Request.make ~heap_limit ~oom_policy src)
+      in
+      let exhausts what = function
+        | Harness.Measure.Exhausted _ -> ()
+        | o -> Alcotest.failf "%s: %s" what (Harness.Measure.describe o)
+      in
+      let r =
+        Util.ran
+          (Printf.sprintf "%s collect-expand at %d" name ceiling)
+          (run ceiling Heap.Collect_expand)
+      in
+      Alcotest.(check int)
+        (name ^ ": emergency collections at the ceiling")
+        emergencies r.Harness.Measure.o_emergency;
+      exhausts
+        (Printf.sprintf "%s: trap at %d should exhaust" name ceiling)
+        (run ceiling Heap.Trap);
+      exhausts
+        (Printf.sprintf "%s: collect-expand at %d should exhaust" name
+           (ceiling - 1))
+        (run (ceiling - 1) Heap.Collect_expand))
+    recovery_margins
+
 (* --- supervised pool -------------------------------------------------- *)
 
 let qcheck_to_alcotest = QCheck_alcotest.to_alcotest
@@ -396,4 +468,8 @@ let suite =
       test_cache_detects_corruption;
     Alcotest.test_case "corrupt_cached forces a faithful rebuild" `Quick
       test_corrupt_cached_build;
+    Alcotest.test_case "paper workloads: chaos off is bit-identical" `Quick
+      test_chaos_off_identity;
+    Alcotest.test_case "paper workloads: pinned OOM recovery margin" `Quick
+      test_recovery_margin;
   ]

@@ -255,6 +255,35 @@ let prop_modes_identical =
           Machine.Schedule.At_allocs;
         ])
 
+(* --- the paper workloads under a 2048-word budget -------------------- *)
+
+(* Only a cycle's two atomic fences, the root snapshot and mark
+   finalization, may overrun a budget; the largest atomic root scan in
+   the suite (gs) is ~1.1k words, so from 2048 up every increment fits.
+   At 2048, on every paper workload at the gate configuration (safe,
+   sparc10, threshold 16384, final collection), no increment overruns
+   and the output equals stop-the-world's.  Through gcsafed, where the
+   budget is each request's pause SLO, all four requests meet it. *)
+let test_paper_workloads_within_budget () =
+  List.iter
+    (fun (w : Workloads.Registry.workload) ->
+      let name = w.Workloads.Registry.w_name in
+      let stw, _ = Util.gate_run Heap.Stw w in
+      let inc, snap = Util.gate_run ~gc_pause_budget:2048 Heap.Inc w in
+      Alcotest.(check string)
+        (name ^ ": incremental output = stop-the-world output")
+        stw.Harness.Measure.o_output inc.Harness.Measure.o_output;
+      Alcotest.(check bool) (name ^ ": increments ran") true
+        (Util.counter snap "vm/gc/incremental/increments" > 0);
+      Alcotest.(check int) (name ^ ": budget overruns at 2048 words") 0
+        (Util.counter snap "vm/gc/incremental/budget_overruns"))
+    Workloads.Registry.paper_suite;
+  let rp = Service.Gcsafed.report (Util.serve_paper_suite ~budget:2048) in
+  Alcotest.(check int) "gcsafed: SLO met by all four" 4
+    rp.Service.Gcsafed.rp_slo_met;
+  Alcotest.(check int) "gcsafed: SLO violated" 0
+    rp.Service.Gcsafed.rp_slo_violated
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_satb_superset;
@@ -267,4 +296,6 @@ let suite =
     Alcotest.test_case "full collection abandons the cycle" `Quick
       test_full_collection_abandons_soundly;
     QCheck_alcotest.to_alcotest prop_modes_identical;
+    Alcotest.test_case "paper workloads: no overruns at a 2048-word budget"
+      `Quick test_paper_workloads_within_budget;
   ]

@@ -310,6 +310,64 @@ let prop_nursery_equivalence =
         gen_h.Heap.young_blocks;
       gen_live = run (Heap.create ()) false)
 
+(* --- the paper workloads: minor pauses and output identity -------------- *)
+
+(* The committed per-workload ceiling on the minor p50, read from
+   ci/nursery-baseline.json (a dune dependency of this test, so a
+   regression cannot be accepted by re-recording an expectation). *)
+let nursery_baseline =
+  lazy
+    (let path =
+       Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "../ci/nursery-baseline.json"
+     in
+     match
+       Telemetry.Json.parse
+         (In_channel.with_open_text path In_channel.input_all)
+     with
+     | Ok doc -> doc
+     | Error e -> Alcotest.failf "%s: %s" path e)
+
+let baseline_p50 name =
+  match Telemetry.Json.member name (Lazy.force nursery_baseline) with
+  | Some (Telemetry.Json.Int n) -> n
+  | _ -> Alcotest.failf "ci/nursery-baseline.json has no %s" name
+
+(* Every paper workload at the gate configuration (safe, sparc10,
+   threshold 16384, final collection): generational output equals
+   stop-the-world output, and the minor p50 stays at or below the
+   committed baseline.  On cordtest and cfrac, whose majors fire
+   mid-run against a live heap, the minor p50 is also strictly below
+   the stop-the-world major p50 — all on the words-of-work clock. *)
+let test_paper_workload_pauses () =
+  List.iter
+    (fun (w : Workloads.Registry.workload) ->
+      let name = w.Workloads.Registry.w_name in
+      let stw, stw_snap = Util.gate_run Heap.Stw w in
+      let gen, gen_snap = Util.gate_run Heap.Gen w in
+      Alcotest.(check string)
+        (name ^ ": generational output = stop-the-world output")
+        stw.Harness.Measure.o_output gen.Harness.Measure.o_output;
+      let minors, minor_p50 =
+        Util.histogram_p50 gen_snap "vm/gc/minor/pause_words"
+      in
+      Alcotest.(check bool) (name ^ ": minors ran") true (minors > 0);
+      let base = baseline_p50 name in
+      if minor_p50 > base then
+        Alcotest.failf "%s: minor p50 %d words regressed past the baseline %d"
+          name minor_p50 base;
+      if List.mem name [ "cordtest"; "cfrac" ] then begin
+        let majors, major_p50 =
+          Util.histogram_p50 stw_snap "vm/gc/major/pause_words"
+        in
+        Alcotest.(check bool) (name ^ ": majors ran") true (majors > 0);
+        if minor_p50 >= major_p50 then
+          Alcotest.failf "%s: minor p50 %d words not below stw major p50 %d"
+            name minor_p50 major_p50
+      end)
+    Workloads.Registry.paper_suite
+
 let suite =
   [
     Alcotest.test_case "bump allocation fills a shared young page" `Quick
@@ -329,4 +387,6 @@ let suite =
     Alcotest.test_case "aging-block barrier dirties only for old slots"
       `Quick test_aging_block_barrier;
     QCheck_alcotest.to_alcotest prop_nursery_equivalence;
+    Alcotest.test_case "paper workloads: minor p50 below baseline and majors"
+      `Quick test_paper_workload_pauses;
   ]

@@ -285,33 +285,61 @@ let test_census_sampled_per_collection () =
 
 (* --- phase accounting ---------------------------------------------------- *)
 
+(* Generated bombardments with chaos: every completion's phases sum to
+   its end-to-end latency exactly, and so do the report totals; the
+   flight recorder drops nothing at its default capacity, every window
+   line of the event stream carries a burn rate, and the dump
+   validates. *)
 let test_phase_identity () =
-  let spec =
-    {
-      Trafficgen.default_spec with
-      Trafficgen.g_requests = 40;
-      g_seed = 13;
-      g_mix = Trafficgen.Generated;
-      g_chaos_percent = 20;
-    }
-  in
-  let t = Gcsafed.create Gcsafed.default_config in
   List.iter
-    (fun (arrival, req) -> Gcsafed.submit ~arrival t req)
-    (Trafficgen.generate spec);
-  Gcsafed.shutdown t;
-  List.iter
-    (fun c ->
+    (fun (requests, seed) ->
+      let what = Printf.sprintf "%d requests, seed %d" requests seed in
+      let windows = ref 0 and burn_missing = ref 0 in
+      let t =
+        Gcsafed.create
+          ~events:(fun line ->
+            if Json.member "type" line = Some (Json.Str "window") then begin
+              incr windows;
+              if Json.member "burn_rate" line = None then incr burn_missing
+            end)
+          Gcsafed.default_config
+      in
+      List.iter
+        (fun (arrival, req) -> Gcsafed.submit ~arrival t req)
+        (Trafficgen.generate
+           {
+             Trafficgen.default_spec with
+             Trafficgen.g_requests = requests;
+             g_seed = seed;
+             g_mix = Trafficgen.Generated;
+             g_chaos_percent = 20;
+           });
+      Gcsafed.shutdown t;
+      List.iter
+        (fun c ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s, trace %d: queue_wait + build + vm = latency"
+               what c.Gcsafed.r_trace_id)
+            (c.Gcsafed.r_finish - c.Gcsafed.r_arrival)
+            (c.Gcsafed.r_queue_wait + c.Gcsafed.r_build_ticks
+           + c.Gcsafed.r_vm_ticks))
+        (Gcsafed.completions t);
+      let r = Gcsafed.report t in
       Alcotest.(check int)
-        (Printf.sprintf "trace %d: queue_wait + build + vm = latency"
-           c.Gcsafed.r_trace_id)
-        (c.Gcsafed.r_finish - c.Gcsafed.r_arrival)
-        (c.Gcsafed.r_queue_wait + c.Gcsafed.r_build_ticks + c.Gcsafed.r_vm_ticks))
-    (Gcsafed.completions t);
-  let r = Gcsafed.report t in
-  Alcotest.(check int) "report totals obey the same identity"
-    r.Gcsafed.rp_total_latency
-    (r.Gcsafed.rp_queue_wait + r.Gcsafed.rp_build_ticks + r.Gcsafed.rp_vm_ticks)
+        (what ^ ": report totals obey the same identity")
+        r.Gcsafed.rp_total_latency
+        (r.Gcsafed.rp_queue_wait + r.Gcsafed.rp_build_ticks
+       + r.Gcsafed.rp_vm_ticks);
+      Alcotest.(check int) (what ^ ": ring drops") 0
+        (Flight.dropped (Gcsafed.recorder t));
+      Alcotest.(check bool) (what ^ ": window lines emitted") true
+        (!windows > 0);
+      Alcotest.(check int) (what ^ ": window lines without burn_rate") 0
+        !burn_missing;
+      match Flight.check (Gcsafed.dump t) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: dump invalid: %s" what e)
+    [ (40, 13); (120, 3) ]
 
 let test_trace_ids_dense_and_stamped () =
   let t = Gcsafed.create Gcsafed.default_config in
@@ -345,7 +373,51 @@ let test_pause_metric_responds_to_budget () =
   Alcotest.(check int) "tick latency is pause-budget-invariant"
     loose.Gcsafed.rp_total_latency tight.Gcsafed.rp_total_latency;
   Alcotest.(check bool) "tight budget overruns surface as SLO burn" true
-    (Gcsafed.burn_rate tight > Gcsafed.burn_rate loose)
+    (Gcsafed.burn_rate tight > Gcsafed.burn_rate loose);
+  (* the paper suite through one service per budget (threshold 16384):
+     the worst pause moves with the budget, tick latency does not, and
+     the phases sum to the latency in every row *)
+  let rows =
+    List.map
+      (fun budget -> Gcsafed.report (Util.serve_paper_suite ~budget))
+      [ 64; 256; 1024; 4096 ]
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check int) "paper suite: phases sum to latency"
+        r.Gcsafed.rp_total_latency
+        (r.Gcsafed.rp_queue_wait + r.Gcsafed.rp_build_ticks
+       + r.Gcsafed.rp_vm_ticks))
+    rows;
+  let distinct f = List.sort_uniq compare (List.map f rows) in
+  Alcotest.(check bool) "paper suite: worst pause responds to the budget" true
+    (List.length (distinct (fun r -> r.Gcsafed.rp_gc_max_pause_words)) >= 2);
+  Alcotest.(check (list int)) "paper suite: one tick latency for every budget"
+    [ 31624412 ]
+    (distinct (fun r -> r.Gcsafed.rp_total_latency))
+
+(* Attaching the whole plane (metrics, flight recorder, heap census)
+   moves no cycle of any paper workload. *)
+let test_full_plane_unperturbed () =
+  List.iter
+    (fun (w : Workloads.Registry.workload) ->
+      let name = w.Workloads.Registry.w_name in
+      let req =
+        Request.make ~gc_threshold:Util.gate_threshold
+          w.Workloads.Registry.w_source
+      in
+      let plain = Util.ran name (Util.exec req) in
+      let observed =
+        Util.ran name
+          (Util.exec
+             ~telemetry:
+               (Telemetry.Sink.make ~metrics:(Metrics.create ())
+                  ~recorder:(Flight.create ()) ())
+             ~census:true req)
+      in
+      Alcotest.(check int) (name ^ ": cycles with the plane attached")
+        plain.Harness.Measure.o_cycles observed.Harness.Measure.o_cycles)
+    Workloads.Registry.paper_suite
 
 (* --- sharded counters ---------------------------------------------------- *)
 
@@ -425,5 +497,7 @@ let suite =
     Alcotest.test_case "pool recorder events" `Quick test_pool_recorder_events;
     Alcotest.test_case "stream finish on a window boundary keeps its deltas"
       `Quick test_finish_on_window_boundary;
+    Alcotest.test_case "full plane leaves paper-suite cycles identical" `Quick
+      test_full_plane_unperturbed;
   ]
   @ qsuite [ test_ring_wraparound; test_window_merge_law ]

@@ -30,16 +30,18 @@ let run ?mode ?optimize ?disguise ?(nregs = 32) ?async_gc ?machine src =
   let r = Machine.Vm.run ~config irp in
   r.Machine.Vm.r_output
 
-(* Run through the full harness build for a given configuration. *)
-let run_built ?machine config src =
-  let machine = Option.value ~default:Machine.Machdesc.sparc10 machine in
-  let req = Harness.Request.make ~config ~machine src in
+(* Build a request's configuration and execute it. *)
+let exec ?telemetry ?census (req : Harness.Request.t) =
   let b =
     Harness.Build.compile
       ~options:(Harness.Request.build_options req)
-      config src
+      req.Harness.Request.config req.Harness.Request.source
   in
-  Harness.Measure.exec req b
+  Harness.Measure.exec ?telemetry ?census req b
+
+(* Run through the full harness build for a given configuration. *)
+let run_built ?machine config src =
+  exec (Harness.Request.make ~config ?machine src)
 
 let check_output name src expected =
   Alcotest.(check string) name expected (run src)
@@ -75,3 +77,67 @@ let check_all_configs_agree ?(expect_checked_fault = false) name src =
       Harness.Build.Debug_checked;
     ];
   base_out
+
+(* --- the paper workloads under the collector gates ------------------- *)
+
+(* The collector gates' threshold, in allocated bytes: small enough that
+   majors fire mid-run against a live heap, not just at exit. *)
+let gate_threshold = 16384
+
+let ran what = function
+  | Harness.Measure.Ran r -> r
+  | o -> Alcotest.failf "%s: %s" what (Harness.Measure.describe o)
+
+(* A paper workload's safe build on sparc10 at [gate_threshold] with a
+   final collection, and the run's metrics snapshot.  Memoized, so the
+   nursery and incremental gates share one stop-the-world reference. *)
+let gate_run =
+  let memo = Hashtbl.create 16 in
+  fun ?gc_pause_budget gc_mode (w : Workloads.Registry.workload) ->
+    let key = (w.Workloads.Registry.w_name, gc_mode, gc_pause_budget) in
+    match Hashtbl.find_opt memo key with
+    | Some run -> run
+    | None ->
+        let metrics = Telemetry.Metrics.create () in
+        let r =
+          ran w.Workloads.Registry.w_name
+            (exec
+               ~telemetry:(Telemetry.Sink.make ~metrics ())
+               (Harness.Request.make ~config:Harness.Build.Safe ~gc_mode
+                  ?gc_pause_budget ~final_collect:true
+                  ~gc_threshold:gate_threshold w.Workloads.Registry.w_source))
+        in
+        let run = (r, Telemetry.Metrics.snapshot metrics) in
+        Hashtbl.add memo key run;
+        run
+
+let counter snap name =
+  match Telemetry.Metrics.find snap name with
+  | Some (Telemetry.Metrics.Counter n) -> n
+  | _ -> Alcotest.failf "no counter %s" name
+
+(* (observations, p50) of a histogram *)
+let histogram_p50 snap name =
+  match Telemetry.Metrics.find snap name with
+  | Some (Telemetry.Metrics.Histogram { count; buckets; _ }) ->
+      (count, Telemetry.Metrics.percentile buckets 0.5)
+  | _ -> Alcotest.failf "no histogram %s" name
+
+(* The four paper workloads through one gcsafed instance, 1000 ticks
+   apart, under incremental marking with [budget] words as each
+   request's pause SLO; returned shut down. *)
+let serve_paper_suite ~budget =
+  let t = Service.Gcsafed.create Service.Gcsafed.default_config in
+  List.iteri
+    (fun i (w : Workloads.Registry.workload) ->
+      Service.Gcsafed.submit ~arrival:(i * 1000) t
+        (Harness.Request.make ~label:w.Workloads.Registry.w_name
+           ~config:Harness.Build.Safe ~gc_mode:Gcheap.Heap.Inc
+           ~gc_pause_budget:budget ~gc_threshold:gate_threshold
+           w.Workloads.Registry.w_source))
+    Workloads.Registry.paper_suite;
+  Service.Gcsafed.shutdown t;
+  Alcotest.(check int)
+    (Printf.sprintf "budget %d: no unexpected outcome" budget)
+    0 (Service.Gcsafed.report t).Service.Gcsafed.rp_unexpected;
+  t
