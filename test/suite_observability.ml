@@ -2,7 +2,8 @@
    validation, worker-count determinism of service dumps and event
    streams, the windowed-stream merge law, heap-census invariants,
    per-request phase accounting, pause-budget response of the pause
-   metric, and supervised-pool anomaly events. *)
+   metric, pinned VM flight-recorder dumps, and supervised-pool anomaly
+   events. *)
 
 module Json = Telemetry.Json
 module Metrics = Telemetry.Metrics
@@ -419,6 +420,57 @@ let test_full_plane_unperturbed () =
         plain.Harness.Measure.o_cycles observed.Harness.Measure.o_cycles)
     Workloads.Registry.paper_suite
 
+(* --- VM flight-recorder dumps ----------------------------------------------- *)
+
+(* One VM run's flight-recorder dump, pinned as its event count, the md5
+   of the whole dump and its last three events. *)
+let vm_dump req =
+  let recorder = Flight.create () in
+  ignore (Util.exec ~telemetry:(Telemetry.Sink.make ~recorder ()) req);
+  let doc = Flight.dump recorder in
+  (match Flight.check doc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "dump invalid: %s" e);
+  let evs = Flight.events recorder in
+  let tail = List.filteri (fun i _ -> i >= List.length evs - 3) evs in
+  String.concat "\n"
+    (Printf.sprintf "%d %s" (Flight.recorded recorder)
+       (Digest.to_hex (Digest.string (Json.to_string doc)))
+    :: List.map (fun e -> Json.to_string (Flight.event_to_json e)) tail)
+
+let test_vm_dumps_pinned () =
+  let gated ?max_instrs gc_mode (w : Workloads.Registry.workload) =
+    Request.make ~gc_mode ?max_instrs ~gc_threshold:Util.gate_threshold
+      w.Workloads.Registry.w_source
+  in
+  let pin what req expected =
+    Alcotest.(check string) what expected (vm_dump req)
+  in
+  pin "gen run" (gated Gcheap.Heap.Gen Workloads.Registry.cordtest)
+    {|86 e2e80cb205401f755cea020fdb9776bf
+{"ordinal":83,"ts":14884870,"kind":"gc.end","args":{"trigger":"auto","gen":"minor","pause_words":698}}
+{"ordinal":84,"ts":14890187,"kind":"gc.begin","args":{"trigger":"auto","gen":"minor"}}
+{"ordinal":85,"ts":14890187,"kind":"gc.end","args":{"trigger":"auto","gen":"minor","pause_words":782}}|};
+  pin "inc run" (gated Gcheap.Heap.Inc Workloads.Registry.cordtest)
+    {|29 a3e6a2a52ce677b2b7fd04e1c4061f39
+{"ordinal":26,"ts":14885235,"kind":"gc.step","args":{"spent_words":1021,"completed":0}}
+{"ordinal":27,"ts":14885272,"kind":"gc.step","args":{"spent_words":1022,"completed":0}}
+{"ordinal":28,"ts":14885329,"kind":"gc.step","args":{"spent_words":958,"completed":1}}|};
+  pin "fault"
+    (Request.make ~config:Harness.Build.Base
+       ~schedule:(Machine.Schedule.at_list [ 7 ])
+       Stress.Corpus.hazard.Stress.Corpus.t_source)
+    {|5 63b3a482ed1f5a9f49972c3c4181adcc
+{"ordinal":2,"ts":7,"kind":"gc.begin","args":{"trigger":"forced","gen":"major"}}
+{"ordinal":3,"ts":7,"kind":"gc.end","args":{"trigger":"forced","gen":"major","pause_words":6}}
+{"ordinal":4,"ts":8,"kind":"vm.fault","args":{"msg":"GC safety violation: load of 1 byte(s) at 0x43005 hits unallocated or collected memory"}}|};
+  pin "step-limit trap"
+    (gated ~max_instrs:200_000 Gcheap.Heap.Gen Workloads.Registry.cfrac)
+    {|49 2416a6aeadf419ddb7b0bbe00641eea8
+{"ordinal":46,"ts":195922,"kind":"gc.begin","args":{"trigger":"auto","gen":"minor"}}
+{"ordinal":47,"ts":195922,"kind":"gc.end","args":{"trigger":"auto","gen":"minor","pause_words":388}}
+{"ordinal":48,"ts":200001,"kind":"vm.trap","args":{"kind":"step-limit","msg":"instruction budget exceeded (200000 steps)"}}|}
+
 (* --- sharded counters ---------------------------------------------------- *)
 
 let test_sharded_counters_merge_on_snapshot () =
@@ -497,6 +549,8 @@ let suite =
     Alcotest.test_case "pool recorder events" `Quick test_pool_recorder_events;
     Alcotest.test_case "stream finish on a window boundary keeps its deltas"
       `Quick test_finish_on_window_boundary;
+    Alcotest.test_case "VM flight-recorder dumps pinned" `Quick
+      test_vm_dumps_pinned;
     Alcotest.test_case "full plane leaves paper-suite cycles identical" `Quick
       test_full_plane_unperturbed;
   ]
