@@ -425,18 +425,20 @@ let map_supervised t ?(policy = default_policy) ?recorder f xs =
         (fun idx o ->
           match o with
           | Done { attempts; _ } when attempts > 1 ->
-              Telemetry.Flight_recorder.record r ~ts:idx "pool.retry"
-                [
-                  ("index", Telemetry.Json.Int idx);
-                  ("attempts", Telemetry.Json.Int attempts);
-                ]
+              ignore
+                (Telemetry.Flight_recorder.record r ~ts:idx "pool.retry"
+                   [
+                     ("index", Telemetry.Json.Int idx);
+                     ("attempts", Telemetry.Json.Int attempts);
+                   ])
           | Quarantined { reason; attempts } ->
-              Telemetry.Flight_recorder.record r ~ts:idx "pool.quarantine"
-                [
-                  ("index", Telemetry.Json.Int idx);
-                  ("attempts", Telemetry.Json.Int attempts);
-                  ("reason", Telemetry.Json.Str reason);
-                ]
+              ignore
+                (Telemetry.Flight_recorder.record r ~ts:idx "pool.quarantine"
+                   [
+                     ("index", Telemetry.Json.Int idx);
+                     ("attempts", Telemetry.Json.Int attempts);
+                     ("reason", Telemetry.Json.Str reason);
+                   ])
           | Done _ -> ())
         outcomes);
   (outcomes, stats)

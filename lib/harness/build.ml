@@ -226,8 +226,8 @@ let compile ?telemetry ?(options = default) (config : config)
   let m = Telemetry.Sink.metrics telemetry in
   let m = Telemetry.Metrics.scope m "build" in
   let do_compile () =
-    Telemetry.Sink.with_span telemetry
-      ~args:[ ("config", Telemetry.Json.Str (config_name config)) ]
+    Telemetry.Sink.span telemetry
+      ~args:(fun () -> [ ("config", Telemetry.Json.Str (config_name config)) ])
       "build.compile"
       (fun () -> compile_uncached options config source)
   in

@@ -143,21 +143,36 @@ let cls_call = 6
 let cls_keep_live = 7
 let cls_branch = 8
 
+(* Counters that mirror a {!Gcheap.Heap.stats} field.  They are read from
+   the heap once per run, so the registry and the heap cannot disagree. *)
+let heap_counters : (string * (Gcheap.Heap.stats -> int)) list =
+  Gcheap.Heap.
+    [
+      ("gc/collections", fun s -> s.collections);
+      ("gc/minor/collections", fun s -> s.minor_collections);
+      ("gc/emergency_collections", fun s -> s.emergency_collections);
+      ("gc/injected_failures", fun s -> s.injected_failures);
+      ("gc/promotions", fun s -> s.promoted);
+      ("gc/cards_scanned", fun s -> s.cards_scanned);
+      ("gc/words_scanned", fun s -> s.words_scanned);
+      ("gc/objects_freed", fun s -> s.objects_freed);
+      ("gc/bytes_freed", fun s -> s.bytes_freed);
+      ("gc/incremental/increments", fun s -> s.increments);
+      ("gc/incremental/final_marks", fun s -> s.final_marks);
+      ("gc/incremental/budget_overruns", fun s -> s.budget_overruns);
+      ("gc/incremental/barrier_grays", fun s -> s.barrier_grays);
+    ]
+
 type tele = {
   tl_on : bool;
-  tl_trace : Telemetry.Trace.t option;
+  tl_sink : Telemetry.Sink.t option;  (** the event emitter's channels *)
   tl_prof : Telemetry.Heap_profiler.t option;
-  tl_rec : Telemetry.Flight_recorder.t option;
   tl_steps : Telemetry.Metrics.counter;
   tl_dispatch : Telemetry.Metrics.counter array;
       (** by dispatch class; both are added once per run, from the
           state's plain counts *)
-  tl_gc : Telemetry.Metrics.counter;
-  tl_gc_minor : Telemetry.Metrics.counter;
-  tl_gc_emergency : Telemetry.Metrics.counter;
-      (** collect-expand cycles run on allocation failure *)
-  tl_gc_injected : Telemetry.Metrics.counter;
-      (** allocation failpoints that fired; added once per run *)
+  tl_heap : (Telemetry.Metrics.counter * (Gcheap.Heap.stats -> int)) list;
+      (** [heap_counters], added once per run *)
   tl_gc_pause : Telemetry.Metrics.histogram;  (** nanoseconds *)
   tl_gc_minor_pause : Telemetry.Metrics.histogram;  (** nanoseconds *)
   tl_gc_major_pause : Telemetry.Metrics.histogram;  (** nanoseconds *)
@@ -170,17 +185,6 @@ type tele = {
   tl_gc_inc_pause : Telemetry.Metrics.histogram;
       (** per-increment pause in words of collector work (same clock as
           the scan histograms), incremental mode only *)
-  tl_gc_inc_steps : Telemetry.Metrics.counter;  (** increments run *)
-  tl_gc_inc_final : Telemetry.Metrics.counter;  (** atomic final marks *)
-  tl_gc_inc_grays : Telemetry.Metrics.counter;
-      (** old values the SATB barrier grayed *)
-  tl_gc_inc_overruns : Telemetry.Metrics.counter;
-      (** increments that exceeded the pause budget *)
-  tl_gc_promoted : Telemetry.Metrics.counter;
-  tl_gc_cards : Telemetry.Metrics.counter;  (** dirty cards scanned *)
-  tl_gc_words : Telemetry.Metrics.counter;
-  tl_gc_objs_freed : Telemetry.Metrics.counter;
-  tl_gc_bytes_freed : Telemetry.Metrics.counter;
   tl_heap_foot : Telemetry.Metrics.gauge;
   tl_alloc_bytes : Telemetry.Metrics.histogram;
   tl_faults : Telemetry.Metrics.counter;
@@ -188,46 +192,27 @@ type tele = {
 }
 
 let make_tele sink =
-  let m = Telemetry.Sink.metrics sink in
-  let m = Telemetry.Metrics.scope m "vm" in
-  let trace = match sink with Some s -> s.Telemetry.Sink.trace | None -> None in
-  let prof =
-    match sink with Some s -> s.Telemetry.Sink.profiler | None -> None
-  in
+  let m = Telemetry.Metrics.scope (Telemetry.Sink.metrics sink) "vm" in
+  let open Telemetry.Metrics in
   {
     tl_on = sink <> None;
-    tl_trace = trace;
-    tl_prof = prof;
-    tl_rec = Telemetry.Sink.recorder sink;
-    tl_steps = Telemetry.Metrics.counter m "steps";
+    tl_sink = sink;
+    tl_prof = Option.bind sink (fun s -> s.Telemetry.Sink.profiler);
+    tl_steps = counter m "steps";
     tl_dispatch =
-      Array.map
-        (fun c -> Telemetry.Metrics.counter m ("dispatch/" ^ c))
-        dispatch_class_names;
-    tl_gc = Telemetry.Metrics.counter m "gc/collections";
-    tl_gc_minor = Telemetry.Metrics.counter m "gc/minor/collections";
-    tl_gc_emergency = Telemetry.Metrics.counter m "gc/emergency_collections";
-    tl_gc_injected = Telemetry.Metrics.counter m "gc/injected_failures";
-    tl_gc_pause = Telemetry.Metrics.histogram m "gc/pause_ns";
-    tl_gc_minor_pause = Telemetry.Metrics.histogram m "gc/minor/pause_ns";
-    tl_gc_major_pause = Telemetry.Metrics.histogram m "gc/major/pause_ns";
-    tl_gc_minor_scan = Telemetry.Metrics.histogram m "gc/minor/pause_words";
-    tl_gc_major_scan = Telemetry.Metrics.histogram m "gc/major/pause_words";
-    tl_gc_inc_pause = Telemetry.Metrics.histogram m "gc/incremental/pause_words";
-    tl_gc_inc_steps = Telemetry.Metrics.counter m "gc/incremental/increments";
-    tl_gc_inc_final = Telemetry.Metrics.counter m "gc/incremental/final_marks";
-    tl_gc_inc_grays = Telemetry.Metrics.counter m "gc/incremental/barrier_grays";
-    tl_gc_inc_overruns =
-      Telemetry.Metrics.counter m "gc/incremental/budget_overruns";
-    tl_gc_promoted = Telemetry.Metrics.counter m "gc/promotions";
-    tl_gc_cards = Telemetry.Metrics.counter m "gc/cards_scanned";
-    tl_gc_words = Telemetry.Metrics.counter m "gc/words_scanned";
-    tl_gc_objs_freed = Telemetry.Metrics.counter m "gc/objects_freed";
-    tl_gc_bytes_freed = Telemetry.Metrics.counter m "gc/bytes_freed";
-    tl_heap_foot = Telemetry.Metrics.gauge m "heap/footprint";
-    tl_alloc_bytes = Telemetry.Metrics.histogram m "alloc/bytes";
-    tl_faults = Telemetry.Metrics.counter m "faults";
-    tl_traps = Telemetry.Metrics.counter m "traps";
+      Array.map (fun c -> counter m ("dispatch/" ^ c)) dispatch_class_names;
+    tl_heap =
+      List.map (fun (name, field) -> (counter m name, field)) heap_counters;
+    tl_gc_pause = histogram m "gc/pause_ns";
+    tl_gc_minor_pause = histogram m "gc/minor/pause_ns";
+    tl_gc_major_pause = histogram m "gc/major/pause_ns";
+    tl_gc_minor_scan = histogram m "gc/minor/pause_words";
+    tl_gc_major_scan = histogram m "gc/major/pause_words";
+    tl_gc_inc_pause = histogram m "gc/incremental/pause_words";
+    tl_heap_foot = gauge m "heap/footprint";
+    tl_alloc_bytes = histogram m "alloc/bytes";
+    tl_faults = counter m "faults";
+    tl_traps = counter m "traps";
   }
 
 (* ------------------------------------------------------------------ *)
@@ -439,9 +424,6 @@ type state = {
   mutable cycles : int;
   dispatch : int array;  (** steps by dispatch class *)
   mutable gc_count : int;
-  mutable inc_grays_seen : int;
-      (** barrier grays already ticked into telemetry (incremental mode:
-          the SATB barrier accrues during mutator time, between steps) *)
   mutable rand_state : int;
   mutable args : int array;  (** pushed arguments, oldest first *)
   mutable nargs : int;  (** arguments pushed and not yet taken *)
@@ -544,7 +526,6 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
     cycles = 0;
     dispatch = Array.make (Array.length dispatch_class_names) 0;
     gc_count = 0;
-    inc_grays_seen = 0;
     rand_state = 42;
     args = Array.make 16 0;
     nargs = 0;
@@ -563,74 +544,46 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
 let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
   let tl = st.tele in
   let minor = generation = Gcheap.Heap.Minor in
-  let gen_name = if minor then "minor" else "major" in
   let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
-  (match tl.tl_trace with
-  | Some tr ->
-      Telemetry.Trace.begin_span tr
-        ~args:
-          [
-            ("trigger", Telemetry.Json.Str trigger);
-            ("gen", Telemetry.Json.Str gen_name);
-          ]
-        "gc"
-  | None -> ());
-  (match tl.tl_rec with
-  | Some fr ->
-      Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.begin"
-        [
-          ("trigger", Telemetry.Json.Str trigger);
-          ("gen", Telemetry.Json.Str gen_name);
-        ]
-  | None -> ());
   (match tl.tl_prof with
   | Some pr -> Telemetry.Heap_profiler.set_tick pr st.instrs
   | None -> ());
   let hs = st.heap.Gcheap.Heap.stats in
   let words0 = hs.Gcheap.Heap.words_scanned in
-  let objs0 = hs.Gcheap.Heap.objects_freed in
   let bytes0 = hs.Gcheap.Heap.bytes_freed in
-  let promoted0 = hs.Gcheap.Heap.promoted in
-  let cards0 = hs.Gcheap.Heap.cards_scanned in
+  (* deterministic pause measure on the words-of-work clock: words the
+     marker traced plus words the sweeper reclaimed *)
+  let pause_words () =
+    hs.Gcheap.Heap.words_scanned - words0
+    + ((hs.Gcheap.Heap.bytes_freed - bytes0 + 7) / 8)
+  in
   st.gc_count <- st.gc_count + 1;
   let roots =
     List.concat_map (fun fr -> Array.to_list fr.fr_regs) st.frames
   in
   (* only the live prefix of the stack is scanned, as on a real machine *)
   let live_stack = (st.stack_base, st.stack_base + st.sp) in
-  (* the gc.end event must land even if the collection raises (heap
-     corruption under the sanitizer), so span nesting always balances *)
-  Fun.protect
-    ~finally:(fun () ->
-      (* deterministic pause measure on the words-of-work clock: words
-         the marker traced plus words the sweeper reclaimed.  Tracked
-         unconditionally (plain int stores, no cycle impact) — this is
-         the per-request GC share the service reports *)
-      let pause_words =
-        hs.Gcheap.Heap.words_scanned - words0
-        + ((hs.Gcheap.Heap.bytes_freed - bytes0 + 7) / 8)
-      in
-      st.gc_max_pause_words <- max st.gc_max_pause_words pause_words;
-      st.gc_total_pause_words <- st.gc_total_pause_words + pause_words;
-      (match tl.tl_rec with
-      | Some fr ->
-          Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.end"
-            [
-              ("trigger", Telemetry.Json.Str trigger);
-              ("gen", Telemetry.Json.Str gen_name);
-              ("pause_words", Telemetry.Json.Int pause_words);
-            ]
-      | None -> ());
-      if st.cfg.vm_census then
-        st.censuses <- Gcheap.Census.take st.heap :: st.censuses)
+  Telemetry.Sink.span tl.tl_sink ~ts:st.instrs "gc"
+    ~args:(fun () ->
+      [
+        ("trigger", Telemetry.Json.Str trigger);
+        ("gen", Telemetry.Json.Str (if minor then "minor" else "major"));
+      ])
+    ~end_args:(fun () ->
+      [ ("pause_words", Telemetry.Json.Int (pause_words ())) ])
     (fun () ->
       ignore
         (Gcheap.Heap.collect ~generation ~extra_roots:roots
            ~extra_ranges:[ live_stack ] st.heap));
+  (* tracked unconditionally (plain int stores, no cycle impact): this
+     is the per-request GC share the service reports *)
+  let pause_words = pause_words () in
+  st.gc_max_pause_words <- max st.gc_max_pause_words pause_words;
+  st.gc_total_pause_words <- st.gc_total_pause_words + pause_words;
+  if st.cfg.vm_census then
+    st.censuses <- Gcheap.Census.take st.heap :: st.censuses;
   if tl.tl_on then begin
     let open Telemetry in
-    Metrics.incr tl.tl_gc;
-    if minor then Metrics.incr tl.tl_gc_minor;
     let pause_ns = Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9) in
     Metrics.observe tl.tl_gc_pause pause_ns;
     Metrics.observe
@@ -638,25 +591,18 @@ let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
       pause_ns;
     Metrics.observe
       (if minor then tl.tl_gc_minor_scan else tl.tl_gc_major_scan)
-      (hs.Gcheap.Heap.words_scanned - words0
-      + ((hs.Gcheap.Heap.bytes_freed - bytes0 + 7) / 8));
-    Metrics.add tl.tl_gc_promoted (hs.Gcheap.Heap.promoted - promoted0);
-    Metrics.add tl.tl_gc_cards (hs.Gcheap.Heap.cards_scanned - cards0);
-    Metrics.add tl.tl_gc_words (hs.Gcheap.Heap.words_scanned - words0);
-    Metrics.add tl.tl_gc_objs_freed (hs.Gcheap.Heap.objects_freed - objs0);
-    Metrics.add tl.tl_gc_bytes_freed (hs.Gcheap.Heap.bytes_freed - bytes0);
+      pause_words;
     let foot = Gcheap.Heap.footprint st.heap in
     Metrics.set tl.tl_heap_foot foot;
-    match tl.tl_trace with
-    | Some tr ->
-        Trace.end_span tr "gc";
+    match tl.tl_sink with
+    | Some { Sink.trace = Some tr; _ } ->
         Trace.counter tr "heap"
           [
             ("footprint", foot);
             ( "live_bytes",
               hs.Gcheap.Heap.bytes_allocated - hs.Gcheap.Heap.bytes_freed );
           ]
-    | None -> ()
+    | _ -> ()
   end;
   if st.cfg.vm_check_integrity then Gcheap.Heap.assert_integrity st.heap
 
@@ -694,12 +640,7 @@ let[@inline] forced_gc_due st =
     live stack prefix as a range. *)
 let incremental_step st =
   let tl = st.tele in
-  let hs = st.heap.Gcheap.Heap.stats in
-  let collections0 = hs.Gcheap.Heap.collections in
-  let final0 = hs.Gcheap.Heap.final_marks in
-  let overruns0 = hs.Gcheap.Heap.budget_overruns in
-  let objs0 = hs.Gcheap.Heap.objects_freed in
-  let bytes0 = hs.Gcheap.Heap.bytes_freed in
+  let collections0 = st.heap.Gcheap.Heap.stats.Gcheap.Heap.collections in
   (match tl.tl_prof with
   | Some pr -> Telemetry.Heap_profiler.set_tick pr st.instrs
   | None -> ());
@@ -711,39 +652,24 @@ let incremental_step st =
     Gcheap.Incremental.step ~extra_roots:roots ~extra_ranges:[ live_stack ]
       st.heap
   in
-  let completed = hs.Gcheap.Heap.collections - collections0 in
+  let completed =
+    st.heap.Gcheap.Heap.stats.Gcheap.Heap.collections - collections0
+  in
   st.gc_count <- st.gc_count + completed;
   (* each increment is a mutator pause of [spent] words of work *)
   st.gc_max_pause_words <- max st.gc_max_pause_words spent;
   st.gc_total_pause_words <- st.gc_total_pause_words + spent;
-  (match tl.tl_rec with
-  | Some fr ->
-      Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.step"
-        [
-          ("spent_words", Telemetry.Json.Int spent);
-          ("completed", Telemetry.Json.Int completed);
-        ]
-  | None -> ());
+  Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "gc.step" ~args:(fun () ->
+      [
+        ("spent_words", Telemetry.Json.Int spent);
+        ("completed", Telemetry.Json.Int completed);
+      ]);
   if st.cfg.vm_census && completed > 0 then
     st.censuses <- Gcheap.Census.take st.heap :: st.censuses;
   if tl.tl_on then begin
-    let open Telemetry in
-    Metrics.incr tl.tl_gc_inc_steps;
-    Metrics.observe tl.tl_gc_inc_pause spent;
-    Metrics.add tl.tl_gc_inc_final (hs.Gcheap.Heap.final_marks - final0);
-    Metrics.add tl.tl_gc_inc_overruns
-      (hs.Gcheap.Heap.budget_overruns - overruns0);
-    (* barrier grays accrue during mutator time, between steps *)
-    Metrics.add tl.tl_gc_inc_grays
-      (hs.Gcheap.Heap.barrier_grays - st.inc_grays_seen);
-    st.inc_grays_seen <- hs.Gcheap.Heap.barrier_grays;
-    Metrics.add tl.tl_gc_words spent;
-    Metrics.add tl.tl_gc_objs_freed (hs.Gcheap.Heap.objects_freed - objs0);
-    Metrics.add tl.tl_gc_bytes_freed (hs.Gcheap.Heap.bytes_freed - bytes0);
-    if completed > 0 then begin
-      Metrics.add tl.tl_gc completed;
-      Metrics.set tl.tl_heap_foot (Gcheap.Heap.footprint st.heap)
-    end
+    Telemetry.Metrics.observe tl.tl_gc_inc_pause spent;
+    if completed > 0 then
+      Telemetry.Metrics.set tl.tl_heap_foot (Gcheap.Heap.footprint st.heap)
   end;
   if completed > 0 && st.cfg.vm_check_integrity then
     Gcheap.Heap.assert_integrity st.heap
@@ -1203,45 +1129,37 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
   (* the allocator's emergency collections must see the VM's full root
      set (register files, live stack prefix), so route them through the
      collection wrapper rather than the heap's bare fallback *)
+  let tl = st.tele in
   st.heap.Gcheap.Heap.on_oom <-
     Some
       (fun () ->
-        if st.tele.tl_on then Telemetry.Metrics.incr st.tele.tl_gc_emergency;
-        (match st.tele.tl_rec with
-        | Some fr ->
-            Telemetry.Flight_recorder.record fr ~ts:st.instrs "gc.emergency" []
-        | None -> ());
+        Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "gc.emergency";
         collect ~trigger:"emergency" st);
   if st.main < 0 then raise (Fault "no main function");
   List.iter (push_arg st) args;
   st.nargs <- 0;
   push_frame st st.funcs.(st.main) 0 (List.length args) (-1);
-  let tl = st.tele in
   let finally () =
     (* faulting, trapping and exhausted runs still count their steps
-       and injected failures, and get a closed trace and a finished
-       profile *)
+       and the heap's collector work, and get a finished profile *)
     Telemetry.Metrics.add tl.tl_steps st.instrs;
     Array.iteri
       (fun k c -> Telemetry.Metrics.add c st.dispatch.(k))
       tl.tl_dispatch;
-    Telemetry.Metrics.add tl.tl_gc_injected
-      st.heap.Gcheap.Heap.stats.Gcheap.Heap.injected_failures;
-    (match tl.tl_prof with
+    List.iter
+      (fun (c, field) ->
+        Telemetry.Metrics.add c (field st.heap.Gcheap.Heap.stats))
+      tl.tl_heap;
+    match tl.tl_prof with
     | Some pr ->
         Telemetry.Heap_profiler.set_tick pr st.instrs;
         Telemetry.Heap_profiler.finish pr
-    | None -> ());
-    match tl.tl_trace with
-    | Some tr -> Telemetry.Trace.end_span tr "vm.run"
     | None -> ()
   in
-  (match tl.tl_trace with
-  | Some tr ->
-      Telemetry.Trace.begin_span tr
-        ~args:[ ("machine", Telemetry.Json.Str config.vm_machine.Machdesc.md_name) ]
-        "vm.run"
-  | None -> ());
+  Telemetry.Sink.span tl.tl_sink "vm.run"
+    ~args:(fun () ->
+      [ ("machine", Telemetry.Json.Str config.vm_machine.Machdesc.md_name) ])
+  @@ fun () ->
   Fun.protect ~finally @@ fun () ->
   let exit_code = ref 0 in
   (try
@@ -1259,50 +1177,22 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
   | Exit_program code -> exit_code := code
   | Fault msg as e when tl.tl_on ->
       Telemetry.Metrics.incr tl.tl_faults;
-      (match tl.tl_rec with
-      | Some fr ->
-          Telemetry.Flight_recorder.record fr ~ts:st.instrs "vm.fault"
-            [ ("msg", Telemetry.Json.Str msg) ]
-      | None -> ());
-      (match tl.tl_trace with
-      | Some tr ->
-          Telemetry.Trace.instant tr
-            ~args:[ ("msg", Telemetry.Json.Str msg) ]
-            "fault"
-      | None -> ());
+      Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "vm.fault"
+        ~args:(fun () -> [ ("msg", Telemetry.Json.Str msg) ]);
       raise e
   | Trap (kind, msg) as e when tl.tl_on ->
       Telemetry.Metrics.incr tl.tl_traps;
-      (match tl.tl_rec with
-      | Some fr ->
-          Telemetry.Flight_recorder.record fr ~ts:st.instrs "vm.trap"
-            [
-              ("kind", Telemetry.Json.Str (trap_kind_name kind));
-              ("msg", Telemetry.Json.Str msg);
-            ]
-      | None -> ());
-      (match tl.tl_trace with
-      | Some tr ->
-          Telemetry.Trace.instant tr
-            ~args:
-              [
-                ("kind", Telemetry.Json.Str (trap_kind_name kind));
-                ("msg", Telemetry.Json.Str msg);
-              ]
-            "trap"
-      | None -> ());
+      Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "vm.trap"
+        ~args:(fun () ->
+          [
+            ("kind", Telemetry.Json.Str (trap_kind_name kind));
+            ("msg", Telemetry.Json.Str msg);
+          ]);
       raise e);
   if config.vm_final_collect then begin
     (* all frames are gone: only statics-reachable objects survive *)
     collect ~trigger:"final" st;
     st.gc_count <- st.gc_count - 1 (* not a program-visible collection *)
-  end;
-  (* sync barrier grays that accrued since the last increment *)
-  if tl.tl_on then begin
-    let hs = st.heap.Gcheap.Heap.stats in
-    Telemetry.Metrics.add tl.tl_gc_inc_grays
-      (hs.Gcheap.Heap.barrier_grays - st.inc_grays_seen);
-    st.inc_grays_seen <- hs.Gcheap.Heap.barrier_grays
   end;
   let live_objects, live_bytes = Gcheap.Heap.live_summary st.heap in
   {

@@ -91,18 +91,8 @@ let record_class t outcome =
    contents — and the interleaved event lines on the stream — are
    byte-identical across worker counts. *)
 let record_ev t ~ts kind args =
-  Telemetry.Flight_recorder.record t.ring ~ts kind args;
-  match t.stream with
-  | None -> ()
-  | Some s ->
-      Telemetry.Stream.event s
-        {
-          Telemetry.Flight_recorder.fr_ordinal =
-            Telemetry.Flight_recorder.recorded t.ring - 1;
-          fr_ts = ts;
-          fr_kind = kind;
-          fr_args = args;
-        }
+  let ev = Telemetry.Flight_recorder.record t.ring ~ts kind args in
+  Option.iter (fun s -> Telemetry.Stream.event s ev) t.stream
 
 let reject_completion req arrival detail =
   {

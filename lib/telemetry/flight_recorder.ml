@@ -28,7 +28,8 @@ let record t ~ts kind args =
   let ev = { fr_ordinal = t.next; fr_ts = ts; fr_kind = kind; fr_args = args } in
   t.ring.(t.next mod t.capacity) <- Some ev;
   t.next <- t.next + 1;
-  Mutex.unlock t.mutex
+  Mutex.unlock t.mutex;
+  ev
 
 let recorded t =
   Mutex.lock t.mutex;

@@ -32,9 +32,9 @@ val create : ?capacity:int -> unit -> t
 
 val capacity : t -> int
 
-val record : t -> ts:int -> string -> (string * Json.t) list -> unit
-(** Append an event, evicting the oldest once the ring is full.
-    Thread-safe. *)
+val record : t -> ts:int -> string -> (string * Json.t) list -> event
+(** Append an event, evicting the oldest once the ring is full, and
+    return it as stored, ordinal included.  Thread-safe. *)
 
 val recorded : t -> int
 (** Total events ever recorded (not just retained). *)

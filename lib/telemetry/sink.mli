@@ -1,8 +1,10 @@
 (** The telemetry sink: the bundle instrumented code receives.
 
-    A sink carries a metrics registry plus optional tracer and heap
-    profiler, so a single optional argument threads all three through
-    the VM, heap, and harness.  [none] is the canonical "telemetry
+    A sink carries a metrics registry plus an optional tracer, heap
+    profiler and flight recorder, so a single optional argument threads
+    them all through the VM, heap, and harness.  Events go through one
+    emitter, {!span} or {!instant}, which sends each to the trace and
+    the recorder at once.  [none] is the canonical "telemetry
     off" value: its registry is {!Metrics.disabled} and hot paths can
     skip it with one match. *)
 
@@ -29,11 +31,30 @@ val make :
 val metrics : t option -> Metrics.t
 (** The sink's registry, or {!Metrics.disabled}. *)
 
-val recorder : t option -> Flight_recorder.t option
-(** The sink's flight recorder, if any. *)
+type args = (string * Json.t) list
 
-val with_span :
-  t option -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
-(** Span on the sink's tracer if any, else just the call. *)
+val span :
+  t option ->
+  ?ts:int ->
+  ?args:(unit -> args) ->
+  ?end_args:(unit -> args) ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** [span sink ~ts name f] brackets [f] as one event on every channel
+    the sink carries: a [name] span on the Chrome trace, and
+    [name ^ ".begin"] / [name ^ ".end"] on the flight recorder, stamped
+    [ts] on the producer's clock (the VM's instruction count).  The
+    [".begin"] event carries [args ()], the [".end"] event
+    [args () @ end_args ()], evaluated after [f].  Both channels close
+    even when [f] raises, so the trace and the dump stay balanced.
 
-val instant : t option -> ?args:(string * Json.t) list -> string -> unit
+    Without [ts] the span is the trace's alone: whole-run and build
+    spans have no recorder events.  With neither a tracer nor (given
+    [ts]) a recorder attached this is just [f ()]: one match, and the
+    argument thunks are never called. *)
+
+val instant : t option -> ts:int -> ?args:(unit -> args) -> string -> unit
+(** One [name] event, an instant on the Chrome trace and a record on the
+    flight recorder, stamped [ts]; [args] is called only when a channel
+    is attached. *)

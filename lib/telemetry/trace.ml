@@ -35,10 +35,6 @@ let end_span t name =
     { ev_ph = 'E'; ev_name = name; ev_ts = now_us t; ev_tid = tid ();
       ev_args = [] }
 
-let with_span t ?args name f =
-  begin_span t ?args name;
-  Fun.protect ~finally:(fun () -> end_span t name) f
-
 let instant t ?(args = []) name =
   push t
     { ev_ph = 'i'; ev_name = name; ev_ts = now_us t; ev_tid = tid ();

@@ -21,11 +21,9 @@ val begin_span : t -> ?args:(string * Json.t) list -> string -> unit
 (** Opens a [B] event on the calling domain's lane. *)
 
 val end_span : t -> string -> unit
-(** Closes the matching [B] with an [E] event on the same lane. *)
-
-val with_span : t -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
-(** Brackets the call in [begin_span]/[end_span]; the span is closed
-    even if the call raises. *)
+(** Closes the matching [B] with an [E] event on the same lane.
+    {!Sink.span} pairs the two, closing the span even when its body
+    raises. *)
 
 val instant : t -> ?args:(string * Json.t) list -> string -> unit
 (** An [i] (instant) event. *)

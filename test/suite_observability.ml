@@ -21,12 +21,15 @@ let test_ring_wraparound =
     QCheck.(pair (int_range 1 48) (int_range 0 200))
     (fun (capacity, n) ->
       let r = Flight.create ~capacity () in
+      let returned_ok = ref true in
       for i = 0 to n - 1 do
-        Flight.record r ~ts:(i * 3) "ev" [ ("i", Json.Int i) ]
+        let ev = Flight.record r ~ts:(i * 3) "ev" [ ("i", Json.Int i) ] in
+        if ev.Flight.fr_ordinal <> i then returned_ok := false
       done;
       let evs = Flight.events r in
       let dropped = max 0 (n - capacity) in
-      Flight.recorded r = n
+      !returned_ok
+      && Flight.recorded r = n
       && Flight.dropped r = dropped
       && List.length evs = min n capacity
       && List.mapi (fun k e -> e.Flight.fr_ordinal = dropped + k) evs
@@ -36,7 +39,7 @@ let test_ring_wraparound =
 let test_dump_check_rejects_tampering () =
   let r = Flight.create ~capacity:4 () in
   for i = 0 to 9 do
-    Flight.record r ~ts:i "ev" []
+    ignore (Flight.record r ~ts:i "ev" [])
   done;
   let doc = Flight.dump r in
   Alcotest.(check bool) "is_dump" true (Flight.is_dump doc);
@@ -420,7 +423,69 @@ let test_full_plane_unperturbed () =
         plain.Harness.Measure.o_cycles observed.Harness.Measure.o_cycles)
     Workloads.Registry.paper_suite
 
-(* --- VM flight-recorder dumps ----------------------------------------------- *)
+(* --- collector counters mirror the heap ------------------------------ *)
+
+(* Every [vm/gc/] counter that mirrors a heap statistic, and the field. *)
+let heap_mirrored =
+  Gcheap.Heap.
+    [
+      ("vm/gc/collections", fun s -> s.collections);
+      ("vm/gc/minor/collections", fun s -> s.minor_collections);
+      ("vm/gc/emergency_collections", fun s -> s.emergency_collections);
+      ("vm/gc/injected_failures", fun s -> s.injected_failures);
+      ("vm/gc/promotions", fun s -> s.promoted);
+      ("vm/gc/cards_scanned", fun s -> s.cards_scanned);
+      ("vm/gc/words_scanned", fun s -> s.words_scanned);
+      ("vm/gc/objects_freed", fun s -> s.objects_freed);
+      ("vm/gc/bytes_freed", fun s -> s.bytes_freed);
+      ("vm/gc/incremental/increments", fun s -> s.increments);
+      ("vm/gc/incremental/final_marks", fun s -> s.final_marks);
+      ("vm/gc/incremental/budget_overruns", fun s -> s.budget_overruns);
+      ("vm/gc/incremental/barrier_grays", fun s -> s.barrier_grays);
+    ]
+
+(* Each paper workload under every collector mode at the gate threshold,
+   and cordtest's collect-expand path at the smallest heap limit it
+   completes under (38911 words exhausts the heap, leaving no result):
+   the metrics agree with the heap's own statistics. *)
+let test_counters_mirror_heap () =
+  let check what ?(heap_limit = 0) gc_mode (w : Workloads.Registry.workload) =
+    let b =
+      Harness.Build.compile Harness.Build.Safe w.Workloads.Registry.w_source
+    in
+    let metrics = Metrics.create () in
+    let config =
+      {
+        (Machine.Vm.default_config ()) with
+        Machine.Vm.vm_gc_mode = gc_mode;
+        vm_gc_threshold = Util.gate_threshold;
+        vm_heap_limit_words = heap_limit;
+        vm_final_collect = true;
+        vm_telemetry = Some (Telemetry.Sink.make ~metrics ());
+      }
+    in
+    let r = Machine.Vm.run ~config b.Harness.Build.b_ir in
+    let snap = Metrics.snapshot metrics in
+    List.iter
+      (fun (name, field) ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s: %s" what name)
+          (field r.Machine.Vm.r_heap) (Util.counter snap name))
+      heap_mirrored
+  in
+  List.iter
+    (fun (w : Workloads.Registry.workload) ->
+      List.iter
+        (fun mode ->
+          check
+            (w.Workloads.Registry.w_name ^ " " ^ Gcheap.Heap.gc_mode_name mode)
+            mode w)
+        Gcheap.Heap.[ Stw; Gen; Inc ])
+    Workloads.Registry.paper_suite;
+  check "cordtest heap limit 38912" ~heap_limit:38912 Gcheap.Heap.Stw
+    Workloads.Registry.cordtest
+
+(* --- VM flight-recorder dumps ------------------------------------------ *)
 
 (* One VM run's flight-recorder dump, pinned as its event count, the md5
    of the whole dump and its last three events. *)
@@ -549,6 +614,8 @@ let suite =
     Alcotest.test_case "pool recorder events" `Quick test_pool_recorder_events;
     Alcotest.test_case "stream finish on a window boundary keeps its deltas"
       `Quick test_finish_on_window_boundary;
+    Alcotest.test_case "collector counters mirror the heap" `Quick
+      test_counters_mirror_heap;
     Alcotest.test_case "VM flight-recorder dumps pinned" `Quick
       test_vm_dumps_pinned;
     Alcotest.test_case "full plane leaves paper-suite cycles identical" `Quick

@@ -9,6 +9,7 @@ module Metrics = Telemetry.Metrics
 module Trace = Telemetry.Trace
 module Profiler = Telemetry.Heap_profiler
 module Sink = Telemetry.Sink
+module Flight = Telemetry.Flight_recorder
 
 (* --- JSON: render/parse roundtrips ------------------------------------- *)
 
@@ -257,21 +258,73 @@ let test_percentile_nearest_rank =
 
 let test_trace_valid () =
   let tr = Trace.create () in
-  Trace.with_span tr "outer" (fun () ->
-      Trace.instant tr ~args:[ ("k", Json.Int 1) ] "tick";
-      Trace.with_span tr "inner" (fun () -> ());
+  let sink = Some (Sink.make ~trace:tr ()) in
+  Sink.span sink "outer" (fun () ->
+      Sink.instant sink ~ts:0 ~args:(fun () -> [ ("k", Json.Int 1) ]) "tick";
+      Sink.span sink "inner" ignore;
       Trace.counter tr "heap" [ ("live", 128) ]);
   match Trace.check (Trace.to_json tr) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* The sink's bracket closes the trace span and the recorder's
+   [.begin]/[.end] pair even when the bracketed call raises, as a
+   collection does on heap corruption. *)
 let test_trace_span_closed_on_raise () =
   let tr = Trace.create () in
-  (try Trace.with_span tr "doomed" (fun () -> failwith "boom") with
-  | Failure _ -> ());
-  match Trace.check (Trace.to_json tr) with
+  let recorder = Flight.create () in
+  let sink = Some (Sink.make ~trace:tr ~recorder ()) in
+  let ended = ref false in
+  (try
+     Sink.span sink "vm.run" (fun () ->
+         Sink.span sink ~ts:7 "gc"
+           ~args:(fun () -> [ ("gen", Json.Str "major") ])
+           ~end_args:(fun () ->
+             ended := true;
+             [ ("pause_words", Json.Int 3) ])
+           (fun () -> failwith "collector raised"))
+   with Failure _ -> ());
+  Alcotest.(check bool) "end arguments built on the raise" true !ended;
+  (match Trace.check (Trace.to_json tr) with
   | Ok () -> ()
-  | Error e -> Alcotest.fail ("span leaked on raise: " ^ e)
+  | Error e -> Alcotest.fail ("trace unbalanced: " ^ e));
+  (match Flight.check (Flight.dump recorder) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("dump unbalanced: " ^ e));
+  Alcotest.(check (list (pair string string)))
+    "trace: both spans opened and closed"
+    [ ("vm.run", "B"); ("gc", "B"); ("gc", "E"); ("vm.run", "E") ]
+    (List.map
+       (fun e -> (e.Trace.ev_name, String.make 1 e.Trace.ev_ph))
+       (Trace.events tr));
+  Alcotest.(check (list string))
+    "recorder: only the timestamped span, begin and end"
+    [
+      {|{"ordinal":0,"ts":7,"kind":"gc.begin","args":{"gen":"major"}}|};
+      {|{"ordinal":1,"ts":7,"kind":"gc.end","args":{"gen":"major","pause_words":3}}|};
+    ]
+    (List.map
+       (fun e -> Json.to_string (Flight.event_to_json e))
+       (Flight.events recorder))
+
+(* With no tracer and no recorder the emitter never builds its
+   arguments. *)
+let test_sink_silent_builds_nothing () =
+  let built = ref 0 in
+  let args () =
+    incr built;
+    []
+  in
+  List.iter
+    (fun sink ->
+      Alcotest.(check int) "span result" 5
+        (Sink.span sink ~ts:1 ~args ~end_args:args "gc" (fun () -> 5));
+      Sink.instant sink ~ts:1 ~args "gc.step")
+    [ Sink.none; Some (Sink.make ()) ];
+  Sink.span
+    (Some (Sink.make ~recorder:(Flight.create ()) ()))
+    ~args "vm.run" ignore;
+  Alcotest.(check int) "argument thunks called" 0 !built
 
 let test_checker_rejects () =
   let bad =
@@ -354,10 +407,11 @@ let test_parallel_trace_deterministic () =
         ignore
           (Exec.Pool.map pool
              (fun i ->
-               Trace.with_span tr
-                 ~args:[ ("task", Json.Int i) ]
+               let sink = Some (Sink.make ~trace:tr ()) in
+               Sink.span sink
+                 ~args:(fun () -> [ ("task", Json.Int i) ])
                  (Printf.sprintf "task-%d" i)
-                 (fun () -> Trace.instant tr "work");
+                 (fun () -> Sink.instant sink ~ts:i "work");
                i)
              (List.init 12 Fun.id)));
     Trace.normalize (Trace.events tr)
@@ -549,6 +603,8 @@ let suite =
     Alcotest.test_case "trace valid" `Quick test_trace_valid;
     Alcotest.test_case "span closed on raise" `Quick
       test_trace_span_closed_on_raise;
+    Alcotest.test_case "silent sink builds no arguments" `Quick
+      test_sink_silent_builds_nothing;
     Alcotest.test_case "checker rejects" `Quick test_checker_rejects;
     Alcotest.test_case "parallel trace deterministic" `Quick
       test_parallel_trace_deterministic;
