@@ -640,7 +640,8 @@ let[@inline] forced_gc_due st =
     live stack prefix as a range. *)
 let incremental_step st =
   let tl = st.tele in
-  let collections0 = st.heap.Gcheap.Heap.stats.Gcheap.Heap.collections in
+  let hs = st.heap.Gcheap.Heap.stats in
+  let collections0 = hs.Gcheap.Heap.collections in
   (match tl.tl_prof with
   | Some pr -> Telemetry.Heap_profiler.set_tick pr st.instrs
   | None -> ());
@@ -652,9 +653,7 @@ let incremental_step st =
     Gcheap.Incremental.step ~extra_roots:roots ~extra_ranges:[ live_stack ]
       st.heap
   in
-  let completed =
-    st.heap.Gcheap.Heap.stats.Gcheap.Heap.collections - collections0
-  in
+  let completed = hs.Gcheap.Heap.collections - collections0 in
   st.gc_count <- st.gc_count + completed;
   (* each increment is a mutator pause of [spent] words of work *)
   st.gc_max_pause_words <- max st.gc_max_pause_words spent;
@@ -1126,10 +1125,10 @@ let step st =
 (** Run [main] to completion. *)
 let run ?(config = default_config ()) ?(args = []) (p : program) : result =
   let st = load config p p.p_relocs in
+  let tl = st.tele in
   (* the allocator's emergency collections must see the VM's full root
      set (register files, live stack prefix), so route them through the
      collection wrapper rather than the heap's bare fallback *)
-  let tl = st.tele in
   st.heap.Gcheap.Heap.on_oom <-
     Some
       (fun () ->
