@@ -217,6 +217,106 @@ let test_full_collection_abandons_soundly () =
   Alcotest.(check int) "integrity clean" 0
     (List.length (Heap.check_integrity h))
 
+(* --- one engine: stop-the-world and incremental cycles agree --------- *)
+
+(* A random pointer graph: objects (requested bytes, atomic?), pointer
+   edges (source, field, target, interior offset), word-value roots, the
+   objects an uncollectable statics-like block points at, the
+   interior-pointer mode, and the pause budget of the incremental run. *)
+type graph = {
+  objs : (int * bool) list;
+  edges : (int * int * int * int) list;
+  root_ids : int list;
+  static_ids : int list;
+  all_interior : bool;
+  budget : int;
+}
+
+let graph_gen =
+  QCheck.Gen.(
+    int_range 1 60 >>= fun n ->
+    let id = int_bound (n - 1) in
+    let size = frequency [ (9, int_range 8 300); (1, int_range 2048 5000) ] in
+    map
+      (fun ((objs, edges, root_ids), (static_ids, all_interior, budget)) ->
+        { objs; edges; root_ids; static_ids; all_interior; budget })
+      (pair
+         (triple
+            (list_repeat n (pair size bool))
+            (list_size (int_bound (3 * n)) (quad id nat id nat))
+            (list_size (int_bound 4) id))
+         (triple
+            (list_size (int_bound 3) id)
+            bool
+            (oneof [ int_range 1 7; return 1024; int_range 8 4096 ]))))
+
+let print_graph g =
+  Printf.sprintf
+    "objs=[%s] edges=[%s] roots=[%s] statics=[%s] all_interior=%b budget=%d"
+    (String.concat ";"
+       (List.map (fun (b, a) -> Printf.sprintf "%d%s" b (if a then "a" else ""))
+          g.objs))
+    (String.concat ";"
+       (List.map
+          (fun (s, f, d, o) -> Printf.sprintf "%d.%d->%d+%d" s f d o)
+          g.edges))
+    (String.concat ";" (List.map string_of_int g.root_ids))
+    (String.concat ";" (List.map string_of_int g.static_ids))
+    g.all_interior g.budget
+
+(* Lay the graph out on a fresh heap; returns the heap and its roots.
+   Allocation is deterministic, so two builds are twins. *)
+let build_graph g =
+  let h = Heap.create () in
+  h.Heap.config.Heap.all_interior <- g.all_interior;
+  h.Heap.config.Heap.pause_budget_words <- g.budget;
+  let objs =
+    Array.of_list
+      (List.map
+         (fun (bytes, atomic) ->
+           let kind = if atomic then Block.Atomic else Block.Normal in
+           (Heap.alloc ~kind h bytes, bytes))
+         g.objs)
+  in
+  let statics =
+    Heap.alloc ~kind:Block.Uncollectable h (8 * max 1 (List.length g.static_ids))
+  in
+  List.iteri
+    (fun k i -> Mem.store_word h.Heap.mem (statics + (8 * k)) (fst objs.(i)))
+    g.static_ids;
+  List.iter
+    (fun (s, f, d, off) ->
+      let src, src_bytes = objs.(s) and dst, dst_bytes = objs.(d) in
+      Mem.store_word h.Heap.mem
+        (src + (8 * (f mod (src_bytes / 8))))
+        (dst + (off mod dst_bytes)))
+    g.edges;
+  (h, List.map (fun i -> fst objs.(i)) g.root_ids)
+
+let engine_fingerprint h =
+  let s = h.Heap.stats in
+  let free_lists =
+    Hashtbl.fold
+      (fun key l acc -> if !l = [] then acc else (key, !l) :: acc)
+      h.Heap.free_lists []
+    |> List.sort compare
+  in
+  ( (s.Heap.words_scanned, s.Heap.objects_freed, s.Heap.bytes_freed),
+    free_lists,
+    Heap.live_summary h )
+
+let prop_collect_equals_cycle =
+  QCheck.Test.make ~count:300
+    ~name:"twin heaps: collect == incremental cycle at any budget"
+    (QCheck.make ~print:print_graph graph_gen)
+    (fun g ->
+      let stw, roots = build_graph g in
+      ignore (Heap.collect ~extra_roots:roots stw);
+      let inc, roots = build_graph g in
+      ignore (Incremental.step ~extra_roots:roots inc);
+      Incremental.finish ~extra_roots:roots inc;
+      engine_fingerprint stw = engine_fingerprint inc)
+
 (* --- mode identity over random programs ------------------------------- *)
 
 let digest gc_mode ~budget ~schedule src =
@@ -295,6 +395,7 @@ let suite =
       test_tiny_budget_terminates;
     Alcotest.test_case "full collection abandons the cycle" `Quick
       test_full_collection_abandons_soundly;
+    QCheck_alcotest.to_alcotest prop_collect_equals_cycle;
     QCheck_alcotest.to_alcotest prop_modes_identical;
     Alcotest.test_case "paper workloads: no overruns at a 2048-word budget"
       `Quick test_paper_workloads_within_budget;
