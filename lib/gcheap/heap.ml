@@ -25,7 +25,16 @@
       wholly dead nursery pages return to the reclaim pool, and pages
       whose cohort reaches [promote_after] are promoted in place (the
       collector is conservative, so objects can never move).  The
-      remembered set then tracks only old-generation pages. *)
+      remembered set then tracks only old-generation pages;
+    - an incremental mode: a snapshot-at-the-beginning cycle sliced into
+      budget-bounded {!step}s at the embedder's GC points, kept sound by
+      the store barrier (it shades overwritten values while marking) and
+      by allocate-black.
+
+    One engine serves every mode: one gray stack, one {!shade} rule
+    (shared with the barrier), one {!scan_roots}, one budgeted {!drain}
+    (stop-the-world passes [max_int]), one {!free_slot} and one
+    {!complete_collection}. *)
 
 type gc_mode = Stw | Gen | Inc
 
@@ -55,10 +64,10 @@ type config = {
       (** recognize interior pointers everywhere (the paper's default
           collector configuration); when false, interior pointers are valid
           only from roots — the "Extensions" section mode *)
-  mutable poison : bool;  (** fill freed objects with 0xDB *)
   mutable gc_threshold : int;  (** collect after this many bytes allocated *)
-  mutable generational : bool;
-      (** enable minor collections and the store barrier's dirty cards *)
+  mutable mode : gc_mode;
+      (** [Gen] enables minor collections and the store barrier's dirty
+          cards; [Gen] and [Inc] put the bump-pointer nursery in service *)
   mutable minor_threshold : int;
       (** bytes allocated between minor collections (generational mode) *)
   mutable promote_after : int;
@@ -70,10 +79,6 @@ type config = {
           immediately ([Trap]), or run an emergency full collection,
           retry, grow within the limit, and only then raise
           ([Collect_expand], Boehm's collect-then-expand) *)
-  mutable incremental : bool;
-      (** enable the SATB write barrier and allocate-black so an
-          {!Incremental} marking cycle can stay in flight across
-          mutator steps *)
   mutable pause_budget_words : int;
       (** words of collector work (scanning + sweeping) one incremental
           step may perform before yielding back to the mutator *)
@@ -106,9 +111,9 @@ type stats = {
   mutable abandoned_cycles : int;
 }
 
-(** Where an incremental marking cycle stands.  [Idle] outside a cycle;
+(** Where an incremental cycle stands.  [Idle] outside a cycle;
     [Marking] while gray ranges remain to drain; [Sweeping] while swept
-    blocks remain.  Only ever non-[Idle] on an [incremental] heap. *)
+    blocks remain.  Only {!step} leaves it non-[Idle]. *)
 type phase = Idle | Marking | Sweeping
 
 type t = {
@@ -145,13 +150,13 @@ type t = {
           nursery pages, sorted by start and coalesced; always empty on
           limit-free stop-the-world executions *)
   mutable phase : phase;
-      (** incremental-cycle phase; [Idle] unless an {!Incremental} cycle
-          is in flight *)
+      (** incremental-cycle phase; [Idle] unless a {!step} cycle is in
+          flight *)
   mutable gray : (int * int) list;
-      (** incremental mark stack: gray ranges [start, stop) still to
-          scan, with partial push-back when a budget expires mid-range *)
+      (** the mark stack: gray ranges [start, stop) still to scan, with
+          partial push-back when a budget expires mid-range *)
   mutable sweep_pending : Block.t list;
-      (** blocks the in-flight incremental cycle has yet to sweep *)
+      (** blocks the sweep has yet to visit *)
   mutable sweep_cursor : int;
       (** next slot to examine in the head of [sweep_pending] — lets a
           sweep slice stop mid-block exactly at the pause budget *)
@@ -186,14 +191,12 @@ exception Heap_exhausted of string
 let default_config () =
   {
     all_interior = true;
-    poison = true;
     gc_threshold = 256 * 1024;
-    generational = false;
+    mode = Stw;
     minor_threshold = 32 * 1024;
     promote_after = 2;
     heap_limit_words = 0;
     oom_policy = Collect_expand;
-    incremental = false;
     pause_budget_words = 1024;
     nursery_pages = 8;
   }
@@ -251,7 +254,9 @@ let create ?(config = default_config ()) () =
 (** Is the bump-pointer nursery in service?  Only the generational and
     incremental modes segregate generations; stop-the-world heaps keep
     the seed allocator bit for bit. *)
-let nursery_enabled t = t.config.generational || t.config.incremental
+let nursery_enabled t = t.config.mode <> Stw
+
+let generational t = t.config.mode = Gen
 
 let add_root_range t start stop = t.roots <- (start, stop) :: t.roots
 
@@ -296,31 +301,41 @@ let iter_dirty_pages t f =
 (* Is the slot's object old (survived [promote_after] minor cycles)? *)
 let is_old t blk i = Block.age blk i >= t.config.promote_after
 
-(* Snapshot-at-the-beginning shading: a word about to be overwritten may
-   hold the last reference to an object that was reachable when the
-   in-flight incremental cycle took its snapshot.  Gray it (mark + push
-   its range) before the store lands, so the cycle's mark set stays a
-   superset of the snapshot's reachable set. *)
-let gray_old_value t v =
+(* Is [v] a plausible pointer?  The block and slot of the allocated
+   object it points into.  Any value inside an allocated object qualifies
+   when [all_interior] is set; otherwise only base pointers qualify,
+   except from roots (the "Extensions" mode). *)
+let plausible_pointer t ~from_root v =
   match Page_map.find t.map v with
-  | None -> ()
+  | None -> None
   | Some blk -> (
       match Block.slot_of_addr blk v with
-      | None -> ()
+      | None -> None
       | Some i ->
-          if
-            Block.is_allocated blk i
-            && (t.config.all_interior || v = Block.slot_addr blk i)
-            && not (Block.is_marked blk i)
-          then begin
-            Block.set_marked blk i true;
-            t.stats.barrier_grays <- t.stats.barrier_grays + 1;
-            if Block.scanned blk then
-              t.gray <-
-                ( Block.slot_addr blk i,
-                  Block.slot_addr blk i + blk.Block.blk_obj_size )
-                :: t.gray
-          end)
+          if not (Block.is_allocated blk i) then None
+          else if
+            t.config.all_interior || from_root || v = Block.slot_addr blk i
+          then Some (blk, i)
+          else None)
+
+(* Shade [v] gray: mark the object it plausibly points to and push the
+   object's range onto the gray stack when its contents are scanned.
+   The one shading rule of the stop-the-world marker, the incremental
+   snapshot and marking steps, and the SATB store barrier.  A minor
+   cycle collects only the young generation, so old objects are
+   implicitly live and never shaded.  Returns whether [v] newly shaded
+   an object. *)
+let shade t ~minor ~from_root v =
+  match plausible_pointer t ~from_root v with
+  | Some (blk, i)
+    when (not (Block.is_marked blk i))
+         && not (minor && Block.collectable blk && is_old t blk i) ->
+      Block.set_marked blk i true;
+      (if Block.scanned blk then
+         let a = Block.slot_addr blk i in
+         t.gray <- (a, a + blk.Block.blk_obj_size) :: t.gray);
+      true
+  | Some _ | None -> false
 
 (* Does any byte of [lo, hi] (inclusive, within [blk]) fall in an
    allocated slot of [blk] that is already old? *)
@@ -353,15 +368,21 @@ let note_store t addr len =
      aligned walk over-approximates [addr, addr+len) to whole words —
      shading a neighbouring word's value is merely conservative. *)
   (if t.phase = Marking && len > 0 then begin
+     (* snapshot-at-the-beginning: a word about to be overwritten may
+        hold the last reference to an object reachable when the cycle
+        took its snapshot, so it is shaded before the store lands *)
      let a = ref (addr / 8 * 8) in
      let stop = addr + len in
      let limit = Mem.limit t.mem in
      while !a < stop do
-       if !a + 8 <= limit then gray_old_value t (Mem.load_word t.mem !a);
+       if
+         !a + 8 <= limit
+         && shade t ~minor:false ~from_root:false (Mem.load_word t.mem !a)
+       then t.stats.barrier_grays <- t.stats.barrier_grays + 1;
        a := !a + 8
      done
    end);
-  if t.config.generational && len > 0 then begin
+  if generational t && len > 0 then begin
     let last = addr + len - 1 in
     for p = page_index addr to page_index last do
       let page_start = p lsl Mem.page_bits in
@@ -441,38 +462,26 @@ let extent_of t addr =
             Some (Block.slot_addr blk i, blk.Block.blk_obj_size)
           else None)
 
-(** Is [v] a plausible pointer for root scanning?  Any value inside an
-    allocated object qualifies when [all_interior] is set; otherwise only
-    base pointers qualify (used when scanning heap objects in the
-    "Extensions" mode). *)
-let plausible_pointer ?(from_root = true) t v =
-  match Page_map.find t.map v with
-  | None -> None
-  | Some blk -> (
-      match Block.slot_of_addr blk v with
-      | None -> None
-      | Some i ->
-          if not (Block.is_allocated blk i) then None
-          else
-            let base = Block.slot_addr blk i in
-            if t.config.all_interior || from_root || v = base then Some (blk, i)
-            else None)
-
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Aligned word walk over [start, stop), as a conservative collector does.
-   An unaligned range's last bytes do not fill a word: the word holding
-   them is still scanned (a pointer's first bytes may sit there), provided
-   it lies inside the arena. *)
+(* Aligned word walk over [start, stop), as a conservative collector
+   does: [word_in_range t a stop] says whether the word at aligned [a]
+   is still to be visited.  An unaligned range's last bytes do not fill
+   a word: the word holding them is still visited (a pointer's first
+   bytes may sit there), provided it lies inside the arena. *)
+let first_word start = (start + 7) / 8 * 8
+
+let word_in_range t a stop =
+  a < stop && (a + 8 <= stop || a + 8 <= Mem.limit t.mem)
+
 let iter_range_words t start stop f =
-  let a = ref ((start + 7) / 8 * 8) in
-  while !a + 8 <= stop do
+  let a = ref (first_word start) in
+  while word_in_range t !a stop do
     f !a (Mem.load_word t.mem !a);
     a := !a + 8
-  done;
-  if !a < stop && !a + 8 <= Mem.limit t.mem then f !a (Mem.load_word t.mem !a)
+  done
 
 (* Does any word of [start, stop) hold a (conservative) pointer to a young
    collectable object?  Same resolution rules as heap-object scanning. *)
@@ -480,38 +489,65 @@ let range_has_young_ref t start stop =
   let found = ref false in
   iter_range_words t start stop (fun _ v ->
       if not !found then
-        match plausible_pointer ~from_root:false t v with
+        match plausible_pointer t ~from_root:false v with
         | Some (blk, i) when Block.collectable blk -> found := not (is_old t blk i)
         | Some _ | None -> ());
   !found
 
-let mark_and_trace ?(minor = false) t ~extra_roots ~extra_ranges =
-  let stack = Stack.create () in
-  let consider ~from_root v =
-    match plausible_pointer ~from_root t v with
-    | None -> ()
-    | Some (blk, i) ->
-        (* a minor cycle collects only the young generation: old objects
-           are implicitly live, and references out of them are covered by
-           the dirty cards scanned below *)
-        if minor && Block.collectable blk && is_old t blk i then ()
-        else if not (Block.is_marked blk i) then begin
-          Block.set_marked blk i true;
-          if Block.scanned blk then
-            Stack.push (Block.slot_addr blk i, blk.Block.blk_obj_size) stack
-        end
+(* Scan [start, stop) conservatively, shading every word, until [spent]
+   words of work reach [budget]; a range the budget cuts short goes
+   back on the gray stack from the first unscanned word.  Every scanned
+   word counts in [stats.words_scanned]. *)
+let scan_range t ~minor ~from_root ~spent ~budget start stop =
+  let a = ref (first_word start) in
+  while word_in_range t !a stop && !spent < budget do
+    t.stats.words_scanned <- t.stats.words_scanned + 1;
+    incr spent;
+    ignore (shade t ~minor ~from_root (Mem.load_word t.mem !a));
+    a := !a + 8
+  done;
+  if word_in_range t !a stop then t.gray <- (!a, stop) :: t.gray
+
+(* Pop and scan gray ranges until the gray stack is empty or [spent]
+   reaches [budget].  Stop-the-world collection drains with [max_int]. *)
+let drain t ~minor ~spent ~budget =
+  let rec go () =
+    match t.gray with
+    | (s, e) :: rest when !spent < budget ->
+        t.gray <- rest;
+        scan_range t ~minor ~from_root:false ~spent ~budget s e;
+        go ()
+    | _ -> ()
   in
-  let scan_range ~from_root start stop =
-    iter_range_words t start stop (fun _ v ->
-        t.stats.words_scanned <- t.stats.words_scanned + 1;
-        consider ~from_root v)
+  go ()
+
+(* Root word values (the VM's register files): each costs a word of
+   work but is not a scanned heap word. *)
+let shade_root_values t ~minor ~spent values =
+  List.iter
+    (fun v ->
+      incr spent;
+      ignore (shade t ~minor ~from_root:true v))
+    values
+
+(* The root scan that opens every collection, stop-the-world or
+   incremental: clear all marks, then shade the root word values, the
+   registered and per-collection ranges (the live stack prefix), every
+   object of the root-scanned (uncollectable, statics-like) blocks and,
+   on a minor cycle, the old objects on dirty cards — the remembered set
+   stands in for the unscanned rest of the old generation.  Atomic: a
+   root scan sliced across steps would let a white pointer migrate from
+   an unscanned register into an already-black object, which the SATB
+   barrier (it shades overwritten values, not stored ones) cannot
+   catch. *)
+let scan_roots t ~minor ~extra_roots ~extra_ranges ~spent =
+  List.iter Block.clear_marks t.all_blocks;
+  let range ~from_root s e =
+    scan_range t ~minor ~from_root ~spent ~budget:max_int s e
   in
-  (* roots: explicit word values (the VM register file) ... *)
-  List.iter (fun v -> consider ~from_root:true v) extra_roots;
-  (* ... registered and per-collection ranges (the live stack prefix) ... *)
-  List.iter (fun (s, e) -> scan_range ~from_root:true s e) t.roots;
-  List.iter (fun (s, e) -> scan_range ~from_root:true s e) extra_ranges;
-  (* ... and all uncollectable (statics-like) objects. *)
+  shade_root_values t ~minor ~spent extra_roots;
+  List.iter (fun (s, e) -> range ~from_root:true s e) t.roots;
+  List.iter (fun (s, e) -> range ~from_root:true s e) extra_ranges;
   List.iter
     (fun blk ->
       if Block.root_scanned blk then
@@ -519,13 +555,10 @@ let mark_and_trace ?(minor = false) t ~extra_roots ~extra_ranges =
           if Block.is_allocated blk i then begin
             Block.set_marked blk i true;
             let a = Block.slot_addr blk i in
-            scan_range ~from_root:true a (a + blk.Block.blk_obj_size)
+            range ~from_root:true a (a + blk.Block.blk_obj_size)
           end
         done)
     t.all_blocks;
-  (* ... and, on a minor cycle, the old objects on dirty cards: the
-     remembered set stands in for the unscanned rest of the old
-     generation *)
   if minor then
     iter_dirty_pages t (fun p ->
         t.stats.cards_scanned <- t.stats.cards_scanned + 1;
@@ -539,23 +572,10 @@ let mark_and_trace ?(minor = false) t ~extra_roots ~extra_ranges =
                 let e =
                   min (Block.slot_addr blk i + blk.Block.blk_obj_size) page_stop
                 in
-                if s < e then scan_range ~from_root:false s e
+                if s < e then range ~from_root:false s e
               end
             done
-        | Some _ | None -> ());
-  (* stack blocks are never swept; mark them so sweeping logic is uniform *)
-  List.iter
-    (fun blk ->
-      if not (Block.collectable blk) then
-        for i = 0 to blk.Block.blk_count - 1 do
-          if Block.is_allocated blk i then Block.set_marked blk i true
-        done)
-    t.all_blocks;
-  (* trace *)
-  while not (Stack.is_empty stack) do
-    let start, len = Stack.pop stack in
-    scan_range ~from_root:false start (start + len)
-  done
+        | Some _ | None -> ())
 
 (* Conservatively mark the pages of a slot dirty (used on promotion: the
    freshly old object may hold young pointers on cards that were clean
@@ -650,65 +670,101 @@ let retire_dead_young t =
     coalesce_pool t
   end
 
-(** Close out the nursery entirely: dead young pages return to the pool
-    and surviving young pages are promoted in place.  The incremental
-    collector calls this when a cycle completes — its sliced sweep has
-    no minor-cycle aging, so a finished cycle tenures what survived. *)
-let flush_nursery t =
-  if nursery_enabled t then begin
-    retire_dead_young t;
-    let survivors = t.young_blocks in
-    List.iter
-      (fun blk ->
-        for i = 0 to blk.Block.blk_count - 1 do
-          if Block.is_allocated blk i then begin
-            t.stats.promoted <- t.stats.promoted + 1;
-            if t.config.generational then begin
-              Block.set_age blk i t.config.promote_after;
-              dirty_slot_pages t blk i
-            end
+(* Tenure the nursery wholesale: every surviving young page is promoted
+   in place.  An incremental cycle ends with this — its sliced sweep has
+   no minor-cycle aging, so a finished cycle tenures what survived. *)
+let tenure_young t =
+  List.iter
+    (fun blk ->
+      for i = 0 to blk.Block.blk_count - 1 do
+        if Block.is_allocated blk i then begin
+          t.stats.promoted <- t.stats.promoted + 1;
+          if generational t then begin
+            Block.set_age blk i t.config.promote_after;
+            dirty_slot_pages t blk i
           end
-        done;
-        promote_young_block t blk)
-      survivors
+        end
+      done;
+      promote_young_block t blk)
+    t.young_blocks
+
+(* Free slot [i] of a collectable block: the one routine both sweepers
+   reclaim through.  The slot restarts at age 0 (whatever reallocates it
+   gets a genuinely young object) and is poisoned, so the VM detects a
+   premature reclamation as a hard fault.  Small-class slots return to
+   their free list; large blocks (obj_size > max_small, even single-page
+   ones) stay in [large_blocks] for whole-block reuse and must never leak
+   onto a size-class list; nursery slots are bump-allocated and never
+   reused in place, so young blocks stay off the free lists (their pages
+   are reclaimed or promoted whole). *)
+let free_slot t blk i =
+  let bytes = blk.Block.blk_req.(i) in
+  Block.set_allocated blk i false;
+  Block.set_age blk i 0;
+  t.stats.objects_freed <- t.stats.objects_freed + 1;
+  t.stats.bytes_freed <- t.stats.bytes_freed + bytes;
+  let addr = Block.slot_addr blk i in
+  (match t.on_free with Some f -> f ~addr ~bytes | None -> ());
+  Mem.fill t.mem addr blk.Block.blk_obj_size '\xDB';
+  if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young then begin
+    let fl = free_list t blk.Block.blk_obj_size blk.Block.blk_kind in
+    fl := addr :: !fl
   end
 
-let sweep ?(minor = false) t =
-  let freed = ref 0 and freed_bytes = ref 0 in
+(* The full sweep: free every unmarked allocated slot of the blocks in
+   [sweep_pending], resuming mid-block at [sweep_cursor], until [spent]
+   reaches [budget].  Examining a slot costs a word and freeing it costs
+   its words too; a slice stops before a slot that might not fit, so it
+   never overruns, yet always takes one slot when fresh, for progress
+   under tiny budgets.  A slot allocated behind the cursor during an
+   incremental sweep was born black (see {!alloc}) and is never freed.
+   Stop-the-world collection sweeps with [max_int]. *)
+let sweep_slice t ~spent ~budget =
+  let continue_ = ref true in
+  while !continue_ && !spent < budget do
+    match t.sweep_pending with
+    | [] -> continue_ := false
+    | blk :: rest ->
+        let worst = 1 + (blk.Block.blk_obj_size / 8) in
+        let i = ref t.sweep_cursor in
+        if Block.collectable blk then
+          while
+            !i < blk.Block.blk_count
+            && (!spent + worst <= budget || !spent = 0)
+          do
+            incr spent;
+            if Block.is_allocated blk !i && not (Block.is_marked blk !i) then begin
+              free_slot t blk !i;
+              spent := !spent + (blk.Block.blk_obj_size / 8)
+            end;
+            incr i
+          done
+        else i := blk.Block.blk_count;
+        if !i >= blk.Block.blk_count then begin
+          t.sweep_pending <- rest;
+          t.sweep_cursor <- 0
+        end
+        else begin
+          t.sweep_cursor <- !i;
+          continue_ := false
+        end
+  done
+
+let start_sweep t =
+  t.sweep_pending <- t.all_blocks;
+  t.sweep_cursor <- 0
+
+(* The minor sweep: segregated generations let it touch only the blocks
+   where young objects can live, the nursery pages themselves plus old
+   blocks holding reused (age-restarted) slots.  Old objects are not
+   collected; a marked young object survives one minor cycle older. *)
+let sweep_minor t =
   let sweep_block blk =
     if Block.collectable blk then
       for i = 0 to blk.Block.blk_count - 1 do
-        if Block.is_allocated blk i then
-          if minor && is_old t blk i then
-            (* old objects are not collected by a minor cycle *)
-            ()
-          else if not (Block.is_marked blk i) then begin
-            Block.set_allocated blk i false;
-            (* age hygiene: a freed slot restarts at age 0, so whatever
-               reallocates it gets a genuinely young object *)
-            Block.set_age blk i 0;
-            incr freed;
-            freed_bytes := !freed_bytes + blk.Block.blk_req.(i);
-            let addr = Block.slot_addr blk i in
-            (match t.on_free with
-            | Some f -> f ~addr ~bytes:blk.Block.blk_req.(i)
-            | None -> ());
-            if t.config.poison then
-              Mem.fill t.mem addr blk.Block.blk_obj_size '\xDB';
-            (* small-class slots return to their free list; large blocks
-               (obj_size > max_small, even single-page ones) stay in
-               [large_blocks] for whole-block reuse and must never leak
-               onto a size-class list; nursery slots are bump-allocated
-               and never reused in place, so young blocks stay off the
-               free lists (their pages are reclaimed or promoted whole) *)
-            if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young
-            then begin
-              let fl = free_list t blk.Block.blk_obj_size blk.Block.blk_kind in
-              fl := addr :: !fl
-            end
-          end
-          else if minor then begin
-            (* young survivor: one minor cycle older *)
+        if Block.is_allocated blk i && not (is_old t blk i) then
+          if not (Block.is_marked blk i) then free_slot t blk i
+          else begin
             Block.set_age blk i (Block.age blk i + 1);
             if is_old t blk i && not blk.Block.blk_young then begin
               t.stats.promoted <- t.stats.promoted + 1;
@@ -717,56 +773,47 @@ let sweep ?(minor = false) t =
           end
       done
   in
-  if minor then begin
-    (* segregated generations let a minor sweep touch only the blocks
-       where young objects can live: the nursery pages themselves plus
-       old blocks holding reused (age-restarted) slots *)
-    let young = t.young_blocks in
-    List.iter sweep_block young;
-    List.iter sweep_block t.aging_blocks;
-    (* nursery cohorts act per page: a page with no survivors returns to
-       the reclaim pool; a page whose cohort has now survived
-       [promote_after] minors is promoted in place *)
-    let retired = ref false in
-    List.iter
-      (fun blk ->
-        let survivors = ref 0 and cohort_age = ref 0 in
-        for i = 0 to blk.Block.blk_count - 1 do
-          if Block.is_allocated blk i then begin
-            incr survivors;
-            cohort_age := Block.age blk i
-          end
-        done;
-        if !survivors = 0 then begin
-          retire_young_block t blk;
-          retired := true
+  let young = t.young_blocks in
+  List.iter sweep_block young;
+  List.iter sweep_block t.aging_blocks;
+  (* nursery cohorts act per page: a page with no survivors returns to
+     the reclaim pool; a page whose cohort has now survived
+     [promote_after] minors is promoted in place *)
+  let retired = ref false in
+  List.iter
+    (fun blk ->
+      let survivors = ref 0 and cohort_age = ref 0 in
+      for i = 0 to blk.Block.blk_count - 1 do
+        if Block.is_allocated blk i then begin
+          incr survivors;
+          cohort_age := Block.age blk i
         end
-        else if !cohort_age >= t.config.promote_after then begin
-          t.stats.promoted <- t.stats.promoted + !survivors;
-          for i = 0 to blk.Block.blk_count - 1 do
-            if Block.is_allocated blk i then dirty_slot_pages t blk i
-          done;
-          promote_young_block t blk
-        end)
-      young;
-    if !retired then coalesce_pool t;
-    (* an aging block with no young slot left drops out of the minor set *)
-    t.aging_blocks <-
-      List.filter
-        (fun blk ->
-          let has_young = ref false in
-          for i = 0 to blk.Block.blk_count - 1 do
-            if Block.is_allocated blk i && not (is_old t blk i) then
-              has_young := true
-          done;
-          if not !has_young then blk.Block.blk_aging <- false;
-          !has_young)
-        t.aging_blocks
-  end
-  else List.iter sweep_block t.all_blocks;
-  t.stats.objects_freed <- t.stats.objects_freed + !freed;
-  t.stats.bytes_freed <- t.stats.bytes_freed + !freed_bytes;
-  (!freed, !freed_bytes)
+      done;
+      if !survivors = 0 then begin
+        retire_young_block t blk;
+        retired := true
+      end
+      else if !cohort_age >= t.config.promote_after then begin
+        t.stats.promoted <- t.stats.promoted + !survivors;
+        for i = 0 to blk.Block.blk_count - 1 do
+          if Block.is_allocated blk i then dirty_slot_pages t blk i
+        done;
+        promote_young_block t blk
+      end)
+    young;
+  if !retired then coalesce_pool t;
+  (* an aging block with no young slot left drops out of the minor set *)
+  t.aging_blocks <-
+    List.filter
+      (fun blk ->
+        let has_young = ref false in
+        for i = 0 to blk.Block.blk_count - 1 do
+          if Block.is_allocated blk i && not (is_old t blk i) then
+            has_young := true
+        done;
+        if not !has_young then blk.Block.blk_aging <- false;
+        !has_young)
+      t.aging_blocks
 
 (* Clean every dirty card that no longer holds an old→young reference.
    Keeping exactly the cards that do maintains remembered-set
@@ -802,48 +849,105 @@ let recompute_cards t =
       else Bytes.set t.dirty p '\000');
   t.dirty_index <- !retained
 
-(** Soundly abandon an in-flight incremental cycle: drop the gray stack
-    and the sweep cursor and return to [Idle].  Mark bits are left as
-    they are — every full collection starts by clearing them — so the
-    heap is exactly what a stop-the-world collector expects.  A no-op
-    outside a cycle. *)
-let abandon_cycle t =
-  if t.phase <> Idle then begin
-    t.phase <- Idle;
-    t.gray <- [];
-    t.sweep_pending <- [];
-    t.sweep_cursor <- 0;
-    t.stats.abandoned_cycles <- t.stats.abandoned_cycles + 1
+(* Every finished collection, stop-the-world or incremental, ends here.
+   A minor cycle credits the bytes it reclaimed against the major
+   trigger (Boehm-style live growth: a major collection is due when the
+   heap has *grown* by [gc_threshold] bytes); anything else resets it.
+   The bump cursors are sealed (cohort pages must not mix allocation
+   windows) and dead nursery pages return to the pool, so the next
+   cycle can always parse the nursery; a finished incremental cycle
+   also [tenure]s the surviving young pages. *)
+let complete_collection t ~minor ~tenure ~freed_bytes =
+  t.phase <- Idle;
+  t.stats.collections <- t.stats.collections + 1;
+  if minor then begin
+    t.stats.minor_collections <- t.stats.minor_collections + 1;
+    t.since_gc <- max 0 (t.since_gc - freed_bytes)
   end
+  else t.since_gc <- 0;
+  t.since_minor <- 0;
+  if nursery_enabled t then begin
+    retire_dead_young t;
+    if tenure then tenure_young t
+  end;
+  if generational t then recompute_cards t
 
 (** Run a collection.  [extra_roots] are word values scanned in addition
     to the registered root ranges — the VM passes its register file here.
     [generation] defaults to [Major] (a full stop-the-world cycle);
     [Minor] is honoured only when the heap is generational.  Any
-    in-flight incremental cycle is soundly abandoned first: emergency,
+    in-flight incremental cycle is soundly abandoned first (mark bits
+    are left as they are; the root scan clears them): emergency,
     explicit and forced collections must behave exactly as on a
     stop-the-world heap. *)
 let collect ?(generation = Major) ?(extra_roots = []) ?(extra_ranges = []) t =
-  abandon_cycle t;
-  let minor = generation = Minor && t.config.generational in
-  t.stats.collections <- t.stats.collections + 1;
-  if minor then t.stats.minor_collections <- t.stats.minor_collections + 1;
-  List.iter Block.clear_marks t.all_blocks;
-  mark_and_trace ~minor t ~extra_roots ~extra_ranges;
-  let freed, freed_bytes = sweep ~minor t in
-  (* every completed collection seals the bump cursors (cohort pages must
-     not mix allocation windows) and returns dead nursery pages to the
-     pool, so emergency and forced full cycles always leave the nursery
-     in a state the next cycle can parse *)
-  if nursery_enabled t then retire_dead_young t;
-  if t.config.generational then recompute_cards t;
-  (* Boehm-style live-growth trigger: a major collection is due when the
-     heap has *grown* by [gc_threshold] bytes, so bytes a minor cycle
-     gives back are credited rather than counted toward the next major *)
-  if minor then t.since_gc <- max 0 (t.since_gc - freed_bytes)
-  else t.since_gc <- 0;
-  t.since_minor <- 0;
-  freed
+  if t.phase <> Idle then begin
+    t.phase <- Idle;
+    t.gray <- [];
+    t.sweep_pending <- [];
+    t.stats.abandoned_cycles <- t.stats.abandoned_cycles + 1
+  end;
+  let minor = generation = Minor && generational t in
+  let freed = t.stats.objects_freed and freed_bytes = t.stats.bytes_freed in
+  let spent = ref 0 in
+  scan_roots t ~minor ~extra_roots ~extra_ranges ~spent;
+  drain t ~minor ~spent ~budget:max_int;
+  if minor then sweep_minor t
+  else begin
+    start_sweep t;
+    sweep_slice t ~spent ~budget:max_int
+  end;
+  complete_collection t ~minor ~tenure:false
+    ~freed_bytes:(t.stats.bytes_freed - freed_bytes);
+  t.stats.objects_freed - freed
+
+(** Is an incremental cycle in flight? *)
+let active t = t.phase <> Idle
+
+(** One increment of the incremental snapshot-at-the-beginning cycle, at
+    most [config.pause_budget_words] words of collector work: on an idle
+    heap the atomic root scan; while marking, a budgeted {!drain} and,
+    once the gray stack empties within budget, the atomic final mark
+    (the root *values* are re-shaded — heap, statics and stack stores
+    are covered by the SATB barrier for the whole cycle, so only the
+    barrier-free register file can hold pointers the snapshot missed —
+    and the gray stack drained to empty); while sweeping, a budgeted
+    {!sweep_slice}.  Mark bits are monotone within a cycle and objects
+    allocated during it are born black, so finalization terminates.
+    Returns the words of work performed. *)
+let step ?(extra_roots = []) ?(extra_ranges = []) t =
+  let budget = max 1 t.config.pause_budget_words in
+  let spent = ref 0 in
+  if t.phase = Idle then begin
+    scan_roots t ~minor:false ~extra_roots ~extra_ranges ~spent;
+    t.phase <- Marking
+  end;
+  if t.phase = Marking then begin
+    drain t ~minor:false ~spent ~budget;
+    if t.gray = [] && !spent < budget then begin
+      t.stats.final_marks <- t.stats.final_marks + 1;
+      shade_root_values t ~minor:false ~spent extra_roots;
+      drain t ~minor:false ~spent ~budget:max_int;
+      t.phase <- Sweeping;
+      start_sweep t
+    end
+  end;
+  if t.phase = Sweeping then begin
+    sweep_slice t ~spent ~budget;
+    if t.sweep_pending = [] then
+      complete_collection t ~minor:false ~tenure:true ~freed_bytes:0
+  end;
+  t.stats.increments <- t.stats.increments + 1;
+  if !spent > budget then
+    t.stats.budget_overruns <- t.stats.budget_overruns + 1;
+  t.stats.inc_max_pause_words <- max t.stats.inc_max_pause_words !spent;
+  !spent
+
+(** Drive {!step} until the in-flight cycle (if any) completes. *)
+let finish ?extra_roots ?extra_ranges t =
+  while active t do
+    ignore (step ?extra_roots ?extra_ranges t)
+  done
 
 (** Should the allocator trigger a (major) collection? *)
 let should_collect t = t.since_gc >= t.config.gc_threshold
@@ -853,7 +957,7 @@ let should_collect t = t.since_gc >= t.config.gc_threshold
     also a trigger: the minor cost tracks nursery occupancy, not just
     bytes. *)
 let should_collect_minor t =
-  t.config.generational
+  generational t
   && (t.since_minor >= t.config.minor_threshold
      || t.nursery_opened >= t.config.nursery_pages)
 
@@ -1051,7 +1155,7 @@ let alloc_large t ~req bytes kind =
   (* large objects live outside the nursery but are born young: with the
      segregated minor sweep, their block must join the aging set so
      minors can age and promote them *)
-  if t.config.generational && not blk.Block.blk_aging then begin
+  if generational t && not blk.Block.blk_aging then begin
     blk.Block.blk_aging <- true;
     t.aging_blocks <- blk :: t.aging_blocks
   end;
@@ -1106,7 +1210,7 @@ let rec alloc_nursery t ~req cls kind =
               Block.set_age blk i 0;
               if t.phase <> Idle then Block.set_marked blk i true;
               blk.Block.blk_req.(i) <- req;
-              if t.config.generational && not blk.Block.blk_aging then begin
+              if generational t && not blk.Block.blk_aging then begin
                 blk.Block.blk_aging <- true;
                 t.aging_blocks <- blk :: t.aging_blocks
               end
@@ -1462,7 +1566,7 @@ let check_integrity t : violation list =
   (* remembered-set completeness: minor collections scan only dirty
      cards of the old generation, so an old→young reference on a clean
      card would let a minor cycle reclaim a live object *)
-  if t.config.generational then
+  if generational t then
     List.iter
       (fun blk ->
         if Block.collectable blk && Block.scanned blk then

@@ -19,13 +19,19 @@
     allocation window), whole-page cohorts age together, wholly dead
     nursery pages return to the reclaim pool, and a surviving cohort is
     promoted in place — the collector is conservative, so objects never
-    move.  The remembered set then tracks only old-generation pages. *)
+    move.  The remembered set then tracks only old-generation pages.
+
+    An incremental mode slices a snapshot-at-the-beginning cycle into
+    budget-bounded {!step}s.  Stop-the-world, minor and incremental
+    collection run on one engine: one gray stack, one shading rule
+    (shared with the store barrier's SATB half), one root scan, one
+    budgeted drain and one slot sweeper. *)
 
 type gc_mode = Stw | Gen | Inc
 (** Collector operating mode: stop-the-world full collections only (the
     paper's collector, the default), generational minor + major cycles,
     or incremental snapshot-at-the-beginning marking time-sliced across
-    GC points (see {!Incremental}). *)
+    GC points (see {!step}). *)
 
 val gc_mode_name : gc_mode -> string
 (** ["stw"] / ["gen"] / ["inc"]. *)
@@ -53,11 +59,12 @@ type config = {
       (** recognize interior pointers everywhere (the paper's default
           collector configuration); when [false], interior pointers are
           honoured from the roots only — the "Extensions" section mode *)
-  mutable poison : bool;  (** fill freed objects with [0xDB] *)
   mutable gc_threshold : int;
       (** allocation volume (bytes) between collections *)
-  mutable generational : bool;
-      (** enable minor collections and the store barrier's dirty cards *)
+  mutable mode : gc_mode;
+      (** [Gen] enables minor collections and the store barrier's dirty
+          cards; [Gen] and [Inc] put the bump-pointer nursery in service;
+          default [Stw] *)
   mutable minor_threshold : int;
       (** allocation volume (bytes) between minor collections *)
   mutable promote_after : int;
@@ -66,10 +73,6 @@ type config = {
       (** hard arena ceiling in words; [0] (the default) is unlimited *)
   mutable oom_policy : oom_policy;
       (** allocation-failure response; see {!oom_policy} *)
-  mutable incremental : bool;
-      (** enable the SATB write barrier and allocate-black so an
-          {!Incremental} marking cycle can stay in flight across
-          mutator steps *)
   mutable pause_budget_words : int;
       (** words of collector work one incremental step may perform
           before yielding back to the mutator *)
@@ -151,12 +154,13 @@ type t = {
           born dirty.  Always empty on limit-free stop-the-world
           executions *)
   mutable phase : phase;
-      (** incremental-cycle phase; driven by {!Incremental.step} *)
+      (** incremental-cycle phase; driven by {!step} *)
   mutable gray : (int * int) list;
-      (** incremental mark stack: gray ranges [start, stop)] still to
-          scan, with partial push-back when a budget expires mid-range *)
+      (** the mark stack of every collection: gray ranges [start, stop)]
+          still to scan, with partial push-back when a budget expires
+          mid-range *)
   mutable sweep_pending : Block.t list;
-      (** blocks the in-flight incremental cycle has yet to sweep *)
+      (** blocks the sweep has yet to visit *)
   mutable sweep_cursor : int;
       (** next slot to examine in the head of [sweep_pending] — lets a
           sweep slice stop mid-block exactly at the pause budget *)
@@ -193,13 +197,6 @@ val nursery_enabled : t -> bool
 (** Is the bump-pointer nursery in service?  True on generational and
     incremental heaps; always false on stop-the-world heaps, which keep
     the seed allocator bit for bit. *)
-
-val flush_nursery : t -> unit
-(** Close out the nursery: wholly dead young pages return to the reclaim
-    pool, surviving young pages are promoted in place (their free slots
-    join the size-class free lists), and the bump cursors are sealed.
-    The {!Incremental} collector calls this when a cycle completes; a
-    no-op on stop-the-world heaps and when the nursery is empty. *)
 
 val add_root_range : t -> int -> int -> unit
 (** Register a permanent root range [start, stop)] (scanned word-wise). *)
@@ -246,29 +243,6 @@ val slot_age : t -> int -> int option
     [None] outside allocated objects.  Ages [>= config.promote_after]
     are the old generation. *)
 
-val plausible_pointer : ?from_root:bool -> t -> int -> (Block.t * int) option
-(** Conservative pointer identification for scanners: the block and slot
-    index of the allocated object [v] points into, honouring
-    [all_interior] (when it is off, interior pointers resolve only when
-    [from_root]).  [None] for non-heap values and free slots.  Exposed
-    for the {!Incremental} marker; ordinary clients use {!base_of}. *)
-
-val iter_range_words : t -> int -> int -> (int -> int -> unit) -> unit
-(** [iter_range_words t start stop f] calls [f addr word] for every
-    aligned word overlapping [start, stop)] that lies inside the arena —
-    the conservative scanners' word walk.  Exposed for {!Incremental}. *)
-
-val free_list : t -> int -> Block.kind -> int list ref
-(** The (created-on-demand) free list for a size class and block kind.
-    Exposed for the {!Incremental} sweeper. *)
-
-val abandon_cycle : t -> unit
-(** Soundly abandon any in-flight incremental cycle: drop the gray stack
-    and sweep cursor and return to [Idle] (mark bits are left for the
-    next full collection's clear).  Every {!collect} does this first, so
-    emergency, explicit and forced collections behave exactly as on a
-    stop-the-world heap.  A no-op when no cycle is in flight. *)
-
 val should_collect : t -> bool
 (** Has the live-growth estimate since the last full collection crossed
     the (major) threshold? *)
@@ -289,7 +263,36 @@ val collect :
     scanned in addition to the registered ranges and uncollectable
     objects (the VM passes its register files); [extra_ranges] are
     per-collection root ranges (the VM passes the live prefix of its
-    [Stack]-kind block).  Returns the number of objects freed. *)
+    [Stack]-kind block).  Returns the number of objects freed.  An
+    in-flight incremental cycle is soundly abandoned first (counted in
+    [stats.abandoned_cycles]), so emergency, explicit and forced
+    collections behave exactly as on a stop-the-world heap. *)
+
+val active : t -> bool
+(** Is an incremental cycle in flight ([phase <> Idle])? *)
+
+val step :
+  ?extra_roots:int list -> ?extra_ranges:(int * int) list -> t -> int
+(** Run one increment of the incremental snapshot-at-the-beginning
+    cycle and return the words of collector work it performed.  On an
+    idle heap this starts a cycle with the same atomic root scan as
+    {!collect} (over [extra_roots], [extra_ranges], the registered
+    ranges and the root-scanned uncollectable blocks); on a marking heap
+    it drains gray ranges under [config.pause_budget_words] (and, when
+    the stack drains within budget, atomically finalizes by re-shading
+    [extra_roots] and draining to empty); on a sweeping heap it frees
+    unmarked slots under the budget.  A finished cycle is accounted like
+    a full collection and tenures the surviving nursery pages.  While a
+    cycle is in flight the store barrier shades overwritten values and
+    allocation is black.  The snapshot and the finalization are atomic,
+    so a step can exceed the budget; such steps are counted in
+    [stats.budget_overruns].  Updates [stats.increments],
+    [stats.final_marks] and [stats.inc_max_pause_words]. *)
+
+val finish :
+  ?extra_roots:int list -> ?extra_ranges:(int * int) list -> t -> unit
+(** Drive {!step} until the in-flight cycle (if any) completes.  The
+    roots must be the same the embedder would pass to {!step}. *)
 
 val same_obj : t -> int -> int -> int
 (** [GC_same_obj p q]: check that [p] points into (or one past) the object

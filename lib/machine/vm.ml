@@ -475,8 +475,7 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
   let heap_config = Gcheap.Heap.default_config () in
   heap_config.Gcheap.Heap.gc_threshold <- cfg.vm_gc_threshold;
   heap_config.Gcheap.Heap.all_interior <- cfg.vm_all_interior;
-  heap_config.Gcheap.Heap.generational <- cfg.vm_gc_mode = Gcheap.Heap.Gen;
-  heap_config.Gcheap.Heap.incremental <- cfg.vm_gc_mode = Gcheap.Heap.Inc;
+  heap_config.Gcheap.Heap.mode <- cfg.vm_gc_mode;
   heap_config.Gcheap.Heap.pause_budget_words <- max 1 cfg.vm_gc_pause_budget;
   heap_config.Gcheap.Heap.minor_threshold <- max 1024 (cfg.vm_gc_threshold / 8);
   heap_config.Gcheap.Heap.heap_limit_words <- cfg.vm_heap_limit_words;
@@ -541,70 +540,82 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
 (* Collection                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* What every collector entry shares.  Before: the heap-profiler tick
+   and the roots — the register files as word values and the live
+   prefix of the stack as a range, scanned as on a real machine.  After
+   [run] returns its pause (words of collector work) and the number of
+   collections it completed: the pause accounting, tracked
+   unconditionally (plain int stores, no cycle impact) because it is the
+   per-request GC share the service reports, and for a completed
+   collection the census and the integrity check. *)
+let gc_pause st run =
+  (match st.tele.tl_prof with
+  | Some pr -> Telemetry.Heap_profiler.set_tick pr st.instrs
+  | None -> ());
+  let extra_roots =
+    List.concat_map (fun fr -> Array.to_list fr.fr_regs) st.frames
+  in
+  let extra_ranges = [ (st.stack_base, st.stack_base + st.sp) ] in
+  let pause_words, completed = run ~extra_roots ~extra_ranges in
+  st.gc_count <- st.gc_count + completed;
+  st.gc_max_pause_words <- max st.gc_max_pause_words pause_words;
+  st.gc_total_pause_words <- st.gc_total_pause_words + pause_words;
+  if completed > 0 then begin
+    if st.cfg.vm_census then
+      st.censuses <- Gcheap.Census.take st.heap :: st.censuses;
+    if st.cfg.vm_check_integrity then Gcheap.Heap.assert_integrity st.heap
+  end
+
 let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
   let tl = st.tele in
   let minor = generation = Gcheap.Heap.Minor in
-  let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
-  (match tl.tl_prof with
-  | Some pr -> Telemetry.Heap_profiler.set_tick pr st.instrs
-  | None -> ());
-  let hs = st.heap.Gcheap.Heap.stats in
-  let words0 = hs.Gcheap.Heap.words_scanned in
-  let bytes0 = hs.Gcheap.Heap.bytes_freed in
-  (* deterministic pause measure on the words-of-work clock: words the
-     marker traced plus words the sweeper reclaimed *)
-  let pause_words () =
-    hs.Gcheap.Heap.words_scanned - words0
-    + ((hs.Gcheap.Heap.bytes_freed - bytes0 + 7) / 8)
-  in
-  st.gc_count <- st.gc_count + 1;
-  let roots =
-    List.concat_map (fun fr -> Array.to_list fr.fr_regs) st.frames
-  in
-  (* only the live prefix of the stack is scanned, as on a real machine *)
-  let live_stack = (st.stack_base, st.stack_base + st.sp) in
-  Telemetry.Sink.span tl.tl_sink ~ts:st.instrs "gc"
-    ~args:(fun () ->
-      [
-        ("trigger", Telemetry.Json.Str trigger);
-        ("gen", Telemetry.Json.Str (if minor then "minor" else "major"));
-      ])
-    ~end_args:(fun () ->
-      [ ("pause_words", Telemetry.Json.Int (pause_words ())) ])
-    (fun () ->
-      ignore
-        (Gcheap.Heap.collect ~generation ~extra_roots:roots
-           ~extra_ranges:[ live_stack ] st.heap));
-  (* tracked unconditionally (plain int stores, no cycle impact): this
-     is the per-request GC share the service reports *)
-  let pause_words = pause_words () in
-  st.gc_max_pause_words <- max st.gc_max_pause_words pause_words;
-  st.gc_total_pause_words <- st.gc_total_pause_words + pause_words;
-  if st.cfg.vm_census then
-    st.censuses <- Gcheap.Census.take st.heap :: st.censuses;
-  if tl.tl_on then begin
-    let open Telemetry in
-    let pause_ns = Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9) in
-    Metrics.observe tl.tl_gc_pause pause_ns;
-    Metrics.observe
-      (if minor then tl.tl_gc_minor_pause else tl.tl_gc_major_pause)
-      pause_ns;
-    Metrics.observe
-      (if minor then tl.tl_gc_minor_scan else tl.tl_gc_major_scan)
-      pause_words;
-    let foot = Gcheap.Heap.footprint st.heap in
-    Metrics.set tl.tl_heap_foot foot;
-    match tl.tl_sink with
-    | Some { Sink.trace = Some tr; _ } ->
-        Trace.counter tr "heap"
+  gc_pause st (fun ~extra_roots ~extra_ranges ->
+      let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
+      let hs = st.heap.Gcheap.Heap.stats in
+      let words0 = hs.Gcheap.Heap.words_scanned in
+      let bytes0 = hs.Gcheap.Heap.bytes_freed in
+      (* deterministic pause measure on the words-of-work clock: words the
+         marker traced plus words the sweeper reclaimed *)
+      let pause_words () =
+        hs.Gcheap.Heap.words_scanned - words0
+        + ((hs.Gcheap.Heap.bytes_freed - bytes0 + 7) / 8)
+      in
+      Telemetry.Sink.span tl.tl_sink ~ts:st.instrs "gc"
+        ~args:(fun () ->
           [
-            ("footprint", foot);
-            ( "live_bytes",
-              hs.Gcheap.Heap.bytes_allocated - hs.Gcheap.Heap.bytes_freed );
-          ]
-    | _ -> ()
-  end;
-  if st.cfg.vm_check_integrity then Gcheap.Heap.assert_integrity st.heap
+            ("trigger", Telemetry.Json.Str trigger);
+            ("gen", Telemetry.Json.Str (if minor then "minor" else "major"));
+          ])
+        ~end_args:(fun () ->
+          [ ("pause_words", Telemetry.Json.Int (pause_words ())) ])
+        (fun () ->
+          ignore
+            (Gcheap.Heap.collect ~generation ~extra_roots ~extra_ranges
+               st.heap));
+      let pause_words = pause_words () in
+      (if tl.tl_on then
+         let open Telemetry in
+         let pause_ns = Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9) in
+         Metrics.observe tl.tl_gc_pause pause_ns;
+         Metrics.observe
+           (if minor then tl.tl_gc_minor_pause else tl.tl_gc_major_pause)
+           pause_ns;
+         Metrics.observe
+           (if minor then tl.tl_gc_minor_scan else tl.tl_gc_major_scan)
+           pause_words;
+         let foot = Gcheap.Heap.footprint st.heap in
+         Metrics.set tl.tl_heap_foot foot;
+         match tl.tl_sink with
+         | Some { Sink.trace = Some tr; _ } ->
+             Trace.counter tr "heap"
+               [
+                 ("footprint", foot);
+                 ( "live_bytes",
+                   hs.Gcheap.Heap.bytes_allocated - hs.Gcheap.Heap.bytes_freed
+                 );
+               ]
+         | _ -> ());
+      (pause_words, 1))
 
 (** Where execution currently stands, for reporting a collection point:
     innermost function, block, and the instruction just executed. *)
@@ -635,43 +646,29 @@ let[@inline] forced_gc_due st =
   | Schedule.At pts -> Schedule.points_mem pts st.instrs)
   && ((not st.cfg.vm_gc_at_calls_only) || st.at_call)
 
-(** One increment of the SATB marker, at an allocation GC point.  Same
-    root discipline as {!collect}: the register file as word values, the
-    live stack prefix as a range. *)
+(** One increment of the SATB marker, at an allocation GC point, over
+    the same roots as {!collect}. *)
 let incremental_step st =
   let tl = st.tele in
-  let hs = st.heap.Gcheap.Heap.stats in
-  let collections0 = hs.Gcheap.Heap.collections in
-  (match tl.tl_prof with
-  | Some pr -> Telemetry.Heap_profiler.set_tick pr st.instrs
-  | None -> ());
-  let roots =
-    List.concat_map (fun fr -> Array.to_list fr.fr_regs) st.frames
-  in
-  let live_stack = (st.stack_base, st.stack_base + st.sp) in
-  let spent =
-    Gcheap.Incremental.step ~extra_roots:roots ~extra_ranges:[ live_stack ]
-      st.heap
-  in
-  let completed = hs.Gcheap.Heap.collections - collections0 in
-  st.gc_count <- st.gc_count + completed;
-  (* each increment is a mutator pause of [spent] words of work *)
-  st.gc_max_pause_words <- max st.gc_max_pause_words spent;
-  st.gc_total_pause_words <- st.gc_total_pause_words + spent;
-  Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "gc.step" ~args:(fun () ->
-      [
-        ("spent_words", Telemetry.Json.Int spent);
-        ("completed", Telemetry.Json.Int completed);
-      ]);
-  if st.cfg.vm_census && completed > 0 then
-    st.censuses <- Gcheap.Census.take st.heap :: st.censuses;
-  if tl.tl_on then begin
-    Telemetry.Metrics.observe tl.tl_gc_inc_pause spent;
-    if completed > 0 then
-      Telemetry.Metrics.set tl.tl_heap_foot (Gcheap.Heap.footprint st.heap)
-  end;
-  if completed > 0 && st.cfg.vm_check_integrity then
-    Gcheap.Heap.assert_integrity st.heap
+  gc_pause st (fun ~extra_roots ~extra_ranges ->
+      let hs = st.heap.Gcheap.Heap.stats in
+      let collections0 = hs.Gcheap.Heap.collections in
+      (* each increment is a mutator pause of [spent] words of work *)
+      let spent = Gcheap.Heap.step ~extra_roots ~extra_ranges st.heap in
+      let completed = hs.Gcheap.Heap.collections - collections0 in
+      Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "gc.step"
+        ~args:(fun () ->
+          [
+            ("spent_words", Telemetry.Json.Int spent);
+            ("completed", Telemetry.Json.Int completed);
+          ]);
+      if tl.tl_on then begin
+        Telemetry.Metrics.observe tl.tl_gc_inc_pause spent;
+        if completed > 0 then
+          Telemetry.Metrics.set tl.tl_heap_foot
+            (Gcheap.Heap.footprint st.heap)
+      end;
+      (spent, completed))
 
 let maybe_collect_for_alloc st =
   match st.cfg.vm_gc_schedule with
@@ -679,7 +676,7 @@ let maybe_collect_for_alloc st =
   | _ ->
       if st.cfg.vm_gc_mode = Gcheap.Heap.Inc then begin
         if
-          Gcheap.Incremental.active st.heap
+          Gcheap.Heap.active st.heap
           || Gcheap.Heap.should_collect st.heap
         then incremental_step st
       end

@@ -300,7 +300,7 @@ let test_trailing_partial_word () =
 
 let gen_heap ?(minor_threshold = 1024) ?(gc_threshold = 64 * 1024) () =
   let config = Heap.default_config () in
-  config.Heap.generational <- true;
+  config.Heap.mode <- Heap.Gen;
   config.Heap.minor_threshold <- minor_threshold;
   config.Heap.gc_threshold <- gc_threshold;
   Heap.create ~config ()

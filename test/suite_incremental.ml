@@ -68,7 +68,7 @@ let prop_satb_superset =
     (QCheck.list_of_size (QCheck.Gen.int_range 10 150) op)
     (fun ops ->
       let h = Heap.create () in
-      h.Heap.config.Heap.incremental <- true;
+      h.Heap.config.Heap.mode <- Heap.Inc;
       let regs = Array.make nregs 0 in
       let mirror = Hashtbl.create 64 in
       let snapshot = ref [] in
@@ -109,19 +109,19 @@ let prop_satb_superset =
               end
           | `Step b ->
               h.Heap.config.Heap.pause_budget_words <- max 1 b;
-              if not (Incremental.active h) then begin
+              if not (Heap.active h) then begin
                 (* this step takes the snapshot: record what is
                    reachable right now *)
                 let seen = reachable mirror (roots ()) in
                 snapshot := Hashtbl.fold (fun a () acc -> a :: acc) seen [];
                 in_cycle := true
               end;
-              ignore (Incremental.step ~extra_roots:(roots ()) h);
-              if !in_cycle && not (Incremental.active h) then
+              ignore (Heap.step ~extra_roots:(roots ()) h);
+              if !in_cycle && not (Heap.active h) then
                 check_complete ())
         ops;
-      if Incremental.active h then begin
-        Incremental.finish ~extra_roots:(roots ()) h;
+      if Heap.active h then begin
+        Heap.finish ~extra_roots:(roots ()) h;
         check_complete ()
       end;
       true)
@@ -134,10 +134,10 @@ let fresh () = Heap.create ()
    guarding against non-termination. *)
 let finish_counted ?(cap = 1_000_000) h ~extra_roots =
   let steps = ref 0 in
-  while Incremental.active h do
+  while Heap.active h do
     incr steps;
     if !steps > cap then Alcotest.fail "incremental cycle does not terminate";
-    ignore (Incremental.step ~extra_roots h)
+    ignore (Heap.step ~extra_roots h)
   done;
   !steps
 
@@ -148,8 +148,8 @@ let test_barrier_keeps_overwritten_alive () =
   let b = Heap.alloc h 16 in
   write_slot h a 0 b;
   (* snapshot: only [a] is a root; [b] reachable through it *)
-  ignore (Incremental.step ~extra_roots:[ a ] h);
-  Alcotest.(check bool) "cycle in flight" true (Incremental.active h);
+  ignore (Heap.step ~extra_roots:[ a ] h);
+  Alcotest.(check bool) "cycle in flight" true (Heap.active h);
   (* sever the only link mid-cycle: the barrier must gray the old value *)
   write_slot h a 0 0;
   Alcotest.(check bool) "barrier fired" true
@@ -158,7 +158,7 @@ let test_barrier_keeps_overwritten_alive () =
   Alcotest.(check (option int)) "snapshot object survives its cycle" (Some b)
     (Heap.base_of h b);
   (* the next cycle sees it unreachable and reclaims it *)
-  ignore (Incremental.step ~extra_roots:[ a ] h);
+  ignore (Heap.step ~extra_roots:[ a ] h);
   ignore (finish_counted h ~extra_roots:[ a ]);
   Alcotest.(check (option int)) "floating garbage dies next cycle" None
     (Heap.base_of h b)
@@ -167,13 +167,13 @@ let test_allocate_black () =
   let h = fresh () in
   h.Heap.config.Heap.pause_budget_words <- 1;
   let root = Heap.alloc h 16 in
-  ignore (Incremental.step ~extra_roots:[ root ] h);
+  ignore (Heap.step ~extra_roots:[ root ] h);
   (* allocated mid-cycle, never stored anywhere: born black *)
   let tmp = Heap.alloc h 16 in
   ignore (finish_counted h ~extra_roots:[ root ]);
   Alcotest.(check (option int)) "mid-cycle allocation survives" (Some tmp)
     (Heap.base_of h tmp);
-  ignore (Incremental.step ~extra_roots:[ root ] h);
+  ignore (Heap.step ~extra_roots:[ root ] h);
   ignore (finish_counted h ~extra_roots:[ root ]);
   Alcotest.(check (option int)) "and dies the following cycle" None
     (Heap.base_of h tmp)
@@ -187,7 +187,7 @@ let test_tiny_budget_terminates () =
     (* keep two of every three; the rest is garbage for the sweep *)
     if i mod 3 <> 0 then keep := a :: !keep
   done;
-  ignore (Incremental.step ~extra_roots:!keep h);
+  ignore (Heap.step ~extra_roots:!keep h);
   let steps = finish_counted h ~extra_roots:!keep in
   Alcotest.(check bool) "word-at-a-time cycle really is sliced" true
     (steps > 10);
@@ -205,11 +205,11 @@ let test_full_collection_abandons_soundly () =
   let h = fresh () in
   h.Heap.config.Heap.pause_budget_words <- 1;
   let root = Heap.alloc h 16 in
-  ignore (Incremental.step ~extra_roots:[ root ] h);
-  Alcotest.(check bool) "cycle in flight" true (Incremental.active h);
+  ignore (Heap.step ~extra_roots:[ root ] h);
+  Alcotest.(check bool) "cycle in flight" true (Heap.active h);
   (* an emergency/explicit/forced collection lands mid-cycle *)
   ignore (Heap.collect ~extra_roots:[ root ] h);
-  Alcotest.(check bool) "cycle abandoned" false (Incremental.active h);
+  Alcotest.(check bool) "cycle abandoned" false (Heap.active h);
   Alcotest.(check int) "abandon counted" 1
     h.Heap.stats.Heap.abandoned_cycles;
   Alcotest.(check (option int)) "root survives the full collection"
@@ -313,8 +313,8 @@ let prop_collect_equals_cycle =
       let stw, roots = build_graph g in
       ignore (Heap.collect ~extra_roots:roots stw);
       let inc, roots = build_graph g in
-      ignore (Incremental.step ~extra_roots:roots inc);
-      Incremental.finish ~extra_roots:roots inc;
+      ignore (Heap.step ~extra_roots:roots inc);
+      Heap.finish ~extra_roots:roots inc;
       engine_fingerprint stw = engine_fingerprint inc)
 
 (* --- mode identity over random programs ------------------------------- *)

@@ -8,7 +8,7 @@ open Gcheap
 let nursery_heap ?(nursery_pages = 8) ?(minor_threshold = 1024)
     ?(gc_threshold = 64 * 1024) () =
   let config = Heap.default_config () in
-  config.Heap.generational <- true;
+  config.Heap.mode <- Heap.Gen;
   config.Heap.minor_threshold <- minor_threshold;
   config.Heap.gc_threshold <- gc_threshold;
   config.Heap.nursery_pages <- nursery_pages;
