@@ -733,7 +733,8 @@ let sweep_slice t ~spent ~budget =
             && (!spent + worst <= budget || !spent = 0)
           do
             incr spent;
-            if Block.is_allocated blk !i && not (Block.is_marked blk !i) then begin
+            if Block.is_allocated blk !i && not (Block.is_marked blk !i)
+            then begin
               free_slot t blk !i;
               spent := !spent + (blk.Block.blk_obj_size / 8)
             end;
