@@ -67,6 +67,62 @@ let test_detects_slack_violation () =
   Alcotest.(check bool) "slack-byte rule fires" true
     (List.mem "slack-byte" (rules (Heap.check_integrity h)))
 
+let fires rule h =
+  Alcotest.(check bool) (rule ^ " rule fires") true
+    (List.mem rule (rules (Heap.check_integrity h)))
+
+let test_detects_stray_page_map_block () =
+  let h = fresh () in
+  ignore (Heap.alloc h 16);
+  (* a block the page map knows but the heap does not list *)
+  let start = Mem.grow_pages h.Heap.mem 1 in
+  Page_map.set_block h.Heap.map
+    (Block.make ~start ~pages:1 ~obj_size:16 ~count:256 ~kind:Block.Normal);
+  fires "page-map" h
+
+let test_detects_unmapped_page () =
+  let h = fresh () in
+  let a = Heap.alloc h 16 in
+  Page_map.clear_block h.Heap.map (block_of h a);
+  fires "page-map" h
+
+let test_detects_bad_block_header () =
+  let h = fresh () in
+  ignore (Heap.alloc h 16);
+  let start = Mem.grow_pages h.Heap.mem 1 + 8 in
+  let blk =
+    Block.make ~start ~pages:1 ~obj_size:16 ~count:255 ~kind:Block.Normal
+  in
+  Page_map.set_block h.Heap.map blk;
+  h.Heap.all_blocks <- blk :: h.Heap.all_blocks;
+  fires "block-header" h
+
+let gen_heap () =
+  let config = Heap.default_config () in
+  config.Heap.mode <- Heap.Gen;
+  config.Heap.minor_threshold <- 1024;
+  Heap.create ~config ()
+
+let test_detects_nursery_violation () =
+  let h = gen_heap () in
+  let a = Heap.alloc h 16 in
+  Alcotest.(check bool) "allocated on a nursery page" true
+    (block_of h a).Block.blk_young;
+  h.Heap.young_blocks <- [];
+  fires "nursery" h
+
+let test_detects_remembered_set_violation () =
+  let h = gen_heap () in
+  let o = Heap.alloc h 32 in
+  for _ = 1 to h.Heap.config.Heap.promote_after do
+    ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ o ] h)
+  done;
+  Alcotest.(check int) "healthy before the store" 0
+    (List.length (Heap.check_integrity h));
+  (* an old-to-young store that bypasses the write barrier *)
+  Mem.store_word h.Heap.mem o (Heap.alloc h 24);
+  fires "remembered-set" h
+
 let test_assert_integrity_raises () =
   let h = fresh () in
   let a = Heap.alloc h 16 in
@@ -353,6 +409,16 @@ let suite =
       test_detects_allocated_slot_on_free_list;
     Alcotest.test_case "integrity: slack-byte violation" `Quick
       test_detects_slack_violation;
+    Alcotest.test_case "integrity: stray page-map block" `Quick
+      test_detects_stray_page_map_block;
+    Alcotest.test_case "integrity: unmapped block page" `Quick
+      test_detects_unmapped_page;
+    Alcotest.test_case "integrity: block-header violation" `Quick
+      test_detects_bad_block_header;
+    Alcotest.test_case "integrity: nursery violation" `Quick
+      test_detects_nursery_violation;
+    Alcotest.test_case "integrity: remembered-set violation" `Quick
+      test_detects_remembered_set_violation;
     Alcotest.test_case "integrity: assert raises" `Quick
       test_assert_integrity_raises;
     QCheck_alcotest.to_alcotest prop_integrity_under_interleavings;
