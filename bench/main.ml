@@ -202,6 +202,17 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Gcheap.Heap.collect ~extra_roots:roots h2)))
   in
+  (* the post-collection sanitizer on the heap a small VM run holds:
+     statics, the stack block and two small size classes *)
+  let test_integrity =
+    let h3 = Gcheap.Heap.create () in
+    ignore (Gcheap.Heap.alloc ~kind:Gcheap.Block.Uncollectable h3 200);
+    ignore (Gcheap.Heap.alloc ~kind:Gcheap.Block.Stack h3 (256 * 1024));
+    let roots = [ Gcheap.Heap.alloc h3 16; Gcheap.Heap.alloc h3 40 ] in
+    ignore (Gcheap.Heap.collect ~extra_roots:roots h3);
+    Test.make ~name:"check_integrity (VM-shaped heap)"
+      (Staged.stage (fun () -> ignore (Gcheap.Heap.check_integrity h3)))
+  in
   let benchmark test =
     let instances = [ Toolkit.Instance.monotonic_clock ] in
     let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
@@ -239,7 +250,14 @@ let micro () =
            ignore (Gcheap.Splay.same_obj splay (objs.(!i) + 8) objs.(!i))))
   in
   List.iter benchmark
-    [ test_alloc; test_base; test_same_obj; test_splay_same_obj; test_collect ];
+    [
+      test_alloc;
+      test_base;
+      test_same_obj;
+      test_splay_same_obj;
+      test_collect;
+      test_integrity;
+    ];
   print_newline ()
 
 let () =

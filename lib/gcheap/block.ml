@@ -37,6 +37,11 @@ type t = {
       (** old-generation block holding at least one reused slot that is
           still young — it must be visited by minor sweeps until every
           such slot is promoted or freed *)
+  mutable blk_listed : Bytes.t;
+      (** integrity-checker scratch: one byte per slot, set when a free
+          list holds the slot; meaningful only during the check numbered
+          [blk_listed_pass] *)
+  mutable blk_listed_pass : int;
 }
 
 let make ~start ~pages ~obj_size ~count ~kind =
@@ -53,6 +58,8 @@ let make ~start ~pages ~obj_size ~count ~kind =
     blk_young = false;
     blk_bump = 0;
     blk_aging = false;
+    blk_listed = Bytes.empty;
+    blk_listed_pass = 0;
   }
 
 (** Index of the object slot containing [addr], if [addr] lies within the

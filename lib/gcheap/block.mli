@@ -27,6 +27,10 @@ type t = {
   mutable blk_aging : bool;
       (** old-generation block holding reused slots that are still young
           (visited by minor sweeps until they promote or die) *)
+  mutable blk_listed : Bytes.t;
+      (** integrity-checker scratch: per-slot "on a free list" flags *)
+  mutable blk_listed_pass : int;
+      (** the integrity check [blk_listed] belongs to *)
 }
 
 val make :

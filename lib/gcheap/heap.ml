@@ -1426,6 +1426,19 @@ let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.v_rule v.v_detail
     - [remembered-set] (generational mode only): every old→young
       reference lies on a dirty card, so a minor collection cannot miss
       it. *)
+(* Every check gets a fresh number, so free-list flags a block kept from
+   an earlier check (of this heap or another) never count in this one. *)
+let integrity_checks = Atomic.make 0
+
+(* Index of the slot of [blk] based exactly at [addr], or -1. *)
+let slot_base blk addr =
+  let off = addr - blk.Block.blk_start in
+  if off < 0 then -1
+  else
+    let i = off / blk.Block.blk_obj_size in
+    if i < blk.Block.blk_count && off = i * blk.Block.blk_obj_size then i
+    else -1
+
 let check_integrity t : violation list =
   let out = ref [] in
   let report rule fmt =
@@ -1434,6 +1447,7 @@ let check_integrity t : violation list =
       fmt
   in
   (* block headers and page-map agreement *)
+  let listed_pages = ref 0 and misrouted = ref [] in
   List.iter
     (fun blk ->
       if blk.Block.blk_obj_size <= 0 || blk.Block.blk_count <= 0 then
@@ -1450,33 +1464,33 @@ let check_integrity t : violation list =
           "block %#x: %d objects of %d bytes overflow %d page(s)"
           blk.Block.blk_start blk.Block.blk_count blk.Block.blk_obj_size
           blk.Block.blk_pages;
+      listed_pages := !listed_pages + blk.Block.blk_pages;
       for pg = 0 to blk.Block.blk_pages - 1 do
         let addr = blk.Block.blk_start + (pg * Mem.page_size) in
         match Page_map.find t.map addr with
         | Some b when b == blk -> ()
         | Some b ->
+            misrouted := blk :: !misrouted;
             report "page-map" "page %#x of block %#x maps to block %#x"
               addr blk.Block.blk_start b.Block.blk_start
         | None ->
+            misrouted := blk :: !misrouted;
             report "page-map" "page %#x of block %#x is unmapped" addr
               blk.Block.blk_start
       done)
     t.all_blocks;
-  (* no stray blocks in the page map *)
-  let known = Hashtbl.create 64 in
-  List.iter (fun b -> Hashtbl.replace known b.Block.blk_start ()) t.all_blocks;
-  Page_map.iter_blocks t.map (fun b ->
-      if not (Hashtbl.mem known b.Block.blk_start) then
-        report "page-map" "stray block %#x registered in the page map"
-          b.Block.blk_start);
+  (* no stray blocks in the page map: every page of every listed block
+     maps back to it (above), so any mapped page beyond their total is a
+     stray *)
+  let stray = Page_map.mapped_pages t.map - !listed_pages in
+  if stray > 0 then
+    report "page-map" "%d stray page(s) registered in the page map" stray;
   (* per-slot invariants: mark bits and the one-extra-byte rule *)
   List.iter
     (fun blk ->
+      let alloc = blk.Block.blk_alloc and mark = blk.Block.blk_mark in
       for i = 0 to blk.Block.blk_count - 1 do
-        if Block.is_marked blk i && not (Block.is_allocated blk i) then
-          report "mark-bits" "free slot %#x carries a mark bit"
-            (Block.slot_addr blk i);
-        if Block.is_allocated blk i then begin
+        if Bytes.get alloc i <> '\000' then begin
           let req = blk.Block.blk_req.(i) in
           if req < 0 || req >= blk.Block.blk_obj_size then
             report "slack-byte"
@@ -1484,20 +1498,63 @@ let check_integrity t : violation list =
                %d-byte slot"
               (Block.slot_addr blk i) req blk.Block.blk_obj_size
         end
+        else if Bytes.get mark i <> '\000' then
+          report "mark-bits" "free slot %#x carries a mark bit"
+            (Block.slot_addr blk i)
       done)
     t.all_blocks;
-  (* free-list soundness *)
-  let seen_free = Hashtbl.create 256 in
+  (* free-list soundness.  Each entry sets the flag of the slot the page
+     map resolves it to; an entry that resolves to no slot base is
+     already a violation, and is remembered by address instead. *)
+  let check = Atomic.fetch_and_add integrity_checks 1 + 1 in
+  let listed blk =
+    if blk.Block.blk_listed_pass <> check then begin
+      if Bytes.length blk.Block.blk_listed = blk.Block.blk_count then
+        Bytes.fill blk.Block.blk_listed 0 blk.Block.blk_count '\000'
+      else blk.Block.blk_listed <- Bytes.make blk.Block.blk_count '\000';
+      blk.Block.blk_listed_pass <- check
+    end;
+    blk.Block.blk_listed
+  in
+  let odd = Hashtbl.create 1 in
+  (* the page map answers per page, and consecutive entries mostly share
+     one; [find] of a negative address is [None], like the initial
+     [home] *)
+  let last_page = ref (-1) and home = ref None in
+  let on_free_list addr =
+    match Page_map.find t.map addr with
+    | Some b when slot_base b addr >= 0 ->
+        Bytes.get (listed b) (slot_base b addr) <> '\000'
+    | Some _ | None -> Hashtbl.mem odd addr
+  in
   Hashtbl.iter
     (fun (cls, kind) fl ->
       List.iter
         (fun addr ->
-          if Hashtbl.mem seen_free addr then
-            report "free-list" "slot %#x appears on a free list twice" addr
-          else Hashtbl.replace seen_free addr ();
-          match Page_map.find t.map addr with
+          let page = addr asr Mem.page_bits in
+          if page <> !last_page then begin
+            last_page := page;
+            home := Page_map.find t.map addr
+          end;
+          let home = !home in
+          let i = match home with Some b -> slot_base b addr | None -> -1 in
+          let twice =
+            match home with
+            | Some b when i >= 0 ->
+                let flags = listed b in
+                let seen = Bytes.get flags i <> '\000' in
+                Bytes.set flags i '\001';
+                seen
+            | Some _ | None ->
+                let seen = Hashtbl.mem odd addr in
+                Hashtbl.replace odd addr ();
+                seen
+          in
+          if twice then
+            report "free-list" "slot %#x appears on a free list twice" addr;
+          match home with
           | None -> report "free-list" "entry %#x is not on a heap page" addr
-          | Some blk -> (
+          | Some blk ->
               if blk.Block.blk_obj_size <> cls then
                 report "free-list"
                   "entry %#x on the %d-byte list, but its block holds \
@@ -1507,28 +1564,32 @@ let check_integrity t : violation list =
                 report "free-list" "entry %#x has the wrong block kind" addr;
               if blk.Block.blk_young then
                 report "free-list" "entry %#x lies on a nursery page" addr;
-              match Block.slot_of_addr blk addr with
-              | Some i when Block.slot_addr blk i = addr ->
-                  if Block.is_allocated blk i then
-                    report "free-list" "allocated slot %#x is on a free list"
-                      addr
-              | Some _ | None ->
-                  report "free-list" "entry %#x is not a slot base" addr))
+              if i < 0 then
+                report "free-list" "entry %#x is not a slot base" addr
+              else if Bytes.get blk.Block.blk_alloc i <> '\000' then
+                report "free-list" "allocated slot %#x is on a free list" addr)
         !fl)
     t.free_lists;
   (* free-list completeness: every free small-class slot is findable —
      except on nursery pages, whose slots are bump-allocated and only
-     join the free lists when the page is promoted *)
+     join the free lists when the page is promoted.  A block whose pages
+     all map back to it resolves each of its slots to itself. *)
   List.iter
     (fun blk ->
-      if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young then
+      if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young then begin
+        let alloc = blk.Block.blk_alloc and flags = listed blk in
+        let exact = not (List.memq blk !misrouted) in
         for i = 0 to blk.Block.blk_count - 1 do
-          if not (Block.is_allocated blk i) then begin
-            let addr = Block.slot_addr blk i in
-            if not (Hashtbl.mem seen_free addr) then
-              report "free-list" "free slot %#x is on no free list" addr
-          end
-        done)
+          if
+            Bytes.get alloc i = '\000'
+            && not
+                 (if exact then Bytes.get flags i <> '\000'
+                  else on_free_list (Block.slot_addr blk i))
+          then
+            report "free-list" "free slot %#x is on no free list"
+              (Block.slot_addr blk i)
+        done
+      end)
     t.all_blocks;
   (* nursery invariants: young blocks are collectable single-page bump
      regions, the cursor stays within bounds, nothing past the cursor

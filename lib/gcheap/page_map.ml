@@ -10,9 +10,12 @@ let level2_bits = 10
 
 let level2_size = 1 lsl level2_bits
 
-type t = { mutable top : Block.t option array option array }
+type t = {
+  mutable top : Block.t option array option array;
+  mutable mapped : int;  (** pages that map to some block *)
+}
 
-let create () = { top = Array.make 64 None }
+let create () = { top = Array.make 64 None; mapped = 0 }
 
 let split page =
   let hi = page lsr level2_bits and lo = page land (level2_size - 1) in
@@ -39,6 +42,7 @@ let set_block t (blk : Block.t) =
           t.top.(hi) <- Some l2;
           l2
     in
+    if Option.is_none l2.(lo) then t.mapped <- t.mapped + 1;
     l2.(lo) <- Some blk
   done
 
@@ -47,7 +51,11 @@ let clear_block t (blk : Block.t) =
   for page = first to first + blk.Block.blk_pages - 1 do
     let hi, lo = split page in
     if hi < Array.length t.top then
-      match t.top.(hi) with Some l2 -> l2.(lo) <- None | None -> ()
+      match t.top.(hi) with
+      | Some l2 ->
+          if Option.is_some l2.(lo) then t.mapped <- t.mapped - 1;
+          l2.(lo) <- None
+      | None -> ()
   done
 
 (** The block containing [addr], if [addr] is on a heap page.  Two array
@@ -63,20 +71,4 @@ let find t addr =
       | None -> None
       | Some l2 -> l2.(page land (level2_size - 1))
 
-(** Iterate over every registered block exactly once. *)
-let iter_blocks t f =
-  let seen = Hashtbl.create 64 in
-  Array.iter
-    (function
-      | None -> ()
-      | Some l2 ->
-          Array.iter
-            (function
-              | None -> ()
-              | Some blk ->
-                  if not (Hashtbl.mem seen blk.Block.blk_start) then begin
-                    Hashtbl.add seen blk.Block.blk_start ();
-                    f blk
-                  end)
-            l2)
-    t.top
+let mapped_pages t = t.mapped

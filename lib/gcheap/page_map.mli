@@ -16,5 +16,5 @@ val find : t -> int -> Block.t option
 (** The block containing an address, if it lies on a registered page.  Two
     array lookups, no search. *)
 
-val iter_blocks : t -> (Block.t -> unit) -> unit
-(** Visit every registered block exactly once. *)
+val mapped_pages : t -> int
+(** How many pages map to some block. *)
