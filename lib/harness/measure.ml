@@ -7,8 +7,6 @@ type run_info = {
   o_output : string;
   o_exit : int;
   o_gc_count : int;
-  o_gc_points : (int * string) list;
-      (** injected collections that fired (safepoint index, location) *)
   o_live_objects : int;
   o_live_bytes : int;
   o_emergency : int;  (** emergency (collect-expand) collections run *)
@@ -87,7 +85,6 @@ let exec ?gc_point_sink ?telemetry ?(census = false) (r : Request.t)
         o_output = r.Machine.Vm.r_output;
         o_exit = r.Machine.Vm.r_exit;
         o_gc_count = r.Machine.Vm.r_gc_count;
-        o_gc_points = r.Machine.Vm.r_gc_points;
         o_live_objects = r.Machine.Vm.r_live_objects;
         o_live_bytes = r.Machine.Vm.r_live_bytes;
         o_emergency = r.Machine.Vm.r_heap.Gcheap.Heap.emergency_collections;

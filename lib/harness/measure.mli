@@ -7,8 +7,6 @@ type run_info = {
   o_output : string;
   o_exit : int;
   o_gc_count : int;
-  o_gc_points : (int * string) list;
-      (** injected collections that fired (safepoint index, location) *)
   o_live_objects : int;
   o_live_bytes : int;
   o_emergency : int;  (** emergency (collect-expand) collections run *)

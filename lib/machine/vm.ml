@@ -83,9 +83,10 @@ type config = {
       (** collect once after [main] returns, so the result's live-heap
           summary is comparable across schedules and builds *)
   vm_gc_point_sink : (int -> string -> unit) option;
-      (** also called for every fired injected collection — unlike
-          [r_gc_points], a sink observes points even when the run later
-          faults, which is what the schedule shrinker replays *)
+      (** called for every fired injected collection with its safepoint
+          index and a program-location description, also when the run
+          later faults — what the schedule shrinker replays.  The
+          description is formatted only when a sink is set *)
   vm_stack_bytes : int;
   vm_telemetry : Telemetry.Sink.t option;
       (** metrics / span tracing / heap profiling; nothing on the
@@ -428,9 +429,6 @@ type state = {
   mutable args : int array;  (** pushed arguments, oldest first *)
   mutable nargs : int;  (** arguments pushed and not yet taken *)
   mutable at_call : bool;  (** the last executed instruction was a call *)
-  mutable gc_points : (int * string) list;
-      (** injected collections that actually fired: safepoint index and a
-          program-location description (innermost first) *)
   mutable gc_max_pause_words : int;
       (** largest single GC pause this run, in words of collector work
           (stop-the-world/generational: per cycle; incremental: per
@@ -451,8 +449,6 @@ type result = {
   r_cycles : int;
   r_gc_count : int;
   r_heap : Gcheap.Heap.stats;
-  r_gc_points : (int * string) list;
-      (** fired injected collections, in execution order *)
   r_live_objects : int;  (** collectable objects alive at exit *)
   r_live_bytes : int;  (** their requested bytes *)
   r_gc_max_pause_words : int;
@@ -529,7 +525,6 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
     args = Array.make 16 0;
     nargs = 0;
     at_call = false;
-    gc_points = [];
     gc_max_pause_words = 0;
     gc_total_pause_words = 0;
     censuses = [];
@@ -632,9 +627,9 @@ let point_context st =
       Printf.sprintf "%s, L%d, %s" fr.fr_func.xf_name b.xb_label where
 
 let forced_collect st =
-  let ctx = point_context st in
-  st.gc_points <- (st.instrs, ctx) :: st.gc_points;
-  Option.iter (fun sink -> sink st.instrs ctx) st.cfg.vm_gc_point_sink;
+  (match st.cfg.vm_gc_point_sink with
+  | Some sink -> sink st.instrs (point_context st)
+  | None -> ());
   collect ~trigger:"forced" st
 
 (** Is an injected collection due at the current safepoint (the boundary
@@ -1198,7 +1193,6 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
     r_cycles = st.cycles;
     r_gc_count = st.gc_count;
     r_heap = st.heap.Gcheap.Heap.stats;
-    r_gc_points = List.rev st.gc_points;
     r_live_objects = live_objects;
     r_live_bytes = live_bytes;
     r_gc_max_pause_words = st.gc_max_pause_words;

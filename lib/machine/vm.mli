@@ -78,9 +78,10 @@ type config = {
       (** collect once after [main] returns so [r_live_objects] /
           [r_live_bytes] are comparable across schedules and builds *)
   vm_gc_point_sink : (int -> string -> unit) option;
-      (** also called for every fired injected collection — unlike
-          [r_gc_points], a sink observes points even when the run later
-          faults, which is what the schedule shrinker replays *)
+      (** called for every fired injected collection with its safepoint
+          index and a program-location description, also when the run
+          later faults — what the schedule shrinker replays.  The
+          description is formatted only when a sink is set *)
   vm_stack_bytes : int;
   vm_telemetry : Telemetry.Sink.t option;
       (** metrics (instrument scope ["vm/..."]: steps, dispatch by opcode
@@ -110,9 +111,6 @@ type result = {
   r_cycles : int;
   r_gc_count : int;
   r_heap : Gcheap.Heap.stats;
-  r_gc_points : (int * string) list;
-      (** injected collections that fired, in execution order: safepoint
-          index and a program-location description *)
   r_live_objects : int;  (** collectable objects alive at exit *)
   r_live_bytes : int;  (** their requested bytes *)
   r_gc_max_pause_words : int;
