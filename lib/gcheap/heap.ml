@@ -1126,9 +1126,15 @@ let alloc_large t ~req bytes kind =
     t.all_blocks <- b :: t.all_blocks;
     b
   in
+  (* claimed pages arrive zeroed (growth is zero, the reclaim pool
+     re-zeroes); only a recycled block holds its last object's bytes *)
+  let reused b =
+    Mem.fill t.mem b.Block.blk_start (pages * Mem.page_size) '\000';
+    b
+  in
   let blk =
     match find_reusable () with
-    | Some b -> b
+    | Some b -> reused b
     | None -> (
         match claim_pages t pages with
         | Some start -> fresh start
@@ -1141,7 +1147,7 @@ let alloc_large t ~req bytes kind =
             | Collect_expand -> (
                 emergency_collect t;
                 match find_reusable () with
-                | Some b -> b
+                | Some b -> reused b
                 | None -> (
                     match claim_pages t pages with
                     | Some start -> fresh start
@@ -1161,7 +1167,6 @@ let alloc_large t ~req bytes kind =
     t.aging_blocks <- blk :: t.aging_blocks
   end;
   blk.Block.blk_req.(0) <- req;
-  Mem.fill t.mem blk.Block.blk_start (pages * Mem.page_size) '\000';
   blk.Block.blk_start
 
 (* Open a fresh nursery page for (cls, kind): a young single-page block

@@ -15,11 +15,34 @@ type t = {
   mutable brk : int;  (** first never-allocated address; grows page-wise *)
 }
 
+exception Fault of int  (** out-of-arena access *)
+
+(* One released buffer per domain, all zero, for the next [create] on
+   that domain: a VM run would otherwise pay for a fresh arena (and its
+   doubling when the stack block arrives) in major-GC work. *)
+let spare : Bytes.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+
 let create () =
-  {
-    data = Bytes.make (64 * page_size) '\000';
-    brk = page_size (* skip the null page *);
-  }
+  let data =
+    match Domain.DLS.get spare with
+    | Some data ->
+        Domain.DLS.set spare None;
+        data
+    | None -> Bytes.make (64 * page_size) '\000'
+  in
+  { data; brk = page_size (* skip the null page *) }
+
+(** Hand the buffer back for reuse.  Every byte at or above [brk] is
+    still zero, so zeroing [0, brk)] restores a fresh arena; [brk] drops
+    to 0, so any later access to [t] faults.  Releasing twice is a
+    no-op. *)
+let release t =
+  if t.brk > 0 then begin
+    Bytes.fill t.data 0 t.brk '\000';
+    Domain.DLS.set spare (Some t.data);
+    t.data <- Bytes.empty;
+    t.brk <- 0
+  end
 
 (** Highest valid address + 1. *)
 let limit t = t.brk
@@ -37,14 +60,13 @@ let ensure_capacity t wanted =
 
 (** Reserve [n] fresh pages; returns their starting address. *)
 let grow_pages t n =
+  if t.brk = 0 then raise (Fault 0) (* released *);
   let addr = t.brk in
   t.brk <- t.brk + (n * page_size);
   ensure_capacity t t.brk;
   addr
 
 let in_bounds t addr len = addr >= page_size && addr + len <= t.brk
-
-exception Fault of int  (** out-of-arena access *)
 
 let[@inline] check t addr len = if not (in_bounds t addr len) then raise (Fault addr)
 

@@ -17,14 +17,21 @@ exception Fault of int
     address. *)
 
 val create : unit -> t
-(** A fresh arena with only the (never-accessible) null page reserved. *)
+(** A fresh arena with only the (never-accessible) null page reserved.
+    Reuses the buffer of the last arena {!release}d on this domain, if
+    any. *)
+
+val release : t -> unit
+(** Zero the arena and keep its buffer for the next {!create} on this
+    domain.  Every later access to the released arena, growth included,
+    raises {!Fault}.  Releasing twice is a no-op. *)
 
 val limit : t -> int
 (** Highest valid address + 1. *)
 
 val grow_pages : t -> int -> int
 (** [grow_pages t n] reserves [n] fresh zeroed pages and returns their
-    starting address. *)
+    starting address.  @raise Fault on a released arena. *)
 
 val in_bounds : t -> int -> int -> bool
 (** [in_bounds t addr len]: does [addr, addr+len)] lie inside the arena

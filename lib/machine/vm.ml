@@ -1117,6 +1117,10 @@ let step st =
 (** Run [main] to completion. *)
 let run ?(config = default_config ()) ?(args = []) (p : program) : result =
   let st = load config p p.p_relocs in
+  (* however the run ends, its arena goes back to this domain's spare:
+     nothing [run] returns or raises points into it *)
+  Fun.protect ~finally:(fun () -> Gcheap.Mem.release st.heap.Gcheap.Heap.mem)
+  @@ fun () ->
   let tl = st.tele in
   (* the allocator's emergency collections must see the VM's full root
      set (register files, live stack prefix), so route them through the

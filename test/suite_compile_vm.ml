@@ -432,6 +432,76 @@ let test_two_operand_penalty () =
   Alcotest.(check string) "same output" o10 op;
   Alcotest.(check bool) "models differ" true (c10 <> cp)
 
+(* A VM run leaves its arena to the next run on the same domain.  A run
+   that faults after the sweeper poisoned its freed slots, with a dirty
+   stack, must leave nothing a later run can observe: cfrac after the
+   hazard on this domain equals cfrac first on a fresh domain. *)
+let test_arena_reuse_invisible () =
+  let built config src =
+    (Harness.Build.compile config src).Harness.Build.b_ir
+  in
+  let cfrac_ir =
+    built Harness.Build.Safe Workloads.Registry.cfrac.Workloads.Registry.w_source
+  in
+  let config =
+    {
+      (Machine.Vm.default_config ~machine:Machine.Machdesc.sparc10 ()) with
+      Machine.Vm.vm_gc_threshold = 16384;
+      vm_check_integrity = true;
+    }
+  in
+  let cfrac () = Machine.Vm.run ~config cfrac_ir in
+  let fresh = Domain.join (Domain.spawn cfrac) in
+  let hazard_config =
+    { config with Machine.Vm.vm_gc_schedule = Machine.Schedule.Every 1 }
+  in
+  (match
+     Machine.Vm.run ~config:hazard_config
+       (built Harness.Build.Base Stress.Corpus.hazard.Stress.Corpus.t_source)
+   with
+  | exception Machine.Vm.Fault _ -> ()
+  | _ -> Alcotest.fail "the hazard survives an every-1 schedule");
+  Alcotest.(check bool) "cfrac collects" true (fresh.Machine.Vm.r_gc_count > 0);
+  let reused = cfrac () in
+  let open Machine.Vm in
+  Alcotest.(check string) "output" fresh.r_output reused.r_output;
+  Alcotest.(check int) "exit" fresh.r_exit reused.r_exit;
+  Alcotest.(check int) "cycles" fresh.r_cycles reused.r_cycles;
+  Alcotest.(check int) "instrs" fresh.r_instrs reused.r_instrs;
+  Alcotest.(check int) "gc count" fresh.r_gc_count reused.r_gc_count;
+  Alcotest.(check (pair int int)) "live summary"
+    (fresh.r_live_objects, fresh.r_live_bytes)
+    (reused.r_live_objects, reused.r_live_bytes);
+  Alcotest.(check (pair int int)) "pause words"
+    (fresh.r_gc_max_pause_words, fresh.r_gc_total_pause_words)
+    (reused.r_gc_max_pause_words, reused.r_gc_total_pause_words);
+  Alcotest.(check bool) "every result field" true (fresh = reused);
+  (* storage handed out on the reused arena reads zero: a large block
+     from growth, and bump-allocated nursery objects *)
+  let probe =
+    built Harness.Build.Safe
+      {|int main(void) {
+  long i; long dirty = 0;
+  char *big = (char *)malloc(65536);
+  for (i = 0; i < 65536; i++) dirty = dirty + (big[i] != 0);
+  for (i = 0; i < 500; i++) {
+    long *p = (long *)malloc(40);
+    dirty = dirty + (p[0] != 0) + (p[2] != 0) + (p[4] != 0);
+  }
+  printf("%ld\n", dirty);
+  return 0;
+}|}
+  in
+  List.iter
+    (fun mode ->
+      let r =
+        Machine.Vm.run ~config:{ config with vm_gc_mode = mode } probe
+      in
+      Alcotest.(check string)
+        ("fresh storage reads zero under " ^ Gcheap.Heap.gc_mode_name mode)
+        "0\n" r.r_output)
+    [ Gcheap.Heap.Stw; Gcheap.Heap.Gen ]
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -463,4 +533,6 @@ let suite =
     Alcotest.test_case "deterministic rand" `Quick test_rand_deterministic;
     Alcotest.test_case "cycle counting" `Quick test_cycles_positive;
     Alcotest.test_case "machine models differ" `Quick test_two_operand_penalty;
+    Alcotest.test_case "arena reuse is invisible" `Quick
+      test_arena_reuse_invisible;
   ]

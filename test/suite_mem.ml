@@ -85,6 +85,70 @@ let prop_word_roundtrip =
       Mem.store_word m a v;
       Mem.load_word m a = v)
 
+(* A released arena faults on every access, and the next arena created
+   on the domain (which takes the released buffer) reads zero wherever
+   the released one was written. *)
+let prop_release_then_create =
+  let op =
+    QCheck.(
+      oneof
+        [
+          map (fun n -> `Grow (1 + (n mod 80))) small_nat;
+          map (fun (k, v) -> `Store (k, v)) (pair (int_bound 1_000_000) int);
+        ])
+  in
+  QCheck.Test.make ~count:50 ~name:"release faults, the next create reads zero"
+    (QCheck.list_of_size (QCheck.Gen.int_range 1 30) op)
+    (fun ops ->
+      let m = Mem.create () in
+      let stored = ref [] in
+      List.iter
+        (function
+          | `Grow n -> ignore (Mem.grow_pages m n)
+          | `Store (k, v) ->
+              let span = Mem.limit m - Mem.page_size in
+              if span >= 8 then begin
+                let a = Mem.page_size + (k mod (span - 7)) in
+                Mem.store m ~width:[| 1; 2; 4; 8 |].(k land 3) a v;
+                stored := a :: !stored
+              end)
+        ops;
+      let pages = Mem.limit m / Mem.page_size in
+      Mem.release m;
+      let faults f =
+        match f () with exception Mem.Fault _ -> true | _ -> false
+      in
+      List.for_all
+        (fun a ->
+          faults (fun () -> Mem.load m ~width:1 a)
+          && faults (fun () -> Mem.store m ~width:1 a 1))
+        (Mem.page_size :: !stored)
+      && faults (fun () -> Mem.grow_pages m 1)
+      &&
+      let m2 = Mem.create () in
+      ignore (Mem.grow_pages m2 pages);
+      let zero = ref true and a = ref Mem.page_size in
+      while !zero && !a + 8 <= Mem.limit m2 do
+        zero := Mem.load_word m2 !a = 0;
+        a := !a + 8
+      done;
+      Mem.release m2;
+      !zero)
+
+let test_release_twice () =
+  let m, a = fresh_with_page () in
+  Mem.store_word m a 7;
+  Mem.release m;
+  let m1, a1 = fresh_with_page () in
+  (* [m1] holds the buffer now: releasing [m] again must not hand it out
+     a second time *)
+  Mem.release m;
+  let m2, a2 = fresh_with_page () in
+  Mem.store_word m1 a1 1;
+  Mem.store_word m2 a2 2;
+  Alcotest.(check (pair int int)) "distinct buffers" (1, 2)
+    (Mem.load_word m1 a1, Mem.load_word m2 a2)
+
 let suite =
   [
     Alcotest.test_case "width round trips" `Quick test_widths_roundtrip;
@@ -96,4 +160,6 @@ let suite =
     Alcotest.test_case "fill and blit" `Quick test_fill_blit;
     Alcotest.test_case "C strings" `Quick test_cstrings;
     QCheck_alcotest.to_alcotest prop_word_roundtrip;
+    Alcotest.test_case "release twice" `Quick test_release_twice;
+    QCheck_alcotest.to_alcotest prop_release_then_create;
   ]
