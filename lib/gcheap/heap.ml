@@ -1522,10 +1522,11 @@ let check_integrity t : violation list =
     blk.Block.blk_listed
   in
   let odd = Hashtbl.create 1 in
-  (* the page map answers per page, and consecutive entries mostly share
-     one; [find] of a negative address is [None], like the initial
-     [home] *)
-  let last_page = ref (-1) and home = ref None in
+  (* Consecutive entries mostly share a page and name consecutive slots:
+     the page map answers per page, so [home] is looked up once per page
+     ([find] of a negative address is [None], like the initial [home]),
+     and the slot after the last one is tried before dividing. *)
+  let last_page = ref (-1) and home = ref None and last_i = ref (-1) in
   let on_free_list addr =
     match Page_map.find t.map addr with
     | Some b when slot_base b addr >= 0 ->
@@ -1542,7 +1543,18 @@ let check_integrity t : violation list =
             home := Page_map.find t.map addr
           end;
           let home = !home in
-          let i = match home with Some b -> slot_base b addr | None -> -1 in
+          let i =
+            match home with
+            | Some b ->
+                let next = !last_i + 1 in
+                if
+                  next < b.Block.blk_count
+                  && addr = b.Block.blk_start + (next * b.Block.blk_obj_size)
+                then next
+                else slot_base b addr
+            | None -> -1
+          in
+          last_i := i;
           let twice =
             match home with
             | Some b when i >= 0 ->
