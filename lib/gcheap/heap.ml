@@ -1527,12 +1527,6 @@ let check_integrity t : violation list =
      ([find] of a negative address is [None], like the initial [home]),
      and the slot after the last one is tried before dividing. *)
   let last_page = ref (-1) and home = ref None and last_i = ref (-1) in
-  let on_free_list addr =
-    match Page_map.find t.map addr with
-    | Some b when slot_base b addr >= 0 ->
-        Bytes.get (listed b) (slot_base b addr) <> '\000'
-    | Some _ | None -> Hashtbl.mem odd addr
-  in
   Hashtbl.iter
     (fun (cls, kind) fl ->
       List.iter
@@ -1591,9 +1585,16 @@ let check_integrity t : violation list =
      except on nursery pages, whose slots are bump-allocated and only
      join the free lists when the page is promoted.  A block whose pages
      all map back to it resolves each of its slots to itself. *)
+  let on_free_list addr =
+    match Page_map.find t.map addr with
+    | Some b when slot_base b addr >= 0 ->
+        Bytes.get (listed b) (slot_base b addr) <> '\000'
+    | Some _ | None -> Hashtbl.mem odd addr
+  in
   List.iter
     (fun blk ->
-      if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young then begin
+      if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young
+      then begin
         let alloc = blk.Block.blk_alloc and flags = listed blk in
         let exact = not (List.memq blk !misrouted) in
         for i = 0 to blk.Block.blk_count - 1 do

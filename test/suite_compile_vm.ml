@@ -441,7 +441,8 @@ let test_arena_reuse_invisible () =
     (Harness.Build.compile config src).Harness.Build.b_ir
   in
   let cfrac_ir =
-    built Harness.Build.Safe Workloads.Registry.cfrac.Workloads.Registry.w_source
+    built Harness.Build.Safe
+      Workloads.Registry.cfrac.Workloads.Registry.w_source
   in
   let config =
     {
