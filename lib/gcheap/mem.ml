@@ -22,6 +22,12 @@ exception Fault of int  (** out-of-arena access *)
    doubling when the stack block arrives) in major-GC work. *)
 let spare : Bytes.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
+(* The largest buffer kept as a spare: what a VM run's arena grows to,
+   the initial 64 pages doubled once for its stack block.  A larger
+   buffer goes back to the OCaml GC instead of staying pinned on its
+   domain. *)
+let spare_limit = 128 * page_size
+
 let create () =
   let data =
     match Domain.DLS.get spare with
@@ -32,14 +38,16 @@ let create () =
   in
   { data; brk = page_size (* skip the null page *) }
 
-(** Hand the buffer back for reuse.  Every byte at or above [brk] is
-    still zero, so zeroing [0, brk)] restores a fresh arena; [brk] drops
-    to 0, so any later access to [t] faults.  Releasing twice is a
-    no-op. *)
+(** Hand the buffer back.  Every byte at or above [brk] is still zero,
+    so zeroing [0, brk)] restores a fresh arena, kept for reuse unless
+    it has outgrown [spare_limit]; [brk] drops to 0, so any later access
+    to [t] faults.  Releasing twice is a no-op. *)
 let release t =
   if t.brk > 0 then begin
-    Bytes.fill t.data 0 t.brk '\000';
-    Domain.DLS.set spare (Some t.data);
+    if Bytes.length t.data <= spare_limit then begin
+      Bytes.fill t.data 0 t.brk '\000';
+      Domain.DLS.set spare (Some t.data)
+    end;
     t.data <- Bytes.empty;
     t.brk <- 0
   end

@@ -23,8 +23,10 @@ val create : unit -> t
 
 val release : t -> unit
 (** Zero the arena and keep its buffer for the next {!create} on this
-    domain.  Every later access to the released arena, growth included,
-    raises {!Fault}.  Releasing twice is a no-op. *)
+    domain, unless the arena has grown past the size a VM run reaches
+    (512 KB); a larger buffer is left to the OCaml GC.  Every later
+    access to the released arena, growth included, raises {!Fault}.
+    Releasing twice is a no-op. *)
 
 val limit : t -> int
 (** Highest valid address + 1. *)

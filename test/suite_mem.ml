@@ -149,6 +149,32 @@ let test_release_twice () =
   Alcotest.(check (pair int int)) "distinct buffers" (1, 2)
     (Mem.load_word m1 a1, Mem.load_word m2 a2)
 
+(* A released arena of the size a VM run reaches is handed to the next
+   [create] on the domain, which then allocates no buffer; one grown
+   past that size is left to the OCaml GC, so the next [create]
+   allocates a fresh one. *)
+let test_large_arena_not_kept () =
+  let create_allocating () =
+    let before = Gc.allocated_bytes () in
+    let m = Mem.create () in
+    (m, Gc.allocated_bytes () -. before)
+  in
+  let fresh_buffer = float_of_int (64 * Mem.page_size) in
+  let m, _ = create_allocating () in
+  ignore (Mem.grow_pages m 100);
+  Mem.release m;
+  let m, allocated = create_allocating () in
+  Alcotest.(check bool) "run-sized arena reused" true (allocated < fresh_buffer);
+  let far = Mem.grow_pages m 300 + (299 * Mem.page_size) in
+  Mem.store_word m far 7;
+  Mem.release m;
+  let m, allocated = create_allocating () in
+  Alcotest.(check bool) "large arena not handed out" true
+    (allocated >= fresh_buffer);
+  ignore (Mem.grow_pages m 300);
+  Alcotest.(check int) "fresh arena reads zero" 0 (Mem.load_word m far);
+  Mem.release m
+
 let suite =
   [
     Alcotest.test_case "width round trips" `Quick test_widths_roundtrip;
@@ -161,5 +187,7 @@ let suite =
     Alcotest.test_case "C strings" `Quick test_cstrings;
     QCheck_alcotest.to_alcotest prop_word_roundtrip;
     Alcotest.test_case "release twice" `Quick test_release_twice;
+    Alcotest.test_case "large released arena is not kept" `Quick
+      test_large_arena_not_kept;
     QCheck_alcotest.to_alcotest prop_release_then_create;
   ]
