@@ -71,6 +71,15 @@ let slot_of_addr t addr =
     let i = off / t.blk_obj_size in
     if i < t.blk_count then Some i else None
 
+(** Index of the slot based exactly at [addr], or -1 when [addr] is not a
+    slot base of this block. *)
+let slot_base t addr =
+  let off = addr - t.blk_start in
+  if off < 0 then -1
+  else
+    let i = off / t.blk_obj_size in
+    if i < t.blk_count && off = i * t.blk_obj_size then i else -1
+
 let slot_addr t i = t.blk_start + (i * t.blk_obj_size)
 
 let is_allocated t i = Bytes.get t.blk_alloc i <> '\000'

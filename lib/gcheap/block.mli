@@ -39,6 +39,10 @@ val make :
 val slot_of_addr : t -> int -> int option
 (** Index of the object slot containing an address within the block. *)
 
+val slot_base : t -> int -> int
+(** Index of the slot based exactly at an address, or -1 when the address
+    is not a slot base of the block. *)
+
 val slot_addr : t -> int -> int
 
 val is_allocated : t -> int -> bool

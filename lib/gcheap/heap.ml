@@ -1421,8 +1421,8 @@ let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.v_rule v.v_detail
 
     Invariant families:
     - [block-header]: descriptor fields are internally consistent;
-    - [page-map]: every page of every block maps back to that block, and
-      the map holds no stray blocks;
+    - [page-map]: every page of every block maps back to that block, the
+      map holds no stray blocks, and no block is listed twice;
     - [mark-bits]: a mark bit is only ever set on an allocated slot;
     - [free-list]: free lists hold exactly the free slots of small blocks,
       once each, at slot-base addresses of the right class and kind;
@@ -1435,15 +1435,6 @@ let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.v_rule v.v_detail
    an earlier check (of this heap or another) never count in this one. *)
 let integrity_checks = Atomic.make 0
 
-(* Index of the slot of [blk] based exactly at [addr], or -1. *)
-let slot_base blk addr =
-  let off = addr - blk.Block.blk_start in
-  if off < 0 then -1
-  else
-    let i = off / blk.Block.blk_obj_size in
-    if i < blk.Block.blk_count && off = i * blk.Block.blk_obj_size then i
-    else -1
-
 let check_integrity t : violation list =
   let out = ref [] in
   let report rule fmt =
@@ -1451,43 +1442,59 @@ let check_integrity t : violation list =
       (fun s -> out := { v_rule = rule; v_detail = s } :: !out)
       fmt
   in
-  (* block headers and page-map agreement *)
-  let listed_pages = ref 0 and misrouted = ref [] in
+  let check = Atomic.fetch_and_add integrity_checks 1 + 1 in
+  (* [listed blk] is [blk]'s per-slot free-list flags for this check,
+     cleared on first use; a block it has served is numbered [check] *)
+  let listed blk =
+    if blk.Block.blk_listed_pass <> check then begin
+      if Bytes.length blk.Block.blk_listed = blk.Block.blk_count then
+        Bytes.fill blk.Block.blk_listed 0 blk.Block.blk_count '\000'
+      else blk.Block.blk_listed <- Bytes.make blk.Block.blk_count '\000';
+      blk.Block.blk_listed_pass <- check
+    end;
+    blk.Block.blk_listed
+  in
+  (* block headers and page-map agreement.  A listed block already
+     numbered [check] is listed twice.  [mapped_back] counts the pages
+     that map to the (distinct) listed block they belong to, each page
+     once, so every other mapped page is a stray. *)
+  let mapped_back = ref 0 and misrouted = ref [] in
   List.iter
     (fun blk ->
-      if blk.Block.blk_obj_size <= 0 || blk.Block.blk_count <= 0 then
-        report "block-header" "block %#x: degenerate geometry (%d x %d)"
-          blk.Block.blk_start blk.Block.blk_count blk.Block.blk_obj_size;
-      if blk.Block.blk_start land (Mem.page_size - 1) <> 0 then
-        report "block-header" "block %#x is not page-aligned"
-          blk.Block.blk_start;
-      if
-        blk.Block.blk_count * blk.Block.blk_obj_size
-        > blk.Block.blk_pages * Mem.page_size
-      then
-        report "block-header"
-          "block %#x: %d objects of %d bytes overflow %d page(s)"
-          blk.Block.blk_start blk.Block.blk_count blk.Block.blk_obj_size
-          blk.Block.blk_pages;
-      listed_pages := !listed_pages + blk.Block.blk_pages;
-      for pg = 0 to blk.Block.blk_pages - 1 do
-        let addr = blk.Block.blk_start + (pg * Mem.page_size) in
-        match Page_map.find t.map addr with
-        | Some b when b == blk -> ()
-        | Some b ->
-            misrouted := blk :: !misrouted;
-            report "page-map" "page %#x of block %#x maps to block %#x"
-              addr blk.Block.blk_start b.Block.blk_start
-        | None ->
-            misrouted := blk :: !misrouted;
-            report "page-map" "page %#x of block %#x is unmapped" addr
-              blk.Block.blk_start
-      done)
+      if blk.Block.blk_listed_pass = check then
+        report "page-map" "block %#x is listed twice" blk.Block.blk_start
+      else begin
+        ignore (listed blk);
+        if blk.Block.blk_obj_size <= 0 || blk.Block.blk_count <= 0 then
+          report "block-header" "block %#x: degenerate geometry (%d x %d)"
+            blk.Block.blk_start blk.Block.blk_count blk.Block.blk_obj_size;
+        if blk.Block.blk_start land (Mem.page_size - 1) <> 0 then
+          report "block-header" "block %#x is not page-aligned"
+            blk.Block.blk_start;
+        if
+          blk.Block.blk_count * blk.Block.blk_obj_size
+          > blk.Block.blk_pages * Mem.page_size
+        then
+          report "block-header"
+            "block %#x: %d objects of %d bytes overflow %d page(s)"
+            blk.Block.blk_start blk.Block.blk_count blk.Block.blk_obj_size
+            blk.Block.blk_pages;
+        for pg = 0 to blk.Block.blk_pages - 1 do
+          let addr = blk.Block.blk_start + (pg * Mem.page_size) in
+          match Page_map.find t.map addr with
+          | Some b when b == blk -> incr mapped_back
+          | Some b ->
+              misrouted := blk :: !misrouted;
+              report "page-map" "page %#x of block %#x maps to block %#x"
+                addr blk.Block.blk_start b.Block.blk_start
+          | None ->
+              misrouted := blk :: !misrouted;
+              report "page-map" "page %#x of block %#x is unmapped" addr
+                blk.Block.blk_start
+        done
+      end)
     t.all_blocks;
-  (* no stray blocks in the page map: every page of every listed block
-     maps back to it (above), so any mapped page beyond their total is a
-     stray *)
-  let stray = Page_map.mapped_pages t.map - !listed_pages in
+  let stray = Page_map.mapped_pages t.map - !mapped_back in
   if stray > 0 then
     report "page-map" "%d stray page(s) registered in the page map" stray;
   (* per-slot invariants: mark bits and the one-extra-byte rule *)
@@ -1511,22 +1518,12 @@ let check_integrity t : violation list =
   (* free-list soundness.  Each entry sets the flag of the slot the page
      map resolves it to; an entry that resolves to no slot base is
      already a violation, and is remembered by address instead. *)
-  let check = Atomic.fetch_and_add integrity_checks 1 + 1 in
-  let listed blk =
-    if blk.Block.blk_listed_pass <> check then begin
-      if Bytes.length blk.Block.blk_listed = blk.Block.blk_count then
-        Bytes.fill blk.Block.blk_listed 0 blk.Block.blk_count '\000'
-      else blk.Block.blk_listed <- Bytes.make blk.Block.blk_count '\000';
-      blk.Block.blk_listed_pass <- check
-    end;
-    blk.Block.blk_listed
-  in
   let odd = Hashtbl.create 1 in
-  (* Consecutive entries mostly share a page and name consecutive slots:
-     the page map answers per page, so [home] is looked up once per page
-     ([find] of a negative address is [None], like the initial [home]),
-     and the slot after the last one is tried before dividing. *)
-  let last_page = ref (-1) and home = ref None and last_i = ref (-1) in
+  (* Free lists are filled block by block, by a fresh block or a sweep,
+     so consecutive entries mostly share a page: [home] is looked up once
+     per page ([find] of a negative address is [None], like the initial
+     [home]). *)
+  let last_page = ref (-1) and home = ref None in
   Hashtbl.iter
     (fun (cls, kind) fl ->
       List.iter
@@ -1538,17 +1535,8 @@ let check_integrity t : violation list =
           end;
           let home = !home in
           let i =
-            match home with
-            | Some b ->
-                let next = !last_i + 1 in
-                if
-                  next < b.Block.blk_count
-                  && addr = b.Block.blk_start + (next * b.Block.blk_obj_size)
-                then next
-                else slot_base b addr
-            | None -> -1
+            match home with Some b -> Block.slot_base b addr | None -> -1
           in
-          last_i := i;
           let twice =
             match home with
             | Some b when i >= 0 ->
@@ -1587,8 +1575,8 @@ let check_integrity t : violation list =
      all map back to it resolves each of its slots to itself. *)
   let on_free_list addr =
     match Page_map.find t.map addr with
-    | Some b when slot_base b addr >= 0 ->
-        Bytes.get (listed b) (slot_base b addr) <> '\000'
+    | Some b when Block.slot_base b addr >= 0 ->
+        Bytes.get (listed b) (Block.slot_base b addr) <> '\000'
     | Some _ | None -> Hashtbl.mem odd addr
   in
   List.iter

@@ -80,6 +80,29 @@ let test_detects_stray_page_map_block () =
     (Block.make ~start ~pages:1 ~obj_size:16 ~count:256 ~kind:Block.Normal);
   fires "page-map" h
 
+(* A block listed twice must not hide a stray of the same size: the
+   stray is still reported, and so is the duplicate. *)
+let test_detects_stray_beside_duplicate () =
+  let h = fresh () in
+  let blk = block_of h (Heap.alloc h 16) in
+  h.Heap.all_blocks <- blk :: h.Heap.all_blocks;
+  let start = Mem.grow_pages h.Heap.mem blk.Block.blk_pages in
+  Page_map.set_block h.Heap.map
+    (Block.make ~start ~pages:blk.Block.blk_pages ~obj_size:16 ~count:256
+       ~kind:Block.Normal);
+  let page_map =
+    List.filter_map
+      (fun v -> if v.Heap.v_rule = "page-map" then Some v.Heap.v_detail else None)
+      (Heap.check_integrity h)
+  in
+  Alcotest.(check (list string)) "page-map details"
+    [
+      Printf.sprintf "%d stray page(s) registered in the page map"
+        blk.Block.blk_pages;
+      Printf.sprintf "block %#x is listed twice" blk.Block.blk_start;
+    ]
+    (List.sort compare page_map)
+
 let test_detects_unmapped_page () =
   let h = fresh () in
   let a = Heap.alloc h 16 in
@@ -411,6 +434,8 @@ let suite =
       test_detects_slack_violation;
     Alcotest.test_case "integrity: stray page-map block" `Quick
       test_detects_stray_page_map_block;
+    Alcotest.test_case "integrity: stray block beside a duplicate" `Quick
+      test_detects_stray_beside_duplicate;
     Alcotest.test_case "integrity: unmapped block page" `Quick
       test_detects_unmapped_page;
     Alcotest.test_case "integrity: block-header violation" `Quick
