@@ -230,6 +230,12 @@ let no_cache_arg =
 let apply_cache_flag no_cache =
   if no_cache then Harness.Build.set_cache_enabled false
 
+(* The service's logical build tier reads each request's [use_cache], not
+   the process-wide switch, so [--no-cache] must also mark the requests
+   themselves or the report counts hits no build ever had. *)
+let mark_no_cache no_cache (req : Harness.Request.t) =
+  if no_cache then { req with Harness.Request.use_cache = false } else req
+
 let json_flag_arg =
   let doc = "Emit one JSON document instead of tables." in
   Arg.(value & flag & info [ "json" ] ~doc)
@@ -1157,7 +1163,8 @@ let serve_cmd =
                 List.iter
                   (function
                     | Ok (arrival, req) ->
-                        Service.Gcsafed.submit ?arrival t req
+                        Service.Gcsafed.submit ?arrival t
+                          (mark_no_cache no_cache req)
                     | Error _ -> ())
                   items;
                 Service.Gcsafed.shutdown t;
@@ -1262,13 +1269,6 @@ let bomb_cmd =
           }
         in
         let stream = Service.Trafficgen.generate spec in
-        let stream =
-          if no_cache then
-            List.map
-              (fun (a, r) -> (a, { r with Harness.Request.use_cache = false }))
-              stream
-          else stream
-        in
         let t0 = Unix.gettimeofday () in
         with_events_emitter events (fun emit ->
             Exec.Pool.with_pool ~jobs (fun pool ->
@@ -1277,7 +1277,9 @@ let bomb_cmd =
                     (service_config servers queue)
                 in
                 List.iter
-                  (fun (arrival, req) -> Service.Gcsafed.submit ~arrival t req)
+                  (fun (arrival, req) ->
+                    Service.Gcsafed.submit ~arrival t
+                      (mark_no_cache no_cache req))
                   stream;
                 Service.Gcsafed.shutdown t;
                 let wall_s = Unix.gettimeofday () -. t0 in

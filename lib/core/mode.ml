@@ -35,9 +35,8 @@ type options = {
   expand_incr : bool;
       (** the paper's optimization (2): specialized expansion of [++]/[--]
           on simple variables that avoids forcing them into memory *)
-  loop_heuristic : bool;
-      (** the paper's optimization (3): replace rapidly-varying base
-          pointers in loops by equivalent slowly-varying ones *)
+  (* optimization (3), slowly-varying loop base pointers, is a separate
+     pass over the annotated program: [Loop_heuristic.apply] *)
   calls_only : bool;
       (** the paper's optimization (4): "If we know that garbage
           collections can be triggered only at procedure calls, the number
@@ -66,7 +65,6 @@ let default mode =
     mode;
     suppress_copies = true;
     expand_incr = true;
-    loop_heuristic = false;
     calls_only = false;
     heapness_analysis = false;
     check_base_stores = false;

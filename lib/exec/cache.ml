@@ -1,5 +1,5 @@
-(** Single-flight memo cache with LRU eviction, counters, and optional
-    artifact fingerprinting.
+(** Single-flight memo cache with counters and optional artifact
+    fingerprinting.
 
     Slots are [Building] while a builder is in flight, so concurrent
     domains asking for the same key block on [settled] instead of
@@ -8,7 +8,7 @@
 
     When a fingerprint function is installed, every artifact's digest is
     recorded at insertion and re-verified on every hit; a mismatch (a
-    corrupted artifact) is counted, the entry is evicted, and the request
+    corrupted artifact) is counted, the entry is dropped, and the request
     falls through to an ordinary single-flight rebuild — a rotten
     artifact is never served. *)
 
@@ -18,81 +18,29 @@ type 'v t = {
   lock : Mutex.t;
   settled : Condition.t;  (** broadcast when a Building slot resolves *)
   table : (string, 'v slot) Hashtbl.t;
-  last_use : (string, int) Hashtbl.t;
-  mutable clock : int;
-  capacity : int option;
   fingerprint : ('v -> string) option;
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
   mutable corruptions : int;
 }
 
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;
   corruptions : int;
   entries : int;
 }
 
-let create ?capacity ?fingerprint () =
+let create ?fingerprint () =
   {
     lock = Mutex.create ();
     settled = Condition.create ();
     table = Hashtbl.create 64;
-    last_use = Hashtbl.create 64;
-    clock = 0;
-    capacity;
     fingerprint;
     hits = 0;
     misses = 0;
-    evictions = 0;
     corruptions = 0;
   }
-
-let touch t key =
-  t.clock <- t.clock + 1;
-  Hashtbl.replace t.last_use key t.clock
-
-(* Called under the lock, after inserting [fresh]: evict finished
-   artifacts, oldest use first, until within capacity.  In-flight slots
-   and the entry just inserted are never evicted. *)
-let enforce_capacity t ~fresh =
-  match t.capacity with
-  | None -> ()
-  | Some cap ->
-      let ready_count () =
-        Hashtbl.fold
-          (fun _ slot n -> match slot with Ready _ -> n + 1 | Building -> n)
-          t.table 0
-      in
-      while ready_count () > max 1 cap do
-        let victim =
-          Hashtbl.fold
-            (fun key slot acc ->
-              match slot with
-              | Building -> acc
-              | Ready _ when key = fresh -> acc
-              | Ready _ -> (
-                  let use =
-                    Option.value ~default:0 (Hashtbl.find_opt t.last_use key)
-                  in
-                  match acc with
-                  | Some (_, best) when best <= use -> acc
-                  | _ -> Some (key, use)))
-            t.table None
-        in
-        match victim with
-        | None -> raise Exit
-        | Some (key, _) ->
-            Hashtbl.remove t.table key;
-            Hashtbl.remove t.last_use key;
-            t.evictions <- t.evictions + 1
-      done
-
-let enforce_capacity t ~fresh =
-  try enforce_capacity t ~fresh with Exit -> ()
 
 (* Release a Building slot whose builder failed.  Centralized so the
    single-flight invariant — a Building slot always resolves, and every
@@ -104,7 +52,6 @@ let enforce_capacity t ~fresh =
 let release_failed t key =
   Mutex.lock t.lock;
   Hashtbl.remove t.table key;
-  Hashtbl.remove t.last_use key;
   Condition.broadcast t.settled;
   Mutex.unlock t.lock
 
@@ -119,16 +66,14 @@ let rec find_or_build_outcome t key build =
       in
       if not corrupted then begin
         t.hits <- t.hits + 1;
-        touch t key;
         Mutex.unlock t.lock;
         (v, true)
       end
       else begin
-        (* the artifact rotted under us: count it, evict it, and fall
+        (* the artifact rotted under us: count it, drop it, and fall
            through to an ordinary single-flight rebuild *)
         t.corruptions <- t.corruptions + 1;
         Hashtbl.remove t.table key;
-        Hashtbl.remove t.last_use key;
         Mutex.unlock t.lock;
         find_or_build_outcome t key build
       end)
@@ -157,8 +102,6 @@ let rec find_or_build_outcome t key build =
          same basis makes the layers agree by construction *)
       t.misses <- t.misses + 1;
       Hashtbl.replace t.table key (Ready (v, fp));
-      touch t key;
-      enforce_capacity t ~fresh:key;
       Condition.broadcast t.settled;
       Mutex.unlock t.lock;
       (v, false)
@@ -193,17 +136,9 @@ let corrupt t key mutate =
 
 let clear t =
   Mutex.lock t.lock;
-  let keys =
-    Hashtbl.fold
-      (fun key slot acc ->
-        match slot with Ready _ -> key :: acc | Building -> acc)
-      t.table []
-  in
-  List.iter
-    (fun key ->
-      Hashtbl.remove t.table key;
-      Hashtbl.remove t.last_use key)
-    keys;
+  Hashtbl.filter_map_inplace
+    (fun _ slot -> match slot with Ready _ -> None | Building -> Some slot)
+    t.table;
   Mutex.unlock t.lock
 
 let stats t =
@@ -214,13 +149,7 @@ let stats t =
       t.table 0
   in
   let s =
-    {
-      hits = t.hits;
-      misses = t.misses;
-      evictions = t.evictions;
-      corruptions = t.corruptions;
-      entries;
-    }
+    { hits = t.hits; misses = t.misses; corruptions = t.corruptions; entries }
   in
   Mutex.unlock t.lock;
   s
@@ -229,10 +158,5 @@ let reset_stats t =
   Mutex.lock t.lock;
   t.hits <- 0;
   t.misses <- 0;
-  t.evictions <- 0;
   t.corruptions <- 0;
   Mutex.unlock t.lock
-
-let hit_rate (s : stats) =
-  let lookups = s.hits + s.misses in
-  if lookups = 0 then 0.0 else float_of_int s.hits /. float_of_int lookups

@@ -7,8 +7,9 @@
     once: concurrent requests for the same key run the builder exactly
     once, and every requester gets the physically-equal artifact.
 
-    Hit/miss/eviction counters are maintained for observability — the
-    bench prints them, and the harness asserts hit rates on them. *)
+    Hit/miss/corruption counters are maintained for observability — the
+    bench prints them, and the harness asserts hit rates on them.
+    Artifacts stay resident until {!clear}: the cache never evicts. *)
 
 type 'v t
 
@@ -19,18 +20,14 @@ type stats = {
           counts nothing, so this agrees with accounting layers above
           that count settled builds (e.g. the registry's
           [build/cache/misses]) *)
-  evictions : int;
   corruptions : int;  (** fingerprint mismatches detected on hit *)
   entries : int;  (** artifacts currently resident *)
 }
 
-val create : ?capacity:int -> ?fingerprint:('v -> string) -> unit -> 'v t
-(** [capacity] bounds resident artifacts; the least-recently-used entry
-    is evicted on overflow.  Default: unbounded.
-
-    [fingerprint] enables artifact verification: the digest is recorded
+val create : ?fingerprint:('v -> string) -> unit -> 'v t
+(** [fingerprint] enables artifact verification: the digest is recorded
     when an artifact is inserted and re-checked on every hit.  A
-    mismatch counts as a corruption, evicts the entry, and the request
+    mismatch counts as a corruption, drops the entry, and the request
     degrades to an ordinary single-flight rebuild — a corrupted
     artifact is never served.  The function must be pure and cheap (it
     runs under the cache lock). *)
@@ -61,12 +58,8 @@ val corrupt : 'v t -> string -> ('v -> 'v) -> bool
     as-is, exactly like the unverified cache it is). *)
 
 val clear : 'v t -> unit
-(** Drop all finished artifacts (counters are kept; not counted as
-    evictions). *)
+(** Drop all finished artifacts (counters are kept). *)
 
 val stats : 'v t -> stats
 
 val reset_stats : 'v t -> unit
-
-val hit_rate : stats -> float
-(** Hits over lookups, in [0, 1]; 0 when nothing was looked up. *)

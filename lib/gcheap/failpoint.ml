@@ -6,7 +6,8 @@
     allocations outright (by allocation ordinal), so a failing run is
     reproducible bit for bit and a search over failure points is a loop
     over plans.  The representation mirrors [Machine.Schedule]: explicit
-    point sets are a bit-set over ordinals.
+    point sets are a bit-set over ordinals, and [Machine.Schedule] reuses
+    this bit-set for its safepoint indices.
 
     Ordinals are 1-based: point [k] means "the [k]th allocation the heap
     performs fails". *)

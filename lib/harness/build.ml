@@ -49,15 +49,14 @@ type built = {
 }
 
 (** Build options: everything besides the configuration and the source
-    that affects the produced code.  One record, so call sites stay
-    stable as inputs are added and the artifact cache can key on the
-    whole record. *)
+    that affects the produced code, plus [use_cache], which steers the
+    lookup.  One record, so call sites stay stable as inputs are added
+    and the artifact cache can key on it. *)
 type options = {
   nregs : int;
   loop_heuristic : bool;
   use_cache : bool;
   analysis : Gcsafe.Mode.analysis;
-  gc_mode : Gcheap.Heap.gc_mode;
 }
 
 let default =
@@ -66,7 +65,6 @@ let default =
     loop_heuristic = false;
     use_cache = true;
     analysis = Gcsafe.Mode.A_flow;
-    gc_mode = Gcheap.Heap.Stw;
   }
 
 let for_machine (m : Machine.Machdesc.t) =
@@ -160,8 +158,6 @@ let enabled = Atomic.make true
 
 let set_cache_enabled b = Atomic.set enabled b
 
-let cache_enabled () = Atomic.get enabled
-
 let cache_stats () = Exec.Cache.stats cache
 
 let reset_cache () =
@@ -171,24 +167,14 @@ let reset_cache () =
 (* The config name and the option fields are ':'-separated in front of a
    fixed-width source digest, and none of them can contain ':', so the
    key is injective in every input that affects the produced code.
-   [use_cache] steers the lookup, not the artifact, and is excluded.
-
-   [artifact_key] is the part that actually shapes the produced code —
-   the differ dedups builds on it ([Request.matrix_key] appends the
-   source digest).  [cache_key] adds the gc mode: it does not change the
-   code, but it is part of the record identity the harness threads
-   around (a cached artifact answers for the exact options it was
-   requested under). *)
-let artifact_key (options : options) (config : config) : string =
-  Printf.sprintf "%s:%d:%b:%s" (config_name config) options.nregs
-    options.loop_heuristic
-    (Gcsafe.Mode.analysis_to_string options.analysis)
-
+   [use_cache] steers the lookup, not the artifact, and is excluded; so
+   is every run-time knob (the collector mode among them), which is why
+   one artifact serves every run of the same code. *)
 let cache_key (options : options) (config : config) (source : string) : string
     =
-  Printf.sprintf "%s:%s:%s"
-    (artifact_key options config)
-    (Gcheap.Heap.gc_mode_name options.gc_mode)
+  Printf.sprintf "%s:%d:%b:%s:%s" (config_name config) options.nregs
+    options.loop_heuristic
+    (Gcsafe.Mode.analysis_to_string options.analysis)
     (Digest.to_hex (Digest.string source))
 
 (* ------------------------------------------------------------------ *)
@@ -207,7 +193,6 @@ let session_stats (s : session) : Exec.Cache.stats =
   {
     Exec.Cache.hits = now.Exec.Cache.hits - s.s_base.Exec.Cache.hits;
     misses = now.Exec.Cache.misses - s.s_base.Exec.Cache.misses;
-    evictions = now.Exec.Cache.evictions - s.s_base.Exec.Cache.evictions;
     corruptions = now.Exec.Cache.corruptions - s.s_base.Exec.Cache.corruptions;
     entries = now.Exec.Cache.entries;
   }

@@ -35,8 +35,9 @@ type built = {
 
     Everything besides the configuration and the source that affects the
     produced code lives in one record, so call sites stay stable as
-    inputs are added and the artifact cache can key on the whole
-    record. *)
+    inputs are added and the artifact cache can key on it.  Run-time
+    choices (the collector mode, schedules, ceilings) are not build
+    options: one artifact serves every run of the same code. *)
 
 type options = {
   nregs : int;  (** physical registers available to the allocator *)
@@ -51,16 +52,10 @@ type options = {
           defaults to [A_flow] — annotate only what the dataflow clients
           cannot prove redundant; [A_none] reproduces the paper's
           implementation verbatim. *)
-  gc_mode : Gcheap.Heap.gc_mode;
-      (** which collector the built program is intended to run under
-          (stop-the-world or generational).  Does not change the
-          produced code, but it is part of the options identity the
-          harness threads through the differential matrix. *)
 }
 
 val default : options
-(** 32 registers, no loop heuristic, cache on, [A_flow] analysis,
-    stop-the-world collection. *)
+(** 32 registers, no loop heuristic, cache on, [A_flow] analysis. *)
 
 val for_machine : Machine.Machdesc.t -> options
 (** {!default} with the machine's register file size, so measurements
@@ -93,23 +88,17 @@ type session
 val new_session : unit -> session
 
 val session_stats : session -> Exec.Cache.stats
-(** Hits/misses/evictions since {!new_session}; [entries] is current
+(** Hits/misses/corruptions since {!new_session}; [entries] is current
     residency (not a delta). *)
 
 (** {1 The artifact cache} *)
 
-val artifact_key : options -> config -> string
-(** The canonical identity of the code an (options, config) pair
-    produces: configuration, register count, loop heuristic, analysis.
-    Excludes the gc mode (a run-time property) and [use_cache] (steers
-    the lookup, not the artifact).  Injective in those inputs; the
-    differ's matrix key and {!cache_key} are both derived from it. *)
-
 val cache_key : options -> config -> string -> string
-(** The content address of a build: {!artifact_key} plus the gc mode
-    and the source digest.  The gc mode does not change the produced
-    code, but it is part of the record identity the harness threads
-    around.  Injective in those inputs (modulo digest collisions). *)
+(** The one build identity, [config:nregs:loop_heuristic:analysis:digest]:
+    exactly the inputs that shape the produced code.  Excludes
+    [use_cache] (steers the lookup, not the artifact).  Injective in
+    those inputs (modulo digest collisions); the cache, the differ's
+    build dedup and the service's build tier all key on it. *)
 
 val cache_stats : unit -> Exec.Cache.stats
 
@@ -125,5 +114,3 @@ val reset_cache : unit -> unit
 val set_cache_enabled : bool -> unit
 (** Process-wide escape hatch (the CLI's [--no-cache]): when disabled,
     every [compile] rebuilds regardless of [options.use_cache]. *)
-
-val cache_enabled : unit -> bool

@@ -16,7 +16,7 @@ let subject_name s = Request.describe s.s_request
 let default_machines = Request.default_matrix.Request.m_machines
 
 (** Build one subject per request, compiling each distinct
-    {!Request.matrix_key} once.  Register allocation is the only
+    {!Request.cache_key} once.  Register allocation is the only
     machine-dependent build step and the gc mode affects the run, not
     the artifact, so requests across machines with equal register counts
     and across collector modes share one built artifact.  [pool] fans
@@ -28,7 +28,7 @@ let build_matrix ?(pool = Exec.Pool.serial) (requests : Request.t list) :
     let seen = Hashtbl.create 16 in
     List.filter
       (fun r ->
-        let key = Request.matrix_key r in
+        let key = Request.cache_key r in
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.add seen key ();
@@ -39,14 +39,14 @@ let build_matrix ?(pool = Exec.Pool.serial) (requests : Request.t list) :
   let built =
     Exec.Pool.map pool
       (fun r ->
-        ( Request.matrix_key r,
+        ( Request.cache_key r,
           Build.compile
             ~options:(Request.build_options r)
             r.Request.config r.Request.source ))
       distinct
   in
   List.map
-    (fun r -> { s_request = r; s_built = List.assoc (Request.matrix_key r) built })
+    (fun r -> { s_request = r; s_built = List.assoc (Request.cache_key r) built })
     requests
 
 (** The matrix-over-one-source convenience the CLI and the stress plans

@@ -25,7 +25,7 @@ val default_machines : Machine.Machdesc.t list
 
 val build_matrix : ?pool:Exec.Pool.t -> Request.t list -> subject list
 (** One subject per request, compiling each distinct
-    {!Request.matrix_key} once (requests across machines with equal
+    {!Request.cache_key} once (requests across machines with equal
     register counts and across collector modes share one artifact).
     [pool] fans the distinct builds out over worker domains.  Subjects
     come back in request order. *)

@@ -23,7 +23,8 @@ type t = {
 }
 
 let make ?(label = "") ?(config = Build.Safe)
-    ?(machine = Machine.Machdesc.sparc10) ?analysis ?gc_mode ?loop_heuristic
+    ?(machine = Machine.Machdesc.sparc10) ?analysis ?(gc_mode = Gcheap.Heap.Stw)
+    ?loop_heuristic
     ?use_cache ?(schedule = Machine.Schedule.Auto) ?(check_integrity = false)
     ?(final_collect = false) ?gc_threshold ?gc_pause_budget ?max_instrs
     ?max_heap ?(heap_limit = 0) ?(oom_policy = Gcheap.Heap.Collect_expand)
@@ -35,7 +36,7 @@ let make ?(label = "") ?(config = Build.Safe)
     config;
     machine;
     analysis = Option.value ~default:d.Build.analysis analysis;
-    gc_mode = Option.value ~default:d.Build.gc_mode gc_mode;
+    gc_mode;
     loop_heuristic = Option.value ~default:d.Build.loop_heuristic loop_heuristic;
     use_cache = Option.value ~default:d.Build.use_cache use_cache;
     schedule;
@@ -57,15 +58,9 @@ let build_options (r : t) : Build.options =
     Build.loop_heuristic = r.loop_heuristic;
     Build.use_cache = r.use_cache;
     Build.analysis = r.analysis;
-    Build.gc_mode = r.gc_mode;
   }
 
 let cache_key r = Build.cache_key (build_options r) r.config r.source
-
-let matrix_key r =
-  Build.artifact_key (build_options r) r.config
-  ^ ":"
-  ^ Digest.to_hex (Digest.string r.source)
 
 (* the harness defaults ([A_flow], stop-the-world collection) stay
    untagged; the variants announce themselves *)

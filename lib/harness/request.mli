@@ -7,8 +7,7 @@
     [?heap_limit], [?oom_policy], [?alloc_failpoints], ...).  A request
     collapses them into a first-class value: the same record a
     [gcsafed] wire request deserializes into, the record the differ's
-    subjects carry, and the source of the canonical cache and matrix
-    keys.  Smart constructors mirror {!Build.default} /
+    subjects carry, and the source of the canonical build key.  Smart constructors mirror {!Build.default} /
     {!Build.for_machine}. *)
 
 type t = {
@@ -37,9 +36,9 @@ type t = {
       (** request-scoped trace id for flight-recorder / phase-span
           correlation; 0 (the default) means "unassigned" — the service
           stamps a fresh one at submission.  Deliberately excluded from
-          {!cache_key} and {!matrix_key}, which derive from the build
-          options, config and source only, so tracing never perturbs
-          caching or artifact sharing. *)
+          {!cache_key}, which derives from the build options, config and
+          source only, so tracing never perturbs caching or artifact
+          sharing. *)
 }
 
 val make :
@@ -64,26 +63,23 @@ val make :
   string ->
   t
 (** [make source] with the harness defaults: [Safe] on sparc10,
-    {!Build.for_machine} options ([A_flow], stop-the-world, cache on),
-    [Auto] schedule, no sanitizing, no ceilings, no injected faults.
+    {!Build.for_machine} options ([A_flow], cache on), stop-the-world
+    collection, [Auto] schedule, no sanitizing, no ceilings, no injected faults.
     Overrides are record updates from here on — the call-site dialect
     of optional arguments stops at this constructor. *)
 
 val build_options : t -> Build.options
 (** The {!Build.options} this request compiles under (register count
-    from [machine], analysis/gc mode/loop heuristic/cache use from the
+    from [machine], analysis/loop heuristic/cache use from the
     request). *)
 
 val cache_key : t -> string
 (** The canonical content address of this request's build —
-    {!Build.cache_key} over {!build_options}; what {!Exec.Cache} keys
-    on. *)
-
-val matrix_key : t -> string
-(** The canonical build-dedup key: {!Build.artifact_key} (excluding the
-    gc mode, a run-time property) plus the source digest.  Two requests
-    with equal matrix keys share one built artifact in a differ
-    matrix. *)
+    {!Build.cache_key} over {!build_options}.  Run-time fields (gc mode,
+    schedule, ceilings, injected faults, trace id) are not part of it:
+    two requests with equal keys share one built artifact, in the
+    artifact cache, a differ matrix and the service's build tier
+    alike. *)
 
 val describe : t -> string
 (** ["config @ machine"], tagged [" [analysis=none]"] for

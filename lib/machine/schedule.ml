@@ -12,38 +12,15 @@
     safepoint index, so index [k] means "collect immediately after the
     [k]th executed instruction". *)
 
-type points = Bytes.t
-(** A bit-set of safepoint indices. *)
+(* A bit-set of safepoint indices, in the allocation-failure plans'
+   representation. *)
+type points = Gcheap.Failpoint.points
 
-let no_points : points = Bytes.empty
-
-let points_of_list (l : int list) : points =
-  let m = List.fold_left max (-1) l in
-  if m < 0 then no_points
-  else begin
-    let b = Bytes.make ((m / 8) + 1) '\000' in
-    List.iter
-      (fun i ->
-        if i >= 0 then
-          Bytes.set b (i / 8)
-            (Char.chr (Char.code (Bytes.get b (i / 8)) lor (1 lsl (i mod 8)))))
-      l;
-    b
-  end
-
-let points_mem (b : points) i =
-  i >= 0
-  && i / 8 < Bytes.length b
-  && Char.code (Bytes.get b (i / 8)) land (1 lsl (i mod 8)) <> 0
-
-let points_to_list (b : points) =
-  let acc = ref [] in
-  for i = (8 * Bytes.length b) - 1 downto 0 do
-    if points_mem b i then acc := i :: !acc
-  done;
-  !acc
-
-let points_cardinal b = List.length (points_to_list b)
+let no_points = Gcheap.Failpoint.no_points
+let points_of_list = Gcheap.Failpoint.points_of_list
+let points_mem = Gcheap.Failpoint.points_mem
+let points_to_list = Gcheap.Failpoint.points_to_list
+let points_cardinal = Gcheap.Failpoint.points_cardinal
 
 type t =
   | Auto  (** no injected collections: allocation volume triggers only *)

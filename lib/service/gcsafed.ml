@@ -514,7 +514,6 @@ let report_to_json ?wall_s t =
           [
             ("hits", Json.Int cache.Exec.Cache.hits);
             ("misses", Json.Int cache.Exec.Cache.misses);
-            ("evictions", Json.Int cache.Exec.Cache.evictions);
             ("corruptions", Json.Int cache.Exec.Cache.corruptions);
             ("entries", Json.Int cache.Exec.Cache.entries);
           ] );

@@ -76,20 +76,6 @@ type finding = {
       (** captured flight-recorder dump of the injected run *)
 }
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let sanitize_component s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c
-      | _ -> '-')
-    s
-
 type report = {
   c_plan_seed : int;
   c_subject_count : int;
@@ -198,18 +184,15 @@ let sweep_subject ~pool ~plan ~(target : Corpus.target) subject =
         match plan.c_flight_dir with
         | None -> None
         | Some dir ->
-            mkdir_p dir;
             let recorder = Telemetry.Flight_recorder.create () in
             let sink = Telemetry.Sink.make ~recorder () in
             ignore
               (observe ~telemetry:sink ~oom_policy ~alloc_failpoints:fp
                  ~max_instrs:budget ());
             let path =
-              Filename.concat dir
-                (Printf.sprintf "%s-%s-%d.flight.json"
-                   (sanitize_component target.Corpus.t_name)
-                   (sanitize_component (Differ.subject_name subject))
-                   !flight_seq)
+              Driver.capture_path dir ~target:target.Corpus.t_name
+                ~subject:(Differ.subject_name subject) !flight_seq
+                "flight.json"
             in
             incr flight_seq;
             Telemetry.Flight_recorder.write_file recorder path;
@@ -426,7 +409,7 @@ let sweep_cache ~(target : Corpus.target) subjects =
     (fun subject ->
       let req = subject.Differ.s_request in
       let options = Request.build_options req in
-      let key = Request.matrix_key req in
+      let key = Request.cache_key req in
       if not (Hashtbl.mem seen key) then begin
         Hashtbl.add seen key ();
         let before = (Build.cache_stats ()).Exec.Cache.corruptions in

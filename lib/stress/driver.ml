@@ -128,6 +128,12 @@ let sanitize_component s =
       | _ -> '-')
     s
 
+let capture_path dir ~target ~subject n ext =
+  mkdir_p dir;
+  Filename.concat dir
+    (Printf.sprintf "%s-%s-%d.%s" (sanitize_component target)
+       (sanitize_component subject) n ext)
+
 (** One target against the whole matrix. *)
 let run_target ?(pool = Exec.Pool.serial) (plan : plan)
     (target : Corpus.target) : finding list * int * int =
@@ -155,21 +161,18 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
     match plan.p_trace_dir with
     | None -> (None, None)
     | Some dir ->
-        mkdir_p dir;
         let tr = Telemetry.Trace.create () in
         let recorder = Telemetry.Flight_recorder.create () in
         let sink = Telemetry.Sink.make ~trace:tr ~recorder () in
         ignore (observe_raw ~telemetry:sink ~schedule s);
-        let base =
-          Printf.sprintf "%s-%s-%d"
-            (sanitize_component target.Corpus.t_name)
-            (sanitize_component (Differ.subject_name s))
-            !trace_seq
+        let path =
+          capture_path dir ~target:target.Corpus.t_name
+            ~subject:(Differ.subject_name s) !trace_seq
         in
         incr trace_seq;
-        let trace_path = Filename.concat dir (base ^ ".trace.json") in
+        let trace_path = path "trace.json" in
         Telemetry.Trace.write_file tr trace_path;
-        let flight_path = Filename.concat dir (base ^ ".flight.json") in
+        let flight_path = path "flight.json" in
         Telemetry.Flight_recorder.write_file recorder flight_path;
         (Some trace_path, Some flight_path)
   in

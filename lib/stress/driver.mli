@@ -83,6 +83,14 @@ val run_target :
 
 val run : ?plan:plan -> Corpus.target list -> report
 
+val capture_path :
+  string -> target:string -> subject:string -> int -> string -> string
+(** [capture_path dir ~target ~subject n ext] is
+    [<dir>/<target>-<subject>-<n>.<ext>], the file a finding's captured
+    trace or flight-recorder dump lands in; [dir] is created on demand
+    and the names are reduced to filename-safe characters.  The chaos
+    sweep names its captures the same way. *)
+
 val pp_finding : Format.formatter -> finding -> unit
 
 val pp_report : Format.formatter -> report -> unit

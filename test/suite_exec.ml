@@ -85,20 +85,6 @@ let test_cache_counters () =
   Cache.clear c;
   Alcotest.(check bool) "cleared" false (Cache.mem c "k")
 
-let test_cache_eviction () =
-  let c : int Cache.t = Cache.create ~capacity:2 () in
-  ignore (Cache.find_or_build c "a" (fun () -> 1));
-  ignore (Cache.find_or_build c "b" (fun () -> 2));
-  ignore (Cache.find_or_build c "a" (fun () -> 1));
-  (* touch a: b is now LRU *)
-  ignore (Cache.find_or_build c "c" (fun () -> 3));
-  let s = Cache.stats c in
-  Alcotest.(check int) "capacity held" 2 s.Cache.entries;
-  Alcotest.(check int) "one eviction" 1 s.Cache.evictions;
-  Alcotest.(check bool) "a survived (recently used)" true (Cache.mem c "a");
-  Alcotest.(check bool) "b evicted (least recently used)" false
-    (Cache.mem c "b")
-
 let test_cache_failed_build_releases_slot () =
   let c : int Cache.t = Cache.create () in
   (match Cache.find_or_build c "k" (fun () -> failwith "boom") with
@@ -135,6 +121,24 @@ let test_build_cache_physical_equality () =
   Alcotest.(check bool) "hit returns the physically-equal built" true
     (b1 == b2);
   let s = Build.cache_stats () in
+  Alcotest.(check int) "one build" 1 s.Exec.Cache.misses;
+  Alcotest.(check int) "one hit" 1 s.Exec.Cache.hits
+
+(* regression: the collector mode is a run-time choice, not a build
+   input, so two requests that differ only in it share one artifact *)
+let test_build_cache_gc_mode_shares_artifact () =
+  Build.reset_cache ();
+  let session = Build.new_session () in
+  let compile gc_mode =
+    let r = Harness.Request.make ~gc_mode src_cached in
+    Build.compile
+      ~options:(Harness.Request.build_options r)
+      r.Harness.Request.config r.Harness.Request.source
+  in
+  let stw = compile Gcheap.Heap.Stw in
+  let gen = compile Gcheap.Heap.Gen in
+  Alcotest.(check bool) "gen run reuses the stw artifact" true (stw == gen);
+  let s = Build.session_stats session in
   Alcotest.(check int) "one build" 1 s.Exec.Cache.misses;
   Alcotest.(check int) "one hit" 1 s.Exec.Cache.hits
 
@@ -207,21 +211,19 @@ let gen_input =
     let* loop_heuristic = bool in
     let* use_cache = bool in
     let* analysis = oneofl [ Gcsafe.Mode.A_none; Gcsafe.Mode.A_flow ] in
-    let* gc_mode = oneofl [ Gcheap.Heap.Stw; Gcheap.Heap.Gen ] in
     let* config = oneofl Build.all_configs in
     let* source = oneofl (Array.to_list sources) in
     return
-      ( { Build.nregs; loop_heuristic; use_cache; analysis; gc_mode },
+      ( { Build.nregs; loop_heuristic; use_cache; analysis },
         config,
         source ))
 
 let arb_input =
   QCheck.make
     ~print:(fun (o, c, s) ->
-      Printf.sprintf "{nregs=%d; loop=%b; cache=%b; analysis=%s; gc=%s} %s %S"
+      Printf.sprintf "{nregs=%d; loop=%b; cache=%b; analysis=%s} %s %S"
         o.Build.nregs o.Build.loop_heuristic o.Build.use_cache
         (Gcsafe.Mode.analysis_to_string o.Build.analysis)
-        (Gcheap.Heap.gc_mode_name o.Build.gc_mode)
         (Build.config_name c) s)
     gen_input
 
@@ -233,7 +235,6 @@ let prop_cache_key_injective =
         o1.Build.nregs = o2.Build.nregs
         && o1.Build.loop_heuristic = o2.Build.loop_heuristic
         && o1.Build.analysis = o2.Build.analysis
-        && o1.Build.gc_mode = o2.Build.gc_mode
         && c1 = c2 && s1 = s2
       in
       (* use_cache steers the lookup, not the artifact: it must not
@@ -313,8 +314,6 @@ let suite =
     Alcotest.test_case "pool: first-index exception wins" `Quick
       test_pool_exception;
     Alcotest.test_case "cache: counters and clear" `Quick test_cache_counters;
-    Alcotest.test_case "cache: LRU eviction at capacity" `Quick
-      test_cache_eviction;
     Alcotest.test_case "cache: failed build releases the slot" `Quick
       test_cache_failed_build_releases_slot;
     Alcotest.test_case "cache: failed build is not a miss" `Quick
@@ -323,6 +322,8 @@ let suite =
       `Quick test_build_cache_agrees_with_registry;
     Alcotest.test_case "build cache: hits physically equal" `Quick
       test_build_cache_physical_equality;
+    Alcotest.test_case "build cache: gc modes share one artifact" `Quick
+      test_build_cache_gc_mode_shares_artifact;
     Alcotest.test_case "build cache: parallel single-flight" `Quick
       test_build_cache_parallel_single_flight;
     Alcotest.test_case "build cache: escape hatches" `Quick

@@ -21,8 +21,9 @@ let class_of c = Outcome.class_name c.Gcsafed.r_outcome
 (* --- canonical keys (qcheck injectivity) ------------------------------- *)
 
 (* cache_key must separate requests exactly when a build-relevant input
-   differs: config, register count, loop heuristic, analysis, gc mode or
-   source.  matrix_key is the same minus the gc mode. *)
+   differs: config, register count, loop heuristic, analysis or source.
+   The gc mode is drawn too, and must not split the key: it shapes the
+   run, not the code. *)
 let arb_request =
   let open QCheck in
   let sources =
@@ -57,25 +58,15 @@ let cache_proj (r : Request.t) =
     r.Request.machine.Machine.Machdesc.md_regs,
     r.Request.loop_heuristic,
     r.Request.analysis,
-    r.Request.gc_mode,
-    r.Request.source )
-
-let matrix_proj (r : Request.t) =
-  ( Harness.Build.config_id r.Request.config,
-    r.Request.machine.Machine.Machdesc.md_regs,
-    r.Request.loop_heuristic,
-    r.Request.analysis,
     r.Request.source )
 
 let prop_key_injective =
   QCheck.Test.make ~count:500
-    ~name:"cache_key/matrix_key separate exactly the build-relevant inputs"
+    ~name:"cache_key separates exactly the build-relevant inputs"
     QCheck.(pair arb_request arb_request)
     (fun (r1, r2) ->
       (Request.cache_key r1 = Request.cache_key r2)
-      = (cache_proj r1 = cache_proj r2)
-      && (Request.matrix_key r1 = Request.matrix_key r2)
-         = (matrix_proj r1 = matrix_proj r2))
+      = (cache_proj r1 = cache_proj r2))
 
 (* --- wire format -------------------------------------------------------- *)
 
@@ -190,6 +181,18 @@ let test_drain_on_shutdown () =
     [ "ok"; "ok"; "ok"; "rejected-overload" ]
     (List.map class_of (Gcsafed.completions t));
   Gcsafed.shutdown t (* idempotent *)
+
+(* regression: the logical build tier keys on the one build identity, so
+   the same source under a second collector mode is a hit *)
+let test_gc_modes_share_build_tier () =
+  let t = Gcsafed.create Gcsafed.default_config in
+  List.iter
+    (fun gc_mode -> Gcsafed.submit t (Request.make ~gc_mode trivial_src))
+    [ Gcheap.Heap.Stw; Gcheap.Heap.Gen ];
+  Gcsafed.drain t;
+  let r = Gcsafed.report t in
+  Alcotest.(check int) "one logical miss" 1 r.Gcsafed.rp_cache_misses;
+  Alcotest.(check int) "one logical hit" 1 r.Gcsafed.rp_cache_hits
 
 (* --- determinism across worker counts ----------------------------------- *)
 
@@ -363,6 +366,8 @@ let suite =
     Alcotest.test_case "load shedding preserves identity" `Quick
       test_shedding_preserves_identity;
     Alcotest.test_case "drain on shutdown" `Quick test_drain_on_shutdown;
+    Alcotest.test_case "gc modes share the build tier" `Quick
+      test_gc_modes_share_build_tier;
     Alcotest.test_case "report identical across --jobs" `Quick
       test_jobs_identity;
     Alcotest.test_case "trafficgen deterministic" `Quick

@@ -404,6 +404,25 @@ let test_driver_gc_modes_fail_identically () =
         f.Stress.Driver.f_expected)
     base
 
+(* findings' captures from the schedule sweep and the chaos sweep share
+   one naming: [<dir>/<target>-<subject>-<n>.<ext>], in a directory made
+   on demand, with the names reduced to filename-safe characters *)
+let test_capture_path () =
+  let root = Filename.temp_dir "capture" "" in
+  let dir = Filename.concat root "a/b" in
+  let path =
+    Stress.Driver.capture_path dir ~target:"hazard" ~subject:"-O @ sparc10" 3
+      "flight.json"
+  in
+  Alcotest.(check string) "name"
+    (Filename.concat dir "hazard--O---sparc10-3.flight.json")
+    path;
+  Alcotest.(check bool) "directory created" true
+    (Sys.file_exists dir && Sys.is_directory dir);
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.dirname dir);
+  Sys.rmdir root
+
 let test_run_matrix_agrees () =
   let subjects =
     Harness.Differ.build_of_matrix
@@ -463,4 +482,5 @@ let suite =
       test_gc_mode_matrix_agrees;
     Alcotest.test_case "driver: gc modes fail identically" `Quick
       test_driver_gc_modes_fail_identically;
+    Alcotest.test_case "driver: capture paths" `Quick test_capture_path;
   ]
