@@ -1,20 +1,27 @@
-(** Domain-based worker pool over a bounded work queue.
+(** Domain-based worker pool with one work-claiming engine.
 
-    The queue holds closures; {!map} fans a task list out over the
-    workers and reassembles results by input index, so callers see
-    deterministic ordering no matter how the domains interleave.  The
-    queue bound keeps a huge schedule space from materializing thousands
-    of closures at once: submission blocks until a worker frees a slot. *)
+    A call publishes a job: a size, an atomic next-index counter and a
+    pending count.  The submitting thread and every woken worker claim
+    indices until none are left, and the submitter then waits for the
+    last claimed index to settle.  Each index settles into its own slot,
+    so callers see input order no matter how the domains interleave. *)
 
-type task = Run of (unit -> unit) | Stop
+(* [settle i] runs index [i] and stores its result; it never raises. *)
+type job = {
+  size : int;
+  next : int Atomic.t;
+  pending : int Atomic.t;
+  settle : int -> unit;
+}
 
 type t = {
   p_jobs : int;
-  queue : task Queue.t;
-  capacity : int;
+  calls : Mutex.t;  (** serialises whole calls from different domains *)
   lock : Mutex.t;
-  not_empty : Condition.t;
-  not_full : Condition.t;
+  wake : Condition.t;  (** a job was published, or the pool is stopping *)
+  settled : Condition.t;  (** the published job's last index settled *)
+  mutable job : job option;
+  mutable generation : int;  (** bumped on every publication *)
   mutable stopping : bool;
   mutable domains : unit Domain.t list;
 }
@@ -23,31 +30,34 @@ let recommended_jobs () = Domain.recommended_domain_count ()
 
 let jobs t = t.p_jobs
 
-let push t task =
-  Mutex.lock t.lock;
-  while Queue.length t.queue >= t.capacity do
-    Condition.wait t.not_full t.lock
-  done;
-  Queue.push task t.queue;
-  Condition.signal t.not_empty;
-  Mutex.unlock t.lock
+let claim t j =
+  let rec go () =
+    let i = Atomic.fetch_and_add j.next 1 in
+    if i < j.size then begin
+      j.settle i;
+      if Atomic.fetch_and_add j.pending (-1) = 1 then begin
+        Mutex.lock t.lock;
+        Condition.signal t.settled;
+        Mutex.unlock t.lock
+      end;
+      go ()
+    end
+  in
+  go ()
 
-let pop t =
+(* Sleep until a publication newer than [seen], help with that job, and
+   sleep again. *)
+let rec worker t seen =
   Mutex.lock t.lock;
-  while Queue.is_empty t.queue do
-    Condition.wait t.not_empty t.lock
+  while t.generation = seen && not t.stopping do
+    Condition.wait t.wake t.lock
   done;
-  let task = Queue.pop t.queue in
-  Condition.signal t.not_full;
+  let stopping = t.stopping and seen = t.generation and j = t.job in
   Mutex.unlock t.lock;
-  task
-
-let rec worker t =
-  match pop t with
-  | Stop -> ()
-  | Run f ->
-      f ();
-      worker t
+  if not stopping then begin
+    Option.iter (claim t) j;
+    worker t seen
+  end
 
 let create ?jobs () =
   let p_jobs =
@@ -58,108 +68,82 @@ let create ?jobs () =
   let t =
     {
       p_jobs;
-      queue = Queue.create ();
-      capacity = max 4 (2 * p_jobs);
+      calls = Mutex.create ();
       lock = Mutex.create ();
-      not_empty = Condition.create ();
-      not_full = Condition.create ();
+      wake = Condition.create ();
+      settled = Condition.create ();
+      job = None;
+      generation = 0;
       stopping = false;
       domains = [];
     }
   in
-  if p_jobs > 1 then
-    t.domains <-
-      List.init (p_jobs - 1) (fun i ->
-          Domain.spawn (fun () ->
-              Telemetry.Trace.register_lane (Printf.sprintf "worker-%d" (i + 1));
-              worker t));
+  t.domains <-
+    List.init (p_jobs - 1) (fun i ->
+        Domain.spawn (fun () ->
+            Telemetry.Trace.register_lane (Printf.sprintf "worker-%d" (i + 1));
+            worker t 0));
   t
 
 let serial = create ~jobs:1 ()
 
 let shutdown t =
-  let ds =
-    Mutex.lock t.lock;
-    let ds = t.domains in
-    t.domains <- [];
-    t.stopping <- true;
-    Mutex.unlock t.lock;
-    ds
-  in
-  List.iter (fun _ -> push t Stop) ds;
+  Mutex.lock t.lock;
+  let ds = t.domains in
+  t.domains <- [];
+  t.stopping <- true;
+  Condition.broadcast t.wake;
+  Mutex.unlock t.lock;
   List.iter Domain.join ds
 
 let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
+(* Settle every index below [n].  With workers and more than one index
+   the job is published and the workers claim alongside the caller;
+   otherwise the caller claims them all, in index order. *)
+let run t n settle =
+  let j = { size = n; next = Atomic.make 0; pending = Atomic.make n; settle } in
+  if n <= 1 || t.domains = [] then claim t j
+  else begin
+    Mutex.lock t.calls;
+    Mutex.lock t.lock;
+    t.job <- Some j;
+    t.generation <- t.generation + 1;
+    Condition.broadcast t.wake;
+    Mutex.unlock t.lock;
+    claim t j;
+    Mutex.lock t.lock;
+    while Atomic.get j.pending > 0 do
+      Condition.wait t.settled t.lock
+    done;
+    t.job <- None;
+    Mutex.unlock t.lock;
+    Mutex.unlock t.calls
+  end
+
 (** One task's settled state. *)
-type 'b settled = Value of 'b | Raised of exn
+type 'b settled = Value of 'b | Raised of exn * Printexc.raw_backtrace
 
 let map t f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | xs when t.p_jobs <= 1 -> List.map f xs
-  | xs ->
-      let arr = Array.of_list xs in
-      let n = Array.length arr in
-      let results = Array.make n None in
-      let remaining = ref n in
-      let done_lock = Mutex.create () in
-      let all_done = Condition.create () in
-      let task i x () =
-        let r = try Value (f x) with e -> Raised e in
-        Mutex.lock done_lock;
-        results.(i) <- Some r;
-        decr remaining;
-        if !remaining = 0 then Condition.signal all_done;
-        Mutex.unlock done_lock
-      in
-      (* The submitter helps at the queue's tail once everything is
-         enqueued, so a pool is never idle while it still has work. *)
-      Array.iteri (fun i x -> push t (Run (task i x))) arr;
-      let rec help () =
-        let task =
-          Mutex.lock t.lock;
-          let task =
-            if Queue.is_empty t.queue then None
-            else
-              match Queue.peek t.queue with
-              | Stop -> None
-              | Run _ -> (
-                  match Queue.pop t.queue with
-                  | Run f ->
-                      Condition.signal t.not_full;
-                      Some f
-                  | Stop -> assert false)
-          in
-          Mutex.unlock t.lock;
-          task
-        in
-        match task with
-        | Some f ->
-            f ();
-            help ()
-        | None -> ()
-      in
-      help ();
-      Mutex.lock done_lock;
-      while !remaining > 0 do
-        Condition.wait all_done done_lock
-      done;
-      Mutex.unlock done_lock;
-      let first_exn = ref None in
-      Array.iter
-        (function
-          | Some (Raised e) when !first_exn = None -> first_exn := Some e
-          | _ -> ())
-        results;
-      (match !first_exn with Some e -> raise e | None -> ());
-      Array.to_list
-        (Array.map
-           (function Some (Value v) -> v | Some (Raised _) | None -> assert false)
-           results)
+  let arr = Array.of_list xs in
+  let results = Array.make (Array.length arr) None in
+  run t (Array.length arr) (fun i ->
+      results.(i) <-
+        Some
+          (match f arr.(i) with
+          | v -> Value v
+          | exception e -> Raised (e, Printexc.get_raw_backtrace ())));
+  (* [Array.map] walks in index order, so the smallest index's
+     exception is the one re-raised *)
+  Array.to_list
+    (Array.map
+       (function
+         | Some (Value v) -> v
+         | Some (Raised (e, bt)) -> Printexc.raise_with_backtrace e bt
+         | None -> assert false)
+       results)
 
 (* ------------------------------------------------------------------ *)
 (* Supervised execution                                                *)
@@ -206,18 +190,6 @@ let outcome_value = function
   | Done { value; _ } -> Some value
   | Quarantined _ -> None
 
-(* Shared mutable counters for one map_supervised run.  The serial and
-   parallel paths drive the same per-task decision tree, so outcomes
-   and counters are identical regardless of the worker count. *)
-type sup_state = {
-  sup_policy : policy;
-  sup_lock : Mutex.t;
-  mutable st_retries : int;
-  mutable st_restarts : int;
-  mutable st_backoff : int;
-  mutable st_quarantined : int;
-}
-
 let sup_ctx policy k =
   let ticks = ref 0 in
   {
@@ -230,194 +202,51 @@ let sup_ctx policy k =
         | _ -> ());
   }
 
-(* One attempt of task [idx].  The three fault classes:
-   - [Transient]: retried in place (with deterministic backoff) by the
-     same worker;
-   - [Crash] / [Deadline_exceeded]: the worker is considered dead —
-     [`Died] tells the caller to replace it and re-enqueue the task;
-   - anything else: quarantined immediately, so a poisoned task never
-     wedges the queue. *)
-let run_attempt (s : sup_state) f x idx k settle =
-  let p = s.sup_policy in
-  let rec go k =
-    match f (sup_ctx p k) x with
-    | v ->
-        settle idx (Done { value = v; attempts = k });
-        `Ok
-    | exception Transient msg ->
-        if k >= p.max_attempts then begin
-          settle idx (Quarantined { reason = "transient: " ^ msg; attempts = k });
-          `Ok
-        end
-        else begin
-          Mutex.lock s.sup_lock;
-          s.st_retries <- s.st_retries + 1;
-          s.st_backoff <-
-            s.st_backoff
-            + backoff_ticks ~seed:(p.seed + idx) ~attempt:k ~base:p.backoff_base;
-          Mutex.unlock s.sup_lock;
-          go (k + 1)
-        end
-    | exception Crash msg -> `Died (idx, k, "crash: " ^ msg)
-    | exception Deadline_exceeded -> `Died (idx, k, "deadline exceeded")
-    | exception e ->
-        settle idx (Quarantined { reason = Printexc.to_string e; attempts = k });
-        `Ok
-  in
-  go k
-
-(* What the supervisor does with a death notice: count the restart and
-   either re-enqueue the task (attempts left) or quarantine it.
-   Returns the re-enqueued attempt number, if any. *)
-let handle_incident (s : sup_state) settle (idx, k, reason) =
-  let p = s.sup_policy in
-  Mutex.lock s.sup_lock;
-  s.st_restarts <- s.st_restarts + 1;
-  let requeue = k < p.max_attempts in
-  if requeue then s.st_retries <- s.st_retries + 1;
-  Mutex.unlock s.sup_lock;
-  if requeue then Some (idx, k + 1)
-  else begin
-    settle idx (Quarantined { reason; attempts = k });
-    None
-  end
-
-let supervised_run t policy f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  let s =
-    {
-      sup_policy = policy;
-      sup_lock = Mutex.create ();
-      st_retries = 0;
-      st_restarts = 0;
-      st_backoff = 0;
-      st_quarantined = 0;
-    }
-  in
-  let results = Array.make n None in
-  let stats () =
-    {
-      sup_retries = s.st_retries;
-      sup_restarts = s.st_restarts;
-      sup_backoff_ticks = s.st_backoff;
-      sup_quarantined = s.st_quarantined;
-    }
-  in
-  let finish () =
-    ( Array.to_list
-        (Array.map
-           (function Some o -> o | None -> assert false)
-           results),
-      stats () )
-  in
-  if n = 0 then ([], stats ())
-  else if t.p_jobs <= 1 || n = 1 then begin
-    (* serial reference path: the "worker" is the caller; a death
-       notice is handled inline, so outcomes and counters match the
-       parallel path exactly *)
-    let settle idx o =
-      (match o with
-      | Quarantined _ -> s.st_quarantined <- s.st_quarantined + 1
-      | Done _ -> ());
-      results.(idx) <- Some o
-    in
-    Array.iteri
-      (fun idx x ->
-        let rec drive k =
-          match run_attempt s f x idx k settle with
-          | `Ok -> ()
-          | `Died incident -> (
-              match handle_incident s settle incident with
-              | Some (_, k') -> drive k'
-              | None -> ())
-        in
-        drive 1)
-      arr;
-    finish ()
-  end
-  else begin
-    (* Dedicated worker domains with a real supervisor: a crashed or
-       deadline-blown worker domain exits and is replaced by a fresh
-       spawn; its task is re-enqueued up to the attempt cap.  Domains
-       are per-call (supervision is the chaos path, not the hot path),
-       so a dying worker cannot poison the shared pool queue. *)
-    let lock = Mutex.create () in
-    let cond = Condition.create () in
-    let queue = Queue.create () in
-    let incidents = Queue.create () in
-    let remaining = ref n in
-    let settle_locked idx o =
-      (match o with
-      | Quarantined _ -> s.st_quarantined <- s.st_quarantined + 1
-      | Done _ -> ());
-      results.(idx) <- Some o;
-      decr remaining;
-      Condition.broadcast cond
-    in
-    let settle idx o =
-      Mutex.lock lock;
-      settle_locked idx o;
-      Mutex.unlock lock
-    in
-    Array.iteri (fun idx _ -> Queue.push (idx, 1) queue) arr;
-    let rec worker () =
-      let job =
-        Mutex.lock lock;
-        while Queue.is_empty queue && !remaining > 0 do
-          Condition.wait cond lock
-        done;
-        let job =
-          if Queue.is_empty queue then None else Some (Queue.pop queue)
-        in
-        Mutex.unlock lock;
-        job
-      in
-      match job with
-      | None -> ()
-      | Some (idx, k) -> (
-          match run_attempt s f arr.(idx) idx k settle with
-          | `Ok -> worker ()
-          | `Died incident ->
-              (* register the death and exit the domain cleanly: the
-                 supervisor joins the corpse and spawns a replacement *)
-              Mutex.lock lock;
-              Queue.push incident incidents;
-              Condition.broadcast cond;
-              Mutex.unlock lock)
-    in
-    let workers = max 1 (min (t.p_jobs - 1) n) in
-    let doms = ref (List.init workers (fun _ -> Domain.spawn worker)) in
-    let rec supervise () =
-      Mutex.lock lock;
-      while Queue.is_empty incidents && !remaining > 0 do
-        Condition.wait cond lock
-      done;
-      if Queue.is_empty incidents then Mutex.unlock lock
-      else begin
-        let incident = Queue.pop incidents in
-        (match handle_incident s settle_locked incident with
-        | Some job -> Queue.push job queue
-        | None -> ());
-        Condition.broadcast cond;
-        Mutex.unlock lock;
-        (* replace the dead worker *)
-        doms := Domain.spawn worker :: !doms;
-        supervise ()
-      end
-    in
-    supervise ();
-    List.iter Domain.join !doms;
-    finish ()
-  end
-
-(* Supervision observability: anomalies (retries past the first attempt,
+(* Every index runs the same decision tree on whichever domain claims
+   it, and the counters are sums, so outcomes and counters are the same
+   at every pool width.  Anomalies (retries past the first attempt,
    quarantines) are recorded after every outcome settles, from the
    submitting thread in input order with the input index as the
-   timestamp, so dump contents are identical on the serial and parallel
-   paths. *)
+   timestamp, so dump contents are the same at every width too. *)
 let map_supervised t ?(policy = default_policy) ?recorder f xs =
-  let outcomes, stats = supervised_run t policy f xs in
+  let p = policy in
+  let retries = Atomic.make 0 in
+  let restarts = Atomic.make 0 in
+  let backoff = Atomic.make 0 in
+  (* Task [idx] from attempt [k]:
+     - [Transient]: retried in place after a deterministic backoff;
+     - [Crash] / [Deadline_exceeded]: the attempt died; the task is
+       re-driven, or quarantined at the attempt cap;
+     - anything else: quarantined at once, so a poisoned task never
+       wedges the pool. *)
+  let rec attempt x idx k =
+    match f (sup_ctx p k) x with
+    | value -> Done { value; attempts = k }
+    | exception Transient msg ->
+        if k >= p.max_attempts then
+          Quarantined { reason = "transient: " ^ msg; attempts = k }
+        else begin
+          Atomic.incr retries;
+          ignore
+            (Atomic.fetch_and_add backoff
+               (backoff_ticks ~seed:(p.seed + idx) ~attempt:k
+                  ~base:p.backoff_base));
+          attempt x idx (k + 1)
+        end
+    | exception Crash msg -> died x idx k ("crash: " ^ msg)
+    | exception Deadline_exceeded -> died x idx k "deadline exceeded"
+    | exception e -> Quarantined { reason = Printexc.to_string e; attempts = k }
+  and died x idx k reason =
+    Atomic.incr restarts;
+    if k < p.max_attempts then begin
+      Atomic.incr retries;
+      attempt x idx (k + 1)
+    end
+    else Quarantined { reason; attempts = k }
+  in
+  let outcomes =
+    map t (fun (idx, x) -> attempt x idx 1) (List.mapi (fun i x -> (i, x)) xs)
+  in
   (match recorder with
   | None -> ()
   | Some r ->
@@ -441,4 +270,14 @@ let map_supervised t ?(policy = default_policy) ?recorder f xs =
                    ])
           | Done _ -> ())
         outcomes);
-  (outcomes, stats)
+  ( outcomes,
+    {
+      sup_retries = Atomic.get retries;
+      sup_restarts = Atomic.get restarts;
+      sup_backoff_ticks = Atomic.get backoff;
+      sup_quarantined =
+        List.length
+          (List.filter
+             (function Quarantined _ -> true | Done _ -> false)
+             outcomes);
+    } )

@@ -31,10 +31,6 @@
 
 open Ir.Instr
 
-type stats = { mutable loops_rewritten : int }
-
-let stats = { loops_rewritten = 0 }
-
 (* the shape produced by our lowering: head (condition, 2 preds) with a
    body block jumping back to it *)
 type loop_shape = {
@@ -174,7 +170,6 @@ let rewrite_loop (f : func) (live : Ir.Liveness.t) (ls : loop_shape) : bool =
                    | other -> other)
           in
           body.b_instrs <- rewritten @ [ Bin (Add, m, Reg m, Imm w) ];
-          stats.loops_rewritten <- stats.loops_rewritten + 1;
           true
       | _ -> false)
   | _ -> false

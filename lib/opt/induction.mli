@@ -3,8 +3,4 @@
     disguised pointers.  Annotated code never matches the pattern (its
     loads go through [Opaque] results), which is the point. *)
 
-type stats = { mutable loops_rewritten : int }
-
-val stats : stats
-
 val run : Ir.Instr.func -> unit

@@ -28,10 +28,6 @@
 
 open Ir.Instr
 
-type stats = { mutable folded : int; mutable reused : int }
-
-let stats = { folded = 0; reused = 0 }
-
 (* within a block, rewrite shape 1 *)
 let fold_displacement (f : func) (live : Ir.Liveness.t) =
   List.iter
@@ -72,8 +68,7 @@ let fold_displacement (f : func) (live : Ir.Liveness.t) =
                 if dead_after p && dead_after t && disjoint then begin
                   (* p := p op c   ...   ld d, [p + i] *)
                   instrs.(j) <- Bin (op, p, Reg p, Imm c);
-                  instrs.(idx) <- Load (w, d, Reg p, Reg i);
-                  stats.folded <- stats.folded + 1
+                  instrs.(idx) <- Load (w, d, Reg p, Reg i)
                 end
             | _ -> ())
         | _ -> ()
@@ -117,8 +112,7 @@ let reuse_base (f : func) (live : Ir.Liveness.t) =
               let rename r = if r = q then Reg p else Reg r in
               for k = idx + 1 to n - 1 do
                 instrs.(k) <- map_instr_ops rename instrs.(k)
-              done;
-              stats.reused <- stats.reused + 1
+              done
             end
         | _ -> ()
       done;

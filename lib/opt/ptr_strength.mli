@@ -5,8 +5,4 @@
     conventional compiler checks — which is precisely what makes the
     result GC-unsafe.  KEEP_LIVE annotations defeat both patterns. *)
 
-type stats = { mutable folded : int; mutable reused : int }
-
-val stats : stats
-
 val run : Ir.Instr.func -> unit

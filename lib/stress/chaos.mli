@@ -2,7 +2,7 @@
 
     Where {!Driver} perturbs when the collector runs, this module
     perturbs whether the runtime's own machinery works: allocations fail
-    on command ({!Gcheap.Failpoint}), worker domains crash mid-task
+    on command ({!Gcheap.Failpoint}), supervised tasks crash mid-attempt
     ({!Exec.Pool.map_supervised}), and cached build artifacts rot in
     place ({!Harness.Build.corrupt_cached}).  The property under test is
     the robustness identity — under any injected fault, a run either
@@ -59,7 +59,7 @@ type report = {
   c_structured : int;  (** runs stopped with a structured diagnostic *)
   c_emergency_collections : int;
   c_worker_faults : int;  (** worker crashes injected *)
-  c_worker_restarts : int;  (** worker domains replaced *)
+  c_worker_restarts : int;  (** attempts that died (crash or deadline) *)
   c_worker_retries : int;
   c_quarantined : int;
   c_cache_corruptions : int;  (** artifacts rotted *)

@@ -381,11 +381,34 @@ let test_supervised_serial_parallel_identical () =
       [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
   in
   let serial_outcomes, serial_stats = scenario Pool.serial in
-  Pool.with_pool ~jobs:4 (fun pool ->
-      let par_outcomes, par_stats = scenario pool in
-      Alcotest.(check bool) "outcomes identical" true
-        (serial_outcomes = par_outcomes);
-      Alcotest.(check bool) "stats identical" true (serial_stats = par_stats))
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let par_outcomes, par_stats = scenario pool in
+          Alcotest.(check bool)
+            (Printf.sprintf "outcomes identical at jobs %d" jobs)
+            true
+            (serial_outcomes = par_outcomes);
+          Alcotest.(check bool)
+            (Printf.sprintf "stats identical at jobs %d" jobs)
+            true (serial_stats = par_stats)))
+    [ 2; 4 ]
+
+(* a supervised crash leaves the pool's workers serving later calls *)
+let test_pool_reuse_after_crash () =
+  Pool.with_pool ~jobs:2 (fun pool ->
+      let _, stats =
+        Pool.map_supervised pool
+          (fun ctx x ->
+            if x = 3 && ctx.Pool.attempt = 1 then Pool.(raise (Crash "once"));
+            x)
+          (List.init 8 Fun.id)
+      in
+      Alcotest.(check int) "one restart" 1 stats.Pool.sup_restarts;
+      Alcotest.(check (list int))
+        "map after the crash is input-ordered"
+        (List.init 8 (fun i -> i * 10))
+        (Pool.map pool (fun x -> x * 10) (List.init 8 Fun.id)))
 
 (* --- artifact cache under faults -------------------------------------- *)
 
@@ -460,6 +483,8 @@ let suite =
     Alcotest.test_case "quarantine after attempt cap" `Quick
       test_quarantine_after_cap;
     Alcotest.test_case "deadline enforced" `Quick test_deadline_enforced;
+    Alcotest.test_case "pool reused after a supervised crash" `Quick
+      test_pool_reuse_after_crash;
     Alcotest.test_case "supervised serial == parallel" `Quick
       test_supervised_serial_parallel_identical;
     Alcotest.test_case "builder raises under concurrency" `Quick

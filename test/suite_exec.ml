@@ -33,7 +33,8 @@ let test_pool_once_each () =
         counts)
 
 let test_pool_serial_inline () =
-  (* jobs=1 is the reference serial path: no domains, plain List.map *)
+  (* jobs=1 is the reference serial path: no domains, the caller claims
+     every index in input order *)
   let seen = ref [] in
   let results =
     Pool.map Pool.serial
@@ -54,6 +55,48 @@ let test_pool_reusable () =
           [ round; 2 * round; 3 * round; 4 * round ]
           results
       done)
+
+(* regression: the submitter claims work from the first index on.  A
+   task on the worker domain waits until a task has completed on the
+   submitting domain, and the submitter's tasks wait until a worker task
+   has started, so the worker is sure to get one.  A submitter that
+   starts on tasks only after handing every task out (behind a full
+   bounded queue, say) leaves the worker waiting out the bound. *)
+let test_pool_submitter_claims_early () =
+  let submitter = Domain.self () in
+  let worker_started = Atomic.make false in
+  let submitter_done = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let await flag =
+    while (not (Atomic.get flag)) && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Atomic.get flag
+  in
+  let runs =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        Pool.map pool
+          (fun _ ->
+            if Domain.self () = submitter then begin
+              ignore (await worker_started);
+              Atomic.set submitter_done true;
+              `Submitter
+            end
+            else begin
+              Atomic.set worker_started true;
+              `Worker (await submitter_done)
+            end)
+          (List.init 8 Fun.id))
+  in
+  let on_worker =
+    List.filter_map
+      (function `Worker saw -> Some saw | `Submitter -> None)
+      runs
+  in
+  Alcotest.(check bool) "a task ran on the worker" true (on_worker <> []);
+  Alcotest.(check bool)
+    "every worker task saw a submitter task complete" true
+    (List.for_all Fun.id on_worker)
 
 exception Boom of int
 
@@ -311,6 +354,8 @@ let suite =
     Alcotest.test_case "pool: jobs=1 is inline serial" `Quick
       test_pool_serial_inline;
     Alcotest.test_case "pool: reusable across maps" `Quick test_pool_reusable;
+    Alcotest.test_case "pool: submitter claims before the last task starts"
+      `Quick test_pool_submitter_claims_early;
     Alcotest.test_case "pool: first-index exception wins" `Quick
       test_pool_exception;
     Alcotest.test_case "cache: counters and clear" `Quick test_cache_counters;
