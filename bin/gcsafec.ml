@@ -287,9 +287,13 @@ let build ?telemetry (req : Harness.Request.t) =
     ~options:(Harness.Request.build_options req)
     req.Harness.Request.config req.Harness.Request.source
 
+(* the diagnostic class of a run *)
+let classify_run o = Harness.Outcome.classify (Harness.Outcome.of_measure o)
+
 (* a run that did not complete: its diagnostic, then its exit code *)
-let exit_with (outcome, message) =
-  Harness.Diagnostics.report outcome message;
+let exit_with o =
+  let outcome = classify_run o in
+  Harness.Diagnostics.report outcome (Harness.Measure.describe o);
   exit (Harness.Diagnostics.exit_code outcome)
 
 (* --- annotate ----------------------------------------------------------- *)
@@ -566,9 +570,8 @@ let run_cmd =
                 r.Harness.Measure.o_injected_failures
         | o ->
             finish_telemetry ();
-            let outcome, message = Harness.Diagnostics.of_measure o in
-            summary outcome;
-            exit_with (outcome, message))
+            summary (classify_run o);
+            exit_with o)
   in
   let doc = "build a configuration and execute it on the VM" in
   Cmd.v
@@ -834,7 +837,7 @@ let profile_cmd =
           let telemetry = Some (Telemetry.Sink.make ~profiler ()) in
           (match Harness.Measure.exec ?telemetry req b with
           | Harness.Measure.Ran _ -> ()
-          | o -> exit_with (Harness.Diagnostics.of_measure o));
+          | o -> exit_with o);
           (analysis, Telemetry.Heap_profiler.report profiler)
         in
         let profiles = List.map profile_one analyses in
@@ -965,7 +968,7 @@ let heap_census_cmd =
               List.iter
                 (fun c -> Format.printf "%a@." Gcheap.Census.pp c)
                 censuses
-        | o -> exit_with (Harness.Diagnostics.of_measure o))
+        | o -> exit_with o)
   in
   let doc =
     "run a program and print the per-collection heap census: size-class \

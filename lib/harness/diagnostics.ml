@@ -81,13 +81,6 @@ let of_exn = function
                   vs)) )
   | _ -> None
 
-let of_measure = function
-  | Measure.Ran r -> (Ok, Printf.sprintf "ran (exit %d)" r.Measure.o_exit)
-  | Measure.Detected m -> (Fault, "detected: " ^ m)
-  | Measure.Limit m -> (Limit, "limit: " ^ m)
-  | Measure.Corrupted m -> (Corruption, "heap corruption: " ^ m)
-  | Measure.Exhausted m -> (Heap_exhausted, m)
-
 let report _outcome message = Printf.eprintf "%s\n" message
 
 let handle f =

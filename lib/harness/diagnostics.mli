@@ -1,9 +1,9 @@
 (** Structured failure classification shared by every consumer.
 
     The harness distinguishes ten outcome classes, and each has one
-    process exit code; the CLI's subcommands, the differ, the stress
-    driver and the service all classify through this module instead of
-    re-matching exceptions or outcome constructors.
+    process exit code.  Exceptions classify here ({!of_exn}); a run's
+    {!Measure.outcome} classifies through {!Outcome.classify}, which
+    maps every outcome constructor onto one of these classes.
 
     Exit codes (stable, documented in the CLI header): 0 success,
     1 finding/divergence, 2 source or input error, 3 runtime fault
@@ -39,9 +39,6 @@ val exit_code : outcome -> int
 val of_exn : exn -> (outcome * string) option
 (** Classify a harness exception and render its diagnostic message;
     [None] for exceptions the harness does not own. *)
-
-val of_measure : Measure.outcome -> outcome * string
-(** Classify a completed run ([Measure.Ran] is [Ok]). *)
 
 val report : outcome -> string -> unit
 (** Print the diagnostic to [stderr] in the CLI's format. *)

@@ -5,8 +5,9 @@
     schedule, a GC-safe build must behave exactly like the optimized
     baseline does when no collection interferes.  Build the requests of
     a {!Request.matrix} once with {!build_matrix} (or
-    {!build_of_matrix}), execute any subject under any schedule with
-    {!observe}, and compare behaviour with {!diff}.
+    {!build_of_matrix}), pick each machine's baseline with {!reference},
+    execute any subject under any schedule with {!observe}, and compare
+    behaviour with {!diff}.
 
     A subject is simply a {!Request.t} paired with its built artifact;
     the per-subject config/machine/analysis/gc-mode fields this module
@@ -35,37 +36,25 @@ val build_of_matrix :
 (** [build_matrix] over {!Request.expand}: the matrix-over-one-source
     convenience the CLI and stress plans use. *)
 
-type obs =
-  | Obs_ok of {
-      ok_exit : int;
-      ok_output : string;
-      ok_live : int * int;
-      ok_instrs : int;  (** dynamic instructions = number of safepoints *)
-    }
-  | Obs_detected of string
-  | Obs_corrupted of string
-  | Obs_limit of string
-  | Obs_exhausted of string
-
-val obs_of_outcome : Measure.outcome -> obs
-
-val classify : obs -> Diagnostics.outcome
-(** The structured class of one observation ({!Diagnostics.Ok} for
-    [Obs_ok]), shared with the CLI's exit-code mapping. *)
-
-val describe_obs : obs -> string
-
 val observe :
   ?gc_point_sink:(int -> string -> unit) ->
   ?telemetry:Telemetry.Sink.t ->
   schedule:Machine.Schedule.t ->
   subject ->
-  obs
+  Measure.outcome
 (** Execute one subject under one schedule.  Sanitizing, ceilings, heap
     limit, OOM policy and failpoints all come from the subject's
     request — override with a record update on [s_request] before
     calling (the chaos sweep does).  [gc_point_sink] and [telemetry]
     stay per-call: observation channels, not request identity. *)
+
+val reference : subject list -> Machine.Machdesc.t -> subject
+(** The subject every other subject on [machine] is diffed against: the
+    optimized baseline ([Base]) on that machine, the stop-the-world one
+    when the subjects span gc modes.  Observe it under
+    {!Machine.Schedule.Auto} (no injected collections) for the paper's
+    intended behaviour.  Raises [Failure] when [subjects] holds no
+    [Base] subject on [machine]. *)
 
 type mismatch =
   | Output_diff of { exp : string; got : string }
@@ -79,13 +68,7 @@ val mismatch_kind : mismatch -> string
 
 val describe_mismatch : mismatch -> string
 
-val diff : reference:obs -> obs -> mismatch option
-(** [None] means behaviourally equal to the reference. *)
-
-type cell = { c_subject : subject; c_obs : obs; c_mismatch : mismatch option }
-
-val run_matrix : schedule:Machine.Schedule.t -> subject list -> cell list
-(** Run the whole matrix under one schedule; each cell is diffed against
-    the optimized baseline on the same machine under no injected
-    collections (preferring the stop-the-world baseline when the matrix
-    spans gc modes). *)
+val diff : reference:Measure.outcome -> Measure.outcome -> mismatch option
+(** Compare two runs on exit code, output and final live heap; a failed
+    run agrees with a reference that failed in the same class.  [None]
+    means behaviourally equal to the reference. *)

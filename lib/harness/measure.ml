@@ -36,12 +36,14 @@ type outcome =
       (** out of memory under the hard heap limit (after the configured
           recovery), or an injected failure under the trap policy *)
 
+(* The heap's [Heap_exhausted] messages already begin "heap exhausted:",
+   so [Exhausted] renders its message as it stands. *)
 let describe = function
   | Ran r -> Printf.sprintf "ran (exit %d)" r.o_exit
   | Detected m -> "detected: " ^ m
   | Corrupted m -> "heap corruption: " ^ m
-  | Limit m -> "resource limit: " ^ m
-  | Exhausted m -> "heap exhausted: " ^ m
+  | Limit m -> "limit: " ^ m
+  | Exhausted m -> m
 
 (** Execute a built program under a {!Request.t} — the canonical
     runner; every other entry point is sugar over this one. *)

@@ -39,6 +39,10 @@ type outcome =
           recovery), or an injected failure under the trap policy *)
 
 val describe : outcome -> string
+(** The one rendering of a run outcome, in the CLI's spelling:
+    ["ran (exit N)"], ["detected: ..."], ["limit: ..."],
+    ["heap corruption: ..."], and for [Exhausted] the heap's own
+    ["heap exhausted: ..."] message, unprefixed. *)
 
 val exec :
   ?gc_point_sink:(int -> string -> unit) ->

@@ -48,11 +48,11 @@ let all_class_names =
     ]
 
 let describe = function
-  | Ran r -> Printf.sprintf "ran (exit %d)" r.Measure.o_exit
-  | Detected m -> "detected: " ^ m
-  | Corrupted m -> "heap corruption: " ^ m
-  | Limit m -> "resource limit: " ^ m
-  | Exhausted m -> "heap exhausted: " ^ m
+  | Ran r -> Measure.describe (Measure.Ran r)
+  | Detected m -> Measure.describe (Measure.Detected m)
+  | Corrupted m -> Measure.describe (Measure.Corrupted m)
+  | Limit m -> Measure.describe (Measure.Limit m)
+  | Exhausted m -> Measure.describe (Measure.Exhausted m)
   | Source_error m -> "source error: " ^ m
   | Rejected m -> "rejected (overload): " ^ m
   | Quarantined m -> "quarantined: " ^ m

@@ -1,5 +1,7 @@
-(** The structured outcome of one {!Request.t}: what a service
-    completion, a CLI run and a differ observation all classify into.
+(** The structured outcome of one {!Request.t}: a VM run's
+    {!Measure.outcome} ({!of_measure}) widened by the ways a request can
+    end before or around its run.  The service's completions and the
+    CLI's exit codes classify through it.
 
     The robustness identity (Hawblitzel & Petrank) is the contract:
     {!execute} never raises.  Every submitted request — garbage source,
@@ -38,6 +40,9 @@ val all_class_names : string list
     iterate this so per-outcome counts always show every class. *)
 
 val describe : t -> string
+(** The five run constructors render through {!Measure.describe}; the
+    request-level ones as ["source error: ..."], ["rejected (overload):
+    ..."], ["quarantined: ..."] and ["internal error: ..."]. *)
 
 val to_json : t -> Telemetry.Json.t
 (** The wire rendering a [gcsafec serve] session emits per request:

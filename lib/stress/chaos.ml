@@ -118,10 +118,10 @@ type class_ = Recovered | Structured | Diverged of string | Broken of string
    failure: injection must never make a terminating program loop. *)
 let classify_injected ~reference obs =
   match obs with
-  | Differ.Obs_exhausted _ -> Structured
-  | Differ.Obs_corrupted m -> Broken ("corruption: " ^ m)
-  | Differ.Obs_limit m -> Broken ("hang (budget hit): " ^ m)
-  | Differ.Obs_ok _ | Differ.Obs_detected _ -> (
+  | Measure.Exhausted _ -> Structured
+  | Measure.Corrupted m -> Broken ("corruption: " ^ m)
+  | Measure.Limit m -> Broken ("hang (budget hit): " ^ m)
+  | Measure.Ran _ | Measure.Detected _ -> (
       match Differ.diff ~reference obs with
       | None -> Recovered
       | Some m ->
@@ -131,31 +131,19 @@ let classify_injected ~reference obs =
 (** Sweep injected allocation failures over one subject.  Returns the
     findings plus the counter deltas. *)
 let sweep_subject ~pool ~plan ~(target : Corpus.target) subject =
-  (* [observe] is pure (no shared state): it runs on worker domains.
-     All accounting happens on the submitting thread, in ordinal order,
-     so the report is a function of the plan, never the worker count. *)
-  let observe ?telemetry ?heap_limit ?oom_policy ?alloc_failpoints ?max_instrs
-      () =
-    let base = subject.Differ.s_request in
-    Measure.exec ?telemetry
-      {
-        base with
-        Request.schedule = Machine.Schedule.Auto;
-        Request.heap_limit =
-          Option.value ~default:base.Request.heap_limit heap_limit;
-        Request.oom_policy =
-          Option.value ~default:base.Request.oom_policy oom_policy;
-        Request.alloc_failpoints =
-          Option.value ~default:base.Request.alloc_failpoints alloc_failpoints;
-        Request.max_instrs =
-          (match max_instrs with Some _ -> max_instrs | None -> base.Request.max_instrs);
-      }
-      subject.Differ.s_built
+  (* [exec] is pure (no shared state): it runs on worker domains.  All
+     accounting happens on the submitting thread, in ordinal order, so
+     the report is a function of the plan, never the worker count. *)
+  let base =
+    { subject.Differ.s_request with Request.schedule = Machine.Schedule.Auto }
+  in
+  let exec ?telemetry req =
+    Measure.exec ?telemetry req subject.Differ.s_built
   in
   let runs = ref 1 and injections = ref 0 in
   let recovered = ref 0 and structured = ref 0 and emergencies = ref 0 in
   let findings = ref [] in
-  match observe () with
+  match exec base with
   | exception _ ->
       (* A reference that does not even run is a matter for the stress
          driver, not the chaos sweep. *)
@@ -163,11 +151,19 @@ let sweep_subject ~pool ~plan ~(target : Corpus.target) subject =
   | (Measure.Detected _ | Measure.Corrupted _ | Measure.Limit _
     | Measure.Exhausted _) ->
       ([], !runs, 0, 0, 0, 0)
-  | Measure.Ran ref_info ->
-      let reference = Differ.obs_of_outcome (Measure.Ran ref_info) in
+  | Measure.Ran ref_info as reference ->
       (* Injection adds collections, never instructions, but give the
          budget generous slack before calling a run a hang. *)
       let budget = max 10_000 (4 * ref_info.Measure.o_instrs) in
+      (* The fault-free request with [fp] failing under [oom_policy]. *)
+      let injected ~oom_policy fp =
+        {
+          base with
+          Request.oom_policy;
+          Request.alloc_failpoints = fp;
+          Request.max_instrs = Some budget;
+        }
+      in
       let ordinals =
         sample_ordinals ~seed:plan.c_seed ~count:plan.c_max_points
           ref_info.Measure.o_allocs
@@ -186,9 +182,7 @@ let sweep_subject ~pool ~plan ~(target : Corpus.target) subject =
         | Some dir ->
             let recorder = Telemetry.Flight_recorder.create () in
             let sink = Telemetry.Sink.make ~recorder () in
-            ignore
-              (observe ~telemetry:sink ~oom_policy ~alloc_failpoints:fp
-                 ~max_instrs:budget ());
+            ignore (exec ~telemetry:sink (injected ~oom_policy fp));
             let path =
               Driver.capture_path dir ~target:target.Corpus.t_name
                 ~subject:(Differ.subject_name subject) !flight_seq
@@ -215,13 +209,9 @@ let sweep_subject ~pool ~plan ~(target : Corpus.target) subject =
       (* Pure injected run: the observation plus the emergency
          collections it took to recover. *)
       let run_with fp =
-        match
-          observe ~oom_policy:Gcheap.Heap.Collect_expand ~alloc_failpoints:fp
-            ~max_instrs:budget ()
-        with
-        | Measure.Ran r as o ->
-            (Differ.obs_of_outcome o, r.Measure.o_emergency)
-        | o -> (Differ.obs_of_outcome o, 0)
+        match exec (injected ~oom_policy:Gcheap.Heap.Collect_expand fp) with
+        | Measure.Ran r as o -> (o, r.Measure.o_emergency)
+        | o -> (o, 0)
       in
       (* Single-point sweep: fail each sampled ordinal once.  The runs
          are independent, so fan them out; counters fold serially in
@@ -304,8 +294,7 @@ let sweep_subject ~pool ~plan ~(target : Corpus.target) subject =
           incr injections;
           incr runs;
           match
-            observe ~oom_policy:Gcheap.Heap.Trap
-              ~alloc_failpoints:(Failpoint.Nth k) ~max_instrs:budget ()
+            exec (injected ~oom_policy:Gcheap.Heap.Trap (Failpoint.Nth k))
           with
           | Measure.Exhausted _ -> incr structured
           | o ->
@@ -368,8 +357,8 @@ let sweep_workers ~pool ~plan ~(target : Corpus.target) subjects =
               cf_points = [];
               cf_detail =
                 Printf.sprintf "supervised run saw %s, fault-free saw %s"
-                  (Differ.describe_obs value)
-                  (Differ.describe_obs expected);
+                  (Measure.describe value)
+                  (Measure.describe expected);
               cf_expected = false;
               cf_flight = None;
             }
@@ -456,8 +445,8 @@ let sweep_cache ~(target : Corpus.target) subjects =
                 cf_points = [];
                 cf_detail =
                   Printf.sprintf "rebuilt artifact saw %s, reference saw %s"
-                    (Differ.describe_obs obs)
-                    (Differ.describe_obs reference);
+                    (Measure.describe obs)
+                    (Measure.describe reference);
                 cf_expected = false;
                 cf_flight = None;
               }

@@ -20,7 +20,7 @@
 module Build = Harness.Build
 module Request = Harness.Request
 module Differ = Harness.Differ
-module Diagnostics = Harness.Diagnostics
+module Measure = Harness.Measure
 module Schedule = Machine.Schedule
 
 type mode =
@@ -110,9 +110,12 @@ let source_loc_of_context fn_locs ctx =
   | None -> None
   | Some i -> List.assoc_opt (String.sub ctx 0 i) fn_locs
 
-let is_fail = function
-  | Some _, _ -> true
-  | None, obs -> Differ.classify obs = Diagnostics.Corruption
+(* A run fails when it diverges from its reference or the heap
+   sanitizer fired. *)
+let is_fail ~reference obs =
+  match obs with
+  | Measure.Corrupted _ -> true
+  | _ -> Differ.diff ~reference obs <> None
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -185,26 +188,8 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
     runs := !runs + List.length subjects;
     List.combine subjects obss
   in
-  (* The per-machine reference: the stop-the-world baseline when the
-     plan spans gc modes — generational runs must match the paper's
-     collector, not the other way around. *)
-  let base_auto machine =
-    let bases =
-      List.filter
-        (fun (s, _) ->
-          s.Differ.s_request.Request.config = Build.Base
-          && s.Differ.s_request.Request.machine.Machine.Machdesc.md_name
-             = machine.Machine.Machdesc.md_name)
-        auto
-    in
-    match
-      List.find_opt
-        (fun (s, _) -> s.Differ.s_request.Request.gc_mode = Gcheap.Heap.Stw)
-        bases
-    with
-    | Some (_, o) -> o
-    | None -> snd (List.hd bases)
-  in
+  (* The uninjected behaviour of each machine's reference subject. *)
+  let baseline machine = List.assq (Differ.reference subjects machine) auto in
   let findings = ref [] in
   let record f = findings := f :: !findings in
   (* Cross-configuration agreement with no injection at all.  A checking
@@ -217,10 +202,10 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
           s.Differ.s_request.Request.config = Build.Debug_checked
           && target.Corpus.t_checked_fails
           &&
-          match obs with Differ.Obs_detected _ -> true | _ -> false
+          match obs with Measure.Detected _ -> true | _ -> false
         in
         match
-          Differ.diff ~reference:(base_auto s.Differ.s_request.Request.machine)
+          Differ.diff ~reference:(baseline s.Differ.s_request.Request.machine)
             obs
         with
         | Some m when not expected_checked_fault ->
@@ -246,8 +231,8 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
   (* Schedule families, sized from the baseline's dynamic instruction
      count on each machine. *)
   let safepoints machine =
-    match base_auto machine with
-    | Differ.Obs_ok { ok_instrs; _ } -> ok_instrs
+    match baseline machine with
+    | Measure.Ran r -> r.Measure.o_instrs
     | _ -> 0
   in
   let schedules_for machine =
@@ -275,7 +260,6 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
       modes
   in
   (* Shrinking: replay fired points as an explicit [At] schedule. *)
-  let diff_against reference obs = (Differ.diff ~reference obs, obs) in
   let shrink_and_report s reference fired =
     let fired = List.rev fired in
     let fired_idx = List.map fst fired in
@@ -283,7 +267,7 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
       let obs =
         observe ~schedule:(Schedule.At (Schedule.points_of_list pts)) s
       in
-      is_fail (diff_against reference obs)
+      is_fail ~reference obs
     in
     let try_seed seed = if seed <> [] && still_fails seed then Some seed else None in
     let seed =
@@ -357,27 +341,22 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
           (fun (schedule, fired, obs) ->
             if not !found then begin
               incr runs;
-              let mismatch, obs = diff_against reference obs in
-              let corrupted =
-                Differ.classify obs = Diagnostics.Corruption
+              let mismatch = Differ.diff ~reference obs in
+              let corruption =
+                match obs with Measure.Corrupted m -> Some m | _ -> None
               in
-              if corrupted || mismatch <> None then begin
+              if corruption <> None || mismatch <> None then begin
                 found := true;
                 let min_pts, orig, contexts =
                   shrink_and_report s reference fired
                 in
                 let kind, detail =
-                  if corrupted then
-                    ( Corruption,
-                      match obs with
-                      | Differ.Obs_corrupted m -> m
-                      | _ -> assert false )
-                  else
-                    match mismatch with
-                    | Some m ->
-                        (Divergence (Differ.mismatch_kind m),
-                         Differ.describe_mismatch m)
-                    | None -> assert false
+                  match (corruption, mismatch) with
+                  | Some m, _ -> (Corruption, m)
+                  | None, Some m ->
+                      (Divergence (Differ.mismatch_kind m),
+                       Differ.describe_mismatch m)
+                  | None, None -> assert false
                 in
                 let trace, flight = capture_trace ~schedule s in
                 record
@@ -395,7 +374,7 @@ let run_target ?(pool = Exec.Pool.serial) (plan : plan)
                        the hazard the paper predicts; everything else must
                        never happen. *)
                     f_expected =
-                      (not corrupted)
+                      corruption = None
                       && s.Differ.s_request.Request.config = Build.Base;
                     f_trace = trace;
                     f_flight = flight;

@@ -5,14 +5,10 @@
    functions can test a single [enabled] flag embedded in the instrument
    itself and return without allocating. *)
 
-let counter_shards = 8
-(* Counters are sharded across a small fixed-width array of atomics,
-   indexed by the updating domain's id, so concurrent [Exec.Pool]
-   workers don't bounce one cache line; [counter_value] sums the shards
-   at snapshot time.  The width is a power of two so indexing is a
-   mask. *)
-
-type counter = { c_enabled : bool; c_shards : int Atomic.t array }
+(* One atomic per counter: the VM adds its counters once per run and
+   each service request gets its own registry, so no counter is hot
+   across domains. *)
+type counter = { c_enabled : bool; c_value : int Atomic.t }
 
 type gauge = { g_enabled : bool; g_last : int Atomic.t; g_max : int Atomic.t }
 
@@ -49,7 +45,7 @@ let scope t name =
   | None -> disabled
   | Some _ -> { t with prefix = t.prefix ^ name ^ "/" }
 
-let null_counter = { c_enabled = false; c_shards = [| Atomic.make 0 |] }
+let null_counter = { c_enabled = false; c_value = Atomic.make 0 }
 
 let null_gauge =
   { g_enabled = false; g_last = Atomic.make 0; g_max = Atomic.make 0 }
@@ -84,25 +80,15 @@ let counter t name =
   match
     register t name
       (fun () ->
-        I_counter
-          {
-            c_enabled = true;
-            c_shards = Array.init counter_shards (fun _ -> Atomic.make 0);
-          })
+        I_counter { c_enabled = true; c_value = Atomic.make 0 })
       (function I_counter c -> Some c | _ -> None)
   with
   | Some c -> c
   | None -> null_counter
 
-let counter_shard c =
-  c.c_shards.((Domain.self () :> int) land (Array.length c.c_shards - 1))
+let incr c = if c.c_enabled then ignore (Atomic.fetch_and_add c.c_value 1)
 
-let counter_value c =
-  Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.c_shards
-
-let incr c = if c.c_enabled then ignore (Atomic.fetch_and_add (counter_shard c) 1)
-
-let add c n = if c.c_enabled then ignore (Atomic.fetch_and_add (counter_shard c) n)
+let add c n = if c.c_enabled then ignore (Atomic.fetch_and_add c.c_value n)
 
 let gauge t name =
   match
@@ -178,7 +164,7 @@ let snapshot t =
           (fun name i acc ->
             let v =
               match i with
-              | I_counter c -> Counter (counter_value c)
+              | I_counter c -> Counter (Atomic.get c.c_value)
               | I_gauge g ->
                   Gauge { last = Atomic.get g.g_last; max = Atomic.get g.g_max }
               | I_hist h ->

@@ -32,10 +32,8 @@ type counter
 
 val counter : t -> string -> counter
 (** Monotone counter.  Registration is idempotent: the same name in the
-    same registry returns the same instrument.  Internally sharded
-    across a small fixed-width array of atomics indexed by the updating
-    domain's id, so concurrent [Exec.Pool] workers don't contend on one
-    cache line; shards are summed at snapshot time. *)
+    same registry returns the same instrument.  One atomic: concurrent
+    updates from several domains are never lost. *)
 
 val incr : counter -> unit
 

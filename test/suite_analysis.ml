@@ -401,11 +401,12 @@ let build_safe analysis src =
     Harness.Build.Safe src
 
 let observe b schedule =
-  Harness.Differ.obs_of_outcome
-    (Harness.Measure.exec
-       (Harness.Request.make ~schedule ~check_integrity:true
-          ~final_collect:true "")
-       b)
+  Harness.Measure.exec
+    (Harness.Request.make ~schedule ~check_integrity:true ~final_collect:true
+       "")
+    b
+
+let corrupted = function Harness.Measure.Corrupted _ -> true | _ -> false
 
 (* every single-collection-point schedule when the program is small,
    evenly sampled single points otherwise, plus dense periodic and
@@ -429,7 +430,7 @@ let prop_analysis_differential =
       let bf = build_safe Mode.A_flow src in
       let instrs =
         match observe bn Machine.Schedule.Auto with
-        | Harness.Differ.Obs_ok { ok_instrs; _ } -> ok_instrs
+        | Harness.Measure.Ran r -> r.Harness.Measure.o_instrs
         | _ -> 0
       in
       List.for_all
@@ -438,8 +439,8 @@ let prop_analysis_differential =
           let of_ = observe bf schedule in
           (* no premature reclamation in either build, and behaviourally
              identical observations *)
-          Harness.Differ.classify on <> Harness.Diagnostics.Corruption
-          && Harness.Differ.classify of_ <> Harness.Diagnostics.Corruption
+          (not (corrupted on))
+          && (not (corrupted of_))
           && Harness.Differ.diff ~reference:on of_ = None)
         (schedules_for instrs))
 

@@ -168,6 +168,9 @@ let test_exhaustive_alloc_failures () =
       done)
     Stress.Corpus.examples
 
+(* Trapped, the run is a structured heap-exhausted stop (exit 6), and
+   both renderers of a run print the heap's own "heap exhausted:"
+   message with that prefix exactly once. *)
 let test_measured_trap_is_structured () =
   let t = List.hd Stress.Corpus.examples in
   let b = build_example t in
@@ -178,9 +181,26 @@ let test_measured_trap_is_structured () =
       b
   with
   | Harness.Measure.Exhausted _ as o ->
-      let outcome, _ = Harness.Diagnostics.of_measure o in
+      let outcome = Harness.Outcome.of_measure o in
       Alcotest.(check int) "exit code 6" 6
-        (Harness.Diagnostics.exit_code outcome)
+        (Harness.Diagnostics.exit_code (Harness.Outcome.classify outcome));
+      let prefix = "heap exhausted: " in
+      let occurrences text =
+        let n = String.length prefix in
+        List.length
+          (List.filter
+             (fun i -> String.sub text i n = prefix)
+             (List.init (max 0 (String.length text - n + 1)) Fun.id))
+      in
+      List.iter
+        (fun (what, text) ->
+          Alcotest.(check bool) (what ^ " leads with the prefix") true
+            (String.starts_with ~prefix text);
+          Alcotest.(check int) (what ^ " prefix once") 1 (occurrences text))
+        [
+          ("Measure.describe", Harness.Measure.describe o);
+          ("Outcome.describe", Harness.Outcome.describe outcome);
+        ]
   | o -> Alcotest.fail ("expected Exhausted, got " ^ Harness.Measure.describe o)
 
 (* --- the paper workloads ------------------------------------------------ *)

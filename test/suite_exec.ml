@@ -311,12 +311,16 @@ let test_diagnostics_classify () =
   (match Diagnostics.of_exn Not_found with
   | None -> ()
   | Some _ -> Alcotest.fail "foreign exceptions are not classified");
-  let outcome, _ = Diagnostics.of_measure (Harness.Measure.Detected "y") in
+  let class_of o =
+    Diagnostics.outcome_name
+      (Harness.Outcome.classify (Harness.Outcome.of_measure o))
+  in
   Alcotest.(check string) "Detected is a fault" "fault"
-    (Diagnostics.outcome_name outcome);
-  Alcotest.(check string) "differ obs classified" "corruption"
-    (Diagnostics.outcome_name
-       (Harness.Differ.classify (Harness.Differ.Obs_corrupted "z")))
+    (class_of (Harness.Measure.Detected "y"));
+  Alcotest.(check string) "Detected message" "detected: y"
+    (Harness.Measure.describe (Harness.Measure.Detected "y"));
+  Alcotest.(check string) "Corrupted run classified" "corruption"
+    (class_of (Harness.Measure.Corrupted "z"))
 
 (* --- parallel stress == serial stress on the hazard corpus ------------ *)
 

@@ -330,16 +330,25 @@ let test_safe_targets_clean () =
 
 (* --- collector modes in the differential matrix ----------------------- *)
 
-let check_cells cells =
+(* every subject, under [schedule], agrees with its machine's reference
+   run uninjected *)
+let check_agrees ~schedule subjects =
   List.iter
-    (fun c ->
-      match c.Harness.Differ.c_mismatch with
+    (fun s ->
+      let reference =
+        Harness.Differ.observe ~schedule:Machine.Schedule.Auto
+          (Harness.Differ.reference subjects
+             s.Harness.Differ.s_request.Harness.Request.machine)
+      in
+      match
+        Harness.Differ.diff ~reference (Harness.Differ.observe ~schedule s)
+      with
       | None -> ()
       | Some m ->
           Alcotest.failf "%s: %s"
-            (Harness.Differ.subject_name c.Harness.Differ.c_subject)
+            (Harness.Differ.subject_name s)
             (Harness.Differ.describe_mismatch m))
-    cells
+    subjects
 
 let test_gc_mode_matrix_agrees () =
   (* a safe program behaves identically under the stop-the-world and the
@@ -358,8 +367,7 @@ let test_gc_mode_matrix_agrees () =
     "gc modes multiply subjects, not builds"
     (2 * List.length stw_only)
     (List.length subjects);
-  check_cells
-    (Harness.Differ.run_matrix ~schedule:(Machine.Schedule.Every 3) subjects)
+  check_agrees ~schedule:(Machine.Schedule.Every 3) subjects
 
 let has_gen_tag f =
   let s = f.Stress.Driver.f_subject and tag = "[gen]" in
@@ -423,24 +431,11 @@ let test_capture_path () =
   Sys.rmdir (Filename.dirname dir);
   Sys.rmdir root
 
-let test_run_matrix_agrees () =
-  let subjects =
-    Harness.Differ.build_of_matrix
-      (mx [ Machine.Machdesc.sparc10 ])
-      Stress.Corpus.strcopy.Stress.Corpus.t_source
-  in
-  let cells =
-    Harness.Differ.run_matrix ~schedule:(Machine.Schedule.Every 3) subjects
-  in
-  List.iter
-    (fun c ->
-      match c.Harness.Differ.c_mismatch with
-      | None -> ()
-      | Some m ->
-          Alcotest.failf "%s: %s"
-            (Harness.Differ.subject_name c.Harness.Differ.c_subject)
-            (Harness.Differ.describe_mismatch m))
-    cells
+let test_matrix_agrees () =
+  check_agrees ~schedule:(Machine.Schedule.Every 3)
+    (Harness.Differ.build_of_matrix
+       (mx [ Machine.Machdesc.sparc10 ])
+       Stress.Corpus.strcopy.Stress.Corpus.t_source)
 
 let suite =
   [
@@ -477,7 +472,7 @@ let suite =
       test_shrunk_schedule_reproduces;
     Alcotest.test_case "driver: safe targets are clean" `Quick
       test_safe_targets_clean;
-    Alcotest.test_case "differ: matrix agreement" `Quick test_run_matrix_agrees;
+    Alcotest.test_case "differ: matrix agreement" `Quick test_matrix_agrees;
     Alcotest.test_case "differ: gc modes agree on safe code" `Quick
       test_gc_mode_matrix_agrees;
     Alcotest.test_case "driver: gc modes fail identically" `Quick
