@@ -100,12 +100,28 @@ let uses = function
   | KeepLive v -> op_uses v
   | Opaque (_, s) -> op_uses s
 
-let def = function
+let iter_op_uses f = function Reg r -> f r | Imm _ | Glob _ -> ()
+
+(* [uses] without building the list *)
+let iter_uses f = function
+  | Mov (_, s) | Push s | KeepLive s | Opaque (_, s) -> iter_op_uses f s
+  | Bin (_, _, a, b) | Rel (_, _, a, b) | Load (_, _, a, b) ->
+      iter_op_uses f a;
+      iter_op_uses f b
+  | Store (_, src, base, off) ->
+      iter_op_uses f src;
+      iter_op_uses f base;
+      iter_op_uses f off
+  | Call (_, _, _) -> ()
+
+(* the register an instruction writes, or -1 *)
+let def_reg = function
   | Mov (d, _) | Bin (_, d, _, _) | Rel (_, d, _, _) | Load (_, d, _, _)
-  | Opaque (d, _) ->
-      Some d
-  | Call (d, _, _) -> d
-  | Store _ | Push _ | KeepLive _ -> None
+  | Opaque (d, _) | Call (Some d, _, _) ->
+      d
+  | Call (None, _, _) | Store _ | Push _ | KeepLive _ -> -1
+
+let def i = match def_reg i with -1 -> None | d -> Some d
 
 let term_uses = function
   | Jmp _ -> []

@@ -7,29 +7,21 @@
 
 open Ir.Instr
 
-module ISet = Ir.Liveness.ISet
-
-(* One backward sweep over [b] from its live-out set.  A removed
+(* One backward cursor sweep over [b] from its live-out set.  A removed
    instruction adds no uses, so a whole dead chain within the block goes
    in one sweep.  Returns whether anything was removed. *)
 let sweep live (b : block) =
-  let live_now =
-    ref
-      (ISet.union
-         (Ir.Liveness.live_out live b.b_label)
-         (ISet.of_list (term_uses b.b_term)))
-  in
+  let c = Ir.Liveness.cursor live b in
   let removed = ref false in
   let keep =
     List.fold_left
       (fun keep i ->
         match Ir.Instr.def i with
-        | Some d when (not (ISet.mem d !live_now)) && not (has_side_effect i) ->
+        | Some d when (not (Ir.Liveness.mem c d)) && not (has_side_effect i) ->
             removed := true;
             keep
-        | d ->
-            Option.iter (fun d -> live_now := ISet.remove d !live_now) d;
-            List.iter (fun r -> live_now := ISet.add r !live_now) (uses i);
+        | _ ->
+            Ir.Liveness.step c i;
             i :: keep)
       [] (List.rev b.b_instrs)
   in

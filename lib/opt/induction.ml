@@ -140,7 +140,7 @@ let rewrite_loop (f : func) (live : Ir.Liveness.t) (ls : loop_shape) : bool =
               (* t must not escape the body *)
               if
                 !uses_ok && !use_count > 0
-                && (not (Ir.Liveness.ISet.mem t (Ir.Liveness.live_out live body.b_label)))
+                && (not (Ir.Liveness.mem_out live body.b_label t))
                 &&
                 match !base with
                 | Some a -> not (List.mem a loop_defs)

@@ -28,94 +28,133 @@
 
 open Ir.Instr
 
+(* Both shapes run in one forward pass per block and check their
+   conditions in O(1) from per-register position tables.  A position is
+   global over the function (a block's instruction idx sits at its base +
+   idx), so the tables need no reset between blocks: an entry below the
+   block's base means "not in this block".  The "dead after" tests read
+   liveness computed before the block's rewrites, through one backward
+   cursor pass. *)
+
 (* within a block, rewrite shape 1 *)
 let fold_displacement (f : func) (live : Ir.Liveness.t) =
+  (* last definition and last use before the current instruction, in the
+     block as rewritten so far *)
+  let last_def = Array.make f.fn_nreg (-1) and last_use = Array.make f.fn_nreg (-1) in
+  let base = ref 0 in
   List.iter
     (fun b ->
-      let after = Ir.Liveness.per_instr live b in
       let instrs = Array.of_list b.b_instrs in
-      let n = Array.length instrs in
-      (* map: register -> (index of defining Bin(op, t, Reg i, Imm c)) *)
+      let n = Array.length instrs and base0 = !base in
+      let p_or_t_live =
+        Ir.Liveness.live_after live b instrs (function
+          | Load (_, _, Reg p, Reg t) -> [ p; t ]
+          | _ -> [])
+      in
+      (* prev_def.(idx): the previous definition of the register that
+         instruction idx defines, so a rewrite can unlink idx *)
+      let prev_def = Array.make n (-1) in
       for idx = 0 to n - 1 do
-        match instrs.(idx) with
-        | Load (w, d, Reg p, Reg t) when p <> t && d <> p ->
-            (* find the definition of t in this block: t := i +- c *)
-            let rec find_def j =
-              if j < 0 then None
-              else
-                match instrs.(j) with
-                | Bin (((Add | Sub) as op), t', Reg i, Imm c) when t' = t ->
-                    Some (j, op, i, c)
-                | other when Ir.Instr.def other = Some t -> None
-                | _ -> find_def (j - 1)
-            in
-            (match find_def (idx - 1) with
-            | Some (j, op, i, c) when i <> t && i <> p ->
-                (* p and t must be dead after the load; p, i, t unchanged
-                   between j and idx; p not used in between (in particular
-                   not by a KeepLive marker) *)
-                let dead_after r = not (Ir.Liveness.ISet.mem r after.(idx)) in
-                let disjoint =
-                  let ok = ref true in
-                  for k = j + 1 to idx - 1 do
-                    (match Ir.Instr.def instrs.(k) with
-                    | Some d' when d' = p || d' = i || d' = t -> ok := false
-                    | _ -> ());
-                    if List.mem p (uses instrs.(k)) then ok := false
-                  done;
-                  !ok
-                in
-                if dead_after p && dead_after t && disjoint then begin
-                  (* p := p op c   ...   ld d, [p + i] *)
-                  instrs.(j) <- Bin (op, p, Reg p, Imm c);
-                  instrs.(idx) <- Load (w, d, Reg p, Reg i)
-                end
+        (match instrs.(idx) with
+        | Load (w, d, Reg p, Reg t)
+          when p <> t && d <> p && (not p_or_t_live.(idx)) && last_def.(t) >= base0
+          -> (
+            (* the definition of t in this block: t := i +- c, with p, i, t
+               unchanged and p unused between it and the load (in
+               particular not by a KeepLive marker) *)
+            let jg = last_def.(t) in
+            let j = jg - base0 in
+            match instrs.(j) with
+            | Bin (((Add | Sub) as op), _, Reg i, Imm c)
+              when i <> t && i <> p && last_def.(p) < jg && last_def.(i) < jg
+                   && last_use.(p) < jg ->
+                (* p := p op c   ...   ld d, [p + i] *)
+                instrs.(j) <- Bin (op, p, Reg p, Imm c);
+                instrs.(idx) <- Load (w, d, Reg p, Reg i);
+                last_def.(t) <- prev_def.(j);
+                prev_def.(j) <- last_def.(p);
+                last_def.(p) <- jg
             | _ -> ())
-        | _ -> ()
+        | _ -> ());
+        let g = base0 + idx in
+        iter_uses (fun r -> last_use.(r) <- g) instrs.(idx);
+        let d = def_reg instrs.(idx) in
+        if d >= 0 then begin
+          prev_def.(idx) <- last_def.(d);
+          last_def.(d) <- g
+        end
       done;
+      base := base0 + n;
       b.b_instrs <- Array.to_list instrs)
     f.fn_blocks
 
 (* shape 2: q := p + c, p dead after, q's uses all in this block and q not a
-   KeepLive operand: rename q to p (register reuse overwrites the base) *)
+   KeepLive operand: rename q to p (register reuse overwrites the base).
+
+   A rename applies to every later instruction of the block.  Rather than
+   rewrite them at once, the pass records it in [alias] and rewrites each
+   instruction when the forward pass reaches it.  One level of aliases is
+   enough: a rename needs q and p undefined for the rest of the block, so
+   q never appears again (not as an operand, a destination or a rename
+   target) and p is never renamed away.  The tables hold the last
+   position of a definition, a use and a KeepLive operand of each name in
+   the block as rewritten: definitions are never renamed, a rename folds
+   q's use positions into p's, and a candidate's q was never a rename
+   target, so its KeepLive positions are the original ones.  "p dead
+   after" reads the instruction's original operand r: if a rename made it
+   p, p is dead from that rename on, and r is live only through a later
+   use, which is now a use of p that the last-use test rejects. *)
 let reuse_base (f : func) (live : Ir.Liveness.t) =
+  let nreg = f.fn_nreg in
+  let last_def = Array.make nreg (-1)
+  and last_use = Array.make nreg (-1)
+  and last_keep = Array.make nreg (-1) in
+  let alias = Array.init nreg Fun.id in
+  let base = ref 0 in
   List.iter
     (fun b ->
-      let after = Ir.Liveness.per_instr live b in
       let instrs = Array.of_list b.b_instrs in
-      let n = Array.length instrs in
+      let n = Array.length instrs and base0 = !base in
+      let src_live =
+        Ir.Liveness.live_after live b instrs (function
+          | Bin ((Add | Sub), _, Reg p, Imm _) -> [ p ]
+          | _ -> [])
+      in
+      Array.iteri
+        (fun idx i ->
+          let g = base0 + idx in
+          iter_uses (fun r -> last_use.(r) <- g) i;
+          (match i with KeepLive (Reg r) -> last_keep.(r) <- g | _ -> ());
+          let d = def_reg i in
+          if d >= 0 then last_def.(d) <- g)
+        instrs;
+      let term = term_uses b.b_term in
+      let renamed = ref [] in
       for idx = 0 to n - 1 do
-        match instrs.(idx) with
+        let g = base0 + idx in
+        let i =
+          if !renamed = [] then instrs.(idx)
+          else map_instr_ops (fun r -> Reg alias.(r)) instrs.(idx)
+        in
+        instrs.(idx) <- i;
+        match i with
         | Bin (((Add | Sub) as op), q, Reg p, (Imm _ as c))
           when q <> p
-               && (not (Ir.Liveness.ISet.mem p after.(idx)))
-               && not (Ir.Liveness.ISet.mem q (Ir.Liveness.live_out live b.b_label))
-          ->
-            (* q must not be redefined later in the block, must not appear
-               in a KeepLive, and p must not be used later in the block *)
-            let ok = ref true in
-            for k = idx + 1 to n - 1 do
-              (match instrs.(k) with
-              | KeepLive (Reg r) when r = q || r = p -> ok := false
-              | _ -> ());
-              (match Ir.Instr.def instrs.(k) with
-              | Some d when d = q || d = p -> ok := false
-              | _ -> ());
-              if List.mem p (uses instrs.(k)) then ok := false
-            done;
-            (match b.b_term with
-            | t when List.mem q (term_uses t) || List.mem p (term_uses t) ->
-                ok := false
-            | _ -> ());
-            if !ok then begin
-              instrs.(idx) <- Bin (op, p, Reg p, c);
-              let rename r = if r = q then Reg p else Reg r in
-              for k = idx + 1 to n - 1 do
-                instrs.(k) <- map_instr_ops rename instrs.(k)
-              done
-            end
+               && (not src_live.(idx))
+               && (not (Ir.Liveness.mem_out live b.b_label q))
+               (* q not redefined later in the block and not in a later
+                  KeepLive; p not defined or used later in the block *)
+               && last_def.(q) <= g && last_keep.(q) <= g
+               && last_def.(p) <= g && last_use.(p) <= g
+               && not (List.mem q term || List.mem p term) ->
+            instrs.(idx) <- Bin (op, p, Reg p, c);
+            alias.(q) <- p;
+            renamed := q :: !renamed;
+            last_use.(p) <- max last_use.(p) last_use.(q)
         | _ -> ()
       done;
+      List.iter (fun q -> alias.(q) <- q) !renamed;
+      base := base0 + n;
       b.b_instrs <- Array.to_list instrs)
     f.fn_blocks
 

@@ -58,23 +58,23 @@ let run ?(nregs = 32) (f : func) : result =
   List.iter
     (fun b ->
       let bstart = !pos in
-      let after = Ir.Liveness.per_instr live b in
-      Ir.Liveness.ISet.iter (fun r -> touch r bstart) (Ir.Liveness.live_in live b.b_label);
+      (* a register live after an instruction at p is also touched at or
+         before p (its definition here, or live-in at bstart) and after p
+         (a later use here, or at tpos), so min-max intervals need no
+         per-instruction live sets *)
+      List.iter (fun r -> touch r bstart) (Ir.Liveness.live_in live b.b_label);
       List.iteri
         (fun idx i ->
           let p = !pos + idx in
           List.iter (fun r -> touch r p) (uses i);
           (match Ir.Instr.def i with Some d -> touch d p | None -> ());
-          Ir.Liveness.ISet.iter (fun r -> touch r (p + 1)) after.(idx);
           match i with
           | Mov (d, Reg s) | Opaque (d, Reg s) -> hint.(d) <- s
           | _ -> ())
         b.b_instrs;
       let tpos = !pos + List.length b.b_instrs in
       List.iter (fun r -> touch r tpos) (term_uses b.b_term);
-      Ir.Liveness.ISet.iter
-        (fun r -> touch r tpos)
-        (Ir.Liveness.live_out live b.b_label);
+      List.iter (fun r -> touch r tpos) (Ir.Liveness.live_out live b.b_label);
       pos := tpos + 1)
     f.fn_blocks;
 

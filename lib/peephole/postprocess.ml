@@ -63,9 +63,14 @@ let reg_list ops = List.filter_map op_reg ops
 
 (* Pattern 1: add x,y,z ; ... ; ld d,[z+0]  ==>  ld d,[x+y].
    z dead after the load, z unused in between and after, x,y stable. *)
-let fuse_loads stats klregs (b : block) after =
+let fuse_loads stats klregs live (b : block) =
   let instrs = Array.of_list b.b_instrs in
   let n = Array.length instrs in
+  let z_live =
+    Ir.Liveness.live_after live b instrs (function
+      | Load (_, _, Reg z, Imm 0) -> [ z ]
+      | _ -> [])
+  in
   let removed = Array.make n false in
   for idx = 0 to n - 1 do
     match instrs.(idx) with
@@ -83,7 +88,7 @@ let fuse_loads stats klregs (b : block) after =
         (match find_def (idx - 1) with
         | Some (j, x, y) ->
             let srcs = reg_list [ x; y ] in
-            let ok = ref (not (Ir.Liveness.ISet.mem z after.(idx))) in
+            let ok = ref (not z_live.(idx)) in
             (* z unused and x,y unchanged strictly between j and idx *)
             for k = j + 1 to idx - 1 do
               if not removed.(k) then begin
@@ -104,7 +109,7 @@ let fuse_loads stats klregs (b : block) after =
 
 (* Pattern 2: mov z,x forwarding — rewrite in-block uses of z to x while x
    and z are unchanged; drop the mov when z ends up dead. *)
-let forward_moves stats klregs (b : block) after =
+let forward_moves stats klregs live (b : block) =
   let instrs = Array.of_list b.b_instrs in
   let n = Array.length instrs in
   let removed = Array.make n false in
@@ -113,23 +118,20 @@ let forward_moves stats klregs (b : block) after =
     | Mov (z, Reg x) when z <> x && not (Hashtbl.mem klregs z) ->
         (* rewrite following uses of z to x until z or x is redefined *)
         let stop = ref false in
-        let last_rewritten = ref (-1) in
         let k = ref (idx + 1) in
         while (not !stop) && !k < n do
           if not removed.(!k) then begin
             let i = instrs.(!k) in
-            if List.mem z (uses i) then begin
+            if List.mem z (uses i) then
               instrs.(!k) <-
                 map_instr_ops (fun r -> if r = z then Reg x else Reg r) i;
-              last_rewritten := !k
-            end;
             if redefines i [ z; x ] then stop := true
           end;
           incr k
         done;
         (* the mov is removable if z is now locally dead: no remaining use
-           of z after idx in the block before any redef, and z dead at the
-           end of the straight-line region we scanned *)
+           of z after idx in the block before any redef, and z redefined
+           in the block or dead at its end (live-out ∪ terminator uses) *)
         let z_still_used = ref false in
         let k2 = ref (idx + 1) in
         let stopped = ref false in
@@ -140,28 +142,29 @@ let forward_moves stats klregs (b : block) after =
           end;
           incr k2
         done;
-        if !stopped && not !z_still_used then begin
-          removed.(idx) <- true;
-          stats.ph_forwarded_moves <- stats.ph_forwarded_moves + 1
-        end
-        else if
+        if
           (not !z_still_used)
-          && (not (Ir.Liveness.ISet.mem z after.(n - 1)))
-          && not (List.mem z (term_uses b.b_term))
+          && (!stopped
+             || (not (Ir.Liveness.mem_out live b.b_label z))
+                && not (List.mem z (term_uses b.b_term)))
         then begin
           removed.(idx) <- true;
           stats.ph_forwarded_moves <- stats.ph_forwarded_moves + 1
         end
-        else ignore !last_rewritten
     | _ -> ()
   done;
   b.b_instrs <-
     List.filteri (fun i _ -> not removed.(i)) (Array.to_list instrs)
 
 (* Pattern 3: add x,y,z ; ... ; mov w,z  ==>  ... ; add x,y,w *)
-let sink_adds stats klregs (b : block) after =
+let sink_adds stats klregs live (b : block) =
   let instrs = Array.of_list b.b_instrs in
   let n = Array.length instrs in
+  let z_live =
+    Ir.Liveness.live_after live b instrs (function
+      | Mov (_, Reg z) -> [ z ]
+      | _ -> [])
+  in
   let removed = Array.make n false in
   for idx = 0 to n - 1 do
     match instrs.(idx) with
@@ -178,7 +181,7 @@ let sink_adds stats klregs (b : block) after =
         (match find_def (idx - 1) with
         | Some (j, op, x, y) ->
             let srcs = reg_list [ x; y ] in
-            let ok = ref (not (Ir.Liveness.ISet.mem z after.(idx))) in
+            let ok = ref (not z_live.(idx)) in
             for k = j + 1 to idx - 1 do
               if not removed.(k) then begin
                 if List.mem z (uses instrs.(k)) then ok := false;
@@ -200,11 +203,7 @@ let run_func stats (f : func) =
   let klregs = keep_live_regs f in
   let pass transform =
     let live = Ir.Liveness.compute f in
-    List.iter
-      (fun b ->
-        let after = Ir.Liveness.per_instr live b in
-        if Array.length after > 0 then transform stats klregs b after)
-      f.fn_blocks
+    List.iter (transform stats klregs live) f.fn_blocks
   in
   pass forward_moves;
   pass fuse_loads;

@@ -317,6 +317,198 @@ let test_disguise_reuse_base () =
       Alcotest.failf "base not reused: %s"
         (String.concat "; " (List.map (Format.asprintf "%a" pp_instr) is))
 
+let test_disguise_sees_earlier_folds () =
+  (* folding r3 := r2 + 3 into the first load makes that instruction a
+     definition of r1, so r3 is unchanged from r5 := r3 + 5 to the second
+     load, and r5's displacement folds into r6 as well *)
+  let f =
+    mk_func
+      [
+        Bin (Add, 5, Reg 3, Imm 5);
+        Bin (Add, 3, Reg 2, Imm 3);
+        Load (W8, 4, Reg 1, Reg 3);
+        Load (W8, 7, Reg 6, Reg 5);
+        Bin (Add, 8, Reg 4, Reg 7);
+      ]
+      (Ret (Some (Reg 8)))
+  in
+  Opt.Ptr_strength.run f;
+  match instrs_of f with
+  | [
+   Bin (Add, 6, Reg 6, Imm 5);
+   Bin (Add, 1, Reg 1, Imm 3);
+   Load (W8, 4, Reg 1, Reg 2);
+   Load (W8, 7, Reg 6, Reg 3);
+   _;
+  ] ->
+      ()
+  | is ->
+      Alcotest.failf "second fold missed: %s"
+        (String.concat "; " (List.map (Format.asprintf "%a" pp_instr) is))
+
+(* A straight-line block of n statements [x' := x + c; ld d, [x' + t]]
+   with t set once at the top: every add renames its sum into the base,
+   so the renames chain through the whole block, and every load's offset
+   was defined up to n statements back.  Rescanning the block for each
+   candidate is quadratic here. *)
+let chain_block n =
+  let t = 1 and d = 2 and x k = 3 + k in
+  let body =
+    List.concat
+      (List.init n (fun k ->
+           [
+             Bin (Add, x (k + 1), Reg (x k), Imm ((k mod 7) + 1));
+             Load (W8, d, Reg (x (k + 1)), Reg t);
+           ]))
+  in
+  mk_func ~params:[ x 0 ] ~nreg:(n + 4) (Mov (t, Imm 8) :: body)
+    (Ret (Some (Reg (x n))))
+
+let test_disguise_scales_linearly () =
+  (* best of five, to keep a stray collection out of the ratio *)
+  let time n =
+    List.fold_left min infinity
+      (List.init 5 (fun _ ->
+           let f = chain_block n in
+           let t0 = Sys.time () in
+           Opt.Ptr_strength.run f;
+           Sys.time () -. t0))
+  in
+  let small = time 1000 and large = time 8000 in
+  (* 8x the statements: linear is 8x, quadratic 64x *)
+  if large > 32. *. Float.max small 1e-4 then
+    Alcotest.failf "8000 statements took %.1fx as long as 1000 (%.2f ms vs %.2f ms)"
+      (large /. small) (large *. 1e3) (small *. 1e3)
+
+(* The two shapes as the pass first stated them: each candidate rescans
+   the block, and a rename rewrites every later instruction at once.
+   Quadratic; the linear pass must rewrite exactly as this does. *)
+let reference_ptr_strength (f : func) =
+  let after live b =
+    let instrs = Array.of_list b.b_instrs in
+    let a = Array.make (Array.length instrs) [] in
+    let c = Ir.Liveness.cursor live b in
+    for i = Array.length instrs - 1 downto 0 do
+      a.(i) <- List.filter (Ir.Liveness.mem c) (List.init f.fn_nreg Fun.id);
+      Ir.Liveness.step c instrs.(i)
+    done;
+    a
+  in
+  let between lo hi = List.init (max 0 (hi - lo - 1)) (fun k -> lo + 1 + k) in
+  let live = Ir.Liveness.compute f in
+  List.iter
+    (fun b ->
+      let after = after live b and instrs = Array.of_list b.b_instrs in
+      for idx = 0 to Array.length instrs - 1 do
+        match instrs.(idx) with
+        | Load (w, d, Reg p, Reg t) when p <> t && d <> p -> (
+            let rec find_def j =
+              if j < 0 then None
+              else
+                match instrs.(j) with
+                | Bin (((Add | Sub) as op), t', Reg i, Imm c) when t' = t ->
+                    Some (j, op, i, c)
+                | x when def x = Some t -> None
+                | _ -> find_def (j - 1)
+            in
+            match find_def (idx - 1) with
+            | Some (j, op, i, c)
+              when i <> t && i <> p
+                   && (not (List.mem p after.(idx) || List.mem t after.(idx)))
+                   && List.for_all
+                        (fun k ->
+                          (not (List.mem p (uses instrs.(k))))
+                          && not (List.mem (def instrs.(k)) [ Some p; Some i; Some t ]))
+                        (between j idx) ->
+                instrs.(j) <- Bin (op, p, Reg p, Imm c);
+                instrs.(idx) <- Load (w, d, Reg p, Reg i)
+            | _ -> ())
+        | _ -> ()
+      done;
+      b.b_instrs <- Array.to_list instrs)
+    f.fn_blocks;
+  let live = Ir.Liveness.compute f in
+  List.iter
+    (fun b ->
+      let after = after live b and instrs = Array.of_list b.b_instrs in
+      let n = Array.length instrs and term = term_uses b.b_term in
+      for idx = 0 to n - 1 do
+        match instrs.(idx) with
+        | Bin (((Add | Sub) as op), q, Reg p, (Imm _ as c))
+          when q <> p
+               && (not (List.mem p after.(idx)))
+               && (not (Ir.Liveness.mem_out live b.b_label q))
+               && (not (List.mem q term || List.mem p term))
+               && List.for_all
+                    (fun k ->
+                      let x = instrs.(k) in
+                      x <> KeepLive (Reg q)
+                      && x <> KeepLive (Reg p)
+                      && (not (List.mem (def x) [ Some q; Some p ]))
+                      && not (List.mem p (uses x)))
+                    (between idx n) ->
+            instrs.(idx) <- Bin (op, p, Reg p, c);
+            for k = idx + 1 to n - 1 do
+              instrs.(k) <-
+                map_instr_ops (fun r -> Reg (if r = q then p else r)) instrs.(k)
+            done
+        | _ -> ()
+      done;
+      b.b_instrs <- Array.to_list instrs)
+    f.fn_blocks
+
+(* Random functions of one to three blocks over six registers, mostly
+   [q := p +- c]: renames chain, and pile up on the same few names. *)
+let gen_disguise_func =
+  let open QCheck.Gen in
+  let reg = int_range 1 6 in
+  let instr =
+    frequency
+      [
+        (6, map3 (fun op (q, p) c -> Bin (op, q, Reg p, Imm c))
+              (oneofl [ Add; Sub ]) (pair reg reg) (int_range 1 9));
+        (3, map3 (fun d p t -> Load (W8, d, Reg p, Reg t)) reg reg reg);
+        (1, map2 (fun d p -> Load (W8, d, Reg p, Imm 0)) reg reg);
+        (1, map2 (fun d s -> Mov (d, Reg s)) reg reg);
+        (1, map (fun r -> KeepLive (Reg r)) reg);
+        (1, map2 (fun s p -> Store (W8, Reg s, Reg p, Imm 0)) reg reg);
+      ]
+  in
+  let* nb = int_range 1 3 in
+  let* blocks =
+    flatten_l
+      (List.init nb (fun l ->
+           let* instrs = list_size (int_range 0 25) instr in
+           let* term =
+             if l = nb - 1 then map (fun r -> Ret (Some (Reg r))) reg
+             else
+               oneof
+                 [
+                   return (Jmp (l + 1));
+                   map2 (fun c l' -> Br (Reg c, l + 1, l')) reg (int_range 0 (nb - 1));
+                 ]
+           in
+           return { b_label = l; b_instrs = instrs; b_term = term }))
+  in
+  return
+    {
+      fn_name = "t"; fn_params = []; fn_ret_void = false;
+      fn_blocks = blocks; fn_nreg = 7; fn_frame = 0;
+    }
+
+let show_func f = Format.asprintf "%a" pp_func f
+
+let prop_disguise_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"disguise: linear pass == rescanning reference"
+    (QCheck.make ~print:show_func gen_disguise_func) (fun f ->
+      let copy () =
+        { f with fn_blocks = List.map (fun b -> { b with b_instrs = b.b_instrs }) f.fn_blocks }
+      in
+      let fast = copy () and slow = copy () in
+      Opt.Ptr_strength.run fast;
+      reference_ptr_strength slow;
+      show_func fast = show_func slow)
+
 (* --- semantic preservation through the whole pipeline ----------------------- *)
 
 let test_optimizer_preserves_semantics () =
@@ -368,6 +560,11 @@ let suite =
       test_disguise_blocked_by_keep;
     Alcotest.test_case "disguise: blocked by liveness" `Quick
       test_disguise_blocked_by_liveness;
+    Alcotest.test_case "disguise: sees earlier folds" `Quick
+      test_disguise_sees_earlier_folds;
+    Alcotest.test_case "disguise: linear in block length" `Quick
+      test_disguise_scales_linearly;
+    QCheck_alcotest.to_alcotest prop_disguise_matches_reference;
     Alcotest.test_case "disguise: base register reuse" `Quick
       test_disguise_reuse_base;
     Alcotest.test_case "semantics preserved" `Quick
