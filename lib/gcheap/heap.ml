@@ -119,8 +119,9 @@ type phase = Idle | Marking | Sweeping
 type t = {
   mem : Mem.t;
   map : Page_map.t;
-  free_lists : (int * Block.kind, int list ref) Hashtbl.t;
-      (** (class size, kind) -> free slot addresses *)
+  free_lists : int list ref array;
+      (** free slot addresses of each (class size, kind), indexed by
+          {!class_slot} *)
   mutable large_blocks : Block.t list;
   mutable all_blocks : Block.t list;  (** every block ever created *)
   config : config;
@@ -167,8 +168,8 @@ type t = {
       (** old-generation blocks that may hold still-young slots (free-list
           reuse restarts a slot at age 0), so a minor sweep can visit
           exactly the blocks where young objects can live *)
-  nursery_cursors : (int * Block.kind, Block.t) Hashtbl.t;
-      (** (class size, kind) -> the young block the bump allocator is
+  nursery_cursors : Block.t option array;
+      (** by {!class_slot}: the young block the bump allocator is
           currently filling *)
   mutable nursery_opened : int;
       (** young pages opened since the last collection — the nursery
@@ -188,6 +189,52 @@ exception Heap_exhausted of string
     needed growth (after emergency collection and retry under
     [Collect_expand]), or an injected failure fires under [Trap] *)
 
+(* ------------------------------------------------------------------ *)
+(* Size classes                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let granule = 16
+
+let max_small = 2048
+
+(* Class sizes: multiples of 16 up to 256, then powers of two to 2048. *)
+let class_size n =
+  if n <= 256 then (n + granule - 1) / granule * granule
+  else
+    let rec pow2 c = if c >= n then c else pow2 (c * 2) in
+    pow2 512
+
+(* Every (small class, kind) pair has one dense index: 16 granule
+   classes, then 512, 1024 and 2048, times the four block kinds.  The
+   allocator's per-class state is an array read at this index, so an
+   allocation hashes nothing. *)
+let class_slots = 19 * 4
+
+let class_slot cls kind =
+  let c =
+    if cls <= 256 then (cls / granule) - 1
+    else if cls = 512 then 16
+    else if cls = 1024 then 17
+    else 18
+  in
+  (c * 4)
+  +
+  match kind with
+  | Block.Normal -> 0
+  | Block.Atomic -> 1
+  | Block.Uncollectable -> 2
+  | Block.Stack -> 3
+
+(* The (class size, kind) of an index: the inverse of {!class_slot}. *)
+let slot_class k =
+  let c = k / 4 in
+  ( (if c < 16 then (c + 1) * granule else 512 lsl (c - 16)),
+    match k land 3 with
+    | 0 -> Block.Normal
+    | 1 -> Block.Atomic
+    | 2 -> Block.Uncollectable
+    | _ -> Block.Stack )
+
 let default_config () =
   {
     all_interior = true;
@@ -205,7 +252,7 @@ let create ?(config = default_config ()) () =
   {
     mem = Mem.create ();
     map = Page_map.create ();
-    free_lists = Hashtbl.create 32;
+    free_lists = Array.init class_slots (fun _ -> ref []);
     large_blocks = [];
     all_blocks = [];
     config;
@@ -246,7 +293,7 @@ let create ?(config = default_config ()) () =
     sweep_cursor = 0;
     young_blocks = [];
     aging_blocks = [];
-    nursery_cursors = Hashtbl.create 16;
+    nursery_cursors = Array.make class_slots None;
     nursery_opened = 0;
     dirty_index = [];
   }
@@ -283,40 +330,51 @@ let mark_page_dirty t p =
 
 (* Walk the dirty-page index, visiting each genuinely dirty page once
    (stale and duplicated entries are skipped).  This is what shrinks the
-   card scans from O(arena pages) to O(dirty pages). *)
+   card scans from O(arena pages) to O(dirty pages).  A visited page's
+   card byte reads 2 during the walk, which is how a duplicate entry is
+   told apart; [f] may clean the card, and the cards it keeps go back to
+   1 afterwards, also when [f] raises. *)
 let iter_dirty_pages t f =
-  let seen = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      if
-        (not (Hashtbl.mem seen p))
-        && p < Bytes.length t.dirty
-        && Bytes.get t.dirty p <> '\000'
-      then begin
-        Hashtbl.replace seen p ();
-        f p
-      end)
-    t.dirty_index
+  let dirty = t.dirty in
+  let restore () =
+    List.iter
+      (fun p ->
+        if p < Bytes.length dirty && Bytes.get dirty p = '\002' then
+          Bytes.set dirty p '\001')
+      t.dirty_index
+  in
+  Fun.protect ~finally:restore (fun () ->
+      List.iter
+        (fun p ->
+          if p < Bytes.length dirty && Bytes.get dirty p = '\001' then begin
+            Bytes.set dirty p '\002';
+            f p
+          end)
+        t.dirty_index)
 
 (* Is the slot's object old (survived [promote_after] minor cycles)? *)
-let is_old t blk i = Block.age blk i >= t.config.promote_after
+let is_old t (blk : Block.t) i =
+  Char.code (Bytes.get blk.Block.blk_age i) >= t.config.promote_after
 
-(* Is [v] a plausible pointer?  The block and slot of the allocated
-   object it points into.  Any value inside an allocated object qualifies
-   when [all_interior] is set; otherwise only base pointers qualify,
-   except from roots (the "Extensions" mode). *)
-let plausible_pointer t ~from_root v =
-  match Page_map.find t.map v with
-  | None -> None
-  | Some blk -> (
-      match Block.slot_of_addr blk v with
-      | None -> None
-      | Some i ->
-          if not (Block.is_allocated blk i) then None
-          else if
-            t.config.all_interior || from_root || v = Block.slot_addr blk i
-          then Some (blk, i)
-          else None)
+(* The one pointer test: the slot of [blk] (the block the page map gives
+   for [v]) holding the allocated object [v] plausibly points into, or
+   -1.  Any value inside an allocated object qualifies when
+   [all_interior] is set; otherwise only base pointers qualify, except
+   from roots (the "Extensions" mode).  It runs for every scanned word,
+   so it reads the block's bytes itself and allocates nothing: the dev
+   build's [-opaque] keeps {!Block}'s accessors from being inlined. *)
+let plausible_slot t ~from_root (blk : Block.t) v =
+  let off = v - blk.Block.blk_start in
+  if off < 0 then -1
+  else
+    let size = blk.Block.blk_obj_size in
+    let i = off / size in
+    if
+      i >= blk.Block.blk_count
+      || Bytes.unsafe_get blk.Block.blk_alloc i = '\000'
+    then -1
+    else if t.config.all_interior || from_root || off = i * size then i
+    else -1
 
 (* Shade [v] gray: mark the object it plausibly points to and push the
    object's range onto the gray stack when its contents are scanned.
@@ -326,16 +384,22 @@ let plausible_pointer t ~from_root v =
    implicitly live and never shaded.  Returns whether [v] newly shaded
    an object. *)
 let shade t ~minor ~from_root v =
-  match plausible_pointer t ~from_root v with
-  | Some (blk, i)
-    when (not (Block.is_marked blk i))
-         && not (minor && Block.collectable blk && is_old t blk i) ->
-      Block.set_marked blk i true;
-      (if Block.scanned blk then
-         let a = Block.slot_addr blk i in
-         t.gray <- (a, a + blk.Block.blk_obj_size) :: t.gray);
-      true
-  | Some _ | None -> false
+  v >= Mem.page_size
+  &&
+  match Page_map.find t.map v with
+  | None -> false
+  | Some blk ->
+      let i = plausible_slot t ~from_root blk v in
+      i >= 0
+      && Bytes.get blk.Block.blk_mark i = '\000'
+      && (not (minor && Block.collectable blk && is_old t blk i))
+      && begin
+           Bytes.set blk.Block.blk_mark i '\001';
+           (if Block.scanned blk then
+              let a = blk.Block.blk_start + (i * blk.Block.blk_obj_size) in
+              t.gray <- (a, a + blk.Block.blk_obj_size) :: t.gray);
+           true
+         end
 
 (* Does any byte of [lo, hi] (inclusive, within [blk]) fall in an
    allocated slot of [blk] that is already old? *)
@@ -343,7 +407,9 @@ let touches_old_slot t blk lo hi =
   let slot a = (a - blk.Block.blk_start) / blk.Block.blk_obj_size in
   let stop = min (blk.Block.blk_count - 1) (slot hi) in
   let rec probe i =
-    i <= stop && ((Block.is_allocated blk i && is_old t blk i) || probe (i + 1))
+    i <= stop
+    && ((Bytes.get blk.Block.blk_alloc i <> '\000' && is_old t blk i)
+       || probe (i + 1))
   in
   probe (slot lo)
 
@@ -408,33 +474,6 @@ let slot_age t addr =
       | Some _ | None -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Size classes                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let granule = 16
-
-let max_small = 2048
-
-(* Class sizes: multiples of 16 up to 256, then powers of two to 2048. *)
-let class_size n =
-  if n <= 256 then (n + granule - 1) / granule * granule
-  else
-    let rec pow2 c = if c >= n then c else pow2 (c * 2) in
-    pow2 512
-
-(* ------------------------------------------------------------------ *)
-(* Allocation                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let free_list t cls kind =
-  match Hashtbl.find_opt t.free_lists (cls, kind) with
-  | Some l -> l
-  | None ->
-      let l = ref [] in
-      Hashtbl.replace t.free_lists (cls, kind) l;
-      l
-
-(* ------------------------------------------------------------------ *)
 (* Pointer identification                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -483,16 +522,44 @@ let iter_range_words t start stop f =
     a := !a + 8
   done
 
-(* Does any word of [start, stop) hold a (conservative) pointer to a young
-   collectable object?  Same resolution rules as heap-object scanning. *)
-let range_has_young_ref t start stop =
-  let found = ref false in
-  iter_range_words t start stop (fun _ v ->
-      if not !found then
-        match plausible_pointer t ~from_root:false v with
-        | Some (blk, i) when Block.collectable blk -> found := not (is_old t blk i)
-        | Some _ | None -> ());
-  !found
+(* Is heap word [v] a (conservative) pointer to a young collectable
+   object?  Same resolution rules as heap-object scanning. *)
+let points_young t v =
+  v >= Mem.page_size
+  &&
+  match Page_map.find t.map v with
+  | Some blk ->
+      let i = plausible_slot t ~from_root:false blk v in
+      i >= 0 && (not (is_old t blk i)) && Block.collectable blk
+  | None -> false
+
+(* Does any word of [a, stop) (from aligned [a]) point to a young
+   collectable object?  Stops at the first that does. *)
+let rec young_ref_from t a stop =
+  word_in_range t a stop
+  && (points_young t (Mem.load_word t.mem a) || young_ref_from t (a + 8) stop)
+
+let range_has_young_ref t start stop = young_ref_from t (first_word start) stop
+
+(* The allocated old slots of [blk] that overlap the page at
+   [page_start], each clipped to the page: [f s e] for each in slot
+   order, until one returns [true] (the result).  Only the slots that
+   overlap the page are visited. *)
+let exists_old_slice t (blk : Block.t) page_start f =
+  let start = blk.Block.blk_start and size = blk.Block.blk_obj_size in
+  let page_stop = page_start + Mem.page_size in
+  let last = min (blk.Block.blk_count - 1) ((page_stop - 1 - start) / size) in
+  let rec from i =
+    i <= last
+    && ((Bytes.get blk.Block.blk_alloc i <> '\000'
+        && is_old t blk i
+        &&
+        let s = start + (i * size) in
+        let lo = max s page_start and hi = min (s + size) page_stop in
+        lo < hi && f lo hi)
+       || from (i + 1))
+  in
+  from (max 0 ((page_start - start) / size))
 
 (* Scan [start, stop) conservatively, shading every word, until [spent]
    words of work reach [budget]; a range the budget cuts short goes
@@ -563,18 +630,12 @@ let scan_roots t ~minor ~extra_roots ~extra_ranges ~spent =
     iter_dirty_pages t (fun p ->
         t.stats.cards_scanned <- t.stats.cards_scanned + 1;
         let page_start = p lsl Mem.page_bits in
-        let page_stop = page_start + Mem.page_size in
         match Page_map.find t.map page_start with
         | Some blk when Block.collectable blk && Block.scanned blk ->
-            for i = 0 to blk.Block.blk_count - 1 do
-              if Block.is_allocated blk i && is_old t blk i then begin
-                let s = max (Block.slot_addr blk i) page_start in
-                let e =
-                  min (Block.slot_addr blk i + blk.Block.blk_obj_size) page_stop
-                in
-                if s < e then range ~from_root:false s e
-              end
-            done
+            ignore
+              (exists_old_slice t blk page_start (fun s e ->
+                   range ~from_root:false s e;
+                   false))
         | Some _ | None -> ())
 
 (* Conservatively mark the pages of a slot dirty (used on promotion: the
@@ -612,39 +673,58 @@ let coalesce_pool t =
            | _ -> (s, p) :: acc)
          [] sorted)
 
+let free_list t cls kind = t.free_lists.(class_slot cls kind)
+
 (* Drop the bump cursor if it points at [blk] (the block is leaving the
    nursery, by promotion or retirement). *)
 let drop_cursor t blk =
-  let key = (blk.Block.blk_obj_size, blk.Block.blk_kind) in
-  match Hashtbl.find_opt t.nursery_cursors key with
-  | Some b when b == blk -> Hashtbl.remove t.nursery_cursors key
-  | Some _ | None -> ()
+  if blk.Block.blk_obj_size <= max_small then
+    let k = class_slot blk.Block.blk_obj_size blk.Block.blk_kind in
+    match t.nursery_cursors.(k) with
+    | Some b when b == blk -> t.nursery_cursors.(k) <- None
+    | Some _ | None -> ()
 
-(* A wholly dead nursery page goes back to the reclaim pool: the page
-   map forgets it and its (already swept) pages become claimable by any
-   later block.  The caller coalesces the pool when the batch is done. *)
-let retire_young_block t blk =
-  drop_cursor t blk;
-  Page_map.clear_block t.map blk;
-  t.all_blocks <- List.filter (fun b -> not (b == blk)) t.all_blocks;
-  t.young_blocks <- List.filter (fun b -> not (b == blk)) t.young_blocks;
-  clear_cards_in_run t blk.Block.blk_start blk.Block.blk_pages;
-  t.free_pages <- (blk.Block.blk_start, blk.Block.blk_pages) :: t.free_pages
+let has_allocated (blk : Block.t) =
+  let rec from i =
+    i < blk.Block.blk_count
+    && (Bytes.get blk.Block.blk_alloc i <> '\000' || from (i + 1))
+  in
+  from 0
+
+(* Wholly dead nursery pages go back to the reclaim pool: the page map
+   forgets them, one filter takes them out of [all_blocks] and
+   [young_blocks], and their (already swept) pages become claimable by
+   any later block. *)
+let retire_young_blocks t dead =
+  if dead <> [] then begin
+    let retired b = b.Block.blk_young && List.memq b dead in
+    t.all_blocks <- List.filter (fun b -> not (retired b)) t.all_blocks;
+    t.young_blocks <- List.filter (fun b -> not (retired b)) t.young_blocks;
+    List.iter
+      (fun blk ->
+        drop_cursor t blk;
+        Page_map.clear_block t.map blk;
+        clear_cards_in_run t blk.Block.blk_start blk.Block.blk_pages;
+        t.free_pages <-
+          (blk.Block.blk_start, blk.Block.blk_pages) :: t.free_pages)
+      dead;
+    coalesce_pool t
+  end
 
 (* Promote a surviving nursery page in place: the block joins the old
    generation (the collector is conservative, so survivors cannot be
    copied out), and its dead and never-bumped slots join the size-class
-   free lists like any other old block's. *)
+   free lists like any other old block's.  The caller takes it out of
+   [young_blocks]. *)
 let promote_young_block t blk =
   drop_cursor t blk;
   blk.Block.blk_young <- false;
   blk.Block.blk_bump <- 0;
-  t.young_blocks <- List.filter (fun b -> not (b == blk)) t.young_blocks;
   let fl = free_list t blk.Block.blk_obj_size blk.Block.blk_kind in
   for i = blk.Block.blk_count - 1 downto 0 do
-    if not (Block.is_allocated blk i) then begin
-      Block.set_age blk i 0;
-      fl := Block.slot_addr blk i :: !fl
+    if Bytes.get blk.Block.blk_alloc i = '\000' then begin
+      Bytes.set blk.Block.blk_age i '\000';
+      fl := (blk.Block.blk_start + (i * blk.Block.blk_obj_size)) :: !fl
     end
   done
 
@@ -653,22 +733,10 @@ let promote_young_block t blk =
    leaves the nursery parseable: open bump regions never survive a
    collection, and dead cohorts never linger. *)
 let retire_dead_young t =
-  Hashtbl.reset t.nursery_cursors;
+  Array.fill t.nursery_cursors 0 class_slots None;
   t.nursery_opened <- 0;
-  let dead =
-    List.filter
-      (fun blk ->
-        let live = ref false in
-        for i = 0 to blk.Block.blk_count - 1 do
-          if Block.is_allocated blk i then live := true
-        done;
-        not !live)
-      t.young_blocks
-  in
-  if dead <> [] then begin
-    List.iter (fun blk -> retire_young_block t blk) dead;
-    coalesce_pool t
-  end
+  retire_young_blocks t
+    (List.filter (fun blk -> not (has_allocated blk)) t.young_blocks)
 
 (* Tenure the nursery wholesale: every surviving young page is promoted
    in place.  An incremental cycle ends with this — its sliced sweep has
@@ -677,7 +745,7 @@ let tenure_young t =
   List.iter
     (fun blk ->
       for i = 0 to blk.Block.blk_count - 1 do
-        if Block.is_allocated blk i then begin
+        if Bytes.get blk.Block.blk_alloc i <> '\000' then begin
           t.stats.promoted <- t.stats.promoted + 1;
           if generational t then begin
             Block.set_age blk i t.config.promote_after;
@@ -686,30 +754,36 @@ let tenure_young t =
         end
       done;
       promote_young_block t blk)
-    t.young_blocks
+    t.young_blocks;
+  t.young_blocks <- []
 
-(* Free slot [i] of a collectable block: the one routine both sweepers
-   reclaim through.  The slot restarts at age 0 (whatever reallocates it
-   gets a genuinely young object) and is poisoned, so the VM detects a
-   premature reclamation as a hard fault.  Small-class slots return to
-   their free list; large blocks (obj_size > max_small, even single-page
-   ones) stay in [large_blocks] for whole-block reuse and must never leak
-   onto a size-class list; nursery slots are bump-allocated and never
-   reused in place, so young blocks stay off the free lists (their pages
-   are reclaimed or promoted whole). *)
-let free_slot t blk i =
+(* The free list a freed slot of collectable [blk] joins, looked up once
+   per block.  Small-class slots return to their free list; large blocks
+   (obj_size > max_small, even single-page ones) stay in [large_blocks]
+   for whole-block reuse and must never leak onto a size-class list;
+   nursery slots are bump-allocated and never reused in place, so young
+   blocks stay off the free lists (their pages are reclaimed or promoted
+   whole). *)
+let block_free_list t (blk : Block.t) =
+  if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young then
+    Some (free_list t blk.Block.blk_obj_size blk.Block.blk_kind)
+  else None
+
+(* Free slot [i] of a collectable block onto [fl], its
+   {!block_free_list}: the one routine both sweepers reclaim through.
+   The slot restarts at age 0 (whatever reallocates it gets a genuinely
+   young object) and is poisoned, so the VM detects a premature
+   reclamation as a hard fault. *)
+let free_slot t (blk : Block.t) i fl =
   let bytes = blk.Block.blk_req.(i) in
-  Block.set_allocated blk i false;
-  Block.set_age blk i 0;
+  Bytes.set blk.Block.blk_alloc i '\000';
+  Bytes.set blk.Block.blk_age i '\000';
   t.stats.objects_freed <- t.stats.objects_freed + 1;
   t.stats.bytes_freed <- t.stats.bytes_freed + bytes;
-  let addr = Block.slot_addr blk i in
+  let addr = blk.Block.blk_start + (i * blk.Block.blk_obj_size) in
   (match t.on_free with Some f -> f ~addr ~bytes | None -> ());
   Mem.fill t.mem addr blk.Block.blk_obj_size '\xDB';
-  if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young then begin
-    let fl = free_list t blk.Block.blk_obj_size blk.Block.blk_kind in
-    fl := addr :: !fl
-  end
+  match fl with Some fl -> fl := addr :: !fl | None -> ()
 
 (* The full sweep: free every unmarked allocated slot of the blocks in
    [sweep_pending], resuming mid-block at [sweep_cursor], until [spent]
@@ -718,30 +792,51 @@ let free_slot t blk i =
    never overruns, yet always takes one slot when fresh, for progress
    under tiny budgets.  A slot allocated behind the cursor during an
    incremental sweep was born black (see {!alloc}) and is never freed.
-   Stop-the-world collection sweeps with [max_int]. *)
+   Stop-the-world collection sweeps with [max_int].
+
+   Eight slots whose allocated bytes are all marked (or free) are
+   stepped over at once, reading [blk_alloc] and [blk_mark] eight bytes
+   at a time, when the budget admits all eight: that adds to [spent]
+   exactly what eight single steps add, so every slice stops at the same
+   slot. *)
 let sweep_slice t ~spent ~budget =
   let continue_ = ref true in
   while !continue_ && !spent < budget do
     match t.sweep_pending with
     | [] -> continue_ := false
     | blk :: rest ->
-        let worst = 1 + (blk.Block.blk_obj_size / 8) in
+        let count = blk.Block.blk_count in
+        let words = blk.Block.blk_obj_size / 8 in
+        let worst = 1 + words in
         let i = ref t.sweep_cursor in
-        if Block.collectable blk then
-          while
-            !i < blk.Block.blk_count
-            && (!spent + worst <= budget || !spent = 0)
-          do
-            incr spent;
-            if Block.is_allocated blk !i && not (Block.is_marked blk !i)
+        if Block.collectable blk then begin
+          let alloc = blk.Block.blk_alloc and mark = blk.Block.blk_mark in
+          let fl = block_free_list t blk in
+          while !i < count && (!spent + worst <= budget || !spent = 0) do
+            let j = !i in
+            if
+              j + 8 <= count
+              && !spent + 7 + worst <= budget
+              &&
+              let a = Bytes.get_int64_le alloc j in
+              Int64.logand a (Bytes.get_int64_le mark j) = a
             then begin
-              free_slot t blk !i;
-              spent := !spent + (blk.Block.blk_obj_size / 8)
-            end;
-            incr i
+              spent := !spent + 8;
+              i := j + 8
+            end
+            else begin
+              incr spent;
+              if Bytes.get alloc j <> '\000' && Bytes.get mark j = '\000'
+              then begin
+                free_slot t blk j fl;
+                spent := !spent + words
+              end;
+              i := j + 1
+            end
           done
-        else i := blk.Block.blk_count;
-        if !i >= blk.Block.blk_count then begin
+        end
+        else i := count;
+        if !i >= count then begin
           t.sweep_pending <- rest;
           t.sweep_cursor <- 0
         end
@@ -758,95 +853,93 @@ let start_sweep t =
 (* The minor sweep: segregated generations let it touch only the blocks
    where young objects can live, the nursery pages themselves plus old
    blocks holding reused (age-restarted) slots.  Old objects are not
-   collected; a marked young object survives one minor cycle older. *)
+   collected; a marked young object survives one minor cycle older.
+   Each block is visited once: the visit frees and ages its young slots
+   and notes what the decisions below need — how many slots stay
+   allocated, the last one's age, and whether a young slot is left.
+   Nursery cohorts then act per page: a page with no survivors returns
+   to the reclaim pool; a page whose cohort has now survived
+   [promote_after] minors is promoted in place.  An aging block with no
+   young slot left drops out of the minor set. *)
 let sweep_minor t =
-  let sweep_block blk =
-    if Block.collectable blk then
-      for i = 0 to blk.Block.blk_count - 1 do
-        if Block.is_allocated blk i && not (is_old t blk i) then
-          if not (Block.is_marked blk i) then free_slot t blk i
+  let last_age = ref 0 and young_left = ref false in
+  let sweep_block (blk : Block.t) =
+    let alloc = blk.Block.blk_alloc and age = blk.Block.blk_age in
+    let collectable = Block.collectable blk in
+    let fl = if collectable then block_free_list t blk else None in
+    let survivors = ref 0 in
+    young_left := false;
+    for i = 0 to blk.Block.blk_count - 1 do
+      if Bytes.get alloc i <> '\000' then begin
+        if collectable && not (is_old t blk i) then
+          if Bytes.get blk.Block.blk_mark i = '\000' then free_slot t blk i fl
           else begin
-            Block.set_age blk i (Block.age blk i + 1);
+            Bytes.set age i
+              (Char.chr (min 255 (Char.code (Bytes.get age i) + 1)));
             if is_old t blk i && not blk.Block.blk_young then begin
               t.stats.promoted <- t.stats.promoted + 1;
               dirty_slot_pages t blk i
             end
-          end
-      done
-  in
-  let young = t.young_blocks in
-  List.iter sweep_block young;
-  List.iter sweep_block t.aging_blocks;
-  (* nursery cohorts act per page: a page with no survivors returns to
-     the reclaim pool; a page whose cohort has now survived
-     [promote_after] minors is promoted in place *)
-  let retired = ref false in
-  List.iter
-    (fun blk ->
-      let survivors = ref 0 and cohort_age = ref 0 in
-      for i = 0 to blk.Block.blk_count - 1 do
-        if Block.is_allocated blk i then begin
+          end;
+        if Bytes.get alloc i <> '\000' then begin
           incr survivors;
-          cohort_age := Block.age blk i
+          last_age := Char.code (Bytes.get age i);
+          if not (is_old t blk i) then young_left := true
         end
-      done;
-      if !survivors = 0 then begin
-        retire_young_block t blk;
-        retired := true
       end
-      else if !cohort_age >= t.config.promote_after then begin
-        t.stats.promoted <- t.stats.promoted + !survivors;
+    done;
+    !survivors
+  in
+  let young =
+    List.map
+      (fun blk ->
+        let survivors = sweep_block blk in
+        (blk, survivors, !last_age))
+      t.young_blocks
+  in
+  t.aging_blocks <-
+    List.filter
+      (fun blk ->
+        ignore (sweep_block blk);
+        if not !young_left then blk.Block.blk_aging <- false;
+        !young_left)
+      t.aging_blocks;
+  let dead = ref [] in
+  List.iter
+    (fun (blk, survivors, cohort_age) ->
+      if survivors = 0 then dead := blk :: !dead
+      else if cohort_age >= t.config.promote_after then begin
+        t.stats.promoted <- t.stats.promoted + survivors;
         for i = 0 to blk.Block.blk_count - 1 do
-          if Block.is_allocated blk i then dirty_slot_pages t blk i
+          if Bytes.get blk.Block.blk_alloc i <> '\000' then
+            dirty_slot_pages t blk i
         done;
         promote_young_block t blk
       end)
     young;
-  if !retired then coalesce_pool t;
-  (* an aging block with no young slot left drops out of the minor set *)
-  t.aging_blocks <-
-    List.filter
-      (fun blk ->
-        let has_young = ref false in
-        for i = 0 to blk.Block.blk_count - 1 do
-          if Block.is_allocated blk i && not (is_old t blk i) then
-            has_young := true
-        done;
-        if not !has_young then blk.Block.blk_aging <- false;
-        !has_young)
-      t.aging_blocks
+  retire_young_blocks t (List.rev !dead);
+  t.young_blocks <- List.filter (fun b -> b.Block.blk_young) t.young_blocks
 
 (* Clean every dirty card that no longer holds an old→young reference.
    Keeping exactly the cards that do maintains remembered-set
    completeness between collections: stores dirty their cards eagerly and
    ages only ever increase, so an old→young reference can appear on a
    clean card only through a store (barrier) or a promotion (which
-   dirties the promoted slot's pages). *)
+   dirties the promoted slot's pages).  Only the old slots overlapping a
+   card are read, each up to its first young reference. *)
 let recompute_cards t =
   let retained = ref [] in
   iter_dirty_pages t (fun p ->
       let page_start = p lsl Mem.page_bits in
-      let page_stop = page_start + Mem.page_size in
-      let needed = ref false in
-      (match Page_map.find t.map page_start with
-      | Some blk
-        when Block.collectable blk && Block.scanned blk
-             && not blk.Block.blk_young ->
-          for i = 0 to blk.Block.blk_count - 1 do
-            if
-              (not !needed)
-              && Block.is_allocated blk i
-              && is_old t blk i
-            then begin
-              let s = max (Block.slot_addr blk i) page_start in
-              let e =
-                min (Block.slot_addr blk i + blk.Block.blk_obj_size) page_stop
-              in
-              if s < e && range_has_young_ref t s e then needed := true
-            end
-          done
-      | Some _ | None -> ());
-      if !needed then retained := p :: !retained
+      let needed =
+        match Page_map.find t.map page_start with
+        | Some blk
+          when Block.collectable blk && Block.scanned blk
+               && not blk.Block.blk_young ->
+            exists_old_slice t blk page_start (range_has_young_ref t)
+        | Some _ | None -> false
+      in
+      if needed then retained := p :: !retained
       else Bytes.set t.dirty p '\000');
   t.dirty_index <- !retained
 
@@ -1181,8 +1274,24 @@ let open_young_block t cls kind start =
   t.all_blocks <- blk :: t.all_blocks;
   t.young_blocks <- blk :: t.young_blocks;
   t.nursery_opened <- t.nursery_opened + 1;
-  Hashtbl.replace t.nursery_cursors (cls, kind) blk;
+  t.nursery_cursors.(class_slot cls kind) <- Some blk;
   blk
+
+(* Hand the free slot at [addr], just popped off its [cls]-byte free
+   list, to a [req]-byte object: allocated, born young again, black
+   during an incremental cycle, and zeroed.  Returns the slot's block. *)
+let take_free_slot t addr cls req =
+  match Page_map.find t.map addr with
+  | None -> assert false
+  | Some blk ->
+      let i = (addr - blk.Block.blk_start) / blk.Block.blk_obj_size in
+      Bytes.set blk.Block.blk_alloc i '\001';
+      Bytes.set blk.Block.blk_age i '\000';
+      (* allocate-black during an in-flight incremental cycle *)
+      if t.phase <> Idle then Bytes.set blk.Block.blk_mark i '\001';
+      blk.Block.blk_req.(i) <- req;
+      Mem.fill t.mem addr cls '\000';
+      blk
 
 (* Nursery allocation for small collectable objects: the fast path is a
    bump (slot index increment + limit check) with no page-map lookup, no
@@ -1193,35 +1302,26 @@ let open_young_block t cls kind start =
    first, then growth under the ceiling, with the same collect-expand
    fallback as the stop-the-world path). *)
 let rec alloc_nursery t ~req cls kind =
-  match Hashtbl.find_opt t.nursery_cursors (cls, kind) with
+  match t.nursery_cursors.(class_slot cls kind) with
   | Some blk when blk.Block.blk_bump < blk.Block.blk_count ->
       let i = blk.Block.blk_bump in
       blk.Block.blk_bump <- i + 1;
-      Block.set_allocated blk i true;
+      Bytes.set blk.Block.blk_alloc i '\001';
       (* ages on a fresh block are already 0 and bump slots are never
          reused, so no age reset is needed here *)
-      if t.phase <> Idle then Block.set_marked blk i true;
+      if t.phase <> Idle then Bytes.set blk.Block.blk_mark i '\001';
       blk.Block.blk_req.(i) <- req;
-      Block.slot_addr blk i
+      blk.Block.blk_start + (i * blk.Block.blk_obj_size)
   | _ -> (
       let fl = free_list t cls kind in
       match !fl with
       | addr :: rest ->
           fl := rest;
-          (match Page_map.find t.map addr with
-          | Some blk ->
-              let i = Option.get (Block.slot_of_addr blk addr) in
-              Block.set_allocated blk i true;
-              (* the reused slot is born young again *)
-              Block.set_age blk i 0;
-              if t.phase <> Idle then Block.set_marked blk i true;
-              blk.Block.blk_req.(i) <- req;
-              if generational t && not blk.Block.blk_aging then begin
-                blk.Block.blk_aging <- true;
-                t.aging_blocks <- blk :: t.aging_blocks
-              end
-          | None -> assert false);
-          Mem.fill t.mem addr cls '\000';
+          let blk = take_free_slot t addr cls req in
+          if generational t && not blk.Block.blk_aging then begin
+            blk.Block.blk_aging <- true;
+            t.aging_blocks <- blk :: t.aging_blocks
+          end;
           addr
       | [] -> (
           match claim_pages t 1 with
@@ -1287,16 +1387,7 @@ let alloc ?(kind = Block.Normal) t bytes =
     | [] -> assert false
     | addr :: rest ->
         fl := rest;
-        (match Page_map.find t.map addr with
-        | Some blk ->
-            let i = Option.get (Block.slot_of_addr blk addr) in
-            Block.set_allocated blk i true;
-            Block.set_age blk i 0;
-            (* allocate-black during an in-flight incremental cycle *)
-            if t.phase <> Idle then Block.set_marked blk i true;
-            blk.Block.blk_req.(i) <- bytes
-        | None -> assert false);
-        Mem.fill t.mem addr cls '\000';
+        ignore (take_free_slot t addr cls bytes);
         addr
   end
 
@@ -1524,8 +1615,9 @@ let check_integrity t : violation list =
      per page ([find] of a negative address is [None], like the initial
      [home]). *)
   let last_page = ref (-1) and home = ref None in
-  Hashtbl.iter
-    (fun (cls, kind) fl ->
+  Array.iteri
+    (fun k fl ->
+      let cls, kind = slot_class k in
       List.iter
         (fun addr ->
           let page = addr asr Mem.page_bits in
@@ -1642,12 +1734,7 @@ let check_integrity t : violation list =
             if Block.is_allocated blk i && is_old t blk i then begin
               let s = Block.slot_addr blk i in
               iter_range_words t s (s + blk.Block.blk_obj_size) (fun a v ->
-                  let young =
-                    match plausible_pointer ~from_root:false t v with
-                    | Some (b, j) when Block.collectable b -> not (is_old t b j)
-                    | Some _ | None -> false
-                  in
-                  if young && not (page_is_dirty t a) then
+                  if points_young t v && not (page_is_dirty t a) then
                     report "remembered-set"
                       "old object %#x holds young pointer %#x at %#x on a \
                        clean card"

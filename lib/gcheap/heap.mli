@@ -117,7 +117,10 @@ type phase = Idle | Marking | Sweeping
 type t = {
   mem : Mem.t;
   map : Page_map.t;
-  free_lists : (int * Block.kind, int list ref) Hashtbl.t;
+  free_lists : int list ref array;
+      (** free slot addresses of each (class size, kind), indexed densely
+          so that the allocator and the sweepers hash nothing; see
+          {!free_list} *)
   mutable large_blocks : Block.t list;
   mutable all_blocks : Block.t list;
   config : config;
@@ -169,8 +172,8 @@ type t = {
   mutable aging_blocks : Block.t list;
       (** old-generation blocks that may hold still-young (reused or
           large) slots, visited by the segregated minor sweep *)
-  nursery_cursors : (int * Block.kind, Block.t) Hashtbl.t;
-      (** (class size, kind) -> the young block being bump-filled *)
+  nursery_cursors : Block.t option array;
+      (** the young block being bump-filled, indexed like [free_lists] *)
   mutable nursery_opened : int;
       (** young pages opened since the last collection (the nursery
           occupancy trigger for minor cycles) *)
@@ -207,6 +210,10 @@ val class_size : int -> int
 val max_small : int
 (** Largest slot size served from the size-class free lists; anything
     bigger is a whole-pages large block. *)
+
+val free_list : t -> int -> Block.kind -> int list ref
+(** [free_list t cls kind]: the free slot addresses of class size [cls]
+    (a {!class_size} up to {!max_small}) and [kind], the next one first. *)
 
 val alloc : ?kind:Block.kind -> t -> int -> int
 (** [alloc t n] returns the address of [n] bytes of zeroed storage (the

@@ -96,7 +96,10 @@ let store t ~width addr v =
   | 8 -> Bytes.set_int64_le t.data addr (Int64.of_int v)
   | w -> invalid_arg (Printf.sprintf "Mem.store: width %d" w)
 
-let load_word t addr = load t ~width:8 addr
+(* the collector's scan loops load a word per step: no width dispatch *)
+let load_word t addr =
+  check t addr 8;
+  Int64.to_int (Bytes.get_int64_le t.data addr)
 
 let store_word t addr v = store t ~width:8 addr v
 

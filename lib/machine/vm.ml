@@ -186,6 +186,8 @@ type tele = {
   tl_gc_inc_pause : Telemetry.Metrics.histogram;
       (** per-increment pause in words of collector work (same clock as
           the scan histograms), incremental mode only *)
+  tl_gc_inc_pause_ns : Telemetry.Metrics.histogram;
+      (** per-increment wall time, incremental mode only *)
   tl_heap_foot : Telemetry.Metrics.gauge;
   tl_alloc_bytes : Telemetry.Metrics.histogram;
   tl_faults : Telemetry.Metrics.counter;
@@ -210,6 +212,7 @@ let make_tele sink =
     tl_gc_minor_scan = histogram m "gc/minor/pause_words";
     tl_gc_major_scan = histogram m "gc/major/pause_words";
     tl_gc_inc_pause = histogram m "gc/incremental/pause_words";
+    tl_gc_inc_pause_ns = histogram m "gc/incremental/pause_ns";
     tl_heap_foot = gauge m "heap/footprint";
     tl_alloc_bytes = histogram m "alloc/bytes";
     tl_faults = counter m "faults";
@@ -646,10 +649,15 @@ let[@inline] forced_gc_due st =
 let incremental_step st =
   let tl = st.tele in
   gc_pause st (fun ~extra_roots ~extra_ranges ->
+      let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
       let hs = st.heap.Gcheap.Heap.stats in
       let collections0 = hs.Gcheap.Heap.collections in
       (* each increment is a mutator pause of [spent] words of work *)
       let spent = Gcheap.Heap.step ~extra_roots ~extra_ranges st.heap in
+      let pause_ns =
+        if tl.tl_on then Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9)
+        else 0
+      in
       let completed = hs.Gcheap.Heap.collections - collections0 in
       Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "gc.step"
         ~args:(fun () ->
@@ -659,6 +667,7 @@ let incremental_step st =
           ]);
       if tl.tl_on then begin
         Telemetry.Metrics.observe tl.tl_gc_inc_pause spent;
+        Telemetry.Metrics.observe tl.tl_gc_inc_pause_ns pause_ns;
         if completed > 0 then
           Telemetry.Metrics.set tl.tl_heap_foot
             (Gcheap.Heap.footprint st.heap)

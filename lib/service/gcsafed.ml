@@ -366,6 +366,9 @@ type report = {
   rp_latency_p50 : int;
   rp_latency_p90 : int;
   rp_latency_p99 : int;
+  rp_exact_p50 : int;  (** nearest-rank over the admitted completions *)
+  rp_exact_p90 : int;
+  rp_exact_p99 : int;
   rp_labels : (string * int) list;
   rp_queue_wait : int;  (** summed queue-wait ticks over admitted requests *)
   rp_build_ticks : int;  (** summed build-tier ticks *)
@@ -380,6 +383,18 @@ type report = {
 
 let unexpected_classes = [ "corruption"; "task-quarantined"; "internal-error" ]
 
+(* The nearest-rank percentile: the ceil(p * n)-th smallest value, with
+   the same epsilon and clamping as [Metrics.percentile]; 0 for none. *)
+let nearest_rank values p =
+  let sorted = Array.of_list values in
+  Array.sort compare sorted;
+  let n = Array.length sorted in
+  if n = 0 then 0
+  else
+    let p = if Float.is_nan p then 0. else Float.min 1. (Float.max 0. p) in
+    let rank = Float.to_int (Float.ceil ((Float.of_int n *. p) -. 1e-9)) in
+    sorted.(max 1 (min n rank) - 1)
+
 let report t =
   let cs = completions t in
   let tally = Hashtbl.create 16 in
@@ -390,7 +405,7 @@ let report t =
   let rejected = ref 0 and hits = ref 0 and misses = ref 0 in
   let first_arrival = ref max_int and last_finish = ref 0 in
   let queue_wait = ref 0 and build = ref 0 and vm = ref 0 in
-  let total_latency = ref 0 in
+  let total_latency = ref 0 and latencies = ref [] in
   let gc_max = ref 0 and gc_total = ref 0 in
   List.iter
     (fun c ->
@@ -406,7 +421,9 @@ let report t =
       gc_total := !gc_total + c.r_gc_total_pause_words;
       match c.r_outcome with
       | Outcome.Rejected _ -> incr rejected
-      | _ -> if c.r_cache_hit then incr hits else incr misses)
+      | _ ->
+          latencies := (c.r_finish - c.r_arrival) :: !latencies;
+          if c.r_cache_hit then incr hits else incr misses)
     cs;
   let count name = Option.value ~default:0 (Hashtbl.find_opt tally name) in
   let counter name =
@@ -432,6 +449,9 @@ let report t =
     rp_latency_p50 = latency 0.50;
     rp_latency_p90 = latency 0.90;
     rp_latency_p99 = latency 0.99;
+    rp_exact_p50 = nearest_rank !latencies 0.50;
+    rp_exact_p90 = nearest_rank !latencies 0.90;
+    rp_exact_p99 = nearest_rank !latencies 0.99;
     rp_labels =
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) labels []);
     rp_queue_wait = !queue_wait;
@@ -523,6 +543,13 @@ let report_to_json ?wall_s t =
             ("p50", Json.Int r.rp_latency_p50);
             ("p90", Json.Int r.rp_latency_p90);
             ("p99", Json.Int r.rp_latency_p99);
+          ] );
+      ( "latency_ticks_exact",
+        Json.Obj
+          [
+            ("p50", Json.Int r.rp_exact_p50);
+            ("p90", Json.Int r.rp_exact_p90);
+            ("p99", Json.Int r.rp_exact_p99);
           ] );
       ("makespan_ticks", Json.Int r.rp_makespan);
       ("throughput_per_ktick", Json.Float (throughput r));

@@ -146,9 +146,17 @@ type report = {
   rp_cache_hits : int;  (** logical build-tier hits *)
   rp_cache_misses : int;
   rp_makespan : int;  (** last finish - first arrival, virtual ticks *)
-  rp_latency_p50 : int;  (** virtual ticks, from the service registry *)
+  rp_latency_p50 : int;
+      (** virtual ticks, from the service registry's log2 histogram: a
+          bucket's upper bound, so neighbouring percentiles can read the
+          same *)
   rp_latency_p90 : int;
   rp_latency_p99 : int;
+  rp_exact_p50 : int;
+      (** exact nearest-rank percentiles of the admitted completions'
+          latencies ({!nearest_rank}), in virtual ticks *)
+  rp_exact_p90 : int;
+  rp_exact_p99 : int;
   rp_labels : (string * int) list;  (** completions per request label *)
   rp_queue_wait : int;  (** summed queue-wait ticks *)
   rp_build_ticks : int;
@@ -163,6 +171,11 @@ type report = {
 }
 
 val report : t -> report
+
+val nearest_rank : int list -> float -> int
+(** [nearest_rank values p]: the ceil(p * n)-th smallest of the n
+    values ([p] clamped to [0, 1]), the rule {!Telemetry.Metrics.percentile}
+    applies to histogram buckets; 0 for no values. *)
 
 val hit_rate : report -> float
 (** Logical hits / (hits + misses); 0 when nothing was admitted. *)

@@ -476,6 +476,675 @@ let prop_same_obj =
           | _ -> off >= 0 && off <= rounded
           | exception Heap.Check_failure _ -> off < 0 || off > rounded))
 
+(* --- reference-model differential for the collector ------------------ *)
+
+(* The sweeps and the card recompute in their plain form, one slot per
+   step, with an option-returning pointer test and a full rescan of
+   every slot of a dirty card, run on a copy of the heap's state taken
+   just before each collection or increment.  Afterwards the heap must
+   agree with the model on every allocated byte, age and mark, the free
+   lists (order included), the nursery and aging sets, the reclaim pool,
+   the dirty cards, the sweep position, the poison of every freed slot
+   and every stats field.  For a stop-the-world or minor collection the
+   model also marks from the roots itself; an increment's marking is
+   interleaved with the store barrier, so the model takes its marks and
+   its marking counters ([words_scanned], [final_marks]) from the heap
+   and checks the sweep side and the words of work the step reports. *)
+
+type mblock = {
+  b : Block.t;
+  alloc : Bytes.t;
+  age : Bytes.t;
+  mark : Bytes.t;
+  mutable young : bool;
+  mutable aging : bool;
+  mutable bump : int;
+}
+
+type model = {
+  h : Heap.t;  (** read for config, page map and memory only *)
+  blocks : mblock list;
+  mutable all : Block.t list;
+  mutable young_set : Block.t list;
+  mutable aging_set : Block.t list;
+  fl : (int * Block.kind, int list ref) Hashtbl.t;
+  mutable dirty : Bytes.t;
+  mutable dirty_index : int list;
+  mutable free_pages : (int * int) list;
+  mutable pending : Block.t list;
+  mutable cursor : int;
+  mutable phase : Heap.phase;
+  st : Heap.stats;
+  mutable freed : (int * int) list;
+}
+
+(* every (class size, kind) pair the allocator has a free list for *)
+let free_list_keys =
+  List.concat_map
+    (fun cls ->
+      List.map (fun kind -> (cls, kind))
+        [ Block.Normal; Block.Atomic; Block.Uncollectable; Block.Stack ])
+    (List.init 16 (fun i -> 16 * (i + 1)) @ [ 512; 1024; 2048 ])
+
+let snapshot h =
+  let fl = Hashtbl.create 76 in
+  List.iter
+    (fun (cls, kind) ->
+      Hashtbl.replace fl (cls, kind) (ref !(Heap.free_list h cls kind)))
+    free_list_keys;
+  {
+    h;
+    blocks =
+      List.map
+        (fun b ->
+          {
+            b;
+            alloc = Bytes.copy b.Block.blk_alloc;
+            age = Bytes.copy b.Block.blk_age;
+            mark = Bytes.copy b.Block.blk_mark;
+            young = b.Block.blk_young;
+            aging = b.Block.blk_aging;
+            bump = b.Block.blk_bump;
+          })
+        h.Heap.all_blocks;
+    all = h.Heap.all_blocks;
+    young_set = h.Heap.young_blocks;
+    aging_set = h.Heap.aging_blocks;
+    fl;
+    dirty = Bytes.copy h.Heap.dirty;
+    dirty_index = h.Heap.dirty_index;
+    free_pages = h.Heap.free_pages;
+    pending = h.Heap.sweep_pending;
+    cursor = h.Heap.sweep_cursor;
+    phase = h.Heap.phase;
+    st = { h.Heap.stats with Heap.collections = h.Heap.stats.Heap.collections };
+    freed = [];
+  }
+
+let mb m blk = List.find (fun x -> x.b == blk) m.blocks
+
+let r_alloc x i = Bytes.get x.alloc i <> '\000'
+
+let r_old m x i =
+  Char.code (Bytes.get x.age i) >= m.h.Heap.config.Heap.promote_after
+
+let r_slot_addr (blk : Block.t) i =
+  blk.Block.blk_start + (i * blk.Block.blk_obj_size)
+
+let r_page a = a lsr Mem.page_bits
+
+let r_mark_dirty m p =
+  if p >= Bytes.length m.dirty then begin
+    let grown =
+      Bytes.make (max (p + 1) ((2 * Bytes.length m.dirty) + 64)) '\000'
+    in
+    Bytes.blit m.dirty 0 grown 0 (Bytes.length m.dirty);
+    m.dirty <- grown
+  end;
+  if Bytes.get m.dirty p = '\000' then m.dirty_index <- p :: m.dirty_index;
+  Bytes.set m.dirty p '\001'
+
+let r_dirty_slot_pages m blk i =
+  let s = r_slot_addr blk i in
+  for p = r_page s to r_page (s + blk.Block.blk_obj_size - 1) do
+    r_mark_dirty m p
+  done
+
+let r_free_list m key = Hashtbl.find m.fl key
+
+let r_free_slot m x i =
+  let blk = x.b in
+  let size = blk.Block.blk_obj_size in
+  Bytes.set x.alloc i '\000';
+  Bytes.set x.age i '\000';
+  m.st.Heap.objects_freed <- m.st.Heap.objects_freed + 1;
+  m.st.Heap.bytes_freed <- m.st.Heap.bytes_freed + blk.Block.blk_req.(i);
+  let addr = r_slot_addr blk i in
+  m.freed <- (addr, size) :: m.freed;
+  if size <= Heap.max_small && not x.young then begin
+    let fl = r_free_list m (size, blk.Block.blk_kind) in
+    fl := addr :: !fl
+  end
+
+(* the pointer test in its allocating form *)
+let r_plausible m ~from_root v =
+  match Page_map.find m.h.Heap.map v with
+  | None -> None
+  | Some blk -> (
+      match Block.slot_of_addr blk v with
+      | None -> None
+      | Some i ->
+          let x = mb m blk in
+          if not (r_alloc x i) then None
+          else if
+            m.h.Heap.config.Heap.all_interior || from_root
+            || v = r_slot_addr blk i
+          then Some (x, i)
+          else None)
+
+let r_iter_words m start stop f =
+  let limit = Mem.limit m.h.Heap.mem in
+  let a = ref ((start + 7) / 8 * 8) in
+  while !a < stop && (!a + 8 <= stop || !a + 8 <= limit) do
+    f (Mem.load_word m.h.Heap.mem !a);
+    a := !a + 8
+  done
+
+(* each genuinely dirty page once, in index order *)
+let r_dirty_pages m =
+  List.fold_left
+    (fun seen p ->
+      if
+        p < Bytes.length m.dirty
+        && Bytes.get m.dirty p <> '\000'
+        && not (List.mem p seen)
+      then p :: seen
+      else seen)
+    [] m.dirty_index
+  |> List.rev
+
+(* old slots of [blk] clipped to the page at [page_start], every slot
+   tested *)
+let r_old_slices m blk page_start f =
+  let x = mb m blk in
+  let page_stop = page_start + Mem.page_size in
+  for i = 0 to blk.Block.blk_count - 1 do
+    if r_alloc x i && r_old m x i then begin
+      let s = max (r_slot_addr blk i) page_start in
+      let e = min (r_slot_addr blk i + blk.Block.blk_obj_size) page_stop in
+      if s < e then f s e
+    end
+  done
+
+(* marks of an atomic collection, from the roots; returns the words
+   scanned and the cards visited *)
+let r_mark m ~minor ~roots =
+  List.iter
+    (fun x -> Bytes.fill x.mark 0 (Bytes.length x.mark) '\000')
+    m.blocks;
+  let gray = ref [] and words = ref 0 and cards = ref 0 in
+  let shade ~from_root v =
+    match r_plausible m ~from_root v with
+    | Some (x, i)
+      when Bytes.get x.mark i = '\000'
+           && not (minor && Block.collectable x.b && r_old m x i) ->
+        Bytes.set x.mark i '\001';
+        if Block.scanned x.b then
+          gray := (r_slot_addr x.b i, r_slot_addr x.b (i + 1)) :: !gray
+    | Some _ | None -> ()
+  in
+  let scan ~from_root s e =
+    r_iter_words m s e (fun v ->
+        incr words;
+        shade ~from_root v)
+  in
+  List.iter (shade ~from_root:true) roots;
+  List.iter
+    (fun blk ->
+      if Block.root_scanned blk then
+        let x = mb m blk in
+        for i = 0 to blk.Block.blk_count - 1 do
+          if r_alloc x i then begin
+            Bytes.set x.mark i '\001';
+            scan ~from_root:true (r_slot_addr blk i) (r_slot_addr blk (i + 1))
+          end
+        done)
+    m.all;
+  if minor then
+    List.iter
+      (fun p ->
+        incr cards;
+        let page_start = p lsl Mem.page_bits in
+        match Page_map.find m.h.Heap.map page_start with
+        | Some blk when Block.collectable blk && Block.scanned blk ->
+            r_old_slices m blk page_start (scan ~from_root:false)
+        | Some _ | None -> ())
+      (r_dirty_pages m);
+  let rec drain () =
+    match !gray with
+    | (s, e) :: rest ->
+        gray := rest;
+        scan ~from_root:false s e;
+        drain ()
+    | [] -> ()
+  in
+  drain ();
+  (!words, !cards)
+
+let r_sweep_slice m ~spent ~budget =
+  let continue_ = ref true in
+  while !continue_ && !spent < budget do
+    match m.pending with
+    | [] -> continue_ := false
+    | blk :: rest ->
+        let x = mb m blk in
+        let worst = 1 + (blk.Block.blk_obj_size / 8) in
+        let i = ref m.cursor in
+        if Block.collectable blk then
+          while
+            !i < blk.Block.blk_count && (!spent + worst <= budget || !spent = 0)
+          do
+            incr spent;
+            if r_alloc x !i && Bytes.get x.mark !i = '\000' then begin
+              r_free_slot m x !i;
+              spent := !spent + (blk.Block.blk_obj_size / 8)
+            end;
+            incr i
+          done
+        else i := blk.Block.blk_count;
+        if !i >= blk.Block.blk_count then begin
+          m.pending <- rest;
+          m.cursor <- 0
+        end
+        else begin
+          m.cursor <- !i;
+          continue_ := false
+        end
+  done
+
+let r_coalesce m =
+  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) m.free_pages in
+  m.free_pages <-
+    List.rev
+      (List.fold_left
+         (fun acc (s, p) ->
+           match acc with
+           | (ps, pp) :: rest when ps + (pp * Mem.page_size) = s ->
+               (ps, pp + p) :: rest
+           | _ -> (s, p) :: acc)
+         [] sorted)
+
+let r_retire m blk =
+  m.all <- List.filter (fun b -> not (b == blk)) m.all;
+  m.young_set <- List.filter (fun b -> not (b == blk)) m.young_set;
+  let first = r_page blk.Block.blk_start in
+  for p = first to first + blk.Block.blk_pages - 1 do
+    if p < Bytes.length m.dirty then Bytes.set m.dirty p '\000'
+  done;
+  m.free_pages <- (blk.Block.blk_start, blk.Block.blk_pages) :: m.free_pages
+
+let r_promote m blk =
+  let x = mb m blk in
+  x.young <- false;
+  x.bump <- 0;
+  m.young_set <- List.filter (fun b -> not (b == blk)) m.young_set;
+  let fl = r_free_list m (blk.Block.blk_obj_size, blk.Block.blk_kind) in
+  for i = blk.Block.blk_count - 1 downto 0 do
+    if not (r_alloc x i) then begin
+      Bytes.set x.age i '\000';
+      fl := r_slot_addr blk i :: !fl
+    end
+  done
+
+let r_sweep_minor m =
+  let pa = m.h.Heap.config.Heap.promote_after in
+  let sweep_block blk =
+    let x = mb m blk in
+    if Block.collectable blk then
+      for i = 0 to blk.Block.blk_count - 1 do
+        if r_alloc x i && not (r_old m x i) then
+          if Bytes.get x.mark i = '\000' then r_free_slot m x i
+          else begin
+            Bytes.set x.age i
+              (Char.chr (min 255 (Char.code (Bytes.get x.age i) + 1)));
+            if r_old m x i && not x.young then begin
+              m.st.Heap.promoted <- m.st.Heap.promoted + 1;
+              r_dirty_slot_pages m blk i
+            end
+          end
+      done
+  in
+  let young = m.young_set in
+  List.iter sweep_block young;
+  List.iter sweep_block m.aging_set;
+  let retired = ref false in
+  List.iter
+    (fun blk ->
+      let x = mb m blk in
+      let survivors = ref 0 and cohort_age = ref 0 in
+      for i = 0 to blk.Block.blk_count - 1 do
+        if r_alloc x i then begin
+          incr survivors;
+          cohort_age := Char.code (Bytes.get x.age i)
+        end
+      done;
+      if !survivors = 0 then begin
+        r_retire m blk;
+        retired := true
+      end
+      else if !cohort_age >= pa then begin
+        m.st.Heap.promoted <- m.st.Heap.promoted + !survivors;
+        for i = 0 to blk.Block.blk_count - 1 do
+          if r_alloc x i then r_dirty_slot_pages m blk i
+        done;
+        r_promote m blk
+      end)
+    young;
+  if !retired then r_coalesce m;
+  m.aging_set <-
+    List.filter
+      (fun blk ->
+        let x = mb m blk in
+        let has_young = ref false in
+        for i = 0 to blk.Block.blk_count - 1 do
+          if r_alloc x i && not (r_old m x i) then has_young := true
+        done;
+        if not !has_young then x.aging <- false;
+        !has_young)
+      m.aging_set
+
+let r_recompute_cards m =
+  let retained = ref [] in
+  List.iter
+    (fun p ->
+      let page_start = p lsl Mem.page_bits in
+      let needed = ref false in
+      (match Page_map.find m.h.Heap.map page_start with
+      | Some blk
+        when Block.collectable blk && Block.scanned blk && not (mb m blk).young
+        ->
+          r_old_slices m blk page_start (fun s e ->
+              r_iter_words m s e (fun v ->
+                  match r_plausible m ~from_root:false v with
+                  | Some (x, i) when Block.collectable x.b && not (r_old m x i)
+                    ->
+                      needed := true
+                  | Some _ | None -> ()))
+      | Some _ | None -> ());
+      if !needed then retained := p :: !retained
+      else Bytes.set m.dirty p '\000')
+    (r_dirty_pages m);
+  m.dirty_index <- !retained
+
+let r_complete m ~minor ~tenure =
+  let mode = m.h.Heap.config.Heap.mode in
+  m.phase <- Heap.Idle;
+  m.st.Heap.collections <- m.st.Heap.collections + 1;
+  if minor then m.st.Heap.minor_collections <- m.st.Heap.minor_collections + 1;
+  if mode <> Heap.Stw then begin
+    let dead =
+      List.filter
+        (fun blk ->
+          let x = mb m blk in
+          not (List.exists (r_alloc x) (List.init blk.Block.blk_count Fun.id)))
+        m.young_set
+    in
+    List.iter (r_retire m) dead;
+    if dead <> [] then r_coalesce m;
+    if tenure then
+      List.iter
+        (fun blk ->
+          let x = mb m blk in
+          for i = 0 to blk.Block.blk_count - 1 do
+            if r_alloc x i then begin
+              m.st.Heap.promoted <- m.st.Heap.promoted + 1;
+              if mode = Heap.Gen then begin
+                Bytes.set x.age i
+                  (Char.chr (min 255 m.h.Heap.config.Heap.promote_after));
+                r_dirty_slot_pages m blk i
+              end
+            end
+          done;
+          r_promote m blk)
+        m.young_set
+  end;
+  if mode = Heap.Gen then r_recompute_cards m
+
+let r_collect m ~minor ~roots =
+  let minor = minor && m.h.Heap.config.Heap.mode = Heap.Gen in
+  if m.phase <> Heap.Idle then begin
+    m.phase <- Heap.Idle;
+    m.pending <- [];
+    m.st.Heap.abandoned_cycles <- m.st.Heap.abandoned_cycles + 1
+  end;
+  let words, cards = r_mark m ~minor ~roots in
+  m.st.Heap.words_scanned <- m.st.Heap.words_scanned + words;
+  m.st.Heap.cards_scanned <- m.st.Heap.cards_scanned + cards;
+  if minor then r_sweep_minor m
+  else begin
+    m.pending <- m.all;
+    m.cursor <- 0;
+    r_sweep_slice m ~spent:(ref 0) ~budget:max_int
+  end;
+  r_complete m ~minor ~tenure:false
+
+(* one increment, its marking taken from the heap [h] after the step *)
+let r_step m ~nroots h =
+  let budget = max 1 h.Heap.config.Heap.pause_budget_words in
+  let hs = h.Heap.stats in
+  let words = hs.Heap.words_scanned - m.st.Heap.words_scanned in
+  let finals = hs.Heap.final_marks - m.st.Heap.final_marks in
+  List.iter
+    (fun x -> Bytes.blit x.b.Block.blk_mark 0 x.mark 0 (Bytes.length x.mark))
+    m.blocks;
+  let spent =
+    ref
+      (words + (if m.phase = Heap.Idle then nroots else 0) + (finals * nroots))
+  in
+  m.st.Heap.words_scanned <- hs.Heap.words_scanned;
+  m.st.Heap.final_marks <- hs.Heap.final_marks;
+  if m.phase = Heap.Idle then m.phase <- Heap.Marking;
+  if m.phase = Heap.Marking && finals > 0 then begin
+    m.phase <- Heap.Sweeping;
+    m.pending <- m.all;
+    m.cursor <- 0
+  end;
+  if m.phase = Heap.Sweeping then begin
+    r_sweep_slice m ~spent ~budget;
+    if m.pending = [] then r_complete m ~minor:false ~tenure:true
+  end;
+  m.st.Heap.increments <- m.st.Heap.increments + 1;
+  if !spent > budget then
+    m.st.Heap.budget_overruns <- m.st.Heap.budget_overruns + 1;
+  m.st.Heap.inc_max_pause_words <- max m.st.Heap.inc_max_pause_words !spent;
+  !spent
+
+let same_blocks a b = List.length a = List.length b && List.for_all2 ( == ) a b
+
+let dirty_set d =
+  List.filter
+    (fun p -> Bytes.get d p <> '\000')
+    (List.init (Bytes.length d) Fun.id)
+
+(* the heap agrees with the model, or the property fails with the first
+   difference *)
+let agree what m h =
+  let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) what in
+  if not (same_blocks m.all h.Heap.all_blocks) then fail "all_blocks";
+  if not (same_blocks m.young_set h.Heap.young_blocks) then fail "young_blocks";
+  if not (same_blocks m.aging_set h.Heap.aging_blocks) then fail "aging_blocks";
+  if not (same_blocks m.pending h.Heap.sweep_pending) then fail "sweep_pending";
+  if m.cursor <> h.Heap.sweep_cursor then
+    fail "sweep cursor %d, model %d" h.Heap.sweep_cursor m.cursor;
+  if m.phase <> h.Heap.phase then fail "phase";
+  List.iter
+    (fun x ->
+      let b = x.b in
+      if not (Bytes.equal x.alloc b.Block.blk_alloc) then
+        fail "allocated slots of block %#x" b.Block.blk_start;
+      if not (Bytes.equal x.age b.Block.blk_age) then
+        fail "ages of block %#x" b.Block.blk_start;
+      if not (Bytes.equal x.mark b.Block.blk_mark) then
+        fail "marks of block %#x" b.Block.blk_start;
+      if x.young <> b.Block.blk_young || x.aging <> b.Block.blk_aging
+         || x.bump <> b.Block.blk_bump
+      then fail "nursery flags of block %#x" b.Block.blk_start;
+      if not (List.memq b m.all) then
+        match Page_map.find h.Heap.map b.Block.blk_start with
+        | Some b' when b' == b ->
+            fail "retired block %#x still mapped" b.Block.blk_start
+        | Some _ | None -> ())
+    m.blocks;
+  let listed = ref 0 in
+  Hashtbl.iter
+    (fun (cls, kind) l ->
+      listed := !listed + List.length !l;
+      if !(Heap.free_list h cls kind) <> !l then
+        fail "free list of class %d" cls)
+    m.fl;
+  if
+    !listed
+    <> Array.fold_left (fun n l -> n + List.length !l) 0 h.Heap.free_lists
+  then fail "free-list entries outside the size classes";
+  if dirty_set m.dirty <> dirty_set h.Heap.dirty then fail "dirty cards";
+  if m.dirty_index <> h.Heap.dirty_index then fail "dirty-card index";
+  if m.free_pages <> h.Heap.free_pages then fail "reclaim pool";
+  if m.st <> h.Heap.stats then
+    fail "stats: heap %a, model %a" Heap.pp_stats h.Heap.stats Heap.pp_stats
+      m.st;
+  List.iter
+    (fun (addr, size) ->
+      for k = 0 to size - 1 do
+        if Mem.load h.Heap.mem ~width:1 (addr + k) land 0xff <> 0xDB then
+          fail "freed slot %#x not poisoned" addr
+      done)
+    m.freed
+
+type op =
+  | Alloc of int * Block.kind
+  | Store of int * int * int * int  (** src, field, dst (< 0: an int), offset *)
+  | Drop of int
+  | Collect of bool  (** minor? *)
+  | Step
+
+let print_op = function
+  | Alloc (n, k) ->
+      Printf.sprintf "alloc %d%s" n
+        (match k with
+        | Block.Atomic -> " atomic"
+        | Block.Uncollectable -> " uncollectable"
+        | Block.Normal | Block.Stack -> "")
+  | Store (s, f, d, o) -> Printf.sprintf "store %d.%d <- %d+%d" s f d o
+  | Drop i -> Printf.sprintf "drop %d" i
+  | Collect minor -> if minor then "minor" else "major"
+  | Step -> "step"
+
+let op_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 8,
+        map2
+          (fun n k -> Alloc (n, k))
+          (frequency [ (12, int_range 1 200); (1, int_range 2040 6000) ])
+          (frequency
+             [ (8, return Block.Normal); (2, return Block.Atomic);
+               (1, return Block.Uncollectable) ]) );
+      ( 8,
+        map
+          (fun (s, f, d, o) -> Store (s, f, d, o))
+          (quad nat nat (int_range (-1) 1000) (int_range 0 64)) );
+      (2, map (fun i -> Drop i) nat);
+      (2, map (fun b -> Collect b) bool);
+      (3, return Step);
+    ]
+
+type script = {
+  mode : Heap.gc_mode;
+  budget : int;
+  promote_after : int;
+  nursery_pages : int;
+  all_interior : bool;
+  ops : op list;
+}
+
+let script_gen =
+  let open QCheck.Gen in
+  map
+    (fun ((mode, budget, promote_after), (nursery_pages, all_interior, ops)) ->
+      { mode; budget; promote_after; nursery_pages; all_interior; ops })
+    (pair
+       (triple
+          (oneofl [ Heap.Stw; Heap.Gen; Heap.Inc ])
+          (oneof [ int_range 1 16; int_range 1 2048 ])
+          (int_range 1 3))
+       (triple (int_range 1 4)
+          (frequency [ (4, return true); (1, return false) ])
+          (list_size (int_range 1 120) op_gen)))
+
+let print_script s =
+  Printf.sprintf "%s budget=%d promote_after=%d nursery_pages=%d%s:\n  %s"
+    (Heap.gc_mode_name s.mode) s.budget s.promote_after s.nursery_pages
+    (if s.all_interior then "" else " base-only")
+    (String.concat "; " (List.map print_op s.ops))
+
+let run_script s =
+  let config = Heap.default_config () in
+  config.Heap.mode <- s.mode;
+  config.Heap.pause_budget_words <- s.budget;
+  config.Heap.promote_after <- s.promote_after;
+  config.Heap.nursery_pages <- s.nursery_pages;
+  config.Heap.all_interior <- s.all_interior;
+  let h = Heap.create ~config () in
+  let objs = ref [||] and roots = ref [] in
+  let root_values () =
+    List.map (fun i -> fst !objs.(i) + (i mod 3)) !roots
+  in
+  List.iteri
+    (fun k op ->
+      let what = Printf.sprintf "op %d (%s)" k (print_op op) in
+      match op with
+      | Alloc (n, kind) ->
+          let a = Heap.alloc ~kind h n in
+          objs := Array.append !objs [| (a, n) |];
+          (* the newest object is a root; at most 16 roots are kept *)
+          roots :=
+            (Array.length !objs - 1) :: List.filteri (fun j _ -> j < 15) !roots
+      | Store (s, f, d, off) ->
+          let len = Array.length !objs in
+          if len > 0 then begin
+            let src, n = !objs.(s mod len) in
+            if n >= 8 && Heap.valid_access h src 8 then begin
+              let addr = src + (8 * (f mod (n / 8))) in
+              let v =
+                if d < 0 then off
+                else
+                  let dst, dn = !objs.(d mod len) in
+                  dst + (off mod (dn + 1))
+              in
+              Heap.note_store h addr 8;
+              Mem.store_word h.Heap.mem addr v
+            end
+          end
+      | Drop i -> (
+          match !roots with
+          | [] -> ()
+          | rs ->
+              let j = i mod List.length rs in
+              roots := List.filteri (fun k _ -> k <> j) rs)
+      | Collect minor ->
+          let m = snapshot h in
+          let extra_roots = root_values () in
+          ignore
+            (Heap.collect
+               ~generation:(if minor then Heap.Minor else Heap.Major)
+               ~extra_roots h);
+          r_collect m ~minor ~roots:extra_roots;
+          agree what m h
+      | Step when s.mode = Heap.Inc ->
+          let m = snapshot h in
+          let extra_roots = root_values () in
+          let spent = Heap.step ~extra_roots h in
+          let model_spent = r_step m ~nroots:(List.length extra_roots) h in
+          agree what m h;
+          if spent <> model_spent then
+            QCheck.Test.fail_reportf "%s: step did %d words, model %d" what
+              spent model_spent
+      | Step ->
+          let m = snapshot h in
+          let extra_roots = root_values () in
+          ignore (Heap.collect ~generation:Heap.Minor ~extra_roots h);
+          r_collect m ~minor:true ~roots:extra_roots;
+          agree what m h)
+    s.ops;
+  true
+
+let prop_reference_model =
+  QCheck.Test.make ~count:1000
+    ~name:"collector == slot-at-a-time reference model (stw, gen, inc)"
+    (QCheck.make ~print:print_script script_gen)
+    run_script
+
 let suite =
   [
     Alcotest.test_case "alloc basics" `Quick test_alloc_basics;
@@ -522,4 +1191,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_alloc_invariants;
     QCheck_alcotest.to_alcotest prop_collect_exact;
     QCheck_alcotest.to_alcotest prop_same_obj;
+    QCheck_alcotest.to_alcotest prop_reference_model;
   ]

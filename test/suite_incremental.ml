@@ -296,10 +296,8 @@ let build_graph g =
 let engine_fingerprint h =
   let s = h.Heap.stats in
   let free_lists =
-    Hashtbl.fold
-      (fun key l acc -> if !l = [] then acc else (key, !l) :: acc)
-      h.Heap.free_lists []
-    |> List.sort compare
+    Array.to_list (Array.mapi (fun k l -> (k, !l)) h.Heap.free_lists)
+    |> List.filter (fun (_, l) -> l <> [])
   in
   ( (s.Heap.words_scanned, s.Heap.objects_freed, s.Heap.bytes_freed),
     free_lists,

@@ -274,11 +274,56 @@ let test_small_bombardment () =
   Alcotest.(check bool) "latency percentiles ordered" true
     (r.Gcsafed.rp_latency_p50 <= r.Gcsafed.rp_latency_p90
     && r.Gcsafed.rp_latency_p90 <= r.Gcsafed.rp_latency_p99);
+  (* the histogram reads a log2 bucket's upper bound: the exact
+     percentile lies in that bucket *)
+  List.iter
+    (fun (name, exact, bucket) ->
+      if not (exact <= bucket && exact > bucket / 2) then
+        Alcotest.failf "%s: exact %d outside the histogram's bucket ending %d"
+          name exact bucket)
+    [
+      ("p50", r.Gcsafed.rp_exact_p50, r.Gcsafed.rp_latency_p50);
+      ("p90", r.Gcsafed.rp_exact_p90, r.Gcsafed.rp_latency_p90);
+      ("p99", r.Gcsafed.rp_exact_p99, r.Gcsafed.rp_latency_p99);
+    ];
+  (match
+     Telemetry.Json.member "latency_ticks_exact" (Gcsafed.report_to_json t)
+   with
+  | Some (Telemetry.Json.Obj [ ("p50", Telemetry.Json.Int p50); _; _ ]) ->
+      Alcotest.(check int) "JSON carries the exact p50" r.Gcsafed.rp_exact_p50
+        p50
+  | _ -> Alcotest.fail "report JSON lacks latency_ticks_exact");
   match
     Telemetry.Json.member "unexpected" (Gcsafed.report_to_json t)
   with
   | Some (Telemetry.Json.Int 0) -> ()
   | _ -> Alcotest.fail "report JSON must gate on unexpected = 0"
+
+(* Nearest-rank percentiles of hand-picked tick values: the textbook
+   example (15, 20, 35, 40, 50), unsorted, and 1..100, where 0.07 * 100
+   must not round up past rank 7. *)
+let test_exact_percentiles () =
+  let check name want values p =
+    Alcotest.(check int) name want (Gcsafed.nearest_rank values p)
+  in
+  let five = [ 40; 15; 50; 35; 20 ] in
+  check "no values" 0 [] 0.5;
+  check "one value" 7 [ 7 ] 0.99;
+  check "p0 is the least" 15 five 0.0;
+  check "p30" 20 five 0.30;
+  check "p40" 20 five 0.40;
+  check "p50" 35 five 0.50;
+  check "p100" 50 five 1.0;
+  let hundred = List.init 100 (fun i -> 100 - i) in
+  check "p07 of 1..100" 7 hundred 0.07;
+  check "p50 of 1..100" 50 hundred 0.50;
+  check "p90 of 1..100" 90 hundred 0.90;
+  check "p99 of 1..100" 99 hundred 0.99;
+  (* both fall in one log2 bucket, [16384, 32767], which a histogram
+     percentile reports as 32767 for both *)
+  let split = List.init 50 (fun _ -> 17000) @ List.init 50 (fun _ -> 30000) in
+  check "p50 tells a shared bucket apart" 17000 split 0.50;
+  check "p99 tells a shared bucket apart" 30000 split 0.99
 
 (* --- session-scoped telemetry ------------------------------------------- *)
 
@@ -379,4 +424,6 @@ let suite =
       test_interleaved_sessions_isolated;
     Alcotest.test_case "rejected requests not absorbed" `Quick
       test_rejected_not_absorbed;
+    Alcotest.test_case "exact latency percentiles" `Quick
+      test_exact_percentiles;
   ]

@@ -51,7 +51,7 @@ let test_detects_allocated_slot_on_free_list () =
   let a = Heap.alloc h 16 in
   let blk = block_of h a in
   let fl =
-    Hashtbl.find h.Heap.free_lists (blk.Block.blk_obj_size, blk.Block.blk_kind)
+    Heap.free_list h blk.Block.blk_obj_size blk.Block.blk_kind
   in
   fl := a :: !fl;
   Alcotest.(check bool) "free-list rule fires" true
@@ -151,7 +151,7 @@ let test_assert_integrity_raises () =
   let a = Heap.alloc h 16 in
   let blk = block_of h a in
   let fl =
-    Hashtbl.find h.Heap.free_lists (blk.Block.blk_obj_size, blk.Block.blk_kind)
+    Heap.free_list h blk.Block.blk_obj_size blk.Block.blk_kind
   in
   fl := a :: !fl;
   match Heap.assert_integrity h with
