@@ -124,7 +124,7 @@ let gc_mode_arg =
   in
   Arg.(
     value
-    & opt gc_mode_conv Gcheap.Heap.Stw
+    & opt gc_mode_conv Gcheap.Heap.default_config.mode
     & info [ "gc-mode" ] ~docv:"MODE" ~doc)
 
 let gc_threshold_arg =
@@ -177,7 +177,10 @@ let heap_limit_arg =
      allocation the ceiling blocks follows --oom-policy instead of growing \
      the arena."
   in
-  Arg.(value & opt int 0 & info [ "heap-limit" ] ~docv:"WORDS" ~doc)
+  Arg.(
+    value
+    & opt int Gcheap.Heap.default_config.heap_limit_words
+    & info [ "heap-limit" ] ~docv:"WORDS" ~doc)
 
 let oom_policy_arg =
   let doc =
@@ -191,7 +194,7 @@ let oom_policy_arg =
     & opt
         (knob_conv ~err:"unknown oom policy" Gcheap.Heap.oom_policy_of_string
            Gcheap.Heap.oom_policy_name)
-        Gcheap.Heap.Collect_expand
+        Gcheap.Heap.default_config.oom_policy
     & info [ "oom-policy" ] ~docv:"POLICY" ~doc)
 
 let alloc_fail_arg =
@@ -206,7 +209,7 @@ let alloc_fail_arg =
     & opt
         (knob_conv ~err:"bad failpoint spec" Gcheap.Failpoint.of_string
            Gcheap.Failpoint.to_string)
-        Gcheap.Failpoint.Never
+        Gcheap.Heap.default_config.failpoints
     & info [ "alloc-fail" ] ~docv:"PLAN" ~doc)
 
 let jobs_arg =

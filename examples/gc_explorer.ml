@@ -66,8 +66,7 @@ let () =
   Printf.printf "GC_post_incr(&slot, 16) returned %#x, slot now %#x\n" old now;
 
   banner "the Extensions mode: interior pointers from roots only";
-  let config = Heap.default_config () in
-  config.Heap.all_interior <- false;
+  let config = { Heap.default_config with Heap.all_interior = false } in
   let h2 = Heap.create ~config () in
   let target = Heap.alloc h2 64 in
   let holder = Heap.alloc h2 16 in

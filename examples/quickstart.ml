@@ -89,7 +89,14 @@ let () =
   print_endline "\n=== collector statistics (base build) ===";
   let b = Harness.Build.compile Harness.Build.Base source in
   let config =
-    { (Machine.Vm.default_config ()) with Machine.Vm.vm_gc_threshold = 32 * 1024 }
+    {
+      (Machine.Vm.default_config ()) with
+      Machine.Vm.vm_heap =
+        {
+          Gcheap.Heap.default_config with
+          Gcheap.Heap.gc_threshold = 32 * 1024;
+        };
+    }
   in
   let r = Machine.Vm.run ~config b.Harness.Build.b_ir in
   Format.printf "  %a@." Gcheap.Heap.pp_stats r.Machine.Vm.r_heap;

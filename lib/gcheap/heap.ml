@@ -59,33 +59,41 @@ let oom_policy_of_string = function
   | "collect-expand" | "collect_expand" -> Some Collect_expand
   | _ -> None
 
+(* The collector's knobs, and the only place their defaults are
+   written ({!default_config}).  Immutable: an embedder's config record
+   (the VM's [vm_heap]) can be copied and updated freely without two
+   heaps sharing one mutable record. *)
 type config = {
-  mutable all_interior : bool;
+  all_interior : bool;
       (** recognize interior pointers everywhere (the paper's default
           collector configuration); when false, interior pointers are valid
           only from roots — the "Extensions" section mode *)
-  mutable gc_threshold : int;  (** collect after this many bytes allocated *)
-  mutable mode : gc_mode;
+  gc_threshold : int;  (** collect after this many bytes allocated *)
+  mode : gc_mode;
       (** [Gen] enables minor collections and the store barrier's dirty
           cards; [Gen] and [Inc] put the bump-pointer nursery in service *)
-  mutable minor_threshold : int;
+  minor_threshold : int;
       (** bytes allocated between minor collections (generational mode) *)
-  mutable promote_after : int;
+  promote_after : int;
       (** minor collections an object must survive to become old *)
-  mutable heap_limit_words : int;
+  heap_limit_words : int;
       (** hard arena ceiling in words; [0] (the default) is unlimited *)
-  mutable oom_policy : oom_policy;
+  oom_policy : oom_policy;
       (** what an allocation failure does: raise {!Heap_exhausted}
           immediately ([Trap]), or run an emergency full collection,
           retry, grow within the limit, and only then raise
           ([Collect_expand], Boehm's collect-then-expand) *)
-  mutable pause_budget_words : int;
+  pause_budget_words : int;
       (** words of collector work (scanning + sweeping) one incremental
-          step may perform before yielding back to the mutator *)
-  mutable nursery_pages : int;
+          step may perform before yielding back to the mutator; {!step}
+          treats anything below 1 as 1 *)
+  nursery_pages : int;
       (** pages of bump-allocated nursery a generational or incremental
           heap may open between collections before a minor cycle is due
           (positive) *)
+  failpoints : Failpoint.t;
+      (** injected allocation failures (chaos harness); [Never] costs
+          one branch per allocation *)
 }
 
 type stats = {
@@ -124,7 +132,9 @@ type t = {
           {!class_slot} *)
   mutable large_blocks : Block.t list;
   mutable all_blocks : Block.t list;  (** every block ever created *)
-  config : config;
+  mutable config : config;
+      (** replaced whole, never edited in place (tests vary the pause
+          budget between steps) *)
   stats : stats;
   mutable since_gc : int;
       (** live-growth estimate driving major collections: raw bytes
@@ -134,17 +144,12 @@ type t = {
   mutable dirty : Bytes.t;
       (** remembered set: one byte per arena page (indexed by
           [addr lsr Mem.page_bits]), set by {!note_store} *)
-  mutable roots : (int * int) list;
-      (** extra permanent root ranges [start, stop) — e.g. the VM stack *)
   mutable on_free : (addr:int -> bytes:int -> unit) option;
       (** observer called for every object the sweeper reclaims *)
-  mutable failpoints : Failpoint.t;
-      (** injected allocation failures (chaos harness); [Never] costs
-          one branch per allocation *)
   mutable on_oom : (unit -> unit) option;
       (** emergency-collection hook: the embedder (the VM) installs a
           closure that collects with its full root set; [None] falls
-          back to collecting over the registered ranges only *)
+          back to collecting over the uncollectable blocks only *)
   mutable free_pages : (int * int) list;
       (** reclaim pool: [(start, pages)] runs of pages retired from
           fully-empty blocks by the emergency path and from wholly dead
@@ -235,7 +240,7 @@ let slot_class k =
     | 2 -> Block.Uncollectable
     | _ -> Block.Stack )
 
-let default_config () =
+let default_config =
   {
     all_interior = true;
     gc_threshold = 256 * 1024;
@@ -246,9 +251,10 @@ let default_config () =
     oom_policy = Collect_expand;
     pause_budget_words = 1024;
     nursery_pages = 8;
+    failpoints = Failpoint.Never;
   }
 
-let create ?(config = default_config ()) () =
+let create ?(config = default_config) () =
   {
     mem = Mem.create ();
     map = Page_map.create ();
@@ -282,9 +288,7 @@ let create ?(config = default_config ()) () =
     since_gc = 0;
     since_minor = 0;
     dirty = Bytes.create 0;
-    roots = [];
     on_free = None;
-    failpoints = Failpoint.Never;
     on_oom = None;
     free_pages = [];
     phase = Idle;
@@ -304,8 +308,6 @@ let create ?(config = default_config ()) () =
 let nursery_enabled t = t.config.mode <> Stw
 
 let generational t = t.config.mode = Gen
-
-let add_root_range t start stop = t.roots <- (start, stop) :: t.roots
 
 (* ------------------------------------------------------------------ *)
 (* Remembered set: dirty cards at page granularity                     *)
@@ -599,7 +601,7 @@ let shade_root_values t ~minor ~spent values =
 
 (* The root scan that opens every collection, stop-the-world or
    incremental: clear all marks, then shade the root word values, the
-   registered and per-collection ranges (the live stack prefix), every
+   per-collection ranges (the live stack prefix), every
    object of the root-scanned (uncollectable, statics-like) blocks and,
    on a minor cycle, the old objects on dirty cards — the remembered set
    stands in for the unscanned rest of the old generation.  Atomic: a
@@ -613,7 +615,6 @@ let scan_roots t ~minor ~extra_roots ~extra_ranges ~spent =
     scan_range t ~minor ~from_root ~spent ~budget:max_int s e
   in
   shade_root_values t ~minor ~spent extra_roots;
-  List.iter (fun (s, e) -> range ~from_root:true s e) t.roots;
   List.iter (fun (s, e) -> range ~from_root:true s e) extra_ranges;
   List.iter
     (fun blk ->
@@ -967,7 +968,7 @@ let complete_collection t ~minor ~tenure ~freed_bytes =
   if generational t then recompute_cards t
 
 (** Run a collection.  [extra_roots] are word values scanned in addition
-    to the registered root ranges — the VM passes its register file here.
+    to the root-scanned blocks — the VM passes its register file here.
     [generation] defaults to [Major] (a full stop-the-world cycle);
     [Minor] is honoured only when the heap is generational.  Any
     in-flight incremental cycle is soundly abandoned first (mark bits
@@ -1140,9 +1141,9 @@ let take_pages t pages =
 (** The collect-expand policy's emergency collection: a full,
     mode-independent cycle.  Runs through the embedder's hook when one
     is installed (the VM supplies its register file and live stack
-    prefix as roots there); standalone heaps collect over the
-    registered root ranges.  Afterwards, fully-empty blocks are retired
-    to the reclaim pool. *)
+    prefix as roots there); standalone heaps collect with only their
+    root-scanned (uncollectable) blocks as roots.  Afterwards,
+    fully-empty blocks are retired to the reclaim pool. *)
 let emergency_collect t =
   t.stats.emergency_collections <- t.stats.emergency_collections + 1;
   (match t.on_oom with
@@ -1180,23 +1181,37 @@ let new_small_block t cls kind start =
     fl := Block.slot_addr blk i :: !fl
   done
 
-(* The free list for (cls, kind) is empty: claim one page (reclaim pool
-   or growth under the ceiling).  An emergency collection can refill
-   the free list directly (so the retry needs no page at all) or retire
-   empty blocks into the pool; only when neither helps does the
-   allocation surface as a structured exhaustion. *)
-let refill_small t cls kind fl =
-  match claim_pages t 1 with
-  | Some start -> new_small_block t cls kind start
+(* The one collect-expand retry path of every allocator.  [reuse ()]
+   serves the request from storage already inside the footprint (a free
+   slot or a freed large block), [fresh start] from [pages] pages claimed
+   from the reclaim pool or grown under the ceiling.  When neither can,
+   [Trap] stops at once; [Collect_expand] runs one emergency collection,
+   which may refill a free list or the reclaim pool, and retries both
+   once before the [req]-byte allocation surfaces as a structured
+   exhaustion. *)
+let reuse_or_claim t ~req ~pages ~reuse ~fresh =
+  let attempt () =
+    match reuse () with
+    | Some _ as v -> v
+    | None -> Option.map fresh (claim_pages t pages)
+  in
+  match attempt () with
+  | Some v -> v
   | None -> (
       match t.config.oom_policy with
-      | Trap -> exhausted t ~req:cls ~pages:1
+      | Trap -> exhausted t ~req ~pages
       | Collect_expand -> (
           emergency_collect t;
-          if !fl = [] then
-            match claim_pages t 1 with
-            | Some start -> new_small_block t cls kind start
-            | None -> exhausted t ~req:cls ~pages:1))
+          match attempt () with
+          | Some v -> v
+          | None -> exhausted t ~req ~pages))
+
+(* The free list [fl] of (cls, kind) is empty: refill it with a new
+   single-page block, unless an emergency collection refills it first. *)
+let refill_small t ~req cls kind fl =
+  reuse_or_claim t ~req ~pages:1
+    ~reuse:(fun () -> if !fl = [] then None else Some ())
+    ~fresh:(new_small_block t cls kind)
 
 let alloc_large t ~req bytes kind =
   let pages = (bytes + Mem.page_size - 1) / Mem.page_size in
@@ -1226,25 +1241,9 @@ let alloc_large t ~req bytes kind =
     b
   in
   let blk =
-    match find_reusable () with
-    | Some b -> reused b
-    | None -> (
-        match claim_pages t pages with
-        | Some start -> fresh start
-        | None -> (
-            (* the needed pages are unavailable: trap, or collect,
-               retry whole-block reuse and the (now possibly refilled)
-               reclaim pool, and only then give up *)
-            match t.config.oom_policy with
-            | Trap -> exhausted t ~req ~pages
-            | Collect_expand -> (
-                emergency_collect t;
-                match find_reusable () with
-                | Some b -> reused b
-                | None -> (
-                    match claim_pages t pages with
-                    | Some start -> fresh start
-                    | None -> exhausted t ~req ~pages))))
+    reuse_or_claim t ~req ~pages
+      ~reuse:(fun () -> Option.map reused (find_reusable ()))
+      ~fresh
   in
   Block.set_allocated blk 0 true;
   Block.set_age blk 0 0;
@@ -1312,38 +1311,25 @@ let rec alloc_nursery t ~req cls kind =
       if t.phase <> Idle then Bytes.set blk.Block.blk_mark i '\001';
       blk.Block.blk_req.(i) <- req;
       blk.Block.blk_start + (i * blk.Block.blk_obj_size)
-  | _ -> (
+  | _ ->
       let fl = free_list t cls kind in
-      match !fl with
-      | addr :: rest ->
-          fl := rest;
-          let blk = take_free_slot t addr cls req in
-          if generational t && not blk.Block.blk_aging then begin
-            blk.Block.blk_aging <- true;
-            t.aging_blocks <- blk :: t.aging_blocks
-          end;
-          addr
-      | [] -> (
-          match claim_pages t 1 with
-          | Some start ->
-              ignore (open_young_block t cls kind start);
-              alloc_nursery t ~req cls kind
-          | None -> (
-              match t.config.oom_policy with
-              | Trap -> exhausted t ~req ~pages:1
-              | Collect_expand -> (
-                  emergency_collect t;
-                  (* the emergency cycle sealed the cursors and may have
-                     refilled the free list or the reclaim pool; retry
-                     the slow path once before giving up *)
-                  match !fl with
-                  | _ :: _ -> alloc_nursery t ~req cls kind
-                  | [] -> (
-                      match claim_pages t 1 with
-                      | Some start ->
-                          ignore (open_young_block t cls kind start);
-                          alloc_nursery t ~req cls kind
-                      | None -> exhausted t ~req ~pages:1)))))
+      let reuse () =
+        match !fl with
+        | [] -> None
+        | addr :: rest ->
+            fl := rest;
+            let blk = take_free_slot t addr cls req in
+            if generational t && not blk.Block.blk_aging then begin
+              blk.Block.blk_aging <- true;
+              t.aging_blocks <- blk :: t.aging_blocks
+            end;
+            Some addr
+      in
+      (* an emergency collection seals the bump cursors, so its retry
+         starts again from the free list *)
+      reuse_or_claim t ~req ~pages:1 ~reuse ~fresh:(fun start ->
+          ignore (open_young_block t cls kind start);
+          alloc_nursery t ~req cls kind)
 
 (** Allocate [bytes] (plus the mandatory slack byte) of zeroed storage.
 
@@ -1359,7 +1345,7 @@ let alloc ?(kind = Block.Normal) t bytes =
   t.since_minor <- t.since_minor + bytes;
   (* deterministic failure injection, keyed on the allocation ordinal:
      a fired point behaves exactly like a growth the ceiling blocked *)
-  if Failpoint.fires t.failpoints t.stats.objects_allocated then begin
+  if Failpoint.fires t.config.failpoints t.stats.objects_allocated then begin
     t.stats.injected_failures <- t.stats.injected_failures + 1;
     match t.config.oom_policy with
     | Trap ->
@@ -1382,7 +1368,7 @@ let alloc ?(kind = Block.Normal) t bytes =
   else begin
     let cls = class_size with_slack in
     let fl = free_list t cls kind in
-    (if !fl = [] then refill_small t cls kind fl);
+    (if !fl = [] then refill_small t ~req:bytes cls kind fl);
     match !fl with
     | [] -> assert false
     | addr :: rest ->

@@ -4,7 +4,7 @@
     with one extra byte of slack (so legal one-past-the-end pointers map
     back to their object), [GC_base]-style interior-pointer resolution via
     the height-2 page map, root scanning over caller-supplied word values
-    and registered ranges, and the checking primitives of the debugging
+    and ranges, and the checking primitives of the debugging
     mode ([GC_same_obj], [GC_pre_incr], [GC_post_incr], [GC_check_base]).
 
     A generational mode layers minor collections on top: objects carry a
@@ -55,32 +55,38 @@ val oom_policy_name : oom_policy -> string
 val oom_policy_of_string : string -> oom_policy option
 
 type config = {
-  mutable all_interior : bool;
+  all_interior : bool;
       (** recognize interior pointers everywhere (the paper's default
           collector configuration); when [false], interior pointers are
           honoured from the roots only — the "Extensions" section mode *)
-  mutable gc_threshold : int;
-      (** allocation volume (bytes) between collections *)
-  mutable mode : gc_mode;
+  gc_threshold : int;  (** allocation volume (bytes) between collections *)
+  mode : gc_mode;
       (** [Gen] enables minor collections and the store barrier's dirty
           cards; [Gen] and [Inc] put the bump-pointer nursery in service;
           default [Stw] *)
-  mutable minor_threshold : int;
+  minor_threshold : int;
       (** allocation volume (bytes) between minor collections *)
-  mutable promote_after : int;
+  promote_after : int;
       (** minor collections an object must survive to become old *)
-  mutable heap_limit_words : int;
+  heap_limit_words : int;
       (** hard arena ceiling in words; [0] (the default) is unlimited *)
-  mutable oom_policy : oom_policy;
+  oom_policy : oom_policy;
       (** allocation-failure response; see {!oom_policy} *)
-  mutable pause_budget_words : int;
+  pause_budget_words : int;
       (** words of collector work one incremental step may perform
-          before yielding back to the mutator *)
-  mutable nursery_pages : int;
+          before yielding back to the mutator; {!step} treats anything
+          below 1 as 1 *)
+  nursery_pages : int;
       (** pages of bump-allocated nursery a generational or incremental
           heap may open between collections before a minor cycle is due
           (positive; default 8) *)
+  failpoints : Failpoint.t;
+      (** injected allocation failures (the chaos harness sets this);
+          [Never] (the default) costs one branch per allocation *)
 }
+(** The collector's knobs.  Immutable, so an embedder's copy (the VM's
+    [vm_heap]) is a plain value: updating it never reaches a heap
+    already created from it. *)
 
 type stats = {
   mutable collections : int;  (** all collections, minor included *)
@@ -123,7 +129,9 @@ type t = {
           {!free_list} *)
   mutable large_blocks : Block.t list;
   mutable all_blocks : Block.t list;
-  config : config;
+  mutable config : config;
+      (** replaced whole, never edited in place (tests vary the pause
+          budget between steps) *)
   stats : stats;
   mutable since_gc : int;
       (** live-growth estimate driving major collections: allocation
@@ -131,19 +139,15 @@ type t = {
   mutable since_minor : int;  (** bytes allocated since any collection *)
   mutable dirty : Bytes.t;
       (** remembered set: one byte per arena page, set by {!note_store} *)
-  mutable roots : (int * int) list;
   mutable on_free : (addr:int -> bytes:int -> unit) option;
       (** observer called with the base address and requested size of
           every object the sweeper reclaims — the heap profiler hangs
           off this; [None] (the default) costs one test per free *)
-  mutable failpoints : Failpoint.t;
-      (** injected allocation failures (the chaos harness sets this);
-          [Never] (the default) costs one branch per allocation *)
   mutable on_oom : (unit -> unit) option;
       (** emergency-collection hook: the VM installs a closure that
           collects with its full root set (register files plus the live
-          stack prefix); [None] collects over the registered root
-          ranges only *)
+          stack prefix); [None] collects with the root-scanned
+          (uncollectable) blocks as the only roots *)
   mutable free_pages : (int * int) list;
       (** reclaim pool: [(start, pages)] page runs retired from
           fully-empty blocks by emergency collections and from wholly
@@ -192,7 +196,11 @@ exception Heap_exhausted of string
     the [Trap] policy.  Never raised when [heap_limit_words = 0] and no
     failpoints are set. *)
 
-val default_config : unit -> config
+val default_config : config
+(** The paper's collector: stop-the-world, all-interior, no heap limit,
+    collect-then-expand, no failpoints.  The one place the collector's
+    defaults are written; the VM, the harness's requests and the CLI
+    take theirs from here. *)
 
 val create : ?config:config -> unit -> t
 
@@ -200,9 +208,6 @@ val nursery_enabled : t -> bool
 (** Is the bump-pointer nursery in service?  True on generational and
     incremental heaps; always false on stop-the-world heaps, which keep
     the seed allocator bit for bit. *)
-
-val add_root_range : t -> int -> int -> unit
-(** Register a permanent root range [start, stop)] (scanned word-wise). *)
 
 val class_size : int -> int
 (** The size class an allocation request (slack included) rounds up to. *)
@@ -267,13 +272,13 @@ val collect :
 (** Run a collection ([Major], a full stop-the-world cycle, by default;
     [Minor] scans only roots, young objects and dirty cards, and is
     honoured only on a generational heap).  [extra_roots] are word values
-    scanned in addition to the registered ranges and uncollectable
-    objects (the VM passes its register files); [extra_ranges] are
-    per-collection root ranges (the VM passes the live prefix of its
-    [Stack]-kind block).  Returns the number of objects freed.  An
-    in-flight incremental cycle is soundly abandoned first (counted in
-    [stats.abandoned_cycles]), so emergency, explicit and forced
-    collections behave exactly as on a stop-the-world heap. *)
+    scanned in addition to the uncollectable objects (the VM passes its
+    register files); [extra_ranges] are per-collection root ranges (the
+    VM passes the live prefix of its [Stack]-kind block).  Returns the
+    number of objects freed.  An in-flight incremental cycle is soundly
+    abandoned first (counted in [stats.abandoned_cycles]), so emergency,
+    explicit and forced collections behave exactly as on a
+    stop-the-world heap. *)
 
 val active : t -> bool
 (** Is an incremental cycle in flight ([phase <> Idle])? *)
@@ -283,8 +288,8 @@ val step :
 (** Run one increment of the incremental snapshot-at-the-beginning
     cycle and return the words of collector work it performed.  On an
     idle heap this starts a cycle with the same atomic root scan as
-    {!collect} (over [extra_roots], [extra_ranges], the registered
-    ranges and the root-scanned uncollectable blocks); on a marking heap
+    {!collect} (over [extra_roots], [extra_ranges] and the root-scanned
+    uncollectable blocks); on a marking heap
     it drains gray ranges under [config.pause_budget_words] (and, when
     the stack drains within budget, atomically finalizes by re-shading
     [extra_roots] and draining to empty); on a sweeping heap it frees
@@ -347,6 +352,10 @@ val check_integrity : t -> violation list
 (** Validate page-map/block-header agreement, mark-bit consistency,
     free-list well-formedness and the one-extra-byte rule.  Returns the
     violations found (empty on a healthy heap). *)
+
+val integrity_checks : int Atomic.t
+(** {!check_integrity} calls made so far in this process, on any heap
+    (each check takes the next number). *)
 
 val assert_integrity : t -> unit
 (** @raise Heap_corruption if {!check_integrity} finds anything. *)

@@ -51,6 +51,7 @@ let exec ?gc_point_sink ?telemetry ?(census = false) (r : Request.t)
     (b : Build.built) : outcome =
   let machine = r.Request.machine in
   let dc = Machine.Vm.default_config ~machine () in
+  let h = Gcheap.Heap.default_config in
   let config =
     {
       dc with
@@ -62,18 +63,22 @@ let exec ?gc_point_sink ?telemetry ?(census = false) (r : Request.t)
       Machine.Vm.vm_max_heap_bytes =
         Option.value ~default:dc.Machine.Vm.vm_max_heap_bytes
           r.Request.max_heap;
-      Machine.Vm.vm_gc_threshold =
-        Option.value ~default:dc.Machine.Vm.vm_gc_threshold
-          r.Request.gc_threshold;
-      Machine.Vm.vm_gc_mode = r.Request.gc_mode;
-      Machine.Vm.vm_gc_pause_budget =
-        Option.value ~default:dc.Machine.Vm.vm_gc_pause_budget
-          r.Request.gc_pause_budget;
+      Machine.Vm.vm_heap =
+        {
+          h with
+          Gcheap.Heap.mode = r.Request.gc_mode;
+          gc_threshold =
+            Option.value ~default:h.Gcheap.Heap.gc_threshold
+              r.Request.gc_threshold;
+          pause_budget_words =
+            Option.value ~default:h.Gcheap.Heap.pause_budget_words
+              r.Request.gc_pause_budget;
+          heap_limit_words = r.Request.heap_limit;
+          oom_policy = r.Request.oom_policy;
+          failpoints = r.Request.alloc_failpoints;
+        };
       Machine.Vm.vm_gc_point_sink = gc_point_sink;
       Machine.Vm.vm_telemetry = telemetry;
-      Machine.Vm.vm_heap_limit_words = r.Request.heap_limit;
-      Machine.Vm.vm_oom_policy = r.Request.oom_policy;
-      Machine.Vm.vm_alloc_failpoints = r.Request.alloc_failpoints;
       Machine.Vm.vm_census = census;
     }
   in

@@ -22,13 +22,18 @@ type t = {
   trace_id : int;
 }
 
+(* the collector's defaults are {!Gcheap.Heap.default_config}'s; the
+   optional [gc_threshold] and [gc_pause_budget] stay [None] and take
+   theirs there when the request runs *)
 let make ?(label = "") ?(config = Build.Safe)
-    ?(machine = Machine.Machdesc.sparc10) ?analysis ?(gc_mode = Gcheap.Heap.Stw)
-    ?loop_heuristic
-    ?use_cache ?(schedule = Machine.Schedule.Auto) ?(check_integrity = false)
+    ?(machine = Machine.Machdesc.sparc10) ?analysis
+    ?(gc_mode = Gcheap.Heap.default_config.mode) ?loop_heuristic ?use_cache
+    ?(schedule = Machine.Schedule.Auto) ?(check_integrity = false)
     ?(final_collect = false) ?gc_threshold ?gc_pause_budget ?max_instrs
-    ?max_heap ?(heap_limit = 0) ?(oom_policy = Gcheap.Heap.Collect_expand)
-    ?(alloc_failpoints = Gcheap.Failpoint.Never) ?(trace_id = 0) source =
+    ?max_heap ?(heap_limit = Gcheap.Heap.default_config.heap_limit_words)
+    ?(oom_policy = Gcheap.Heap.default_config.oom_policy)
+    ?(alloc_failpoints = Gcheap.Heap.default_config.failpoints)
+    ?(trace_id = 0) source =
   let d = Build.for_machine machine in
   {
     label;
@@ -89,8 +94,6 @@ type matrix = {
   m_machines : Machine.Machdesc.t list;
   m_analyses : Gcsafe.Mode.analysis list;
   m_gc_modes : Gcheap.Heap.gc_mode list;
-  m_check_integrity : bool;
-  m_final_collect : bool;
   m_max_instrs : int option;
   m_max_heap : int option;
 }
@@ -106,8 +109,6 @@ let default_matrix =
       ];
     m_analyses = [ Gcsafe.Mode.A_flow ];
     m_gc_modes = [ Gcheap.Heap.Stw ];
-    m_check_integrity = true;
-    m_final_collect = true;
     m_max_instrs = None;
     m_max_heap = None;
   }
@@ -127,8 +128,7 @@ let expand (m : matrix) (source : string) : t list =
               List.map
                 (fun gc_mode ->
                   make ~config ~machine ~analysis ~gc_mode
-                    ~check_integrity:m.m_check_integrity
-                    ~final_collect:m.m_final_collect
+                    ~check_integrity:true ~final_collect:true
                     ?max_instrs:m.m_max_instrs ?max_heap:m.m_max_heap source)
                 gc_modes)
             (variants config))

@@ -23,10 +23,12 @@ type t = {
   check_integrity : bool;
   final_collect : bool;
   gc_threshold : int option;
+      (** [None] keeps {!Gcheap.Heap.default_config}'s *)
   gc_pause_budget : int option;
       (** incremental-marking pause budget in words of collector work
-          per increment; [None] keeps the VM default.  The service's
-          SLO layer also reads this as the per-request pause SLO. *)
+          per increment; [None] keeps {!Gcheap.Heap.default_config}'s.
+          The service's SLO layer also reads this as the per-request
+          pause SLO. *)
   max_instrs : int option;
   max_heap : int option;
   heap_limit : int;  (** hard arena ceiling in words; 0 = unlimited *)
@@ -63,8 +65,9 @@ val make :
   string ->
   t
 (** [make source] with the harness defaults: [Safe] on sparc10,
-    {!Build.for_machine} options ([A_flow], cache on), stop-the-world
-    collection, [Auto] schedule, no sanitizing, no ceilings, no injected faults.
+    {!Build.for_machine} options ([A_flow], cache on), the collector of
+    {!Gcheap.Heap.default_config}, [Auto] schedule, no sanitizing, no
+    ceilings.
     Overrides are record updates from here on — the call-site dialect
     of optional arguments stops at this constructor. *)
 
@@ -100,21 +103,20 @@ type matrix = {
       (** variants of the preprocessed configurations; unpreprocessed
           configs get a single subject regardless *)
   m_gc_modes : Gcheap.Heap.gc_mode list;
-  m_check_integrity : bool;
-  m_final_collect : bool;
   m_max_instrs : int option;
   m_max_heap : int option;
 }
 
 val default_matrix : matrix
 (** All five configurations on the paper's three machines, [A_flow],
-    stop-the-world, sanitizing on (differential runs always sanitize),
-    no ceilings. *)
+    stop-the-world, no ceilings. *)
 
 val expand : matrix -> string -> t list
 (** Every request in the matrix over one source, in deterministic
     (machine, config, analysis, gc-mode) order.  Unpreprocessed
-    configurations collapse their analysis variants. *)
+    configurations collapse their analysis variants.  Every request
+    sanitizes and collects at exit ([check_integrity] and
+    [final_collect]): differential runs always sanitize. *)
 
 (** {1 Wire format}
 

@@ -42,40 +42,14 @@ type config = {
   vm_gc_at_calls_only : bool;
       (** restrict forced collections to call instructions — the
           environment assumed by the paper's optimization (4) *)
-  vm_all_interior : bool;
-      (** collector recognizes interior pointers everywhere (default); off
-          reproduces the Extensions-section root-only mode *)
-  vm_gc_threshold : int;  (** allocation volume between collections *)
-  vm_gc_mode : Gcheap.Heap.gc_mode;
-      (** [Stw] (default): full collections only, the paper's collector.
-          [Gen]: generational — the store barrier feeds a page-granularity
-          remembered set, minor collections run every
-          [vm_gc_threshold / 8] allocated bytes, and the major threshold
-          tracks live growth.  [Inc]: incremental — marking cycles are
-          snapshot-at-the-beginning, time-sliced into steps of at most
-          [vm_gc_pause_budget] words of collector work at allocation GC
-          points; the same store barrier grays overwritten old values
-          while a cycle is marking.  Cycle counts are identical in all
-          modes: the barrier charges nothing. *)
-  vm_gc_pause_budget : int;
-      (** incremental-mode pause budget: words of collector work per
-          increment, on the deterministic VM-tick/words clock (the
-          snapshot root scan and the atomic final mark may overrun it;
-          overruns are counted) *)
+  vm_heap : Gcheap.Heap.config;
+      (** the collector's knobs, as given to {!Gcheap.Heap.create}, except
+          one rule of the VM's: its minor threshold is always
+          [max 1024 (gc_threshold / 8)].  Cycle counts are identical in
+          every collector mode: the store barrier charges nothing. *)
   vm_max_instrs : int;  (** step ceiling; exceeding it raises [Trap] *)
   vm_max_heap_bytes : int;
       (** arena footprint ceiling; exceeding it raises [Trap] *)
-  vm_heap_limit_words : int;
-      (** the allocator's hard ceiling in words ([0] = unlimited).
-          Unlike [vm_max_heap_bytes] (a supervisory trap checked after
-          the fact), this limit gates growth inside the heap itself and
-          engages the [vm_oom_policy] recovery path *)
-  vm_oom_policy : Gcheap.Heap.oom_policy;
-      (** allocation-failure response: trap, or emergency-collect,
-          retry, and expand within the limit (the default) *)
-  vm_alloc_failpoints : Gcheap.Failpoint.t;
-      (** injected allocation failures, mirroring [vm_gc_schedule];
-          [Never] (the default) injects nothing *)
   vm_check_integrity : bool;
       (** run the heap sanitizer after every collection; violations raise
           {!Gcheap.Heap.Heap_corruption} *)
@@ -87,7 +61,6 @@ type config = {
           index and a program-location description, also when the run
           later faults — what the schedule shrinker replays.  The
           description is formatted only when a sink is set *)
-  vm_stack_bytes : int;
   vm_telemetry : Telemetry.Sink.t option;
       (** metrics / span tracing / heap profiling; nothing on the
           per-step path: step and dispatch counts are plain ints added
@@ -99,24 +72,21 @@ type config = {
           request identity *)
 }
 
+(* The VM stack: one [Stack]-kind block, scanned as a root range up to
+   the live prefix. *)
+let stack_bytes = 256 * 1024
+
 let default_config ?(machine = Machdesc.sparc10) () =
   {
     vm_machine = machine;
     vm_gc_schedule = Schedule.Auto;
     vm_gc_at_calls_only = false;
-    vm_all_interior = true;
-    vm_gc_threshold = 256 * 1024;
-    vm_gc_mode = Gcheap.Heap.Stw;
-    vm_gc_pause_budget = 1024;
+    vm_heap = Gcheap.Heap.default_config;
     vm_max_instrs = 400_000_000;
     vm_max_heap_bytes = 1 lsl 30;
-    vm_heap_limit_words = 0;
-    vm_oom_policy = Gcheap.Heap.Collect_expand;
-    vm_alloc_failpoints = Gcheap.Failpoint.Never;
     vm_check_integrity = false;
     vm_final_collect = false;
     vm_gc_point_sink = None;
-    vm_stack_bytes = 256 * 1024;
     vm_telemetry = None;
     vm_census = false;
   }
@@ -471,16 +441,17 @@ exception Exit_program of int
 
 let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
     state =
-  let heap_config = Gcheap.Heap.default_config () in
-  heap_config.Gcheap.Heap.gc_threshold <- cfg.vm_gc_threshold;
-  heap_config.Gcheap.Heap.all_interior <- cfg.vm_all_interior;
-  heap_config.Gcheap.Heap.mode <- cfg.vm_gc_mode;
-  heap_config.Gcheap.Heap.pause_budget_words <- max 1 cfg.vm_gc_pause_budget;
-  heap_config.Gcheap.Heap.minor_threshold <- max 1024 (cfg.vm_gc_threshold / 8);
-  heap_config.Gcheap.Heap.heap_limit_words <- cfg.vm_heap_limit_words;
-  heap_config.Gcheap.Heap.oom_policy <- cfg.vm_oom_policy;
-  let heap = Gcheap.Heap.create ~config:heap_config () in
-  heap.Gcheap.Heap.failpoints <- cfg.vm_alloc_failpoints;
+  let h = cfg.vm_heap in
+  let heap =
+    Gcheap.Heap.create
+      ~config:
+        {
+          h with
+          Gcheap.Heap.minor_threshold =
+            max 1024 (h.Gcheap.Heap.gc_threshold / 8);
+        }
+      ()
+  in
   let statics_base =
     Gcheap.Heap.alloc ~kind:Gcheap.Block.Uncollectable heap
       (max 8 (Bytes.length p.p_statics))
@@ -496,7 +467,7 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
         (statics_base + target))
     statics_relocs;
   let stack_base =
-    Gcheap.Heap.alloc ~kind:Gcheap.Block.Stack heap cfg.vm_stack_bytes
+    Gcheap.Heap.alloc ~kind:Gcheap.Block.Stack heap stack_bytes
   in
   let tele = make_tele cfg.vm_telemetry in
   let funcs, func_index =
@@ -678,7 +649,7 @@ let maybe_collect_for_alloc st =
   match st.cfg.vm_gc_schedule with
   | Schedule.At_allocs -> forced_collect st
   | _ ->
-      if st.cfg.vm_gc_mode = Gcheap.Heap.Inc then begin
+      if st.cfg.vm_heap.Gcheap.Heap.mode = Gcheap.Heap.Inc then begin
         if
           Gcheap.Heap.active st.heap
           || Gcheap.Heap.should_collect st.heap
@@ -705,8 +676,8 @@ let check_heap_ceiling st =
 let push_frame st (f : xfunc) first n (dst : reg) =
   st.depth <- st.depth + 1;
   if
-    st.sp + f.xf_frame > st.cfg.vm_stack_bytes
-    || st.depth > st.cfg.vm_stack_bytes / 64
+    st.sp + f.xf_frame > stack_bytes
+    || st.depth > stack_bytes / 64
   then raise (Fault "stack overflow");
   let base = st.stack_base + st.sp in
   st.sp <- st.sp + f.xf_frame;

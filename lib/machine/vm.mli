@@ -29,48 +29,34 @@ type config = {
   vm_gc_at_calls_only : bool;
       (** restrict forced collections to call instructions — the
           environment assumed by the paper's optimization (4) *)
-  vm_all_interior : bool;
-      (** collector recognizes interior pointers everywhere (default);
-          [false] reproduces the Extensions-section root-only mode *)
-  vm_gc_threshold : int;  (** allocation volume between collections *)
-  vm_gc_mode : Gcheap.Heap.gc_mode;
-      (** [Stw] (default): full collections only, the paper's collector.
-          [Gen]: generational — a store write-barrier feeds a
-          page-granularity remembered set, minor collections run every
-          [vm_gc_threshold / 8] allocated bytes and scan only young
-          objects, roots and dirty cards; the major threshold tracks
-          live growth.  [Inc]: incremental — marking cycles are
-          snapshot-at-the-beginning, sliced into increments of at most
-          [vm_gc_pause_budget] words of collector work run at allocation
-          GC points; the same store barrier grays overwritten old values
-          while a cycle is marking, and allocation during a cycle is
-          black.  Cycle counts are identical in all modes (the barrier
-          charges nothing), and injected/forced collections are always
-          full majors (soundly abandoning any in-flight incremental
-          cycle), so unsafe programs fail identically under injected
-          schedules. *)
-  vm_gc_pause_budget : int;
-      (** incremental-mode pause budget: words of collector work per
-          increment, on the deterministic VM-tick/words clock.  The
-          atomic snapshot root scan and the atomic final mark may
-          overrun it; overruns are counted in
-          [vm/gc/incremental/budget_overruns]. *)
+  vm_heap : Gcheap.Heap.config;
+      (** the collector's knobs ({!Gcheap.Heap.default_config} by
+          default), passed to {!Gcheap.Heap.create} as they stand but
+          for one rule of the VM's: the minor threshold is always
+          [max 1024 (gc_threshold / 8)], whatever [minor_threshold]
+          says.  [mode]: [Stw], the paper's collector, runs full
+          collections only.  [Gen] runs minor collections at that
+          threshold over young objects, roots and the dirty cards the
+          store barrier records, and the major threshold tracks live
+          growth.  [Inc] slices snapshot-at-the-beginning marking
+          cycles into increments of at most [pause_budget_words] words
+          of collector work at allocation GC points (the atomic
+          snapshot and final mark may overrun it; overruns are counted
+          in [vm/gc/incremental/budget_overruns]); the same store
+          barrier grays overwritten old values while a cycle is
+          marking, and allocation during a cycle is black.  Cycle
+          counts are identical in all modes (the barrier charges
+          nothing), and injected/forced collections are always full
+          majors (soundly abandoning any in-flight incremental cycle),
+          so unsafe programs fail identically under injected
+          schedules.  [heap_limit_words] gates growth inside the heap
+          and engages the [oom_policy] recovery path; its failures,
+          and [failpoints] under [Trap], surface as
+          {!Gcheap.Heap.Heap_exhausted}.  Unlike [vm_max_heap_bytes]
+          it is not a trap checked after the fact. *)
   vm_max_instrs : int;  (** step ceiling; exceeding it raises [Trap] *)
   vm_max_heap_bytes : int;
       (** arena footprint ceiling; exceeding it raises [Trap] *)
-  vm_heap_limit_words : int;
-      (** the allocator's hard ceiling in words ([0] = unlimited).
-          Unlike [vm_max_heap_bytes] (a supervisory trap checked after
-          the fact), this gates growth inside the heap and engages the
-          [vm_oom_policy] recovery path; failures surface as
-          {!Gcheap.Heap.Heap_exhausted} *)
-  vm_oom_policy : Gcheap.Heap.oom_policy;
-      (** allocation-failure response: trap immediately, or
-          emergency-collect (a full cycle over the VM's real roots),
-          retry, and expand within the limit (the default) *)
-  vm_alloc_failpoints : Gcheap.Failpoint.t;
-      (** injected allocation failures, mirroring [vm_gc_schedule];
-          [Never] (the default) injects nothing *)
   vm_check_integrity : bool;
       (** run {!Gcheap.Heap.check_integrity} after every collection and
           raise {!Gcheap.Heap.Heap_corruption} on any violation *)
@@ -82,7 +68,6 @@ type config = {
           index and a program-location description, also when the run
           later faults — what the schedule shrinker replays.  The
           description is formatted only when a sink is set *)
-  vm_stack_bytes : int;
   vm_telemetry : Telemetry.Sink.t option;
       (** metrics (instrument scope ["vm/..."]: steps, dispatch by opcode
           class, GC pause/scan/free, alloc-size histogram, fault/trap
@@ -119,7 +104,7 @@ type result = {
           incremental: per increment).  Tracked unconditionally — it is
           how service latency attributes a GC share even when telemetry
           is off, and the one pause measure that responds to
-          [vm_gc_pause_budget] *)
+          the pause budget of [vm_heap] *)
   r_gc_total_pause_words : int;
   r_census : Gcheap.Census.t list;
       (** per-collection heap censuses, oldest first; empty unless

@@ -53,7 +53,7 @@ let test_failpoint_fires () =
    find 65 contiguous pages for the closing request. *)
 let churn_then_large policy =
   let config =
-    { (Heap.default_config ()) with
+    { Heap.default_config with
       Heap.heap_limit_words = 40_000 (* 320_000 bytes, 78 pages *);
       oom_policy = policy;
     }
@@ -83,10 +83,13 @@ let test_injected_failure_trap_vs_recover () =
   (* under trap, a fired point is a structured stop *)
   let trap () =
     let config =
-      { (Heap.default_config ()) with Heap.oom_policy = Heap.Trap }
+      {
+        Heap.default_config with
+        Heap.oom_policy = Heap.Trap;
+        failpoints = Failpoint.Nth 3;
+      }
     in
     let h = Heap.create ~config () in
-    h.Heap.failpoints <- Failpoint.Nth 3;
     ignore (Heap.alloc h 16);
     ignore (Heap.alloc h 16);
     ignore (Heap.alloc h 16)
@@ -97,8 +100,11 @@ let test_injected_failure_trap_vs_recover () =
         (contains m "allocation #3")
   | _ -> Alcotest.fail "trap policy should raise on the injected point");
   (* under collect-expand, the same point is an emergency collection *)
-  let h = Heap.create () in
-  h.Heap.failpoints <- Failpoint.Nth 3;
+  let h =
+    Heap.create
+      ~config:{ Heap.default_config with Heap.failpoints = Failpoint.Nth 3 }
+      ()
+  in
   for _ = 1 to 5 do
     ignore (Heap.alloc h 16)
   done;

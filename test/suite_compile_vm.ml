@@ -396,7 +396,11 @@ int main(void) {
   in
   let irp = Util.compile src in
   let config =
-    { (Machine.Vm.default_config ()) with Machine.Vm.vm_gc_threshold = 8 * 1024 }
+    {
+      (Machine.Vm.default_config ()) with
+      Machine.Vm.vm_heap =
+        { Gcheap.Heap.default_config with Gcheap.Heap.gc_threshold = 8 * 1024 };
+    }
   in
   let r = Machine.Vm.run ~config irp in
   Alcotest.(check string) "output" "30000\n" r.Machine.Vm.r_output;
@@ -447,7 +451,8 @@ let test_arena_reuse_invisible () =
   let config =
     {
       (Machine.Vm.default_config ~machine:Machine.Machdesc.sparc10 ()) with
-      Machine.Vm.vm_gc_threshold = 16384;
+      Machine.Vm.vm_heap =
+        { Gcheap.Heap.default_config with Gcheap.Heap.gc_threshold = 16384 };
       vm_check_integrity = true;
     }
   in
@@ -496,7 +501,13 @@ let test_arena_reuse_invisible () =
   List.iter
     (fun mode ->
       let r =
-        Machine.Vm.run ~config:{ config with vm_gc_mode = mode } probe
+        Machine.Vm.run
+          ~config:
+            {
+              config with
+              vm_heap = { config.vm_heap with Gcheap.Heap.mode = mode };
+            }
+          probe
       in
       Alcotest.(check string)
         ("fresh storage reads zero under " ^ Gcheap.Heap.gc_mode_name mode)

@@ -351,6 +351,104 @@ let test_parallel_stress_identical () =
     "4-job report byte-identical to serial, run counts included" serial
     parallel
 
+(* --- every run-time knob of a request reaches its run ---------------- *)
+
+(* 8000 40-byte allocations, one in a hundred kept on a list: a few
+   collections at the default threshold. *)
+let knob_source =
+  {|int main(void) {
+  long *keep = 0;
+  long i;
+  long sum = 0;
+  for (i = 0; i < 8000; i = i + 1) {
+    long *n = (long *)malloc(40);
+    n[0] = i;
+    if (i % 100 == 0) {
+      n[1] = (long)keep;
+      keep = n;
+    }
+    sum = sum + n[0];
+  }
+  printf("%ld\n", sum);
+  return 0;
+}|}
+
+(* One row per run-time field of [Request.t]: the field set away from
+   its default, and what that must change in the outcome.  A field
+   dropped on its way to the VM or the heap leaves its row's outcome at
+   the default's, which each check rules out. *)
+let test_request_knobs_reach_run () =
+  let module R = Harness.Request in
+  let module M = Harness.Measure in
+  let exec r =
+    let before = Atomic.get Gcheap.Heap.integrity_checks in
+    let o = Util.exec r in
+    (o, Atomic.get Gcheap.Heap.integrity_checks - before)
+  in
+  let ran what = function
+    | M.Ran x -> x
+    | o -> Alcotest.failf "%s: expected a run, got %s" what (M.describe o)
+  in
+  let base = R.make knob_source in
+  let inc = { base with R.gc_mode = Gcheap.Heap.Inc } in
+  let d, d_checks = exec base in
+  let d = ran "defaults" d in
+  let d_inc = ran "inc" (fst (exec inc)) in
+  Alcotest.(check string) "defaults print the sum" "31996000\n" d.M.o_output;
+  Alcotest.(check int) "defaults run no integrity check" 0 d_checks;
+  let exhausted policy = function
+    | M.Exhausted m, _ ->
+        String.ends_with ~suffix:("policy " ^ policy ^ ")") m
+    | _ -> false
+  in
+  let limit kind = function
+    | M.Limit m, _ -> String.starts_with ~prefix:kind m
+    | _ -> false
+  in
+  let run_with f (o, checks) =
+    match o with M.Ran x -> f x checks | _ -> false
+  in
+  let rows =
+    [
+      ("gc_mode", inc, run_with (fun x _ -> x.M.o_increments > 0));
+      ( "gc_threshold",
+        { base with R.gc_threshold = Some 16384 },
+        run_with (fun x _ -> x.M.o_gc_count > d.M.o_gc_count) );
+      ( "gc_pause_budget",
+        { inc with R.gc_pause_budget = Some 64 },
+        run_with (fun x _ -> x.M.o_increments > d_inc.M.o_increments) );
+      ( "heap_limit",
+        { base with R.heap_limit = 40000 },
+        run_with (fun x _ -> x.M.o_emergency > 0) );
+      ( "heap_limit with oom_policy",
+        { base with R.heap_limit = 40000; oom_policy = Gcheap.Heap.Trap },
+        exhausted "trap" );
+      ( "alloc_failpoints",
+        { base with R.alloc_failpoints = Gcheap.Failpoint.Nth 5 },
+        run_with (fun x _ ->
+            x.M.o_injected_failures = 1 && x.M.o_emergency = 1) );
+      ( "max_instrs",
+        { base with R.max_instrs = Some 1000 },
+        limit "step-limit" );
+      ("max_heap", { base with R.max_heap = Some 4096 }, limit "heap-limit");
+      ( "schedule",
+        { base with R.schedule = Machine.Schedule.At_allocs },
+        run_with (fun x _ -> x.M.o_gc_count >= 8000) );
+      ( "final_collect",
+        { base with R.final_collect = true },
+        run_with (fun x _ -> x.M.o_live_objects < d.M.o_live_objects) );
+      ( "check_integrity",
+        { base with R.check_integrity = true },
+        run_with (fun _ checks -> checks > 0) );
+    ]
+  in
+  List.iter
+    (fun (field, r, effect) ->
+      let ((o, _) as result) = exec r in
+      if not (effect result) then
+        Alcotest.failf "%s did not reach the run: %s" field (M.describe o))
+    rows
+
 let suite =
   [
     Alcotest.test_case "pool: tasks run exactly once, ordered" `Quick
@@ -384,4 +482,6 @@ let suite =
       test_diagnostics_classify;
     Alcotest.test_case "stress: parallel report identical to serial" `Slow
       test_parallel_stress_identical;
+    Alcotest.test_case "request: every run-time knob reaches its run" `Quick
+      test_request_knobs_reach_run;
   ]

@@ -255,8 +255,12 @@ let test_gs_under_root_only_collector () =
   let config =
     {
       (Machine.Vm.default_config ()) with
-      Machine.Vm.vm_all_interior = false;
-      Machine.Vm.vm_gc_threshold = 32 * 1024;
+      Machine.Vm.vm_heap =
+        {
+          Gcheap.Heap.default_config with
+          Gcheap.Heap.all_interior = false;
+          gc_threshold = 32 * 1024;
+        };
     }
   in
   let r = Machine.Vm.run ~config irp in

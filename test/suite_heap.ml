@@ -188,8 +188,7 @@ let test_atomic_not_scanned () =
 
 let test_extensions_mode () =
   (* paper's Extensions section: interior pointers valid only from roots *)
-  let config = Heap.default_config () in
-  config.Heap.all_interior <- false;
+  let config = { Heap.default_config with Heap.all_interior = false } in
   let h = Heap.create ~config () in
   let target = Heap.alloc h 64 in
   let holder = Heap.alloc h 16 in
@@ -205,8 +204,7 @@ let test_extensions_mode () =
     (Heap.valid_access h t2 64)
 
 let test_gc_threshold () =
-  let config = Heap.default_config () in
-  config.Heap.gc_threshold <- 1024;
+  let config = { Heap.default_config with Heap.gc_threshold = 1024 } in
   let h = Heap.create ~config () in
   Alcotest.(check bool) "below threshold" false (Heap.should_collect h);
   for _ = 1 to 40 do
@@ -299,10 +297,14 @@ let test_trailing_partial_word () =
 (* --- generational collection ------------------------------------------ *)
 
 let gen_heap ?(minor_threshold = 1024) ?(gc_threshold = 64 * 1024) () =
-  let config = Heap.default_config () in
-  config.Heap.mode <- Heap.Gen;
-  config.Heap.minor_threshold <- minor_threshold;
-  config.Heap.gc_threshold <- gc_threshold;
+  let config =
+    {
+      Heap.default_config with
+      Heap.mode = Heap.Gen;
+      minor_threshold;
+      gc_threshold;
+    }
+  in
   Heap.create ~config ()
 
 let minors h = h.Heap.stats.Heap.minor_collections
@@ -1069,12 +1071,16 @@ let print_script s =
     (String.concat "; " (List.map print_op s.ops))
 
 let run_script s =
-  let config = Heap.default_config () in
-  config.Heap.mode <- s.mode;
-  config.Heap.pause_budget_words <- s.budget;
-  config.Heap.promote_after <- s.promote_after;
-  config.Heap.nursery_pages <- s.nursery_pages;
-  config.Heap.all_interior <- s.all_interior;
+  let config =
+    {
+      Heap.default_config with
+      Heap.mode = s.mode;
+      pause_budget_words = s.budget;
+      promote_after = s.promote_after;
+      nursery_pages = s.nursery_pages;
+      all_interior = s.all_interior;
+    }
+  in
   let h = Heap.create ~config () in
   let objs = ref [||] and roots = ref [] in
   let root_values () =

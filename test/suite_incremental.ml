@@ -67,8 +67,9 @@ let prop_satb_superset =
     ~name:"SATB: cycle-start reachable set survives arbitrary slicing"
     (QCheck.list_of_size (QCheck.Gen.int_range 10 150) op)
     (fun ops ->
-      let h = Heap.create () in
-      h.Heap.config.Heap.mode <- Heap.Inc;
+      let h =
+        Heap.create ~config:{ Heap.default_config with Heap.mode = Heap.Inc } ()
+      in
       let regs = Array.make nregs 0 in
       let mirror = Hashtbl.create 64 in
       let snapshot = ref [] in
@@ -108,7 +109,8 @@ let prop_satb_superset =
                 (Hashtbl.find mirror regs.(r2)).(k) <- regs.(r1)
               end
           | `Step b ->
-              h.Heap.config.Heap.pause_budget_words <- max 1 b;
+              h.Heap.config <-
+                { h.Heap.config with Heap.pause_budget_words = max 1 b };
               if not (Heap.active h) then begin
                 (* this step takes the snapshot: record what is
                    reachable right now *)
@@ -128,7 +130,11 @@ let prop_satb_superset =
 
 (* --- the SATB barrier, pointwise -------------------------------------- *)
 
-let fresh () = Heap.create ()
+(* A stop-the-world heap driven by hand, one word of work per step. *)
+let fresh () =
+  Heap.create
+    ~config:{ Heap.default_config with Heap.pause_budget_words = 1 }
+    ()
 
 (* Drive the in-flight cycle to completion, one tiny step at a time,
    guarding against non-termination. *)
@@ -143,7 +149,6 @@ let finish_counted ?(cap = 1_000_000) h ~extra_roots =
 
 let test_barrier_keeps_overwritten_alive () =
   let h = fresh () in
-  h.Heap.config.Heap.pause_budget_words <- 1;
   let a = Heap.alloc h 16 in
   let b = Heap.alloc h 16 in
   write_slot h a 0 b;
@@ -165,7 +170,6 @@ let test_barrier_keeps_overwritten_alive () =
 
 let test_allocate_black () =
   let h = fresh () in
-  h.Heap.config.Heap.pause_budget_words <- 1;
   let root = Heap.alloc h 16 in
   ignore (Heap.step ~extra_roots:[ root ] h);
   (* allocated mid-cycle, never stored anywhere: born black *)
@@ -180,7 +184,6 @@ let test_allocate_black () =
 
 let test_tiny_budget_terminates () =
   let h = fresh () in
-  h.Heap.config.Heap.pause_budget_words <- 1;
   let keep = ref [] in
   for i = 0 to 199 do
     let a = Heap.alloc h 24 in
@@ -203,7 +206,6 @@ let test_tiny_budget_terminates () =
 
 let test_full_collection_abandons_soundly () =
   let h = fresh () in
-  h.Heap.config.Heap.pause_budget_words <- 1;
   let root = Heap.alloc h 16 in
   ignore (Heap.step ~extra_roots:[ root ] h);
   Alcotest.(check bool) "cycle in flight" true (Heap.active h);
@@ -267,9 +269,16 @@ let print_graph g =
 (* Lay the graph out on a fresh heap; returns the heap and its roots.
    Allocation is deterministic, so two builds are twins. *)
 let build_graph g =
-  let h = Heap.create () in
-  h.Heap.config.Heap.all_interior <- g.all_interior;
-  h.Heap.config.Heap.pause_budget_words <- g.budget;
+  let h =
+    Heap.create
+      ~config:
+        {
+          Heap.default_config with
+          Heap.all_interior = g.all_interior;
+          pause_budget_words = g.budget;
+        }
+      ()
+  in
   let objs =
     Array.of_list
       (List.map

@@ -7,11 +7,15 @@ open Gcheap
 
 let nursery_heap ?(nursery_pages = 8) ?(minor_threshold = 1024)
     ?(gc_threshold = 64 * 1024) () =
-  let config = Heap.default_config () in
-  config.Heap.mode <- Heap.Gen;
-  config.Heap.minor_threshold <- minor_threshold;
-  config.Heap.gc_threshold <- gc_threshold;
-  config.Heap.nursery_pages <- nursery_pages;
+  let config =
+    {
+      Heap.default_config with
+      Heap.mode = Heap.Gen;
+      minor_threshold;
+      gc_threshold;
+      nursery_pages;
+    }
+  in
   Heap.create ~config ()
 
 let page_of a = a lsr Mem.page_bits

@@ -457,9 +457,13 @@ let test_counters_mirror_heap () =
     let config =
       {
         (Machine.Vm.default_config ()) with
-        Machine.Vm.vm_gc_mode = gc_mode;
-        vm_gc_threshold = Util.gate_threshold;
-        vm_heap_limit_words = heap_limit;
+        Machine.Vm.vm_heap =
+          {
+            Gcheap.Heap.default_config with
+            Gcheap.Heap.mode = gc_mode;
+            gc_threshold = Util.gate_threshold;
+            heap_limit_words = heap_limit;
+          };
         vm_final_collect = true;
         vm_telemetry = Some (Telemetry.Sink.make ~metrics ());
       }

@@ -121,9 +121,13 @@ let test_detects_bad_block_header () =
   fires "block-header" h
 
 let gen_heap () =
-  let config = Heap.default_config () in
-  config.Heap.mode <- Heap.Gen;
-  config.Heap.minor_threshold <- 1024;
+  let config =
+    {
+      Heap.default_config with
+      Heap.mode = Heap.Gen;
+      minor_threshold = 1024;
+    }
+  in
   Heap.create ~config ()
 
 let test_detects_nursery_violation () =

@@ -107,7 +107,14 @@ let test_collections_reclaim () =
     Util.compile Workloads.Registry.cfrac.Workloads.Registry.w_source
   in
   let config =
-    { (Machine.Vm.default_config ()) with Machine.Vm.vm_gc_threshold = 16 * 1024 }
+    {
+      (Machine.Vm.default_config ()) with
+      Machine.Vm.vm_heap =
+        {
+          Gcheap.Heap.default_config with
+          Gcheap.Heap.gc_threshold = 16 * 1024;
+        };
+    }
   in
   let r = Machine.Vm.run ~config irp in
   let s = r.Machine.Vm.r_heap in
