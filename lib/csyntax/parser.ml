@@ -8,29 +8,48 @@
 
 exception Error of string * Loc.t
 
-type state = { toks : Lexer.tok array; mutable idx : int }
+(* The parser reads tokens from the lexer as it goes and holds only the
+   current token and the two after it, so no token outlives the step that
+   consumes it.  [with_tokens] keeps the errors those of a parser over the
+   whole token stream. *)
+type state = {
+  lex : Lexer.cursor;
+  mutable cur : Lexer.tok;
+  mutable next1 : Lexer.tok;
+  mutable next2 : Lexer.tok;
+  mutable prev_end : int;  (** [endpos] of the token before [cur], or -1 *)
+}
 
-let cur st = st.toks.(st.idx)
+let cur_tok st = st.cur.t
 
-let cur_tok st = (cur st).t
+let cur_loc st = st.cur.loc
 
-let cur_loc st = (cur st).loc
+(* Stepping past [EOF] stays on it. *)
+let advance st =
+  if st.cur.t != Token.EOF then begin
+    st.prev_end <- st.cur.endpos;
+    st.cur <- st.next1;
+    st.next1 <- st.next2;
+    st.next2 <- Lexer.next st.lex
+  end
 
-let advance st = if st.idx < Array.length st.toks - 1 then st.idx <- st.idx + 1
-
-let peek_tok st n =
-  let i = min (st.idx + n) (Array.length st.toks - 1) in
-  st.toks.(i).t
+(* The token [n] (1 or 2) places after the current one. *)
+let peek_tok st n = if n = 1 then st.next1.t else st.next2.t
 
 let err st msg =
   raise (Error (Printf.sprintf "%s (found '%s')" msg (Token.to_string (cur_tok st)), cur_loc st))
 
+(* Is the current token [t]?  Every token the parser tests for is a
+   constant constructor, an immediate value, so physical equality answers
+   as [=] would without a call to the polymorphic compare. *)
+let is st (t : Token.t) = cur_tok st == t
+
 let expect st t =
-  if cur_tok st = t then advance st
+  if is st t then advance st
   else err st (Printf.sprintf "expected '%s'" (Token.to_string t))
 
 let accept st t =
-  if cur_tok st = t then begin
+  if is st t then begin
     advance st;
     true
   end
@@ -40,7 +59,7 @@ let accept st t =
    time the parser has just consumed the node's last token. *)
 let mk st loc desc =
   let e = Ast.mk_expr ~loc desc in
-  (e.Ast.eend <- (if st.idx > 0 then st.toks.(st.idx - 1).Lexer.endpos else -1));
+  e.Ast.eend <- st.prev_end;
   e
 
 let expect_ident st =
@@ -95,7 +114,7 @@ let rec parse_base_type st : Ctype.t =
     | Token.KW_UNSIGNED | Token.KW_SIGNED ->
         (* signedness is ignored in the subset: everything is signed *)
         advance st;
-        if is_type_start (cur_tok st) && cur_tok st <> Token.KW_CONST then
+        if is_type_start (cur_tok st) && not (is st Token.KW_CONST) then
           parse_base_type st
         else Ctype.Int
     | Token.KW_STRUCT ->
@@ -147,7 +166,7 @@ let rec parse_array_suffix st ty =
 (* ------------------------------------------------------------------ *)
 
 (* A '(' starts a cast iff it is followed by a type keyword. *)
-let starts_cast st = cur_tok st = Token.LPAREN && is_type_start (peek_tok st 1)
+let starts_cast st = is st Token.LPAREN && is_type_start (peek_tok st 1)
 
 let rec parse_expr st : Ast.expr = parse_comma st
 
@@ -342,10 +361,10 @@ and parse_primary st =
       mk st loc (Ast.StrLit (Buffer.contents buf))
   | Token.IDENT name ->
       advance st;
-      if cur_tok st = Token.LPAREN then begin
+      if is st Token.LPAREN then begin
         advance st;
         let args =
-          if cur_tok st = Token.RPAREN then []
+          if is st Token.RPAREN then []
           else
             let rec loop acc =
               let a = parse_assign st in
@@ -381,7 +400,7 @@ let rec parse_stmt st : Ast.stmt =
   | Token.LBRACE ->
       advance st;
       let rec items acc =
-        if cur_tok st = Token.RBRACE then List.rev acc
+        if is st Token.RBRACE then List.rev acc
         else items (parse_block_item st :: acc)
       in
       let ss = items [] in
@@ -414,21 +433,21 @@ let rec parse_stmt st : Ast.stmt =
       advance st;
       expect st Token.LPAREN;
       let init =
-        if cur_tok st = Token.SEMI then None else Some (parse_expr st)
+        if is st Token.SEMI then None else Some (parse_expr st)
       in
       expect st Token.SEMI;
       let cond =
-        if cur_tok st = Token.SEMI then None else Some (parse_expr st)
+        if is st Token.SEMI then None else Some (parse_expr st)
       in
       expect st Token.SEMI;
       let step =
-        if cur_tok st = Token.RPAREN then None else Some (parse_expr st)
+        if is st Token.RPAREN then None else Some (parse_expr st)
       in
       expect st Token.RPAREN;
       Ast.mk_stmt ~loc (Ast.Sfor (init, cond, step, parse_stmt st))
   | Token.KW_RETURN ->
       advance st;
-      let e = if cur_tok st = Token.SEMI then None else Some (parse_expr st) in
+      let e = if is st Token.SEMI then None else Some (parse_expr st) in
       expect st Token.SEMI;
       Ast.mk_stmt ~loc (Ast.Sreturn e)
   | Token.KW_BREAK ->
@@ -474,7 +493,7 @@ and parse_block_item st : Ast.stmt =
 let parse_params st : (string * Ctype.t) list * bool =
   expect st Token.LPAREN;
   if accept st Token.RPAREN then ([], false)
-  else if cur_tok st = Token.KW_VOID && peek_tok st 1 = Token.RPAREN then begin
+  else if is st Token.KW_VOID && peek_tok st 1 == Token.RPAREN then begin
     advance st;
     advance st;
     ([], false)
@@ -516,15 +535,15 @@ let parse_global st : Ast.global list =
   ignore (accept st Token.KW_STATIC);
   (* struct/union definition? *)
   if
-    (cur_tok st = Token.KW_STRUCT || cur_tok st = Token.KW_UNION)
-    && peek_tok st 2 = Token.LBRACE
+    (is st Token.KW_STRUCT || is st Token.KW_UNION)
+    && peek_tok st 2 == Token.LBRACE
   then begin
-    let is_union = cur_tok st = Token.KW_UNION in
+    let is_union = is st Token.KW_UNION in
     advance st;
     let tag = expect_ident st in
     expect st Token.LBRACE;
     let rec fields acc =
-      if cur_tok st = Token.RBRACE then List.rev acc
+      if is st Token.RBRACE then List.rev acc
       else begin
         let base = parse_base_type st in
         let rec one acc =
@@ -550,10 +569,10 @@ let parse_global st : Ast.global list =
     else begin
       let ty = parse_pointers st base in
       let name = expect_ident st in
-      if cur_tok st = Token.LPAREN then begin
+      if is st Token.LPAREN then begin
         (* function definition or prototype *)
         let params, varargs = parse_params st in
-        if cur_tok st = Token.LBRACE then
+        if is st Token.LBRACE then
           let body = parse_stmt st in
           [ Ast.Gfunc
               {
@@ -594,13 +613,32 @@ let parse_global st : Ast.global list =
     end
   end
 
+(* Run [parse] over the tokens of [src].  A lexical error anywhere in the
+   source wins over any other error, as when the whole source was
+   tokenized before parsing: when [parse] fails on anything but the lexer,
+   the rest of the source is lexed, and its first lexical error, if any,
+   is raised instead. *)
+let with_tokens src parse =
+  let lex = Lexer.cursor src in
+  let cur = Lexer.next lex in
+  let next1 = Lexer.next lex in
+  let next2 = Lexer.next lex in
+  let st = { lex; cur; next1; next2; prev_end = -1 } in
+  try parse st with
+  | Lexer.Error _ as e -> raise e
+  | e ->
+      let bt = Printexc.get_raw_backtrace () in
+      while (Lexer.next lex).t != Token.EOF do
+        ()
+      done;
+      Printexc.raise_with_backtrace e bt
+
 (** Parse a complete translation unit. *)
 let parse_program (src : string) : Ast.program =
-  let toks = Lexer.tokenize src in
-  let st = { toks; idx = 0 } in
+  with_tokens src @@ fun st ->
   let env = Ctype.Env.create () in
   let rec loop acc =
-    if cur_tok st = Token.EOF then List.rev acc
+    if is st Token.EOF then List.rev acc
     else begin
       let gs = parse_global st in
       List.iter
@@ -617,8 +655,7 @@ let parse_program (src : string) : Ast.program =
 
 (** Parse a single expression (used by tests and the quickstart example). *)
 let parse_expr_string (src : string) : Ast.expr =
-  let toks = Lexer.tokenize src in
-  let st = { toks; idx = 0 } in
+  with_tokens src @@ fun st ->
   let e = parse_expr st in
-  if cur_tok st <> Token.EOF then err st "trailing tokens after expression";
+  if not (is st Token.EOF) then err st "trailing tokens after expression";
   e

@@ -1,42 +1,63 @@
 (** Scoped symbol tables.
 
-    A stack of scopes mapping names to values.  Lookup walks from the
-    innermost scope outward, like C block scoping. *)
+    One hash table maps each name to its bindings, innermost first, each
+    tagged with the depth of the scope that made it; a per-scope log lists
+    the names that scope bound.  Lookup is one probe at any depth, and
+    leaving a scope removes exactly the names it logged, which uncovers the
+    outer bindings they shadowed, like C block scoping. *)
 
-type 'a t = { mutable scopes : (string, 'a) Hashtbl.t list }
+module Names = Hashtbl.Make (struct
+  type t = string
 
-let create () = { scopes = [ Hashtbl.create 16 ] }
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
 
-let enter_scope t = t.scopes <- Hashtbl.create 8 :: t.scopes
+type 'a binding = { depth : int; mutable value : 'a }
+
+type 'a t = {
+  table : 'a binding Names.t;
+  mutable depth : int;  (** 0 is the outermost scope *)
+  mutable added : string list;  (** names bound by the innermost scope *)
+  mutable outer : string list list;  (** the logs of the enclosing scopes *)
+}
+
+let create () = { table = Names.create 64; depth = 0; added = []; outer = [] }
+
+let enter_scope t =
+  t.outer <- t.added :: t.outer;
+  t.added <- [];
+  t.depth <- t.depth + 1
 
 let exit_scope t =
-  match t.scopes with
-  | [] | [ _ ] -> invalid_arg "Symtab.exit_scope: no scope to exit"
-  | _ :: rest -> t.scopes <- rest
+  match t.outer with
+  | [] -> invalid_arg "Symtab.exit_scope: no scope to exit"
+  | added :: outer ->
+      List.iter (Names.remove t.table) t.added;
+      t.added <- added;
+      t.outer <- outer;
+      t.depth <- t.depth - 1
 
 (** Add to the innermost scope, shadowing any outer binding. *)
 let add t name v =
-  match t.scopes with
-  | [] -> invalid_arg "Symtab.add: no scope"
-  | scope :: _ -> Hashtbl.replace scope name v
+  match Names.find_opt t.table name with
+  | Some b when b.depth = t.depth -> b.value <- v
+  | Some _ | None ->
+      Names.add t.table name { depth = t.depth; value = v };
+      t.added <- name :: t.added
 
 let find t name =
-  let rec loop = function
-    | [] -> None
-    | scope :: rest -> (
-        match Hashtbl.find_opt scope name with
-        | Some v -> Some v
-        | None -> loop rest)
-  in
-  loop t.scopes
+  match Names.find_opt t.table name with
+  | Some b -> Some b.value
+  | None -> None
 
-let mem t name = Option.is_some (find t name)
+let mem t name = Names.mem t.table name
 
 (** Is [name] bound in the innermost scope? *)
 let mem_innermost t name =
-  match t.scopes with
-  | [] -> false
-  | scope :: _ -> Hashtbl.mem scope name
+  match Names.find_opt t.table name with
+  | Some b -> b.depth = t.depth
+  | None -> false
 
 (** Run [f] inside a fresh scope, restoring the previous scopes on exit even
     if [f] raises. *)

@@ -1,5 +1,6 @@
-(** Scoped symbol tables: a stack of scopes with innermost-out lookup,
-    like C block scoping. *)
+(** Scoped symbol tables: nested scopes where the innermost binding of a
+    name wins, like C block scoping.  [find], [mem] and [mem_innermost]
+    cost one hash probe at any nesting depth. *)
 
 type 'a t
 

@@ -80,32 +80,34 @@ type t =
   | MINUSMINUS
   | EOF
 
-let keyword_table =
-  [
-    ("void", KW_VOID);
-    ("char", KW_CHAR);
-    ("short", KW_SHORT);
-    ("int", KW_INT);
-    ("long", KW_LONG);
-    ("float", KW_FLOAT);
-    ("double", KW_DOUBLE);
-    ("unsigned", KW_UNSIGNED);
-    ("signed", KW_SIGNED);
-    ("struct", KW_STRUCT);
-    ("union", KW_UNION);
-    ("if", KW_IF);
-    ("else", KW_ELSE);
-    ("while", KW_WHILE);
-    ("do", KW_DO);
-    ("for", KW_FOR);
-    ("return", KW_RETURN);
-    ("break", KW_BREAK);
-    ("continue", KW_CONTINUE);
-    ("sizeof", KW_SIZEOF);
-    ("extern", KW_EXTERN);
-    ("static", KW_STATIC);
-    ("const", KW_CONST);
-  ]
+(** The token a word lexes to: its keyword, else an identifier.  This is
+    the only list of the subset's keywords; a string [match] compiles to a
+    search on the word's bytes, so a lookup allocates nothing. *)
+let of_word = function
+  | "void" -> KW_VOID
+  | "char" -> KW_CHAR
+  | "short" -> KW_SHORT
+  | "int" -> KW_INT
+  | "long" -> KW_LONG
+  | "float" -> KW_FLOAT
+  | "double" -> KW_DOUBLE
+  | "unsigned" -> KW_UNSIGNED
+  | "signed" -> KW_SIGNED
+  | "struct" -> KW_STRUCT
+  | "union" -> KW_UNION
+  | "if" -> KW_IF
+  | "else" -> KW_ELSE
+  | "while" -> KW_WHILE
+  | "do" -> KW_DO
+  | "for" -> KW_FOR
+  | "return" -> KW_RETURN
+  | "break" -> KW_BREAK
+  | "continue" -> KW_CONTINUE
+  | "sizeof" -> KW_SIZEOF
+  | "extern" -> KW_EXTERN
+  | "static" -> KW_STATIC
+  | "const" -> KW_CONST
+  | s -> IDENT s
 
 let to_string = function
   | INT_LIT n -> string_of_int n

@@ -125,6 +125,45 @@ let test_global_arrays_and_inits () =
   parse_ok "int table[64]; char *msg = \"hi\"; int z = 3 * 4 + 1;";
   parse_ok "char buf[];" (* incomplete arrays parse; typecheck rejects *)
 
+(* The parser reads tokens as it goes, yet a lexical error anywhere in the
+   source wins over a parse or type error before it, as when the whole
+   source was tokenized first. *)
+let lex_error_of src =
+  match Lexer.tokenize src with
+  | exception Lexer.Error (m, loc) -> Some (m, loc)
+  | _ -> None
+
+let parse_outcome parse src =
+  match parse src with
+  | _ -> `Parsed
+  | exception Lexer.Error (m, loc) -> `Lex_error (m, loc)
+  | exception _ -> `Other_error
+
+let lex_errors_win parse src =
+  match (lex_error_of src, parse_outcome parse src) with
+  | Some e, `Lex_error e' -> e = e'
+  | Some _, (`Parsed | `Other_error) -> false
+  | None, `Lex_error _ -> false
+  | None, (`Parsed | `Other_error) -> true
+
+let test_lex_errors_win () =
+  List.iter
+    (fun src ->
+      Alcotest.(check bool) src true (lex_errors_win Parser.parse_program src))
+    [
+      "int main(void) { return 1 } `";
+      "int f( { } char *s = \"open";
+      "struct s { struct nope x; }; long n = 0x;";
+    ];
+  Alcotest.(check bool) "expression" true
+    (lex_errors_win Parser.parse_expr_string "1 2 /* open")
+
+let prop_lex_errors_win =
+  QCheck.Test.make ~count:500
+    ~name:"a lexical error anywhere wins over parse errors"
+    (QCheck.make ~print:(Printf.sprintf "%S") Suite_lexer.mutant_gen)
+    (lex_errors_win Parser.parse_program)
+
 let suite =
   [
     Alcotest.test_case "precedence" `Quick test_precedence;
@@ -139,4 +178,6 @@ let suite =
     Alcotest.test_case "workload round trips" `Quick test_roundtrips;
     Alcotest.test_case "globals and initializers" `Quick
       test_global_arrays_and_inits;
+    Alcotest.test_case "lexical errors win" `Quick test_lex_errors_win;
+    QCheck_alcotest.to_alcotest prop_lex_errors_win;
   ]

@@ -118,6 +118,26 @@ let test_execute_total_on_garbage () =
         (Harness.Diagnostics.exit_code (Outcome.classify o))
   | o -> Alcotest.failf "expected Source_error, got %s" (Outcome.describe o)
 
+(* Integer literals that do not fit in an int, or spell no digits, are
+   source errors: lexing them once raised [Failure "int_of_string"],
+   which the service counted as an unexpected internal error. *)
+let test_bad_integer_literals_are_source_errors () =
+  let sources =
+    [
+      "int main(void) { return 0x; }";
+      "int main(void) { long x = 12345678901234567890; return 0; }";
+      "int main(void) { long x = 0x123456789abcdef0123; return 0; }";
+    ]
+  in
+  let t = Gcsafed.create tiny_config in
+  List.iter (fun src -> Gcsafed.submit ~arrival:0 t (Request.make src)) sources;
+  Gcsafed.drain t;
+  Alcotest.(check (list string))
+    "each a source error"
+    [ "source-error"; "source-error"; "source-error" ]
+    (List.map class_of (Gcsafed.completions t));
+  Alcotest.(check int) "none unexpected" 0 (Gcsafed.report t).Gcsafed.rp_unexpected
+
 let test_rejection_is_structured () =
   let o = Outcome.Rejected "queue full (capacity 2)" in
   Alcotest.(check string) "class" "rejected-overload" (Outcome.class_name o);
@@ -404,6 +424,8 @@ let suite =
       test_of_json_rejects_garbage;
     Alcotest.test_case "execute is total on parse errors" `Quick
       test_execute_total_on_garbage;
+    Alcotest.test_case "bad integer literals are source errors" `Quick
+      test_bad_integer_literals_are_source_errors;
     Alcotest.test_case "rejection is structured (exit 8)" `Quick
       test_rejection_is_structured;
     Alcotest.test_case "queue-full rejection deterministic" `Quick

@@ -182,6 +182,185 @@ let test_workloads_typecheck () =
   check_ok Workloads.Gawk.source_fixed;
   check_ok Workloads.Gs.source
 
+(* --- Symtab against the list-of-scopes table it replaced ----------------- *)
+
+(* The scoped table as first written: one hash table per scope, lookup
+   walking from the innermost scope outward. *)
+module Reference_symtab = struct
+  type 'a t = { mutable scopes : (string, 'a) Hashtbl.t list }
+
+  let create () = { scopes = [ Hashtbl.create 16 ] }
+  let enter_scope t = t.scopes <- Hashtbl.create 8 :: t.scopes
+
+  let exit_scope t =
+    match t.scopes with
+    | [] | [ _ ] -> invalid_arg "Symtab.exit_scope: no scope to exit"
+    | _ :: rest -> t.scopes <- rest
+
+  let add t name v =
+    match t.scopes with
+    | [] -> invalid_arg "Symtab.add: no scope"
+    | scope :: _ -> Hashtbl.replace scope name v
+
+  let find t name =
+    let rec loop = function
+      | [] -> None
+      | scope :: rest -> (
+          match Hashtbl.find_opt scope name with
+          | Some v -> Some v
+          | None -> loop rest)
+    in
+    loop t.scopes
+
+  let mem t name = Option.is_some (find t name)
+
+  let mem_innermost t name =
+    match t.scopes with [] -> false | scope :: _ -> Hashtbl.mem scope name
+
+  let in_scope t f =
+    enter_scope t;
+    Fun.protect ~finally:(fun () -> exit_scope t) f
+end
+
+type symtab_op =
+  | Enter
+  | Exit
+  | Add of string * int
+  | Find of string
+  | Mem of string
+  | Mem_innermost of string
+  | In_scope of symtab_op list * bool  (** the body, and whether it raises *)
+
+let rec show_op = function
+  | Enter -> "enter"
+  | Exit -> "exit"
+  | Add (x, v) -> Printf.sprintf "add %s %d" x v
+  | Find x -> "find " ^ x
+  | Mem x -> "mem " ^ x
+  | Mem_innermost x -> "mem_innermost " ^ x
+  | In_scope (body, raises) ->
+      Printf.sprintf "in_scope%s [%s]"
+        (if raises then " (raises)" else "")
+        (String.concat "; " (List.map show_op body))
+
+module type SYMTAB = sig
+  type 'a t
+
+  val create : unit -> 'a t
+  val enter_scope : 'a t -> unit
+  val exit_scope : 'a t -> unit
+  val add : 'a t -> string -> 'a -> unit
+  val find : 'a t -> string -> 'a option
+  val mem : 'a t -> string -> bool
+  val mem_innermost : 'a t -> string -> bool
+  val in_scope : 'a t -> (unit -> 'b) -> 'b
+end
+
+(* What a script observes: every answer and every exception, in order. *)
+module Observe (S : SYMTAB) = struct
+  exception Body_raised
+
+  let run script =
+    let t = S.create () in
+    let log = ref [] in
+    let say s = log := s :: !log in
+    let rec op = function
+      | Enter -> S.enter_scope t
+      | Exit -> S.exit_scope t
+      | Add (x, v) -> S.add t x v
+      | Find x ->
+          say (match S.find t x with Some v -> string_of_int v | None -> "-")
+      | Mem x -> say (string_of_bool (S.mem t x))
+      | Mem_innermost x -> say (string_of_bool (S.mem_innermost t x))
+      | In_scope (body, raises) ->
+          S.in_scope t (fun () ->
+              List.iter guarded body;
+              if raises then raise Body_raised)
+    and guarded o =
+      try op o with
+      | Body_raised -> say "body raised"
+      | e -> say (Printexc.to_string e)
+    in
+    List.iter guarded script;
+    List.rev !log
+end
+
+module Observe_library = Observe (Symtab)
+module Observe_reference = Observe (Reference_symtab)
+
+let symtab_script_gen =
+  let open QCheck.Gen in
+  let name = oneofl [ "a"; "b"; "c"; "d" ] in
+  let rec op depth =
+    frequency
+      ([
+         (3, return Enter);
+         (3, return Exit);
+         (5, map2 (fun x v -> Add (x, v)) name (int_bound 99));
+         (4, map (fun x -> Find x) name);
+         (2, map (fun x -> Mem x) name);
+         (2, map (fun x -> Mem_innermost x) name);
+       ]
+      @
+      if depth = 0 then []
+      else
+        [
+          ( 2,
+            map2
+              (fun body raises -> In_scope (body, raises))
+              (list_size (int_bound 6) (op (depth - 1)))
+              bool );
+        ])
+  in
+  list_size (int_range 1 40) (op 2)
+
+let prop_symtab_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"symtab == list-of-scopes reference on random scripts"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_op ops))
+       symtab_script_gen)
+    (fun script ->
+      let lib = Observe_library.run script
+      and ref_ = Observe_reference.run script in
+      lib = ref_
+      || QCheck.Test.fail_reportf "library [%s] vs reference [%s]"
+           (String.concat "; " lib) (String.concat "; " ref_))
+
+(* An [if] nested [n] deep whose every level reads variables declared at
+   the top, in the shape of the deep-nest fixture in test/ir_identity.t. *)
+let if_nest n =
+  let b = Buffer.create (n * 80) in
+  Buffer.add_string b
+    "int main(void) {\n  long *h = (long *)malloc(8 * sizeof(long));\n  long x = 7;\n";
+  for i = 0 to n - 1 do
+    Printf.bprintf b "  if (x %% 97 != %d) { x = (x * 3 + h[%d]) %% 100003;\n"
+      ((i mod 89) + 1) (i mod 8)
+  done;
+  for i = n - 1 downto 0 do
+    Printf.bprintf b "  } else { h[%d] = x + %d; }\n" (i mod 8) i
+  done;
+  Buffer.add_string b "  return (int)x;\n}\n";
+  Buffer.contents b
+
+let test_nest_scales_linearly () =
+  (* best of five, to keep a stray collection out of the ratio *)
+  let time n =
+    let ast = Parser.parse_program (if_nest n) in
+    List.fold_left min infinity
+      (List.init 5 (fun _ ->
+           let t0 = Sys.time () in
+           ignore (Typecheck.check_program ast);
+           ignore (Ir.Compile.compile_program ast);
+           Sys.time () -. t0))
+  in
+  let small = time 250 and large = time 2000 in
+  (* 8x the depth: linear is 8x; a lookup that walks the enclosing scopes
+     makes it quadratic, 64x *)
+  if large > 32. *. Float.max small 1e-4 then
+    Alcotest.failf "an if nest 2000 deep took %.1fx as long as 250 (%.2f ms vs %.2f ms)"
+      (large /. small) (large *. 1e3) (small *. 1e3)
+
 let suite =
   [
     Alcotest.test_case "arith conversions" `Quick test_arith_conversions;
@@ -201,4 +380,7 @@ let suite =
     Alcotest.test_case "union layout" `Quick test_union_layout;
     Alcotest.test_case "contains_pointer" `Quick test_contains_pointer;
     Alcotest.test_case "workloads typecheck" `Quick test_workloads_typecheck;
+    QCheck_alcotest.to_alcotest prop_symtab_matches_reference;
+    Alcotest.test_case "scoped lookup: linear in nesting depth" `Quick
+      test_nest_scales_linearly;
   ]
