@@ -123,24 +123,6 @@ int main(void) {
         w.Workloads.Registry.w_name full reduced
         (100.0 *. float_of_int (full - reduced) /. float_of_int full))
     Workloads.Registry.paper_suite;
-  print_endline
-    "-- heapness analysis (\"sufficiently good program analysis\")";
-  List.iter
-    (fun w ->
-      let src = w.Workloads.Registry.w_source in
-      let count heapness =
-        let ast = Csyntax.Parser.parse_program src in
-        let opts =
-          {
-            (Gcsafe.Mode.default Gcsafe.Mode.Safe) with
-            Gcsafe.Mode.heapness_analysis = heapness;
-          }
-        in
-        (Gcsafe.Annotate.run ~opts ast).Gcsafe.Annotate.keep_live_count
-      in
-      Printf.printf "  %-10s %4d -> %4d annotations\n"
-        w.Workloads.Registry.w_name (count false) (count true))
-    Workloads.Registry.paper_suite;
   print_endline "-- the pointer-disguising passes (what GC-unsafety buys)";
   List.iter
     (fun w ->

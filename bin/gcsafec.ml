@@ -331,13 +331,6 @@ let annotate_cmd =
     in
     Arg.(value & flag & info [ "calls-only" ] ~doc)
   in
-  let heapness_arg =
-    let doc =
-      "Run the heapness analysis: drop annotations whose base provably \
-       never holds a heap pointer."
-    in
-    Arg.(value & flag & info [ "heapness" ] ~doc)
-  in
   let base_stores_arg =
     let doc =
       "Checked mode only: verify the Extensions-section discipline that \
@@ -348,7 +341,9 @@ let annotate_cmd =
   let patch_arg =
     let doc =
       "Emit by patching the original text (preserves formatting and \
-       comments; constructs needing temporaries are skipped and reported)."
+       comments; constructs needing temporaries are skipped and reported). \
+       Applies no analysis pruning, so --analysis does not apply; \
+       --calls-only, --loop-heuristic and --check-base-stores are rejected."
     in
     Arg.(value & flag & info [ "patch" ] ~doc)
   in
@@ -397,9 +392,17 @@ let annotate_cmd =
         ]
     ^ "}"
   in
-  let run mode analysis naive heuristic calls_only heapness base_stores patch
-      stats stats_out source =
+  let run mode analysis naive heuristic calls_only base_stores patch stats
+      stats_out source =
     handle_errors (fun () ->
+        (* Patch_mode honours only the mode and optimization (1); reject
+           the flags it would otherwise ignore *)
+        if patch && (calls_only || heuristic || base_stores) then begin
+          prerr_endline
+            "--patch does not support --calls-only, --loop-heuristic or \
+             --check-base-stores";
+          exit 2
+        end;
         let source_name, src = source () in
         let ast = Csyntax.Parser.parse_program src in
         let opts =
@@ -407,7 +410,6 @@ let annotate_cmd =
             (Gcsafe.Mode.default mode) with
             Gcsafe.Mode.suppress_copies = not naive;
             Gcsafe.Mode.calls_only;
-            Gcsafe.Mode.heapness_analysis = heapness;
             Gcsafe.Mode.check_base_stores = base_stores;
             Gcsafe.Mode.analysis;
           }
@@ -444,7 +446,7 @@ let annotate_cmd =
     (Cmd.info "annotate" ~doc)
     Term.(
       const run $ mode_arg $ analysis_arg $ naive_arg $ heuristic_arg
-      $ calls_only_arg $ heapness_arg $ base_stores_arg $ patch_arg $ stats_arg
+      $ calls_only_arg $ base_stores_arg $ patch_arg $ stats_arg
       $ stats_out_arg $ source_term)
 
 (* --- check ---------------------------------------------------------------- *)

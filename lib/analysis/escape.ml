@@ -12,21 +12,8 @@ let analyze ~global (f : Ast.func) : t =
   let addr = Hashtbl.create 8 in
   let on_expr () (e : Ast.expr) =
     match e.Ast.edesc with
-    | Ast.AddrOf inner ->
-        (* Walk to the addressed storage's root variable.  Indexing only
-           stays within the variable's own storage for array types: for a
-           pointer p, [&p[i]] addresses p's target, not p. *)
-        let rec root (x : Ast.expr) =
-          match x.Ast.edesc with
-          | Ast.Var v -> Hashtbl.replace addr v ()
-          | Ast.Field (b, _) | Ast.Cast (_, b) -> root b
-          | Ast.Index (b, _) -> (
-              match b.Ast.ety with
-              | Some (Ctype.Array _) -> root b
-              | _ -> ())
-          | _ -> ()
-        in
-        root inner
+    | Ast.AddrOf lv ->
+        Option.iter (fun v -> Hashtbl.replace addr v ()) (Ast.addressed_var lv)
     | _ -> ()
   in
   ignore (Ast.fold_stmt_exprs on_expr () f.Ast.f_body);

@@ -13,7 +13,8 @@ val analyze : global:(string -> bool) -> Csyntax.Ast.func -> t
 val address_taken : t -> string -> bool
 (** The address of the variable itself is taken somewhere in the
     function ([&x], [&x.f], [&arr\[i\]] for an array variable — not
-    [&p\[i\]] for a pointer [p], whose target, not [p], is addressed). *)
+    [&p\[i\]] for a pointer [p], whose target, not [p], is addressed):
+    the rule of {!Csyntax.Ast.addressed_var}. *)
 
 val escapes : t -> string -> bool
 (** Address-taken or global. *)

@@ -14,9 +14,9 @@ type t = {
 let cfg t = t.hf_cfg
 
 (* Is the value of [e] possibly a heap pointer, with variables resolved
-   against [state]?  The expression shapes mirror the flow-insensitive
-   Heapness classification: call results and loads from memory are heapy,
-   addresses of locals are not. *)
+   against [state]?  This is the one heap-or-not classification of an
+   expression: call results and loads from memory are heapy, addresses of
+   locals are not. *)
 let rec heapy esc global state (e : Ast.expr) =
   let heapy = heapy esc global state in
   let heapy_addr = heapy_addr esc global state in

@@ -1,14 +1,13 @@
 (** Flow-sensitive heapness: per program point, the set of variables that
     may hold a pointer into the collected heap.
 
-    This is the flow-sensitive refinement of the flow-insensitive
-    per-function verdict: a cursor that walks a local buffer and is later
-    retargeted at a heap object is heapy only downstream of the
-    retargeting assignment, so its earlier dereferences need no
-    KEEP_LIVE.  A forward may-analysis over the powerset-of-variables
-    lattice: assignments of possibly-heap values add the target; a single
-    unconditional whole-statement assignment of a provably non-heap value
-    is a strong update that removes it.
+    The one classification of variables as heap-or-not: a cursor that
+    walks a local buffer and is later retargeted at a heap object is
+    heapy only downstream of the retargeting assignment, so its earlier
+    dereferences need no KEEP_LIVE.  A forward may-analysis over the
+    powerset-of-variables lattice: assignments of possibly-heap values add
+    the target; a single unconditional whole-statement assignment of a
+    provably non-heap value is a strong update that removes it.
 
     Soundness guards: escaping (address-taken) variables and globals are
     always heapy — any store or call may retarget them; parameters start

@@ -37,16 +37,14 @@ let all_rules = [ R_value; R_access; R_arith; R_check ]
 
 (** Why a site was provably redundant and suppressed. *)
 type reason =
-  | S_heapness  (** the flow-insensitive heapness verdict *)
   | S_flow_heap  (** flow-sensitive: not heapy at this program point *)
   | S_live  (** base live across the site, rooted by its own location *)
 
 let reason_name = function
-  | S_heapness -> "heapness"
   | S_flow_heap -> "flow-heap"
   | S_live -> "flow-live"
 
-let all_reasons = [ S_heapness; S_flow_heap; S_live ]
+let all_reasons = [ S_flow_heap; S_live ]
 
 type suppression = {
   sup_func : string;  (** enclosing function *)
@@ -67,7 +65,7 @@ type stats = {
 
 let rule_index = function R_value -> 0 | R_access -> 1 | R_arith -> 2 | R_check -> 3
 
-let reason_index = function S_heapness -> 0 | S_flow_heap -> 1 | S_live -> 2
+let reason_index = function S_flow_heap -> 0 | S_live -> 1
 
 type ctx = {
   opts : Mode.options;
@@ -78,10 +76,6 @@ type ctx = {
   inserted : int array;  (** per-{!rule} insertion counts *)
   suppressed : int array;  (** per-{!reason} suppression counts *)
   mutable sups : suppression list;  (** reverse-order suppression log *)
-  possibly_heap : Heapness.verdict;
-      (** can this variable hold a heap pointer?  Non-heap bases need no
-          KEEP_LIVE: the object they point into is stack or static
-          storage, which the collector never reclaims *)
   facts : Analysis.Summary.t option;
       (** the dataflow clients' result for the enclosing function, when
           [opts.analysis = A_flow] *)
@@ -126,23 +120,22 @@ let suppress ctx ~rule ~reason ~base ~loc =
     }
     :: ctx.sups
 
-(* Can the site be proved redundant?  First the flow-insensitive heapness
-   verdict, then the flow-sensitive clients at the current program point:
-   a base that cannot hold a heap pointer here needs no retention, and a
-   base that roots its object itself — live across the statement, only
-   self-advanced by it, not reachable through memory — keeps the object
-   alive through its own register or stack slot. *)
+(* Can the site be proved redundant by the flow-sensitive clients at the
+   current program point?  A base that cannot hold a heap pointer here
+   needs no retention: the object it points into is stack or static
+   storage, which the collector never reclaims.  A base that roots its
+   object itself — live across the statement, only self-advanced by it,
+   not reachable through memory — keeps the object alive through its own
+   register or stack slot. *)
 let suppression_reason ctx (base_var : string) : reason option =
-  if not (ctx.possibly_heap base_var) then Some S_heapness
-  else
-    match ctx.facts with
-    | None -> None
-    | Some facts ->
-        if not (Analysis.Summary.may_be_heap facts ctx.cur_point base_var)
-        then Some S_flow_heap
-        else if Analysis.Summary.live_across facts ctx.cur_point base_var then
-          Some S_live
-        else None
+  match ctx.facts with
+  | None -> None
+  | Some facts ->
+      if not (Analysis.Summary.may_be_heap facts ctx.cur_point base_var) then
+        Some S_flow_heap
+      else if Analysis.Summary.live_across facts ctx.cur_point base_var then
+        Some S_live
+      else None
 
 (** Emit the mode-appropriate KEEP_LIVE(e, base).  Under [calls_only],
     call-free statements need no annotation: no collection point can fall
@@ -629,10 +622,6 @@ let annotate_program ?(opts = Mode.default Mode.Safe) (p : Ast.program) :
                 inserted = Array.make (List.length all_rules) 0;
                 suppressed = Array.make (List.length all_reasons) 0;
                 sups = [];
-                possibly_heap =
-                  (if opts.Mode.heapness_analysis then
-                     Heapness.analyze ~global:is_global f
-                   else Heapness.all_heapy);
                 facts =
                   (match opts.Mode.analysis with
                   | Mode.A_none -> None

@@ -29,7 +29,6 @@ val rule_name : rule -> string
 val all_rules : rule list
 
 type reason =
-  | S_heapness  (** the flow-insensitive heapness verdict *)
   | S_flow_heap  (** flow-sensitive: not heapy at this program point *)
   | S_live  (** base live across the site, rooted by its own location *)
 

@@ -16,7 +16,8 @@ let to_string = function Safe -> "safe" | Checked -> "checked"
 
     [A_none] is the paper's implementation: every possibly-heap site is
     annotated.  [A_flow] runs the [lib/analysis] dataflow clients
-    (flow-sensitive heapness, demand-driven liveness, escape) and
+    (escape, flow-sensitive heapness, demand-driven liveness), the one
+    analysis that decides a base cannot hold a heap pointer, and
     suppresses sites they prove redundant. *)
 type analysis = A_none | A_flow
 
@@ -42,10 +43,6 @@ type options = {
           collections can be triggered only at procedure calls, the number
           of KEEP_LIVE invocations could often be reduced dramatically" —
           skip annotations inside statements that perform no calls *)
-  heapness_analysis : bool;
-      (** prove some pointer variables can only address stack/static
-          storage and drop their annotations — the "sufficiently good
-          program analysis" direction the paper points at *)
   check_base_stores : bool;
       (** the Extensions section: "asserting that the client program
           stores only pointers to the base of an object in the heap or in
@@ -66,7 +63,6 @@ let default mode =
     suppress_copies = true;
     expand_incr = true;
     calls_only = false;
-    heapness_analysis = false;
     check_base_stores = false;
     analysis = A_none;
   }

@@ -149,6 +149,19 @@ let rtyp e = Ctype.decay (typ e)
 
 let is_pointer_valued e = Ctype.is_pointer (rtyp e)
 
+(** The variable whose own storage [&lv] addresses, if any: the root of a
+    chain of fields, casts and subscripts of array-typed values.  A
+    dereference, an arrow or a subscript of a pointer reaches memory
+    through a value, so [&p\[i\]] for a pointer [p] addresses p's target,
+    not p. *)
+let rec addressed_var lv =
+  match lv.edesc with
+  | Var v -> Some v
+  | Field (b, _) | Cast (_, b) -> addressed_var b
+  | Index (b, _) -> (
+      match b.ety with Some (Ctype.Array _) -> addressed_var b | _ -> None)
+  | _ -> None
+
 let binop_to_string = function
   | Add -> "+"
   | Sub -> "-"

@@ -149,22 +149,8 @@ let addressable_vars (f : Ast.func) : (string, unit) Hashtbl.t =
   let tbl = Hashtbl.create 16 in
   let on_expr () (e : Ast.expr) =
     match e.Ast.edesc with
-    | Ast.AddrOf inner ->
-        (* the root variable of the lvalue chain is addressable — but only
-           when the chain stays within the variable's own storage.  [&p[i]]
-           with pointer-typed [p] derives from p's value, not its
-           location. *)
-        let rec root (x : Ast.expr) =
-          match x.Ast.edesc with
-          | Ast.Var v -> Hashtbl.replace tbl v ()
-          | Ast.Field (b, _) | Ast.Cast (_, b) -> root b
-          | Ast.Index (b, _) -> (
-              match b.Ast.ety with
-              | Some (Ctype.Array _) -> root b
-              | _ -> () (* pointer subscript: memory reached via a value *))
-          | _ -> () (* Deref/Arrow: the memory is reached via a pointer *)
-        in
-        root inner
+    | Ast.AddrOf lv ->
+        Option.iter (fun v -> Hashtbl.replace tbl v ()) (Ast.addressed_var lv)
     | Ast.RuntimeCall (("GC_pre_incr" | "GC_post_incr"), arg :: _) -> (
         match arg.Ast.edesc with
         | Ast.AddrOf { Ast.edesc = Ast.Var v; _ } -> Hashtbl.replace tbl v ()

@@ -199,8 +199,8 @@ let heapflow_src =
 }|}
 
 let test_heapflow_retargeting () =
-  (* the paper-table case the flow-insensitive verdict cannot split: one
-     cursor, stack then heap *)
+  (* the case a per-function verdict cannot split: one cursor, stack
+     then heap *)
   let sum = summarize heapflow_src "f" in
   let cfg = A.Heapflow.cfg (A.Summary.heapflow sum) in
   match assigns_to cfg "r" with

@@ -246,6 +246,46 @@ let test_workloads_annotate () =
         [ Mode.Safe; Mode.Checked ])
     Workloads.Registry.all
 
+(* --- analysis-directed suppression ------------------------------------ *)
+
+let annotate_flow src =
+  let opts = { (Mode.default Mode.Safe) with Mode.analysis = Mode.A_flow } in
+  Annotate.run ~opts (Parser.parse_program src)
+
+(* [*p++] expands to [*(__tN = p, p = KEEP_LIVE(__tN + 1, __tN), __tN)]:
+   each temporary copies the heap pointer it is made from, and the
+   analysis, which runs before annotation creates it, never saw its name,
+   so it must answer "heap" for it. *)
+let test_temporaries_are_heap () =
+  let no_temp_suppressed name (r : Annotate.result) =
+    List.iter
+      (fun s ->
+        if String.starts_with ~prefix:"__t" s.Annotate.sup_base then
+          Alcotest.failf "%s: temporary %s suppressed in %s" name
+            s.Annotate.sup_base s.Annotate.sup_func)
+      r.Annotate.stats.Annotate.st_suppressions
+  in
+  let src =
+    {|char *f(void) {
+  char *q = (char *)malloc(8);
+  char *h = q;
+  *q++ = 'a';
+  *q = 0;
+  return h;
+}|}
+  in
+  let r = annotate_flow src in
+  check_contains "*q++ on a malloc'd q" (fun_str r.Annotate.program "f")
+    "KEEP_LIVE(__t0 + 1, __t0)";
+  no_temp_suppressed "*q++ on a malloc'd q" r;
+  let gawk = annotate_flow Workloads.Registry.gawk.Workloads.Registry.w_source in
+  let gen_input = fun_str gawk.Annotate.program "gen_input" in
+  for n = 0 to 5 do
+    check_contains "gawk gen_input" gen_input
+      (Printf.sprintf "KEEP_LIVE(__t%d + 1, __t%d)" n n)
+  done;
+  no_temp_suppressed "gawk" gawk
+
 let suite =
   [
     Alcotest.test_case "paper: f(x) = x[1]" `Quick test_paper_f;
@@ -293,4 +333,6 @@ let suite =
       test_checked_counts_match_safe;
     Alcotest.test_case "workloads annotate cleanly" `Quick
       test_workloads_annotate;
+    Alcotest.test_case "annotator temporaries are heap pointers" `Quick
+      test_temporaries_are_heap;
   ]

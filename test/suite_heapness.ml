@@ -1,19 +1,34 @@
-(* Heapness analysis tests: annotations drop only where heap pointers are
-   provably absent. *)
+(* Heap-or-not tests: under [--analysis flow], annotations drop as
+   [flow-heap] only where heap pointers are provably absent.  A heap base
+   may still be dropped as [flow-live], where it roots its object itself. *)
 
 open Gcsafe
 
-let annotate ?(heapness = true) src =
+let annotate ?(analysis = Mode.A_flow) src =
   let ast = Csyntax.Parser.parse_program src in
-  let opts =
-    { (Mode.default Mode.Safe) with Mode.heapness_analysis = heapness }
-  in
+  let opts = { (Mode.default Mode.Safe) with Mode.analysis } in
   Annotate.run ~opts ast
 
-let count ?heapness src = (annotate ?heapness src).Annotate.keep_live_count
+let count ?analysis src = (annotate ?analysis src).Annotate.keep_live_count
 
 let printed src =
   Csyntax.Pretty.program_to_string (annotate src).Annotate.program
+
+let suppressed_as reason (r : Annotate.result) =
+  List.filter_map
+    (fun s ->
+      if s.Annotate.sup_reason = reason then Some s.Annotate.sup_base
+      else None)
+    r.Annotate.stats.Annotate.st_suppressions
+
+(* none of [bases], all of which may hold heap pointers, is suppressed as
+   provably non-heap *)
+let no_heap_base_dropped src bases =
+  List.iter
+    (fun b ->
+      if List.mem b bases then
+        Alcotest.failf "heap base %s suppressed as flow-heap" b)
+    (suppressed_as Annotate.S_flow_heap (annotate src))
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
@@ -32,7 +47,9 @@ let test_stack_walker_clean () =
   in
   Alcotest.(check int) "no annotations" 0 (count src);
   Alcotest.(check bool) "without analysis there are some" true
-    (count ~heapness:false src > 0)
+    (count ~analysis:Mode.A_none src > 0);
+  Alcotest.(check (list string)) "the cursor is proved non-heap" [ "p" ]
+    (suppressed_as Annotate.S_flow_heap (annotate src))
 
 let test_heap_walker_kept () =
   let src =
@@ -44,21 +61,25 @@ let test_heap_walker_kept () =
   return n;
 }|}
   in
-  Alcotest.(check int) "annotations preserved" (count ~heapness:false src)
-    (count src)
+  no_heap_base_dropped src [ "buf"; "p" ];
+  (* the cursor advance is dropped only because p roots its object *)
+  Alcotest.(check (list string)) "the advance is rooted by p" [ "p" ]
+    (suppressed_as Annotate.S_live (annotate src))
 
 let test_params_are_heapy () =
   (* callers may pass heap pointers *)
   let src = "char f(char *x) { return x[1]; }" in
   Alcotest.(check bool) "parameter access stays wrapped" true
-    (contains (printed src) "KEEP_LIVE(&x[1], x)")
+    (contains (printed src) "KEEP_LIVE(&x[1], x)");
+  no_heap_base_dropped src [ "x" ]
 
 let test_globals_are_heapy () =
   let src =
     "char *g; char f(void) { char *p = g; return p[3]; }"
   in
   Alcotest.(check bool) "global-derived pointer stays wrapped" true
-    (contains (printed src) "KEEP_LIVE")
+    (contains (printed src) "KEEP_LIVE");
+  no_heap_base_dropped src [ "g"; "p" ]
 
 let test_address_taken_is_heapy () =
   (* a variable whose address escapes can be overwritten with anything *)
@@ -72,11 +93,12 @@ char f(void) {
 }|}
   in
   Alcotest.(check bool) "address-taken variable stays wrapped" true
-    (contains (printed src) "KEEP_LIVE")
+    (contains (printed src) "KEEP_LIVE");
+  no_heap_base_dropped src [ "p" ]
 
 let test_copy_chain_fixpoint () =
-  (* heapness flows backwards through copies discovered later: q heapy via
-     a later assignment, p = q earlier in the text *)
+  (* p is heapy through its second copy of q, after q is retargeted at
+     the heap, though its first copy of q was a stack pointer *)
   let src =
     {|char f(void) {
   char *p;
@@ -90,7 +112,8 @@ let test_copy_chain_fixpoint () =
 }|}
   in
   Alcotest.(check bool) "copy of heapy var stays wrapped" true
-    (contains (printed src) "KEEP_LIVE")
+    (contains (printed src) "KEEP_LIVE");
+  no_heap_base_dropped src [ "p"; "q" ]
 
 let test_loads_are_heapy () =
   let src =
@@ -101,7 +124,8 @@ char f(struct s *v) {
 }|}
   in
   Alcotest.(check bool) "loaded pointer stays wrapped" true
-    (contains (printed src) "p[1], p")
+    (contains (printed src) "p[1], p");
+  no_heap_base_dropped src [ "v"; "p" ]
 
 let test_conditional_mix () =
   (* one branch heap, one stack: the variable is heapy *)
@@ -113,7 +137,8 @@ let test_conditional_mix () =
 }|}
   in
   Alcotest.(check bool) "mixed conditional stays wrapped" true
-    (contains (printed src) "KEEP_LIVE")
+    (contains (printed src) "KEEP_LIVE");
+  no_heap_base_dropped src [ "p" ]
 
 let test_semantics_preserved () =
   let src =
@@ -148,7 +173,7 @@ int main(void) {
     ignore (Opt.Pipeline.run_program Opt.Pipeline.default irp);
     (Machine.Vm.run irp).Machine.Vm.r_output
   in
-  Alcotest.(check string) "heapness-annotated code correct under async GC"
+  Alcotest.(check string) "flow-annotated code correct under async GC"
     base
     (run (annotate src).Annotate.program)
 
@@ -168,7 +193,8 @@ long len_a(struct node *p) {
 }|}
   in
   Alcotest.(check int) "both walkers stay annotated"
-    (count ~heapness:false src) (count src)
+    (count ~analysis:Mode.A_none src) (count src);
+  no_heap_base_dropped src [ "p" ]
 
 let test_mutual_recursion_stack_clean () =
   (* mutually recursive functions whose pointers only ever address their
@@ -178,19 +204,24 @@ let test_mutual_recursion_stack_clean () =
 long g(long n) {
   char buf[4];
   char *p = buf;
-  *p = 1;
+  p[1] = 1;
   if (n) return f(n - 1);
-  return *p;
+  return p[1];
 }
 long f(long n) {
   char buf[4];
   char *q = buf;
-  *q = 2;
+  q[1] = 2;
   if (n) return g(n - 1);
-  return *q;
+  return q[1];
 }|}
   in
-  Alcotest.(check int) "no annotations in either function" 0 (count src)
+  Alcotest.(check int) "no annotations in either function" 0 (count src);
+  Alcotest.(check int) "the paper's algorithm wraps all four accesses" 4
+    (count ~analysis:Mode.A_none src);
+  Alcotest.(check (list string)) "each proved non-heap"
+    [ "p"; "p"; "q"; "q" ]
+    (suppressed_as Annotate.S_flow_heap (annotate src))
 
 let test_struct_field_heap_pointer () =
   (* a pointer loaded from a struct field may address the heap even when
@@ -206,7 +237,8 @@ char f(void) {
 }|}
   in
   Alcotest.(check bool) "field-loaded pointer stays wrapped" true
-    (contains (printed src) "KEEP_LIVE")
+    (contains (printed src) "KEEP_LIVE");
+  no_heap_base_dropped src [ "p" ]
 
 let test_struct_field_stays_conservative () =
   (* field contents are not tracked per-field: even a field holding a
@@ -223,23 +255,29 @@ char f(void) {
 }|}
   in
   Alcotest.(check bool) "loads through fields stay wrapped" true
-    (contains (printed src) "KEEP_LIVE")
+    (contains (printed src) "KEEP_LIVE");
+  no_heap_base_dropped src [ "p" ]
 
 let test_workload_counts_not_increased () =
+  (* the analysis only removes: every site of the paper's algorithm is
+     either inserted or suppressed with a reason *)
   List.iter
     (fun w ->
       let src = w.Workloads.Registry.w_source in
-      Alcotest.(check bool)
+      let r = annotate src in
+      let dropped = List.length r.Annotate.stats.Annotate.st_suppressions in
+      Alcotest.(check int)
         (w.Workloads.Registry.w_name ^ " analysis only removes")
-        true
-        (count src <= count ~heapness:false src))
+        (count ~analysis:Mode.A_none src)
+        (r.Annotate.keep_live_count + dropped))
     Workloads.Registry.paper_suite
 
 let suite =
   [
     Alcotest.test_case "stack walker unannotated" `Quick
       test_stack_walker_clean;
-    Alcotest.test_case "heap walker annotated" `Quick test_heap_walker_kept;
+    Alcotest.test_case "heap walker: only flow-live drops" `Quick
+      test_heap_walker_kept;
     Alcotest.test_case "parameters heapy" `Quick test_params_are_heapy;
     Alcotest.test_case "globals heapy" `Quick test_globals_are_heapy;
     Alcotest.test_case "address-taken heapy" `Quick

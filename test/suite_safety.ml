@@ -151,21 +151,6 @@ let build_with_opts opts src =
   ignore (Opt.Pipeline.run_program Opt.Pipeline.default irp);
   irp
 
-let prop_heapness_matches_base =
-  QCheck.Test.make ~count:25
-    ~name:"random programs: heapness-annotated == base, safe under async GC"
-    Testgen.arbitrary_program
-    (fun src ->
-      let base = digest_of Harness.Build.Base src in
-      let opts =
-        { (Gcsafe.Mode.default Gcsafe.Mode.Safe) with
-          Gcsafe.Mode.heapness_analysis = true }
-      in
-      let irp = build_with_opts opts src in
-      match run_async ~every:50 irp with
-      | r -> r.Machine.Vm.r_output = base
-      | exception Machine.Vm.Fault _ -> false)
-
 let prop_calls_only_safe_at_call_sites =
   QCheck.Test.make ~count:25
     ~name:"random programs: calls-only annotation safe under call-site GC"
@@ -207,6 +192,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_peephole_matches_base;
     QCheck_alcotest.to_alcotest prop_checked_accepts_legal;
     QCheck_alcotest.to_alcotest prop_safe_survives_async_gc;
-    QCheck_alcotest.to_alcotest prop_heapness_matches_base;
     QCheck_alcotest.to_alcotest prop_calls_only_safe_at_call_sites;
   ]
