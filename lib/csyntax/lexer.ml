@@ -105,13 +105,22 @@ let int_error st loc start why =
   let text = String.sub st.src start (st.pos - start) in
   raise (Error (Printf.sprintf "integer literal %s %s" text why, loc))
 
-(* The integer spelled by [src.[start .. stop - 1]] (digits, with a [0x]
-   prefix if hexadecimal), read as OCaml's [int_of_string] reads it. *)
-let int_lit st loc start stop =
-  match int_of_string_opt (String.sub st.src start (stop - start)) with
+(* Step over integer suffixes ([l], [L], [u], [U]), which change no
+   value here. *)
+let skip_int_suffixes st =
+  while match at st st.pos with 'l' | 'L' | 'u' | 'U' -> true | _ -> false do
+    st.pos <- st.pos + 1
+  done
+
+(* The integer [text] spells, read as OCaml's [int_of_string] reads it;
+   the error names the literal [src.[start .. st.pos - 1]]. *)
+let int_lit st loc start text =
+  match int_of_string_opt text with
   | Some n -> Token.INT_LIT n
   | None -> int_error st loc start "is out of range"
 
+(* A literal is hexadecimal after [0x], octal after any other leading
+   [0] (as in C, so [010] is 8) and decimal otherwise. *)
 let read_number st loc =
   let start = st.pos in
   if
@@ -123,7 +132,9 @@ let read_number st loc =
       st.pos <- st.pos + 1
     done;
     if st.pos = start + 2 then int_error st loc start "has no digits";
-    int_lit st loc start st.pos
+    let stop = st.pos in
+    skip_int_suffixes st;
+    int_lit st loc start (String.sub st.src start (stop - start))
   end
   else begin
     while is_digit (at st st.pos) do
@@ -138,13 +149,16 @@ let read_number st loc =
     end
     else begin
       let stop = st.pos in
-      (* swallow integer suffixes *)
-      while
-        match at st st.pos with 'l' | 'L' | 'u' | 'U' -> true | _ -> false
-      do
-        st.pos <- st.pos + 1
-      done;
-      int_lit st loc start stop
+      skip_int_suffixes st;
+      if String.unsafe_get st.src start = '0' && stop - start > 1 then begin
+        for i = start + 1 to stop - 1 do
+          if String.unsafe_get st.src i > '7' then
+            int_error st loc start "has a digit that is not octal"
+        done;
+        int_lit st loc start
+          ("0o" ^ String.sub st.src (start + 1) (stop - start - 1))
+      end
+      else int_lit st loc start (String.sub st.src start (stop - start))
     end
   end
 

@@ -122,6 +122,15 @@ let read_escape st start =
       | 'v' -> '\011'
       | c -> raise (Error (Printf.sprintf "bad escape '\\%c'" c, start)))
 
+let swallow_int_suffixes st =
+  while
+    match peek st with
+    | Some ('l' | 'L' | 'u' | 'U') -> true
+    | Some _ | None -> false
+  do
+    advance st
+  done
+
 let read_number st =
   let start = st.pos in
   let hex =
@@ -138,7 +147,9 @@ let read_number st =
     do
       advance st
     done;
-    Token.INT_LIT (int_of_string (String.sub st.src start (st.pos - start)))
+    let text = String.sub st.src start (st.pos - start) in
+    swallow_int_suffixes st;
+    Token.INT_LIT (int_of_string text)
   end
   else begin
     while (match peek st with Some c -> is_digit c | None -> false) do
@@ -157,21 +168,19 @@ let read_number st =
       Token.FLOAT_LIT (float_of_string (String.sub st.src start (st.pos - start)))
     end
     else begin
-      (* swallow integer suffixes *)
-      while
-        match peek st with
-        | Some ('l' | 'L' | 'u' | 'U') -> true
-        | Some _ | None -> false
-      do
-        advance st
-      done;
+      swallow_int_suffixes st;
       let text = String.sub st.src start (st.pos - start) in
       let digits =
         String.to_seq text
         |> Seq.filter (fun c -> is_digit c)
         |> String.of_seq
       in
-      Token.INT_LIT (int_of_string digits)
+      (* a leading 0 makes the literal octal, as in C *)
+      if String.length digits > 1 && digits.[0] = '0' then
+        Token.INT_LIT
+          (int_of_string
+             ("0o" ^ String.sub digits 1 (String.length digits - 1)))
+      else Token.INT_LIT (int_of_string digits)
     end
   end
 

@@ -99,6 +99,47 @@ let test_integer_suffix_garbling () =
   | [ Token.INT_LIT 10; INT_LIT 10; INT_LIT 10; INT_LIT 10; EOF ] -> ()
   | _ -> Alcotest.fail "bad suffixed literals"
 
+let test_octal_literals () =
+  (* a leading 0 makes a literal octal, as in C; 0 alone and a float with
+     a leading 0 stay what they were *)
+  (match toks "010 0 00 0777 017L 0.5 010.5" with
+  | [ Token.INT_LIT 8; INT_LIT 0; INT_LIT 0; INT_LIT 511; INT_LIT 15;
+      FLOAT_LIT a; FLOAT_LIT b; EOF ] ->
+      Alcotest.(check (float 1e-9)) "0.5" 0.5 a;
+      Alcotest.(check (float 1e-9)) "010.5" 10.5 b
+  | ts ->
+      Alcotest.failf "bad octal literals: %s"
+        (String.concat " " (List.map Token.to_string ts)));
+  List.iter
+    (fun (src, msg, col) ->
+      match Lexer.tokenize src with
+      | exception Lexer.Error (m, loc) ->
+          Alcotest.(check string) (src ^ ": message") msg m;
+          Alcotest.(check (pair int int)) (src ^ ": at the literal") (1, col)
+            (loc.Loc.line, loc.Loc.col)
+      | _ -> Alcotest.failf "%S lexed" src)
+    [
+      ("x = 08;", "integer literal 08 has a digit that is not octal", 5);
+      ("x = 0791u;", "integer literal 0791u has a digit that is not octal", 5);
+    ];
+  Alcotest.(check bool) "reference reads 010 as 8" true
+    (match Array.to_list (Lexer_reference.tokenize "010") with
+    | [ { Lexer.t = Token.INT_LIT 8; _ }; _ ] -> true
+    | _ -> false)
+
+let test_hex_suffixes () =
+  (match toks "0x1FL 0x10u 0XffUL 0x7lu" with
+  | [ Token.INT_LIT 31; INT_LIT 16; INT_LIT 255; INT_LIT 7; EOF ] -> ()
+  | ts ->
+      Alcotest.failf "bad suffixed hex literals: %s"
+        (String.concat " " (List.map Token.to_string ts)));
+  check_toks "suffix ends the literal" "long x = 0x1FL;"
+    [ "long"; "x"; "="; "31"; ";" ];
+  match Lexer.tokenize "0xL" with
+  | exception Lexer.Error (msg, _) ->
+      Alcotest.(check string) "no digits" "integer literal 0x has no digits" msg
+  | _ -> Alcotest.fail "0xL lexed"
+
 (* --- the library lexer against the reference lexer ----------------------- *)
 
 let outcome_of tokenize src =
@@ -178,7 +219,7 @@ let real_sources =
    escapes, and in the middle of each kind of integer literal. *)
 let tricky =
   "# 1 \"t.c\"\nint x = 0x1F; /* a \"b\" \\ */ char *s = \"a\\n\\\"q\\\\\";\n\
-   // line \\\nchar c = '\\'', d = '\\0', e = '\n'; long n = 123UL + 4.25;\n\
+   // line \\\nchar c = '\\'', d = '\\0', e = '\n'; long n = 123UL + 4.25 + 017L + 0x1FL;\n\
    char *m = \"two\nlines\", *z = \"\"; /* two\nlines */ x = '\n';\n\
    f(a...b) { return a<<=b>>=c->d && e || 0X; }\n 9223372036854775807"
 
@@ -287,6 +328,8 @@ let suite =
     Alcotest.test_case "positions" `Quick test_positions;
     Alcotest.test_case "errors" `Quick test_errors;
     Alcotest.test_case "integer suffixes" `Quick test_integer_suffix_garbling;
+    Alcotest.test_case "octal literals" `Quick test_octal_literals;
+    Alcotest.test_case "hex literal suffixes" `Quick test_hex_suffixes;
     Alcotest.test_case "library lexer == reference on real sources" `Quick
       test_reference_real_sources;
     QCheck_alcotest.to_alcotest prop_reference_mutants;
