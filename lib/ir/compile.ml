@@ -145,16 +145,14 @@ let step_size c ty =
 (* Address-taken analysis                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The variables whose address [f] takes.  A checked build's
+   [GC_pre_incr (&v, k)] is covered too: the fold visits its [&v]. *)
 let addressable_vars (f : Ast.func) : (string, unit) Hashtbl.t =
   let tbl = Hashtbl.create 16 in
   let on_expr () (e : Ast.expr) =
     match e.Ast.edesc with
     | Ast.AddrOf lv ->
         Option.iter (fun v -> Hashtbl.replace tbl v ()) (Ast.addressed_var lv)
-    | Ast.RuntimeCall (("GC_pre_incr" | "GC_post_incr"), arg :: _) -> (
-        match arg.Ast.edesc with
-        | Ast.AddrOf { Ast.edesc = Ast.Var v; _ } -> Hashtbl.replace tbl v ()
-        | _ -> ())
     | _ -> ()
   in
   ignore (Ast.fold_stmt_exprs on_expr () f.Ast.f_body);
