@@ -590,14 +590,42 @@ let drain t ~minor ~spent ~budget =
   in
   go ()
 
-(* Root word values (the VM's register files): each costs a word of
-   work but is not a scanned heap word. *)
-let shade_root_values t ~minor ~spent values =
+(* Root word values: [values], then each of [arrays] (the VM's
+   register files) in index order, shaded where they lie.  Each costs a
+   word of work but is not a scanned heap word. *)
+let shade_root_values t ~minor ~spent values arrays =
   List.iter
     (fun v ->
       incr spent;
       ignore (shade t ~minor ~from_root:true v))
-    values
+    values;
+  List.iter
+    (fun regs ->
+      for i = 0 to Array.length regs - 1 do
+        incr spent;
+        ignore (shade t ~minor ~from_root:true (Array.unsafe_get regs i))
+      done)
+    arrays
+
+(* Mark and scan every allocated slot of a root-scanned block.  A
+   statics block is mostly free slots, so eight free slots are stepped
+   over at once, reading [blk_alloc] eight bytes at a time. *)
+let scan_root_block t ~minor ~spent (blk : Block.t) =
+  let alloc = blk.Block.blk_alloc and count = blk.Block.blk_count in
+  let size = blk.Block.blk_obj_size in
+  let i = ref 0 in
+  while !i < count do
+    let j = !i in
+    if j + 8 <= count && Bytes.get_int64_le alloc j = 0L then i := j + 8
+    else begin
+      if Bytes.get alloc j <> '\000' then begin
+        Bytes.set blk.Block.blk_mark j '\001';
+        let a = blk.Block.blk_start + (j * size) in
+        scan_range t ~minor ~from_root:true ~spent ~budget:max_int a (a + size)
+      end;
+      i := j + 1
+    end
+  done
 
 (* The root scan that opens every collection, stop-the-world or
    incremental: clear all marks, then shade the root word values, the
@@ -609,23 +637,16 @@ let shade_root_values t ~minor ~spent values =
    an unscanned register into an already-black object, which the SATB
    barrier (it shades overwritten values, not stored ones) cannot
    catch. *)
-let scan_roots t ~minor ~extra_roots ~extra_ranges ~spent =
+let scan_roots t ~minor ~extra_roots ~root_arrays ~extra_ranges ~spent =
   List.iter Block.clear_marks t.all_blocks;
-  let range ~from_root s e =
-    scan_range t ~minor ~from_root ~spent ~budget:max_int s e
-  in
-  shade_root_values t ~minor ~spent extra_roots;
-  List.iter (fun (s, e) -> range ~from_root:true s e) extra_ranges;
+  shade_root_values t ~minor ~spent extra_roots root_arrays;
+  List.iter
+    (fun (s, e) ->
+      scan_range t ~minor ~from_root:true ~spent ~budget:max_int s e)
+    extra_ranges;
   List.iter
     (fun blk ->
-      if Block.root_scanned blk then
-        for i = 0 to blk.Block.blk_count - 1 do
-          if Block.is_allocated blk i then begin
-            Block.set_marked blk i true;
-            let a = Block.slot_addr blk i in
-            range ~from_root:true a (a + blk.Block.blk_obj_size)
-          end
-        done)
+      if Block.root_scanned blk then scan_root_block t ~minor ~spent blk)
     t.all_blocks;
   if minor then
     iter_dirty_pages t (fun p ->
@@ -635,7 +656,8 @@ let scan_roots t ~minor ~extra_roots ~extra_ranges ~spent =
         | Some blk when Block.collectable blk && Block.scanned blk ->
             ignore
               (exists_old_slice t blk page_start (fun s e ->
-                   range ~from_root:false s e;
+                   scan_range t ~minor ~from_root:false ~spent ~budget:max_int
+                     s e;
                    false))
         | Some _ | None -> ())
 
@@ -967,15 +989,17 @@ let complete_collection t ~minor ~tenure ~freed_bytes =
   end;
   if generational t then recompute_cards t
 
-(** Run a collection.  [extra_roots] are word values scanned in addition
-    to the root-scanned blocks — the VM passes its register file here.
+(** Run a collection.  [extra_roots] and [root_arrays] are word values
+    scanned in addition to the root-scanned blocks — the VM passes its
+    register files, innermost frame first, as [root_arrays].
     [generation] defaults to [Major] (a full stop-the-world cycle);
     [Minor] is honoured only when the heap is generational.  Any
     in-flight incremental cycle is soundly abandoned first (mark bits
     are left as they are; the root scan clears them): emergency,
     explicit and forced collections must behave exactly as on a
     stop-the-world heap. *)
-let collect ?(generation = Major) ?(extra_roots = []) ?(extra_ranges = []) t =
+let collect ?(generation = Major) ?(extra_roots = []) ?(root_arrays = [])
+    ?(extra_ranges = []) t =
   if t.phase <> Idle then begin
     t.phase <- Idle;
     t.gray <- [];
@@ -985,7 +1009,7 @@ let collect ?(generation = Major) ?(extra_roots = []) ?(extra_ranges = []) t =
   let minor = generation = Minor && generational t in
   let freed = t.stats.objects_freed and freed_bytes = t.stats.bytes_freed in
   let spent = ref 0 in
-  scan_roots t ~minor ~extra_roots ~extra_ranges ~spent;
+  scan_roots t ~minor ~extra_roots ~root_arrays ~extra_ranges ~spent;
   drain t ~minor ~spent ~budget:max_int;
   if minor then sweep_minor t
   else begin
@@ -1010,18 +1034,18 @@ let active t = t.phase <> Idle
     {!sweep_slice}.  Mark bits are monotone within a cycle and objects
     allocated during it are born black, so finalization terminates.
     Returns the words of work performed. *)
-let step ?(extra_roots = []) ?(extra_ranges = []) t =
+let step ?(extra_roots = []) ?(root_arrays = []) ?(extra_ranges = []) t =
   let budget = max 1 t.config.pause_budget_words in
   let spent = ref 0 in
   if t.phase = Idle then begin
-    scan_roots t ~minor:false ~extra_roots ~extra_ranges ~spent;
+    scan_roots t ~minor:false ~extra_roots ~root_arrays ~extra_ranges ~spent;
     t.phase <- Marking
   end;
   if t.phase = Marking then begin
     drain t ~minor:false ~spent ~budget;
     if t.gray = [] && !spent < budget then begin
       t.stats.final_marks <- t.stats.final_marks + 1;
-      shade_root_values t ~minor:false ~spent extra_roots;
+      shade_root_values t ~minor:false ~spent extra_roots root_arrays;
       drain t ~minor:false ~spent ~budget:max_int;
       t.phase <- Sweeping;
       start_sweep t
@@ -1039,9 +1063,9 @@ let step ?(extra_roots = []) ?(extra_ranges = []) t =
   !spent
 
 (** Drive {!step} until the in-flight cycle (if any) completes. *)
-let finish ?extra_roots ?extra_ranges t =
+let finish ?extra_roots ?root_arrays ?extra_ranges t =
   while active t do
-    ignore (step ?extra_roots ?extra_ranges t)
+    ignore (step ?extra_roots ?root_arrays ?extra_ranges t)
   done
 
 (** Should the allocator trigger a (major) collection? *)
@@ -1574,104 +1598,158 @@ let check_integrity t : violation list =
   let stray = Page_map.mapped_pages t.map - !mapped_back in
   if stray > 0 then
     report "page-map" "%d stray page(s) registered in the page map" stray;
-  (* per-slot invariants: mark bits and the one-extra-byte rule *)
+  (* per-slot invariants: mark bits and the one-extra-byte rule.  Eight
+     free, unmarked slots are stepped over at once, reading [blk_alloc]
+     and [blk_mark] eight bytes at a time. *)
   List.iter
     (fun blk ->
       let alloc = blk.Block.blk_alloc and mark = blk.Block.blk_mark in
-      for i = 0 to blk.Block.blk_count - 1 do
-        if Bytes.get alloc i <> '\000' then begin
-          let req = blk.Block.blk_req.(i) in
-          if req < 0 || req >= blk.Block.blk_obj_size then
-            report "slack-byte"
-              "object %#x: %d requested byte(s) leave no slack in a \
-               %d-byte slot"
-              (Block.slot_addr blk i) req blk.Block.blk_obj_size
+      let count = blk.Block.blk_count in
+      let i = ref 0 in
+      while !i < count do
+        let j = !i in
+        if
+          j + 8 <= count
+          && Int64.logor (Bytes.get_int64_le alloc j)
+               (Bytes.get_int64_le mark j)
+             = 0L
+        then i := j + 8
+        else begin
+          (if Bytes.get alloc j <> '\000' then begin
+             let req = blk.Block.blk_req.(j) in
+             if req < 0 || req >= blk.Block.blk_obj_size then
+               report "slack-byte"
+                 "object %#x: %d requested byte(s) leave no slack in a \
+                  %d-byte slot"
+                 (Block.slot_addr blk j) req blk.Block.blk_obj_size
+           end
+           else if Bytes.get mark j <> '\000' then
+             report "mark-bits" "free slot %#x carries a mark bit"
+               (Block.slot_addr blk j));
+          i := j + 1
         end
-        else if Bytes.get mark i <> '\000' then
-          report "mark-bits" "free slot %#x carries a mark bit"
-            (Block.slot_addr blk i)
       done)
     t.all_blocks;
   (* free-list soundness.  Each entry sets the flag of the slot the page
      map resolves it to; an entry that resolves to no slot base is
      already a violation, and is remembered by address instead. *)
   let odd = Hashtbl.create 1 in
+  let odd_twice addr =
+    let seen = Hashtbl.mem odd addr in
+    Hashtbl.replace odd addr ();
+    seen
+  in
   (* Free lists are filled block by block, by a fresh block or a sweep,
-     so consecutive entries mostly share a page: [home] is looked up once
-     per page ([find] of a negative address is [None], like the initial
-     [home]). *)
-  let last_page = ref (-1) and home = ref None in
-  Array.iteri
-    (fun k fl ->
-      let cls, kind = slot_class k in
-      List.iter
-        (fun addr ->
-          let page = addr asr Mem.page_bits in
-          if page <> !last_page then begin
-            last_page := page;
-            home := Page_map.find t.map addr
-          end;
-          let home = !home in
-          let i =
-            match home with Some b -> Block.slot_base b addr | None -> -1
-          in
-          let twice =
-            match home with
-            | Some b when i >= 0 ->
-                let flags = listed b in
-                let seen = Bytes.get flags i <> '\000' in
-                Bytes.set flags i '\001';
-                seen
-            | Some _ | None ->
-                let seen = Hashtbl.mem odd addr in
-                Hashtbl.replace odd addr ();
-                seen
-          in
-          if twice then
-            report "free-list" "slot %#x appears on a free list twice" addr;
-          match home with
-          | None -> report "free-list" "entry %#x is not on a heap page" addr
-          | Some blk ->
-              if blk.Block.blk_obj_size <> cls then
-                report "free-list"
-                  "entry %#x on the %d-byte list, but its block holds \
-                   %d-byte objects"
-                  addr cls blk.Block.blk_obj_size;
-              if blk.Block.blk_kind <> kind then
-                report "free-list" "entry %#x has the wrong block kind" addr;
-              if blk.Block.blk_young then
-                report "free-list" "entry %#x lies on a nursery page" addr;
-              if i < 0 then
-                report "free-list" "entry %#x is not a slot base" addr
-              else if Bytes.get blk.Block.blk_alloc i <> '\000' then
-                report "free-list" "allocated slot %#x is on a free list" addr)
-        !fl)
-    t.free_lists;
+     so consecutive entries mostly share a page: its block [home] and
+     that block's [flags] are looked up once per page ([find] of a
+     negative address is [None], like the initial [home]).  A fresh
+     block lists its slots in address order, so an entry at [next], the
+     slot after the previous entry's, is slot [next_slot] without a
+     division.  Most lists of a small heap are empty, and are
+     skipped. *)
+  let page = ref (-1) and home = ref None and flags = ref Bytes.empty in
+  let next = ref (-1) and next_slot = ref 0 in
+  for k = 0 to class_slots - 1 do
+    match !(t.free_lists.(k)) with
+    | [] -> ()
+    | entries ->
+        let cls, kind = slot_class k in
+        let rec walk = function
+          | [] -> ()
+          | addr :: rest ->
+              if addr asr Mem.page_bits <> !page then begin
+                page := addr asr Mem.page_bits;
+                next := -1;
+                home := Page_map.find t.map addr;
+                flags :=
+                  match !home with Some b -> listed b | None -> Bytes.empty
+              end;
+              (match !home with
+              | None ->
+                  if odd_twice addr then
+                    report "free-list" "slot %#x appears on a free list twice"
+                      addr;
+                  report "free-list" "entry %#x is not on a heap page" addr
+              | Some blk ->
+                  let i =
+                    if addr = !next then !next_slot
+                    else Block.slot_base blk addr
+                  in
+                  if i >= 0 && i + 1 < blk.Block.blk_count then begin
+                    next := addr + blk.Block.blk_obj_size;
+                    next_slot := i + 1
+                  end
+                  else next := -1;
+                  let twice =
+                    if i >= 0 then begin
+                      let seen = Bytes.get !flags i <> '\000' in
+                      Bytes.set !flags i '\001';
+                      seen
+                    end
+                    else odd_twice addr
+                  in
+                  if twice then
+                    report "free-list" "slot %#x appears on a free list twice"
+                      addr;
+                  if blk.Block.blk_obj_size <> cls then
+                    report "free-list"
+                      "entry %#x on the %d-byte list, but its block holds \
+                       %d-byte objects"
+                      addr cls blk.Block.blk_obj_size;
+                  if blk.Block.blk_kind <> kind then
+                    report "free-list" "entry %#x has the wrong block kind"
+                      addr;
+                  if blk.Block.blk_young then
+                    report "free-list" "entry %#x lies on a nursery page" addr;
+                  if i < 0 then
+                    report "free-list" "entry %#x is not a slot base" addr
+                  else if Bytes.get blk.Block.blk_alloc i <> '\000' then
+                    report "free-list" "allocated slot %#x is on a free list"
+                      addr);
+              walk rest
+        in
+        walk entries
+  done;
   (* free-list completeness: every free small-class slot is findable —
      except on nursery pages, whose slots are bump-allocated and only
      join the free lists when the page is promoted.  A block whose pages
-     all map back to it resolves each of its slots to itself. *)
+     all map back to it resolves each of its slots to itself, and eight
+     of its slots that are each allocated or listed are stepped over at
+     once. *)
   let on_free_list addr =
     match Page_map.find t.map addr with
     | Some b when Block.slot_base b addr >= 0 ->
         Bytes.get (listed b) (Block.slot_base b addr) <> '\000'
     | Some _ | None -> Hashtbl.mem odd addr
   in
+  let all_set = 0x0101010101010101L in
   List.iter
     (fun blk ->
       if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young
       then begin
         let alloc = blk.Block.blk_alloc and flags = listed blk in
         let exact = not (List.memq blk !misrouted) in
-        for i = 0 to blk.Block.blk_count - 1 do
+        let count = blk.Block.blk_count in
+        let i = ref 0 in
+        while !i < count do
+          let j = !i in
           if
-            Bytes.get alloc i = '\000'
-            && not
-                 (if exact then Bytes.get flags i <> '\000'
-                  else on_free_list (Block.slot_addr blk i))
-          then
-            report "free-list" "free slot %#x is on no free list"
-              (Block.slot_addr blk i)
+            exact && j + 8 <= count
+            && Int64.logor (Bytes.get_int64_le alloc j)
+                 (Bytes.get_int64_le flags j)
+               = all_set
+          then i := j + 8
+          else begin
+            if
+              Bytes.get alloc j = '\000'
+              && not
+                   (if exact then Bytes.get flags j <> '\000'
+                    else on_free_list (Block.slot_addr blk j))
+            then
+              report "free-list" "free slot %#x is on no free list"
+                (Block.slot_addr blk j);
+            i := j + 1
+          end
         done
       end)
     t.all_blocks;

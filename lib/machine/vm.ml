@@ -509,23 +509,23 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
 (* Collection                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* What every collector entry shares.  Before: the heap-profiler tick
-   and the roots — the register files as word values and the live
-   prefix of the stack as a range, scanned as on a real machine.  After
-   [run] returns its pause (words of collector work) and the number of
-   collections it completed: the pause accounting, tracked
-   unconditionally (plain int stores, no cycle impact) because it is the
-   per-request GC share the service reports, and for a completed
-   collection the census and the integrity check. *)
-let gc_pause st run =
+(* What every collector entry shares.  [gc_roots] ticks the heap
+   profiler and returns the roots: the register files, read in place,
+   innermost frame first, and the live prefix of the stack as a range,
+   scanned as on a real machine.  [gc_pause] takes the pause (words of
+   collector work) and the number of collections completed: the pause
+   accounting, tracked unconditionally (plain int stores, no cycle
+   impact) because it is the per-request GC share the service reports,
+   and for a completed collection the census and the integrity check. *)
+let gc_roots st =
   (match st.tele.tl_prof with
   | Some pr -> Telemetry.Heap_profiler.set_tick pr st.instrs
   | None -> ());
-  let extra_roots =
-    List.concat_map (fun fr -> Array.to_list fr.fr_regs) st.frames
-  in
-  let extra_ranges = [ (st.stack_base, st.stack_base + st.sp) ] in
-  let pause_words, completed = run ~extra_roots ~extra_ranges in
+  List.map (fun fr -> fr.fr_regs) st.frames
+
+let live_stack st = [ (st.stack_base, st.stack_base + st.sp) ]
+
+let gc_pause st pause_words completed =
   st.gc_count <- st.gc_count + completed;
   st.gc_max_pause_words <- max st.gc_max_pause_words pause_words;
   st.gc_total_pause_words <- st.gc_total_pause_words + pause_words;
@@ -535,56 +535,70 @@ let gc_pause st run =
     if st.cfg.vm_check_integrity then Gcheap.Heap.assert_integrity st.heap
   end
 
+(* Does the sink carry a channel for events?  Only then are the event
+   arguments and the span's closures built. *)
+let tl_events tl =
+  match tl.tl_sink with
+  | Some { Telemetry.Sink.trace = Some _; _ }
+  | Some { Telemetry.Sink.recorder = Some _; _ } ->
+      true
+  | Some _ | None -> false
+
+(* The deterministic pause measure on the words-of-work clock: words the
+   marker traced plus words the sweeper reclaimed since the counts
+   [words0] and [bytes0] were read. *)
+let pause_words hs words0 bytes0 =
+  hs.Gcheap.Heap.words_scanned - words0
+  + ((hs.Gcheap.Heap.bytes_freed - bytes0 + 7) / 8)
+
 let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
   let tl = st.tele in
   let minor = generation = Gcheap.Heap.Minor in
-  gc_pause st (fun ~extra_roots ~extra_ranges ->
-      let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
-      let hs = st.heap.Gcheap.Heap.stats in
-      let words0 = hs.Gcheap.Heap.words_scanned in
-      let bytes0 = hs.Gcheap.Heap.bytes_freed in
-      (* deterministic pause measure on the words-of-work clock: words the
-         marker traced plus words the sweeper reclaimed *)
-      let pause_words () =
-        hs.Gcheap.Heap.words_scanned - words0
-        + ((hs.Gcheap.Heap.bytes_freed - bytes0 + 7) / 8)
-      in
-      Telemetry.Sink.span tl.tl_sink ~ts:st.instrs "gc"
-        ~args:(fun () ->
-          [
-            ("trigger", Telemetry.Json.Str trigger);
-            ("gen", Telemetry.Json.Str (if minor then "minor" else "major"));
-          ])
-        ~end_args:(fun () ->
-          [ ("pause_words", Telemetry.Json.Int (pause_words ())) ])
-        (fun () ->
-          ignore
-            (Gcheap.Heap.collect ~generation ~extra_roots ~extra_ranges
-               st.heap));
-      let pause_words = pause_words () in
-      (if tl.tl_on then
-         let open Telemetry in
-         let pause_ns = Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9) in
-         Metrics.observe tl.tl_gc_pause pause_ns;
-         Metrics.observe
-           (if minor then tl.tl_gc_minor_pause else tl.tl_gc_major_pause)
-           pause_ns;
-         Metrics.observe
-           (if minor then tl.tl_gc_minor_scan else tl.tl_gc_major_scan)
-           pause_words;
-         let foot = Gcheap.Heap.footprint st.heap in
-         Metrics.set tl.tl_heap_foot foot;
-         match tl.tl_sink with
-         | Some { Sink.trace = Some tr; _ } ->
-             Trace.counter tr "heap"
-               [
-                 ("footprint", foot);
-                 ( "live_bytes",
-                   hs.Gcheap.Heap.bytes_allocated - hs.Gcheap.Heap.bytes_freed
-                 );
-               ]
-         | _ -> ());
-      (pause_words, 1))
+  let root_arrays = gc_roots st in
+  let extra_ranges = live_stack st in
+  let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
+  let hs = st.heap.Gcheap.Heap.stats in
+  let words0 = hs.Gcheap.Heap.words_scanned in
+  let bytes0 = hs.Gcheap.Heap.bytes_freed in
+  if tl_events tl then
+    Telemetry.Sink.span tl.tl_sink ~ts:st.instrs "gc"
+      ~args:(fun () ->
+        [
+          ("trigger", Telemetry.Json.Str trigger);
+          ("gen", Telemetry.Json.Str (if minor then "minor" else "major"));
+        ])
+      ~end_args:(fun () ->
+        [
+          ("pause_words", Telemetry.Json.Int (pause_words hs words0 bytes0));
+        ])
+      (fun () ->
+        ignore
+          (Gcheap.Heap.collect ~generation ~root_arrays ~extra_ranges st.heap))
+  else
+    ignore (Gcheap.Heap.collect ~generation ~root_arrays ~extra_ranges st.heap);
+  let pause_words = pause_words hs words0 bytes0 in
+  (if tl.tl_on then
+     let open Telemetry in
+     let pause_ns = Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9) in
+     Metrics.observe tl.tl_gc_pause pause_ns;
+     Metrics.observe
+       (if minor then tl.tl_gc_minor_pause else tl.tl_gc_major_pause)
+       pause_ns;
+     Metrics.observe
+       (if minor then tl.tl_gc_minor_scan else tl.tl_gc_major_scan)
+       pause_words;
+     let foot = Gcheap.Heap.footprint st.heap in
+     Metrics.set tl.tl_heap_foot foot;
+     match tl.tl_sink with
+     | Some { Sink.trace = Some tr; _ } ->
+         Trace.counter tr "heap"
+           [
+             ("footprint", foot);
+             ( "live_bytes",
+               hs.Gcheap.Heap.bytes_allocated - hs.Gcheap.Heap.bytes_freed );
+           ]
+     | _ -> ());
+  gc_pause st pause_words 1
 
 (** Where execution currently stands, for reporting a collection point:
     innermost function, block, and the instruction just executed. *)
@@ -619,31 +633,29 @@ let[@inline] forced_gc_due st =
     the same roots as {!collect}. *)
 let incremental_step st =
   let tl = st.tele in
-  gc_pause st (fun ~extra_roots ~extra_ranges ->
-      let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
-      let hs = st.heap.Gcheap.Heap.stats in
-      let collections0 = hs.Gcheap.Heap.collections in
-      (* each increment is a mutator pause of [spent] words of work *)
-      let spent = Gcheap.Heap.step ~extra_roots ~extra_ranges st.heap in
-      let pause_ns =
-        if tl.tl_on then Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9)
-        else 0
-      in
-      let completed = hs.Gcheap.Heap.collections - collections0 in
+  let root_arrays = gc_roots st in
+  let extra_ranges = live_stack st in
+  let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
+  let hs = st.heap.Gcheap.Heap.stats in
+  let collections0 = hs.Gcheap.Heap.collections in
+  (* each increment is a mutator pause of [spent] words of work *)
+  let spent = Gcheap.Heap.step ~root_arrays ~extra_ranges st.heap in
+  let completed = hs.Gcheap.Heap.collections - collections0 in
+  if tl.tl_on then begin
+    let pause_ns = Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9) in
+    if tl_events tl then
       Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "gc.step"
         ~args:(fun () ->
           [
             ("spent_words", Telemetry.Json.Int spent);
             ("completed", Telemetry.Json.Int completed);
           ]);
-      if tl.tl_on then begin
-        Telemetry.Metrics.observe tl.tl_gc_inc_pause spent;
-        Telemetry.Metrics.observe tl.tl_gc_inc_pause_ns pause_ns;
-        if completed > 0 then
-          Telemetry.Metrics.set tl.tl_heap_foot
-            (Gcheap.Heap.footprint st.heap)
-      end;
-      (spent, completed))
+    Telemetry.Metrics.observe tl.tl_gc_inc_pause spent;
+    Telemetry.Metrics.observe tl.tl_gc_inc_pause_ns pause_ns;
+    if completed > 0 then
+      Telemetry.Metrics.set tl.tl_heap_foot (Gcheap.Heap.footprint st.heap)
+  end;
+  gc_pause st spent completed
 
 let maybe_collect_for_alloc st =
   match st.cfg.vm_gc_schedule with
