@@ -103,6 +103,81 @@ let test_detects_stray_beside_duplicate () =
     ]
     (List.sort compare page_map)
 
+(* Each free-list finding, with its detail, on a heap whose 32-byte
+   block holds one object and lists the other 127 slots in address
+   order.  The soundness walk and the completeness scan step over runs of
+   slots at once, so the corruptions land inside, at the start and at
+   the end of such runs. *)
+let test_free_list_findings () =
+  let setup ?(h = fresh ()) () =
+    let a = Heap.alloc h 16 in
+    let blk = block_of h a in
+    let size = blk.Block.blk_obj_size in
+    (h, a, Heap.free_list h size Block.Normal, fun i -> a + (i * size))
+  in
+  let findings h =
+    List.filter_map
+      (fun v ->
+        if v.Heap.v_rule = "free-list" then Some v.Heap.v_detail else None)
+      (Heap.check_integrity h)
+  in
+  let expect name want h = Alcotest.(check (list string)) name want (findings h) in
+  let h, _, fl, slot = setup () in
+  expect "healthy" [] h;
+  fl := List.filter (fun s -> s <> slot 1 && s <> slot 9 && s <> slot 127) !fl;
+  expect "dropped slots"
+    (List.map
+       (fun i -> Printf.sprintf "free slot %#x is on no free list" (slot i))
+       [ 1; 9; 127 ])
+    h;
+  let h, _, fl, slot = setup () in
+  fl := List.concat_map (fun s -> if s = slot 5 then [ s; s ] else [ s ]) !fl;
+  expect "duplicate in a run"
+    [ Printf.sprintf "slot %#x appears on a free list twice" (slot 5) ]
+    h;
+  let h, _, fl, slot = setup () in
+  fl := (slot 5 + 8) :: (slot 5 + 8) :: !fl;
+  expect "interior entries"
+    [
+      Printf.sprintf "entry %#x is not a slot base" (slot 5 + 8);
+      Printf.sprintf "slot %#x appears on a free list twice" (slot 5 + 8);
+      Printf.sprintf "entry %#x is not a slot base" (slot 5 + 8);
+    ]
+    h;
+  let h, _, fl, _ = setup () in
+  fl := 8 :: !fl;
+  expect "off the heap" [ "entry 0x8 is not on a heap page" ] h;
+  let h, a, fl, _ = setup () in
+  fl := a :: !fl;
+  expect "allocated" [ Printf.sprintf "allocated slot %#x is on a free list" a ] h;
+  let h, _, _, slot = setup () in
+  Heap.free_list h 48 Block.Normal := [ slot 5 ];
+  expect "wrong class"
+    [
+      Printf.sprintf "slot %#x appears on a free list twice" (slot 5);
+      Printf.sprintf
+        "entry %#x on the 48-byte list, but its block holds 32-byte objects"
+        (slot 5);
+    ]
+    h;
+  let h, _, _, slot = setup () in
+  Heap.free_list h 32 Block.Atomic := [ slot 5 ];
+  expect "wrong kind"
+    [
+      Printf.sprintf "slot %#x appears on a free list twice" (slot 5);
+      Printf.sprintf "entry %#x has the wrong block kind" (slot 5);
+    ]
+    h;
+  let h, _, fl, slot =
+    setup
+      ~h:(Heap.create ~config:{ Heap.default_config with Heap.mode = Heap.Gen } ())
+      ()
+  in
+  fl := [ slot 1 ];
+  expect "nursery page"
+    [ Printf.sprintf "entry %#x lies on a nursery page" (slot 1) ]
+    h
+
 let test_detects_unmapped_page () =
   let h = fresh () in
   let a = Heap.alloc h 16 in
@@ -454,6 +529,8 @@ let suite =
       test_detects_stray_page_map_block;
     Alcotest.test_case "integrity: stray block beside a duplicate" `Quick
       test_detects_stray_beside_duplicate;
+    Alcotest.test_case "integrity: every free-list finding" `Quick
+      test_free_list_findings;
     Alcotest.test_case "integrity: unmapped block page" `Quick
       test_detects_unmapped_page;
     Alcotest.test_case "integrity: block-header violation" `Quick
