@@ -1642,13 +1642,9 @@ let check_integrity t : violation list =
   (* Free lists are filled block by block, by a fresh block or a sweep,
      so consecutive entries mostly share a page: its block [home] and
      that block's [flags] are looked up once per page ([find] of a
-     negative address is [None], like the initial [home]).  A fresh
-     block lists its slots in address order, so an entry at [next], the
-     slot after the previous entry's, is slot [next_slot] without a
-     division.  Most lists of a small heap are empty, and are
-     skipped. *)
+     negative address is [None], like the initial [home]).  Most lists
+     of a small heap are empty, and are skipped. *)
   let page = ref (-1) and home = ref None and flags = ref Bytes.empty in
-  let next = ref (-1) and next_slot = ref 0 in
   for k = 0 to class_slots - 1 do
     match !(t.free_lists.(k)) with
     | [] -> ()
@@ -1659,7 +1655,6 @@ let check_integrity t : violation list =
           | addr :: rest ->
               if addr asr Mem.page_bits <> !page then begin
                 page := addr asr Mem.page_bits;
-                next := -1;
                 home := Page_map.find t.map addr;
                 flags :=
                   match !home with Some b -> listed b | None -> Bytes.empty
@@ -1671,15 +1666,7 @@ let check_integrity t : violation list =
                       addr;
                   report "free-list" "entry %#x is not on a heap page" addr
               | Some blk ->
-                  let i =
-                    if addr = !next then !next_slot
-                    else Block.slot_base blk addr
-                  in
-                  if i >= 0 && i + 1 < blk.Block.blk_count then begin
-                    next := addr + blk.Block.blk_obj_size;
-                    next_slot := i + 1
-                  end
-                  else next := -1;
+                  let i = Block.slot_base blk addr in
                   let twice =
                     if i >= 0 then begin
                       let seen = Bytes.get !flags i <> '\000' in
