@@ -113,11 +113,13 @@ let skip_int_suffixes st =
   done
 
 (* The integer [text] spells, read as OCaml's [int_of_string] reads it;
-   the error names the literal [src.[start .. st.pos - 1]]. *)
+   the error names the literal [src.[start .. st.pos - 1]].  A hex or
+   octal text up to [2 * max_int + 1] reads as a negative [int]: it is
+   out of range, as the same value spelled in decimal is. *)
 let int_lit st loc start text =
   match int_of_string_opt text with
-  | Some n -> Token.INT_LIT n
-  | None -> int_error st loc start "is out of range"
+  | Some n when n >= 0 -> Token.INT_LIT n
+  | Some _ | None -> int_error st loc start "is out of range"
 
 (* A literal is hexadecimal after [0x], octal after any other leading
    [0] (as in C, so [010] is 8) and decimal otherwise. *)

@@ -1,9 +1,12 @@
 (* Reference lexer: the option-per-character lexer that [Csyntax.Lexer]
-   replaced, kept unchanged apart from its own keyword list and this
-   header.  [suite_lexer] checks that the library lexer produces the same
-   tokens, locations, end offsets and errors.  The one intended difference:
-   a malformed or out-of-range integer literal raises [Failure] here and
-   [Lexer.Error] there. *)
+   replaced, kept unchanged apart from its own keyword list, C's reading
+   of integer literals (octal after a leading [0], suffixes after hex)
+   and this header.  [suite_lexer] checks that the library lexer produces
+   the same tokens, locations, end offsets and errors.  The intended
+   differences: a malformed or out-of-range integer literal raises
+   [Failure] here and [Lexer.Error] there, and a hex or octal literal
+   past [max_int], which wraps to a negative [int] here, is out of range
+   there. *)
 
 open Csyntax
 
