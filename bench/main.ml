@@ -177,9 +177,7 @@ let micro () =
   in
   let test_collect =
     let h2 = Gcheap.Heap.create () in
-    let roots =
-      Array.to_list (Array.init 64 (fun i -> Gcheap.Heap.alloc h2 (24 + i)))
-    in
+    let roots = [ Array.init 64 (fun i -> Gcheap.Heap.alloc h2 (24 + i)) ] in
     Test.make ~name:"full collection (64 live objects)"
       (Staged.stage (fun () ->
            ignore (Gcheap.Heap.collect ~extra_roots:roots h2)))
@@ -190,8 +188,8 @@ let micro () =
     let h3 = Gcheap.Heap.create () in
     ignore (Gcheap.Heap.alloc ~kind:Gcheap.Block.Uncollectable h3 200);
     ignore (Gcheap.Heap.alloc ~kind:Gcheap.Block.Stack h3 (256 * 1024));
-    let roots = [ Gcheap.Heap.alloc h3 16; Gcheap.Heap.alloc h3 40 ] in
-    ignore (Gcheap.Heap.collect ~extra_roots:roots h3);
+    let roots = [| Gcheap.Heap.alloc h3 16; Gcheap.Heap.alloc h3 40 |] in
+    ignore (Gcheap.Heap.collect ~extra_roots:[ roots ] h3);
     Test.make ~name:"check_integrity (VM-shaped heap)"
       (Staged.stage (fun () -> ignore (Gcheap.Heap.check_integrity h3)))
   in

@@ -35,7 +35,7 @@ let () =
     Mem.store_word h.Heap.mem chain.(i) chain.(i + 1)
   done;
   let garbage = Heap.alloc h 24 in
-  let freed = Heap.collect ~extra_roots:[ chain.(0); b + 57 ] h in
+  let freed = Heap.collect ~extra_roots:[ [| chain.(0); b + 57 |] ] h in
   Printf.printf "collect with roots {chain head, interior of b}: freed %d\n"
     freed;
   Printf.printf "chain tail alive: %b; b alive via interior ptr: %b; garbage gone: %b\n"
@@ -49,7 +49,7 @@ let () =
   (* innocent holds a plain integer whose value happens to equal victim's
      address: the conservative scan must retain victim anyway *)
   Mem.store_word h.Heap.mem innocent victim;
-  ignore (Heap.collect ~extra_roots:[ innocent ] h);
+  ignore (Heap.collect ~extra_roots:[ [| innocent |] ] h);
   Printf.printf
     "victim retained because an int in a live object looks like its address: %b\n"
     (Heap.valid_access h victim 40);
@@ -71,7 +71,7 @@ let () =
   let target = Heap.alloc h2 64 in
   let holder = Heap.alloc h2 16 in
   Mem.store_word h2.Heap.mem holder (target + 8);
-  ignore (Heap.collect ~extra_roots:[ holder ] h2);
+  ignore (Heap.collect ~extra_roots:[ [| holder |] ] h2);
   Printf.printf
     "heap-resident interior pointer no longer keeps its target: alive=%b\n"
     (Heap.valid_access h2 target 64);

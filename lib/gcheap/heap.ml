@@ -590,15 +590,10 @@ let drain t ~minor ~spent ~budget =
   in
   go ()
 
-(* Root word values: [values], then each of [arrays] (the VM's
-   register files) in index order, shaded where they lie.  Each costs a
-   word of work but is not a scanned heap word. *)
-let shade_root_values t ~minor ~spent values arrays =
-  List.iter
-    (fun v ->
-      incr spent;
-      ignore (shade t ~minor ~from_root:true v))
-    values;
+(* Root word values: each of [arrays] (the VM's register files) in
+   index order, shaded where they lie.  Each costs a word of work but is
+   not a scanned heap word. *)
+let shade_root_values t ~minor ~spent arrays =
   List.iter
     (fun regs ->
       for i = 0 to Array.length regs - 1 do
@@ -637,9 +632,9 @@ let scan_root_block t ~minor ~spent (blk : Block.t) =
    an unscanned register into an already-black object, which the SATB
    barrier (it shades overwritten values, not stored ones) cannot
    catch. *)
-let scan_roots t ~minor ~extra_roots ~root_arrays ~extra_ranges ~spent =
+let scan_roots t ~minor ~extra_roots ~extra_ranges ~spent =
   List.iter Block.clear_marks t.all_blocks;
-  shade_root_values t ~minor ~spent extra_roots root_arrays;
+  shade_root_values t ~minor ~spent extra_roots;
   List.iter
     (fun (s, e) ->
       scan_range t ~minor ~from_root:true ~spent ~budget:max_int s e)
@@ -989,17 +984,16 @@ let complete_collection t ~minor ~tenure ~freed_bytes =
   end;
   if generational t then recompute_cards t
 
-(** Run a collection.  [extra_roots] and [root_arrays] are word values
-    scanned in addition to the root-scanned blocks — the VM passes its
-    register files, innermost frame first, as [root_arrays].
+(** Run a collection.  [extra_roots] are arrays of word values scanned
+    in addition to the root-scanned blocks — the VM passes its register
+    files, innermost frame first.
     [generation] defaults to [Major] (a full stop-the-world cycle);
     [Minor] is honoured only when the heap is generational.  Any
     in-flight incremental cycle is soundly abandoned first (mark bits
     are left as they are; the root scan clears them): emergency,
     explicit and forced collections must behave exactly as on a
     stop-the-world heap. *)
-let collect ?(generation = Major) ?(extra_roots = []) ?(root_arrays = [])
-    ?(extra_ranges = []) t =
+let collect ?(generation = Major) ?(extra_roots = []) ?(extra_ranges = []) t =
   if t.phase <> Idle then begin
     t.phase <- Idle;
     t.gray <- [];
@@ -1009,7 +1003,7 @@ let collect ?(generation = Major) ?(extra_roots = []) ?(root_arrays = [])
   let minor = generation = Minor && generational t in
   let freed = t.stats.objects_freed and freed_bytes = t.stats.bytes_freed in
   let spent = ref 0 in
-  scan_roots t ~minor ~extra_roots ~root_arrays ~extra_ranges ~spent;
+  scan_roots t ~minor ~extra_roots ~extra_ranges ~spent;
   drain t ~minor ~spent ~budget:max_int;
   if minor then sweep_minor t
   else begin
@@ -1034,18 +1028,18 @@ let active t = t.phase <> Idle
     {!sweep_slice}.  Mark bits are monotone within a cycle and objects
     allocated during it are born black, so finalization terminates.
     Returns the words of work performed. *)
-let step ?(extra_roots = []) ?(root_arrays = []) ?(extra_ranges = []) t =
+let step ?(extra_roots = []) ?(extra_ranges = []) t =
   let budget = max 1 t.config.pause_budget_words in
   let spent = ref 0 in
   if t.phase = Idle then begin
-    scan_roots t ~minor:false ~extra_roots ~root_arrays ~extra_ranges ~spent;
+    scan_roots t ~minor:false ~extra_roots ~extra_ranges ~spent;
     t.phase <- Marking
   end;
   if t.phase = Marking then begin
     drain t ~minor:false ~spent ~budget;
     if t.gray = [] && !spent < budget then begin
       t.stats.final_marks <- t.stats.final_marks + 1;
-      shade_root_values t ~minor:false ~spent extra_roots root_arrays;
+      shade_root_values t ~minor:false ~spent extra_roots;
       drain t ~minor:false ~spent ~budget:max_int;
       t.phase <- Sweeping;
       start_sweep t
@@ -1063,9 +1057,9 @@ let step ?(extra_roots = []) ?(root_arrays = []) ?(extra_ranges = []) t =
   !spent
 
 (** Drive {!step} until the in-flight cycle (if any) completes. *)
-let finish ?extra_roots ?root_arrays ?extra_ranges t =
+let finish ?extra_roots ?extra_ranges t =
   while active t do
-    ignore (step ?extra_roots ?root_arrays ?extra_ranges t)
+    ignore (step ?extra_roots ?extra_ranges t)
   done
 
 (** Should the allocator trigger a (major) collection? *)

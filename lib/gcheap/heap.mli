@@ -265,18 +265,16 @@ val should_collect_minor : t -> bool
 
 val collect :
   ?generation:generation ->
-  ?extra_roots:int list ->
-  ?root_arrays:int array list ->
+  ?extra_roots:int array list ->
   ?extra_ranges:(int * int) list ->
   t ->
   int
 (** Run a collection ([Major], a full stop-the-world cycle, by default;
     [Minor] scans only roots, young objects and dirty cards, and is
-    honoured only on a generational heap).  [extra_roots] are word values
-    scanned in addition to the uncollectable objects; [root_arrays] are
-    more word values, read in place after them, array by array in index
-    order (the VM passes its register files, innermost frame first);
-    [extra_ranges] are per-collection root ranges (the
+    honoured only on a generational heap).  [extra_roots] are arrays of
+    word values scanned in addition to the uncollectable objects, read in
+    place in order (the VM passes its register files, innermost frame
+    first); [extra_ranges] are per-collection root ranges (the
     VM passes the live prefix of its [Stack]-kind block).  Returns the
     number of objects freed.  An in-flight incremental cycle is soundly
     abandoned first (counted in [stats.abandoned_cycles]), so emergency,
@@ -287,19 +285,18 @@ val active : t -> bool
 (** Is an incremental cycle in flight ([phase <> Idle])? *)
 
 val step :
-  ?extra_roots:int list ->
-  ?root_arrays:int array list ->
+  ?extra_roots:int array list ->
   ?extra_ranges:(int * int) list ->
   t ->
   int
 (** Run one increment of the incremental snapshot-at-the-beginning
     cycle and return the words of collector work it performed.  On an
     idle heap this starts a cycle with the same atomic root scan as
-    {!collect} (over [extra_roots], [root_arrays], [extra_ranges] and
-    the root-scanned uncollectable blocks); on a marking heap
+    {!collect} (over [extra_roots], [extra_ranges] and the root-scanned
+    uncollectable blocks); on a marking heap
     it drains gray ranges under [config.pause_budget_words] (and, when
     the stack drains within budget, atomically finalizes by re-shading
-    [extra_roots] and [root_arrays] and draining to empty); on a sweeping heap it frees
+    [extra_roots] and draining to empty); on a sweeping heap it frees
     unmarked slots under the budget.  A finished cycle is accounted like
     a full collection and tenures the surviving nursery pages.  While a
     cycle is in flight the store barrier shades overwritten values and
@@ -309,8 +306,7 @@ val step :
     [stats.final_marks] and [stats.inc_max_pause_words]. *)
 
 val finish :
-  ?extra_roots:int list ->
-  ?root_arrays:int array list ->
+  ?extra_roots:int array list ->
   ?extra_ranges:(int * int) list ->
   t ->
   unit

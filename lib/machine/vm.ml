@@ -535,15 +535,6 @@ let gc_pause st pause_words completed =
     if st.cfg.vm_check_integrity then Gcheap.Heap.assert_integrity st.heap
   end
 
-(* Does the sink carry a channel for events?  Only then are the event
-   arguments and the span's closures built. *)
-let tl_events tl =
-  match tl.tl_sink with
-  | Some { Telemetry.Sink.trace = Some _; _ }
-  | Some { Telemetry.Sink.recorder = Some _; _ } ->
-      true
-  | Some _ | None -> false
-
 (* The deterministic pause measure on the words-of-work clock: words the
    marker traced plus words the sweeper reclaimed since the counts
    [words0] and [bytes0] were read. *)
@@ -554,28 +545,23 @@ let pause_words hs words0 bytes0 =
 let collect ?(trigger = "auto") ?(generation = Gcheap.Heap.Major) st =
   let tl = st.tele in
   let minor = generation = Gcheap.Heap.Minor in
-  let root_arrays = gc_roots st in
+  let extra_roots = gc_roots st in
   let extra_ranges = live_stack st in
   let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
   let hs = st.heap.Gcheap.Heap.stats in
   let words0 = hs.Gcheap.Heap.words_scanned in
   let bytes0 = hs.Gcheap.Heap.bytes_freed in
-  if tl_events tl then
-    Telemetry.Sink.span tl.tl_sink ~ts:st.instrs "gc"
-      ~args:(fun () ->
-        [
-          ("trigger", Telemetry.Json.Str trigger);
-          ("gen", Telemetry.Json.Str (if minor then "minor" else "major"));
-        ])
-      ~end_args:(fun () ->
-        [
-          ("pause_words", Telemetry.Json.Int (pause_words hs words0 bytes0));
-        ])
-      (fun () ->
-        ignore
-          (Gcheap.Heap.collect ~generation ~root_arrays ~extra_ranges st.heap))
-  else
-    ignore (Gcheap.Heap.collect ~generation ~root_arrays ~extra_ranges st.heap);
+  Telemetry.Sink.span tl.tl_sink ~ts:st.instrs "gc"
+    ~args:(fun () ->
+      [
+        ("trigger", Telemetry.Json.Str trigger);
+        ("gen", Telemetry.Json.Str (if minor then "minor" else "major"));
+      ])
+    ~end_args:(fun () ->
+      [ ("pause_words", Telemetry.Json.Int (pause_words hs words0 bytes0)) ])
+    (fun () ->
+      ignore
+        (Gcheap.Heap.collect ~generation ~extra_roots ~extra_ranges st.heap));
   let pause_words = pause_words hs words0 bytes0 in
   (if tl.tl_on then
      let open Telemetry in
@@ -633,23 +619,24 @@ let[@inline] forced_gc_due st =
     the same roots as {!collect}. *)
 let incremental_step st =
   let tl = st.tele in
-  let root_arrays = gc_roots st in
+  let extra_roots = gc_roots st in
   let extra_ranges = live_stack st in
   let t0 = if tl.tl_on then Unix.gettimeofday () else 0. in
   let hs = st.heap.Gcheap.Heap.stats in
   let collections0 = hs.Gcheap.Heap.collections in
   (* each increment is a mutator pause of [spent] words of work *)
-  let spent = Gcheap.Heap.step ~root_arrays ~extra_ranges st.heap in
+  let spent = Gcheap.Heap.step ~extra_roots ~extra_ranges st.heap in
+  let pause_ns =
+    if tl.tl_on then Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9) else 0
+  in
   let completed = hs.Gcheap.Heap.collections - collections0 in
+  Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "gc.step"
+    ~args:(fun () ->
+      [
+        ("spent_words", Telemetry.Json.Int spent);
+        ("completed", Telemetry.Json.Int completed);
+      ]);
   if tl.tl_on then begin
-    let pause_ns = Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9) in
-    if tl_events tl then
-      Telemetry.Sink.instant tl.tl_sink ~ts:st.instrs "gc.step"
-        ~args:(fun () ->
-          [
-            ("spent_words", Telemetry.Json.Int spent);
-            ("completed", Telemetry.Json.Int completed);
-          ]);
     Telemetry.Metrics.observe tl.tl_gc_inc_pause spent;
     Telemetry.Metrics.observe tl.tl_gc_inc_pause_ns pause_ns;
     if completed > 0 then

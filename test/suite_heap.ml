@@ -96,7 +96,7 @@ let test_roots_keep () =
   let h = fresh () in
   let keep = Heap.alloc h 32 in
   let lose = Heap.alloc h 32 in
-  let freed = Heap.collect ~extra_roots:[ keep ] h in
+  let freed = Heap.collect ~extra_roots:[ [| keep |] ] h in
   Alcotest.(check int) "exactly one freed" 1 freed;
   Alcotest.(check bool) "kept valid" true (Heap.valid_access h keep 32);
   Alcotest.(check bool) "lost invalid" false (Heap.valid_access h lose 32)
@@ -104,7 +104,7 @@ let test_roots_keep () =
 let test_interior_pointer_keeps () =
   let h = fresh () in
   let a = Heap.alloc h 100 in
-  ignore (Heap.collect ~extra_roots:[ a + 57 ] h);
+  ignore (Heap.collect ~extra_roots:[ [| a + 57 |] ] h);
   Alcotest.(check bool) "kept via interior pointer" true
     (Heap.valid_access h a 100)
 
@@ -116,7 +116,7 @@ let test_transitive_marking () =
     Mem.store_word h.Heap.mem objs.(i) objs.(i + 1)
   done;
   let dead = Heap.alloc h 16 in
-  ignore (Heap.collect ~extra_roots:[ objs.(0) ] h);
+  ignore (Heap.collect ~extra_roots:[ [| objs.(0) |] ] h);
   Array.iter
     (fun a -> Alcotest.(check bool) "chain alive" true (Heap.valid_access h a 16))
     objs;
@@ -128,7 +128,7 @@ let test_heap_to_heap_interior () =
   let holder = Heap.alloc h 16 in
   (* holder stores an interior pointer into target *)
   Mem.store_word h.Heap.mem holder (target + 24);
-  ignore (Heap.collect ~extra_roots:[ holder ] h);
+  ignore (Heap.collect ~extra_roots:[ [| holder |] ] h);
   Alcotest.(check bool) "target kept via heap interior pointer" true
     (Heap.valid_access h target 64)
 
@@ -180,7 +180,7 @@ let test_atomic_not_scanned () =
   let target = Heap.alloc h 16 in
   let atomic = Heap.alloc ~kind:Block.Atomic h 16 in
   Mem.store_word h.Heap.mem atomic target;
-  ignore (Heap.collect ~extra_roots:[ atomic ] h);
+  ignore (Heap.collect ~extra_roots:[ [| atomic |] ] h);
   Alcotest.(check bool) "atomic object itself survives" true
     (Heap.valid_access h atomic 16);
   Alcotest.(check bool) "pointer inside atomic object is not traced" false
@@ -194,12 +194,12 @@ let test_extensions_mode () =
   let holder = Heap.alloc h 16 in
   Mem.store_word h.Heap.mem holder (target + 24);
   (* root -> holder -> interior-of-target: interior not valid from heap *)
-  ignore (Heap.collect ~extra_roots:[ holder ] h);
+  ignore (Heap.collect ~extra_roots:[ [| holder |] ] h);
   Alcotest.(check bool) "heap interior pointer ignored" false
     (Heap.valid_access h target 64);
   (* but interior pointers from roots still work *)
   let t2 = Heap.alloc h 64 in
-  ignore (Heap.collect ~extra_roots:[ t2 + 8 ] h);
+  ignore (Heap.collect ~extra_roots:[ [| t2 + 8 |] ] h);
   Alcotest.(check bool) "root interior pointer honoured" true
     (Heap.valid_access h t2 64)
 
@@ -276,7 +276,7 @@ let test_gc_base () =
   Alcotest.(check (option int)) "null" None (Heap.base_of h 0);
   Alcotest.(check (option int)) "free slot" None
     (let b = Heap.alloc h 100 in
-     ignore (Heap.collect ~extra_roots:[ a ] h);
+     ignore (Heap.collect ~extra_roots:[ [| a |] ] h);
      Heap.base_of h b)
 
 (* --- root-range scanning: the final partial word ---------------------- *)
@@ -315,9 +315,9 @@ let test_promotion () =
   let h = gen_heap () in
   let obj = Heap.alloc h 32 in
   Alcotest.(check (option int)) "born young" (Some 0) (Heap.slot_age h obj);
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ obj ] h);
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ [| obj |] ] h);
   Alcotest.(check (option int)) "aged by one" (Some 1) (Heap.slot_age h obj);
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ obj ] h);
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ [| obj |] ] h);
   Alcotest.(check (option int)) "promoted" (Some 2) (Heap.slot_age h obj);
   Alcotest.(check int) "promotion counted" 1 h.Heap.stats.Heap.promoted;
   (* old objects are immune to minors, even unrooted... *)
@@ -330,8 +330,8 @@ let test_promotion () =
     (Heap.valid_access h obj 32)
 
 let promote h obj =
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ obj ] h);
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ obj ] h);
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ [| obj |] ] h);
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ [| obj |] ] h);
   Alcotest.(check bool) "promoted"
     true
     (match Heap.slot_age h obj with Some a -> a >= 2 | None -> false)
@@ -350,7 +350,7 @@ let test_dirty_card_retains_young () =
   Alcotest.(check bool) "young object retained via the dirty card" true
     (Heap.valid_access h y 24);
   (* a major sees the same liveness through normal tracing *)
-  ignore (Heap.collect ~extra_roots:[ o ] h);
+  ignore (Heap.collect ~extra_roots:[ [| o |] ] h);
   Alcotest.(check bool) "major agrees" true (Heap.valid_access h y 24)
 
 let test_remembered_set_integrity () =
@@ -395,9 +395,11 @@ let test_minor_major_equivalence () =
       let a = Heap.alloc h (16 + (i mod 40)) in
       if i mod 7 = 0 then keep := a :: !keep;
       if minor && i mod 20 = 0 then
-        ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:!keep h)
+        ignore
+          (Heap.collect ~generation:Heap.Minor
+             ~extra_roots:[ Array.of_list !keep ] h)
     done;
-    ignore (Heap.collect ~extra_roots:!keep h);
+    ignore (Heap.collect ~extra_roots:[ Array.of_list !keep ] h);
     Heap.live_summary h
   in
   Alcotest.(check (pair int int))
@@ -420,9 +422,10 @@ let prop_gen_equivalence =
             if k then keep := a :: !keep;
             if generational && m then
               ignore
-                (Heap.collect ~generation:Heap.Minor ~extra_roots:!keep h))
+                (Heap.collect ~generation:Heap.Minor
+                   ~extra_roots:[ Array.of_list !keep ] h))
           spec;
-        ignore (Heap.collect ~extra_roots:!keep h);
+        ignore (Heap.collect ~extra_roots:[ Array.of_list !keep ] h);
         Heap.live_summary h
       in
       run false = run true)
@@ -457,7 +460,7 @@ let prop_collect_exact =
       let roots =
         List.filter_map (fun (a, _, keep) -> if keep then Some a else None) objs
       in
-      ignore (Heap.collect ~extra_roots:roots h);
+      ignore (Heap.collect ~extra_roots:[ Array.of_list roots ] h);
       List.for_all
         (fun (a, n, keep) -> Heap.valid_access h a n = keep)
         objs)
@@ -1086,6 +1089,12 @@ let run_script s =
   let root_values () =
     List.map (fun i -> fst !objs.(i) + (i mod 3)) !roots
   in
+  (* the root values as the VM passes them: in order, one array per
+     frame (three registers each here) *)
+  let rec frames = function
+    | a :: b :: c :: rest -> [| a; b; c |] :: frames rest
+    | rest -> [ Array.of_list rest ]
+  in
   List.iteri
     (fun k op ->
       let what = Printf.sprintf "op %d (%s)" k (print_op op) in
@@ -1120,27 +1129,29 @@ let run_script s =
               roots := List.filteri (fun k _ -> k <> j) rs)
       | Collect minor ->
           let m = snapshot h in
-          let extra_roots = root_values () in
+          let values = root_values () in
           ignore
             (Heap.collect
                ~generation:(if minor then Heap.Minor else Heap.Major)
-               ~extra_roots h);
-          r_collect m ~minor ~roots:extra_roots;
+               ~extra_roots:(frames values) h);
+          r_collect m ~minor ~roots:values;
           agree what m h
       | Step when s.mode = Heap.Inc ->
           let m = snapshot h in
-          let extra_roots = root_values () in
-          let spent = Heap.step ~extra_roots h in
-          let model_spent = r_step m ~nroots:(List.length extra_roots) h in
+          let values = root_values () in
+          let spent = Heap.step ~extra_roots:(frames values) h in
+          let model_spent = r_step m ~nroots:(List.length values) h in
           agree what m h;
           if spent <> model_spent then
             QCheck.Test.fail_reportf "%s: step did %d words, model %d" what
               spent model_spent
       | Step ->
           let m = snapshot h in
-          let extra_roots = root_values () in
-          ignore (Heap.collect ~generation:Heap.Minor ~extra_roots h);
-          r_collect m ~minor:true ~roots:extra_roots;
+          let values = root_values () in
+          ignore
+            (Heap.collect ~generation:Heap.Minor
+               ~extra_roots:(frames values) h);
+          r_collect m ~minor:true ~roots:values;
           agree what m h)
     s.ops;
   true

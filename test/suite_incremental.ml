@@ -118,12 +118,12 @@ let prop_satb_superset =
                 snapshot := Hashtbl.fold (fun a () acc -> a :: acc) seen [];
                 in_cycle := true
               end;
-              ignore (Heap.step ~extra_roots:(roots ()) h);
+              ignore (Heap.step ~extra_roots:[ Array.of_list (roots ()) ] h);
               if !in_cycle && not (Heap.active h) then
                 check_complete ())
         ops;
       if Heap.active h then begin
-        Heap.finish ~extra_roots:(roots ()) h;
+        Heap.finish ~extra_roots:[ Array.of_list (roots ()) ] h;
         check_complete ()
       end;
       true)
@@ -153,32 +153,32 @@ let test_barrier_keeps_overwritten_alive () =
   let b = Heap.alloc h 16 in
   write_slot h a 0 b;
   (* snapshot: only [a] is a root; [b] reachable through it *)
-  ignore (Heap.step ~extra_roots:[ a ] h);
+  ignore (Heap.step ~extra_roots:[ [| a |] ] h);
   Alcotest.(check bool) "cycle in flight" true (Heap.active h);
   (* sever the only link mid-cycle: the barrier must gray the old value *)
   write_slot h a 0 0;
   Alcotest.(check bool) "barrier fired" true
     (h.Heap.stats.Heap.barrier_grays >= 1);
-  ignore (finish_counted h ~extra_roots:[ a ]);
+  ignore (finish_counted h ~extra_roots:[ [| a |] ]);
   Alcotest.(check (option int)) "snapshot object survives its cycle" (Some b)
     (Heap.base_of h b);
   (* the next cycle sees it unreachable and reclaims it *)
-  ignore (Heap.step ~extra_roots:[ a ] h);
-  ignore (finish_counted h ~extra_roots:[ a ]);
+  ignore (Heap.step ~extra_roots:[ [| a |] ] h);
+  ignore (finish_counted h ~extra_roots:[ [| a |] ]);
   Alcotest.(check (option int)) "floating garbage dies next cycle" None
     (Heap.base_of h b)
 
 let test_allocate_black () =
   let h = fresh () in
   let root = Heap.alloc h 16 in
-  ignore (Heap.step ~extra_roots:[ root ] h);
+  ignore (Heap.step ~extra_roots:[ [| root |] ] h);
   (* allocated mid-cycle, never stored anywhere: born black *)
   let tmp = Heap.alloc h 16 in
-  ignore (finish_counted h ~extra_roots:[ root ]);
+  ignore (finish_counted h ~extra_roots:[ [| root |] ]);
   Alcotest.(check (option int)) "mid-cycle allocation survives" (Some tmp)
     (Heap.base_of h tmp);
-  ignore (Heap.step ~extra_roots:[ root ] h);
-  ignore (finish_counted h ~extra_roots:[ root ]);
+  ignore (Heap.step ~extra_roots:[ [| root |] ] h);
+  ignore (finish_counted h ~extra_roots:[ [| root |] ]);
   Alcotest.(check (option int)) "and dies the following cycle" None
     (Heap.base_of h tmp)
 
@@ -190,8 +190,8 @@ let test_tiny_budget_terminates () =
     (* keep two of every three; the rest is garbage for the sweep *)
     if i mod 3 <> 0 then keep := a :: !keep
   done;
-  ignore (Heap.step ~extra_roots:!keep h);
-  let steps = finish_counted h ~extra_roots:!keep in
+  ignore (Heap.step ~extra_roots:[ Array.of_list !keep ] h);
+  let steps = finish_counted h ~extra_roots:[ Array.of_list !keep ] in
   Alcotest.(check bool) "word-at-a-time cycle really is sliced" true
     (steps > 10);
   List.iter
@@ -207,10 +207,10 @@ let test_tiny_budget_terminates () =
 let test_full_collection_abandons_soundly () =
   let h = fresh () in
   let root = Heap.alloc h 16 in
-  ignore (Heap.step ~extra_roots:[ root ] h);
+  ignore (Heap.step ~extra_roots:[ [| root |] ] h);
   Alcotest.(check bool) "cycle in flight" true (Heap.active h);
   (* an emergency/explicit/forced collection lands mid-cycle *)
-  ignore (Heap.collect ~extra_roots:[ root ] h);
+  ignore (Heap.collect ~extra_roots:[ [| root |] ] h);
   Alcotest.(check bool) "cycle abandoned" false (Heap.active h);
   Alcotest.(check int) "abandon counted" 1
     h.Heap.stats.Heap.abandoned_cycles;
@@ -318,10 +318,10 @@ let prop_collect_equals_cycle =
     (QCheck.make ~print:print_graph graph_gen)
     (fun g ->
       let stw, roots = build_graph g in
-      ignore (Heap.collect ~extra_roots:roots stw);
+      ignore (Heap.collect ~extra_roots:[ Array.of_list roots ] stw);
       let inc, roots = build_graph g in
-      ignore (Heap.step ~extra_roots:roots inc);
-      Heap.finish ~extra_roots:roots inc;
+      ignore (Heap.step ~extra_roots:[ Array.of_list roots ] inc);
+      Heap.finish ~extra_roots:[ Array.of_list roots ] inc;
       engine_fingerprint stw = engine_fingerprint inc)
 
 (* --- mode identity over random programs ------------------------------- *)

@@ -34,8 +34,9 @@ let card h p =
   if p < Bytes.length h.Heap.dirty then Bytes.get h.Heap.dirty p else '\000'
 
 let promote h objs =
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:objs h);
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:objs h);
+  let extra_roots = [ Array.of_list objs ] in
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots h);
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots h);
   List.iter
     (fun obj ->
       Alcotest.(check bool)
@@ -175,10 +176,10 @@ let test_age_resets_on_realloc () =
   (* and young means a full apprenticeship: the slot must survive
      promote_after minors before being promoted again *)
   let b = realloc () in
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ b ] h);
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ [| b |] ] h);
   Alcotest.(check (option int)) "ages by one, not instantly old" (Some 1)
     (Heap.slot_age h b);
-  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ b ] h);
+  ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ [| b |] ] h);
   Alcotest.(check (option int)) "promoted only after both minors" (Some 2)
     (Heap.slot_age h b);
   no_violations "integrity clean" h
@@ -228,7 +229,7 @@ let aging_block_scenario () =
   let b = Heap.alloc h 32 in
   promote h [ a; b ];
   (* a major with only [b] rooted frees [a]'s slot onto the free list *)
-  ignore (Heap.collect ~extra_roots:[ b ] h);
+  ignore (Heap.collect ~extra_roots:[ [| b |] ] h);
   Alcotest.(check bool) "a's slot freed" false (Heap.valid_access h a 32);
   let c = Heap.alloc h 32 in
   Alcotest.(check int) "the freed old slot is reused" a c;
@@ -288,9 +289,10 @@ let prop_nursery_equivalence =
             if k then keep := a :: !keep;
             if generational && m then
               ignore
-                (Heap.collect ~generation:Heap.Minor ~extra_roots:!keep heap))
+                (Heap.collect ~generation:Heap.Minor
+                   ~extra_roots:[ Array.of_list !keep ] heap))
           spec;
-        ignore (Heap.collect ~extra_roots:!keep heap);
+        ignore (Heap.collect ~extra_roots:[ Array.of_list !keep ] heap);
         Heap.live_summary heap
       in
       let gen_h = nursery_heap ~nursery_pages () in

@@ -21,7 +21,7 @@ let test_integrity_after_use () =
   ignore (Heap.alloc ~kind:Block.Atomic h 100);
   ignore (Heap.alloc h 5000);
   Alcotest.(check int) "used heap" 0 (List.length (Heap.check_integrity h));
-  ignore (Heap.collect ~extra_roots:!keep h);
+  ignore (Heap.collect ~extra_roots:[ Array.of_list !keep ] h);
   Alcotest.(check int) "after collect" 0 (List.length (Heap.check_integrity h));
   ignore (Heap.collect h);
   Alcotest.(check int) "after drop-all" 0 (List.length (Heap.check_integrity h))
@@ -217,7 +217,7 @@ let test_detects_remembered_set_violation () =
   let h = gen_heap () in
   let o = Heap.alloc h 32 in
   for _ = 1 to h.Heap.config.Heap.promote_after do
-    ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ o ] h)
+    ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ [| o |] ] h)
   done;
   Alcotest.(check int) "healthy before the store" 0
     (List.length (Heap.check_integrity h));
@@ -260,7 +260,8 @@ let prop_integrity_under_interleavings =
         (fun op ->
           (match op with
           | `Alloc n -> live := Heap.alloc h n :: !live
-          | `Collect -> ignore (Heap.collect ~extra_roots:!live h)
+          | `Collect ->
+              ignore (Heap.collect ~extra_roots:[ Array.of_list !live ] h)
           | `Drop -> (
               match !live with [] -> () | _ :: rest -> live := rest));
           match Heap.check_integrity h with
