@@ -31,8 +31,10 @@ type t = {
       (** nursery block: filled front-to-back by the bump cursor, every
           resident object belongs to the current young cohort *)
   mutable blk_bump : int;
-      (** next bump slot; slots at and above this index have never been
-          allocated (only meaningful while [blk_young]) *)
+      (** next bump slot of a small block: slots at and above this index
+          have never been handed out, so they are free, unmarked and on
+          no free list.  A promoted nursery page lists all its free slots,
+          so its cursor moves to [blk_count]; large blocks keep 0 *)
   mutable blk_aging : bool;
       (** old-generation block holding at least one reused slot that is
           still young — it must be visited by minor sweeps until every
@@ -85,8 +87,6 @@ let slot_addr t i = t.blk_start + (i * t.blk_obj_size)
 let is_allocated t i = Bytes.get t.blk_alloc i <> '\000'
 
 let set_allocated t i v = Bytes.set t.blk_alloc i (if v then '\001' else '\000')
-
-let is_marked t i = Bytes.get t.blk_mark i <> '\000'
 
 let set_marked t i v = Bytes.set t.blk_mark i (if v then '\001' else '\000')
 

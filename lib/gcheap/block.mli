@@ -23,7 +23,8 @@ type t = {
       (** nursery block: filled front-to-back by the bump cursor; cleared
           when the page's cohort is promoted into the old generation *)
   mutable blk_bump : int;
-      (** next bump slot (only meaningful while [blk_young]) *)
+      (** next bump slot of a small block; slots at and above it have
+          never been handed out (free, unmarked, on no free list) *)
   mutable blk_aging : bool;
       (** old-generation block holding reused slots that are still young
           (visited by minor sweeps until they promote or die) *)
@@ -48,8 +49,6 @@ val slot_addr : t -> int -> int
 val is_allocated : t -> int -> bool
 
 val set_allocated : t -> int -> bool -> unit
-
-val is_marked : t -> int -> bool
 
 val set_marked : t -> int -> bool -> unit
 

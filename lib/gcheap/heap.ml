@@ -1,6 +1,8 @@
 (** Conservative mark-sweep collector in the style of [Boehm95].
 
-    - size-class allocator over uniform-object pages ({!Block});
+    - size-class allocator over uniform-object pages ({!Block}): each
+      (class, kind) reuses its freed slots and fills its newest page by
+      a bump cursor;
     - every object is allocated with at least one extra byte, so that
       legal one-past-the-end pointers still map to the right object
       (paper, "Source Checking": "we handle [one past the end] by
@@ -173,9 +175,9 @@ type t = {
       (** old-generation blocks that may hold still-young slots (free-list
           reuse restarts a slot at age 0), so a minor sweep can visit
           exactly the blocks where young objects can live *)
-  nursery_cursors : Block.t option array;
-      (** by {!class_slot}: the young block the bump allocator is
-          currently filling *)
+  cursors : Block.t option array;
+      (** by {!class_slot}: the block whose never-used slots the bump
+          allocator is handing out *)
   mutable nursery_opened : int;
       (** young pages opened since the last collection — the nursery
           occupancy trigger for minor cycles *)
@@ -297,14 +299,15 @@ let create ?(config = default_config) () =
     sweep_cursor = 0;
     young_blocks = [];
     aging_blocks = [];
-    nursery_cursors = Array.make class_slots None;
+    cursors = Array.make class_slots None;
     nursery_opened = 0;
     dirty_index = [];
   }
 
 (** Is the bump-pointer nursery in service?  Only the generational and
-    incremental modes segregate generations; stop-the-world heaps keep
-    the seed allocator bit for bit. *)
+    incremental modes segregate generations; a stop-the-world heap takes
+    a freed slot before a never-used one, and so hands out the seed
+    allocator's addresses. *)
 let nursery_enabled t = t.config.mode <> Stw
 
 let generational t = t.config.mode = Gen
@@ -693,13 +696,13 @@ let coalesce_pool t =
 
 let free_list t cls kind = t.free_lists.(class_slot cls kind)
 
-(* Drop the bump cursor if it points at [blk] (the block is leaving the
-   nursery, by promotion or retirement). *)
+(* Drop the bump cursor if it points at [blk] (the block is sealed,
+   promoted or retired). *)
 let drop_cursor t blk =
   if blk.Block.blk_obj_size <= max_small then
     let k = class_slot blk.Block.blk_obj_size blk.Block.blk_kind in
-    match t.nursery_cursors.(k) with
-    | Some b when b == blk -> t.nursery_cursors.(k) <- None
+    match t.cursors.(k) with
+    | Some b when b == blk -> t.cursors.(k) <- None
     | Some _ | None -> ()
 
 let has_allocated (blk : Block.t) =
@@ -732,12 +735,13 @@ let retire_young_blocks t dead =
 (* Promote a surviving nursery page in place: the block joins the old
    generation (the collector is conservative, so survivors cannot be
    copied out), and its dead and never-bumped slots join the size-class
-   free lists like any other old block's.  The caller takes it out of
+   free lists like any other old block's.  Every free slot is then
+   listed, so the cursor moves to the end.  The caller takes it out of
    [young_blocks]. *)
 let promote_young_block t blk =
   drop_cursor t blk;
   blk.Block.blk_young <- false;
-  blk.Block.blk_bump <- 0;
+  blk.Block.blk_bump <- blk.Block.blk_count;
   let fl = free_list t blk.Block.blk_obj_size blk.Block.blk_kind in
   for i = blk.Block.blk_count - 1 downto 0 do
     if Bytes.get blk.Block.blk_alloc i = '\000' then begin
@@ -746,12 +750,13 @@ let promote_young_block t blk =
     end
   done
 
-(* Seal the bump cursors and return wholly dead nursery pages to the
-   pool.  Runs after every collection, so a completed cycle always
-   leaves the nursery parseable: open bump regions never survive a
-   collection, and dead cohorts never linger. *)
+(* Seal the nursery's bump cursors and return wholly dead nursery pages
+   to the pool.  Runs after every collection, so a completed cycle
+   always leaves the nursery parseable: open bump regions never survive
+   a collection, and dead cohorts never linger.  The cursors of old
+   (uncollectable and stack) blocks stay open. *)
 let retire_dead_young t =
-  Array.fill t.nursery_cursors 0 class_slots None;
+  List.iter (drop_cursor t) t.young_blocks;
   t.nursery_opened <- 0;
   retire_young_blocks t
     (List.filter (fun blk -> not (has_allocated blk)) t.young_blocks)
@@ -1096,22 +1101,14 @@ let growth_exceeds_limit t pages =
    for them.  Runs only on the emergency path, so limit-free executions
    never see it. *)
 let reclaim_empty_blocks t =
-  let is_empty blk =
-    Block.collectable blk
-    &&
-    let live = ref false in
-    for i = 0 to blk.Block.blk_count - 1 do
-      if Block.is_allocated blk i then live := true
-    done;
-    not !live
-  in
+  let is_empty blk = Block.collectable blk && not (has_allocated blk) in
   let retired, kept = List.partition is_empty t.all_blocks in
   if retired <> [] then begin
     t.all_blocks <- kept;
     t.large_blocks <-
       List.filter (fun b -> not (List.memq b retired)) t.large_blocks;
-    (* nursery bookkeeping must not dangle: a retired young block leaves
-       the young set and any bump cursor pointing at it *)
+    (* allocator bookkeeping must not dangle: a retired block leaves the
+       young and aging sets and any bump cursor pointing at it *)
     t.young_blocks <-
       List.filter (fun b -> not (List.memq b retired)) t.young_blocks;
     t.aging_blocks <-
@@ -1189,16 +1186,6 @@ let exhausted t ~req ~pages =
           t.config.heap_limit_words
           (oom_policy_name t.config.oom_policy)))
 
-let new_small_block t cls kind start =
-  let count = Mem.page_size / cls in
-  let blk = Block.make ~start ~pages:1 ~obj_size:cls ~count ~kind in
-  Page_map.set_block t.map blk;
-  t.all_blocks <- blk :: t.all_blocks;
-  let fl = free_list t cls kind in
-  for i = count - 1 downto 0 do
-    fl := Block.slot_addr blk i :: !fl
-  done
-
 (* The one collect-expand retry path of every allocator.  [reuse ()]
    serves the request from storage already inside the footprint (a free
    slot or a freed large block), [fresh start] from [pages] pages claimed
@@ -1223,13 +1210,6 @@ let reuse_or_claim t ~req ~pages ~reuse ~fresh =
           match attempt () with
           | Some v -> v
           | None -> exhausted t ~req ~pages))
-
-(* The free list [fl] of (cls, kind) is empty: refill it with a new
-   single-page block, unless an emergency collection refills it first. *)
-let refill_small t ~req cls kind fl =
-  reuse_or_claim t ~req ~pages:1
-    ~reuse:(fun () -> if !fl = [] then None else Some ())
-    ~fresh:(new_small_block t cls kind)
 
 let alloc_large t ~req bytes kind =
   let pages = (bytes + Mem.page_size - 1) / Mem.page_size in
@@ -1279,75 +1259,104 @@ let alloc_large t ~req bytes kind =
   blk.Block.blk_req.(0) <- req;
   blk.Block.blk_start
 
-(* Open a fresh nursery page for (cls, kind): a young single-page block
-   the bump cursor fills front to back.  The page arrived zeroed (fresh
-   growth is zeroed; pool reuse re-zeroes), which is what lets the bump
-   fast path skip the per-object fill. *)
-let open_young_block t cls kind start =
+(* Open a fresh single-page block for (cls, kind) and make it the bump
+   cursor of its class.  The page arrived zeroed (fresh growth is
+   zeroed; pool reuse re-zeroes), which is what lets {!bump_slot} skip
+   the per-object fill.  A [young] block also joins the nursery. *)
+let open_block t cls kind ~young start =
   let count = Mem.page_size / cls in
   let blk = Block.make ~start ~pages:1 ~obj_size:cls ~count ~kind in
-  blk.Block.blk_young <- true;
   Page_map.set_block t.map blk;
   t.all_blocks <- blk :: t.all_blocks;
-  t.young_blocks <- blk :: t.young_blocks;
-  t.nursery_opened <- t.nursery_opened + 1;
-  t.nursery_cursors.(class_slot cls kind) <- Some blk;
-  blk
+  t.cursors.(class_slot cls kind) <- Some blk;
+  if young then begin
+    blk.Block.blk_young <- true;
+    t.young_blocks <- blk :: t.young_blocks;
+    t.nursery_opened <- t.nursery_opened + 1
+  end
 
-(* Hand the free slot at [addr], just popped off its [cls]-byte free
-   list, to a [req]-byte object: allocated, born young again, black
-   during an incremental cycle, and zeroed.  Returns the slot's block. *)
-let take_free_slot t addr cls req =
-  match Page_map.find t.map addr with
-  | None -> assert false
-  | Some blk ->
-      let i = (addr - blk.Block.blk_start) / blk.Block.blk_obj_size in
-      Bytes.set blk.Block.blk_alloc i '\001';
-      Bytes.set blk.Block.blk_age i '\000';
-      (* allocate-black during an in-flight incremental cycle *)
-      if t.phase <> Idle then Bytes.set blk.Block.blk_mark i '\001';
-      blk.Block.blk_req.(i) <- req;
-      Mem.fill t.mem addr cls '\000';
-      blk
-
-(* Nursery allocation for small collectable objects: the fast path is a
-   bump (slot index increment + limit check) with no page-map lookup, no
-   slot division and no fill.  When the current page is full, freed
-   old-generation slots are drained from the size-class free list before
-   any new page is opened — reuse keeps segregation from costing
-   footprint — and only then is a fresh young page claimed (reclaim pool
-   first, then growth under the ceiling, with the same collect-expand
-   fallback as the stop-the-world path). *)
-let rec alloc_nursery t ~req cls kind =
-  match t.nursery_cursors.(class_slot cls kind) with
+(* Hand the next never-used slot of the cursor block of class slot [k]
+   to a [req]-byte object, or return -1 when there is no cursor block or
+   it is full: a slot index increment and a limit check, with no
+   page-map lookup, no slot division and no fill.  A never-used slot's
+   age is still 0, so none is reset. *)
+let bump_slot t k ~req =
+  match t.cursors.(k) with
   | Some blk when blk.Block.blk_bump < blk.Block.blk_count ->
       let i = blk.Block.blk_bump in
       blk.Block.blk_bump <- i + 1;
       Bytes.set blk.Block.blk_alloc i '\001';
-      (* ages on a fresh block are already 0 and bump slots are never
-         reused, so no age reset is needed here *)
+      (* allocate-black during an in-flight incremental cycle *)
       if t.phase <> Idle then Bytes.set blk.Block.blk_mark i '\001';
       blk.Block.blk_req.(i) <- req;
       blk.Block.blk_start + (i * blk.Block.blk_obj_size)
-  | _ ->
-      let fl = free_list t cls kind in
-      let reuse () =
-        match !fl with
-        | [] -> None
-        | addr :: rest ->
-            fl := rest;
-            let blk = take_free_slot t addr cls req in
-            if generational t && not blk.Block.blk_aging then begin
-              blk.Block.blk_aging <- true;
-              t.aging_blocks <- blk :: t.aging_blocks
-            end;
-            Some addr
-      in
-      (* an emergency collection seals the bump cursors, so its retry
-         starts again from the free list *)
-      reuse_or_claim t ~req ~pages:1 ~reuse ~fresh:(fun start ->
-          ignore (open_young_block t cls kind start);
-          alloc_nursery t ~req cls kind)
+  | Some _ | None -> -1
+
+(* Pop the head of the free list of class slot [k] and hand its slot to
+   a [req]-byte object: allocated, born young again, black during an
+   incremental cycle, and zeroed.  A reused slot of a collectable block
+   puts the block in the aging set of a generational heap.  Returns -1
+   when the list is empty. *)
+let take_listed t k ~req =
+  let fl = t.free_lists.(k) in
+  match !fl with
+  | [] -> -1
+  | addr :: rest -> (
+      fl := rest;
+      match Page_map.find t.map addr with
+      | None -> assert false
+      | Some blk ->
+          let i = (addr - blk.Block.blk_start) / blk.Block.blk_obj_size in
+          Bytes.set blk.Block.blk_alloc i '\001';
+          Bytes.set blk.Block.blk_age i '\000';
+          if t.phase <> Idle then Bytes.set blk.Block.blk_mark i '\001';
+          blk.Block.blk_req.(i) <- req;
+          Mem.fill t.mem addr blk.Block.blk_obj_size '\000';
+          if
+            generational t && Block.collectable blk
+            && not blk.Block.blk_aging
+          then begin
+            blk.Block.blk_aging <- true;
+            t.aging_blocks <- blk :: t.aging_blocks
+          end;
+          addr)
+
+(* A small object of class [cls].  The nursery (small collectable objects
+   of a generational or incremental heap) bumps first, and drains freed
+   old-generation slots off the free list only when its page is full:
+   reuse keeps segregation from costing footprint.  Every other small
+   object takes the free list first.  A block is opened only when its
+   list is empty and the sweep pushes freed slots onto the front, so
+   freed slots go before the never-used ones, as when a fresh block
+   listed all its slots.  Only when both are empty is a fresh page
+   claimed, with the collect-expand fallback; an emergency collection
+   seals the nursery cursors, so its retry starts from the free list. *)
+let alloc_small t ~req cls kind =
+  let k = class_slot cls kind in
+  let young =
+    nursery_enabled t
+    &&
+    match kind with
+    | Block.Normal | Block.Atomic -> true
+    | Block.Uncollectable | Block.Stack -> false
+  in
+  let addr =
+    if young then
+      let a = bump_slot t k ~req in
+      if a >= 0 then a else take_listed t k ~req
+    else
+      let a = take_listed t k ~req in
+      if a >= 0 then a else bump_slot t k ~req
+  in
+  if addr >= 0 then addr
+  else
+    reuse_or_claim t ~req ~pages:1
+      ~reuse:(fun () ->
+        let a = take_listed t k ~req in
+        if a >= 0 then Some a else None)
+      ~fresh:(fun start ->
+        open_block t cls kind ~young start;
+        bump_slot t k ~req)
 
 (** Allocate [bytes] (plus the mandatory slack byte) of zeroed storage.
 
@@ -1377,23 +1386,7 @@ let alloc ?(kind = Block.Normal) t bytes =
   end;
   let with_slack = bytes + 1 in
   if with_slack > max_small then alloc_large t ~req:bytes with_slack kind
-  else if
-    (match kind with
-    | Block.Normal | Block.Atomic -> true
-    | Block.Uncollectable | Block.Stack -> false)
-    && nursery_enabled t
-  then alloc_nursery t ~req:bytes (class_size with_slack) kind
-  else begin
-    let cls = class_size with_slack in
-    let fl = free_list t cls kind in
-    (if !fl = [] then refill_small t ~req:bytes cls kind fl);
-    match !fl with
-    | [] -> assert false
-    | addr :: rest ->
-        fl := rest;
-        ignore (take_free_slot t addr cls bytes);
-        addr
-  end
+  else alloc_small t ~req:bytes (class_size with_slack) kind
 
 (* ------------------------------------------------------------------ *)
 (* Checking primitives (debugging mode runtime)                        *)
@@ -1519,10 +1512,16 @@ let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.v_rule v.v_detail
     - [page-map]: every page of every block maps back to that block, the
       map holds no stray blocks, and no block is listed twice;
     - [mark-bits]: a mark bit is only ever set on an allocated slot;
-    - [free-list]: free lists hold exactly the free slots of small blocks,
-      once each, at slot-base addresses of the right class and kind;
+    - [free-list]: free lists hold exactly the free slots below the bump
+      cursor of old small blocks, once each, at slot-base addresses of the
+      right class and kind;
+    - [cursor]: every small block's bump cursor lies in [[0, count]], and
+      the slots at or past it are unallocated, unmarked and on no free
+      list;
     - [slack-byte]: every allocated object keeps the paper's one extra
       byte ([req] strictly below the rounded slot size);
+    - [nursery]: young blocks are collectable single pages, and the young
+      set is exactly the young blocks;
     - [remembered-set] (generational mode only): every old→young
       reference lies on a dirty card, so a minor collection cannot miss
       it. *)
@@ -1592,37 +1591,41 @@ let check_integrity t : violation list =
   let stray = Page_map.mapped_pages t.map - !mapped_back in
   if stray > 0 then
     report "page-map" "%d stray page(s) registered in the page map" stray;
+  (* [f j] for each slot [j] of [lo, hi), except that eight slots are
+     stepped over at once where [skip8 j] holds: the loops below test
+     eight slots' bytes with one [Bytes.get_int64_le] read. *)
+  let visit_runs lo hi skip8 f =
+    let i = ref lo in
+    while !i < hi do
+      let j = !i in
+      if j + 8 <= hi && skip8 j then i := j + 8
+      else begin
+        f j;
+        i := j + 1
+      end
+    done
+  in
   (* per-slot invariants: mark bits and the one-extra-byte rule.  Eight
-     free, unmarked slots are stepped over at once, reading [blk_alloc]
-     and [blk_mark] eight bytes at a time. *)
+     free, unmarked slots are stepped over at once. *)
   List.iter
     (fun blk ->
       let alloc = blk.Block.blk_alloc and mark = blk.Block.blk_mark in
-      let count = blk.Block.blk_count in
-      let i = ref 0 in
-      while !i < count do
-        let j = !i in
-        if
-          j + 8 <= count
-          && Int64.logor (Bytes.get_int64_le alloc j)
-               (Bytes.get_int64_le mark j)
-             = 0L
-        then i := j + 8
-        else begin
-          (if Bytes.get alloc j <> '\000' then begin
-             let req = blk.Block.blk_req.(j) in
-             if req < 0 || req >= blk.Block.blk_obj_size then
-               report "slack-byte"
-                 "object %#x: %d requested byte(s) leave no slack in a \
-                  %d-byte slot"
-                 (Block.slot_addr blk j) req blk.Block.blk_obj_size
-           end
-           else if Bytes.get mark j <> '\000' then
-             report "mark-bits" "free slot %#x carries a mark bit"
-               (Block.slot_addr blk j));
-          i := j + 1
-        end
-      done)
+      visit_runs 0 blk.Block.blk_count
+        (fun j ->
+          Int64.logor (Bytes.get_int64_le alloc j) (Bytes.get_int64_le mark j)
+          = 0L)
+        (fun j ->
+          if Bytes.get alloc j <> '\000' then begin
+            let req = blk.Block.blk_req.(j) in
+            if req < 0 || req >= blk.Block.blk_obj_size then
+              report "slack-byte"
+                "object %#x: %d requested byte(s) leave no slack in a \
+                 %d-byte slot"
+                (Block.slot_addr blk j) req blk.Block.blk_obj_size
+          end
+          else if Bytes.get mark j <> '\000' then
+            report "mark-bits" "free slot %#x carries a mark bit"
+              (Block.slot_addr blk j)))
     t.all_blocks;
   (* free-list soundness.  Each entry sets the flag of the slot the page
      map resolves it to; an entry that resolves to no slot base is
@@ -1633,7 +1636,7 @@ let check_integrity t : violation list =
     Hashtbl.replace odd addr ();
     seen
   in
-  (* Free lists are filled block by block, by a fresh block or a sweep,
+  (* Free lists are filled block by block, by a sweep or a promotion,
      so consecutive entries mostly share a page: its block [home] and
      that block's [flags] are looked up once per page ([find] of a
      negative address is [None], like the initial [home]).  Most lists
@@ -1691,12 +1694,14 @@ let check_integrity t : violation list =
         in
         walk entries
   done;
-  (* free-list completeness: every free small-class slot is findable —
-     except on nursery pages, whose slots are bump-allocated and only
-     join the free lists when the page is promoted.  A block whose pages
-     all map back to it resolves each of its slots to itself, and eight
-     of its slots that are each allocated or listed are stepped over at
-     once. *)
+  (* Per small block, the cursor rule and free-list completeness.  Slots
+     at or past [blk_bump] were never handed out: unallocated, unmarked
+     and unlisted.  Every free slot below it is findable, except on
+     nursery pages, whose freed slots join the free lists only when the
+     page is promoted.  A block whose pages all map back to it resolves
+     each of its slots to itself, and eight of its slots are stepped
+     over at once: below the cursor when each is allocated or listed,
+     past it when none is allocated, marked or listed. *)
   let on_free_list addr =
     match Page_map.find t.map addr with
     | Some b when Block.slot_base b addr >= 0 ->
@@ -1706,37 +1711,50 @@ let check_integrity t : violation list =
   let all_set = 0x0101010101010101L in
   List.iter
     (fun blk ->
-      if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young
-      then begin
-        let alloc = blk.Block.blk_alloc and flags = listed blk in
-        let exact = not (List.memq blk !misrouted) in
-        let count = blk.Block.blk_count in
-        let i = ref 0 in
-        while !i < count do
-          let j = !i in
-          if
-            exact && j + 8 <= count
-            && Int64.logor (Bytes.get_int64_le alloc j)
+      if blk.Block.blk_obj_size <= max_small then begin
+        let alloc = blk.Block.blk_alloc and mark = blk.Block.blk_mark in
+        let flags = listed blk and exact = not (List.memq blk !misrouted) in
+        let is_listed j =
+          if exact then Bytes.get flags j <> '\000'
+          else on_free_list (Block.slot_addr blk j)
+        in
+        let count = blk.Block.blk_count and bump = blk.Block.blk_bump in
+        if bump < 0 || bump > count then
+          report "cursor" "block %#x: bump %d outside [0,%d]"
+            blk.Block.blk_start bump count;
+        let bump = max 0 (min bump count) in
+        if not blk.Block.blk_young then
+          visit_runs 0 bump
+            (fun j ->
+              exact
+              && Int64.logor (Bytes.get_int64_le alloc j)
+                   (Bytes.get_int64_le flags j)
+                 = all_set)
+            (fun j ->
+              if Bytes.get alloc j = '\000' && not (is_listed j) then
+                report "free-list" "free slot %#x is on no free list"
+                  (Block.slot_addr blk j));
+        let in_use j what =
+          report "cursor"
+            "block %#x: slot %d at or past the bump cursor (%d) is %s"
+            blk.Block.blk_start j bump what
+        in
+        visit_runs bump count
+          (fun j ->
+            exact
+            && Int64.logor
+                 (Int64.logor (Bytes.get_int64_le alloc j)
+                    (Bytes.get_int64_le mark j))
                  (Bytes.get_int64_le flags j)
-               = all_set
-          then i := j + 8
-          else begin
-            if
-              Bytes.get alloc j = '\000'
-              && not
-                   (if exact then Bytes.get flags j <> '\000'
-                    else on_free_list (Block.slot_addr blk j))
-            then
-              report "free-list" "free slot %#x is on no free list"
-                (Block.slot_addr blk j);
-            i := j + 1
-          end
-        done
+               = 0L)
+          (fun j ->
+            if Bytes.get alloc j <> '\000' then in_use j "allocated";
+            if Bytes.get mark j <> '\000' then in_use j "marked";
+            if is_listed j then in_use j "on a free list")
       end)
     t.all_blocks;
   (* nursery invariants: young blocks are collectable single-page bump
-     regions, the cursor stays within bounds, nothing past the cursor
-     was ever allocated, and the young set is exactly the young blocks *)
+     regions, and the young set is exactly the young blocks *)
   List.iter
     (fun blk ->
       if blk.Block.blk_young then begin
@@ -1746,17 +1764,6 @@ let check_integrity t : violation list =
         if blk.Block.blk_pages <> 1 then
           report "nursery" "young block %#x spans %d pages"
             blk.Block.blk_start blk.Block.blk_pages;
-        if blk.Block.blk_bump < 0 || blk.Block.blk_bump > blk.Block.blk_count
-        then
-          report "nursery" "young block %#x: bump %d outside [0,%d]"
-            blk.Block.blk_start blk.Block.blk_bump blk.Block.blk_count;
-        for i = max 0 blk.Block.blk_bump to blk.Block.blk_count - 1 do
-          if Block.is_allocated blk i || Block.is_marked blk i then
-            report "nursery"
-              "young block %#x: slot %d at or past the bump cursor (%d) is \
-               in use"
-              blk.Block.blk_start i blk.Block.blk_bump
-        done;
         if not (List.memq blk t.young_blocks) then
           report "nursery" "young block %#x is missing from the young set"
             blk.Block.blk_start

@@ -176,8 +176,8 @@ type t = {
   mutable aging_blocks : Block.t list;
       (** old-generation blocks that may hold still-young (reused or
           large) slots, visited by the segregated minor sweep *)
-  nursery_cursors : Block.t option array;
-      (** the young block being bump-filled, indexed like [free_lists] *)
+  cursors : Block.t option array;
+      (** the block being bump-filled, indexed like [free_lists] *)
   mutable nursery_opened : int;
       (** young pages opened since the last collection (the nursery
           occupancy trigger for minor cycles) *)
@@ -206,8 +206,9 @@ val create : ?config:config -> unit -> t
 
 val nursery_enabled : t -> bool
 (** Is the bump-pointer nursery in service?  True on generational and
-    incremental heaps; always false on stop-the-world heaps, which keep
-    the seed allocator bit for bit. *)
+    incremental heaps; always false on stop-the-world heaps, which take
+    a freed slot before a never-used one and so hand out the seed
+    allocator's addresses. *)
 
 val class_size : int -> int
 (** The size class an allocation request (slack included) rounds up to. *)
@@ -217,8 +218,10 @@ val max_small : int
     bigger is a whole-pages large block. *)
 
 val free_list : t -> int -> Block.kind -> int list ref
-(** [free_list t cls kind]: the free slot addresses of class size [cls]
-    (a {!class_size} up to {!max_small}) and [kind], the next one first. *)
+(** [free_list t cls kind]: the listed free slot addresses of class size
+    [cls] (a {!class_size} up to {!max_small}) and [kind], the next one
+    first.  Slots at or past a block's bump cursor are free but not
+    listed. *)
 
 val alloc : ?kind:Block.kind -> t -> int -> int
 (** [alloc t n] returns the address of [n] bytes of zeroed storage (the
@@ -357,8 +360,10 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val check_integrity : t -> violation list
 (** Validate page-map/block-header agreement, mark-bit consistency,
-    free-list well-formedness and the one-extra-byte rule.  Returns the
-    violations found (empty on a healthy heap). *)
+    free-list well-formedness, the bump-cursor rule, the one-extra-byte
+    rule, the nursery sets and (generational heaps) remembered-set
+    completeness.  Returns the violations found (empty on a healthy
+    heap). *)
 
 val integrity_checks : int Atomic.t
 (** {!check_integrity} calls made so far in this process, on any heap

@@ -771,7 +771,7 @@ let r_retire m blk =
 let r_promote m blk =
   let x = mb m blk in
   x.young <- false;
-  x.bump <- 0;
+  x.bump <- blk.Block.blk_count;
   m.young_set <- List.filter (fun b -> not (b == blk)) m.young_set;
   let fl = r_free_list m (blk.Block.blk_obj_size, blk.Block.blk_kind) in
   for i = blk.Block.blk_count - 1 downto 0 do

@@ -104,15 +104,19 @@ let test_detects_stray_beside_duplicate () =
     (List.sort compare page_map)
 
 (* Each free-list finding, with its detail, on a heap whose 32-byte
-   block holds one object and lists the other 127 slots in address
-   order.  The soundness walk and the completeness scan step over runs of
-   slots at once, so the corruptions land inside, at the start and at
-   the end of such runs. *)
+   block holds one object and, after a sweep, lists the other 127 slots
+   in descending address order.  The soundness walk and the completeness
+   scan step over runs of slots at once, so the corruptions land inside,
+   at the start and at the end of such runs. *)
 let test_free_list_findings () =
   let setup ?(h = fresh ()) () =
     let a = Heap.alloc h 16 in
     let blk = block_of h a in
     let size = blk.Block.blk_obj_size in
+    for _ = 2 to blk.Block.blk_count do
+      ignore (Heap.alloc h 16)
+    done;
+    ignore (Heap.collect ~extra_roots:[ [| a |] ] h);
     (h, a, Heap.free_list h size Block.Normal, fun i -> a + (i * size))
   in
   let findings h =
@@ -212,6 +216,63 @@ let test_detects_nursery_violation () =
     (block_of h a).Block.blk_young;
   h.Heap.young_blocks <- [];
   fires "nursery" h
+
+(* Each cursor finding, with its detail, on a heap whose 32-byte block
+   has handed out one slot by its bump cursor: the slots at or past the
+   cursor must be unallocated, unmarked and on no free list, and the
+   cursor must lie in [0, count].  Slot 1 sits at the cursor, 9 starts
+   the second run of eight and 127 is the last slot. *)
+let test_cursor_findings () =
+  let setup ?(h = fresh ()) () =
+    let blk = block_of h (Heap.alloc h 16) in
+    Alcotest.(check int) "one slot bumped" 1 blk.Block.blk_bump;
+    (h, blk)
+  in
+  let findings h =
+    List.filter_map
+      (fun v -> if v.Heap.v_rule = "cursor" then Some v.Heap.v_detail else None)
+      (Heap.check_integrity h)
+  in
+  let expect name want h = Alcotest.(check (list string)) name want (findings h) in
+  let in_use ?(cursor = 1) blk i what =
+    Printf.sprintf "block %#x: slot %d at or past the bump cursor (%d) is %s"
+      blk.Block.blk_start i cursor what
+  in
+  let h, _ = setup () in
+  expect "healthy" [] h;
+  let h, blk = setup () in
+  List.iter (fun i -> Block.set_allocated blk i true) [ 1; 9; 127 ];
+  expect "allocated"
+    (List.map (fun i -> in_use blk i "allocated") [ 1; 9; 127 ])
+    h;
+  let h, blk = setup () in
+  Block.set_marked blk 9 true;
+  expect "marked" [ in_use blk 9 "marked" ] h;
+  let h, blk = setup () in
+  let fl = Heap.free_list h blk.Block.blk_obj_size Block.Normal in
+  fl := Block.slot_addr blk 127 :: Block.slot_addr blk 1 :: !fl;
+  expect "listed"
+    [ in_use blk 1 "on a free list"; in_use blk 127 "on a free list" ]
+    h;
+  let h, blk = setup ~h:(gen_heap ()) () in
+  Alcotest.(check bool) "nursery block" true blk.Block.blk_young;
+  Block.set_allocated blk 9 true;
+  expect "allocated on a nursery page" [ in_use blk 9 "allocated" ] h;
+  let h, blk = setup () in
+  let count = blk.Block.blk_count in
+  blk.Block.blk_bump <- count + 1;
+  expect "cursor past the end"
+    [ Printf.sprintf "block %#x: bump %d outside [0,%d]" blk.Block.blk_start
+        (count + 1) count ]
+    h;
+  blk.Block.blk_bump <- -1;
+  expect "cursor before the start"
+    [
+      Printf.sprintf "block %#x: bump -1 outside [0,%d]" blk.Block.blk_start
+        count;
+      in_use ~cursor:0 blk 0 "allocated";
+    ]
+    h
 
 let test_detects_remembered_set_violation () =
   let h = gen_heap () in
@@ -538,6 +599,8 @@ let suite =
       test_detects_bad_block_header;
     Alcotest.test_case "integrity: nursery violation" `Quick
       test_detects_nursery_violation;
+    Alcotest.test_case "integrity: every cursor finding" `Quick
+      test_cursor_findings;
     Alcotest.test_case "integrity: remembered-set violation" `Quick
       test_detects_remembered_set_violation;
     Alcotest.test_case "integrity: assert raises" `Quick
