@@ -177,6 +177,8 @@ let live_in t l = regs t t.live_in l
 
 let live_out t l = regs t t.live_out l
 
+let may_cross_blocks t r = t.global.(r) >= 0
+
 let mem_out t l r =
   t.global.(r) >= 0
   &&

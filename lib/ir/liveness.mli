@@ -1,8 +1,18 @@
 (** Backward liveness dataflow over the CFG.
 
-    Used by dead-code elimination, register allocation, the
+    Used by dead-code elimination, register allocation, induction, the
     pointer-disguising passes (whose safety conditions are phrased as
-    "dead after this instruction") and the peephole postprocessor.
+    "dead after this instruction") and the peephole postprocessor.  Each
+    computes it once per run and again only after a rewrite made it
+    stale: the disguising pass between its two shapes only when the first
+    folded something, the peephole between patterns only when the
+    previous one rewrote something, induction only when the function has
+    a loop of its shape, and dead-code elimination starts another round
+    only when it removed an instruction reading a register for which
+    {!may_cross_blocks} holds.  So the optimizing pipeline computes it at
+    least six times per function: twice for the disguising pass, three
+    times for dead-code elimination, once for register allocation.  A
+    displacement fold, a loop and each further dead-code round add one.
 
     Representation and costs.  [compute] numbers the function's blocks
     densely, and densely numbers its global registers: those some block
@@ -28,6 +38,12 @@ val live_out : t -> Instr.label -> Instr.reg list
 
 val mem_out : t -> Instr.label -> Instr.reg -> bool
 (** [mem_out t l r]: [r] is in [live_out t l]. *)
+
+val may_cross_blocks : t -> Instr.reg -> bool
+(** [r] is read before it is written in some block: only such a register
+    can be live at a block boundary.  Deleting dead instructions that read
+    no such register leaves every block's live-in and live-out sets as
+    they were. *)
 
 type cursor
 (** The registers live at one point of a block, moved backward one

@@ -13,17 +13,16 @@
 
 open Ir.Instr
 
+(* how many times each register is read, terminators included *)
 let use_counts (f : func) =
-  let counts = Hashtbl.create 64 in
-  let bump r =
-    Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r))
-  in
+  let counts = Array.make f.fn_nreg 0 in
+  let bump r = counts.(r) <- counts.(r) + 1 in
   List.iter
     (fun b ->
-      List.iter (fun i -> List.iter bump (uses i)) b.b_instrs;
+      List.iter (iter_uses bump) b.b_instrs;
       List.iter bump (term_uses b.b_term))
     f.fn_blocks;
-  fun r -> Option.value ~default:0 (Hashtbl.find_opt counts r)
+  counts
 
 let set_def d = function
   | Mov (_, s) -> Mov (d, s)
@@ -40,7 +39,7 @@ let run (f : func) =
     (fun b ->
       let rec rewrite = function
         | i1 :: Mov (v, Reg t) :: rest
-          when def i1 = Some t && t <> v && uses_of t = 1 ->
+          when def i1 = Some t && t <> v && uses_of.(t) = 1 ->
             set_def v i1 :: rewrite rest
         | i :: rest -> i :: rewrite rest
         | [] -> []

@@ -1,6 +1,4 @@
 (** Block-local copy and constant propagation.  [Opaque] definitions are
     never propagated: KEEP_LIVE results must remain explicitly stored. *)
 
-val run_block : Ir.Instr.block -> unit
-
 val run : Ir.Instr.func -> unit

@@ -16,21 +16,21 @@ type key = K_bin of binop * operand * operand | K_rel of relop * operand * opera
 let reads k r =
   match k with K_bin (_, a, b) | K_rel (_, a, b) -> a = Reg r || b = Reg r
 
-let run_block (b : block) =
+(* [index.(r)]: the keys entered while reading r or held in r, since the
+   block began.  An entry goes stale when its key is killed or re-entered
+   under another register, so [kill] re-checks each one against [avail].
+   [touched] lists the registers whose entry the block set. *)
+let run_block index touched (b : block) =
   let avail : (key, reg) Hashtbl.t = Hashtbl.create 16 in
-  (* register -> keys entered while reading it or held in it; an entry
-     goes stale when its key is killed or re-entered under another
-     register, so [kill] re-checks each one against [avail] *)
-  let index : (reg, key list) Hashtbl.t = Hashtbl.create 16 in
   let add_index r k =
-    Hashtbl.replace index r
-      (k :: Option.value ~default:[] (Hashtbl.find_opt index r))
+    (match index.(r) with [] -> touched := r :: !touched | _ :: _ -> ());
+    index.(r) <- k :: index.(r)
   in
   let kill r =
-    match Hashtbl.find_opt index r with
-    | None -> ()
-    | Some keys ->
-        Hashtbl.remove index r;
+    match index.(r) with
+    | [] -> ()
+    | keys ->
+        index.(r) <- [];
         List.iter
           (fun k ->
             match Hashtbl.find_opt avail k with
@@ -43,7 +43,8 @@ let run_block (b : block) =
     add_index d k;
     match k with
     | K_bin (_, a, b) | K_rel (_, a, b) ->
-        List.iter (fun r -> add_index r k) (op_uses a @ op_uses b)
+        iter_op_uses (fun r -> add_index r k) a;
+        iter_op_uses (fun r -> add_index r k) b
   in
   let instrs =
     List.map
@@ -62,7 +63,8 @@ let run_block (b : block) =
               | _ -> i)
           | _ -> i
         in
-        (match Ir.Instr.def i with Some d -> kill d | None -> ());
+        let d = def_reg i in
+        if d >= 0 then kill d;
         (* [d = d + c] reads the old [d]: the key names a value [d] no
            longer holds, so it is not entered *)
         (match (i, key) with
@@ -72,6 +74,10 @@ let run_block (b : block) =
         i)
       b.b_instrs
   in
-  b.b_instrs <- instrs
+  b.b_instrs <- instrs;
+  List.iter (fun r -> index.(r) <- []) !touched;
+  touched := []
 
-let run (f : func) = List.iter run_block f.fn_blocks
+let run (f : func) =
+  let index = Array.make f.fn_nreg [] and touched = ref [] in
+  List.iter (run_block index touched) f.fn_blocks

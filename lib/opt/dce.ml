@@ -9,16 +9,20 @@ open Ir.Instr
 
 (* One backward cursor sweep over [b] from its live-out set.  A removed
    instruction adds no uses, so a whole dead chain within the block goes
-   in one sweep.  Returns whether anything was removed. *)
+   in one sweep.  Returns whether a removed instruction read a register
+   that can be live at a block boundary. *)
 let sweep live (b : block) =
   let c = Ir.Liveness.cursor live b in
-  let removed = ref false in
+  let removed = ref false and stale = ref false in
   let keep =
     List.fold_left
       (fun keep i ->
         match Ir.Instr.def i with
         | Some d when (not (Ir.Liveness.mem c d)) && not (has_side_effect i) ->
             removed := true;
+            iter_uses
+              (fun r -> if Ir.Liveness.may_cross_blocks live r then stale := true)
+              i;
             keep
         | _ ->
             Ir.Liveness.step c i;
@@ -26,18 +30,21 @@ let sweep live (b : block) =
       [] (List.rev b.b_instrs)
   in
   if !removed then b.b_instrs <- keep;
-  !removed
+  !stale
 
 (* Removing a dead instruction only shrinks liveness, so no removal makes
    another instruction live again and the fixpoint does not depend on the
-   order of removals.  A new round recomputes liveness only to catch
-   chains that cross blocks. *)
+   order of removals.  Another round catches chains that cross blocks, so
+   it runs only when a removal read a register that can be live at a
+   block boundary.  Otherwise every block's live-out set is what it was,
+   each kept instruction meets the same cursor as in this round, and the
+   round would remove nothing. *)
 let run (f : func) =
-  let changed = ref true in
-  while !changed do
+  let stale = ref true in
+  while !stale do
     let live = Ir.Liveness.compute f in
-    changed :=
-      List.fold_left (fun changed b -> sweep live b || changed) false f.fn_blocks
+    stale :=
+      List.fold_left (fun stale b -> sweep live b || stale) false f.fn_blocks
   done
 
 (** Also drop trivially unreachable blocks (no predecessors, not entry). *)

@@ -174,7 +174,11 @@ let rewrite_loop (f : func) (live : Ir.Liveness.t) (ls : loop_shape) : bool =
       | _ -> false)
   | _ -> false
 
+(* every loop reads the liveness of the function as it was before the
+   first rewrite; a function without loops needs none *)
 let run (f : func) =
-  let live = Ir.Liveness.compute f in
-  let loops = find_loops f in
-  List.iter (fun ls -> ignore (rewrite_loop f live ls)) loops
+  match find_loops f with
+  | [] -> ()
+  | loops ->
+      let live = Ir.Liveness.compute f in
+      List.iter (fun ls -> ignore (rewrite_loop f live ls)) loops

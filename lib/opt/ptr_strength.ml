@@ -36,12 +36,12 @@ open Ir.Instr
    liveness computed before the block's rewrites, through one backward
    cursor pass. *)
 
-(* within a block, rewrite shape 1 *)
+(* within a block, rewrite shape 1; returns whether it rewrote anything *)
 let fold_displacement (f : func) (live : Ir.Liveness.t) =
   (* last definition and last use before the current instruction, in the
      block as rewritten so far *)
   let last_def = Array.make f.fn_nreg (-1) and last_use = Array.make f.fn_nreg (-1) in
-  let base = ref 0 in
+  let base = ref 0 and folded = ref false in
   List.iter
     (fun b ->
       let instrs = Array.of_list b.b_instrs in
@@ -71,6 +71,7 @@ let fold_displacement (f : func) (live : Ir.Liveness.t) =
                 (* p := p op c   ...   ld d, [p + i] *)
                 instrs.(j) <- Bin (op, p, Reg p, Imm c);
                 instrs.(idx) <- Load (w, d, Reg p, Reg i);
+                folded := true;
                 last_def.(t) <- prev_def.(j);
                 prev_def.(j) <- last_def.(p);
                 last_def.(p) <- jg
@@ -86,7 +87,8 @@ let fold_displacement (f : func) (live : Ir.Liveness.t) =
       done;
       base := base0 + n;
       b.b_instrs <- Array.to_list instrs)
-    f.fn_blocks
+    f.fn_blocks;
+  !folded
 
 (* shape 2: q := p + c, p dead after, q's uses all in this block and q not a
    KeepLive operand: rename q to p (register reuse overwrites the base).
@@ -158,8 +160,9 @@ let reuse_base (f : func) (live : Ir.Liveness.t) =
       b.b_instrs <- Array.to_list instrs)
     f.fn_blocks
 
+(* shape 2 reads the liveness of shape 1's output, which is shape 1's
+   input unless a fold rewrote it *)
 let run (f : func) =
   let live = Ir.Liveness.compute f in
-  fold_displacement f live;
-  let live = Ir.Liveness.compute f in
+  let live = if fold_displacement f live then Ir.Liveness.compute f else live in
   reuse_base f live

@@ -27,6 +27,9 @@ exception Too_many_params of string
 
 let nscratch = 3
 
+(* [compare] on (end, vreg) pairs, the order of the active list *)
+let by_end (e1, v1) (e2, v2) = if e1 <> e2 then Int.compare e1 e2 else Int.compare v1 v2
+
 let run ?(nregs = 32) (f : func) : result =
   let avail = nregs - 1 - nscratch in
   if List.length f.fn_params > avail then raise (Too_many_params f.fn_name);
@@ -89,15 +92,17 @@ let run ?(nregs = 32) (f : func) : result =
     f.fn_frame <- off + 8;
     assign.(v) <- Some (Slot off)
   in
+  (* the intervals ending before p are a prefix of [active] *)
   let expire p =
-    let keep, gone = List.partition (fun (e, _) -> e >= p) !active in
-    active := keep;
-    List.iter
-      (fun (_, v) ->
-        match assign.(v) with
-        | Some (Phys r) when r <> 0 -> free.(r) <- true
-        | _ -> ())
-      gone
+    let rec drop = function
+      | (e, v) :: rest when e < p ->
+          (match assign.(v) with
+          | Some (Phys r) when r <> 0 -> free.(r) <- true
+          | _ -> ());
+          drop rest
+      | keep -> keep
+    in
+    active := drop !active
   in
   let intervals =
     List.sort
@@ -142,7 +147,7 @@ let run ?(nregs = 32) (f : func) : result =
       | Some r ->
           free.(r) <- false;
           assign.(v) <- Some (Phys r);
-          active := List.merge compare [ (e, v) ] !active
+          active := List.merge by_end [ (e, v) ] !active
       | None -> (
           (* spill the interval that ends last *)
           match List.rev !active with
@@ -153,7 +158,7 @@ let run ?(nregs = 32) (f : func) : result =
                   incr spills;
                   active := List.filter (fun (_, x) -> x <> v') !active;
                   assign.(v) <- Some (Phys r);
-                  active := List.merge compare [ (e, v) ] !active
+                  active := List.merge by_end [ (e, v) ] !active
               | _ ->
                   spill_slot v;
                   incr spills)
@@ -181,18 +186,19 @@ let run ?(nregs = 32) (f : func) : result =
       in
       let rewrite_instr i =
         next_scratch := 0;
-        (* map each used spilled vreg to a scratch loaded just before *)
-        let mapping = Hashtbl.create 4 in
+        (* map each used spilled vreg to a scratch loaded just before; an
+           instruction reads at most three registers *)
+        let mapping = ref [] in
         let map_use r =
           match loc r with
           | Phys p -> Reg p
           | Slot off -> (
-              match Hashtbl.find_opt mapping r with
+              match List.assoc_opt r !mapping with
               | Some s -> Reg s
               | None ->
                   let s = take_scratch () in
                   push (Load (W8, s, Reg 0, Imm off));
-                  Hashtbl.replace mapping r s;
+                  mapping := (r, s) :: !mapping;
                   Reg s)
         in
         let i' = map_instr_ops map_use i in

@@ -365,20 +365,15 @@ let chain_block n =
     (Ret (Some (Reg (x n))))
 
 let test_disguise_scales_linearly () =
-  (* best of five, to keep a stray collection out of the ratio *)
-  let time n =
-    List.fold_left min infinity
-      (List.init 5 (fun _ ->
-           let f = chain_block n in
-           let t0 = Sys.time () in
-           Opt.Ptr_strength.run f;
-           Sys.time () -. t0))
+  let make n () =
+    let f = chain_block n in
+    fun () -> Opt.Ptr_strength.run f
   in
-  let small = time 1000 and large = time 8000 in
+  let ratio, small, large = Util.growth make 1000 8000 in
   (* 8x the statements: linear is 8x, quadratic 64x *)
-  if large > 32. *. Float.max small 1e-4 then
+  if ratio > 32. then
     Alcotest.failf "8000 statements took %.1fx as long as 1000 (%.2f ms vs %.2f ms)"
-      (large /. small) (large *. 1e3) (small *. 1e3)
+      ratio (large *. 1e3) (small *. 1e3)
 
 (* The two shapes as the pass first stated them: each candidate rescans
    the block, and a rename rewrites every later instruction at once.
@@ -509,6 +504,120 @@ let prop_disguise_matches_reference =
       reference_ptr_strength slow;
       show_func fast = show_func slow)
 
+(* --- copy propagation and DCE against their first statements ------------ *)
+
+(* Copy propagation as it was first stated: a hashtable environment, and
+   each definition scans every mapping for ones whose source it
+   overwrites.  Quadratic; the dense pass must rewrite exactly as this
+   does. *)
+let reference_copyprop (f : func) =
+  List.iter
+    (fun b ->
+      let env : (reg, operand) Hashtbl.t = Hashtbl.create 16 in
+      let invalidate r =
+        Hashtbl.remove env r;
+        let victims =
+          Hashtbl.fold (fun d s acc -> if s = Reg r then d :: acc else acc) env []
+        in
+        List.iter (Hashtbl.remove env) victims
+      in
+      let subst r = match Hashtbl.find_opt env r with Some o -> o | None -> Reg r in
+      b.b_instrs <-
+        List.map
+          (fun i ->
+            let i = map_instr_ops subst i in
+            (match def i with Some d -> invalidate d | None -> ());
+            (match i with Mov (d, s) when s <> Reg d -> Hashtbl.replace env d s | _ -> ());
+            i)
+          b.b_instrs;
+      b.b_term <- map_term_ops subst b.b_term)
+    f.fn_blocks
+
+(* DCE as it was first stated: recompute liveness and sweep every block
+   until a round removes nothing. *)
+let reference_dce (f : func) =
+  let changed = ref true in
+  while !changed do
+    let live = Ir.Liveness.compute f in
+    changed := false;
+    List.iter
+      (fun b ->
+        let c = Ir.Liveness.cursor live b in
+        let keep =
+          List.fold_left
+            (fun keep i ->
+              match def i with
+              | Some d when (not (Ir.Liveness.mem c d)) && not (has_side_effect i) ->
+                  changed := true;
+                  keep
+              | _ ->
+                  Ir.Liveness.step c i;
+                  i :: keep)
+            [] (List.rev b.b_instrs)
+        in
+        b.b_instrs <- keep)
+      f.fn_blocks
+  done
+
+(* A function of a random program, lowered as the safe build lowers it
+   (so KeepLive and Opaque appear), or a random function. *)
+let gen_ir_func =
+  let open QCheck.Gen in
+  let lowered src =
+    let ast = Csyntax.Parser.parse_program src in
+    let annotated =
+      (Gcsafe.Annotate.run ~opts:(Gcsafe.Mode.default Gcsafe.Mode.Safe) ast)
+        .Gcsafe.Annotate.program
+    in
+    (Ir.Compile.compile_program ~mode:Ir.Compile.opt_mode annotated).p_funcs
+  in
+  frequency [ (1, Testgen.program_gen >>= fun src -> oneofl (lowered src)); (3, Testgen.ir_func ()) ]
+
+(* [pass] and [reference] rewrite copies of [f] alike *)
+let agree pass reference f =
+  let copy () =
+    { f with fn_blocks = List.map (fun b -> { b with b_instrs = b.b_instrs }) f.fn_blocks }
+  in
+  let fast = copy () and slow = copy () in
+  pass fast;
+  reference slow;
+  show_func fast = show_func slow
+
+let prop_copyprop_matches_reference =
+  QCheck.Test.make ~count:400 ~name:"copyprop: dense pass == hashtable reference"
+    (QCheck.make ~print:show_func gen_ir_func)
+    (agree Opt.Copyprop.run reference_copyprop)
+
+let prop_dce_matches_reference =
+  QCheck.Test.make ~count:400 ~name:"dce: == recompute-until-stable reference"
+    (QCheck.make ~print:show_func gen_ir_func)
+    (agree Opt.Dce.run reference_dce)
+
+(* A straight-line block of n statements [d := s; e := d + 1] whose
+   sources are never redefined: every copy stays mapped to the end of the
+   block, so a pass that scans all mappings at each definition is
+   quadratic here. *)
+let copy_block n =
+  let body =
+    List.concat
+      (List.init n (fun k ->
+           let d = 9 + (2 * k) in
+           [ Mov (d, Reg (1 + (k mod 8))); Bin (Add, d + 1, Reg d, Imm 1) ]))
+  in
+  mk_func ~params:(List.init 8 succ) ~nreg:(9 + (2 * n)) body
+    (Ret (Some (Reg (8 + (2 * n)))))
+
+let test_copyprop_scales_linearly () =
+  let make n () =
+    let f = copy_block n in
+    fun () -> Opt.Copyprop.run f
+  in
+  let ratio, small, large = Util.growth make 1000 8000 in
+  (* 8x the statements: linear is 8x, quadratic 64x *)
+  if ratio > 32. then
+    Alcotest.failf "8000 statements took %.1fx as long as 1000 (%.2f ms vs %.2f ms)"
+      ratio (large *. 1e3) (small *. 1e3)
+
 (* --- semantic preservation through the whole pipeline ----------------------- *)
 
 let test_optimizer_preserves_semantics () =
@@ -565,6 +674,10 @@ let suite =
     Alcotest.test_case "disguise: linear in block length" `Quick
       test_disguise_scales_linearly;
     QCheck_alcotest.to_alcotest prop_disguise_matches_reference;
+    QCheck_alcotest.to_alcotest prop_copyprop_matches_reference;
+    QCheck_alcotest.to_alcotest prop_dce_matches_reference;
+    Alcotest.test_case "copyprop: linear in block length" `Quick
+      test_copyprop_scales_linearly;
     Alcotest.test_case "disguise: base register reuse" `Quick
       test_disguise_reuse_base;
     Alcotest.test_case "semantics preserved" `Quick

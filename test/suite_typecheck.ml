@@ -344,22 +344,18 @@ let if_nest n =
   Buffer.contents b
 
 let test_nest_scales_linearly () =
-  (* best of five, to keep a stray collection out of the ratio *)
-  let time n =
+  let make n =
     let ast = Parser.parse_program (if_nest n) in
-    List.fold_left min infinity
-      (List.init 5 (fun _ ->
-           let t0 = Sys.time () in
-           ignore (Typecheck.check_program ast);
-           ignore (Ir.Compile.compile_program ast);
-           Sys.time () -. t0))
+    fun () () ->
+      ignore (Typecheck.check_program ast);
+      ignore (Ir.Compile.compile_program ast)
   in
-  let small = time 250 and large = time 2000 in
+  let ratio, small, large = Util.growth make 250 2000 in
   (* 8x the depth: linear is 8x; a lookup that walks the enclosing scopes
      makes it quadratic, 64x *)
-  if large > 32. *. Float.max small 1e-4 then
+  if ratio > 32. then
     Alcotest.failf "an if nest 2000 deep took %.1fx as long as 250 (%.2f ms vs %.2f ms)"
-      (large /. small) (large *. 1e3) (small *. 1e3)
+      ratio (large *. 1e3) (small *. 1e3)
 
 let suite =
   [

@@ -4,7 +4,10 @@
    arithmetic stays inside the heap array it derives from (so checked mode
    must accept them), divisors are forced odd, shifts are bounded.  Every
    program prints a digest of all its state at the end, so two builds
-   agree iff their observable behaviour agrees. *)
+   agree iff their observable behaviour agrees.
+
+   [ir_func] generates IR functions directly, for passes checked against
+   a reference implementation rather than by running the result. *)
 
 open QCheck.Gen
 
@@ -138,3 +141,53 @@ int main(void) {
 
 let arbitrary_program =
   QCheck.make ~print:(fun s -> s) program_gen
+
+(* --- IR functions --------------------------------------------------- *)
+
+open Ir.Instr
+
+(* Random functions of one to four blocks over [regs] registers (seven by
+   default): copies of registers and constants, arithmetic, memory (often
+   [ld d, \[p + 0\]], which the peephole folds into), KeepLive, Opaque
+   and calls, with branches forward and back, so copies are overwritten
+   and dead chains cross blocks. *)
+let ir_func ?(regs = 7) () =
+  let reg = int_range 1 regs in
+  let operand =
+    frequency [ (4, map (fun r -> Reg r) reg); (1, map (fun k -> Imm k) (int_range 0 3)) ]
+  in
+  let instr =
+    frequency
+      [
+        (5, map2 (fun d s -> Mov (d, s)) reg operand);
+        (4, map3 (fun d a b -> Bin (Add, d, a, b)) reg operand operand);
+        (1, map3 (fun d a b -> Rel (Lt, d, a, b)) reg operand operand);
+        (1, map3 (fun d p t -> Load (W8, d, Reg p, t)) reg reg operand);
+        (2, map2 (fun d p -> Load (W8, d, Reg p, Imm 0)) reg reg);
+        (1, map3 (fun s p t -> Store (W8, s, Reg p, t)) operand reg operand);
+        (1, map2 (fun d s -> Opaque (d, s)) reg operand);
+        (1, map (fun r -> KeepLive (Reg r)) reg);
+        (1, map (fun d -> Call (Some d, "f", 0)) reg);
+      ]
+  in
+  let* nb = int_range 1 4 in
+  let* blocks =
+    flatten_l
+      (List.init nb (fun l ->
+           let* instrs = list_size (int_range 0 12) instr in
+           let* term =
+             if l = nb - 1 then map (fun r -> Ret (Some (Reg r))) reg
+             else
+               oneof
+                 [
+                   return (Jmp (l + 1));
+                   map2 (fun c l' -> Br (Reg c, l + 1, l')) reg (int_range 0 (nb - 1));
+                 ]
+           in
+           return { b_label = l; b_instrs = instrs; b_term = term }))
+  in
+  return
+    {
+      fn_name = "t"; fn_params = []; fn_ret_void = false;
+      fn_blocks = blocks; fn_nreg = regs + 1; fn_frame = 0;
+    }

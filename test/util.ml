@@ -141,3 +141,30 @@ let serve_paper_suite ~budget =
     (Printf.sprintf "budget %d: no unexpected outcome" budget)
     0 (Service.Gcsafed.report t).Service.Gcsafed.rp_unexpected;
   t
+
+(* Linearity checks.  [per_run ~reps make] is the best of five CPU times
+   of [reps] back-to-back runs, divided by [reps]; [make ()] builds one
+   run's input outside the timed region and returns the run. *)
+let per_run ~reps make =
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let runs = List.init reps (fun _ -> make ()) in
+    let t0 = Sys.time () in
+    List.iter (fun run -> run ()) runs;
+    best := Float.min !best (Sys.time () -. t0)
+  done;
+  !best /. float_of_int reps
+
+(* [growth make small large]: the time per run of [make large ()] over
+   that of [make small ()], and the two times.  Both sides run as many
+   times back to back as the small side needs to take at least 2 ms, so
+   one timer tick or scheduling hiccup cannot decide the ratio. *)
+let growth make small large =
+  let rec calibrate reps =
+    let t = per_run ~reps (make small) in
+    if t *. float_of_int reps >= 2e-3 || reps >= 4096 then (reps, t)
+    else calibrate (2 * reps)
+  in
+  let reps, t_small = calibrate 1 in
+  let t_large = per_run ~reps (make large) in
+  (t_large /. t_small, t_small, t_large)
