@@ -36,6 +36,18 @@ let points_mem (b : points) i =
   && i / 8 < Bytes.length b
   && Char.code (Bytes.get b (i / 8)) land (1 lsl (i mod 8)) <> 0
 
+(* The least member above [i], or -1: whole zero bytes are stepped over,
+   so walking a set upward in order costs its length in bytes. *)
+let points_next (b : points) i =
+  let n = 8 * Bytes.length b in
+  let rec bit k =
+    if k >= n then -1
+    else if k land 7 = 0 && Bytes.get b (k / 8) = '\000' then bit (k + 8)
+    else if points_mem b k then k
+    else bit (k + 1)
+  in
+  bit (max 0 (i + 1))
+
 let points_to_list (b : points) =
   let acc = ref [] in
   for i = (8 * Bytes.length b) - 1 downto 0 do

@@ -15,6 +15,10 @@ val points_of_list : int list -> points
 
 val points_mem : points -> int -> bool
 
+val points_next : points -> int -> int
+(** [points_next b i]: the least member greater than [i], or [-1] when
+    there is none. *)
+
 val points_to_list : points -> int list
 
 val points_cardinal : points -> int

@@ -313,6 +313,49 @@ let nursery_enabled t = t.config.mode <> Stw
 let generational t = t.config.mode = Gen
 
 (* ------------------------------------------------------------------ *)
+(* The page-map lookup, the slot rule and the arena word               *)
+(* ------------------------------------------------------------------ *)
+
+(* These are read here, not through {!Page_map} and {!Mem} calls: a
+   checked access and every scanned word make them, and the dev build's
+   [-opaque] would keep such calls from being inlined. *)
+
+(** The block containing [addr], if [addr] is on a heap page: two array
+    reads of the height-2 page map, no search.  The one address-to-block
+    lookup of the heap, its collector and its checked accesses. *)
+let[@inline] block_at t addr =
+  if addr < 0 then None
+  else
+    let page = addr lsr Mem.page_bits in
+    let top = t.map.Page_map.top in
+    let hi = page lsr Page_map.level2_bits in
+    if hi >= Array.length top then None
+    else
+      match Array.unsafe_get top hi with
+      | None -> None
+      | Some l2 ->
+          Array.unsafe_get l2 (page land ((1 lsl Page_map.level2_bits) - 1))
+
+(* The one slot rule: the slot of [blk] whose allocated object holds all
+   of [addr, addr+len), or -1.  An object's extent is its rounded slot,
+   so the paper's extra byte makes one-past-the-end addresses resolve. *)
+let[@inline] slot_holding (blk : Block.t) addr len =
+  let off = addr - blk.Block.blk_start in
+  if off < 0 then -1
+  else
+    let size = blk.Block.blk_obj_size in
+    let i = off / size in
+    if
+      i < blk.Block.blk_count
+      && Bytes.unsafe_get blk.Block.blk_alloc i <> '\000'
+      && off + len <= (i + 1) * size
+    then i
+    else -1
+
+(* The arena word at [a], which the caller knows lies inside it. *)
+let[@inline] word_at t a = Int64.to_int (Bytes.get_int64_le t.mem.Mem.data a)
+
+(* ------------------------------------------------------------------ *)
 (* Remembered set: dirty cards at page granularity                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -391,7 +434,7 @@ let plausible_slot t ~from_root (blk : Block.t) v =
 let shade t ~minor ~from_root v =
   v >= Mem.page_size
   &&
-  match Page_map.find t.map v with
+  match block_at t v with
   | None -> false
   | Some blk ->
       let i = plausible_slot t ~from_root blk v in
@@ -444,11 +487,11 @@ let note_store t addr len =
         took its snapshot, so it is shaded before the store lands *)
      let a = ref (addr / 8 * 8) in
      let stop = addr + len in
-     let limit = Mem.limit t.mem in
+     let limit = t.mem.Mem.brk in
      while !a < stop do
        if
          !a + 8 <= limit
-         && shade t ~minor:false ~from_root:false (Mem.load_word t.mem !a)
+         && shade t ~minor:false ~from_root:false (word_at t !a)
        then t.stats.barrier_grays <- t.stats.barrier_grays + 1;
        a := !a + 8
      done
@@ -457,7 +500,7 @@ let note_store t addr len =
     let last = addr + len - 1 in
     for p = page_index addr to page_index last do
       let page_start = p lsl Mem.page_bits in
-      match Page_map.find t.map page_start with
+      match block_at t page_start with
       | Some blk when Block.collectable blk && not blk.Block.blk_young ->
           if
             (not blk.Block.blk_aging)
@@ -471,12 +514,11 @@ let note_store t addr len =
 (** Age of the allocated object at [addr] in minor collections survived
     ([None] outside allocated objects). *)
 let slot_age t addr =
-  match Page_map.find t.map addr with
+  match block_at t addr with
   | None -> None
-  | Some blk -> (
-      match Block.slot_of_addr blk addr with
-      | Some i when Block.is_allocated blk i -> Some (Block.age blk i)
-      | Some _ | None -> None)
+  | Some blk ->
+      let i = slot_holding blk addr 0 in
+      if i >= 0 then Some (Block.age blk i) else None
 
 (* ------------------------------------------------------------------ *)
 (* Pointer identification                                              *)
@@ -487,24 +529,20 @@ let slot_age t addr =
     the heap, in free slots, or one-before-the-object. *)
 let base_of t addr =
   t.stats.base_lookups <- t.stats.base_lookups + 1;
-  match Page_map.find t.map addr with
+  match block_at t addr with
   | None -> None
-  | Some blk -> (
-      match Block.slot_of_addr blk addr with
-      | None -> None
-      | Some i -> if Block.is_allocated blk i then Some (Block.slot_addr blk i) else None)
+  | Some blk ->
+      let i = slot_holding blk addr 0 in
+      if i >= 0 then Some (Block.slot_addr blk i) else None
 
 (** Object extent [base, base + rounded size) for a heap address. *)
 let extent_of t addr =
-  match Page_map.find t.map addr with
+  match block_at t addr with
   | None -> None
-  | Some blk -> (
-      match Block.slot_of_addr blk addr with
-      | None -> None
-      | Some i ->
-          if Block.is_allocated blk i then
-            Some (Block.slot_addr blk i, blk.Block.blk_obj_size)
-          else None)
+  | Some blk ->
+      let i = slot_holding blk addr 0 in
+      if i >= 0 then Some (Block.slot_addr blk i, blk.Block.blk_obj_size)
+      else None
 
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
@@ -518,12 +556,12 @@ let extent_of t addr =
 let first_word start = (start + 7) / 8 * 8
 
 let word_in_range t a stop =
-  a < stop && (a + 8 <= stop || a + 8 <= Mem.limit t.mem)
+  a < stop && (a + 8 <= stop || a + 8 <= t.mem.Mem.brk)
 
 let iter_range_words t start stop f =
   let a = ref (first_word start) in
   while word_in_range t !a stop do
-    f !a (Mem.load_word t.mem !a);
+    f !a (word_at t !a);
     a := !a + 8
   done
 
@@ -532,7 +570,7 @@ let iter_range_words t start stop f =
 let points_young t v =
   v >= Mem.page_size
   &&
-  match Page_map.find t.map v with
+  match block_at t v with
   | Some blk ->
       let i = plausible_slot t ~from_root:false blk v in
       i >= 0 && (not (is_old t blk i)) && Block.collectable blk
@@ -542,7 +580,7 @@ let points_young t v =
    collectable object?  Stops at the first that does. *)
 let rec young_ref_from t a stop =
   word_in_range t a stop
-  && (points_young t (Mem.load_word t.mem a) || young_ref_from t (a + 8) stop)
+  && (points_young t (word_at t a) || young_ref_from t (a + 8) stop)
 
 let range_has_young_ref t start stop = young_ref_from t (first_word start) stop
 
@@ -575,7 +613,7 @@ let scan_range t ~minor ~from_root ~spent ~budget start stop =
   while word_in_range t !a stop && !spent < budget do
     t.stats.words_scanned <- t.stats.words_scanned + 1;
     incr spent;
-    ignore (shade t ~minor ~from_root (Mem.load_word t.mem !a));
+    ignore (shade t ~minor ~from_root (word_at t !a));
     a := !a + 8
   done;
   if word_in_range t !a stop then t.gray <- (!a, stop) :: t.gray
@@ -650,7 +688,7 @@ let scan_roots t ~minor ~extra_roots ~extra_ranges ~spent =
     iter_dirty_pages t (fun p ->
         t.stats.cards_scanned <- t.stats.cards_scanned + 1;
         let page_start = p lsl Mem.page_bits in
-        match Page_map.find t.map page_start with
+        match block_at t page_start with
         | Some blk when Block.collectable blk && Block.scanned blk ->
             ignore
               (exists_old_slice t blk page_start (fun s e ->
@@ -955,7 +993,7 @@ let recompute_cards t =
   iter_dirty_pages t (fun p ->
       let page_start = p lsl Mem.page_bits in
       let needed =
-        match Page_map.find t.map page_start with
+        match block_at t page_start with
         | Some blk
           when Block.collectable blk && Block.scanned blk
                && not blk.Block.blk_young ->
@@ -1303,7 +1341,7 @@ let take_listed t k ~req =
   | [] -> -1
   | addr :: rest -> (
       fl := rest;
-      match Page_map.find t.map addr with
+      match block_at t addr with
       | None -> assert false
       | Some blk ->
           let i = (addr - blk.Block.blk_start) / blk.Block.blk_obj_size in
@@ -1443,7 +1481,7 @@ let post_incr t mem_addr delta =
     object.  Non-heap values pass unchecked; returns [v]. *)
 let check_base t v =
   t.stats.same_obj_checks <- t.stats.same_obj_checks + 1;
-  (match Page_map.find t.map v with
+  (match block_at t v with
   | Some blk when Block.collectable blk -> (
       match Block.slot_of_addr blk v with
       | Some i when Block.is_allocated blk i ->
@@ -1473,22 +1511,54 @@ let check_range t p n =
   | None -> ());
   p
 
-(** Is [addr, addr+len) fully inside some allocated heap object?  The VM
-    uses this to detect access to swept (prematurely collected) objects. *)
+(** Is [addr, addr+len) fully inside some allocated heap object?  The
+    rule of the checked accesses below, which is how the VM detects
+    access to swept (prematurely collected) objects. *)
 let valid_access t addr len =
-  (* the checks of [extent_of], inlined so that the VM's per-access test
-     allocates nothing *)
-  match Page_map.find t.map addr with
+  match block_at t addr with
   | None -> false
-  | Some blk ->
-      let off = addr - blk.Block.blk_start in
-      off >= 0
-      &&
-      let size = blk.Block.blk_obj_size in
-      let i = off / size in
-      i < blk.Block.blk_count
-      && Bytes.unsafe_get blk.Block.blk_alloc i <> '\000'
-      && off + len <= (i + 1) * size
+  | Some blk -> slot_holding blk addr len >= 0
+
+(* ------------------------------------------------------------------ *)
+(* Checked access                                                      *)
+(* ------------------------------------------------------------------ *)
+
+exception Invalid_access of { store : bool; addr : int; len : int }
+
+(** [load t ~width addr]: the [width]-byte value at [addr], sign-extended,
+    when {!valid_access} holds for it; one page-map lookup, the slot rule
+    and the arena read, all in this module.
+    @raise Invalid_access otherwise, with [store = false]. *)
+let load t ~width addr =
+  match block_at t addr with
+  | Some blk when slot_holding blk addr width >= 0 -> (
+      let data = t.mem.Mem.data in
+      match width with
+      | 8 -> Int64.to_int (Bytes.get_int64_le data addr)
+      | 1 -> Bytes.get_int8 data addr
+      | 4 -> Int32.to_int (Bytes.get_int32_le data addr)
+      | 2 -> Bytes.get_int16_le data addr
+      | w -> invalid_arg (Printf.sprintf "Heap.load: width %d" w))
+  | Some _ | None -> raise (Invalid_access { store = false; addr; len = width })
+
+(** [store t ~width addr v]: write the low [width] bytes of [v] at [addr]
+    when {!valid_access} holds for it, after the store barrier
+    ({!note_store}: the SATB read of the overwritten words first, then
+    the cards).
+    @raise Invalid_access otherwise, with [store = true], before the
+    barrier runs. *)
+let store t ~width addr v =
+  (match block_at t addr with
+  | Some blk when slot_holding blk addr width >= 0 -> ()
+  | Some _ | None -> raise (Invalid_access { store = true; addr; len = width }));
+  if t.phase = Marking || generational t then note_store t addr width;
+  let data = t.mem.Mem.data in
+  match width with
+  | 8 -> Bytes.set_int64_le data addr (Int64.of_int v)
+  | 1 -> Bytes.set_int8 data addr v
+  | 4 -> Bytes.set_int32_le data addr (Int32.of_int v)
+  | 2 -> Bytes.set_int16_le data addr v
+  | w -> invalid_arg (Printf.sprintf "Heap.store: width %d" w)
 
 (* ------------------------------------------------------------------ *)
 (* Heap-integrity sanitizer                                            *)
@@ -1575,7 +1645,7 @@ let check_integrity t : violation list =
             blk.Block.blk_pages;
         for pg = 0 to blk.Block.blk_pages - 1 do
           let addr = blk.Block.blk_start + (pg * Mem.page_size) in
-          match Page_map.find t.map addr with
+          match block_at t addr with
           | Some b when b == blk -> incr mapped_back
           | Some b ->
               misrouted := blk :: !misrouted;
@@ -1652,7 +1722,7 @@ let check_integrity t : violation list =
           | addr :: rest ->
               if addr asr Mem.page_bits <> !page then begin
                 page := addr asr Mem.page_bits;
-                home := Page_map.find t.map addr;
+                home := block_at t addr;
                 flags :=
                   match !home with Some b -> listed b | None -> Bytes.empty
               end;
@@ -1703,7 +1773,7 @@ let check_integrity t : violation list =
      over at once: below the cursor when each is allocated or listed,
      past it when none is allocated, marked or listed. *)
   let on_free_list addr =
-    match Page_map.find t.map addr with
+    match block_at t addr with
     | Some b when Block.slot_base b addr >= 0 ->
         Bytes.get (listed b) (Block.slot_base b addr) <> '\000'
     | Some _ | None -> Hashtbl.mem odd addr

@@ -341,9 +341,33 @@ val check_range : t -> int -> int -> int
     section's "additional check").  Non-heap addresses pass.  Returns [p].
     @raise Check_failure on an overrun. *)
 
+val block_at : t -> int -> Block.t option
+(** The block whose pages hold an address, if any: two array reads of the
+    height-2 page map.  The one lookup behind every query here, the
+    collector's per-word shading and the checked accesses. *)
+
 val valid_access : t -> int -> int -> bool
-(** Is [addr, addr+len)] fully inside some allocated heap object?  Used by
-    the VM to detect access to prematurely collected storage. *)
+(** Is [addr, addr+len)] fully inside some allocated heap object?  The
+    rule {!load} and {!store} apply; the VM's builtins check their
+    ranges with it. *)
+
+exception Invalid_access of { store : bool; addr : int; len : int }
+(** A {!load} or {!store} of [len] bytes at [addr] that {!valid_access}
+    rejects: unallocated, swept or straddling memory. *)
+
+val load : t -> width:int -> int -> int
+(** [load t ~width addr]: the checked read of the VM's load
+    instructions.  Reads the [width]-byte (1, 2, 4 or 8) little-endian
+    value at [addr], sign-extended, when [valid_access t addr width]
+    holds: one page-map lookup, one slot test, one arena read.
+    @raise Invalid_access otherwise. *)
+
+val store : t -> width:int -> int -> int -> unit
+(** [store t ~width addr v]: the checked write of the VM's store
+    instructions.  When [valid_access t addr width] holds, runs the store
+    barrier ({!note_store}: the SATB read of the overwritten words, then
+    the cards) and writes the low [width] bytes of [v].
+    @raise Invalid_access otherwise, before the barrier. *)
 
 type violation = {
   v_rule : string;  (** which invariant family failed *)

@@ -10,7 +10,12 @@ val page_size : int
 val page_bits : int
 (** [log2 page_size]. *)
 
-type t
+type t = private {
+  mutable data : Bytes.t;
+      (** the arena's bytes; at least [brk] long.  {!Heap} reads and
+          writes them directly on its checked accesses and scan loops *)
+  mutable brk : int;  (** first never-allocated address; grows page-wise *)
+}
 
 exception Fault of int
 (** Raised on access outside the allocated arena, with the faulting

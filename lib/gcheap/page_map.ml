@@ -4,7 +4,8 @@
     property the paper contrasts with Jones & Kelly's splay tree: "we use a
     tree of fixed height 2 describing pages of uniformly sized objects ...
     both the allocator and collector are tuned to make such lookups very
-    fast." *)
+    fast."  The lookup is [Heap.block_at], inside the module whose every
+    access and scanned word makes it. *)
 
 let level2_bits = 10
 
@@ -57,18 +58,5 @@ let clear_block t (blk : Block.t) =
           l2.(lo) <- None
       | None -> ()
   done
-
-(** The block containing [addr], if [addr] is on a heap page.  Two array
-    lookups, no search. *)
-let find t addr =
-  if addr < 0 then None
-  else
-    let page = addr lsr Mem.page_bits in
-    let hi = page lsr level2_bits in
-    if hi >= Array.length t.top then None
-    else
-      match t.top.(hi) with
-      | None -> None
-      | Some l2 -> l2.(page land (level2_size - 1))
 
 let mapped_pages t = t.mapped

@@ -1,9 +1,18 @@
 (** The height-2 page map: page number -> heap block descriptor.
 
     [GC_base]-style lookups do exactly two array indexings — the structure
-    the paper contrasts with Jones & Kelly's splay tree. *)
+    the paper contrasts with Jones & Kelly's splay tree.  The lookup
+    itself is {!Heap.block_at}: the heap's checked accesses and its
+    collector read the two levels in their own module. *)
 
-type t
+val level2_bits : int
+(** A page number's low [level2_bits] bits index its second-level array;
+    the rest index [top]. *)
+
+type t = private {
+  mutable top : Block.t option array option array;
+  mutable mapped : int;  (** pages that map to some block *)
+}
 
 val create : unit -> t
 
@@ -11,10 +20,6 @@ val set_block : t -> Block.t -> unit
 (** Register a block for every page it spans. *)
 
 val clear_block : t -> Block.t -> unit
-
-val find : t -> int -> Block.t option
-(** The block containing an address, if it lies on a registered page.  Two
-    array lookups, no search. *)
 
 val mapped_pages : t -> int
 (** How many pages map to some block. *)

@@ -19,6 +19,7 @@ type points = Gcheap.Failpoint.points
 let no_points = Gcheap.Failpoint.no_points
 let points_of_list = Gcheap.Failpoint.points_of_list
 let points_mem = Gcheap.Failpoint.points_mem
+let points_next = Gcheap.Failpoint.points_next
 let points_to_list = Gcheap.Failpoint.points_to_list
 let points_cardinal = Gcheap.Failpoint.points_cardinal
 

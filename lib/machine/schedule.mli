@@ -15,6 +15,11 @@ val points_of_list : int list -> points
 
 val points_mem : points -> int -> bool
 
+val points_next : points -> int -> int
+(** The least safepoint index of the set above the given one, or [-1]:
+    how the VM finds its next injected collection without testing every
+    step. *)
+
 val points_to_list : points -> int list
 (** Ascending order. *)
 

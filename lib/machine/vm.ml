@@ -193,46 +193,15 @@ let make_tele sink =
 (* Execution form                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [load] lowers each function once into arrays: blocks addressed by
-   dense index, terminators resolved to block indices, operands decoded
-   (a [Glob] is already relocated into the statics region), callees
-   resolved to a function index, and each instruction's cycle cost taken
-   from the machine description.  A step is then an array read and one
-   match. *)
-
-type xop = R of reg | K of int  (** register, or a resolved constant *)
-
-type call = {
-  c_dst : reg;  (** [-1]: the result is discarded *)
-  c_name : string;
-  c_nargs : int;
-  c_func : int;  (** index into [st.funcs]; [-1]: a builtin *)
-  c_site : string;
-      (** heap-profiler site id [fn:callee#k] of an allocation call, when
-          profiling; otherwise ["?"] *)
-}
-
-type xinstr =
-  | XMov of reg * xop  (** [Mov] and [Opaque] *)
-  | XBin of binop * reg * xop * xop
-  | XRel of relop * reg * xop * xop
-  | XLoad of int * reg * xop * xop  (** width in bytes *)
-  | XStore of int * xop * xop * xop
-  | XPush of xop
-  | XCall of call
-  | XKeepLive
-
-(* A jump target is a block index; an unknown label [l] is kept as
-   [-1 - l] and faults only when the jump is taken. *)
-type xterm = XJmp of int | XBr of xop * int * int | XRet of xop
-
-type xblock = {
-  xb_label : label;
-  xb_src : instr array;  (** the IR instructions, for {!point_context} *)
-  xb_code : xinstr array;
-  xb_cost : int array;  (** cycles of each instruction *)
-  xb_term : xterm;
-}
+(* [load] compiles each function once.  Every IR instruction, and every
+   block's terminator, becomes one closure over the state: its operands
+   resolved to a captured register index or constant (a [Glob] already
+   relocated into the statics region), its operator chosen, its cycle
+   cost taken from the machine description, a callee resolved to a
+   function index and a jump target to its block.  A step is then an
+   array read and one call, and the closure charges its cycles and
+   counts its dispatch class itself.  There is still one step per IR
+   instruction and a safepoint after each. *)
 
 type xfunc = {
   xf_name : string;
@@ -242,146 +211,27 @@ type xfunc = {
   xf_blocks : xblock array;  (** entry block first *)
 }
 
-type frame = {
+and xblock = {
+  xb_label : label;
+  xb_src : instr array;  (** the IR instructions, for {!point_context} *)
+  mutable xb_code : (state -> unit) array;
+      (** one closure per instruction, then one for the terminator; set
+          once, after every block of the function exists *)
+}
+
+and frame = {
   fr_func : xfunc;
   fr_regs : int array;
   fr_base : int;  (** frame base address in the VM stack region *)
   mutable fr_block : xblock;
-  mutable fr_pc : int;  (** index of the next instruction in [fr_block] *)
+  mutable fr_pc : int;
+      (** where the frame resumes: saved when it calls, read back when
+          the callee returns.  The innermost frame's position is the
+          state's [blk] and [pc] *)
   fr_dst : reg;  (** caller register receiving our result; [-1]: none *)
 }
 
-(* Site ids are [fn:callee#k] with [k] the ordinal of the call among
-   same-callee alloc calls of the function, counted in static
-   block-label order.  Annotation passes insert or remove [KeepLive]
-   markers but never alloc calls, so ids join across
-   [--analysis none|flow] builds of one program.  Keyed by block label
-   and position in the block. *)
-let site_ids (f : func) =
-  let tab = Hashtbl.create 8 and ord = Hashtbl.create 8 in
-  List.iter
-    (fun b ->
-      List.iteri
-        (fun k i ->
-          match i with
-          | Call (_, callee, _) when alloc_builtin callee ->
-              let n = Option.value ~default:0 (Hashtbl.find_opt ord callee) in
-              Hashtbl.replace ord callee (n + 1);
-              Hashtbl.replace tab (b.b_label, k)
-                (Printf.sprintf "%s:%s#%d" f.fn_name callee n)
-          | _ -> ())
-        b.b_instrs)
-    (List.sort (fun a b -> compare a.b_label b.b_label) f.fn_blocks);
-  tab
-
-let lower_func (m : Machdesc.t) ~statics_base ~func_index ~profile (f : func)
-    =
-  let op = function
-    | Reg r -> R r
-    | Imm n -> K n
-    | Glob off -> K (statics_base + off)
-  in
-  let index = Hashtbl.create 8 in
-  List.iteri (fun k b -> Hashtbl.replace index b.b_label k) f.fn_blocks;
-  let target l =
-    match Hashtbl.find_opt index l with Some k -> k | None -> -1 - l
-  in
-  let sites = if profile then site_ids f else Hashtbl.create 1 in
-  let cost = function
-    | Mov _ | Opaque _ | Push _ -> m.Machdesc.md_cost_mov
-    | Bin (op, d, a, _) ->
-        let base =
-          match op with
-          | Mul -> m.Machdesc.md_cost_mul
-          | Div | Mod -> m.Machdesc.md_cost_div
-          | _ -> m.Machdesc.md_cost_alu
-        in
-        (* two-operand machines need a move when dst <> first source *)
-        if m.Machdesc.md_two_operand && a <> Reg d then
-          base + m.Machdesc.md_cost_mov
-        else base
-    | Rel _ -> m.Machdesc.md_cost_alu + 1
-    | Load _ -> m.Machdesc.md_cost_load
-    | Store _ -> m.Machdesc.md_cost_store
-    | Call _ -> 0 (* overhead charged at dispatch, body separately *)
-    | KeepLive _ -> 0
-  in
-  let lower_block b =
-    let src = Array.of_list b.b_instrs in
-    let code =
-      Array.mapi
-        (fun k -> function
-          | Mov (d, s) | Opaque (d, s) -> XMov (d, op s)
-          | Bin (o, d, a, c) -> XBin (o, d, op a, op c)
-          | Rel (o, d, a, c) -> XRel (o, d, op a, op c)
-          | Load (w, d, a, c) -> XLoad (bytes_of_width w, d, op a, op c)
-          | Store (w, v, a, c) -> XStore (bytes_of_width w, op v, op a, op c)
-          | Push v -> XPush (op v)
-          | Call (dst, name, nargs) ->
-              XCall
-                {
-                  c_dst = Option.value ~default:(-1) dst;
-                  c_name = name;
-                  c_nargs = nargs;
-                  c_func = func_index name;
-                  c_site =
-                    Option.value ~default:"?"
-                      (Hashtbl.find_opt sites (b.b_label, k));
-                }
-          | KeepLive _ -> XKeepLive)
-        src
-    in
-    {
-      xb_label = b.b_label;
-      xb_src = src;
-      xb_code = code;
-      xb_cost = Array.map cost src;
-      xb_term =
-        (match b.b_term with
-        | Jmp l -> XJmp (target l)
-        | Br (c, l1, l2) -> XBr (op c, target l1, target l2)
-        | Ret v -> XRet (match v with Some o -> op o | None -> K 0));
-    }
-  in
-  {
-    xf_name = f.fn_name;
-    xf_params = Array.of_list f.fn_params;
-    xf_nreg = max f.fn_nreg 1;
-    xf_frame = (f.fn_frame + 15) / 16 * 16;
-    xf_blocks = Array.of_list (List.map lower_block f.fn_blocks);
-  }
-
-(* Lower every function; a name defined twice resolves to its last
-   definition.  Returns the functions and the name lookup. *)
-let lower_program m ~statics_base ~profile (p : program) =
-  let names = Hashtbl.create 16 in
-  List.iteri (fun k f -> Hashtbl.replace names f.fn_name k) p.p_funcs;
-  let func_index name =
-    Option.value ~default:(-1) (Hashtbl.find_opt names name)
-  in
-  ( Array.of_list
-      (List.map (lower_func m ~statics_base ~func_index ~profile) p.p_funcs),
-    func_index )
-
-(* The frame of no function, current before [main] is entered: its one
-   block returns, which faults with no frame to return from. *)
-let no_frame =
-  let b =
-    { xb_label = 0; xb_src = [||]; xb_code = [||]; xb_cost = [||];
-      xb_term = XRet (K 0) }
-  in
-  {
-    fr_func =
-      { xf_name = "?"; xf_params = [||]; xf_nreg = 1; xf_frame = 0;
-        xf_blocks = [| b |] };
-    fr_regs = [| 0 |];
-    fr_base = 0;
-    fr_block = b;
-    fr_pc = 0;
-    fr_dst = -1;
-  }
-
-type state = {
+and state = {
   cfg : config;
   heap : Gcheap.Heap.t;
   funcs : xfunc array;
@@ -393,15 +243,24 @@ type state = {
   mutable frames : frame list;
       (** innermost first: the register files the collector scans *)
   mutable depth : int;  (** call depth, for frames with empty frame areas *)
+  mutable blk : xblock;  (** the innermost frame's block *)
+  mutable code : (state -> unit) array;  (** [blk.xb_code] *)
+  mutable pc : int;  (** index of the next closure in [code] *)
+  mutable regs : int array;  (** the innermost frame's register file *)
   out : Buffer.t;
   mutable instrs : int;  (** steps executed: the [vm/steps] count *)
+  mutable next_check : int;
+      (** the next step count at which the run loop stops to check for
+          an injected collection and the step ceiling *)
   mutable cycles : int;
   dispatch : int array;  (** steps by dispatch class *)
+  mutable call_mark : int;
+      (** non-terminator steps executed as of the last call; the last
+          such step was a call exactly when none has run since *)
   mutable gc_count : int;
   mutable rand_state : int;
   mutable args : int array;  (** pushed arguments, oldest first *)
   mutable nargs : int;  (** arguments pushed and not yet taken *)
-  mutable at_call : bool;  (** the last executed instruction was a call *)
   mutable gc_max_pause_words : int;
       (** largest single GC pause this run, in words of collector work
           (stop-the-world/generational: per cycle; incremental: per
@@ -435,75 +294,6 @@ type result = {
 
 exception Exit_program of int
 
-(* ------------------------------------------------------------------ *)
-(* Setup                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
-    state =
-  let h = cfg.vm_heap in
-  let heap =
-    Gcheap.Heap.create
-      ~config:
-        {
-          h with
-          Gcheap.Heap.minor_threshold =
-            max 1024 (h.Gcheap.Heap.gc_threshold / 8);
-        }
-      ()
-  in
-  let statics_base =
-    Gcheap.Heap.alloc ~kind:Gcheap.Block.Uncollectable heap
-      (max 8 (Bytes.length p.p_statics))
-  in
-  Bytes.iteri
-    (fun i c ->
-      Gcheap.Mem.store heap.Gcheap.Heap.mem ~width:1 (statics_base + i)
-        (Char.code c))
-    p.p_statics;
-  List.iter
-    (fun (slot, target) ->
-      Gcheap.Mem.store_word heap.Gcheap.Heap.mem (statics_base + slot)
-        (statics_base + target))
-    statics_relocs;
-  let stack_base =
-    Gcheap.Heap.alloc ~kind:Gcheap.Block.Stack heap stack_bytes
-  in
-  let tele = make_tele cfg.vm_telemetry in
-  let funcs, func_index =
-    lower_program cfg.vm_machine ~statics_base
-      ~profile:(Option.is_some tele.tl_prof) p
-  in
-  (match tele.tl_prof with
-  | Some pr ->
-      heap.Gcheap.Heap.on_free <-
-        Some (fun ~addr ~bytes:_ -> Telemetry.Heap_profiler.on_free pr ~addr)
-  | None -> ());
-  {
-    cfg;
-    heap;
-    funcs;
-    main = func_index "main";
-    statics_base;
-    stack_base;
-    sp = 0;
-    cur = no_frame;
-    frames = [];
-    depth = 0;
-    out = Buffer.create 256;
-    instrs = 0;
-    cycles = 0;
-    dispatch = Array.make (Array.length dispatch_class_names) 0;
-    gc_count = 0;
-    rand_state = 42;
-    args = Array.make 16 0;
-    nargs = 0;
-    at_call = false;
-    gc_max_pause_words = 0;
-    gc_total_pause_words = 0;
-    censuses = [];
-    tele;
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
@@ -592,11 +382,10 @@ let point_context st =
   match st.frames with
   | [] -> "program exit"
   | fr :: _ ->
-      let b = fr.fr_block in
+      let b = st.blk in
       let where =
-        if fr.fr_pc = 0 then "block entry"
-        else
-          Format.asprintf "after %a" Ir.Instr.pp_instr b.xb_src.(fr.fr_pc - 1)
+        if st.pc = 0 then "block entry"
+        else Format.asprintf "after %a" Ir.Instr.pp_instr b.xb_src.(st.pc - 1)
       in
       Printf.sprintf "%s, L%d, %s" fr.fr_func.xf_name b.xb_label where
 
@@ -605,15 +394,6 @@ let forced_collect st =
   | Some sink -> sink st.instrs (point_context st)
   | None -> ());
   collect ~trigger:"forced" st
-
-(** Is an injected collection due at the current safepoint (the boundary
-    after instruction [st.instrs])? *)
-let[@inline] forced_gc_due st =
-  (match st.cfg.vm_gc_schedule with
-  | Schedule.Auto | Schedule.At_allocs -> false
-  | Schedule.Every n -> n > 0 && st.instrs mod n = 0
-  | Schedule.At pts -> Schedule.points_mem pts st.instrs)
-  && ((not st.cfg.vm_gc_at_calls_only) || st.at_call)
 
 (** One increment of the SATB marker, at an allocation GC point, over
     the same roots as {!collect}. *)
@@ -667,9 +447,15 @@ let check_heap_ceiling st =
            Printf.sprintf "heap ceiling exceeded: %d bytes in use, limit %d"
              used st.cfg.vm_max_heap_bytes ))
 
+
 (* ------------------------------------------------------------------ *)
 (* Frames                                                              *)
 (* ------------------------------------------------------------------ *)
+
+let[@inline] enter st (b : xblock) =
+  st.blk <- b;
+  st.code <- b.xb_code;
+  st.pc <- 0
 
 (* Enter [f] with the [n] arguments at [st.args.(first)] onward. *)
 let push_frame st (f : xfunc) first n (dst : reg) =
@@ -691,6 +477,9 @@ let push_frame st (f : xfunc) first n (dst : reg) =
        regs.(f.xf_params.(k)) <- st.args.(first + k)
      done
    with Invalid_argument _ -> arity ());
+  let caller = st.cur in
+  caller.fr_block <- st.blk;
+  caller.fr_pc <- st.pc;
   let entry = f.xf_blocks.(0) in
   let fr =
     {
@@ -703,7 +492,9 @@ let push_frame st (f : xfunc) first n (dst : reg) =
     }
   in
   st.cur <- fr;
-  st.frames <- fr :: st.frames
+  st.frames <- fr :: st.frames;
+  st.regs <- regs;
+  enter st entry
 
 let pop_frame st (ret : int) =
   match st.frames with
@@ -720,20 +511,30 @@ let pop_frame st (ret : int) =
       | [] -> raise (Exit_program ret)
       | caller :: _ ->
           st.cur <- caller;
+          st.regs <- caller.fr_regs;
+          st.blk <- caller.fr_block;
+          st.code <- caller.fr_block.xb_code;
+          st.pc <- caller.fr_pc;
           if fr.fr_dst >= 0 then caller.fr_regs.(fr.fr_dst) <- ret
 
 (* ------------------------------------------------------------------ *)
 (* Memory access with safety checking                                  *)
 (* ------------------------------------------------------------------ *)
 
+let access_fault what len addr =
+  Fault
+    (Printf.sprintf
+       "GC safety violation: %s of %d byte(s) at %#x hits unallocated or \
+        collected memory"
+       what len addr)
+
+(* The builtins' range check, and the profiled loads' and stores'.  The
+   load and store instructions of an unprofiled run make one
+   {!Gcheap.Heap.load} or {!Gcheap.Heap.store} call instead, whose
+   [Invalid_access] the run loop turns into the same fault. *)
 let check_access st addr len what =
   if not (Gcheap.Heap.valid_access st.heap addr len) then
-    raise
-      (Fault
-         (Printf.sprintf
-            "GC safety violation: %s of %d byte(s) at %#x hits unallocated \
-             or collected memory"
-            what len addr));
+    raise (access_fault what len addr);
   match st.tele.tl_prof with
   | Some pr -> (
       (* last-use tracking: resolve to the object base.  [extent_of]
@@ -745,15 +546,13 @@ let check_access st addr len what =
       | None -> ())
   | None -> ()
 
-let load_mem st width addr =
+let profiled_load st width addr =
   check_access st addr width "load";
-  Gcheap.Mem.load st.heap.Gcheap.Heap.mem ~width addr
+  Gcheap.Heap.load st.heap ~width addr
 
-let store_mem st width addr v =
+let profiled_store st width addr v =
   check_access st addr width "store";
-  (* generational write barrier; charges no cycles in either gc mode *)
-  Gcheap.Heap.note_store st.heap addr width;
-  Gcheap.Mem.store st.heap.Gcheap.Heap.mem ~width addr v
+  Gcheap.Heap.store st.heap ~width addr v
 
 (* ------------------------------------------------------------------ *)
 (* Builtins                                                            *)
@@ -975,38 +774,183 @@ let builtin st ~site name (args : int list) : int =
         (Fault
            (Printf.sprintf "unknown builtin %s/%d" name (List.length args)))
 
+
 (* ------------------------------------------------------------------ *)
-(* Execution                                                           *)
+(* Compiling to closures                                               *)
 (* ------------------------------------------------------------------ *)
 
-let[@inline] opnd regs = function R r -> regs.(r) | K n -> n
+(* A closure's bookkeeping: its cycles, then its dispatch class. *)
+let[@inline] tick st cls cost =
+  st.cycles <- st.cycles + cost;
+  Array.unsafe_set st.dispatch cls (Array.unsafe_get st.dispatch cls + 1)
 
-let eval_bin op a b =
+(* Register access of the specialised closures: [lower_func] gives them
+   only register indices inside the frame's register file. *)
+let[@inline] ( .!() ) (r : int array) i = Array.unsafe_get r i
+let[@inline] ( .!()<- ) (r : int array) i (v : int) = Array.unsafe_set r i v
+
+let[@inline] div a b = if b = 0 then raise (Fault "division by zero") else a / b
+let[@inline] rem a b = if b = 0 then raise (Fault "division by zero") else a mod b
+
+(* The operators as functions, for the generic closures. *)
+let binop_fn : binop -> int -> int -> int = function
+  | Add -> ( + )
+  | Sub -> ( - )
+  | Mul -> ( * )
+  | Div -> div
+  | Mod -> rem
+  | Shl -> fun a b -> a lsl (b land 63)
+  | Shr -> fun a b -> a asr (b land 63)
+  | And -> ( land )
+  | Or -> ( lor )
+  | Xor -> ( lxor )
+
+let relop_fn : relop -> int -> int -> bool = function
+  | Eq -> fun a b -> a = b
+  | Ne -> fun a b -> a <> b
+  | Lt -> fun a b -> a < b
+  | Le -> fun a b -> a <= b
+  | Gt -> fun a b -> a > b
+  | Ge -> fun a b -> a >= b
+
+let commutes = function Add | Mul | And | Or | Xor -> true | _ -> false
+
+(* [k op r] is [r (mirror op) k] *)
+let mirror = function
+  | (Eq | Ne) as op -> op
+  | Lt -> Gt
+  | Le -> Ge
+  | Gt -> Lt
+  | Ge -> Le
+
+(* Each constructor below returns the closure of one instruction shape:
+   [_rr] reads two registers, [_rk] a register and a constant, [_any]
+   takes its operands as reader functions with checked register access
+   (the rare shapes, registers outside the frame, profiled accesses). *)
+
+let[@inline] mov_r cost d s st =
+  tick st cls_mov cost;
+  let r = st.regs in
+  r.!(d) <- r.!(s)
+
+let[@inline] mov_k cost d k st =
+  tick st cls_mov cost;
+  st.regs.!(d) <- k
+
+let[@inline] mov_any cost d rs st =
+  tick st cls_mov cost;
+  let r = st.regs in
+  r.(d) <- rs r
+
+let alu_rr cost op d a b : state -> unit =
   match op with
-  | Add -> a + b
-  | Sub -> a - b
-  | Mul -> a * b
-  | Div -> if b = 0 then raise (Fault "division by zero") else a / b
-  | Mod -> if b = 0 then raise (Fault "division by zero") else a mod b
-  | Shl -> a lsl (b land 63)
-  | Shr -> a asr (b land 63)
-  | And -> a land b
-  | Or -> a lor b
-  | Xor -> a lxor b
+  | Add -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) + r.!(b)
+  | Sub -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) - r.!(b)
+  | Mul -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) * r.!(b)
+  | Div -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- div r.!(a) r.!(b)
+  | Mod -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- rem r.!(a) r.!(b)
+  | Shl -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) lsl (r.!(b) land 63)
+  | Shr -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) asr (r.!(b) land 63)
+  | And -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) land r.!(b)
+  | Or -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) lor r.!(b)
+  | Xor -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) lxor r.!(b)
 
-let eval_rel op a b =
-  let r =
-    match op with
-    | Eq -> a = b
-    | Ne -> a <> b
-    | Lt -> a < b
-    | Le -> a <= b
-    | Gt -> a > b
-    | Ge -> a >= b
+let alu_rk cost op d a k : state -> unit =
+  match op with
+  | Add -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) + k
+  | Sub -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) - k
+  | Mul -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) * k
+  | Div -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- div r.!(a) k
+  | Mod -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- rem r.!(a) k
+  | Shl -> let k = k land 63 in fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) lsl k
+  | Shr -> let k = k land 63 in fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) asr k
+  | And -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) land k
+  | Or -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) lor k
+  | Xor -> fun st -> tick st cls_alu cost; let r = st.regs in r.!(d) <- r.!(a) lxor k
+
+let alu_any cost op d ra rb =
+  let f = binop_fn op in
+  fun st ->
+    tick st cls_alu cost;
+    let r = st.regs in
+    r.(d) <- f (ra r) (rb r)
+
+let rel_rr cost op d a b : state -> unit =
+  match op with
+  | Eq -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) = r.!(b))
+  | Ne -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) <> r.!(b))
+  | Lt -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) < r.!(b))
+  | Le -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) <= r.!(b))
+  | Gt -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) > r.!(b))
+  | Ge -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) >= r.!(b))
+
+let rel_rk cost op d a (k : int) : state -> unit =
+  match op with
+  | Eq -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) = k)
+  | Ne -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) <> k)
+  | Lt -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) < k)
+  | Le -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) <= k)
+  | Gt -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) > k)
+  | Ge -> fun st -> tick st cls_rel cost; let r = st.regs in r.!(d) <- Bool.to_int (r.!(a) >= k)
+
+let rel_any cost op d ra rb =
+  let f = relop_fn op in
+  fun st ->
+    tick st cls_rel cost;
+    let r = st.regs in
+    r.(d) <- Bool.to_int (f (ra r) (rb r))
+
+(* Loads and stores make one checked heap access each; its
+   [Invalid_access] becomes a fault in the run loop. *)
+
+let[@inline] load_rr cost w d a b st =
+  tick st cls_load cost;
+  let r = st.regs in
+  r.!(d) <- Gcheap.Heap.load st.heap ~width:w (r.!(a) + r.!(b))
+
+let[@inline] load_rk cost w d a k st =
+  tick st cls_load cost;
+  let r = st.regs in
+  r.!(d) <- Gcheap.Heap.load st.heap ~width:w (r.!(a) + k)
+
+let load_any ~profile cost w d ra rb =
+  let access =
+    if profile then profiled_load
+    else fun st width addr -> Gcheap.Heap.load st.heap ~width addr
   in
-  if r then 1 else 0
+  fun st ->
+    tick st cls_load cost;
+    let r = st.regs in
+    r.(d) <- access st w (ra r + rb r)
 
-let[@inline] count st cls = st.dispatch.(cls) <- st.dispatch.(cls) + 1
+let[@inline] store_rrr cost w v a b st =
+  tick st cls_store cost;
+  let r = st.regs in
+  Gcheap.Heap.store st.heap ~width:w (r.!(a) + r.!(b)) r.!(v)
+
+let[@inline] store_rrk cost w v a k st =
+  tick st cls_store cost;
+  let r = st.regs in
+  Gcheap.Heap.store st.heap ~width:w (r.!(a) + k) r.!(v)
+
+let[@inline] store_krr cost w x a b st =
+  tick st cls_store cost;
+  let r = st.regs in
+  Gcheap.Heap.store st.heap ~width:w (r.!(a) + r.!(b)) x
+
+let[@inline] store_krk cost w x a k st =
+  tick st cls_store cost;
+  Gcheap.Heap.store st.heap ~width:w (st.regs.!(a) + k) x
+
+let store_any ~profile cost w rv ra rb =
+  let access =
+    if profile then profiled_store
+    else fun st width addr v -> Gcheap.Heap.store st.heap ~width addr v
+  in
+  fun st ->
+    tick st cls_store cost;
+    let r = st.regs in
+    access st w (ra r + rb r) (rv r)
 
 let push_arg st v =
   if st.nargs = Array.length st.args then begin
@@ -1017,81 +961,387 @@ let push_arg st v =
   st.args.(st.nargs) <- v;
   st.nargs <- st.nargs + 1
 
+let[@inline] push cost rv st =
+  tick st cls_push cost;
+  push_arg st (rv st.regs)
+
+let[@inline] push_r cost s st =
+  tick st cls_push cost;
+  push_arg st st.regs.!(s)
+
+let keep_live st = tick st cls_keep_live 0
+
 let rec arg_list st first k acc =
   if k < first then acc else arg_list st first (k - 1) (st.args.(k) :: acc)
 
-let goto fr t =
-  if t < 0 then
-    raise (Fault (Printf.sprintf "jump to unknown label L%d" (-1 - t)));
-  fr.fr_block <- fr.fr_func.xf_blocks.(t);
-  fr.fr_pc <- 0
-
-let call st regs c =
-  let n = c.c_nargs in
+(* A call step: counted, remembered as the last call for the
+   calls-only schedules, and its [n] arguments taken off the queue; the
+   index of the first one is returned. *)
+let call_step st n =
+  tick st cls_call 0;
+  st.call_mark <- st.instrs - st.dispatch.(cls_branch);
   if n < 0 || n > st.nargs then raise (Fault "argument queue underflow");
   let first = st.nargs - n in
   st.nargs <- first;
-  if c.c_func >= 0 then begin
-    st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_call;
-    push_frame st st.funcs.(c.c_func) first n c.c_dst
-  end
-  else
-    let r =
-      builtin st ~site:c.c_site c.c_name (arg_list st first (first + n - 1) [])
-    in
-    if c.c_dst >= 0 then regs.(c.c_dst) <- r
+  first
 
+let[@inline] call_func call_cost k n dst st =
+  let first = call_step st n in
+  st.cycles <- st.cycles + call_cost;
+  push_frame st st.funcs.(k) first n dst
+
+let[@inline] call_builtin ~site name n dst st =
+  let regs = st.regs in
+  let first = call_step st n in
+  let r = builtin st ~site name (arg_list st first (first + n - 1) []) in
+  if dst >= 0 then regs.(dst) <- r
+
+(* Terminators.  A jump target is a block of the function; an unknown
+   label faults only when the jump is taken. *)
+
+let unknown_label l =
+  Fault (Printf.sprintf "jump to unknown label L%d" l)
+
+let[@inline] bad_jump cost l st =
+  tick st cls_branch cost;
+  raise (unknown_label l)
+
+let[@inline] jump cost b st =
+  tick st cls_branch cost;
+  enter st b
+
+let[@inline] branch_r cost c b1 b2 st =
+  tick st cls_branch cost;
+  enter st (if st.regs.!(c) <> 0 then b1 else b2)
+
+let[@inline] branch_any cost rc (g1 : state -> unit) g2 st =
+  tick st cls_branch cost;
+  if rc st.regs <> 0 then g1 st else g2 st
+
+let[@inline] ret_r cost v st =
+  tick st cls_branch cost;
+  pop_frame st st.regs.!(v)
+
+let[@inline] ret cost rv st =
+  tick st cls_branch cost;
+  pop_frame st (rv st.regs)
+
+(* Site ids are [fn:callee#k] with [k] the ordinal of the call among
+   same-callee alloc calls of the function, counted in static
+   block-label order.  Annotation passes insert or remove [KeepLive]
+   markers but never alloc calls, so ids join across
+   [--analysis none|flow] builds of one program.  Keyed by block label
+   and position in the block. *)
+let site_ids (f : func) =
+  let tab = Hashtbl.create 8 and ord = Hashtbl.create 8 in
+  List.iter
+    (fun b ->
+      List.iteri
+        (fun k i ->
+          match i with
+          | Call (_, callee, _) when alloc_builtin callee ->
+              let n = Option.value ~default:0 (Hashtbl.find_opt ord callee) in
+              Hashtbl.replace ord callee (n + 1);
+              Hashtbl.replace tab (b.b_label, k)
+                (Printf.sprintf "%s:%s#%d" f.fn_name callee n)
+          | _ -> ())
+        b.b_instrs)
+    (List.sort (fun a b -> compare a.b_label b.b_label) f.fn_blocks);
+  tab
+
+let lower_func (m : Machdesc.t) ~statics_base ~func_index ~profile (f : func)
+    =
+  let nreg = max f.fn_nreg 1 in
+  let ok r = r >= 0 && r < nreg in
+  (* a [Glob] is a constant: its address in the statics region *)
+  let opd = function Glob off -> Imm (statics_base + off) | o -> o in
+  let read : operand -> int array -> int = function
+    | Reg r -> fun regs -> regs.(r)
+    | Imm n -> fun _ -> n
+    | Glob off ->
+        let n = statics_base + off in
+        fun _ -> n
+  in
+  let blocks =
+    Array.of_list
+      (List.map
+         (fun b ->
+           { xb_label = b.b_label; xb_src = Array.of_list b.b_instrs;
+             xb_code = [||] })
+         f.fn_blocks)
+  in
+  let index = Hashtbl.create 8 in
+  Array.iter (fun xb -> Hashtbl.replace index xb.xb_label xb) blocks;
+  let goto l : state -> unit =
+    match Hashtbl.find_opt index l with
+    | Some b -> fun st -> enter st b
+    | None -> fun _ -> raise (unknown_label l)
+  in
+  let sites = if profile then site_ids f else Hashtbl.create 1 in
+  let cost = function
+    | Mov _ | Opaque _ | Push _ -> m.Machdesc.md_cost_mov
+    | Bin (op, d, a, _) ->
+        let base =
+          match op with
+          | Mul -> m.Machdesc.md_cost_mul
+          | Div | Mod -> m.Machdesc.md_cost_div
+          | _ -> m.Machdesc.md_cost_alu
+        in
+        (* two-operand machines need a move when dst <> first source *)
+        if m.Machdesc.md_two_operand && a <> Reg d then
+          base + m.Machdesc.md_cost_mov
+        else base
+    | Rel _ -> m.Machdesc.md_cost_alu + 1
+    | Load _ -> m.Machdesc.md_cost_load
+    | Store _ -> m.Machdesc.md_cost_store
+    | Call _ -> 0 (* overhead charged at dispatch, body separately *)
+    | KeepLive _ -> 0
+  in
+  let instr label k i : state -> unit =
+    let c = cost i in
+    match i with
+    | Mov (d, s) | Opaque (d, s) -> (
+        match opd s with
+        | Reg s when ok d && ok s -> mov_r c d s
+        | Imm n when ok d -> mov_k c d n
+        | s -> mov_any c d (read s))
+    | Bin (op, d, a, b) -> (
+        match (opd a, opd b) with
+        | Reg a, Reg b when ok d && ok a && ok b -> alu_rr c op d a b
+        | Reg a, Imm k when ok d && ok a -> alu_rk c op d a k
+        | Imm k, Reg a when ok d && ok a && commutes op -> alu_rk c op d a k
+        | a, b -> alu_any c op d (read a) (read b))
+    | Rel (op, d, a, b) -> (
+        match (opd a, opd b) with
+        | Reg a, Reg b when ok d && ok a && ok b -> rel_rr c op d a b
+        | Reg a, Imm k when ok d && ok a -> rel_rk c op d a k
+        | Imm k, Reg a when ok d && ok a -> rel_rk c (mirror op) d a k
+        | a, b -> rel_any c op d (read a) (read b))
+    | Load (w, d, a, b) -> (
+        let w = bytes_of_width w in
+        match (opd a, opd b) with
+        | _ when profile -> load_any ~profile c w d (read a) (read b)
+        | Reg a, Reg b when ok d && ok a && ok b -> load_rr c w d a b
+        | (Reg a, Imm k | Imm k, Reg a) when ok d && ok a -> load_rk c w d a k
+        | a, b -> load_any ~profile c w d (read a) (read b))
+    | Store (w, v, a, b) -> (
+        let w = bytes_of_width w in
+        match (opd v, opd a, opd b) with
+        | _ when profile -> store_any ~profile c w (read v) (read a) (read b)
+        | Reg v, Reg a, Reg b when ok v && ok a && ok b -> store_rrr c w v a b
+        | (Reg v, Reg a, Imm k | Reg v, Imm k, Reg a) when ok v && ok a ->
+            store_rrk c w v a k
+        | Imm x, Reg a, Reg b when ok a && ok b -> store_krr c w x a b
+        | (Imm x, Reg a, Imm k | Imm x, Imm k, Reg a) when ok a ->
+            store_krk c w x a k
+        | v, a, b -> store_any ~profile c w (read v) (read a) (read b))
+    | Push v -> (
+        match opd v with
+        | Reg s when ok s -> push_r c s
+        | v -> push c (read v))
+    | Call (dst, name, nargs) -> (
+        let dst = Option.value ~default:(-1) dst in
+        match func_index name with
+        | -1 ->
+            let site =
+              Option.value ~default:"?" (Hashtbl.find_opt sites (label, k))
+            in
+            call_builtin ~site name nargs dst
+        | callee -> call_func m.Machdesc.md_cost_call callee nargs dst)
+    | KeepLive _ -> keep_live
+  in
+  let term = function
+    | Jmp l -> (
+        match Hashtbl.find_opt index l with
+        | Some b -> jump m.Machdesc.md_cost_branch b
+        | None -> bad_jump m.Machdesc.md_cost_branch l)
+    | Br (cond, l1, l2) -> (
+        match (opd cond, Hashtbl.find_opt index l1, Hashtbl.find_opt index l2) with
+        | Reg r, Some b1, Some b2 when ok r ->
+            branch_r m.Machdesc.md_cost_branch r b1 b2
+        | _ -> branch_any m.Machdesc.md_cost_branch (read cond) (goto l1) (goto l2))
+    | Ret (Some (Reg r)) when ok r -> ret_r m.Machdesc.md_cost_branch r
+    | Ret v ->
+        ret m.Machdesc.md_cost_branch (read (Option.value ~default:(Imm 0) v))
+  in
+  List.iteri
+    (fun bi b ->
+      let xb = blocks.(bi) in
+      let n = Array.length xb.xb_src in
+      xb.xb_code <-
+        Array.init (n + 1) (fun k ->
+            if k < n then instr b.b_label k xb.xb_src.(k) else term b.b_term))
+    f.fn_blocks;
+  {
+    xf_name = f.fn_name;
+    xf_params = Array.of_list f.fn_params;
+    xf_nreg = nreg;
+    xf_frame = (f.fn_frame + 15) / 16 * 16;
+    xf_blocks = blocks;
+  }
+
+(* Lower every function; a name defined twice resolves to its last
+   definition.  Returns the functions and the name lookup. *)
+let lower_program m ~statics_base ~profile (p : program) =
+  let names = Hashtbl.create 16 in
+  List.iteri (fun k f -> Hashtbl.replace names f.fn_name k) p.p_funcs;
+  let func_index name =
+    Option.value ~default:(-1) (Hashtbl.find_opt names name)
+  in
+  ( Array.of_list
+      (List.map (lower_func m ~statics_base ~func_index ~profile) p.p_funcs),
+    func_index )
+
+(* The frame of no function, current before [main] is entered. *)
+let no_frame () =
+  let b =
+    { xb_label = 0; xb_src = [||];
+      xb_code = [| (fun _ -> raise (Fault "return with no frame")) |] }
+  in
+  {
+    fr_func =
+      { xf_name = "?"; xf_params = [||]; xf_nreg = 1; xf_frame = 0;
+        xf_blocks = [| b |] };
+    fr_regs = [| 0 |];
+    fr_base = 0;
+    fr_block = b;
+    fr_pc = 0;
+    fr_dst = -1;
+  }
+
+
+(* ------------------------------------------------------------------ *)
+(* Setup                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
+    state =
+  let h = cfg.vm_heap in
+  let heap =
+    Gcheap.Heap.create
+      ~config:
+        {
+          h with
+          Gcheap.Heap.minor_threshold =
+            max 1024 (h.Gcheap.Heap.gc_threshold / 8);
+        }
+      ()
+  in
+  let statics_base =
+    Gcheap.Heap.alloc ~kind:Gcheap.Block.Uncollectable heap
+      (max 8 (Bytes.length p.p_statics))
+  in
+  Bytes.iteri
+    (fun i c ->
+      Gcheap.Mem.store heap.Gcheap.Heap.mem ~width:1 (statics_base + i)
+        (Char.code c))
+    p.p_statics;
+  List.iter
+    (fun (slot, target) ->
+      Gcheap.Mem.store_word heap.Gcheap.Heap.mem (statics_base + slot)
+        (statics_base + target))
+    statics_relocs;
+  let stack_base =
+    Gcheap.Heap.alloc ~kind:Gcheap.Block.Stack heap stack_bytes
+  in
+  let tele = make_tele cfg.vm_telemetry in
+  let funcs, func_index =
+    lower_program cfg.vm_machine ~statics_base
+      ~profile:(Option.is_some tele.tl_prof) p
+  in
+  (match tele.tl_prof with
+  | Some pr ->
+      heap.Gcheap.Heap.on_free <-
+        Some (fun ~addr ~bytes:_ -> Telemetry.Heap_profiler.on_free pr ~addr)
+  | None -> ());
+  let none = no_frame () in
+  {
+    cfg;
+    heap;
+    funcs;
+    main = func_index "main";
+    statics_base;
+    stack_base;
+    sp = 0;
+    cur = none;
+    frames = [];
+    depth = 0;
+    blk = none.fr_block;
+    code = none.fr_block.xb_code;
+    pc = 0;
+    regs = none.fr_regs;
+    out = Buffer.create 256;
+    instrs = 0;
+    next_check = 0;
+    cycles = 0;
+    dispatch = Array.make (Array.length dispatch_class_names) 0;
+    call_mark = -1;
+    gc_count = 0;
+    rand_state = 42;
+    args = Array.make 16 0;
+    nargs = 0;
+    gc_max_pause_words = 0;
+    gc_total_pause_words = 0;
+    censuses = [];
+    tele;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Execution                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Run steps up to step [st.next_check].  A step is an array read and
+   one closure call.  [pc] stays within the block's closures: only the
+   terminator, the last, leaves the block, and it enters another block
+   at 0, resumes a caller after its call, or raises. *)
 let step st =
-  let fr = st.cur in
-  let b = fr.fr_block in
-  let pc = fr.fr_pc in
-  let regs = fr.fr_regs in
-  st.instrs <- st.instrs + 1;
-  if pc < Array.length b.xb_code then begin
-    fr.fr_pc <- pc + 1;
-    st.cycles <- st.cycles + b.xb_cost.(pc);
-    match b.xb_code.(pc) with
-    | XMov (d, s) ->
-        count st cls_mov;
-        st.at_call <- false;
-        regs.(d) <- opnd regs s
-    | XBin (op, d, a, c) ->
-        count st cls_alu;
-        st.at_call <- false;
-        regs.(d) <- eval_bin op (opnd regs a) (opnd regs c)
-    | XRel (op, d, a, c) ->
-        count st cls_rel;
-        st.at_call <- false;
-        regs.(d) <- eval_rel op (opnd regs a) (opnd regs c)
-    | XLoad (w, d, a, c) ->
-        count st cls_load;
-        st.at_call <- false;
-        regs.(d) <- load_mem st w (opnd regs a + opnd regs c)
-    | XStore (w, v, a, c) ->
-        count st cls_store;
-        st.at_call <- false;
-        store_mem st w (opnd regs a + opnd regs c) (opnd regs v)
-    | XPush v ->
-        count st cls_push;
-        st.at_call <- false;
-        push_arg st (opnd regs v)
-    | XCall c ->
-        count st cls_call;
-        st.at_call <- true;
-        call st regs c
-    | XKeepLive ->
-        count st cls_keep_live;
-        st.at_call <- false
-  end
-  else begin
-    (* terminator *)
-    st.cycles <- st.cycles + st.cfg.vm_machine.Machdesc.md_cost_branch;
-    count st cls_branch;
-    match b.xb_term with
-    | XJmp t -> goto fr t
-    | XBr (c, t1, t2) -> goto fr (if opnd regs c <> 0 then t1 else t2)
-    | XRet v -> pop_frame st (opnd regs v)
-  end
+  let stop = st.next_check in
+  while st.instrs < stop do
+    let pc = st.pc in
+    st.pc <- pc + 1;
+    st.instrs <- st.instrs + 1;
+    (Array.unsafe_get st.code pc) st
+  done
+
+(* Was the last step other than a terminator a call?  The paper's
+   optimization (4) assumes collections happen only there. *)
+let at_call st = st.instrs - st.dispatch.(cls_branch) = st.call_mark
+
+(* Does the schedule inject a collection at safepoint [i]? *)
+let scheduled st i =
+  match st.cfg.vm_gc_schedule with
+  | Schedule.Every n -> n > 0 && i mod n = 0
+  | Schedule.At pts -> Schedule.points_mem pts i
+  | Schedule.Auto | Schedule.At_allocs -> false
+
+(* The next safepoint after the current one that needs a look: the next
+   scheduled point, or the step past the ceiling, whichever comes
+   first. *)
+let next_check st =
+  let i = st.instrs in
+  let point =
+    match st.cfg.vm_gc_schedule with
+    | Schedule.Every n when n > 0 -> ((i / n) + 1) * n
+    | Schedule.At pts -> (
+        match Schedule.points_next pts i with -1 -> max_int | k -> k)
+    | Schedule.Every _ | Schedule.Auto | Schedule.At_allocs -> max_int
+  in
+  let limit = st.cfg.vm_max_instrs in
+  max (i + 1) (min point (if limit < max_int then limit + 1 else max_int))
+
+(* The safepoint after step [st.instrs], reached at [st.next_check]. *)
+let check st =
+  if
+    scheduled st st.instrs
+    && ((not st.cfg.vm_gc_at_calls_only) || at_call st)
+  then forced_collect st;
+  if st.instrs > st.cfg.vm_max_instrs then
+    raise
+      (Trap
+         ( Step_limit,
+           Printf.sprintf "instruction budget exceeded (%d steps)"
+             st.cfg.vm_max_instrs ));
+  st.next_check <- next_check st
 
 (** Run [main] to completion. *)
 let run ?(config = default_config ()) ?(args = []) (p : program) : result =
@@ -1136,17 +1386,15 @@ let run ?(config = default_config ()) ?(args = []) (p : program) : result =
   @@ fun () ->
   Fun.protect ~finally @@ fun () ->
   let exit_code = ref 0 in
+  st.next_check <- next_check st;
   (try
-     while true do
-       step st;
-       if forced_gc_due st then forced_collect st;
-       if st.instrs > config.vm_max_instrs then
-         raise
-           (Trap
-              ( Step_limit,
-                Printf.sprintf "instruction budget exceeded (%d steps)"
-                  config.vm_max_instrs ))
-     done
+     try
+       while true do
+         step st;
+         check st
+       done
+     with Gcheap.Heap.Invalid_access { store; addr; len } ->
+       raise (access_fault (if store then "store" else "load") len addr)
    with
   | Exit_program code -> exit_code := code
   | Fault msg as e when tl.tl_on ->

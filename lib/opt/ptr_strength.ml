@@ -60,14 +60,15 @@ let fold_displacement (f : func) (live : Ir.Liveness.t) =
           when p <> t && d <> p && (not p_or_t_live.(idx)) && last_def.(t) >= base0
           -> (
             (* the definition of t in this block: t := i +- c, with p, i, t
-               unchanged and p unused between it and the load (in
-               particular not by a KeepLive marker) *)
+               unchanged and p and t unused between it and the load (p in
+               particular not by a KeepLive marker; t, because the rewrite
+               stops defining it) *)
             let jg = last_def.(t) in
             let j = jg - base0 in
             match instrs.(j) with
             | Bin (((Add | Sub) as op), _, Reg i, Imm c)
               when i <> t && i <> p && last_def.(p) < jg && last_def.(i) < jg
-                   && last_use.(p) < jg ->
+                   && last_use.(p) < jg && last_use.(t) < jg ->
                 (* p := p op c   ...   ld d, [p + i] *)
                 instrs.(j) <- Bin (op, p, Reg p, Imm c);
                 instrs.(idx) <- Load (w, d, Reg p, Reg i);

@@ -82,13 +82,13 @@ let test_size_classes () =
 let test_page_map () =
   let h = fresh () in
   let a = Heap.alloc h 40 in
-  (match Page_map.find h.Heap.map a with
+  (match Heap.block_at h a with
   | Some blk -> Alcotest.(check int) "object size" 48 blk.Block.blk_obj_size
   | None -> Alcotest.fail "allocated address not in page map");
   Alcotest.(check bool) "null page unmapped" true
-    (Page_map.find h.Heap.map 42 = None);
+    (Heap.block_at h 42 = None);
   Alcotest.(check bool) "far address unmapped" true
-    (Page_map.find h.Heap.map 0x7000_0000 = None)
+    (Heap.block_at h 0x7000_0000 = None)
 
 (* --- collection ------------------------------------------------------ *)
 
@@ -613,7 +613,7 @@ let r_free_slot m x i =
 
 (* the pointer test in its allocating form *)
 let r_plausible m ~from_root v =
-  match Page_map.find m.h.Heap.map v with
+  match Heap.block_at m.h v with
   | None -> None
   | Some blk -> (
       match Block.slot_of_addr blk v with
@@ -700,7 +700,7 @@ let r_mark m ~minor ~roots =
       (fun p ->
         incr cards;
         let page_start = p lsl Mem.page_bits in
-        match Page_map.find m.h.Heap.map page_start with
+        match Heap.block_at m.h page_start with
         | Some blk when Block.collectable blk && Block.scanned blk ->
             r_old_slices m blk page_start (scan ~from_root:false)
         | Some _ | None -> ())
@@ -844,7 +844,7 @@ let r_recompute_cards m =
     (fun p ->
       let page_start = p lsl Mem.page_bits in
       let needed = ref false in
-      (match Page_map.find m.h.Heap.map page_start with
+      (match Heap.block_at m.h page_start with
       | Some blk
         when Block.collectable blk && Block.scanned blk && not (mb m blk).young
         ->
@@ -975,7 +975,7 @@ let agree what m h =
          || x.bump <> b.Block.blk_bump
       then fail "nursery flags of block %#x" b.Block.blk_start;
       if not (List.memq b m.all) then
-        match Page_map.find h.Heap.map b.Block.blk_start with
+        match Heap.block_at h b.Block.blk_start with
         | Some b' when b' == b ->
             fail "retired block %#x still mapped" b.Block.blk_start
         | Some _ | None -> ())
@@ -1073,7 +1073,9 @@ let print_script s =
     (if s.all_interior then "" else " base-only")
     (String.concat "; " (List.map print_op s.ops))
 
-let run_script s =
+(* [probe h objs] runs after every collection and step, with every
+   object the script allocated so far, live or not. *)
+let run_script ?(probe = fun _ _ -> ()) s =
   let config =
     {
       Heap.default_config with
@@ -1135,7 +1137,8 @@ let run_script s =
                ~generation:(if minor then Heap.Minor else Heap.Major)
                ~extra_roots:(frames values) h);
           r_collect m ~minor ~roots:values;
-          agree what m h
+          agree what m h;
+          probe h !objs
       | Step when s.mode = Heap.Inc ->
           let m = snapshot h in
           let values = root_values () in
@@ -1144,7 +1147,8 @@ let run_script s =
           agree what m h;
           if spent <> model_spent then
             QCheck.Test.fail_reportf "%s: step did %d words, model %d" what
-              spent model_spent
+              spent model_spent;
+          probe h !objs
       | Step ->
           let m = snapshot h in
           let values = root_values () in
@@ -1152,7 +1156,8 @@ let run_script s =
             (Heap.collect ~generation:Heap.Minor
                ~extra_roots:(frames values) h);
           r_collect m ~minor:true ~roots:values;
-          agree what m h)
+          agree what m h;
+          probe h !objs)
     s.ops;
   true
 
@@ -1160,7 +1165,99 @@ let prop_reference_model =
   QCheck.Test.make ~count:1000
     ~name:"collector == slot-at-a-time reference model (stw, gen, inc)"
     (QCheck.make ~print:print_script script_gen)
-    run_script
+    (run_script ?probe:None)
+
+(* --- one access rule --------------------------------------------------- *)
+
+let sign_extend width v =
+  if width = 8 then v
+  else
+    let s = Sys.int_size - (8 * width) in
+    (v lsl s) asr s
+
+(* The allocated slot a heap word [v] plausibly points into, as the
+   marker reads it. *)
+let pointee h v =
+  match Heap.block_at h v with
+  | None -> None
+  | Some blk -> (
+      match Block.slot_of_addr blk v with
+      | Some i
+        when Block.is_allocated blk i
+             && (h.Heap.config.Heap.all_interior || v = Block.slot_addr blk i)
+        ->
+          Some (blk, i)
+      | Some _ | None -> None)
+
+(* Every checked access agrees with [valid_access] and with the arena:
+   [Heap.load] returns what [Mem] holds, [Heap.store] leaves there what
+   it wrote after its barrier ran (while a cycle marks, every object an
+   overwritten word pointed into is marked; on a generational heap, the
+   card of an old page is dirty), and a rejected access raises
+   [Invalid_access] naming itself before the barrier and changes no
+   byte.  The probes sit around each object the script allocated: live,
+   swept, reused or on a reclaimed page, at its base, its last requested
+   byte, the slack byte, the last bytes of its slot and across the
+   slot's end. *)
+let probe_accesses h objs =
+  let check a width =
+    let valid = Heap.valid_access h a width in
+    let in_arena = Mem.in_bounds h.Heap.mem a width in
+    let held () = if in_arena then Mem.load h.Heap.mem ~width a else 0 in
+    let fail what = QCheck.Test.fail_reportf "%s of %d at %#x (valid_access %b)" what width a valid in
+    (match Heap.load h ~width a with
+    | v -> if (not valid) || v <> held () then fail "load"
+    | exception Heap.Invalid_access { store; addr; len } ->
+        if valid || store || addr <> a || len <> width then fail "rejected load");
+    let before = held () and grays = h.Heap.stats.Heap.barrier_grays in
+    let doomed =
+      if (not valid) || h.Heap.phase <> Heap.Marking then []
+      else
+        List.filter_map
+          (fun w ->
+            if Mem.in_bounds h.Heap.mem w 8 then
+              pointee h (Mem.load_word h.Heap.mem w)
+            else None)
+          (List.init (((a + width - 1) / 8) - (a / 8) + 1) (fun k -> (a / 8 * 8) + (8 * k)))
+    in
+    let v = (a * 7919) lxor (width lsl 40) in
+    match Heap.store h ~width a v with
+    | () ->
+        if (not valid) || held () <> sign_extend width v then fail "store";
+        List.iter
+          (fun ((blk : Block.t), i) ->
+            if Bytes.get blk.Block.blk_mark i = '\000' then
+              fail "store left an overwritten pointee unmarked")
+          doomed;
+        (match Heap.block_at h a with
+        | Some blk
+          when h.Heap.config.Heap.mode = Heap.Gen && Block.collectable blk
+               && (not blk.Block.blk_young) && not blk.Block.blk_aging ->
+            if not (Heap.page_is_dirty h a) then fail "store left its card clean"
+        | Some _ | None -> ())
+    | exception Heap.Invalid_access { store; addr; len } ->
+        if
+          valid || (not store) || addr <> a || len <> width || held () <> before
+          || h.Heap.stats.Heap.barrier_grays <> grays
+        then fail "rejected store"
+  in
+  let around (a, n) =
+    let slot =
+      if n + 1 <= Heap.max_small then Heap.class_size (n + 1)
+      else (n + 1 + Mem.page_size - 1) / Mem.page_size * Mem.page_size
+    in
+    List.iter
+      (fun off -> List.iter (check (a + off)) [ 1; 2; 4; 8 ])
+      [ -1; 0; n - 1; n; slot - 8; slot - 4; slot - 1; slot ]
+  in
+  Array.iter around objs;
+  List.iter (fun a -> List.iter (check a) [ 1; 8 ]) [ -8; 0; 8; Mem.page_size - 1; max_int - 8 ]
+
+let prop_one_access_rule =
+  QCheck.Test.make ~count:300
+    ~name:"load and store succeed exactly where valid_access holds"
+    (QCheck.make ~print:print_script script_gen)
+    (run_script ~probe:probe_accesses)
 
 let suite =
   [
@@ -1209,4 +1306,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_collect_exact;
     QCheck_alcotest.to_alcotest prop_same_obj;
     QCheck_alcotest.to_alcotest prop_reference_model;
+    QCheck_alcotest.to_alcotest prop_one_access_rule;
   ]

@@ -61,7 +61,7 @@ let test_bump_allocation () =
   let b = Heap.alloc h 32 in
   Alcotest.(check int) "bump: adjacent slots" (a + sz) b;
   Alcotest.(check int) "same nursery page" (page_of a) (page_of b);
-  (match Page_map.find h.Heap.map a with
+  (match Heap.block_at h a with
   | Some blk ->
       Alcotest.(check bool) "block is young" true blk.Block.blk_young;
       Alcotest.(check bool) "bump cursor advanced" true
@@ -96,7 +96,7 @@ let test_promotion_preserves_bytes () =
     Mem.store h.Heap.mem ~width:1 (o + i) ((i * 7) land 0xff)
   done;
   promote h [ o ];
-  (match Page_map.find h.Heap.map o with
+  (match Heap.block_at h o with
   | Some blk ->
       Alcotest.(check bool) "promoted in place: block no longer young" false
         blk.Block.blk_young
@@ -119,7 +119,7 @@ let test_dead_nursery_page_emptied_by_minor () =
   Alcotest.(check (list reject)) "no young blocks left" []
     (List.map (fun _ -> ()) h.Heap.young_blocks);
   Alcotest.(check bool) "page left the page map" true
-    (Page_map.find h.Heap.map (p lsl Mem.page_bits) = None)
+    (Heap.block_at h (p lsl Mem.page_bits) = None)
 
 (* --- satellite: card hygiene across retire and reuse ------------------- *)
 
@@ -235,7 +235,7 @@ let aging_block_scenario () =
   Alcotest.(check int) "the freed old slot is reused" a c;
   Alcotest.(check (option int)) "the reuse is young" (Some 0)
     (Heap.slot_age h c);
-  (match Page_map.find h.Heap.map c with
+  (match Heap.block_at h c with
   | Some blk ->
       Alcotest.(check bool) "old block now aging" true blk.Block.blk_aging
   | None -> Alcotest.fail "old block unmapped");

@@ -303,6 +303,34 @@ let test_disguise_blocked_by_liveness () =
       ()
   | _ -> Alcotest.fail "disguised despite later use of p"
 
+let test_disguise_blocked_by_offset_use () =
+  (* t read between its definition and the load: folding would stop
+     defining t under that reader, so the fold must not happen *)
+  let f =
+    mk_func ~params:[ 1; 2 ]
+      [
+        Bin (Add, 3, Reg 2, Imm 8);
+        Bin (Mul, 5, Reg 3, Imm 2);
+        Load (W8, 4, Reg 1, Reg 3);
+        Bin (Add, 6, Reg 5, Reg 4);
+      ]
+      (Ret (Some (Reg 6)))
+  in
+  Opt.Ptr_strength.run f;
+  let defined = Array.make 32 false in
+  List.iter (fun r -> defined.(r) <- true) f.fn_params;
+  List.iter
+    (fun i ->
+      List.iter
+        (fun r ->
+          if not defined.(r) then
+            Alcotest.failf "r%d read before it is defined: %s" r
+              (String.concat "; "
+                 (List.map (Format.asprintf "%a" pp_instr) (instrs_of f))))
+        (uses i);
+      Option.iter (fun d -> defined.(d) <- true) (def i))
+    (instrs_of f)
+
 let test_disguise_reuse_base () =
   (* q := p + 8 with p dead: q renamed to p *)
   let f =
@@ -413,6 +441,7 @@ let reference_ptr_strength (f : func) =
                    && List.for_all
                         (fun k ->
                           (not (List.mem p (uses instrs.(k))))
+                          && (not (List.mem t (uses instrs.(k))))
                           && not (List.mem (def instrs.(k)) [ Some p; Some i; Some t ]))
                         (between j idx) ->
                 instrs.(j) <- Bin (op, p, Reg p, Imm c);
@@ -684,4 +713,6 @@ let suite =
       test_optimizer_preserves_semantics;
     Alcotest.test_case "optimizer shrinks code" `Quick
       test_optimizer_shrinks_code;
+    Alcotest.test_case "disguise: blocked by a use of the offset" `Quick
+      test_disguise_blocked_by_offset_use;
   ]

@@ -173,6 +173,80 @@ let prop_calls_only_safe_at_call_sites =
       | r -> r.Machine.Vm.r_output = base
       | exception Machine.Vm.Fault _ -> false)
 
+(* --- injected collections fire at the schedule's safepoints ------------- *)
+
+(* The safepoint indices at which a run of [irp] injected a collection, as
+   its gc-point sink saw them, and the run's step count. *)
+let fired ~calls_only schedule irp =
+  let points = ref [] in
+  let config =
+    {
+      (Machine.Vm.default_config ()) with
+      Machine.Vm.vm_gc_schedule = schedule;
+      Machine.Vm.vm_gc_at_calls_only = calls_only;
+      Machine.Vm.vm_gc_point_sink = Some (fun i _ -> points := i :: !points);
+    }
+  in
+  let r = Machine.Vm.run ~config irp in
+  (List.rev !points, r.Machine.Vm.r_instrs)
+
+(* An every-1 run injects a collection at every safepoint it passes (at
+   every call, under calls-only), and collections do not change a safe
+   program's steps.  So any other schedule must fire at exactly the
+   every-1 points it names: the VM finds its next scheduled point
+   ahead of time instead of testing each step. *)
+let prop_schedules_fire_at_their_points =
+  QCheck.Test.make ~count:100
+    ~name:"random programs: schedules fire where every-1 passes"
+    QCheck.(
+      pair Testgen.arbitrary_program
+        (triple (int_range 2 40) (int_range 1 16) bool))
+    (fun (src, (k, density, calls_only)) ->
+      let irp = build ~annotate:true src in
+      let all, steps = fired ~calls_only (Machine.Schedule.Every 1) irp in
+      (* a point set over the whole run and a little past its end, drawn
+         from the case itself so that a failure replays *)
+      let rand = Random.State.make [| k; density; steps |] in
+      let at =
+        List.filter
+          (fun _ -> Random.State.int rand density = 0)
+          (List.init (steps + 3) Fun.id)
+      in
+      let every_k, _ = fired ~calls_only (Machine.Schedule.Every k) irp in
+      let at_set, _ = fired ~calls_only (Machine.Schedule.at_list at) irp in
+      every_k = List.filter (fun i -> i mod k = 0) all
+      && at_set = List.filter (fun i -> List.mem i at) all)
+
+(* Under calls-only, a safepoint is at a call when the last step other
+   than a terminator was a call: the returns and jumps that follow one
+   change no register the collector could miss. *)
+let test_calls_only_points () =
+  let open Ir.Instr in
+  let func name blocks =
+    { fn_name = name; fn_params = []; fn_ret_void = false; fn_blocks = blocks;
+      fn_nreg = 3; fn_frame = 0 }
+  in
+  let block l instrs term = { b_label = l; b_instrs = instrs; b_term = term } in
+  let p =
+    {
+      p_funcs =
+        [
+          func "f" [ block 0 [] (Ret (Some (Imm 7))) ];
+          func "main"
+            [
+              block 0 [ Call (Some 1, "f", 0) ] (Jmp 1);
+              block 1 [ Mov (2, Reg 1) ] (Ret (Some (Reg 2)));
+            ];
+        ];
+      p_statics = Bytes.empty;
+      p_relocs = [];
+    }
+  in
+  let points, steps = fired ~calls_only:true (Machine.Schedule.Every 1) p in
+  Alcotest.(check int) "steps" 5 steps;
+  Alcotest.(check (list int)) "after the call, f's ret and main's jmp"
+    [ 1; 2; 3 ] points
+
 let suite =
   [
     Alcotest.test_case "hazard: disguised pointer is collected" `Quick
@@ -193,4 +267,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_checked_accepts_legal;
     QCheck_alcotest.to_alcotest prop_safe_survives_async_gc;
     QCheck_alcotest.to_alcotest prop_calls_only_safe_at_call_sites;
+    QCheck_alcotest.to_alcotest prop_schedules_fire_at_their_points;
+    Alcotest.test_case "calls-only: a call's safepoint lasts to the next \
+                        instruction" `Quick test_calls_only_points;
   ]

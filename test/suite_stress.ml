@@ -29,7 +29,7 @@ let test_integrity_after_use () =
 (* --- sanitizer: deliberate corruptions are reported ------------------- *)
 
 let block_of h a =
-  match Page_map.find h.Heap.map a with
+  match Heap.block_at h a with
   | Some b -> b
   | None -> Alcotest.fail "address not mapped"
 
