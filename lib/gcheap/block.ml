@@ -39,6 +39,10 @@ type t = {
       (** old-generation block holding at least one reused slot that is
           still young — it must be visited by minor sweeps until every
           such slot is promoted or freed *)
+  blk_young_slots : Bytes.t;
+      (** one byte per slot, set exactly on the allocated slots of an
+          aging block that are still young, so a minor sweep visits those
+          alone; clear on every other block *)
   mutable blk_listed : Bytes.t;
       (** integrity-checker scratch: one byte per slot, set when a free
           list holds the slot; meaningful only during the check numbered
@@ -60,6 +64,7 @@ let make ~start ~pages ~obj_size ~count ~kind =
     blk_young = false;
     blk_bump = 0;
     blk_aging = false;
+    blk_young_slots = Bytes.make count '\000';
     blk_listed = Bytes.empty;
     blk_listed_pass = 0;
   }
@@ -94,7 +99,7 @@ let clear_marks t = Bytes.fill t.blk_mark 0 t.blk_count '\000'
 
 let age t i = Char.code (Bytes.get t.blk_age i)
 
-let set_age t i v = Bytes.set t.blk_age i (Char.chr (min 255 (max 0 v)))
+let set_age t i v = Bytes.set t.blk_age i (Char.chr (Int.min 255 (Int.max 0 v)))
 
 let scanned t =
   match t.blk_kind with

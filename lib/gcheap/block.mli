@@ -28,6 +28,9 @@ type t = {
   mutable blk_aging : bool;
       (** old-generation block holding reused slots that are still young
           (visited by minor sweeps until they promote or die) *)
+  blk_young_slots : Bytes.t;
+      (** per-slot flags: on an aging block, set exactly on its allocated
+          slots that are still young; clear on every other block *)
   mutable blk_listed : Bytes.t;
       (** integrity-checker scratch: per-slot "on a free list" flags *)
   mutable blk_listed_pass : int;

@@ -30,7 +30,7 @@ let phase_name = function
   | Heap.Sweeping -> "sweeping"
 
 let take (h : Heap.t) =
-  let promote_after = max 1 h.Heap.config.Heap.promote_after in
+  let promote_after = Int.max 1 h.Heap.config.Heap.promote_after in
   let age = Array.make (promote_after + 1) 0 in
   let classes : (int, class_row ref) Hashtbl.t = Hashtbl.create 16 in
   let live_bytes = ref 0 in
@@ -62,8 +62,9 @@ let take (h : Heap.t) =
             let a =
               (* nursery residents are young regardless of the clipped
                  age byte; everywhere else age tells the generation *)
-              if b.Block.blk_young then min (Block.age b slot) (promote_after - 1)
-              else min (Block.age b slot) promote_after
+              if b.Block.blk_young then
+                Int.min (Block.age b slot) (promote_after - 1)
+              else Int.min (Block.age b slot) promote_after
             in
             age.(a) <- age.(a) + 1;
             if a >= promote_after then incr old else incr young
@@ -80,7 +81,7 @@ let take (h : Heap.t) =
     h.Heap.all_blocks;
   let classes =
     Hashtbl.fold (fun _ r acc -> !r :: acc) classes []
-    |> List.sort (fun a b -> compare a.cr_size b.cr_size)
+    |> List.sort (fun a b -> Int.compare a.cr_size b.cr_size)
   in
   let dirty = h.Heap.dirty in
   let dirty_cards = ref 0 in

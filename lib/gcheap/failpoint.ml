@@ -18,7 +18,7 @@ type points = Bytes.t
 let no_points : points = Bytes.empty
 
 let points_of_list (l : int list) : points =
-  let m = List.fold_left max (-1) l in
+  let m = List.fold_left Int.max (-1) l in
   if m < 0 then no_points
   else begin
     let b = Bytes.make ((m / 8) + 1) '\000' in
@@ -46,7 +46,7 @@ let points_next (b : points) i =
     else if points_mem b k then k
     else bit (k + 1)
   in
-  bit (max 0 (i + 1))
+  bit (Int.max 0 (i + 1))
 
 let points_to_list (b : points) =
   let acc = ref [] in

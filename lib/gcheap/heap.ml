@@ -174,7 +174,8 @@ type t = {
   mutable aging_blocks : Block.t list;
       (** old-generation blocks that may hold still-young slots (free-list
           reuse restarts a slot at age 0), so a minor sweep can visit
-          exactly the blocks where young objects can live *)
+          exactly the blocks where young objects can live, and in each
+          only the slots its young-slot map holds *)
   cursors : Block.t option array;
       (** by {!class_slot}: the block whose never-used slots the bump
           allocator is handing out *)
@@ -355,6 +356,18 @@ let[@inline] slot_holding (blk : Block.t) addr len =
 (* The arena word at [a], which the caller knows lies inside it. *)
 let[@inline] word_at t a = Int64.to_int (Bytes.get_int64_le t.mem.Mem.data a)
 
+(* The block-kind tests, read in place for the same reason: the
+   collector's loops make them per block and per shaded word. *)
+let[@inline] collectable (blk : Block.t) =
+  match blk.Block.blk_kind with
+  | Block.Normal | Block.Atomic -> true
+  | Block.Uncollectable | Block.Stack -> false
+
+let[@inline] scanned (blk : Block.t) =
+  match blk.Block.blk_kind with
+  | Block.Normal | Block.Uncollectable -> true
+  | Block.Atomic | Block.Stack -> false
+
 (* ------------------------------------------------------------------ *)
 (* Remembered set: dirty cards at page granularity                     *)
 (* ------------------------------------------------------------------ *)
@@ -367,7 +380,9 @@ let page_is_dirty t addr =
 
 let mark_page_dirty t p =
   if p >= Bytes.length t.dirty then begin
-    let grown = Bytes.make (max (p + 1) ((2 * Bytes.length t.dirty) + 64)) '\000' in
+    let grown =
+      Bytes.make (Int.max (p + 1) ((2 * Bytes.length t.dirty) + 64)) '\000'
+    in
     Bytes.blit t.dirty 0 grown 0 (Bytes.length t.dirty);
     t.dirty <- grown
   end;
@@ -401,7 +416,7 @@ let iter_dirty_pages t f =
         t.dirty_index)
 
 (* Is the slot's object old (survived [promote_after] minor cycles)? *)
-let is_old t (blk : Block.t) i =
+let[@inline] is_old t (blk : Block.t) i =
   Char.code (Bytes.get blk.Block.blk_age i) >= t.config.promote_after
 
 (* The one pointer test: the slot of [blk] (the block the page map gives
@@ -411,7 +426,7 @@ let is_old t (blk : Block.t) i =
    from roots (the "Extensions" mode).  It runs for every scanned word,
    so it reads the block's bytes itself and allocates nothing: the dev
    build's [-opaque] keeps {!Block}'s accessors from being inlined. *)
-let plausible_slot t ~from_root (blk : Block.t) v =
+let[@inline] plausible_slot t ~from_root (blk : Block.t) v =
   let off = v - blk.Block.blk_start in
   if off < 0 then -1
   else
@@ -440,10 +455,10 @@ let shade t ~minor ~from_root v =
       let i = plausible_slot t ~from_root blk v in
       i >= 0
       && Bytes.get blk.Block.blk_mark i = '\000'
-      && (not (minor && Block.collectable blk && is_old t blk i))
+      && (not (minor && collectable blk && is_old t blk i))
       && begin
            Bytes.set blk.Block.blk_mark i '\001';
-           (if Block.scanned blk then
+           (if scanned blk then
               let a = blk.Block.blk_start + (i * blk.Block.blk_obj_size) in
               t.gray <- (a, a + blk.Block.blk_obj_size) :: t.gray);
            true
@@ -451,15 +466,17 @@ let shade t ~minor ~from_root v =
 
 (* Does any byte of [lo, hi] (inclusive, within [blk]) fall in an
    allocated slot of [blk] that is already old? *)
-let touches_old_slot t blk lo hi =
-  let slot a = (a - blk.Block.blk_start) / blk.Block.blk_obj_size in
-  let stop = min (blk.Block.blk_count - 1) (slot hi) in
-  let rec probe i =
-    i <= stop
-    && ((Bytes.get blk.Block.blk_alloc i <> '\000' && is_old t blk i)
-       || probe (i + 1))
-  in
-  probe (slot lo)
+let touches_old_slot t (blk : Block.t) lo hi =
+  let start = blk.Block.blk_start and size = blk.Block.blk_obj_size in
+  let stop = Int.min (blk.Block.blk_count - 1) ((hi - start) / size) in
+  let i = ref ((lo - start) / size) in
+  while
+    !i <= stop
+    && not (Bytes.get blk.Block.blk_alloc !i <> '\000' && is_old t blk !i)
+  do
+    incr i
+  done;
+  !i <= stop
 
 (** The store write-barrier: dirty the card of every old-generation page
     a write touches, so the next minor collection rescans it.  Young
@@ -501,11 +518,11 @@ let note_store t addr len =
     for p = page_index addr to page_index last do
       let page_start = p lsl Mem.page_bits in
       match block_at t page_start with
-      | Some blk when Block.collectable blk && not blk.Block.blk_young ->
+      | Some blk when collectable blk && not blk.Block.blk_young ->
           if
             (not blk.Block.blk_aging)
-            || touches_old_slot t blk (max addr page_start)
-                 (min last (page_start + Mem.page_size - 1))
+            || touches_old_slot t blk (Int.max addr page_start)
+                 (Int.min last (page_start + Mem.page_size - 1))
           then mark_page_dirty t p
       | Some _ | None -> ()
     done
@@ -567,42 +584,14 @@ let iter_range_words t start stop f =
 
 (* Is heap word [v] a (conservative) pointer to a young collectable
    object?  Same resolution rules as heap-object scanning. *)
-let points_young t v =
+let[@inline] points_young t v =
   v >= Mem.page_size
   &&
   match block_at t v with
   | Some blk ->
       let i = plausible_slot t ~from_root:false blk v in
-      i >= 0 && (not (is_old t blk i)) && Block.collectable blk
+      i >= 0 && (not (is_old t blk i)) && collectable blk
   | None -> false
-
-(* Does any word of [a, stop) (from aligned [a]) point to a young
-   collectable object?  Stops at the first that does. *)
-let rec young_ref_from t a stop =
-  word_in_range t a stop
-  && (points_young t (word_at t a) || young_ref_from t (a + 8) stop)
-
-let range_has_young_ref t start stop = young_ref_from t (first_word start) stop
-
-(* The allocated old slots of [blk] that overlap the page at
-   [page_start], each clipped to the page: [f s e] for each in slot
-   order, until one returns [true] (the result).  Only the slots that
-   overlap the page are visited. *)
-let exists_old_slice t (blk : Block.t) page_start f =
-  let start = blk.Block.blk_start and size = blk.Block.blk_obj_size in
-  let page_stop = page_start + Mem.page_size in
-  let last = min (blk.Block.blk_count - 1) ((page_stop - 1 - start) / size) in
-  let rec from i =
-    i <= last
-    && ((Bytes.get blk.Block.blk_alloc i <> '\000'
-        && is_old t blk i
-        &&
-        let s = start + (i * size) in
-        let lo = max s page_start and hi = min (s + size) page_stop in
-        lo < hi && f lo hi)
-       || from (i + 1))
-  in
-  from (max 0 ((page_start - start) / size))
 
 (* Scan [start, stop) conservatively, shading every word, until [spent]
    words of work reach [budget]; a range the budget cuts short goes
@@ -617,6 +606,30 @@ let scan_range t ~minor ~from_root ~spent ~budget start stop =
     a := !a + 8
   done;
   if word_in_range t !a stop then t.gray <- (!a, stop) :: t.gray
+
+(* The minor's scan of the dirty card of the page at [page_start], on
+   which [blk] lies: every allocated old slot of [blk] overlapping the
+   page, clipped to it, scanned in slot order.  One loop over the slots
+   that overlap the page; the card stands in for exactly these. *)
+let scan_old_slices t ~spent (blk : Block.t) page_start =
+  let start = blk.Block.blk_start and size = blk.Block.blk_obj_size in
+  let alloc = blk.Block.blk_alloc and age = blk.Block.blk_age in
+  let promote_after = t.config.promote_after in
+  let page_stop = page_start + Mem.page_size in
+  for i =
+    Int.max 0 ((page_start - start) / size)
+    to Int.min (blk.Block.blk_count - 1) ((page_stop - 1 - start) / size)
+  do
+    if
+      Bytes.unsafe_get alloc i <> '\000'
+      && Char.code (Bytes.unsafe_get age i) >= promote_after
+    then begin
+      let s = start + (i * size) in
+      let lo = Int.max s page_start and hi = Int.min (s + size) page_stop in
+      if lo < hi then
+        scan_range t ~minor:true ~from_root:false ~spent ~budget:max_int lo hi
+    end
+  done
 
 (* Pop and scan gray ranges until the gray stack is empty or [spent]
    reaches [budget].  Stop-the-world collection drains with [max_int]. *)
@@ -681,20 +694,18 @@ let scan_roots t ~minor ~extra_roots ~extra_ranges ~spent =
       scan_range t ~minor ~from_root:true ~spent ~budget:max_int s e)
     extra_ranges;
   List.iter
-    (fun blk ->
-      if Block.root_scanned blk then scan_root_block t ~minor ~spent blk)
+    (fun (blk : Block.t) ->
+      match blk.Block.blk_kind with
+      | Block.Uncollectable -> scan_root_block t ~minor ~spent blk
+      | Block.Normal | Block.Atomic | Block.Stack -> ())
     t.all_blocks;
   if minor then
     iter_dirty_pages t (fun p ->
         t.stats.cards_scanned <- t.stats.cards_scanned + 1;
         let page_start = p lsl Mem.page_bits in
         match block_at t page_start with
-        | Some blk when Block.collectable blk && Block.scanned blk ->
-            ignore
-              (exists_old_slice t blk page_start (fun s e ->
-                   scan_range t ~minor ~from_root:false ~spent ~budget:max_int
-                     s e;
-                   false))
+        | Some blk when collectable blk && scanned blk ->
+            scan_old_slices t ~spent blk page_start
         | Some _ | None -> ())
 
 (* Conservatively mark the pages of a slot dirty (used on promotion: the
@@ -721,7 +732,7 @@ let clear_cards_in_run t lo pages =
 (* Sort and coalesce adjacent pool runs so a multi-page request can be
    carved out of neighbouring single-page retirements. *)
 let coalesce_pool t =
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) t.free_pages in
+  let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) t.free_pages in
   t.free_pages <-
     List.rev
       (List.fold_left
@@ -833,12 +844,13 @@ let block_free_list t (blk : Block.t) =
 (* Free slot [i] of a collectable block onto [fl], its
    {!block_free_list}: the one routine both sweepers reclaim through.
    The slot restarts at age 0 (whatever reallocates it gets a genuinely
-   young object) and is poisoned, so the VM detects a premature
-   reclamation as a hard fault. *)
+   young object), leaves the young-slot map and is poisoned, so the VM
+   detects a premature reclamation as a hard fault. *)
 let free_slot t (blk : Block.t) i fl =
   let bytes = blk.Block.blk_req.(i) in
   Bytes.set blk.Block.blk_alloc i '\000';
   Bytes.set blk.Block.blk_age i '\000';
+  Bytes.set blk.Block.blk_young_slots i '\000';
   t.stats.objects_freed <- t.stats.objects_freed + 1;
   t.stats.bytes_freed <- t.stats.bytes_freed + bytes;
   let addr = blk.Block.blk_start + (i * blk.Block.blk_obj_size) in
@@ -870,7 +882,7 @@ let sweep_slice t ~spent ~budget =
         let words = blk.Block.blk_obj_size / 8 in
         let worst = 1 + words in
         let i = ref t.sweep_cursor in
-        if Block.collectable blk then begin
+        if collectable blk then begin
           let alloc = blk.Block.blk_alloc and mark = blk.Block.blk_mark in
           let fl = block_free_list t blk in
           while !i < count && (!spent + worst <= budget || !spent = 0) do
@@ -912,64 +924,89 @@ let start_sweep t =
   t.sweep_cursor <- 0
 
 (* The minor sweep: segregated generations let it touch only the blocks
-   where young objects can live, the nursery pages themselves plus old
-   blocks holding reused (age-restarted) slots.  Old objects are not
-   collected; a marked young object survives one minor cycle older.
-   Each block is visited once: the visit frees and ages its young slots
-   and notes what the decisions below need — how many slots stay
-   allocated, the last one's age, and whether a young slot is left.
-   Nursery cohorts then act per page: a page with no survivors returns
-   to the reclaim pool; a page whose cohort has now survived
-   [promote_after] minors is promoted in place.  An aging block with no
-   young slot left drops out of the minor set. *)
+   where young objects can live, the nursery pages themselves plus the
+   aging blocks, old blocks holding reused (age-restarted) slots.  Old
+   objects are not collected; a marked young object survives one minor
+   cycle older.  Every allocated slot of a nursery page belongs to its
+   cohort, so each is visited, and the visit notes how many stay
+   allocated and the last one's age.  An aging block's visit reads its
+   young-slot map, eight slots at a time, and visits only the slots set
+   there, in ascending order, so its freed slots reach the free list in
+   the order a walk of every slot would push them; a slot that dies or
+   is promoted leaves the map.  Nursery cohorts then act per page: a
+   page with no survivors returns to the reclaim pool; a page whose
+   cohort has now survived [promote_after] minors is promoted in place.
+   An aging block whose map is left empty drops out of the minor set. *)
 let sweep_minor t =
-  let last_age = ref 0 and young_left = ref false in
-  let sweep_block (blk : Block.t) =
+  let promote_after = t.config.promote_after in
+  (* a nursery page: its survivors and the last survivor's age *)
+  let sweep_young (blk : Block.t) =
     let alloc = blk.Block.blk_alloc and age = blk.Block.blk_age in
-    let collectable = Block.collectable blk in
-    let fl = if collectable then block_free_list t blk else None in
-    let survivors = ref 0 in
-    young_left := false;
-    for i = 0 to blk.Block.blk_count - 1 do
-      if Bytes.get alloc i <> '\000' then begin
-        if collectable && not (is_old t blk i) then
-          if Bytes.get blk.Block.blk_mark i = '\000' then free_slot t blk i fl
-          else begin
-            Bytes.set age i
-              (Char.chr (min 255 (Char.code (Bytes.get age i) + 1)));
-            if is_old t blk i && not blk.Block.blk_young then begin
-              t.stats.promoted <- t.stats.promoted + 1;
-              dirty_slot_pages t blk i
-            end
-          end;
-        if Bytes.get alloc i <> '\000' then begin
-          incr survivors;
-          last_age := Char.code (Bytes.get age i);
-          if not (is_old t blk i) then young_left := true
-        end
+    let mark = blk.Block.blk_mark and count = blk.Block.blk_count in
+    let collectable = collectable blk in
+    let survivors = ref 0 and last_age = ref 0 and i = ref 0 in
+    while !i < count do
+      let j = !i in
+      if j + 8 <= count && Bytes.get_int64_le alloc j = 0L then i := j + 8
+      else begin
+        if Bytes.get alloc j <> '\000' then begin
+          let a = Char.code (Bytes.get age j) in
+          if collectable && a < promote_after then
+            if Bytes.get mark j = '\000' then free_slot t blk j None
+            else Bytes.set age j (Char.unsafe_chr (Int.min 255 (a + 1)));
+          if Bytes.get alloc j <> '\000' then begin
+            incr survivors;
+            last_age := Char.code (Bytes.get age j)
+          end
+        end;
+        i := j + 1
       end
     done;
-    !survivors
+    (!survivors, !last_age)
   in
-  let young =
-    List.map
-      (fun blk ->
-        let survivors = sweep_block blk in
-        (blk, survivors, !last_age))
-      t.young_blocks
+  (* an aging block: is a young slot left? *)
+  let sweep_aging (blk : Block.t) =
+    let young = blk.Block.blk_young_slots and age = blk.Block.blk_age in
+    let mark = blk.Block.blk_mark and count = blk.Block.blk_count in
+    let collectable = collectable blk in
+    let fl = if collectable then block_free_list t blk else None in
+    let left = ref false and i = ref 0 in
+    while !i < count do
+      let j = !i in
+      if j + 8 <= count && Bytes.get_int64_le young j = 0L then i := j + 8
+      else begin
+        if Bytes.get young j <> '\000' then begin
+          if collectable then
+            if Bytes.get mark j = '\000' then free_slot t blk j fl
+            else begin
+              let a = Int.min 255 (Char.code (Bytes.get age j) + 1) in
+              Bytes.set age j (Char.unsafe_chr a);
+              if a >= promote_after then begin
+                Bytes.set young j '\000';
+                t.stats.promoted <- t.stats.promoted + 1;
+                dirty_slot_pages t blk j
+              end
+            end;
+          if Bytes.get young j <> '\000' then left := true
+        end;
+        i := j + 1
+      end
+    done;
+    !left
   in
+  let young = List.map (fun blk -> (blk, sweep_young blk)) t.young_blocks in
   t.aging_blocks <-
     List.filter
       (fun blk ->
-        ignore (sweep_block blk);
-        if not !young_left then blk.Block.blk_aging <- false;
-        !young_left)
+        let left = sweep_aging blk in
+        if not left then blk.Block.blk_aging <- false;
+        left)
       t.aging_blocks;
   let dead = ref [] in
   List.iter
-    (fun (blk, survivors, cohort_age) ->
+    (fun (blk, (survivors, cohort_age)) ->
       if survivors = 0 then dead := blk :: !dead
-      else if cohort_age >= t.config.promote_after then begin
+      else if cohort_age >= promote_after then begin
         t.stats.promoted <- t.stats.promoted + survivors;
         for i = 0 to blk.Block.blk_count - 1 do
           if Bytes.get blk.Block.blk_alloc i <> '\000' then
@@ -981,13 +1018,48 @@ let sweep_minor t =
   retire_young_blocks t (List.rev !dead);
   t.young_blocks <- List.filter (fun b -> b.Block.blk_young) t.young_blocks
 
+(* Does an allocated old slot of [blk] overlapping the page at
+   [page_start] hold, on that page, a pointer to a young collectable
+   object?  One loop over the slots that overlap the page, reading each
+   old one's words up to the first such pointer. *)
+let old_slices_point_young t (blk : Block.t) page_start =
+  let start = blk.Block.blk_start and size = blk.Block.blk_obj_size in
+  let alloc = blk.Block.blk_alloc and age = blk.Block.blk_age in
+  let promote_after = t.config.promote_after in
+  let page_stop = page_start + Mem.page_size in
+  let last =
+    Int.min (blk.Block.blk_count - 1) ((page_stop - 1 - start) / size)
+  in
+  let found = ref false and i = ref (Int.max 0 ((page_start - start) / size)) in
+  while (not !found) && !i <= last do
+    let j = !i in
+    if
+      Bytes.unsafe_get alloc j <> '\000'
+      && Char.code (Bytes.unsafe_get age j) >= promote_after
+    then begin
+      let s = start + (j * size) in
+      let hi = Int.min (s + size) page_stop in
+      let a = ref (first_word (Int.max s page_start)) in
+      while (not !found) && word_in_range t !a hi do
+        found := points_young t (word_at t !a);
+        a := !a + 8
+      done
+    end;
+    i := j + 1
+  done;
+  !found
+
 (* Clean every dirty card that no longer holds an old→young reference.
    Keeping exactly the cards that do maintains remembered-set
    completeness between collections: stores dirty their cards eagerly and
-   ages only ever increase, so an old→young reference can appear on a
+   ages only ever increase, so a young object's address can reach a
    clean card only through a store (barrier) or a promotion (which
-   dirties the promoted slot's pages).  Only the old slots overlapping a
-   card are read, each up to its first young reference. *)
+   dirties the promoted slot's pages).  Each dirty card's old slices are
+   read again, each up to its first young reference, and not taken from
+   what the minor's mark saw: a stale word can come to point at a freed
+   slot that a young object reuses, with no store, and a card dirty for
+   any reason must then be kept.  {!old_slices_point_young} reads them in
+   one loop. *)
 let recompute_cards t =
   let retained = ref [] in
   iter_dirty_pages t (fun p ->
@@ -995,9 +1067,8 @@ let recompute_cards t =
       let needed =
         match block_at t page_start with
         | Some blk
-          when Block.collectable blk && Block.scanned blk
-               && not blk.Block.blk_young ->
-            exists_old_slice t blk page_start (range_has_young_ref t)
+          when collectable blk && scanned blk && not blk.Block.blk_young ->
+            old_slices_point_young t blk page_start
         | Some _ | None -> false
       in
       if needed then retained := p :: !retained
@@ -1017,7 +1088,7 @@ let complete_collection t ~minor ~tenure ~freed_bytes =
   t.stats.collections <- t.stats.collections + 1;
   if minor then begin
     t.stats.minor_collections <- t.stats.minor_collections + 1;
-    t.since_gc <- max 0 (t.since_gc - freed_bytes)
+    t.since_gc <- Int.max 0 (t.since_gc - freed_bytes)
   end
   else t.since_gc <- 0;
   t.since_minor <- 0;
@@ -1072,7 +1143,7 @@ let active t = t.phase <> Idle
     allocated during it are born black, so finalization terminates.
     Returns the words of work performed. *)
 let step ?(extra_roots = []) ?(extra_ranges = []) t =
-  let budget = max 1 t.config.pause_budget_words in
+  let budget = Int.max 1 t.config.pause_budget_words in
   let spent = ref 0 in
   if t.phase = Idle then begin
     scan_roots t ~minor:false ~extra_roots ~extra_ranges ~spent;
@@ -1096,7 +1167,7 @@ let step ?(extra_roots = []) ?(extra_ranges = []) t =
   t.stats.increments <- t.stats.increments + 1;
   if !spent > budget then
     t.stats.budget_overruns <- t.stats.budget_overruns + 1;
-  t.stats.inc_max_pause_words <- max t.stats.inc_max_pause_words !spent;
+  t.stats.inc_max_pause_words <- Int.max t.stats.inc_max_pause_words !spent;
   !spent
 
 (** Drive {!step} until the in-flight cycle (if any) completes. *)
@@ -1139,7 +1210,7 @@ let growth_exceeds_limit t pages =
    for them.  Runs only on the emergency path, so limit-free executions
    never see it. *)
 let reclaim_empty_blocks t =
-  let is_empty blk = Block.collectable blk && not (has_allocated blk) in
+  let is_empty blk = collectable blk && not (has_allocated blk) in
   let retired, kept = List.partition is_empty t.all_blocks in
   if retired <> [] then begin
     t.all_blocks <- kept;
@@ -1281,8 +1352,8 @@ let alloc_large t ~req bytes kind =
       ~reuse:(fun () -> Option.map reused (find_reusable ()))
       ~fresh
   in
-  Block.set_allocated blk 0 true;
-  Block.set_age blk 0 0;
+  Bytes.set blk.Block.blk_alloc 0 '\001';
+  Bytes.set blk.Block.blk_age 0 '\000';
   (* allocate-black: objects born during an incremental cycle survive it
      unconditionally (they cannot hold the only path to snapshot-live
      data, and the sliced sweeper must not free them) *)
@@ -1290,9 +1361,13 @@ let alloc_large t ~req bytes kind =
   (* large objects live outside the nursery but are born young: with the
      segregated minor sweep, their block must join the aging set so
      minors can age and promote them *)
-  if generational t && not blk.Block.blk_aging then begin
-    blk.Block.blk_aging <- true;
-    t.aging_blocks <- blk :: t.aging_blocks
+  if generational t then begin
+    if 0 < t.config.promote_after then
+      Bytes.set blk.Block.blk_young_slots 0 '\001';
+    if not blk.Block.blk_aging then begin
+      blk.Block.blk_aging <- true;
+      t.aging_blocks <- blk :: t.aging_blocks
+    end
   end;
   blk.Block.blk_req.(0) <- req;
   blk.Block.blk_start
@@ -1332,9 +1407,9 @@ let bump_slot t k ~req =
 
 (* Pop the head of the free list of class slot [k] and hand its slot to
    a [req]-byte object: allocated, born young again, black during an
-   incremental cycle, and zeroed.  A reused slot of a collectable block
-   puts the block in the aging set of a generational heap.  Returns -1
-   when the list is empty. *)
+   incremental cycle, and zeroed.  On a generational heap a reused slot
+   of a collectable block joins its block's young-slot map, and the
+   block the aging set.  Returns -1 when the list is empty. *)
 let take_listed t k ~req =
   let fl = t.free_lists.(k) in
   match !fl with
@@ -1350,12 +1425,13 @@ let take_listed t k ~req =
           if t.phase <> Idle then Bytes.set blk.Block.blk_mark i '\001';
           blk.Block.blk_req.(i) <- req;
           Mem.fill t.mem addr blk.Block.blk_obj_size '\000';
-          if
-            generational t && Block.collectable blk
-            && not blk.Block.blk_aging
-          then begin
-            blk.Block.blk_aging <- true;
-            t.aging_blocks <- blk :: t.aging_blocks
+          if generational t && collectable blk then begin
+            if 0 < t.config.promote_after then
+              Bytes.set blk.Block.blk_young_slots i '\001';
+            if not blk.Block.blk_aging then begin
+              blk.Block.blk_aging <- true;
+              t.aging_blocks <- blk :: t.aging_blocks
+            end
           end;
           addr)
 
@@ -1403,7 +1479,7 @@ let alloc_small t ~req cls kind =
     retry under [Collect_expand]), or when an injected failure plan
     fires under [Trap]. *)
 let alloc ?(kind = Block.Normal) t bytes =
-  let bytes = max bytes 1 in
+  let bytes = Int.max bytes 1 in
   t.stats.bytes_allocated <- t.stats.bytes_allocated + bytes;
   t.stats.objects_allocated <- t.stats.objects_allocated + 1;
   t.since_gc <- t.since_gc + bytes;
@@ -1482,7 +1558,7 @@ let post_incr t mem_addr delta =
 let check_base t v =
   t.stats.same_obj_checks <- t.stats.same_obj_checks + 1;
   (match block_at t v with
-  | Some blk when Block.collectable blk -> (
+  | Some blk when collectable blk -> (
       match Block.slot_of_addr blk v with
       | Some i when Block.is_allocated blk i ->
           let b = Block.slot_addr blk i in
@@ -1592,6 +1668,9 @@ let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.v_rule v.v_detail
       byte ([req] strictly below the rounded slot size);
     - [nursery]: young blocks are collectable single pages, and the young
       set is exactly the young blocks;
+    - [young-slots]: an aging block's young-slot map holds exactly its
+      allocated slots younger than [promote_after], the slots a minor
+      sweep of it visits; every other block's map is clear;
     - [remembered-set] (generational mode only): every old→young
       reference lies on a dirty card, so a minor collection cannot miss
       it. *)
@@ -1792,7 +1871,7 @@ let check_integrity t : violation list =
         if bump < 0 || bump > count then
           report "cursor" "block %#x: bump %d outside [0,%d]"
             blk.Block.blk_start bump count;
-        let bump = max 0 (min bump count) in
+        let bump = Int.max 0 (Int.min bump count) in
         if not blk.Block.blk_young then
           visit_runs 0 bump
             (fun j ->
@@ -1828,7 +1907,7 @@ let check_integrity t : violation list =
   List.iter
     (fun blk ->
       if blk.Block.blk_young then begin
-        if not (Block.collectable blk) then
+        if not (collectable blk) then
           report "nursery" "young block %#x is not collectable"
             blk.Block.blk_start;
         if blk.Block.blk_pages <> 1 then
@@ -1845,13 +1924,32 @@ let check_integrity t : violation list =
         report "nursery" "old block %#x lingers in the young set"
           blk.Block.blk_start)
     t.young_blocks;
+  (* young-slot maps.  A block that is not aging has eight clear map
+     bytes stepped over at once. *)
+  let promote_after = t.config.promote_after in
+  List.iter
+    (fun blk ->
+      let young = blk.Block.blk_young_slots and aging = blk.Block.blk_aging in
+      visit_runs 0 blk.Block.blk_count
+        (fun j -> (not aging) && Bytes.get_int64_le young j = 0L)
+        (fun j ->
+          let want =
+            aging
+            && Bytes.get blk.Block.blk_alloc j <> '\000'
+            && Char.code (Bytes.get blk.Block.blk_age j) < promote_after
+          in
+          if want <> (Bytes.get young j <> '\000') then
+            report "young-slots" "block %#x: slot %d is %s the young-slot map"
+              blk.Block.blk_start j
+              (if want then "missing from" else "wrongly in")))
+    t.all_blocks;
   (* remembered-set completeness: minor collections scan only dirty
      cards of the old generation, so an old→young reference on a clean
      card would let a minor cycle reclaim a live object *)
   if generational t then
     List.iter
       (fun blk ->
-        if Block.collectable blk && Block.scanned blk then
+        if collectable blk && scanned blk then
           for i = 0 to blk.Block.blk_count - 1 do
             if Block.is_allocated blk i && is_old t blk i then begin
               let s = Block.slot_addr blk i in
@@ -1877,7 +1975,7 @@ let live_summary t =
   let objs = ref 0 and bytes = ref 0 in
   List.iter
     (fun blk ->
-      if Block.collectable blk then
+      if collectable blk then
         for i = 0 to blk.Block.blk_count - 1 do
           if Block.is_allocated blk i then begin
             incr objs;

@@ -175,7 +175,8 @@ type t = {
       (** nursery: the young single-page blocks currently in service *)
   mutable aging_blocks : Block.t list;
       (** old-generation blocks that may hold still-young (reused or
-          large) slots, visited by the segregated minor sweep *)
+          large) slots, visited by the segregated minor sweep through
+          each block's young-slot map *)
   cursors : Block.t option array;
       (** the block being bump-filled, indexed like [free_lists] *)
   mutable nursery_opened : int;
@@ -385,9 +386,9 @@ val pp_violation : Format.formatter -> violation -> unit
 val check_integrity : t -> violation list
 (** Validate page-map/block-header agreement, mark-bit consistency,
     free-list well-formedness, the bump-cursor rule, the one-extra-byte
-    rule, the nursery sets and (generational heaps) remembered-set
-    completeness.  Returns the violations found (empty on a healthy
-    heap). *)
+    rule, the nursery sets, the aging blocks' young-slot maps and
+    (generational heaps) remembered-set completeness.  Returns the
+    violations found (empty on a healthy heap). *)
 
 val integrity_checks : int Atomic.t
 (** {!check_integrity} calls made so far in this process, on any heap

@@ -74,7 +74,9 @@ let grow_pages t n =
   ensure_capacity t t.brk;
   addr
 
-let in_bounds t addr len = addr >= page_size && addr + len <= t.brk
+(* [addr + len <= brk] without the sum, which wraps for an [addr] near
+   [max_int]: [brk - len] cannot, since [brk] is an arena size. *)
+let in_bounds t addr len = addr >= page_size && addr <= t.brk - len
 
 let[@inline] check t addr len = if not (in_bounds t addr len) then raise (Fault addr)
 

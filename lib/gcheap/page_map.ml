@@ -24,7 +24,7 @@ let split page =
 
 let ensure_top t hi =
   if hi >= Array.length t.top then begin
-    let fresh = Array.make (max (hi + 1) (2 * Array.length t.top)) None in
+    let fresh = Array.make (Int.max (hi + 1) (2 * Array.length t.top)) None in
     Array.blit t.top 0 fresh 0 (Array.length t.top);
     t.top <- fresh
   end

@@ -45,7 +45,7 @@ type config = {
   vm_heap : Gcheap.Heap.config;
       (** the collector's knobs, as given to {!Gcheap.Heap.create}, except
           one rule of the VM's: its minor threshold is always
-          [max 1024 (gc_threshold / 8)].  Cycle counts are identical in
+          [Int.max 1024 (gc_threshold / 8)].  Cycle counts are identical in
           every collector mode: the store barrier charges nothing. *)
   vm_max_instrs : int;  (** step ceiling; exceeding it raises [Trap] *)
   vm_max_heap_bytes : int;
@@ -317,7 +317,7 @@ let live_stack st = [ (st.stack_base, st.stack_base + st.sp) ]
 
 let gc_pause st pause_words completed =
   st.gc_count <- st.gc_count + completed;
-  st.gc_max_pause_words <- max st.gc_max_pause_words pause_words;
+  st.gc_max_pause_words <- Int.max st.gc_max_pause_words pause_words;
   st.gc_total_pause_words <- st.gc_total_pause_words + pause_words;
   if completed > 0 then begin
     if st.cfg.vm_census then
@@ -566,13 +566,14 @@ let charge st n = st.cycles <- st.cycles + n
 
 let alloc ?kind ~site st n =
   maybe_collect_for_alloc st;
-  let a = Gcheap.Heap.alloc ?kind st.heap (max n 1) in
+  let n = Int.max n 1 in
+  let a = Gcheap.Heap.alloc ?kind st.heap n in
   if st.tele.tl_on then begin
-    Telemetry.Metrics.observe st.tele.tl_alloc_bytes (max n 1);
+    Telemetry.Metrics.observe st.tele.tl_alloc_bytes n;
     match st.tele.tl_prof with
     | Some pr ->
         Telemetry.Heap_profiler.set_tick pr st.instrs;
-        Telemetry.Heap_profiler.on_alloc pr ~site ~addr:a ~bytes:(max n 1)
+        Telemetry.Heap_profiler.on_alloc pr ~site ~addr:a ~bytes:n
     | None -> ()
   end;
   check_heap_ceiling st;
@@ -643,7 +644,7 @@ let builtin st ~site name (args : int list) : int =
         (match Gcheap.Heap.extent_of st.heap p with
         | Some (base, size) ->
             let old_len = size - (p - base) in
-            let len = min n old_len in
+            let len = Int.min n old_len in
             charge st (len / 8);
             Gcheap.Heap.note_store st.heap fresh len;
             Gcheap.Mem.blit st.heap.Gcheap.Heap.mem ~src:p ~dst:fresh len
@@ -702,13 +703,13 @@ let builtin st ~site name (args : int list) : int =
       d
   | "strcmp", [ a; b ] ->
       let av = cstring st a and bv = cstring st b in
-      charge st (2 * min (String.length av) (String.length bv));
-      compare av bv
+      charge st (2 * Int.min (String.length av) (String.length bv));
+      String.compare av bv
   | "strncmp", [ a; b; n ] ->
       let take s = if String.length s > n then String.sub s 0 n else s in
       let av = take (cstring st a) and bv = take (cstring st b) in
       charge st (2 * n);
-      compare av bv
+      String.compare av bv
   | "strchr", [ s; c ] -> (
       let v = cstring st s in
       charge st (2 * String.length v);
@@ -716,7 +717,7 @@ let builtin st ~site name (args : int list) : int =
       | Some i -> s + i
       | None -> 0)
   | ("memcpy" | "memmove"), [ d; s; n ] ->
-      charge st (max 4 (n / 4));
+      charge st (Int.max 4 (n / 4));
       if n > 0 then begin
         check_access st d n "memcpy dst";
         check_access st s n "memcpy src";
@@ -725,7 +726,7 @@ let builtin st ~site name (args : int list) : int =
       end;
       d
   | "memset", [ d; c; n ] ->
-      charge st (max 4 (n / 4));
+      charge st (Int.max 4 (n / 4));
       if n > 0 then begin
         check_access st d n "memset";
         Gcheap.Heap.note_store st.heap d n;
@@ -1046,12 +1047,12 @@ let site_ids (f : func) =
                 (Printf.sprintf "%s:%s#%d" f.fn_name callee n)
           | _ -> ())
         b.b_instrs)
-    (List.sort (fun a b -> compare a.b_label b.b_label) f.fn_blocks);
+    (List.sort (fun a b -> Int.compare a.b_label b.b_label) f.fn_blocks);
   tab
 
 let lower_func (m : Machdesc.t) ~statics_base ~func_index ~profile (f : func)
     =
-  let nreg = max f.fn_nreg 1 in
+  let nreg = Int.max f.fn_nreg 1 in
   let ok r = r >= 0 && r < nreg in
   (* a [Glob] is a constant: its address in the statics region *)
   let opd = function Glob off -> Imm (statics_base + off) | o -> o in
@@ -1214,22 +1215,12 @@ let no_frame () =
 (* Setup                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
-    state =
-  let h = cfg.vm_heap in
-  let heap =
-    Gcheap.Heap.create
-      ~config:
-        {
-          h with
-          Gcheap.Heap.minor_threshold =
-            max 1024 (h.Gcheap.Heap.gc_threshold / 8);
-        }
-      ()
-  in
+(* The run state over a fresh [heap]: the statics and the stack block
+   allocated, the program lowered. *)
+let init_state (cfg : config) (p : program) statics_relocs heap : state =
   let statics_base =
     Gcheap.Heap.alloc ~kind:Gcheap.Block.Uncollectable heap
-      (max 8 (Bytes.length p.p_statics))
+      (Int.max 8 (Bytes.length p.p_statics))
   in
   Bytes.iteri
     (fun i c ->
@@ -1286,6 +1277,28 @@ let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
     tele;
   }
 
+let load (cfg : config) (p : program) (statics_relocs : (int * int) list) :
+    state =
+  let h = cfg.vm_heap in
+  let heap =
+    Gcheap.Heap.create
+      ~config:
+        {
+          h with
+          Gcheap.Heap.minor_threshold =
+            Int.max 1024 (h.Gcheap.Heap.gc_threshold / 8);
+        }
+      ()
+  in
+  (* a load that raises (a heap limit below the stack block) hands the
+     arena back at once, as [run] does for a run: nothing points into it *)
+  match init_state cfg p statics_relocs heap with
+  | st -> st
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Gcheap.Mem.release heap.Gcheap.Heap.mem;
+      Printexc.raise_with_backtrace e bt
+
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -1327,7 +1340,8 @@ let next_check st =
     | Schedule.Every _ | Schedule.Auto | Schedule.At_allocs -> max_int
   in
   let limit = st.cfg.vm_max_instrs in
-  max (i + 1) (min point (if limit < max_int then limit + 1 else max_int))
+  Int.max (i + 1)
+    (Int.min point (if limit < max_int then limit + 1 else max_int))
 
 (* The safepoint after step [st.instrs], reached at [st.next_check]. *)
 let check st =

@@ -514,6 +514,32 @@ let test_arena_reuse_invisible () =
         "0\n" r.r_output)
     [ Gcheap.Heap.Stw; Gcheap.Heap.Gen ]
 
+(* A run whose load raises (a heap limit below the stack block) still
+   hands its arena back: the next [Mem.create] on the domain gets the
+   128-page buffer the run before it grew, not a fresh 64-page one. *)
+let test_failed_load_keeps_arena () =
+  let irp = Util.compile "int main(void) { return 0; }" in
+  let config = Machine.Vm.default_config () in
+  let limited =
+    {
+      config with
+      Machine.Vm.vm_heap =
+        { config.Machine.Vm.vm_heap with Gcheap.Heap.heap_limit_words = 4096 };
+    }
+  in
+  let spare_pages () =
+    ignore (Machine.Vm.run ~config irp);
+    (match Machine.Vm.run ~config:limited irp with
+    | exception Gcheap.Heap.Heap_exhausted _ -> ()
+    | _ -> Alcotest.fail "a 4096-word limit admits the stack block");
+    let m = Gcheap.Mem.create () in
+    let pages = Bytes.length m.Gcheap.Mem.data / Gcheap.Mem.page_size in
+    Gcheap.Mem.release m;
+    pages
+  in
+  Alcotest.(check int) "spare arena pages" 128
+    (Domain.join (Domain.spawn spare_pages))
+
 let suite =
   [
     Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -547,4 +573,6 @@ let suite =
     Alcotest.test_case "machine models differ" `Quick test_two_operand_penalty;
     Alcotest.test_case "arena reuse is invisible" `Quick
       test_arena_reuse_invisible;
+    Alcotest.test_case "a failed load keeps the spare arena" `Quick
+      test_failed_load_keeps_arena;
   ]

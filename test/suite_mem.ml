@@ -52,6 +52,30 @@ let test_bounds () =
   Alcotest.(check int) "last byte" 7 (Mem.load m ~width:1 (Mem.limit m - 1));
   ignore a
 
+(* An address near [max_int] is out of bounds, not an overflowed sum:
+   the access faults before any [Bytes] read could raise. *)
+let test_bounds_near_max_int () =
+  let m, _ = fresh_with_page () in
+  let faults f =
+    match f () with
+    | exception Mem.Fault _ -> true
+    | exception Invalid_argument _ -> false
+    | _ -> false
+  in
+  List.iter
+    (fun addr ->
+      Alcotest.(check bool)
+        (Printf.sprintf "load_word %#x faults" addr)
+        true
+        (faults (fun () -> Mem.load_word m addr));
+      Alcotest.(check bool)
+        (Printf.sprintf "store %#x faults" addr)
+        true
+        (faults (fun () -> Mem.store m ~width:4 addr 1)))
+    [ max_int - 8; max_int - 7; max_int - 3; max_int ];
+  Alcotest.(check bool) "fill of max_int bytes faults" true
+    (faults (fun () -> Mem.fill m Mem.page_size max_int 'x'))
+
 let test_growth () =
   let m = Mem.create () in
   let first = Mem.grow_pages m 1 in
@@ -182,6 +206,8 @@ let suite =
     Alcotest.test_case "little endian" `Quick test_little_endian;
     Alcotest.test_case "narrow truncation" `Quick test_truncation;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
+    Alcotest.test_case "bounds near max_int fault" `Quick
+      test_bounds_near_max_int;
     Alcotest.test_case "growth" `Quick test_growth;
     Alcotest.test_case "fill and blit" `Quick test_fill_blit;
     Alcotest.test_case "C strings" `Quick test_cstrings;

@@ -286,6 +286,52 @@ let test_detects_remembered_set_violation () =
   Mem.store_word h.Heap.mem o (Heap.alloc h 24);
   fires "remembered-set" h
 
+(* Each young-slot finding, with its detail, on a generational heap
+   whose promoted nursery page holds an old object in slot 0 and, after
+   the free list handed slot 1 out again, a young one there: the page is
+   an aging block whose young-slot map holds slot 1 alone. *)
+let test_young_slot_findings () =
+  let setup () =
+    let h = gen_heap () in
+    let a = Heap.alloc h 16 in
+    ignore (Heap.alloc h 16);
+    for _ = 1 to h.Heap.config.Heap.promote_after do
+      ignore (Heap.collect ~generation:Heap.Minor ~extra_roots:[ [| a |] ] h)
+    done;
+    let blk = block_of h a in
+    let b = Heap.alloc h 16 in
+    Alcotest.(check int) "slot 1 reused" (Block.slot_addr blk 1) b;
+    Alcotest.(check bool) "aging" true blk.Block.blk_aging;
+    (h, blk)
+  in
+  let findings h =
+    List.filter_map
+      (fun v ->
+        if v.Heap.v_rule = "young-slots" then Some v.Heap.v_detail else None)
+      (Heap.check_integrity h)
+  in
+  let expect name want h =
+    Alcotest.(check (list string)) name want (findings h)
+  in
+  let slot blk i what =
+    Printf.sprintf "block %#x: slot %d is %s the young-slot map"
+      blk.Block.blk_start i what
+  in
+  let h, _ = setup () in
+  expect "healthy" [] h;
+  let h, blk = setup () in
+  Bytes.set blk.Block.blk_young_slots 1 '\000';
+  expect "young slot left out" [ slot blk 1 "missing from" ] h;
+  let h, blk = setup () in
+  Bytes.set blk.Block.blk_young_slots 0 '\001';
+  expect "old slot kept" [ slot blk 0 "wrongly in" ] h;
+  let h, blk = setup () in
+  Bytes.set blk.Block.blk_young_slots 9 '\001';
+  expect "free slot" [ slot blk 9 "wrongly in" ] h;
+  let h, blk = setup () in
+  blk.Block.blk_aging <- false;
+  expect "block out of the aging set" [ slot blk 1 "wrongly in" ] h
+
 let test_assert_integrity_raises () =
   let h = fresh () in
   let a = Heap.alloc h 16 in
@@ -603,6 +649,8 @@ let suite =
       test_cursor_findings;
     Alcotest.test_case "integrity: remembered-set violation" `Quick
       test_detects_remembered_set_violation;
+    Alcotest.test_case "integrity: every young-slot finding" `Quick
+      test_young_slot_findings;
     Alcotest.test_case "integrity: assert raises" `Quick
       test_assert_integrity_raises;
     QCheck_alcotest.to_alcotest prop_integrity_under_interleavings;
