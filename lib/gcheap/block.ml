@@ -36,13 +36,13 @@ type t = {
           no free list.  A promoted nursery page lists all its free slots,
           so its cursor moves to [blk_count]; large blocks keep 0 *)
   mutable blk_aging : bool;
-      (** old-generation block holding at least one reused slot that is
-          still young — it must be visited by minor sweeps until every
-          such slot is promoted or freed *)
+      (** old-generation collectable block holding at least one reused
+          or large slot that is still young — it must be visited by minor
+          sweeps until every such slot is promoted or freed *)
   blk_young_slots : Bytes.t;
-      (** one byte per slot, set exactly on the allocated slots of an
-          aging block that are still young, so a minor sweep visits those
-          alone; clear on every other block *)
+      (** one byte per slot, set exactly on the allocated slots of a
+          nursery page or an aging block that are still young, so a minor
+          sweep visits those alone; clear on every other block *)
   mutable blk_listed : Bytes.t;
       (** integrity-checker scratch: one byte per slot, set when a free
           list holds the slot; meaningful only during the check numbered
@@ -98,8 +98,6 @@ let set_marked t i v = Bytes.set t.blk_mark i (if v then '\001' else '\000')
 let clear_marks t = Bytes.fill t.blk_mark 0 t.blk_count '\000'
 
 let age t i = Char.code (Bytes.get t.blk_age i)
-
-let set_age t i v = Bytes.set t.blk_age i (Char.chr (Int.min 255 (Int.max 0 v)))
 
 let scanned t =
   match t.blk_kind with

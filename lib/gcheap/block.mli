@@ -26,11 +26,13 @@ type t = {
       (** next bump slot of a small block; slots at and above it have
           never been handed out (free, unmarked, on no free list) *)
   mutable blk_aging : bool;
-      (** old-generation block holding reused slots that are still young
-          (visited by minor sweeps until they promote or die) *)
+      (** old-generation collectable block holding reused or large slots
+          that are still young (visited by minor sweeps until they
+          promote or die) *)
   blk_young_slots : Bytes.t;
-      (** per-slot flags: on an aging block, set exactly on its allocated
-          slots that are still young; clear on every other block *)
+      (** per-slot flags: on a nursery page or an aging block, set
+          exactly on its allocated slots that are still young; clear on
+          every other block *)
   mutable blk_listed : Bytes.t;
       (** integrity-checker scratch: per-slot "on a free list" flags *)
   mutable blk_listed_pass : int;
@@ -59,9 +61,6 @@ val clear_marks : t -> unit
 
 val age : t -> int -> int
 (** Number of minor collections the slot's object has survived. *)
-
-val set_age : t -> int -> int -> unit
-(** Clamped to a byte. *)
 
 val scanned : t -> bool
 (** Are object contents scanned for pointers? *)

@@ -20,18 +20,21 @@
       after [promote_after] minor cycles.  Stop-the-world full collection
       remains the default and is bit-identical to the non-generational
       collector;
-    - a page-segregated bump-pointer nursery for the generational and
-      incremental modes: new small collectable objects are carved off
-      young single-page blocks by a bump cursor (no per-object zeroing —
-      pages are zeroed when claimed), whole-page cohorts age together,
-      wholly dead nursery pages return to the reclaim pool, and pages
-      whose cohort reaches [promote_after] are promoted in place (the
-      collector is conservative, so objects can never move).  The
-      remembered set then tracks only old-generation pages;
+    - a page-segregated bump-pointer nursery, the generational mode's
+      alone: new small collectable objects are carved off young
+      single-page blocks by a bump cursor (no per-object zeroing — pages
+      are zeroed when claimed).  Every young slot, on a nursery page or
+      reused in an old block, is in its block's young-slot map, and one
+      minor sweep visits exactly those: wholly dead nursery pages return
+      to the reclaim pool, and pages whose objects all reach
+      [promote_after] are promoted in place (the collector is
+      conservative, so objects can never move).  The remembered set then
+      tracks only old-generation pages;
     - an incremental mode: a snapshot-at-the-beginning cycle sliced into
       budget-bounded {!step}s at the embedder's GC points, kept sound by
       the store barrier (it shades overwritten values while marking) and
-      by allocate-black.
+      by allocate-black.  It has no generations and allocates like the
+      stop-the-world mode.
 
     One engine serves every mode: one gray stack, one {!shade} rule
     (shared with the barrier), one {!scan_roots}, one budgeted {!drain}
@@ -72,8 +75,8 @@ type config = {
           only from roots — the "Extensions" section mode *)
   gc_threshold : int;  (** collect after this many bytes allocated *)
   mode : gc_mode;
-      (** [Gen] enables minor collections and the store barrier's dirty
-          cards; [Gen] and [Inc] put the bump-pointer nursery in service *)
+      (** [Gen] enables minor collections, the store barrier's dirty
+          cards and the bump-pointer nursery *)
   minor_threshold : int;
       (** bytes allocated between minor collections (generational mode) *)
   promote_after : int;
@@ -90,9 +93,8 @@ type config = {
           step may perform before yielding back to the mutator; {!step}
           treats anything below 1 as 1 *)
   nursery_pages : int;
-      (** pages of bump-allocated nursery a generational or incremental
-          heap may open between collections before a minor cycle is due
-          (positive) *)
+      (** pages of bump-allocated nursery a generational heap may open
+          between collections before a minor cycle is due (positive) *)
   failpoints : Failpoint.t;
       (** injected allocation failures (chaos harness); [Never] costs
           one branch per allocation *)
@@ -172,10 +174,11 @@ type t = {
       (** nursery: the young single-page blocks currently in service
           (open bump targets plus sealed survivor cohorts) *)
   mutable aging_blocks : Block.t list;
-      (** old-generation blocks that may hold still-young slots (free-list
-          reuse restarts a slot at age 0), so a minor sweep can visit
-          exactly the blocks where young objects can live, and in each
-          only the slots its young-slot map holds *)
+      (** old-generation collectable blocks that may hold still-young
+          slots (free-list reuse restarts a slot at age 0; large objects
+          are born young), so a minor sweep can visit exactly the blocks
+          where young objects can live, and in each only the slots its
+          young-slot map holds *)
   cursors : Block.t option array;
       (** by {!class_slot}: the block whose never-used slots the bump
           allocator is handing out *)
@@ -304,12 +307,6 @@ let create ?(config = default_config) () =
     nursery_opened = 0;
     dirty_index = [];
   }
-
-(** Is the bump-pointer nursery in service?  Only the generational and
-    incremental modes segregate generations; a stop-the-world heap takes
-    a freed slot before a never-used one, and so hands out the seed
-    allocator's addresses. *)
-let nursery_enabled t = t.config.mode <> Stw
 
 let generational t = t.config.mode = Gen
 
@@ -761,23 +758,44 @@ let has_allocated (blk : Block.t) =
   in
   from 0
 
-(* Wholly dead nursery pages go back to the reclaim pool: the page map
-   forgets them, one filter takes them out of [all_blocks] and
-   [young_blocks], and their (already swept) pages become claimable by
-   any later block. *)
-let retire_young_blocks t dead =
+(* The free list a freed slot of collectable [blk] joins, looked up once
+   per block.  Small-class slots return to their free list; large blocks
+   (obj_size > max_small, even single-page ones) stay in [large_blocks]
+   for whole-block reuse and must never leak onto a size-class list;
+   nursery slots are bump-allocated and never reused in place, so young
+   blocks stay off the free lists (their pages are reclaimed or promoted
+   whole). *)
+let block_free_list t (blk : Block.t) =
+  if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young then
+    Some (free_list t blk.Block.blk_obj_size blk.Block.blk_kind)
+  else None
+
+(* Take [blk], which holds no allocated object, out of service: no bump
+   cursor points at it, the page map forgets it, its listed slots leave
+   their free list, and its page run, cards wiped, joins the reclaim
+   pool for reuse by any later block of any size class. *)
+let retire_block t (blk : Block.t) =
+  drop_cursor t blk;
+  Page_map.clear_block t.map blk;
+  let lo = blk.Block.blk_start and pages = blk.Block.blk_pages in
+  (match block_free_list t blk with
+  | Some fl ->
+      let hi = lo + (pages * Mem.page_size) in
+      fl := List.filter (fun a -> a < lo || a >= hi) !fl
+  | None -> ());
+  clear_cards_in_run t lo pages;
+  t.free_pages <- (lo, pages) :: t.free_pages
+
+(* Retire the blocks of [dead] and drop them from every block set, so
+   no allocator bookkeeping dangles. *)
+let retire_blocks t dead =
   if dead <> [] then begin
-    let retired b = b.Block.blk_young && List.memq b dead in
-    t.all_blocks <- List.filter (fun b -> not (retired b)) t.all_blocks;
-    t.young_blocks <- List.filter (fun b -> not (retired b)) t.young_blocks;
-    List.iter
-      (fun blk ->
-        drop_cursor t blk;
-        Page_map.clear_block t.map blk;
-        clear_cards_in_run t blk.Block.blk_start blk.Block.blk_pages;
-        t.free_pages <-
-          (blk.Block.blk_start, blk.Block.blk_pages) :: t.free_pages)
-      dead;
+    List.iter (retire_block t) dead;
+    let kept b = not (List.memq b dead) in
+    t.all_blocks <- List.filter kept t.all_blocks;
+    t.large_blocks <- List.filter kept t.large_blocks;
+    t.young_blocks <- List.filter kept t.young_blocks;
+    t.aging_blocks <- List.filter kept t.aging_blocks;
     coalesce_pool t
   end
 
@@ -800,46 +818,15 @@ let promote_young_block t blk =
   done
 
 (* Seal the nursery's bump cursors and return wholly dead nursery pages
-   to the pool.  Runs after every collection, so a completed cycle
-   always leaves the nursery parseable: open bump regions never survive
-   a collection, and dead cohorts never linger.  The cursors of old
-   (uncollectable and stack) blocks stay open. *)
+   to the pool.  Runs after every collection of a generational heap, so
+   a completed cycle always leaves the nursery parseable: open bump
+   regions never survive a collection, and dead pages never linger.  The
+   cursors of old (uncollectable and stack) blocks stay open. *)
 let retire_dead_young t =
   List.iter (drop_cursor t) t.young_blocks;
   t.nursery_opened <- 0;
-  retire_young_blocks t
+  retire_blocks t
     (List.filter (fun blk -> not (has_allocated blk)) t.young_blocks)
-
-(* Tenure the nursery wholesale: every surviving young page is promoted
-   in place.  An incremental cycle ends with this — its sliced sweep has
-   no minor-cycle aging, so a finished cycle tenures what survived. *)
-let tenure_young t =
-  List.iter
-    (fun blk ->
-      for i = 0 to blk.Block.blk_count - 1 do
-        if Bytes.get blk.Block.blk_alloc i <> '\000' then begin
-          t.stats.promoted <- t.stats.promoted + 1;
-          if generational t then begin
-            Block.set_age blk i t.config.promote_after;
-            dirty_slot_pages t blk i
-          end
-        end
-      done;
-      promote_young_block t blk)
-    t.young_blocks;
-  t.young_blocks <- []
-
-(* The free list a freed slot of collectable [blk] joins, looked up once
-   per block.  Small-class slots return to their free list; large blocks
-   (obj_size > max_small, even single-page ones) stay in [large_blocks]
-   for whole-block reuse and must never leak onto a size-class list;
-   nursery slots are bump-allocated and never reused in place, so young
-   blocks stay off the free lists (their pages are reclaimed or promoted
-   whole). *)
-let block_free_list t (blk : Block.t) =
-  if blk.Block.blk_obj_size <= max_small && not blk.Block.blk_young then
-    Some (free_list t blk.Block.blk_obj_size blk.Block.blk_kind)
-  else None
 
 (* Free slot [i] of a collectable block onto [fl], its
    {!block_free_list}: the one routine both sweepers reclaim through.
@@ -923,100 +910,67 @@ let start_sweep t =
   t.sweep_pending <- t.all_blocks;
   t.sweep_cursor <- 0
 
-(* The minor sweep: segregated generations let it touch only the blocks
-   where young objects can live, the nursery pages themselves plus the
-   aging blocks, old blocks holding reused (age-restarted) slots.  Old
-   objects are not collected; a marked young object survives one minor
-   cycle older.  Every allocated slot of a nursery page belongs to its
-   cohort, so each is visited, and the visit notes how many stay
-   allocated and the last one's age.  An aging block's visit reads its
-   young-slot map, eight slots at a time, and visits only the slots set
-   there, in ascending order, so its freed slots reach the free list in
-   the order a walk of every slot would push them; a slot that dies or
-   is promoted leaves the map.  Nursery cohorts then act per page: a
-   page with no survivors returns to the reclaim pool; a page whose
-   cohort has now survived [promote_after] minors is promoted in place.
-   An aging block whose map is left empty drops out of the minor set. *)
-let sweep_minor t =
+(* The minor sweep of one block, a nursery page or an aging block.  Its
+   young-slot map holds exactly its young slots, the only ones a minor
+   collects, so the map is read eight slots at a time and only the slots
+   set there are visited, in ascending order: the freed slots reach the
+   free list in the order a walk of every slot would push them.  An
+   unmarked young object is freed; a marked one survives one minor cycle
+   older and, once it has survived [promote_after], leaves the map,
+   promoted, with its pages dirtied.  Returns whether a young slot is
+   left. *)
+let sweep_young_slots t (blk : Block.t) =
   let promote_after = t.config.promote_after in
-  (* a nursery page: its survivors and the last survivor's age *)
-  let sweep_young (blk : Block.t) =
-    let alloc = blk.Block.blk_alloc and age = blk.Block.blk_age in
-    let mark = blk.Block.blk_mark and count = blk.Block.blk_count in
-    let collectable = collectable blk in
-    let survivors = ref 0 and last_age = ref 0 and i = ref 0 in
-    while !i < count do
-      let j = !i in
-      if j + 8 <= count && Bytes.get_int64_le alloc j = 0L then i := j + 8
-      else begin
-        if Bytes.get alloc j <> '\000' then begin
-          let a = Char.code (Bytes.get age j) in
-          if collectable && a < promote_after then
-            if Bytes.get mark j = '\000' then free_slot t blk j None
-            else Bytes.set age j (Char.unsafe_chr (Int.min 255 (a + 1)));
-          if Bytes.get alloc j <> '\000' then begin
-            incr survivors;
-            last_age := Char.code (Bytes.get age j)
+  let young = blk.Block.blk_young_slots and age = blk.Block.blk_age in
+  let mark = blk.Block.blk_mark and count = blk.Block.blk_count in
+  let fl = block_free_list t blk in
+  let left = ref false and i = ref 0 in
+  while !i < count do
+    let j = !i in
+    if j + 8 <= count && Bytes.get_int64_le young j = 0L then i := j + 8
+    else begin
+      if Bytes.get young j <> '\000' then
+        if Bytes.get mark j = '\000' then free_slot t blk j fl
+        else begin
+          let a = Int.min 255 (Char.code (Bytes.get age j) + 1) in
+          Bytes.set age j (Char.unsafe_chr a);
+          if a >= promote_after then begin
+            Bytes.set young j '\000';
+            t.stats.promoted <- t.stats.promoted + 1;
+            dirty_slot_pages t blk j
           end
+          else left := true
         end;
-        i := j + 1
-      end
-    done;
-    (!survivors, !last_age)
-  in
-  (* an aging block: is a young slot left? *)
-  let sweep_aging (blk : Block.t) =
-    let young = blk.Block.blk_young_slots and age = blk.Block.blk_age in
-    let mark = blk.Block.blk_mark and count = blk.Block.blk_count in
-    let collectable = collectable blk in
-    let fl = if collectable then block_free_list t blk else None in
-    let left = ref false and i = ref 0 in
-    while !i < count do
-      let j = !i in
-      if j + 8 <= count && Bytes.get_int64_le young j = 0L then i := j + 8
-      else begin
-        if Bytes.get young j <> '\000' then begin
-          if collectable then
-            if Bytes.get mark j = '\000' then free_slot t blk j fl
-            else begin
-              let a = Int.min 255 (Char.code (Bytes.get age j) + 1) in
-              Bytes.set age j (Char.unsafe_chr a);
-              if a >= promote_after then begin
-                Bytes.set young j '\000';
-                t.stats.promoted <- t.stats.promoted + 1;
-                dirty_slot_pages t blk j
-              end
-            end;
-          if Bytes.get young j <> '\000' then left := true
-        end;
-        i := j + 1
-      end
-    done;
-    !left
-  in
-  let young = List.map (fun blk -> (blk, sweep_young blk)) t.young_blocks in
+      i := j + 1
+    end
+  done;
+  !left
+
+(* The minor sweep: young objects live only on the nursery pages and in
+   the aging blocks, so it sweeps those ({!sweep_young_slots}), the aging
+   blocks first.  A block left with no young slot acts on it: an aging
+   block drops out of the aging set, and a nursery page is promoted in
+   place if anything on it survived and returned to the pool if
+   nothing did. *)
+let sweep_minor t =
   t.aging_blocks <-
     List.filter
       (fun blk ->
-        let left = sweep_aging blk in
+        let left = sweep_young_slots t blk in
         if not left then blk.Block.blk_aging <- false;
         left)
       t.aging_blocks;
   let dead = ref [] in
-  List.iter
-    (fun (blk, (survivors, cohort_age)) ->
-      if survivors = 0 then dead := blk :: !dead
-      else if cohort_age >= promote_after then begin
-        t.stats.promoted <- t.stats.promoted + survivors;
-        for i = 0 to blk.Block.blk_count - 1 do
-          if Bytes.get blk.Block.blk_alloc i <> '\000' then
-            dirty_slot_pages t blk i
-        done;
-        promote_young_block t blk
-      end)
-    young;
-  retire_young_blocks t (List.rev !dead);
-  t.young_blocks <- List.filter (fun b -> b.Block.blk_young) t.young_blocks
+  t.young_blocks <-
+    List.filter
+      (fun blk ->
+        let left = sweep_young_slots t blk in
+        if not left then
+          if has_allocated blk then promote_young_block t blk
+          else dead := blk :: !dead;
+        left)
+      t.young_blocks;
+  retire_blocks t !dead
 
 (* Does an allocated old slot of [blk] overlapping the page at
    [page_start] hold, on that page, a pointer to a young collectable
@@ -1079,11 +1033,11 @@ let recompute_cards t =
    A minor cycle credits the bytes it reclaimed against the major
    trigger (Boehm-style live growth: a major collection is due when the
    heap has *grown* by [gc_threshold] bytes); anything else resets it.
-   The bump cursors are sealed (cohort pages must not mix allocation
-   windows) and dead nursery pages return to the pool, so the next
-   cycle can always parse the nursery; a finished incremental cycle
-   also [tenure]s the surviving young pages. *)
-let complete_collection t ~minor ~tenure ~freed_bytes =
+   On a generational heap the bump cursors are sealed (a nursery page's
+   objects share one allocation window, so they age together and are
+   promoted together) and dead nursery pages return to the pool, so the
+   next cycle can always parse the nursery. *)
+let complete_collection t ~minor ~freed_bytes =
   t.phase <- Idle;
   t.stats.collections <- t.stats.collections + 1;
   if minor then begin
@@ -1092,11 +1046,10 @@ let complete_collection t ~minor ~tenure ~freed_bytes =
   end
   else t.since_gc <- 0;
   t.since_minor <- 0;
-  if nursery_enabled t then begin
+  if generational t then begin
     retire_dead_young t;
-    if tenure then tenure_young t
-  end;
-  if generational t then recompute_cards t
+    recompute_cards t
+  end
 
 (** Run a collection.  [extra_roots] are arrays of word values scanned
     in addition to the root-scanned blocks — the VM passes its register
@@ -1124,8 +1077,7 @@ let collect ?(generation = Major) ?(extra_roots = []) ?(extra_ranges = []) t =
     start_sweep t;
     sweep_slice t ~spent ~budget:max_int
   end;
-  complete_collection t ~minor ~tenure:false
-    ~freed_bytes:(t.stats.bytes_freed - freed_bytes);
+  complete_collection t ~minor ~freed_bytes:(t.stats.bytes_freed - freed_bytes);
   t.stats.objects_freed - freed
 
 (** Is an incremental cycle in flight? *)
@@ -1162,7 +1114,7 @@ let step ?(extra_roots = []) ?(extra_ranges = []) t =
   if t.phase = Sweeping then begin
     sweep_slice t ~spent ~budget;
     if t.sweep_pending = [] then
-      complete_collection t ~minor:false ~tenure:true ~freed_bytes:0
+      complete_collection t ~minor:false ~freed_bytes:0
   end;
   t.stats.increments <- t.stats.increments + 1;
   if !spent > budget then
@@ -1200,43 +1152,18 @@ let heap_limit_bytes t =
 let growth_exceeds_limit t pages =
   Mem.limit t.mem + (pages * Mem.page_size) > heap_limit_bytes t
 
-(* Retire every collectable block with no live slot: its slots leave
-   their free list, the page map forgets its pages, and the page run
-   joins the reclaim pool for reuse by any later block of any size
-   class.  This is what lets an emergency collection rescue a *large*
-   allocation whose pages are tied up in drained small-class blocks —
-   without it, large requests can only reuse an exact-size freed large
-   block, and the collect-expand policy would be no stronger than trap
-   for them.  Runs only on the emergency path, so limit-free executions
-   never see it. *)
+(* Retire every collectable block with no live slot ({!retire_block}).
+   This is what lets an emergency collection rescue a *large* allocation
+   whose pages are tied up in drained small-class blocks — without it,
+   large requests can only reuse an exact-size freed large block, and
+   the collect-expand policy would be no stronger than trap for them.
+   Runs only on the emergency path, so limit-free executions never see
+   it. *)
 let reclaim_empty_blocks t =
-  let is_empty blk = collectable blk && not (has_allocated blk) in
-  let retired, kept = List.partition is_empty t.all_blocks in
-  if retired <> [] then begin
-    t.all_blocks <- kept;
-    t.large_blocks <-
-      List.filter (fun b -> not (List.memq b retired)) t.large_blocks;
-    (* allocator bookkeeping must not dangle: a retired block leaves the
-       young and aging sets and any bump cursor pointing at it *)
-    t.young_blocks <-
-      List.filter (fun b -> not (List.memq b retired)) t.young_blocks;
-    t.aging_blocks <-
-      List.filter (fun b -> not (List.memq b retired)) t.aging_blocks;
-    List.iter
-      (fun blk ->
-        drop_cursor t blk;
-        Page_map.clear_block t.map blk;
-        let lo = blk.Block.blk_start in
-        let hi = lo + (blk.Block.blk_pages * Mem.page_size) in
-        if blk.Block.blk_obj_size <= max_small then begin
-          let fl = free_list t blk.Block.blk_obj_size blk.Block.blk_kind in
-          fl := List.filter (fun a -> a < lo || a >= hi) !fl
-        end;
-        clear_cards_in_run t lo blk.Block.blk_pages;
-        t.free_pages <- (lo, blk.Block.blk_pages) :: t.free_pages)
-      retired;
-    coalesce_pool t
-  end
+  retire_blocks t
+    (List.filter
+       (fun blk -> collectable blk && not (has_allocated blk))
+       t.all_blocks)
 
 (* Best-fit carve from the reclaim pool.  Reused pages are re-zeroed so
    a pool-served block is indistinguishable from fresh growth. *)
@@ -1320,6 +1247,21 @@ let reuse_or_claim t ~req ~pages ~reuse ~fresh =
           | Some v -> v
           | None -> exhausted t ~req ~pages))
 
+(* Slot [i] of [blk] was just handed out, and holds a young object.  On
+   a generational heap a young slot of a collectable block joins the
+   block's young-slot map, which the minor sweep visits, and an old
+   block holding one joins the aging set.  Blocks that are never
+   collected never age. *)
+let note_young t (blk : Block.t) i =
+  if generational t && collectable blk then begin
+    if 0 < t.config.promote_after then
+      Bytes.set blk.Block.blk_young_slots i '\001';
+    if not (blk.Block.blk_young || blk.Block.blk_aging) then begin
+      blk.Block.blk_aging <- true;
+      t.aging_blocks <- blk :: t.aging_blocks
+    end
+  end
+
 let alloc_large t ~req bytes kind =
   let pages = (bytes + Mem.page_size - 1) / Mem.page_size in
   (* reuse a freed large block of the right size if available *)
@@ -1358,17 +1300,8 @@ let alloc_large t ~req bytes kind =
      unconditionally (they cannot hold the only path to snapshot-live
      data, and the sliced sweeper must not free them) *)
   if t.phase <> Idle then Block.set_marked blk 0 true;
-  (* large objects live outside the nursery but are born young: with the
-     segregated minor sweep, their block must join the aging set so
-     minors can age and promote them *)
-  if generational t then begin
-    if 0 < t.config.promote_after then
-      Bytes.set blk.Block.blk_young_slots 0 '\001';
-    if not blk.Block.blk_aging then begin
-      blk.Block.blk_aging <- true;
-      t.aging_blocks <- blk :: t.aging_blocks
-    end
-  end;
+  (* large objects live outside the nursery but are born young *)
+  note_young t blk 0;
   blk.Block.blk_req.(0) <- req;
   blk.Block.blk_start
 
@@ -1392,7 +1325,8 @@ let open_block t cls kind ~young start =
    to a [req]-byte object, or return -1 when there is no cursor block or
    it is full: a slot index increment and a limit check, with no
    page-map lookup, no slot division and no fill.  A never-used slot's
-   age is still 0, so none is reset. *)
+   age is still 0, so none is reset; the slot is young
+   ({!note_young}). *)
 let bump_slot t k ~req =
   match t.cursors.(k) with
   | Some blk when blk.Block.blk_bump < blk.Block.blk_count ->
@@ -1402,14 +1336,14 @@ let bump_slot t k ~req =
       (* allocate-black during an in-flight incremental cycle *)
       if t.phase <> Idle then Bytes.set blk.Block.blk_mark i '\001';
       blk.Block.blk_req.(i) <- req;
+      note_young t blk i;
       blk.Block.blk_start + (i * blk.Block.blk_obj_size)
   | Some _ | None -> -1
 
 (* Pop the head of the free list of class slot [k] and hand its slot to
-   a [req]-byte object: allocated, born young again, black during an
-   incremental cycle, and zeroed.  On a generational heap a reused slot
-   of a collectable block joins its block's young-slot map, and the
-   block the aging set.  Returns -1 when the list is empty. *)
+   a [req]-byte object: allocated, born young again ({!note_young}),
+   black during an incremental cycle, and zeroed.  Returns -1 when the
+   list is empty. *)
 let take_listed t k ~req =
   let fl = t.free_lists.(k) in
   match !fl with
@@ -1425,30 +1359,24 @@ let take_listed t k ~req =
           if t.phase <> Idle then Bytes.set blk.Block.blk_mark i '\001';
           blk.Block.blk_req.(i) <- req;
           Mem.fill t.mem addr blk.Block.blk_obj_size '\000';
-          if generational t && collectable blk then begin
-            if 0 < t.config.promote_after then
-              Bytes.set blk.Block.blk_young_slots i '\001';
-            if not blk.Block.blk_aging then begin
-              blk.Block.blk_aging <- true;
-              t.aging_blocks <- blk :: t.aging_blocks
-            end
-          end;
+          note_young t blk i;
           addr)
 
 (* A small object of class [cls].  The nursery (small collectable objects
-   of a generational or incremental heap) bumps first, and drains freed
-   old-generation slots off the free list only when its page is full:
-   reuse keeps segregation from costing footprint.  Every other small
-   object takes the free list first.  A block is opened only when its
-   list is empty and the sweep pushes freed slots onto the front, so
-   freed slots go before the never-used ones, as when a fresh block
-   listed all its slots.  Only when both are empty is a fresh page
-   claimed, with the collect-expand fallback; an emergency collection
-   seals the nursery cursors, so its retry starts from the free list. *)
+   of a generational heap) bumps first, and drains freed old-generation
+   slots off the free list only when its page is full: reuse keeps
+   segregation from costing footprint.  Every other small object, and
+   every object of a stop-the-world or incremental heap, takes the free
+   list first.  A block is opened only when its list is empty and the
+   sweep pushes freed slots onto the front, so freed slots go before the
+   never-used ones, as when a fresh block listed all its slots.  Only
+   when both are empty is a fresh page claimed, with the collect-expand
+   fallback; an emergency collection seals the nursery cursors, so its
+   retry starts from the free list. *)
 let alloc_small t ~req cls kind =
   let k = class_slot cls kind in
   let young =
-    nursery_enabled t
+    generational t
     &&
     match kind with
     | Block.Normal | Block.Atomic -> true
@@ -1668,9 +1596,11 @@ let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.v_rule v.v_detail
       byte ([req] strictly below the rounded slot size);
     - [nursery]: young blocks are collectable single pages, and the young
       set is exactly the young blocks;
-    - [young-slots]: an aging block's young-slot map holds exactly its
-      allocated slots younger than [promote_after], the slots a minor
-      sweep of it visits; every other block's map is clear;
+    - [young-slots]: the young-slot map of a nursery page or an aging
+      block holds exactly its allocated slots younger than
+      [promote_after], the slots a minor sweep of it visits; every other
+      block's map is clear, and a block that is never collected never
+      ages;
     - [remembered-set] (generational mode only): every old→young
       reference lies on a dirty card, so a minor collection cannot miss
       it. *)
@@ -1924,17 +1854,23 @@ let check_integrity t : violation list =
         report "nursery" "old block %#x lingers in the young set"
           blk.Block.blk_start)
     t.young_blocks;
-  (* young-slot maps.  A block that is not aging has eight clear map
-     bytes stepped over at once. *)
+  (* young-slot maps.  A block whose map should be clear has eight clear
+     map bytes stepped over at once. *)
   let promote_after = t.config.promote_after in
   List.iter
     (fun blk ->
-      let young = blk.Block.blk_young_slots and aging = blk.Block.blk_aging in
+      let young = blk.Block.blk_young_slots in
+      if blk.Block.blk_aging && not (collectable blk) then
+        report "young-slots" "block %#x is never collected, but aging"
+          blk.Block.blk_start;
+      let swept =
+        collectable blk && (blk.Block.blk_young || blk.Block.blk_aging)
+      in
       visit_runs 0 blk.Block.blk_count
-        (fun j -> (not aging) && Bytes.get_int64_le young j = 0L)
+        (fun j -> (not swept) && Bytes.get_int64_le young j = 0L)
         (fun j ->
           let want =
-            aging
+            swept
             && Bytes.get blk.Block.blk_alloc j <> '\000'
             && Char.code (Bytes.get blk.Block.blk_age j) < promote_after
           in

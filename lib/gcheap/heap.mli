@@ -13,16 +13,19 @@
     and survivors promote to the old generation after
     [config.promote_after] minor cycles.
 
-    Generational and incremental heaps additionally segregate the
-    generations by page: new small collectable objects are bump-allocated
-    off young single-page blocks ([config.nursery_pages] of them per
-    allocation window), whole-page cohorts age together, wholly dead
-    nursery pages return to the reclaim pool, and a surviving cohort is
+    A generational heap also segregates the generations by page: new
+    small collectable objects are bump-allocated off young single-page
+    blocks ([config.nursery_pages] of them per allocation window).  Each
+    block's young-slot map holds its young slots, on nursery pages and
+    reused in old blocks alike, and one minor sweep visits exactly
+    those: wholly dead nursery pages return to the reclaim pool, and a
+    page whose objects all survive [config.promote_after] minors is
     promoted in place — the collector is conservative, so objects never
     move.  The remembered set then tracks only old-generation pages.
 
     An incremental mode slices a snapshot-at-the-beginning cycle into
-    budget-bounded {!step}s.  Stop-the-world, minor and incremental
+    budget-bounded {!step}s; it has no generations, and allocates like
+    a stop-the-world heap.  Stop-the-world, minor and incremental
     collection run on one engine: one gray stack, one shading rule
     (shared with the store barrier's SATB half), one root scan, one
     budgeted drain and one slot sweeper. *)
@@ -61,9 +64,8 @@ type config = {
           honoured from the roots only — the "Extensions" section mode *)
   gc_threshold : int;  (** allocation volume (bytes) between collections *)
   mode : gc_mode;
-      (** [Gen] enables minor collections and the store barrier's dirty
-          cards; [Gen] and [Inc] put the bump-pointer nursery in service;
-          default [Stw] *)
+      (** [Gen] enables minor collections, the store barrier's dirty
+          cards and the bump-pointer nursery; default [Stw] *)
   minor_threshold : int;
       (** allocation volume (bytes) between minor collections *)
   promote_after : int;
@@ -77,9 +79,9 @@ type config = {
           before yielding back to the mutator; {!step} treats anything
           below 1 as 1 *)
   nursery_pages : int;
-      (** pages of bump-allocated nursery a generational or incremental
-          heap may open between collections before a minor cycle is due
-          (positive; default 8) *)
+      (** pages of bump-allocated nursery a generational heap may open
+          between collections before a minor cycle is due (positive;
+          default 8) *)
   failpoints : Failpoint.t;
       (** injected allocation failures (the chaos harness sets this);
           [Never] (the default) costs one branch per allocation *)
@@ -174,9 +176,9 @@ type t = {
   mutable young_blocks : Block.t list;
       (** nursery: the young single-page blocks currently in service *)
   mutable aging_blocks : Block.t list;
-      (** old-generation blocks that may hold still-young (reused or
-          large) slots, visited by the segregated minor sweep through
-          each block's young-slot map *)
+      (** old-generation collectable blocks that may hold still-young
+          (reused or large) slots; the minor sweep visits them and the
+          nursery pages through each block's young-slot map *)
   cursors : Block.t option array;
       (** the block being bump-filled, indexed like [free_lists] *)
   mutable nursery_opened : int;
@@ -204,12 +206,6 @@ val default_config : config
     take theirs from here. *)
 
 val create : ?config:config -> unit -> t
-
-val nursery_enabled : t -> bool
-(** Is the bump-pointer nursery in service?  True on generational and
-    incremental heaps; always false on stop-the-world heaps, which take
-    a freed slot before a never-used one and so hand out the seed
-    allocator's addresses. *)
 
 val class_size : int -> int
 (** The size class an allocation request (slack included) rounds up to. *)
@@ -302,7 +298,7 @@ val step :
     the stack drains within budget, atomically finalizes by re-shading
     [extra_roots] and draining to empty); on a sweeping heap it frees
     unmarked slots under the budget.  A finished cycle is accounted like
-    a full collection and tenures the surviving nursery pages.  While a
+    a full collection.  While a
     cycle is in flight the store barrier shades overwritten values and
     allocation is black.  The snapshot and the finalization are atomic,
     so a step can exceed the budget; such steps are counted in
@@ -386,7 +382,8 @@ val pp_violation : Format.formatter -> violation -> unit
 val check_integrity : t -> violation list
 (** Validate page-map/block-header agreement, mark-bit consistency,
     free-list well-formedness, the bump-cursor rule, the one-extra-byte
-    rule, the nursery sets, the aging blocks' young-slot maps and
+    rule, the nursery sets, the young-slot maps of nursery pages and
+    aging blocks (no block that is never collected ages) and
     (generational heaps) remembered-set completeness.  Returns the
     violations found (empty on a healthy heap). *)
 

@@ -861,12 +861,12 @@ let r_recompute_cards m =
     (r_dirty_pages m);
   m.dirty_index <- !retained
 
-let r_complete m ~minor ~tenure =
-  let mode = m.h.Heap.config.Heap.mode in
+let r_complete m ~minor =
+  let gen = m.h.Heap.config.Heap.mode = Heap.Gen in
   m.phase <- Heap.Idle;
   m.st.Heap.collections <- m.st.Heap.collections + 1;
   if minor then m.st.Heap.minor_collections <- m.st.Heap.minor_collections + 1;
-  if mode <> Heap.Stw then begin
+  if gen then begin
     let dead =
       List.filter
         (fun blk ->
@@ -876,24 +876,8 @@ let r_complete m ~minor ~tenure =
     in
     List.iter (r_retire m) dead;
     if dead <> [] then r_coalesce m;
-    if tenure then
-      List.iter
-        (fun blk ->
-          let x = mb m blk in
-          for i = 0 to blk.Block.blk_count - 1 do
-            if r_alloc x i then begin
-              m.st.Heap.promoted <- m.st.Heap.promoted + 1;
-              if mode = Heap.Gen then begin
-                Bytes.set x.age i
-                  (Char.chr (min 255 m.h.Heap.config.Heap.promote_after));
-                r_dirty_slot_pages m blk i
-              end
-            end
-          done;
-          r_promote m blk)
-        m.young_set
-  end;
-  if mode = Heap.Gen then r_recompute_cards m
+    r_recompute_cards m
+  end
 
 let r_collect m ~minor ~roots =
   let minor = minor && m.h.Heap.config.Heap.mode = Heap.Gen in
@@ -911,7 +895,7 @@ let r_collect m ~minor ~roots =
     m.cursor <- 0;
     r_sweep_slice m ~spent:(ref 0) ~budget:max_int
   end;
-  r_complete m ~minor ~tenure:false
+  r_complete m ~minor
 
 (* one increment, its marking taken from the heap [h] after the step *)
 let r_step m ~nroots h =
@@ -936,7 +920,7 @@ let r_step m ~nroots h =
   end;
   if m.phase = Heap.Sweeping then begin
     r_sweep_slice m ~spent ~budget;
-    if m.pending = [] then r_complete m ~minor:false ~tenure:true
+    if m.pending = [] then r_complete m ~minor:false
   end;
   m.st.Heap.increments <- m.st.Heap.increments + 1;
   if !spent > budget then

@@ -324,6 +324,43 @@ let prop_collect_equals_cycle =
       Heap.finish ~extra_roots:[ Array.of_list roots ] inc;
       engine_fingerprint stw = engine_fingerprint inc)
 
+(* One alloc/drop script on a stop-the-world and an incremental heap,
+   the one collecting and the other finishing a cycle at the same
+   points: an incremental heap has no nursery and allocates exactly like
+   a stop-the-world one (free list first, then the bump cursor), so the
+   two hand out the same addresses, collectable, atomic and large. *)
+let test_stw_inc_same_addresses () =
+  let run mode collect =
+    let h = Heap.create ~config:{ Heap.default_config with Heap.mode } () in
+    let rng = Random.State.make [| 35 |] in
+    let live = ref [] and addrs = ref [] in
+    for i = 1 to 2000 do
+      let bytes =
+        if Random.State.int rng 40 = 0 then 2048 + Random.State.int rng 6000
+        else 1 + Random.State.int rng 300
+      in
+      let kind = if i mod 5 = 0 then Block.Atomic else Block.Normal in
+      let a = Heap.alloc ~kind h bytes in
+      addrs := a :: !addrs;
+      (* keep about half, and drop a third of what is kept now and then *)
+      if Random.State.bool rng then live := a :: !live;
+      if i mod 97 = 0 then begin
+        live := List.filteri (fun k _ -> k mod 3 <> 0) !live;
+        collect h [ Array.of_list !live ]
+      end
+    done;
+    List.rev !addrs
+  in
+  let stw =
+    run Heap.Stw (fun h extra_roots -> ignore (Heap.collect ~extra_roots h))
+  in
+  let inc =
+    run Heap.Inc (fun h extra_roots ->
+        ignore (Heap.step ~extra_roots h);
+        Heap.finish ~extra_roots h)
+  in
+  Alcotest.(check (list int)) "address sequences" stw inc
+
 (* --- mode identity over random programs ------------------------------- *)
 
 let digest gc_mode ~budget ~schedule src =
@@ -406,4 +443,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_modes_identical;
     Alcotest.test_case "paper workloads: no overruns at a 2048-word budget"
       `Quick test_paper_workloads_within_budget;
+    Alcotest.test_case "stop-the-world and incremental hand out one address \
+                        sequence" `Quick test_stw_inc_same_addresses;
   ]

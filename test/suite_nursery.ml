@@ -51,7 +51,6 @@ let no_violations name h =
 
 let test_bump_allocation () =
   let h = nursery_heap () in
-  Alcotest.(check bool) "nursery enabled" true (Heap.nursery_enabled h);
   let a = Heap.alloc h 32 in
   let sz =
     match Heap.extent_of h a with
@@ -267,6 +266,36 @@ let test_aging_block_barrier () =
     true (Heap.page_is_dirty h b);
   no_violations "integrity clean after the straddling store" h
 
+(* --- blocks that are never collected never age ------------------------ *)
+
+(* A generational heap's large blocks are born young, but only the
+   collectable ones join the aging set: a stack or uncollectable block is
+   never collected, so no minor sweep visits it.  A large collectable
+   object ages like any young object and leaves the set once promoted. *)
+let test_uncollected_blocks_never_age () =
+  let h = nursery_heap () in
+  let stack = Heap.alloc ~kind:Block.Stack h (64 * 1024) in
+  let statics = Heap.alloc ~kind:Block.Uncollectable h (3 * Mem.page_size) in
+  let large = Heap.alloc h (3 * Mem.page_size) in
+  let aging a =
+    match Heap.block_at h a with
+    | Some blk -> List.memq blk h.Heap.aging_blocks
+    | None -> Alcotest.fail "large block unmapped"
+  in
+  Alcotest.(check bool) "large collectable block aging" true (aging large);
+  for minor = 1 to h.Heap.config.Heap.promote_after + 1 do
+    ignore
+      (Heap.collect ~generation:Heap.Minor ~extra_roots:[ [| large |] ] h);
+    let after = Printf.sprintf " after minor %d" minor in
+    Alcotest.(check bool) ("stack block not aging" ^ after) false (aging stack);
+    Alcotest.(check bool)
+      ("uncollectable block not aging" ^ after)
+      false (aging statics);
+    no_violations ("integrity clean" ^ after) h
+  done;
+  Alcotest.(check bool) "promoted large block left the aging set" false
+    (aging large)
+
 (* --- qcheck invariants ------------------------------------------------- *)
 
 (* Random scripts over random nursery sizes: the nursery's structural
@@ -395,4 +424,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_nursery_equivalence;
     Alcotest.test_case "paper workloads: minor p50 below baseline and majors"
       `Quick test_paper_workload_pauses;
+    Alcotest.test_case "blocks that are never collected never age" `Quick
+      test_uncollected_blocks_never_age;
   ]

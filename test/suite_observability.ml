@@ -521,10 +521,10 @@ let test_vm_dumps_pinned () =
 {"ordinal":84,"ts":14890187,"kind":"gc.begin","args":{"trigger":"auto","gen":"minor"}}
 {"ordinal":85,"ts":14890187,"kind":"gc.end","args":{"trigger":"auto","gen":"minor","pause_words":782}}|};
   pin "inc run" (gated Gcheap.Heap.Inc Workloads.Registry.cordtest)
-    {|29 a3e6a2a52ce677b2b7fd04e1c4061f39
+    {|29 89a33cc54a10cfa3d7fec3c9d2168863
 {"ordinal":26,"ts":14885235,"kind":"gc.step","args":{"spent_words":1021,"completed":0}}
-{"ordinal":27,"ts":14885272,"kind":"gc.step","args":{"spent_words":1022,"completed":0}}
-{"ordinal":28,"ts":14885329,"kind":"gc.step","args":{"spent_words":958,"completed":1}}|};
+{"ordinal":27,"ts":14885272,"kind":"gc.step","args":{"spent_words":1023,"completed":0}}
+{"ordinal":28,"ts":14885329,"kind":"gc.step","args":{"spent_words":957,"completed":1}}|};
   pin "fault"
     (Request.make ~config:Harness.Build.Base
        ~schedule:(Machine.Schedule.at_list [ 7 ])

@@ -289,7 +289,9 @@ let test_detects_remembered_set_violation () =
 (* Each young-slot finding, with its detail, on a generational heap
    whose promoted nursery page holds an old object in slot 0 and, after
    the free list handed slot 1 out again, a young one there: the page is
-   an aging block whose young-slot map holds slot 1 alone. *)
+   an aging block whose young-slot map holds slot 1 alone.  A nursery
+   page's map holds its young slots too, and a stack block is never
+   collected, so it must never be aging. *)
 let test_young_slot_findings () =
   let setup () =
     let h = gen_heap () in
@@ -330,7 +332,19 @@ let test_young_slot_findings () =
   expect "free slot" [ slot blk 9 "wrongly in" ] h;
   let h, blk = setup () in
   blk.Block.blk_aging <- false;
-  expect "block out of the aging set" [ slot blk 1 "wrongly in" ] h
+  expect "block out of the aging set" [ slot blk 1 "wrongly in" ] h;
+  let h = gen_heap () in
+  let page = block_of h (Heap.alloc h 16) in
+  Alcotest.(check bool) "nursery page" true page.Block.blk_young;
+  Bytes.set page.Block.blk_young_slots 0 '\000';
+  expect "nursery slot left out" [ slot page 0 "missing from" ] h;
+  let h, _ = setup () in
+  let stack = block_of h (Heap.alloc ~kind:Block.Stack h 16) in
+  stack.Block.blk_aging <- true;
+  expect "uncollected block aging"
+    [ Printf.sprintf "block %#x is never collected, but aging"
+        stack.Block.blk_start ]
+    h
 
 let test_assert_integrity_raises () =
   let h = fresh () in
