@@ -340,10 +340,11 @@ let annotate_cmd =
   in
   let patch_arg =
     let doc =
-      "Emit by patching the original text (preserves formatting and \
-       comments; constructs needing temporaries are skipped and reported). \
-       Applies no analysis pruning, so --analysis does not apply; \
-       --calls-only, --loop-heuristic and --check-base-stores are rejected."
+      "Emit the annotated program as edits to the original text: each \
+       top-level expression the annotation changed is replaced, temporaries \
+       are declared after the function's opening brace, and all other text \
+       keeps its formatting and comments.  Every other option applies as \
+       without --patch."
     in
     Arg.(value & flag & info [ "patch" ] ~doc)
   in
@@ -395,14 +396,6 @@ let annotate_cmd =
   let run mode analysis naive heuristic calls_only base_stores patch stats
       stats_out source =
     handle_errors (fun () ->
-        (* Patch_mode honours only the mode and optimization (1); reject
-           the flags it would otherwise ignore *)
-        if patch && (calls_only || heuristic || base_stores) then begin
-          prerr_endline
-            "--patch does not support --calls-only, --loop-heuristic or \
-             --check-base-stores";
-          exit 2
-        end;
         let source_name, src = source () in
         let ast = Csyntax.Parser.parse_program src in
         let opts =
@@ -414,32 +407,21 @@ let annotate_cmd =
             Gcsafe.Mode.analysis;
           }
         in
-        (* both modes' stats go through here: to --stats-out's file, or
-           to stderr under --stats *)
-        let write_stats line =
-          match stats_out with
-          | Some path ->
-              Out_channel.with_open_text path (fun oc ->
-                  Out_channel.output_string oc (line ^ "\n"))
-          | None -> if stats then Printf.eprintf "%s\n" line
+        let r = Gcsafe.Annotate.run ~opts ast in
+        let program =
+          if heuristic && mode = Gcsafe.Mode.Safe then
+            Gcsafe.Loop_heuristic.apply r.Gcsafe.Annotate.program
+          else r.Gcsafe.Annotate.program
         in
-        if patch then begin
-          let r = Gcsafe.Patch_mode.annotate_source ~opts src in
-          print_string r.Gcsafe.Patch_mode.pr_source;
-          write_stats
-            (Printf.sprintf "%d annotation(s) inserted, %d skipped (need rewrites)"
-               r.Gcsafe.Patch_mode.pr_inserted r.Gcsafe.Patch_mode.pr_skipped)
-        end
-        else begin
-          let r = Gcsafe.Annotate.run ~opts ast in
-          let program =
-            if heuristic && mode = Gcsafe.Mode.Safe then
-              Gcsafe.Loop_heuristic.apply r.Gcsafe.Annotate.program
-            else r.Gcsafe.Annotate.program
-          in
-          print_string (Csyntax.Pretty.program_to_string program);
-          write_stats (stats_json ~source_name ~mode ~analysis r)
-        end)
+        print_string
+          (if patch then Gcsafe.Patch_mode.emit ~source:src ~original:ast program
+           else Csyntax.Pretty.program_to_string program);
+        let line = stats_json ~source_name ~mode ~analysis r in
+        match stats_out with
+        | Some path ->
+            Out_channel.with_open_text path (fun oc ->
+                Out_channel.output_string oc (line ^ "\n"))
+        | None -> if stats then Printf.eprintf "%s\n" line)
   in
   let doc = "annotate C source for GC-safety or pointer-arithmetic checking" in
   Cmd.v

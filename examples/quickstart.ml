@@ -78,10 +78,8 @@ let () =
 
   (* step 2b: the paper's own output discipline — patch the original text *)
   print_endline "\n=== patch-mode emission (original text preserved) ===";
-  let pm = Gcsafe.Patch_mode.annotate_source source in
-  Printf.printf "  %d annotations patched in place, %d would need rewrites\n"
-    pm.Gcsafe.Patch_mode.pr_inserted pm.Gcsafe.Patch_mode.pr_skipped;
-  String.split_on_char '\n' pm.Gcsafe.Patch_mode.pr_source
+  Gcsafe.Patch_mode.emit ~source ~original:ast safe.Gcsafe.Annotate.program
+  |> String.split_on_char '\n'
   |> List.filteri (fun i _ -> i >= 9 && i <= 13)
   |> List.iter (Printf.printf "  %s\n");
 

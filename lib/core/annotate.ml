@@ -608,6 +608,7 @@ let annotate_program ?(opts = Mode.default Mode.Safe) (p : Ast.program) :
       | Ast.Gfunc _ | Ast.Gstruct _ | Ast.Gproto _ -> ())
     p.Ast.prog_globals;
   let is_global v = Hashtbl.mem global_names v in
+  let temps_of = Temps.in_program p in
   let globals =
     List.map
       (function
@@ -616,7 +617,7 @@ let annotate_program ?(opts = Mode.default Mode.Safe) (p : Ast.program) :
               {
                 opts;
                 tenv = p.Ast.prog_env;
-                temps = Temps.create ();
+                temps = temps_of f;
                 fname = f.Ast.f_name;
                 keep_live_count = 0;
                 inserted = Array.make (List.length all_rules) 0;

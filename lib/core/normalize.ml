@@ -19,6 +19,8 @@
 
 open Csyntax
 
+exception Already_annotated of Loc.t
+
 let mk desc ty =
   let e = Ast.mk_expr desc in
   e.Ast.ety <- Some ty;
@@ -114,7 +116,7 @@ let rec norm_expr temps ~used (e : Ast.expr) : Ast.expr =
     | Ast.Comma (a, b) ->
         remk (Ast.Comma (norm_expr temps ~used:false a, norm_expr temps ~used b))
     | Ast.KeepLive (_, _) | Ast.RuntimeCall (_, _) ->
-        invalid_arg "Normalize: input already annotated"
+        raise (Already_annotated e.Ast.eloc)
   in
   e
 
@@ -178,18 +180,17 @@ let rec norm_stmt temps (s : Ast.stmt) : Ast.stmt =
   | Ast.Sbreak | Ast.Scontinue | Ast.Sempty -> s
   | Ast.Sblock ss -> remk (Ast.Sblock (List.map (norm_stmt temps) ss))
 
-let norm_func (f : Ast.func) : Ast.func =
-  let temps = Temps.create () in
-  let body = norm_stmt temps f.Ast.f_body in
-  { f with Ast.f_body = Temps.splice_decls temps body }
-
 (** Normalize a type-annotated program.  The result is re-type-checked so
     that every new node carries its type. *)
 let norm_program (p : Ast.program) : Ast.program =
+  let temps_of = Temps.in_program p in
   let globals =
     List.map
       (function
-        | Ast.Gfunc f -> Ast.Gfunc (norm_func f)
+        | Ast.Gfunc f ->
+            let temps = temps_of f in
+            let body = norm_stmt temps f.Ast.f_body in
+            Ast.Gfunc { f with Ast.f_body = Temps.splice_decls temps body }
         | (Ast.Gvar _ | Ast.Gstruct _ | Ast.Gproto _) as g -> g)
       p.Ast.prog_globals
   in

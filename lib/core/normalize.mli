@@ -7,11 +7,10 @@
     {!Base_rules.base} would otherwise return [Unnamed].  Also performs
     the paper's [&*e -> e] simplification. *)
 
-val name_value : Temps.t -> Csyntax.Ast.expr -> Csyntax.Ast.expr
-(** Wrap the generating tail of an expression in an assignment to a fresh
-    temporary so that its value has a BASE. *)
-
-val norm_func : Csyntax.Ast.func -> Csyntax.Ast.func
+exception Already_annotated of Csyntax.Loc.t
+(** The input holds a [KEEP_LIVE] (at this location): it is the
+    preprocessor's own output.  Such source compiles unannotated (the
+    base and debug builds); annotating it again is a source error. *)
 
 val norm_program : Csyntax.Ast.program -> Csyntax.Ast.program
 (** Normalize a type-annotated program; the result is re-type-checked. *)

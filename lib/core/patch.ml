@@ -40,12 +40,6 @@ let delete t ~offset ~len = add t ~offset ~delete:len ~insert:""
 
 let replace t ~offset ~len text = add t ~offset ~delete:len ~insert:text
 
-(** Wrap the source range [\[start, stop)] as [prefix ^ original ^ suffix] —
-    the shape of every KEEP_LIVE insertion. *)
-let wrap t ~start ~stop ~prefix ~suffix =
-  insert t ~offset:start prefix;
-  insert t ~offset:stop suffix
-
 let sorted_edits t =
   List.sort
     (fun a b ->

@@ -21,9 +21,5 @@ val delete : t -> offset:int -> len:int -> unit
 
 val replace : t -> offset:int -> len:int -> string -> unit
 
-val wrap : t -> start:int -> stop:int -> prefix:string -> suffix:string -> unit
-(** Wrap the source range [start, stop)] — the shape of every KEEP_LIVE
-    insertion. *)
-
 val apply : t -> string -> string
 (** Apply all recorded edits.  @raise Overlap on overlapping deletions. *)

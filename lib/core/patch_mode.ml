@@ -1,4 +1,5 @@
-(** Patch-based emission: annotate the {e original source text}.
+(** Patch-based emission: the annotated program as edits to the original
+    source text.
 
     This is the output discipline of the paper's implementation: "Our
     preprocessor maintains a copy of the input file ... In the process it
@@ -6,235 +7,97 @@
     position in the original source string.  After parsing is complete,
     the insertions and deletions are applied to the original source."
 
-    The patch emitter handles the purely positional insertions — the four
-    KEEP_LIVE positions and the [*&(...)]-style access wraps — by wrapping
-    the original expression text in place, so comments, macro-expanded
-    line structure and formatting survive.  Constructs that require
-    rewriting with temporaries (increment/decrement and compound
-    assignment on pointers, generating expressions feeding arithmetic)
-    are left untouched and counted in [pr_skipped]; the AST-based
-    {!Annotate} pipeline covers those.  The two emitters insert the same
-    annotations on inputs free of the rewrite-requiring forms. *)
+    {!Annotate} decides every insertion; this module only emits.  It walks
+    the parsed and the annotated function bodies in lockstep —
+    {!Normalize}, {!Annotate} and {!Loop_heuristic} keep statement shapes,
+    adding only the leading temporary declarations, which carry
+    [Loc.dummy] — and replaces the text of each top-level expression whose
+    printed form changed by the annotated expression's.  The temporary
+    declarations go after the body's opening brace, on its line.  Text
+    that was not annotated keeps its formatting and comments. *)
 
 open Csyntax
 
-type result = {
-  pr_source : string;  (** the patched program text *)
-  pr_inserted : int;  (** annotations inserted *)
-  pr_skipped : int;
-      (** positions that needed a rewrite (temporaries) and were left
-          unannotated; use the AST pipeline for full coverage *)
-}
+let fail what = invalid_arg ("Patch_mode: " ^ what)
 
-type ctx = {
-  opts : Mode.options;
-  patch : Patch.t;
-  mutable inserted : int;
-  mutable skipped : int;
-  mutable wrapped : (int * int) list;
-      (** extents already wrapped, to avoid nested double-wraps *)
-}
-
-let already_wrapped ctx (start, stop) =
-  List.exists (fun (s, e) -> s <= start && stop <= e) ctx.wrapped
-
-(* wrap the original text of [e] in KEEP_LIVE / GC_same_obj with base [b] *)
-let wrap_value ctx (e : Ast.expr) (b : string) =
-  if not (Ast.has_span e) then ctx.skipped <- ctx.skipped + 1
-  else begin
-    let start = e.Ast.eloc.Loc.offset and stop = e.Ast.eend in
-    if not (already_wrapped ctx (start, stop)) then begin
-      ctx.inserted <- ctx.inserted + 1;
-      ctx.wrapped <- (start, stop) :: ctx.wrapped;
-      match ctx.opts.Mode.mode with
-      | Mode.Safe ->
-          Patch.wrap ctx.patch ~start ~stop ~prefix:"KEEP_LIVE("
-            ~suffix:(Printf.sprintf ", %s)" b)
-      | Mode.Checked ->
-          let ty = Ctype.to_string (Ast.rtyp e) in
-          Patch.wrap ctx.patch ~start ~stop
-            ~prefix:(Printf.sprintf "(%s)GC_same_obj((void *)(" ty)
-            ~suffix:(Printf.sprintf "), (void *)%s)" b)
-    end
+(* replace [o]'s source text by [a], printed by [print], when the two
+   expressions differ *)
+let expr patch print (o : Ast.expr) (a : Ast.expr) =
+  if Pretty.expr_to_string o <> Pretty.expr_to_string a then begin
+    if not (Ast.has_span o) then fail "a changed expression has no source span";
+    let offset = o.Ast.eloc.Loc.offset in
+    Patch.replace patch ~offset ~len:(o.Ast.eend - offset) (print a)
   end
 
-(* wrap a scalar access [e] (a[i] / p->f / chain) as *KEEP_LIVE(&(e), b) *)
-let wrap_access ctx (e : Ast.expr) (b : string) =
-  if not (Ast.has_span e) then ctx.skipped <- ctx.skipped + 1
-  else begin
-    let start = e.Ast.eloc.Loc.offset and stop = e.Ast.eend in
-    if not (already_wrapped ctx (start, stop)) then begin
-      ctx.inserted <- ctx.inserted + 1;
-      ctx.wrapped <- (start, stop) :: ctx.wrapped;
-      match ctx.opts.Mode.mode with
-      | Mode.Safe ->
-          Patch.wrap ctx.patch ~start ~stop ~prefix:"(*KEEP_LIVE(&("
-            ~suffix:(Printf.sprintf "), %s))" b)
-      | Mode.Checked ->
-          let ty = Ctype.to_string (Ctype.Ptr (Ast.typ e)) in
-          Patch.wrap ctx.patch ~start ~stop
-            ~prefix:(Printf.sprintf "(*(%s)GC_same_obj((void *)&(" ty)
-            ~suffix:(Printf.sprintf "), (void *)%s))" b)
-    end
-  end
+let both f o a =
+  match (o, a) with
+  | Some o, Some a -> f o a
+  | None, None -> ()
+  | _ -> fail "statement shapes differ"
 
-let is_array_typed (e : Ast.expr) =
-  match e.Ast.ety with Some (Ctype.Array _) -> true | _ -> false
+let init patch (o : Ast.decl) (a : Ast.decl) =
+  both (expr patch Pretty.init_to_string) o.Ast.d_init a.Ast.d_init
 
-(* opaque values flowing straight out of generating expressions need no
-   wrap (call results behave as KEEP_LIVE values; loads are
-   access-wrapped) *)
-let rec generating_tail (e : Ast.expr) =
-  match e.Ast.edesc with
-  | Ast.Deref _ | Ast.Call (_, _) | Ast.RuntimeCall (_, _) | Ast.KeepLive _ ->
-      true
-  | Ast.Index (_, _) | Ast.Arrow (_, _) | Ast.Field (_, _) ->
-      not (is_array_typed e)
-  | Ast.Cast (_, x) | Ast.Comma (_, x) | Ast.Assign (_, x) ->
-      generating_tail x
-  | _ -> false
-
-(* should expression [e] in a KEEP_LIVE value position be wrapped, and with
-   which base? *)
-let value_wrap_decision ctx (e : Ast.expr) =
-  if not (Ast.is_pointer_valued e) then `No
-  else if ctx.opts.Mode.suppress_copies && Base_rules.is_copy e then `No
-  else
-    match e.Ast.edesc with
-    | Ast.Deref _ | Ast.Call (_, _) | Ast.RuntimeCall (_, _) -> `No
-    | Ast.Index (_, _) | Ast.Arrow (_, _) | Ast.Field (_, _)
-      when not (is_array_typed e) ->
-        `No
-    (* pointer increments and compound assignments need the temporary
-       expansion; patching the text in place cannot express it *)
-    | Ast.Incr (_, _) | Ast.OpAssign (_, _, _) -> `Needs_rewrite
-    | _ -> (
-        match Base_rules.base e with
-        | Base_rules.Var b -> `Wrap b
-        | Base_rules.Nil -> `No
-        | Base_rules.Unnamed ->
-            if generating_tail e then `No else `Needs_rewrite)
-
-let rec rv ctx (e : Ast.expr) =
-  match e.Ast.edesc with
-  | Ast.IntLit _ | Ast.CharLit _ | Ast.StrLit _ | Ast.FloatLit _ | Ast.Var _
-  | Ast.SizeofType _ | Ast.SizeofExpr _ ->
+let rec stmt patch (o : Ast.stmt) (a : Ast.stmt) =
+  let e = expr patch Pretty.expr_to_string in
+  let s = stmt patch in
+  match (o.Ast.sdesc, a.Ast.sdesc) with
+  | Ast.Sexpr x, Ast.Sexpr y -> e x y
+  | Ast.Sdecl d, Ast.Sdecl d' -> init patch d d'
+  | Ast.Sif (c, t, f), Ast.Sif (c', t', f') ->
+      e c c';
+      s t t';
+      both s f f'
+  | Ast.Swhile (c, b), Ast.Swhile (c', b') ->
+      e c c';
+      s b b'
+  | Ast.Sdowhile (b, c), Ast.Sdowhile (b', c') ->
+      s b b';
+      e c c'
+  | Ast.Sfor (i, c, st, b), Ast.Sfor (i', c', st', b') ->
+      both e i i';
+      both e c c';
+      both e st st';
+      s b b'
+  | Ast.Sreturn x, Ast.Sreturn y -> both e x y
+  | Ast.Sblock ss, Ast.Sblock ss' when List.compare_lengths ss ss' = 0 ->
+      List.iter2 s ss ss'
+  | Ast.Sbreak, Ast.Sbreak | Ast.Scontinue, Ast.Scontinue | Ast.Sempty, Ast.Sempty
+    ->
       ()
-  | Ast.Unop (_, a) -> rv ctx a
-  | Ast.Binop (_, a, b) ->
-      rv ctx a;
-      rv ctx b
-  | Ast.Assign (lv, rhs) ->
-      store_target ctx lv;
-      wrap_pos ctx rhs
-  | Ast.OpAssign (_, lv, rhs) ->
-      (* pointer compound assignment needs the temp expansion *)
-      if Ctype.is_pointer (Ctype.decay (Ast.typ lv)) then
-        ctx.skipped <- ctx.skipped + 1
-      else store_target ctx lv;
-      rv ctx rhs
-  | Ast.Incr (_, lv) ->
-      if Ctype.is_pointer (Ctype.decay (Ast.typ lv)) then
-        ctx.skipped <- ctx.skipped + 1
-      else store_target ctx lv
-  | Ast.Deref a -> wrap_pos ctx a
-  | Ast.Index (_, _) | Ast.Arrow (_, _) | Ast.Field (_, _) ->
-      if is_array_typed e then chain ctx e else access ctx e
-  | Ast.AddrOf lv -> chain ctx lv
-  | Ast.Call (_, args) -> List.iter (wrap_pos ctx) args
-  | Ast.RuntimeCall (_, args) -> List.iter (rv ctx) args
-  | Ast.Cast (_, a) -> rv ctx a
-  | Ast.Cond (c, a, b) ->
-      rv ctx c;
-      rv ctx a;
-      rv ctx b
-  | Ast.Comma (a, b) ->
-      rv ctx a;
-      rv ctx b
-  | Ast.KeepLive (a, _) -> rv ctx a
+  | _ -> fail "statement shapes differ"
 
-(* a KEEP_LIVE position *)
-and wrap_pos ctx (e : Ast.expr) =
-  (match value_wrap_decision ctx e with
-  | `Wrap b ->
-      rv_children_only ctx e;
-      wrap_value ctx e b
-  | `Needs_rewrite ->
-      ctx.skipped <- ctx.skipped + 1;
-      rv ctx e
-  | `No -> (
-      (* distribute into conditional branches, as the algorithm requires *)
-      match e.Ast.edesc with
-      | Ast.Cond (c, a, b) when Ast.is_pointer_valued e ->
-          rv ctx c;
-          wrap_pos ctx a;
-          wrap_pos ctx b
-      | _ -> rv ctx e))
+let func patch (o : Ast.func) (a : Ast.func) =
+  let body = o.Ast.f_body in
+  match a.Ast.f_body.Ast.sdesc with
+  | Ast.Sblock ss when not (Loc.is_dummy body.Ast.sloc) ->
+      let rec split temps = function
+        | ({ Ast.sdesc = Ast.Sdecl _; sloc } as d) :: rest when Loc.is_dummy sloc ->
+            split (d :: temps) rest
+        | rest -> (List.rev temps, rest)
+      in
+      let temps, rest = split [] ss in
+      if temps <> [] then
+        Patch.insert patch ~offset:(body.Ast.sloc.Loc.offset + 1)
+          (String.concat "" (List.map (fun d -> " " ^ Pretty.stmt_to_string d) temps));
+      stmt patch body { a.Ast.f_body with Ast.sdesc = Ast.Sblock rest }
+  | _ -> fail "a function body has no source span"
 
-(* visit children for nested positions without re-wrapping [e] itself *)
-and rv_children_only ctx (e : Ast.expr) =
-  match e.Ast.edesc with
-  | Ast.Binop (_, a, b) ->
-      rv ctx a;
-      rv ctx b
-  | Ast.Cast (_, a) -> rv_children_only ctx a
-  | Ast.AddrOf lv -> chain ctx lv
-  | _ -> rv ctx e
-
-and access ctx (e : Ast.expr) =
-  chain ctx e;
-  match Base_rules.baseaddr e with
-  | Base_rules.Var b -> wrap_access ctx e b
-  | Base_rules.Nil -> ()
-  | Base_rules.Unnamed -> ctx.skipped <- ctx.skipped + 1
-
-and chain ctx (e : Ast.expr) =
-  match e.Ast.edesc with
-  | Ast.Var _ -> ()
-  | Ast.Deref a -> rv ctx a
-  | Ast.Index (a, i) ->
-      (if is_array_typed a then chain ctx a else rv ctx a);
-      rv ctx i
-  | Ast.Arrow (p, _) -> rv ctx p
-  | Ast.Field (b, _) -> chain ctx b
-  | Ast.Cast (_, b) -> chain ctx b
-  | _ -> rv ctx e
-
-and store_target ctx (lv : Ast.expr) =
-  match lv.Ast.edesc with Ast.Var _ -> () | _ -> rv ctx lv
-
-let walk_stmt ctx (s : Ast.stmt) =
-  Ast.iter_stmts
-    (fun s ->
-      match s.Ast.sdesc with
-      | Ast.Sexpr e -> rv ctx e
-      | Ast.Sdecl d -> Option.iter (wrap_pos ctx) d.Ast.d_init
-      | Ast.Sif (c, _, _) | Ast.Swhile (c, _) | Ast.Sdowhile (_, c) ->
-          rv ctx c
-      | Ast.Sfor (a, b, c, _) ->
-          List.iter (Option.iter (rv ctx)) [ a; b; c ]
-      | Ast.Sreturn (Some e) -> wrap_pos ctx e
-      | Ast.Sreturn None | Ast.Sbreak | Ast.Scontinue | Ast.Sblock _
-      | Ast.Sempty ->
-          ())
-    s
-
-(** Annotate [source] by patching it in place. *)
-let annotate_source ?(opts = Mode.default Mode.Safe) (source : string) :
-    result =
-  let prog = Parser.parse_program source in
-  ignore (Typecheck.check_program prog);
-  let ctx =
-    { opts; patch = Patch.create (); inserted = 0; skipped = 0; wrapped = [] }
+(** [emit ~source ~original annotated]: [source]'s text with the changes
+    that took the program [original], parsed from [source], to
+    [annotated].  @raise Invalid_argument if [annotated] does not keep
+    [original]'s statement shapes, or changes an expression that has no
+    source span. *)
+let emit ~source ~(original : Ast.program) (annotated : Ast.program) : string =
+  let patch = Patch.create () in
+  let global o a =
+    match (o, a) with
+    | Ast.Gfunc f, Ast.Gfunc g -> func patch f g
+    | Ast.Gvar d, Ast.Gvar d' -> init patch d d'
+    | Ast.Gstruct _, Ast.Gstruct _ | Ast.Gproto _, Ast.Gproto _ -> ()
+    | _ -> fail "global shapes differ"
   in
-  List.iter
-    (function
-      | Ast.Gfunc f -> walk_stmt ctx f.Ast.f_body
-      | Ast.Gvar d -> Option.iter (wrap_pos ctx) d.Ast.d_init
-      | Ast.Gstruct _ | Ast.Gproto _ -> ())
-    prog.Ast.prog_globals;
-  {
-    pr_source = Patch.apply ctx.patch source;
-    pr_inserted = ctx.inserted;
-    pr_skipped = ctx.skipped;
-  }
+  let os = original.Ast.prog_globals and as_ = annotated.Ast.prog_globals in
+  if List.compare_lengths os as_ <> 0 then fail "global shapes differ";
+  List.iter2 global os as_;
+  Patch.apply patch source

@@ -3,7 +3,12 @@
 
 type t
 
-val create : unit -> t
+val in_program : Csyntax.Ast.program -> Csyntax.Ast.func -> t
+(** [in_program p f] is [f]'s generator.  Its temporaries [__tN] number
+    past every [__tN] that [f] can see: [p]'s globals, [f]'s parameters
+    and locals, and temporaries an earlier pass declared.  Apply it to [p]
+    once and the result to each function: the globals are scanned once,
+    each function's declarations once. *)
 
 val fresh : t -> Csyntax.Ctype.t -> string
 (** A fresh temporary of the given type; remembers the declaration. *)

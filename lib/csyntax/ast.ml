@@ -3,9 +3,11 @@
     Expressions carry a mutable [ety] filled in by {!Typecheck}, and the
     location of the original source text so that the transformation backend
     can patch the source in place.  The two "synthetic" constructors
-    [KeepLive] and [RuntimeCall] never come out of the parser; they are
-    introduced by the annotator (the paper's KEEP_LIVE primitive and the
-    checked-mode [GC_same_obj]-style calls respectively). *)
+    [KeepLive] and [RuntimeCall] are introduced by the annotator (the
+    paper's KEEP_LIVE primitive and the checked-mode [GC_same_obj]-style
+    calls respectively).  [RuntimeCall] never comes out of the parser;
+    [KeepLive] does, so the preprocessor's own output re-parses and builds
+    unannotated (annotating such input again is a source error). *)
 
 type unop =
   | Neg  (** -e *)

@@ -164,14 +164,18 @@ and pp_inner fmt (e : Ast.expr) =
 
 and pp_call fmt f args =
   fprintf fmt "%s(%a)" f
-    (pp_print_list
-       ~pp_sep:(fun fmt () -> pp_print_string fmt ", ")
-       (fun fmt a -> pp_expr_prec fmt a prec_assign))
+    (pp_print_list ~pp_sep:(fun fmt () -> pp_print_string fmt ", ") pp_init)
     args
+
+(* a position the comma operator cannot occupy unparenthesized: an
+   argument or an initializer *)
+and pp_init fmt e = pp_expr_prec fmt e prec_assign
 
 let pp_expr fmt e = pp_expr_prec fmt e 0
 
 let expr_to_string e = asprintf "%a" pp_expr e
+
+let init_to_string e = asprintf "%a" pp_init e
 
 let rec pp_stmt fmt (s : Ast.stmt) =
   match s.sdesc with
@@ -206,7 +210,7 @@ let rec pp_stmt fmt (s : Ast.stmt) =
 and pp_decl fmt (d : Ast.decl) =
   match d.d_init with
   | None -> fprintf fmt "%a;" pp_decl_ty (d.d_ty, d.d_name)
-  | Some e -> fprintf fmt "%a = %a;" pp_decl_ty (d.d_ty, d.d_name) pp_expr e
+  | Some e -> fprintf fmt "%a = %a;" pp_decl_ty (d.d_ty, d.d_name) pp_init e
 
 let pp_func fmt (f : Ast.func) =
   let pp_params fmt = function

@@ -5,6 +5,10 @@ val pp_expr : Format.formatter -> Ast.expr -> unit
 
 val expr_to_string : Ast.expr -> string
 
+val init_to_string : Ast.expr -> string
+(** An expression printed for an initializer (or argument) position: at
+    assignment precedence, so a comma expression keeps its parentheses. *)
+
 val pp_stmt : Format.formatter -> Ast.stmt -> unit
 
 val stmt_to_string : Ast.stmt -> string

@@ -57,6 +57,13 @@ let of_exn = function
         ( Source_error,
           Printf.sprintf "annotation error at %s: %s"
             (Csyntax.Loc.to_string loc) m )
+  | Gcsafe.Normalize.Already_annotated loc ->
+      Some
+        ( Source_error,
+          Printf.sprintf
+            "annotation error at %s: KEEP_LIVE in the input: already \
+             annotated source builds with -c base or -c debug"
+            (Csyntax.Loc.to_string loc) )
   | Ir.Compile.Unsupported (m, loc) ->
       Some
         ( Source_error,

@@ -286,6 +286,76 @@ let test_temporaries_are_heap () =
   done;
   no_temp_suppressed "gawk" gawk
 
+(* --- temporaries: one numbering for both passes -------------------- *)
+
+(* every name a function body declares, each exactly once *)
+let check_declared_once name body =
+  let seen = Hashtbl.create 8 in
+  Ast.iter_stmts
+    (fun s ->
+      match s.Ast.sdesc with
+      | Ast.Sdecl d ->
+          if Hashtbl.mem seen d.Ast.d_name then
+            Alcotest.failf "%s: %s declared twice in:\n%s" name d.Ast.d_name
+              (Pretty.stmt_to_string body);
+          Hashtbl.replace seen d.Ast.d_name ()
+      | _ -> ())
+    body
+
+let test_temps_both_passes () =
+  (* Normalize names h()'s result, Annotate expands q's initializer
+     (a char * temporary): two temporaries, two names *)
+  let src =
+    {|char **h(void) { char **a = (char **)malloc(16); a[0] = (char *)malloc(8); a[0][1] = 'x'; return a; }
+char f(char *p) { char *q = p++; return h()[0][1] + *q - *q; }
+int main(void) { char *s = (char *)malloc(4); printf("%c\n", f(s)); return 0; }|}
+  in
+  let r = annotate src in
+  check_declared_once "f" (body_of r.Annotate.program "f").Ast.f_body;
+  ignore (Util.check_all_configs_agree "both passes" src)
+
+let test_temps_one_expression () =
+  (* the object's base is Normalize's temporary; the increment's
+     temporary must not overwrite it before the KEEP_LIVE *)
+  let r =
+    annotate
+      "char *mk(void); char *f(char *x); char g(char *q, long i) { return *(f(mk()) + (q++ - q + 1) + (i - 100000)); }"
+  in
+  let body = fun_str r.Annotate.program "g" in
+  check_declared_once "g" (body_of r.Annotate.program "g").Ast.f_body;
+  check_contains "object named" body "(__t0 = f(mk()))";
+  check_contains "increment's own temporary" body "(__t1 = q, q = KEEP_LIVE(__t1 + 1, __t1), __t1)";
+  check_contains "object's base" body "(i - 100000), __t0)"
+
+let test_temps_user_local () =
+  (* a local the program calls __t0 is not a temporary *)
+  let src =
+    {|char *f(char *x) { return x + 1; }
+int main(void) { char *m = (char *)malloc(8); char *__t0; char *r; __t0 = m; r = f(m) + 3; printf("%ld\n", r - __t0); return 0; }|}
+  in
+  let r = annotate src in
+  check_declared_once "main" (body_of r.Annotate.program "main").Ast.f_body;
+  ignore (Util.check_all_configs_agree "user __t0" src);
+  (* nor is a global: a temporary of that name would shadow it *)
+  ignore
+    (Util.check_all_configs_agree "global __t0"
+       {|char *__t0;
+char *f(char *x) { return x + 1; }
+int main(void) { char *m = (char *)malloc(8); char *r; __t0 = m; r = f(m) + 3; printf("%ld\n", r - __t0); return 0; }|})
+
+let test_already_annotated_input () =
+  let p =
+    Parser.parse_program
+      "char *f(char *p) { return KEEP_LIVE(p + 1, p); } int main(void) { return 0; }"
+  in
+  match Annotate.run p with
+  | exception e -> (
+      match Harness.Diagnostics.of_exn e with
+      | Some (Harness.Diagnostics.Source_error, m) ->
+          check_contains "located" m "1:27"
+      | _ -> Alcotest.failf "not a source error: %s" (Printexc.to_string e))
+  | _ -> Alcotest.fail "already-annotated input was annotated again"
+
 let suite =
   [
     Alcotest.test_case "paper: f(x) = x[1]" `Quick test_paper_f;
@@ -335,4 +405,12 @@ let suite =
       test_workloads_annotate;
     Alcotest.test_case "annotator temporaries are heap pointers" `Quick
       test_temporaries_are_heap;
+    Alcotest.test_case "temporaries: both passes in one function" `Quick
+      test_temps_both_passes;
+    Alcotest.test_case "temporaries: both in one expression" `Quick
+      test_temps_one_expression;
+    Alcotest.test_case "temporaries: a user local named __t0" `Quick
+      test_temps_user_local;
+    Alcotest.test_case "already-annotated input is a source error" `Quick
+      test_already_annotated_input;
   ]

@@ -69,12 +69,12 @@ let test_printed_safe_output_reparses_structurally () =
   Alcotest.(check int) "one KEEP_LIVE node" 1 !count
 
 let test_double_annotation_rejected () =
-  (* feeding annotated ASTs back into the annotator is a usage error the
+  (* feeding annotated ASTs back into the annotator is a source error the
      implementation must catch, not silently double-wrap *)
   let src = "char f(char *x) { return x[1]; } int main(void) { return 0; }" in
   let once = annotate Mode.Safe src in
   match Annotate.run ~opts:(Mode.default Mode.Safe) once with
-  | exception Invalid_argument _ -> ()
+  | exception Normalize.Already_annotated _ -> ()
   | _ -> Alcotest.fail "expected rejection of already-annotated input"
 
 let test_annotated_source_through_cli_shape () =

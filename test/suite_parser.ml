@@ -119,7 +119,9 @@ let test_roundtrips () =
   roundtrip Workloads.Cord.source;
   roundtrip Workloads.Cfrac.source;
   roundtrip Workloads.Gawk.source;
-  roundtrip Workloads.Gs.source
+  roundtrip Workloads.Gs.source;
+  (* an initializer is no comma position: its comma keeps the parentheses *)
+  roundtrip "long n = (1, 2); char *f(char *p) { char *q = (p++, p); return q; }"
 
 let test_global_arrays_and_inits () =
   parse_ok "int table[64]; char *msg = \"hi\"; int z = 3 * 4 + 1;";

@@ -35,12 +35,6 @@ let test_same_offset_stable () =
   check "registration order" [ (1, 0, "1"); (1, 0, "2"); (1, 0, "3") ] "ab"
     "a123b"
 
-let test_wrap () =
-  let t = Patch.create () in
-  Patch.wrap t ~start:2 ~stop:7 ~prefix:"KEEP_LIVE(" ~suffix:", p)";
-  Alcotest.(check string) "wrap helper" "x(KEEP_LIVE(p + 1, p));"
-    (Patch.apply t "x(p + 1);")
-
 let test_overlap_rejected () =
   let t = Patch.create () in
   Patch.delete t ~offset:0 ~len:3;
@@ -105,7 +99,6 @@ let suite =
     Alcotest.test_case "replace" `Quick test_replace;
     Alcotest.test_case "order independence" `Quick test_order_independence;
     Alcotest.test_case "same offset stability" `Quick test_same_offset_stable;
-    Alcotest.test_case "wrap helper" `Quick test_wrap;
     Alcotest.test_case "overlap rejected" `Quick test_overlap_rejected;
     Alcotest.test_case "invalid arguments" `Quick test_invalid_args;
     QCheck_alcotest.to_alcotest prop_matches_reference;

@@ -1,17 +1,72 @@
-(* Patch-mode emission tests: in-place annotation of the original text. *)
+(* Patch-mode emission tests: the annotated program as edits to the
+   original text. *)
 
 open Csyntax
 open Gcsafe
 
-let patch ?(mode = Mode.Safe) src =
-  Patch_mode.annotate_source ~opts:(Mode.default mode) src
+(* both emitters' output from one build, as [gcsafec annotate] makes
+   them: the pretty-printed program and the patched source *)
+let emitters ?(opts = Mode.default Mode.Safe) ?(heuristic = false) src =
+  let original = Parser.parse_program src in
+  let r = Annotate.run ~opts original in
+  let program =
+    if heuristic && opts.Mode.mode = Mode.Safe then
+      Loop_heuristic.apply r.Annotate.program
+    else r.Annotate.program
+  in
+  (Pretty.program_to_string program, Patch_mode.emit ~source:src ~original program)
+
+let patch ?(mode = Mode.Safe) src = snd (emitters ~opts:(Mode.default mode) src)
+
+(* Safe/Checked x none/flow, each plain and with calls-only,
+   check-base-stores and the loop heuristic on *)
+let variants =
+  List.concat_map
+    (fun mode ->
+      List.concat_map
+        (fun analysis ->
+          let opts = { (Mode.default mode) with Mode.analysis } in
+          [
+            (opts, false);
+            ({ opts with Mode.calls_only = true; check_base_stores = true }, true);
+          ])
+        [ Mode.A_none; Mode.A_flow ])
+    [ Mode.Safe; Mode.Checked ]
+
+let variant_name (opts, heuristic) =
+  Printf.sprintf "%s/%s%s" (Mode.to_string opts.Mode.mode)
+    (Mode.analysis_to_string opts.Mode.analysis)
+    (if heuristic then "+opts" else "")
+
+(* the patched source re-parses to the program the AST emitter prints *)
+let check_same_program name src =
+  List.iter
+    (fun ((opts, heuristic) as v) ->
+      let printed, patched = emitters ~opts ~heuristic src in
+      Alcotest.(check string)
+        (name ^ " " ^ variant_name v)
+        printed
+        (Pretty.program_to_string (Parser.parse_program patched)))
+    variants
+
+let prop_same_program =
+  QCheck.Test.make ~count:20 ~name:"emitters print the same program"
+    Testgen.arbitrary_program (fun src ->
+      check_same_program "generated" src;
+      true)
+
+(* the paper's workloads patch to text that parses to Annotate's program *)
+let test_workload_patches_parse () =
+  List.iter
+    (fun (w : Workloads.Registry.workload) ->
+      check_same_program w.Workloads.Registry.w_name w.Workloads.Registry.w_source)
+    Workloads.Registry.paper_suite
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
   let rec loop i = i + ln <= lh && (String.sub hay i ln = needle || loop (i + 1)) in
   ln = 0 || loop 0
 
-(* a program using only the positional (rewrite-free) constructs *)
 let positional_src =
   {|/* leading comment */
 struct node { struct node *next; long v; };
@@ -32,10 +87,13 @@ int main(void) {
   struct node *a = (struct node *)malloc(sizeof(struct node));
   struct node *b = (struct node *)malloc(sizeof(struct node));
   char *buf = (char *)malloc(16);
+  char *cur = buf;
+  char *was = cur++;
   a->v = 5; a->next = b;
   b->v = 7; b->next = 0;
   buf[3] = 'q';
-  printf("%ld %c %c\n", sum(a), get2(advance(buf, 1)), *advance(buf, 3));
+  printf("%ld %c %c %ld\n", sum(a), get2(advance(buf, 1)), *advance(buf, 3),
+         cur - was);
   return 0;
 }|}
 
@@ -48,74 +106,62 @@ let run_source src =
 let test_output_compiles_and_agrees () =
   let base = run_source positional_src in
   List.iter
-    (fun mode ->
-      let r = patch ~mode positional_src in
-      Alcotest.(check int)
-        (Mode.to_string mode ^ " nothing skipped")
-        0 r.Patch_mode.pr_skipped;
+    (fun (mode, marker) ->
+      let out = patch ~mode positional_src in
       Alcotest.(check bool)
-        (Mode.to_string mode ^ " inserted some")
-        true (r.Patch_mode.pr_inserted > 0);
+        (Mode.to_string mode ^ " annotated")
+        true (contains out marker);
       Alcotest.(check string)
         (Mode.to_string mode ^ " patched output behaves identically")
-        base
-        (run_source r.Patch_mode.pr_source))
-    [ Mode.Safe; Mode.Checked ]
+        base (run_source out))
+    [ (Mode.Safe, "KEEP_LIVE("); (Mode.Checked, "GC_same_obj(") ]
 
 let test_comments_survive () =
-  let r = patch positional_src in
+  let out = patch positional_src in
   Alcotest.(check bool) "leading comment kept" true
-    (contains r.Patch_mode.pr_source "/* leading comment */");
+    (contains out "/* leading comment */");
   Alcotest.(check bool) "trailing comment kept" true
-    (contains r.Patch_mode.pr_source "/* trailing comment */")
-
-let test_matches_ast_pipeline_counts () =
-  (* on rewrite-free inputs the two emitters insert the same annotations *)
-  let r = patch positional_src in
-  let ast = Parser.parse_program positional_src in
-  let a = Annotate.run ~opts:(Mode.default Mode.Safe) ast in
-  Alcotest.(check int) "same insertion count" a.Annotate.keep_live_count
-    r.Patch_mode.pr_inserted
-
-let test_rewrites_skipped_and_counted () =
-  let src =
-    {|char f(char *p) { return *p++; }
-void g(char *q) { q += 3; }|}
-  in
-  let r = patch src in
-  Alcotest.(check bool) "skips counted" true (r.Patch_mode.pr_skipped >= 2);
-  (* the original text is untouched at the skipped spots *)
-  Alcotest.(check bool) "increment left alone" true
-    (contains r.Patch_mode.pr_source "*p++");
-  Alcotest.(check bool) "compound left alone" true
-    (contains r.Patch_mode.pr_source "q += 3")
+    (contains out "/* trailing comment */")
 
 let test_under_parentheses () =
-  (* spans exclude redundant outer parens; wraps still parse *)
-  let src = "char *f(char *p) { return (p + 1); }" in
-  let r = patch src in
-  let out = r.Patch_mode.pr_source in
-  Alcotest.(check bool) "wrapped inside parens" true
+  (* spans exclude redundant outer parens; an initializer's comma
+     expansion keeps its own *)
+  let src = "char *f(char *p) { char *q = p++; return (p + 1); }" in
+  let out = patch src in
+  Alcotest.(check bool) "replaced inside parens" true
     (contains out "(KEEP_LIVE(p + 1, p))");
+  Alcotest.(check bool) "temporary declared after the brace" true
+    (contains out "{ char *__t0; char *q = (__t0 = p, ");
   ignore (Typecheck.check_source out)
 
-let test_workload_patches_parse () =
-  (* patch the cord workload: many positions are positional; whatever gets
-     inserted must still parse and type-check *)
-  let r = patch Workloads.Cord.source in
-  Alcotest.(check bool) "inserted" true (r.Patch_mode.pr_inserted > 20);
-  ignore (Typecheck.check_source r.Patch_mode.pr_source)
+let test_unlocated_change_rejected () =
+  let src = "long f(long a) { return a; }" in
+  let original = Parser.parse_program src in
+  List.iter
+    (function
+      | Ast.Gfunc f ->
+          Ast.iter_stmts
+            (fun s ->
+              match s.Ast.sdesc with
+              | Ast.Sreturn (Some e) -> e.Ast.eend <- -1
+              | _ -> ())
+            f.Ast.f_body
+      | _ -> ())
+    original.Ast.prog_globals;
+  let changed = Parser.parse_program "long f(long a) { return a + 1; }" in
+  match Patch_mode.emit ~source:src ~original changed with
+  | exception Invalid_argument _ -> ()
+  | out -> Alcotest.failf "a change without a span was emitted: %s" out
 
 let suite =
   [
     Alcotest.test_case "patched output runs identically" `Quick
       test_output_compiles_and_agrees;
     Alcotest.test_case "comments survive" `Quick test_comments_survive;
-    Alcotest.test_case "matches AST pipeline counts" `Quick
-      test_matches_ast_pipeline_counts;
-    Alcotest.test_case "rewrites skipped and counted" `Quick
-      test_rewrites_skipped_and_counted;
     Alcotest.test_case "parenthesized spans" `Quick test_under_parentheses;
     Alcotest.test_case "workload patches parse" `Quick
       test_workload_patches_parse;
+    Alcotest.test_case "unlocated change rejected" `Quick
+      test_unlocated_change_rejected;
+    QCheck_alcotest.to_alcotest prop_same_program;
   ]
