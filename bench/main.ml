@@ -22,14 +22,10 @@ let exec_req (req : Harness.Request.t) =
 
 (* --- ablations ----------------------------------------------------------- *)
 
-let count_keep_lives ~suppress_copies ~expand_incr src =
+let count_keep_lives ~suppress_copies src =
   let ast = Csyntax.Parser.parse_program src in
   let opts =
-    {
-      (Gcsafe.Mode.default Gcsafe.Mode.Safe) with
-      Gcsafe.Mode.suppress_copies;
-      Gcsafe.Mode.expand_incr;
-    }
+    { (Gcsafe.Mode.default Gcsafe.Mode.Safe) with Gcsafe.Mode.suppress_copies }
   in
   (Gcsafe.Annotate.run ~opts ast).Gcsafe.Annotate.keep_live_count
 
@@ -43,10 +39,8 @@ let ablate () =
   List.iter
     (fun w ->
       let src = w.Workloads.Registry.w_source in
-      let with1 = count_keep_lives ~suppress_copies:true ~expand_incr:true src in
-      let without1 =
-        count_keep_lives ~suppress_copies:false ~expand_incr:true src
-      in
+      let with1 = count_keep_lives ~suppress_copies:true src in
+      let without1 = count_keep_lives ~suppress_copies:false src in
       Printf.printf "  %-10s %4d annotations with, %4d without (%d saved)\n"
         w.Workloads.Registry.w_name with1 without1 (without1 - with1))
     Workloads.Registry.paper_suite;

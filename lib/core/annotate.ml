@@ -72,7 +72,6 @@ type ctx = {
   tenv : Ctype.Env.t;
   temps : Temps.t;
   fname : string;  (** enclosing function, for the suppression log *)
-  mutable keep_live_count : int;  (** inserted annotations, for the stats *)
   inserted : int array;  (** per-{!rule} insertion counts *)
   suppressed : int array;  (** per-{!reason} suppression counts *)
   mutable sups : suppression list;  (** reverse-order suppression log *)
@@ -95,17 +94,18 @@ let mk desc ty =
 
 let void_ptr = Ctype.Ptr Ctype.Void
 
-(* Size of the element a pointer of type [ty] steps over. *)
-let elem_size ctx ty =
-  match Ctype.pointee ty with
-  | Some Ctype.Void -> 1
-  | Some t -> Ctype.size ctx.tenv t
-  | None -> 1
-
 (* count one insertion under [rule] *)
 let count ctx rule =
-  ctx.keep_live_count <- ctx.keep_live_count + 1;
   ctx.inserted.(rule_index rule) <- ctx.inserted.(rule_index rule) + 1
+
+let to_void e = mk (Ast.Cast (void_ptr, e)) void_ptr
+
+(** The checked-mode runtime call [fn(args)], counted under [rule]; its
+    [void *] result is cast to [ret] when given. *)
+let check_call ctx rule ?ret fn args =
+  count ctx rule;
+  let call = mk (Ast.RuntimeCall (fn, args)) void_ptr in
+  match ret with None -> call | Some t -> mk (Ast.Cast (t, call)) t
 
 let suppress ctx ~rule ~reason ~base ~loc =
   ctx.suppressed.(reason_index reason) <-
@@ -147,34 +147,23 @@ let keep_live ctx ~rule (e : Ast.expr) (base_var : string) : Ast.expr =
   | Some reason ->
       suppress ctx ~rule ~reason ~base:base_var ~loc:e.Ast.eloc;
       e
-  | None ->
-  begin
-  count ctx rule;
-  let ty = Ast.rtyp e in
-  match ctx.opts.Mode.mode with
-  | Mode.Safe -> mk (Ast.KeepLive (e, Some (mk (Ast.Var base_var) ty))) ty
-  | Mode.Checked ->
-      (* cast-to-T of GC_same_obj(cast-to-void-ptr e, cast-to-void-ptr base) *)
-      let cast t x = mk (Ast.Cast (t, x)) t in
-      mk
-        (Ast.Cast
-           ( ty,
-             mk
-               (Ast.RuntimeCall
-                  ( "GC_same_obj",
-                    [ cast void_ptr e; cast void_ptr (mk (Ast.Var base_var) ty) ]
-                  ))
-               void_ptr ))
-        ty
-  end
+  | None -> (
+      let ty = Ast.rtyp e in
+      let base = mk (Ast.Var base_var) ty in
+      match ctx.opts.Mode.mode with
+      | Mode.Safe ->
+          count ctx rule;
+          mk (Ast.KeepLive (e, Some base)) ty
+      | Mode.Checked ->
+          check_call ctx rule ~ret:ty "GC_same_obj" [ to_void e; to_void base ])
 
 let is_array_typed (e : Ast.expr) =
   match e.Ast.ety with Some (Ctype.Array _) -> true | _ -> false
 
-(** Does the value of [e] come straight from a generating expression
-    (through casts, commas and stores)?  Such values are opaque — call
-    results behave as KEEP_LIVE values and loads were access-wrapped — so
-    no further KEEP_LIVE is needed around them. *)
+(** Does the value of [e] come straight from a generating expression or a
+    KEEP_LIVE (through casts, commas and stores)?  Such values are opaque —
+    call results behave as KEEP_LIVE values and loads were access-wrapped
+    — so no further KEEP_LIVE is needed around them. *)
 let rec generating_tail (e : Ast.expr) =
   match e.Ast.edesc with
   | Ast.Deref _ | Ast.Call (_, _) | Ast.RuntimeCall (_, _) | Ast.KeepLive _ ->
@@ -184,6 +173,37 @@ let rec generating_tail (e : Ast.expr) =
   | Ast.Cast (_, x) | Ast.Comma (_, x) | Ast.Assign (_, x) ->
       generating_tail x
   | _ -> false
+
+let is_pointer_lvalue (lv : Ast.expr) =
+  Ctype.is_pointer (Ctype.decay (Ast.typ lv))
+
+let addr_of (lv : Ast.expr) = mk (Ast.AddrOf lv) (Ctype.Ptr (Ast.typ lv))
+
+(* [e1, e2, ..., en] as one right-nested comma expression of type [ty] *)
+let rec seq ty = function
+  | [] -> invalid_arg "Annotate.seq"
+  | [ e ] -> e
+  | e :: es -> mk (Ast.Comma (e, seq ty es)) ty
+
+(* What GC_pre_incr/GC_post_incr add to a [ty] pointer for [op]= [delta]:
+   the delta in bytes (a literal folds), negated for [-].  The negation
+   stays a [Neg] node, as the printed [-n] parses back. *)
+let scaled_delta ctx ty op (delta : Ast.expr) =
+  let size =
+    match Ctype.pointee ty with
+    | Some Ctype.Void | None -> 1
+    | Some t -> Ctype.size ctx.tenv t
+  in
+  let bytes =
+    match delta.Ast.edesc with
+    | Ast.IntLit n -> mk (Ast.IntLit (n * size)) Ctype.Long
+    | _ when size = 1 -> delta
+    | _ ->
+        mk
+          (Ast.Binop (Ast.Mul, delta, mk (Ast.IntLit size) Ctype.Long))
+          Ctype.Long
+  in
+  if op = Ast.Sub then mk (Ast.Unop (Ast.Neg, bytes)) Ctype.Long else bytes
 
 (* ------------------------------------------------------------------ *)
 (* The transformation                                                  *)
@@ -220,24 +240,27 @@ let rec rv ctx ?(used = true) (e : Ast.expr) : Ast.expr =
               ctx.opts.Mode.check_base_stores
               && ctx.opts.Mode.mode = Mode.Checked
               && Ast.is_pointer_valued rhs'
-            then begin
-              count ctx R_check;
-              let t = Ast.rtyp rhs' in
-              mk
-                (Ast.Cast
-                   ( t,
-                     mk
-                       (Ast.RuntimeCall
-                          ( "GC_check_base",
-                            [ mk (Ast.Cast (void_ptr, rhs')) void_ptr ] ))
-                       void_ptr ))
-                t
-            end
+            then
+              check_call ctx R_check ~ret:(Ast.rtyp rhs') "GC_check_base"
+                [ to_void rhs' ]
             else rhs'
       in
       remk (Ast.Assign (store_target ctx lv, rhs'))
-  | Ast.OpAssign (op, lv, rhs) -> op_assign ctx e op lv rhs
-  | Ast.Incr (k, lv) -> incr_expand ctx e ~used k lv
+  | Ast.OpAssign (((Ast.Add | Ast.Sub) as op), lv, rhs)
+    when is_pointer_lvalue lv ->
+      update ctx ~used ~old:false op lv rhs
+  | Ast.OpAssign (op, lv, rhs) ->
+      remk (Ast.OpAssign (op, store_target ctx lv, rv ctx rhs))
+  | Ast.Incr (k, lv) when is_pointer_lvalue lv ->
+      let op, old =
+        match k with
+        | Ast.PreIncr -> (Ast.Add, false)
+        | Ast.PostIncr -> (Ast.Add, true)
+        | Ast.PreDecr -> (Ast.Sub, false)
+        | Ast.PostDecr -> (Ast.Sub, true)
+      in
+      update ctx ~used ~old op lv (mk (Ast.IntLit 1) Ctype.Int)
+  | Ast.Incr (k, lv) -> remk (Ast.Incr (k, store_target ctx lv))
   | Ast.Deref a -> remk (Ast.Deref (wrap ctx a))
   | Ast.Index (_, _) | Ast.Arrow (_, _) | Ast.Field (_, _) ->
       if is_array_typed e then chain ctx e else access ctx e
@@ -259,44 +282,41 @@ and wrap_t ctx loc (e : Ast.expr) : Ast.expr =
   else if ctx.opts.Mode.suppress_copies && Base_rules.is_copy e then e
   else
     match e.Ast.edesc with
-    (* generating expressions: the loaded/returned value is opaque (call
-       results behave as KEEP_LIVE values; loads were access-wrapped) *)
-    | Ast.Deref _ | Ast.Call (_, _) | Ast.RuntimeCall (_, _) -> e
-    | Ast.Index (_, _) | Ast.Arrow (_, _) | Ast.Field (_, _)
-      when not (is_array_typed e) ->
-        e
     | Ast.Cond (c, a, b) ->
         (* distribute into the branches so each value is generated by a
            KEEP_LIVE *)
         mk (Ast.Cond (c, wrap_t ctx loc a, wrap_t ctx loc b)) (Ast.typ e)
     | Ast.Comma (a, b) ->
         mk (Ast.Comma (a, wrap_t ctx loc b)) (Ast.typ e)
+    | _ when generating_tail e -> e
     | _ -> (
         match Base_rules.base e with
         | Base_rules.Var b -> keep_live ctx ~rule:R_value e b
         | Base_rules.Nil -> e
         | Base_rules.Unnamed ->
-            if generating_tail e then e
-            else
-              raise
-                (Unnormalized
-                   (Format.asprintf "no base for %a" Pretty.pp_expr e, loc)))
+            raise
+              (Unnormalized
+                 (Format.asprintf "no base for %a" Pretty.pp_expr e, loc)))
+
+(** [&lv] of a transformed lvalue chain, kept live by its BASEADDR: the
+    address of the [*&(...)] normal form.  [None] when BASEADDR is NIL. *)
+and kept_addr ctx (lv : Ast.expr) : Ast.expr option =
+  match Base_rules.baseaddr lv with
+  | Base_rules.Var b -> Some (keep_live ctx ~rule:R_access (addr_of lv) b)
+  | Base_rules.Nil -> None
+  | Base_rules.Unnamed ->
+      raise
+        (Unnormalized
+           ( Format.asprintf "no base address for %a" Pretty.pp_expr lv,
+             lv.Ast.eloc ))
 
 (** A scalar access through [\[\]] / [->] / [.]: wrap the whole address
     computation once, in its [*&(...)] normal form. *)
 and access ctx (e : Ast.expr) : Ast.expr =
-  let ty = Ast.typ e in
   let e' = chain ctx e in
-  match Base_rules.baseaddr e' with
-  | Base_rules.Var b ->
-      let addr = mk (Ast.AddrOf e') (Ctype.Ptr ty) in
-      mk (Ast.Deref (keep_live ctx ~rule:R_access addr b)) ty
-  | Base_rules.Nil -> e'
-  | Base_rules.Unnamed ->
-      raise
-        (Unnormalized
-           ( Format.asprintf "no base address for %a" Pretty.pp_expr e,
-             e.Ast.eloc ))
+  match kept_addr ctx e' with
+  | Some addr -> mk (Ast.Deref addr) (Ast.typ e)
+  | None -> e'
 
 (** Transform the components of an lvalue chain without wrapping the chain
     itself (a single wrap at the outermost access covers it). *)
@@ -324,14 +344,8 @@ and aggregate_checked_assign ctx e lv rhs : Ast.expr =
   let size = Ctype.size ctx.tenv (Ast.typ lv) in
   let lv' = chain ctx lv in
   let check_of target =
-    count ctx R_check;
-    let addr = mk (Ast.AddrOf target) (Ctype.Ptr (Ast.typ target)) in
-    mk
-      (Ast.RuntimeCall
-         ( "GC_check_range",
-           [ mk (Ast.Cast (void_ptr, addr)) void_ptr;
-             mk (Ast.IntLit size) Ctype.Long ] ))
-      void_ptr
+    check_call ctx R_check "GC_check_range"
+      [ to_void (addr_of target); mk (Ast.IntLit size) Ctype.Long ]
   in
   let checks = [ check_of lv' ] in
   let rhs' = chain ctx rhs in
@@ -345,179 +359,59 @@ and aggregate_checked_assign ctx e lv rhs : Ast.expr =
     (fun acc check -> mk (Ast.Comma (check, acc)) ty)
     assign checks
 
-(* --- compound assignment ------------------------------------------- *)
+(** The pointer update [lv op= delta], [op] being [+] or [-] ([++] and
+    [--] update by 1).  Its value is the new value of [lv], or the old
+    one when [old].  Safe mode keeps the updated pointer live by the
+    value it was computed from; that value is read into a temporary
+    unless [lv] is a variable whose old value is not used — the paper's
+    optimization (2), which leaves such a variable in its register:
 
-and op_assign ctx e op lv rhs : Ast.expr =
-  let ty = Ast.typ e in
-  let lv_is_ptr = Ctype.is_pointer (Ctype.decay (Ast.typ lv)) in
-  let ptr_op = lv_is_ptr && (op = Ast.Add || op = Ast.Sub) in
-  if not ptr_op then
-    mk (Ast.OpAssign (op, store_target ctx lv, rv ctx rhs)) ty
-  else
-    match lv.Ast.edesc with
-    | Ast.Var x -> (
-        let rhs' = rv ctx rhs in
-        match ctx.opts.Mode.mode with
-        | Mode.Safe ->
-            (* x = KEEP_LIVE(x op rhs, x) *)
-            let arith = mk (Ast.Binop (op, lv, rhs')) ty in
-            mk (Ast.Assign (lv, keep_live ctx ~rule:R_arith arith x)) ty
-        | Mode.Checked ->
-            (* cast-to-T of GC_pre_incr(&x, rhs scaled by the element size) *)
-            checked_incr ctx ~fn:"GC_pre_incr" ~lv
-              ~delta:(scaled_delta ctx ty op rhs'))
-    | _ -> (
-        (* general form: (t1 = KEEP_LIVE(&lv, B), t2 = *t1,
-                          *t1 = KEEP_LIVE(t2 op rhs, t2)) *)
-        let lv' = chain ctx lv in
-        let addr_ty = Ctype.Ptr ty in
-        let t1 = Temps.fresh ctx.temps addr_ty in
-        let t1v = mk (Ast.Var t1) addr_ty in
-        let addr = mk (Ast.AddrOf lv') addr_ty in
-        let addr =
-          match Base_rules.baseaddr lv' with
-          | Base_rules.Var b -> keep_live ctx ~rule:R_access addr b
-          | Base_rules.Nil -> addr
-          | Base_rules.Unnamed ->
-              raise
-                (Unnormalized
-                   ( Format.asprintf "no base address for %a" Pretty.pp_expr lv,
-                     lv.Ast.eloc ))
-        in
-        let bind_addr = mk (Ast.Assign (t1v, addr)) addr_ty in
-        let rhs' = rv ctx rhs in
-        match ctx.opts.Mode.mode with
-        | Mode.Safe ->
-            let t2 = Temps.fresh ctx.temps ty in
-            let t2v = mk (Ast.Var t2) ty in
-            let load = mk (Ast.Assign (t2v, mk (Ast.Deref t1v) ty)) ty in
-            let arith = mk (Ast.Binop (op, t2v, rhs')) ty in
-            let store =
-              mk
-                (Ast.Assign
-                   (mk (Ast.Deref t1v) ty, keep_live ctx ~rule:R_arith arith t2))
-                ty
-            in
-            mk (Ast.Comma (bind_addr, mk (Ast.Comma (load, store)) ty)) ty
-        | Mode.Checked ->
-            let call =
-              mk
-                (Ast.RuntimeCall
-                   ("GC_pre_incr", [ t1v; scaled_delta ctx ty op rhs' ]))
-                void_ptr
-            in
-            mk (Ast.Comma (bind_addr, mk (Ast.Cast (ty, call)) ty)) ty)
+    {v
+      x = KEEP_LIVE(x op d, x)
+      (t = x, x = KEEP_LIVE(t op d, t), t)
+      (t1 = KEEP_LIVE(&lv, BASEADDR(lv)), t2 = *t1,
+       *t1 = KEEP_LIVE(t2 op d, t2)[, t2])
+    v}
 
-(* (rhs) * sizeof(elem), negated for -= *)
-and scaled_delta ctx ty op rhs =
-  let size = elem_size ctx ty in
-  let scaled =
-    if size = 1 then rhs
-    else mk (Ast.Binop (Ast.Mul, rhs, mk (Ast.IntLit size) Ctype.Long)) Ctype.Long
-  in
-  match op with
-  | Ast.Sub -> mk (Ast.Unop (Ast.Neg, scaled)) Ctype.Long
-  | _ -> scaled
-
-and checked_incr ctx ~fn ~lv ~delta : Ast.expr =
-  count ctx R_arith;
-  let ty = Ast.typ lv in
-  let addr = mk (Ast.AddrOf lv) (Ctype.Ptr ty) in
-  mk
-    (Ast.Cast (ty, mk (Ast.RuntimeCall (fn, [ addr; delta ])) void_ptr))
-    ty
-
-(* --- increment / decrement ----------------------------------------- *)
-
-and incr_expand ctx e ~used k lv : Ast.expr =
+    Checked mode passes [&lv] (kept the same way) and the delta in bytes
+    to GC_pre_incr, or GC_post_incr when [old], which check the new value
+    and perform the update. *)
+and update ctx ~used ~old op lv delta : Ast.expr =
   let ty = Ctype.decay (Ast.typ lv) in
-  let is_ptr = Ctype.is_pointer ty in
-  if not is_ptr then
-    mk (Ast.Incr (k, store_target ctx lv)) (Ast.typ e)
-  else
-    let op =
-      match k with
-      | Ast.PreIncr | Ast.PostIncr -> Ast.Add
-      | Ast.PreDecr | Ast.PostDecr -> Ast.Sub
-    in
-    let is_post = match k with Ast.PostIncr | Ast.PostDecr -> true | _ -> false in
-    let one = mk (Ast.IntLit 1) Ctype.Int in
-    match (lv.Ast.edesc, ctx.opts.Mode.mode) with
-    | Ast.Var x, Mode.Safe ->
-        if is_post && used && ctx.opts.Mode.expand_incr then begin
-          (* optimization (2): (tmp = x, x = KEEP_LIVE(tmp op 1, tmp), tmp)
-             — avoids forcing x to memory *)
-          let t = Temps.fresh ctx.temps ty in
-          let tv = mk (Ast.Var t) ty in
-          let bind = mk (Ast.Assign (tv, lv)) ty in
-          let arith = mk (Ast.Binop (op, tv, one)) ty in
-          let update =
-            mk (Ast.Assign (lv, keep_live ctx ~rule:R_arith arith t)) ty
-          in
-          mk (Ast.Comma (bind, mk (Ast.Comma (update, tv)) ty)) ty
-        end
-        else
-          (* value of the whole is the (new) value of x: a copy *)
-          let arith = mk (Ast.Binop (op, lv, one)) ty in
-          mk (Ast.Assign (lv, keep_live ctx ~rule:R_arith arith x)) ty
-    | Ast.Var _, Mode.Checked ->
-        let fn = if is_post then "GC_post_incr" else "GC_pre_incr" in
-        let size = elem_size ctx ty in
-        let delta =
-          mk (Ast.IntLit (if op = Ast.Sub then -size else size)) Ctype.Long
-        in
-        checked_incr ctx ~fn ~lv ~delta
-    | _, _ ->
-        (* complex lvalue: general expansion through its address, shared
-           with compound assignment *)
-        let fake_rhs = one in
-        let expanded = op_assign ctx e op lv fake_rhs in
-        if is_post && used then
-          (* need the OLD value: (t1 = &lv, t2 = *t1, *t1 = KL(t2 op 1, t2), t2)
-             — rebuild explicitly rather than reuse op_assign *)
-          post_complex ctx op lv
-        else expanded
-
-and post_complex ctx op lv : Ast.expr =
-  let ty = Ctype.decay (Ast.typ lv) in
-  let addr_ty = Ctype.Ptr ty in
   let lv' = chain ctx lv in
-  let t1 = Temps.fresh ctx.temps addr_ty in
-  let t1v = mk (Ast.Var t1) addr_ty in
-  let addr = mk (Ast.AddrOf lv') addr_ty in
   let addr =
-    match Base_rules.baseaddr lv' with
-    | Base_rules.Var b -> keep_live ctx ~rule:R_access addr b
-    | Base_rules.Nil | Base_rules.Unnamed -> addr
+    match kept_addr ctx lv' with Some a -> a | None -> addr_of lv'
   in
-  let bind_addr = mk (Ast.Assign (t1v, addr)) addr_ty in
-  let one = mk (Ast.IntLit 1) Ctype.Int in
+  let delta = rv ctx delta in
   match ctx.opts.Mode.mode with
-  | Mode.Safe ->
-      let t2 = Temps.fresh ctx.temps ty in
-      let t2v = mk (Ast.Var t2) ty in
-      let load = mk (Ast.Assign (t2v, mk (Ast.Deref t1v) ty)) ty in
-      let arith = mk (Ast.Binop (op, t2v, one)) ty in
-      let store =
-        mk
-          (Ast.Assign
-             (mk (Ast.Deref t1v) ty, keep_live ctx ~rule:R_arith arith t2))
-          ty
-      in
-      mk
-        (Ast.Comma
-           ( bind_addr,
-             mk (Ast.Comma (load, mk (Ast.Comma (store, t2v)) ty)) ty ))
-        ty
   | Mode.Checked ->
-      let size = elem_size ctx ty in
-      let delta =
-        mk (Ast.IntLit (if op = Ast.Sub then -size else size)) Ctype.Long
+      check_call ctx R_arith ~ret:ty
+        (if old then "GC_post_incr" else "GC_pre_incr")
+        [ addr; scaled_delta ctx ty op delta ]
+  | Mode.Safe ->
+      let old = old && used in
+      let var t vty = mk (Ast.Var t) vty in
+      let assign l r = mk (Ast.Assign (l, r)) (Ast.typ l) in
+      (* the place updated: [lv] itself, or [*t1] *)
+      let binds, place =
+        match lv'.Ast.edesc with
+        | Ast.Var _ -> ([], lv')
+        | _ ->
+            let pty = Ctype.Ptr ty in
+            let t1 = var (Temps.fresh ctx.temps pty) pty in
+            ([ assign t1 addr ], mk (Ast.Deref t1) ty)
       in
-      let call =
-        mk (Ast.RuntimeCall ("GC_post_incr", [ t1v; delta ])) void_ptr
+      (* the variable holding the value updated: KEEP_LIVE's base *)
+      let binds, cur =
+        match lv'.Ast.edesc with
+        | Ast.Var x when not old -> (binds, x)
+        | _ ->
+            let t2 = Temps.fresh ctx.temps ty in
+            (binds @ [ assign (var t2 ty) place ], t2)
       in
-      mk (Ast.Comma (bind_addr, mk (Ast.Cast (ty, call)) ty)) ty
+      let arith = mk (Ast.Binop (op, var cur ty, delta)) ty in
+      let store = assign place (keep_live ctx ~rule:R_arith arith cur) in
+      seq ty (binds @ (store :: (if old then [ var cur ty ] else [])))
 
 (* ------------------------------------------------------------------ *)
 (* Statements and program                                              *)
@@ -596,7 +490,6 @@ type result = {
 (** Annotate a type-annotated, {!Normalize}d program. *)
 let annotate_program ?(opts = Mode.default Mode.Safe) (p : Ast.program) :
     result =
-  let count = ref 0 in
   let inserted = Array.make (List.length all_rules) 0 in
   let suppressed = Array.make (List.length all_reasons) 0 in
   let sups = ref [] in
@@ -619,7 +512,6 @@ let annotate_program ?(opts = Mode.default Mode.Safe) (p : Ast.program) :
                 tenv = p.Ast.prog_env;
                 temps = temps_of f;
                 fname = f.Ast.f_name;
-                keep_live_count = 0;
                 inserted = Array.make (List.length all_rules) 0;
                 suppressed = Array.make (List.length all_reasons) 0;
                 sups = [];
@@ -633,13 +525,13 @@ let annotate_program ?(opts = Mode.default Mode.Safe) (p : Ast.program) :
               }
             in
             let body = ann_stmt ctx f.Ast.f_body in
-            count := !count + ctx.keep_live_count;
             Array.iteri (fun i n -> inserted.(i) <- inserted.(i) + n) ctx.inserted;
             Array.iteri
               (fun i n -> suppressed.(i) <- suppressed.(i) + n)
               ctx.suppressed;
             sups := ctx.sups @ !sups;
-            by_func := (f.Ast.f_name, ctx.keep_live_count) :: !by_func;
+            by_func :=
+              (f.Ast.f_name, Array.fold_left ( + ) 0 ctx.inserted) :: !by_func;
             Ast.Gfunc { f with Ast.f_body = Temps.splice_decls ctx.temps body }
         | (Ast.Gvar _ | Ast.Gstruct _ | Ast.Gproto _) as g -> g)
       p.Ast.prog_globals
@@ -648,7 +540,7 @@ let annotate_program ?(opts = Mode.default Mode.Safe) (p : Ast.program) :
   ignore (Typecheck.check_program p');
   {
     program = p';
-    keep_live_count = !count;
+    keep_live_count = Array.fold_left ( + ) 0 inserted;
     stats =
       {
         st_by_rule = List.map (fun r -> (r, inserted.(rule_index r))) all_rules;

@@ -4,9 +4,9 @@
     assignment, the argument of a dereferencing operation, or a function
     argument or result is replaced by [KEEP_LIVE(e, BASE(e))] (Safe mode)
     or a [GC_same_obj]-family call (Checked mode); increment and decrement
-    operators are treated as assignments.  See {!Mode.options} for the
-    paper's optimizations (1), (2), (4) and the Extensions-mode store
-    discipline. *)
+    operators are treated as assignments, expanded by one update rule
+    that includes the paper's optimization (2).  See {!Mode.options} for
+    optimizations (1) and (4) and the Extensions-mode store discipline. *)
 
 exception Unnormalized of string * Csyntax.Loc.t
 (** BASE was queried on a generating expression: the input was not run
@@ -55,7 +55,10 @@ type stats = {
 
 type result = {
   program : Csyntax.Ast.program;
-  keep_live_count : int;  (** number of KEEP_LIVE / check insertions *)
+  keep_live_count : int;
+      (** number of KEEP_LIVE / check insertions: the sum of
+          [stats.st_by_rule], and the number of [KeepLive] and
+          [RuntimeCall] nodes in [program] *)
   stats : stats;  (** per-rule insertions and per-analysis suppressions *)
 }
 

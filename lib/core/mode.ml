@@ -33,9 +33,8 @@ type options = {
   suppress_copies : bool;
       (** the paper's optimization (1): no KEEP_LIVE around expressions that
           are statically just copies of values stored elsewhere *)
-  expand_incr : bool;
-      (** the paper's optimization (2): specialized expansion of [++]/[--]
-          on simple variables that avoids forcing them into memory *)
+  (* optimization (2), the specialized expansion of [++]/[--] that leaves
+     a variable in its register, is part of [Annotate]'s one update rule *)
   (* optimization (3), slowly-varying loop base pointers, is a separate
      pass over the annotated program: [Loop_heuristic.apply] *)
   calls_only : bool;
@@ -61,7 +60,6 @@ let default mode =
   {
     mode;
     suppress_copies = true;
-    expand_incr = true;
     calls_only = false;
     check_base_stores = false;
     analysis = A_none;

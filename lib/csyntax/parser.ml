@@ -401,7 +401,7 @@ let rec parse_stmt st : Ast.stmt =
       advance st;
       let rec items acc =
         if is st Token.RBRACE then List.rev acc
-        else items (parse_block_item st :: acc)
+        else items (List.rev_append (parse_block_item st) acc)
       in
       let ss = items [] in
       expect st Token.RBRACE;
@@ -466,8 +466,9 @@ let rec parse_stmt st : Ast.stmt =
       expect st Token.SEMI;
       Ast.mk_stmt ~loc (Ast.Sexpr e)
 
-(** A block item is either a declaration or a statement. *)
-and parse_block_item st : Ast.stmt =
+(** A block item: a statement, or a declaration's declarators, each one
+    item of the enclosing block. *)
+and parse_block_item st : Ast.stmt list =
   let loc = cur_loc st in
   if is_type_start (cur_tok st) then begin
     let base = parse_base_type st in
@@ -482,9 +483,9 @@ and parse_block_item st : Ast.stmt =
     in
     let decls = one_decl [] in
     expect st Token.SEMI;
-    match decls with [ d ] -> d | ds -> Ast.mk_stmt ~loc (Ast.Sblock ds)
+    decls
   end
-  else parse_stmt st
+  else [ parse_stmt st ]
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                          *)

@@ -6,12 +6,13 @@
       simple offsets is folded into load/store address modes at selection
       time (the [ld \[%o0+1\]] baseline of the paper's Analysis section);
     - debuggable ([debug_mode]): every local lives in its stack slot and is
-      reloaded around each use, and no address folding happens — "fully
-      debuggable code", which is GC-safe by construction.
+      reloaded around each use — "fully debuggable code", which is GC-safe
+      by construction.  Its instruction selection still folds addresses,
+      as an -O0 selector folds [fp+off] and [base+scaled] addresses.
 
     KEEP_LIVE lowers to the [KeepLive]/[Opaque] pseudo-instruction pair;
-    because [Opaque] results cannot be seen through, the optimized mode's
-    address folding is blocked exactly where the paper says it must be. *)
+    because [Opaque] results cannot be seen through, address folding is
+    blocked exactly where the paper says it must be. *)
 
 open Csyntax
 open Instr
@@ -21,17 +22,11 @@ exception Unsupported of string * Loc.t
 let unsupported loc fmt =
   Format.kasprintf (fun s -> raise (Unsupported (s, loc))) fmt
 
-type mode = {
-  cm_locals_in_memory : bool;
-  cm_fold_addressing : bool;
-}
+type mode = { cm_locals_in_memory : bool }
 
-let opt_mode = { cm_locals_in_memory = false; cm_fold_addressing = true }
+let opt_mode = { cm_locals_in_memory = false }
 
-(* debuggable code still uses the machine's addressing modes — an -O0
-   instruction selector folds [fp+off] and [base+scaled] addresses; what it
-   does not do is keep variables in registers *)
-let debug_mode = { cm_locals_in_memory = true; cm_fold_addressing = true }
+let debug_mode = { cm_locals_in_memory = true }
 
 type home = Hreg of reg | Hstack of int | Hglobal of int
 
@@ -364,21 +359,10 @@ and addr_value c (e : Ast.expr) : operand =
       emit c (Bin (Add, d, base, off));
       Reg d
 
-(* Compute the location of an lvalue.  In folding mode, constant and simple
-   offsets stay in the addressing mode; otherwise the full address is
-   materialized and the access uses offset 0 (debuggable code). *)
+(* Compute the location of an lvalue.  Constant and simple offsets stay
+   in the addressing mode. *)
 and lvalue c (e : Ast.expr) : lv =
   let loc = e.Ast.eloc in
-  let combine base off =
-    if c.mode.cm_fold_addressing then Lmem (base, off)
-    else
-      match off with
-      | Imm 0 -> Lmem (base, Imm 0)
-      | _ ->
-          let d = fresh_reg c in
-          emit c (Bin (Add, d, base, off));
-          Lmem (Reg d, Imm 0)
-  in
   match e.Ast.edesc with
   | Ast.Var x -> (
       match Symtab.find c.homes x with
@@ -394,13 +378,13 @@ and lvalue c (e : Ast.expr) : lv =
         | Some t -> size_of c t
         | None -> unsupported loc "subscript of non-pointer"
       in
-      combine base (scaled_index c i elem)
+      Lmem (base, scaled_index c i elem)
   | Ast.Arrow (p, f) -> (
       let base = rv c p in
       match Ctype.pointee (Ast.rtyp p) with
       | Some sty -> (
           match Ctype.find_field c.tenv sty f with
-          | Some fld -> combine base (Imm fld.Ctype.fld_offset)
+          | Some fld -> Lmem (base, Imm fld.Ctype.fld_offset)
           | None -> unsupported loc "unknown field %s" f)
       | None -> unsupported loc "-> of non-pointer")
   | Ast.Field (b, f) -> (
@@ -414,7 +398,7 @@ and lvalue c (e : Ast.expr) : lv =
               | _ ->
                   let d = fresh_reg c in
                   emit c (Bin (Add, d, base, off));
-                  combine (Reg d) (Imm fld.Ctype.fld_offset))
+                  Lmem (Reg d, Imm fld.Ctype.fld_offset))
           | None -> unsupported loc "unknown field %s" f))
   | Ast.Cast (_, b) -> lvalue c b
   | Ast.Comma (a, b) ->
@@ -422,25 +406,19 @@ and lvalue c (e : Ast.expr) : lv =
       lvalue c b
   | _ -> unsupported loc "not an lvalue: %a" Pretty.pp_expr e
 
-(* The address operand for [*a], folding [*(p + k)] into base+offset form
-   in optimizing mode.  Opaque values (KEEP_LIVE results) are registers
-   whose definition cannot be seen through, so annotated code never folds
-   here — that is the point of the whole exercise. *)
+(* The address operand for [*a], folding [*(p + k)] into base+offset
+   form.  Opaque values (KEEP_LIVE results) are registers whose definition
+   cannot be seen through, so annotated code never folds here — that is
+   the point of the whole exercise. *)
 and deref_addr c (a : Ast.expr) : lv =
-  if not c.mode.cm_fold_addressing then begin
-    let v = rv c a in
-    Lmem (v, Imm 0)
-  end
-  else
-    match a.Ast.edesc with
-    | Ast.Binop ((Ast.Add | Ast.Sub) as op, x, y)
-      when Ctype.is_pointer (Ast.rtyp x) && op = Ast.Add ->
-        let base = rv c x in
-        let off = scaled_index c y (step_size c (Ast.rtyp x)) in
-        Lmem (base, off)
-    | Ast.Cast (_, inner) when Ctype.is_pointer (Ast.rtyp inner) ->
-        deref_addr c inner
-    | _ -> Lmem (rv c a, Imm 0)
+  match a.Ast.edesc with
+  | Ast.Binop (Ast.Add, x, y) when Ctype.is_pointer (Ast.rtyp x) ->
+      let base = rv c x in
+      let off = scaled_index c y (step_size c (Ast.rtyp x)) in
+      Lmem (base, off)
+  | Ast.Cast (_, inner) when Ctype.is_pointer (Ast.rtyp inner) ->
+      deref_addr c inner
+  | _ -> Lmem (rv c a, Imm 0)
 
 (* Sign-extending truncation to a narrow width, for values kept in
    registers.  The VM word is OCaml's 63-bit int, hence the shift

@@ -223,8 +223,93 @@ let test_checked_counts_match_safe () =
     [
       "char f(char *x) { return x[1]; }";
       "char *g; void f(char *p) { g = p + 4; }";
+      "struct s { char *p; }; void f(struct s *v) { v->p += 2; }";
+      "struct s { char *p; }; char *g(struct s *v) { char *x; x = v->p++; return x; }";
+      "char *f(char **q, int i) { char *x; x = --q[i]; return x; }";
+      "void f(char **pp) { (*pp)++; }";
       Workloads.Cord.source;
     ]
+
+(* the names a function body declares that read as temporaries *)
+let declared_temps body =
+  let acc = ref [] in
+  Ast.iter_stmts
+    (fun s ->
+      match s.Ast.sdesc with
+      | Ast.Sdecl d when String.starts_with ~prefix:"__t" d.Ast.d_name ->
+          acc := d.Ast.d_name :: !acc
+      | _ -> ())
+    body;
+  List.rev !acc
+
+let test_post_update_expanded_once () =
+  (* the old value of a field: one address temporary, one value
+     temporary, one KEEP_LIVE each *)
+  let r =
+    annotate
+      "struct s { char *p; }; char *g(struct s *v) { char *x; x = v->p++; return x; }"
+  in
+  let body = (body_of r.Annotate.program "g").Ast.f_body in
+  Alcotest.(check (list string))
+    "temporaries" [ "__t0"; "__t1" ] (declared_temps body);
+  Alcotest.(check int) "total" 2 r.Annotate.keep_live_count;
+  check_contains "expansion" (Pretty.stmt_to_string body)
+    "x = (__t0 = KEEP_LIVE(&v->p, v), __t1 = *__t0, *__t0 = KEEP_LIVE(__t1 + 1, __t1), __t1)"
+
+(* What Annotate reports is what it emits: the total is the sum of the
+   per-rule counts, and both equal the number of KEEP_LIVE and runtime-call
+   nodes in the program; every temporary a body declares is used. *)
+let counts_match_emitted src =
+  let ast = Parser.parse_program src in
+  List.for_all
+    (fun (mode, analysis) ->
+      let opts = { (Mode.default mode) with Mode.analysis } in
+      let r = Annotate.run ~opts ast in
+      let by_rule =
+        List.fold_left ( + ) 0
+          (List.map snd r.Annotate.stats.Annotate.st_by_rule)
+      in
+      let emitted = ref 0 and used = Hashtbl.create 64 in
+      let temps_used =
+        List.for_all
+          (function
+            | Ast.Gfunc f ->
+                let body = f.Ast.f_body in
+                Hashtbl.reset used;
+                ignore
+                  (Ast.fold_stmt_exprs
+                     (fun () e ->
+                       match e.Ast.edesc with
+                       | Ast.KeepLive _ | Ast.RuntimeCall _ -> incr emitted
+                       | Ast.Var x -> Hashtbl.replace used x ()
+                       | _ -> ())
+                     () body);
+                List.for_all (Hashtbl.mem used) (declared_temps body)
+            | Ast.Gvar _ | Ast.Gstruct _ | Ast.Gproto _ -> true)
+          r.Annotate.program.Ast.prog_globals
+      in
+      r.Annotate.keep_live_count = by_rule
+      && by_rule = !emitted && temps_used)
+    [
+      (Mode.Safe, Mode.A_none);
+      (Mode.Safe, Mode.A_flow);
+      (Mode.Checked, Mode.A_none);
+      (Mode.Checked, Mode.A_flow);
+    ]
+
+let test_workload_counts_match_emitted () =
+  List.iter
+    (fun w ->
+      Alcotest.(check bool)
+        (w.Workloads.Registry.w_name ^ ": counts are what is emitted")
+        true
+        (counts_match_emitted w.Workloads.Registry.w_source))
+    Workloads.Registry.paper_suite
+
+let prop_counts_match_emitted =
+  QCheck.Test.make ~count:30
+    ~name:"random programs: counts are what is emitted"
+    Testgen.arbitrary_program counts_match_emitted
 
 (* --- whole-workload sanity --------------------------------------------- *)
 
@@ -343,6 +428,28 @@ int main(void) { char *m = (char *)malloc(8); char *__t0; char *r; __t0 = m; r =
 char *f(char *x) { return x + 1; }
 int main(void) { char *m = (char *)malloc(8); char *r; __t0 = m; r = f(m) + 3; printf("%ld\n", r - __t0); return 0; }|})
 
+let test_block_declarators () =
+  (* [long a = 1, b = 2;] declares two variables the block can use *)
+  let grouped =
+    {|int main(void) { long a = 1, b = 2; char *p = (char *)malloc(8), *q = p + 1;
+  *q = 'x'; printf("%ld %c\n", a + b, p[1]); return 0; }|}
+  and separate =
+    {|int main(void) { long a = 1; long b = 2; char *p = (char *)malloc(8); char *q = p + 1;
+  *q = 'x'; printf("%ld %c\n", a + b, p[1]); return 0; }|}
+  in
+  let printed src =
+    List.map
+      (fun mode ->
+        Pretty.program_to_string (annotate ~mode src).Annotate.program)
+      [ Mode.Safe; Mode.Checked ]
+  in
+  Alcotest.(check (list string))
+    "annotated alike" (printed separate) (printed grouped);
+  Alcotest.(check string)
+    "runs alike"
+    (Util.check_all_configs_agree "separate" separate)
+    (Util.check_all_configs_agree "grouped" grouped)
+
 let test_already_annotated_input () =
   let p =
     Parser.parse_program
@@ -401,6 +508,11 @@ let suite =
       test_checked_scaled_delta;
     Alcotest.test_case "checked == safe insertion counts" `Quick
       test_checked_counts_match_safe;
+    Alcotest.test_case "post-update of a field expanded once" `Quick
+      test_post_update_expanded_once;
+    Alcotest.test_case "workloads: counts are what is emitted" `Quick
+      test_workload_counts_match_emitted;
+    QCheck_alcotest.to_alcotest prop_counts_match_emitted;
     Alcotest.test_case "workloads annotate cleanly" `Quick
       test_workloads_annotate;
     Alcotest.test_case "annotator temporaries are heap pointers" `Quick
@@ -411,6 +523,8 @@ let suite =
       test_temps_one_expression;
     Alcotest.test_case "temporaries: a user local named __t0" `Quick
       test_temps_user_local;
+    Alcotest.test_case "block declarators annotate and run" `Quick
+      test_block_declarators;
     Alcotest.test_case "already-annotated input is a source error" `Quick
       test_already_annotated_input;
   ]

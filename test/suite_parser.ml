@@ -73,6 +73,33 @@ let test_declarations () =
   parse_ok "int g(int, char *);";
   parse_ok "int h(int a, ...);"
 
+let test_block_declarators () =
+  (* each declarator is an item of the enclosing block, as if declared
+     alone: no nested block, no scope of its own *)
+  let grouped = "int main(void) { long a = 1, b = 2; return (int)(a + b); }"
+  and separate =
+    "int main(void) { long a = 1; long b = 2; return (int)(a + b); }"
+  in
+  let body src =
+    match (Parser.parse_program src).Ast.prog_globals with
+    | [ Ast.Gfunc f ] -> f.Ast.f_body
+    | _ -> Alcotest.fail "one function expected"
+  in
+  (match (body grouped).Ast.sdesc with
+  | Ast.Sblock
+      [
+        { Ast.sdesc = Ast.Sdecl { Ast.d_name = "a"; _ }; _ };
+        { Ast.sdesc = Ast.Sdecl { Ast.d_name = "b"; _ }; _ };
+        { Ast.sdesc = Ast.Sreturn _; _ };
+      ] ->
+      ()
+  | _ -> Alcotest.fail "declarators are not items of the block");
+  roundtrip grouped;
+  Alcotest.(check string)
+    "prints as separate declarations"
+    (Pretty.stmt_to_string (body separate))
+    (Pretty.stmt_to_string (body grouped))
+
 let test_statements () =
   parse_ok
     {|
@@ -173,6 +200,8 @@ let suite =
     Alcotest.test_case "unary" `Quick test_unary;
     Alcotest.test_case "comma vs arguments" `Quick test_comma_vs_args;
     Alcotest.test_case "declarations" `Quick test_declarations;
+    Alcotest.test_case "block declarators are block items" `Quick
+      test_block_declarators;
     Alcotest.test_case "statements" `Quick test_statements;
     Alcotest.test_case "dangling else" `Quick test_dangling_else;
     Alcotest.test_case "adjacent strings" `Quick test_adjacent_strings;
