@@ -5,7 +5,7 @@
      check       run the pointer-hiding source checker
      run         build under a configuration and execute on the VM
      ir          dump the compiled (optimized, register-allocated) IR
-     tables      regenerate one of the paper's tables
+     tables      regenerate the paper's tables and the ablations
      stress      fault-injected differential stress over the build matrix
                  (--chaos adds allocation-failure, worker-fault and
                  cache-corruption sweeps)
@@ -982,9 +982,14 @@ let tables_cmd =
             print_newline ();
             ignore (Harness.Tables.postprocessor_table ~machine ~pool ());
             print_newline ();
-            ignore (Harness.Tables.analysis_table ~machine ~pool ())))
+            ignore (Harness.Tables.analysis_table ~machine ~pool ());
+            print_newline ();
+            Harness.Tables.ablation_table ~machine ~pool ()))
   in
-  let doc = "regenerate the paper's tables for one machine model" in
+  let doc =
+    "regenerate the paper's tables, the analysis ablation and the \
+     ablations of the paper's optimizations for one machine model"
+  in
   Cmd.v
     (Cmd.info "tables" ~doc)
     Term.(const run $ machine_arg $ jobs_arg $ no_cache_arg)
@@ -1011,19 +1016,6 @@ let queue_arg =
 let report_json_arg =
   let doc = "Write the full service report (JSON) to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let service_config servers queue =
-  {
-    Service.Gcsafed.default_config with
-    Service.Gcsafed.servers;
-    Service.Gcsafed.queue_capacity = queue;
-  }
-
-let write_report_json path t ~wall_s =
-  Out_channel.with_open_text path (fun oc ->
-      Telemetry.Json.to_channel oc
-        (Service.Gcsafed.report_to_json ~wall_s t);
-      output_char oc '\n')
 
 let events_arg =
   let doc =
@@ -1084,6 +1076,51 @@ let write_flight_dump t ~flight_dump ~unexpected =
           unexpected path
       end
 
+(* The gcsafed session serve and bomb share: submit the requests (each at
+   its arrival tick, if it has one), drain, [print] the outcomes and the
+   report, write the JSON report and the flight dump, and exit nonzero on
+   unexpected outcomes.  Every build runs through a request, so
+   [mark_no_cache] is all --no-cache needs. *)
+let session_term =
+  let session servers queue jobs no_cache json_out events window flight_dump
+      reqs print =
+    let t0 = Unix.gettimeofday () in
+    with_events_emitter events (fun emit ->
+        Exec.Pool.with_pool ~jobs (fun pool ->
+            let t =
+              Service.Gcsafed.create ~pool ?events:emit ~window
+                {
+                  Service.Gcsafed.default_config with
+                  Service.Gcsafed.servers;
+                  Service.Gcsafed.queue_capacity = queue;
+                }
+            in
+            List.iter
+              (fun (arrival, req) ->
+                Service.Gcsafed.submit ?arrival t (mark_no_cache no_cache req))
+              reqs;
+            Service.Gcsafed.shutdown t;
+            let wall_s = Unix.gettimeofday () -. t0 in
+            let report = Service.Gcsafed.report t in
+            print t report ~wall_s;
+            Option.iter
+              (fun path ->
+                Out_channel.with_open_text path (fun oc ->
+                    Telemetry.Json.to_channel oc
+                      (Service.Gcsafed.report_to_json ~wall_s t);
+                    output_char oc '\n'))
+              json_out;
+            write_flight_dump t ~flight_dump
+              ~unexpected:report.Service.Gcsafed.rp_unexpected;
+            if report.Service.Gcsafed.rp_unexpected > 0 then
+              exit
+                (Harness.Diagnostics.exit_code
+                   Harness.Diagnostics.Internal_error)))
+  in
+  Term.(
+    const session $ servers_arg $ queue_arg $ jobs_arg $ no_cache_arg
+    $ report_json_arg $ events_arg $ window_arg $ flight_dump_arg)
+
 let serve_cmd =
   (* resolve {"workload": NAME} / {"example": NAME} source shorthands
      before deserializing — the wire format proper only knows "source" *)
@@ -1129,10 +1166,8 @@ let serve_cmd =
                 in
                 Ok (arrival, req)))
   in
-  let run servers queue jobs no_cache json_out events window flight_dump =
+  let run session =
     handle_errors (fun () ->
-        apply_cache_flag no_cache;
-        let t0 = Unix.gettimeofday () in
         (* read the whole stream first: admission is a function of the
            traffic, and malformed lines must still yield one outcome
            line each, in input order *)
@@ -1144,52 +1179,27 @@ let serve_cmd =
               else Some (parse_line line))
             lines
         in
-        with_events_emitter events (fun emit ->
-            Exec.Pool.with_pool ~jobs (fun pool ->
-                let t =
-                  Service.Gcsafed.create ~pool ?events:emit ~window
-                    (service_config servers queue)
+        session
+          (List.filter_map Result.to_option items)
+          (fun t report ~wall_s:_ ->
+            (* one outcome line per input line, in input order *)
+            let completions = ref (Service.Gcsafed.completions t) in
+            List.iter
+              (fun item ->
+                let outcome =
+                  match item with
+                  | Error e -> Harness.Outcome.Source_error e
+                  | Ok _ -> (
+                      match !completions with
+                      | c :: rest ->
+                          completions := rest;
+                          c.Service.Gcsafed.r_outcome
+                      | [] -> Harness.Outcome.Internal "missing completion")
                 in
-                List.iter
-                  (function
-                    | Ok (arrival, req) ->
-                        Service.Gcsafed.submit ?arrival t
-                          (mark_no_cache no_cache req)
-                    | Error _ -> ())
-                  items;
-                Service.Gcsafed.shutdown t;
-                (* one outcome line per input line, in input order *)
-                let completions = ref (Service.Gcsafed.completions t) in
-                List.iter
-                  (fun item ->
-                    let outcome =
-                      match item with
-                      | Error e -> Harness.Outcome.Source_error e
-                      | Ok _ -> (
-                          match !completions with
-                          | c :: rest ->
-                              completions := rest;
-                              c.Service.Gcsafed.r_outcome
-                          | [] ->
-                              Harness.Outcome.Internal "missing completion")
-                    in
-                    print_endline
-                      (Telemetry.Json.to_string
-                         (Harness.Outcome.to_json outcome)))
-                  items;
-                let report = Service.Gcsafed.report t in
-                Format.eprintf "%a@." Service.Gcsafed.pp_report report;
-                Option.iter
-                  (fun path ->
-                    write_report_json path t
-                      ~wall_s:(Unix.gettimeofday () -. t0))
-                  json_out;
-                write_flight_dump t ~flight_dump
-                  ~unexpected:report.Service.Gcsafed.rp_unexpected;
-                if report.Service.Gcsafed.rp_unexpected > 0 then
-                  exit
-                    (Harness.Diagnostics.exit_code
-                       Harness.Diagnostics.Internal_error))))
+                print_endline
+                  (Telemetry.Json.to_string (Harness.Outcome.to_json outcome)))
+              items;
+            Format.eprintf "%a@." Service.Gcsafed.pp_report report))
   in
   let doc =
     "run the service harness over a stream of JSON requests (one object per \
@@ -1198,10 +1208,7 @@ let serve_cmd =
      and the service report on standard error"
   in
   Cmd.v
-    (Cmd.info "serve" ~doc)
-    Term.(
-      const run $ servers_arg $ queue_arg $ jobs_arg $ no_cache_arg
-      $ report_json_arg $ events_arg $ window_arg $ flight_dump_arg)
+    (Cmd.info "serve" ~doc) Term.(const run $ session_term)
 
 (* --- bomb -------------------------------------------------------------------- *)
 
@@ -1245,10 +1252,8 @@ let bomb_cmd =
           Service.Trafficgen.default_spec.Service.Trafficgen.g_chaos_percent
       & info [ "chaos" ] ~docv:"PCT" ~doc)
   in
-  let run requests mix seed interarrival chaos servers queue jobs no_cache
-      json_out events window flight_dump =
+  let run requests mix seed interarrival chaos session =
     handle_errors (fun () ->
-        apply_cache_flag no_cache;
         let spec =
           {
             Service.Trafficgen.g_requests = requests;
@@ -1258,34 +1263,14 @@ let bomb_cmd =
             g_chaos_percent = max 0 (min 100 chaos);
           }
         in
-        let stream = Service.Trafficgen.generate spec in
-        let t0 = Unix.gettimeofday () in
-        with_events_emitter events (fun emit ->
-            Exec.Pool.with_pool ~jobs (fun pool ->
-                let t =
-                  Service.Gcsafed.create ~pool ?events:emit ~window
-                    (service_config servers queue)
-                in
-                List.iter
-                  (fun (arrival, req) ->
-                    Service.Gcsafed.submit ~arrival t
-                      (mark_no_cache no_cache req))
-                  stream;
-                Service.Gcsafed.shutdown t;
-                let wall_s = Unix.gettimeofday () -. t0 in
-                let report = Service.Gcsafed.report t in
-                Format.printf "%a@." Service.Gcsafed.pp_report report;
-                Printf.eprintf "wall: %.2fs, %.1f requests/s\n" wall_s
-                  (if wall_s > 0. then float_of_int requests /. wall_s else 0.);
-                Option.iter
-                  (fun path -> write_report_json path t ~wall_s)
-                  json_out;
-                write_flight_dump t ~flight_dump
-                  ~unexpected:report.Service.Gcsafed.rp_unexpected;
-                if report.Service.Gcsafed.rp_unexpected > 0 then
-                  exit
-                    (Harness.Diagnostics.exit_code
-                       Harness.Diagnostics.Internal_error))))
+        session
+          (List.map
+             (fun (arrival, req) -> (Some arrival, req))
+             (Service.Trafficgen.generate spec))
+          (fun _ report ~wall_s ->
+            Format.printf "%a@." Service.Gcsafed.pp_report report;
+            Printf.eprintf "wall: %.2fs, %.1f requests/s\n" wall_s
+              (if wall_s > 0. then float_of_int requests /. wall_s else 0.)))
   in
   let doc =
     "generate an open-loop request bombardment and report steady-state \
@@ -1296,8 +1281,7 @@ let bomb_cmd =
     (Cmd.info "bomb" ~doc)
     Term.(
       const run $ requests_arg $ mix_arg $ seed_arg $ interarrival_arg
-      $ chaos_arg $ servers_arg $ queue_arg $ jobs_arg $ no_cache_arg
-      $ report_json_arg $ events_arg $ window_arg $ flight_dump_arg)
+      $ chaos_arg $ session_term)
 
 let () =
   let doc = "GC-safety preprocessor for C (Boehm, PLDI 1996)" in

@@ -1,9 +1,11 @@
-(** Rendering of the paper's tables (T1-T5) from fresh measurements.
+(** Rendering of the paper's tables (T1-T5), the analysis ablation (A5)
+    and the ablations of the paper's optimizations (A3) from fresh
+    measurements.
 
     Each function recomputes the whole column set for the given machine and
-    prints rows in the paper's layout.  The return values carry the raw
-    numbers so the bench harness and the tests can assert on shapes
-    ("who wins, by roughly what factor").
+    prints rows in the paper's layout.  T1-T5 and A5 return the raw
+    numbers so the tests can assert on shapes ("who wins, by roughly what
+    factor").
 
     Measurement and rendering are separate phases: rows are measured
     (optionally fanned out over a {!Exec.Pool.t} — builds go through the
@@ -19,6 +21,24 @@ let measure_request (req : Request.t) =
       req.Request.config req.Request.source
   in
   (b, Measure.exec req b)
+
+(* The one percentage cell: [num] over [den], rounded to [decimals]
+   places, signed when [signed] ("12%", "+21.35%"). *)
+let percent ?(decimals = 0) ?(signed = false) num den =
+  let p = 100.0 *. float_of_int num /. float_of_int den in
+  if signed then Printf.sprintf "%+.*f%%" decimals p
+  else Printf.sprintf "%.*f%%" decimals p
+
+(* The one table layout: a title line, then a header row and one row per
+   label, the label in 10 columns and each cell in 14. *)
+let pp_table out title header rows =
+  Format.fprintf out "%s:@." title;
+  List.iter
+    (fun (label, cells) ->
+      Format.fprintf out "  %-10s" label;
+      List.iter (Format.fprintf out "%-14s") cells;
+      Format.fprintf out "@.")
+    (("", header) :: rows)
 
 type cell = { c_config : Build.config; c_outcome : Measure.outcome }
 
@@ -41,25 +61,6 @@ let measure_row ?(machine = Machine.Machdesc.sparc10) ~configs
   in
   { r_workload = w.Workloads.Registry.w_name; r_base = base; r_cells = cells }
 
-let pp_slowdown_table fmt ~title ~configs rows =
-  Format.fprintf fmt "%s:@." title;
-  Format.fprintf fmt "  %-10s" "";
-  List.iter
-    (fun c -> Format.fprintf fmt "%-14s" (Build.config_name c))
-    configs;
-  Format.fprintf fmt "@.";
-  List.iter
-    (fun row ->
-      Format.fprintf fmt "  %-10s" row.r_workload;
-      let base_cycles = Measure.base_cycles_exn row.r_base in
-      List.iter
-        (fun cell ->
-          Format.fprintf fmt "%-14s"
-            (Measure.slowdown_cell ~base_cycles cell.c_outcome))
-        row.r_cells;
-      Format.fprintf fmt "@.")
-    rows
-
 (** Slowdown tables T1/T2/T3: one machine, columns (-O safe), (-g),
     (-g checked). *)
 let slowdown_table ?(machine = Machine.Machdesc.sparc10) ?(out = Format.std_formatter)
@@ -67,11 +68,18 @@ let slowdown_table ?(machine = Machine.Machdesc.sparc10) ?(out = Format.std_form
     row list =
   let configs = [ Build.Safe; Build.Debug; Build.Debug_checked ] in
   let rows = Exec.Pool.map pool (measure_row ~machine ~configs) suite in
-  pp_slowdown_table out
-    ~title:
-      (Printf.sprintf "Slowdown vs optimized baseline (%s)"
-         machine.Machine.Machdesc.md_name)
-    ~configs rows;
+  pp_table out
+    (Printf.sprintf "Slowdown vs optimized baseline (%s)"
+       machine.Machine.Machdesc.md_name)
+    (List.map Build.config_name configs)
+    (List.map
+       (fun row ->
+         let base_cycles = Measure.base_cycles_exn row.r_base in
+         ( row.r_workload,
+           List.map
+             (fun c -> Measure.slowdown_cell ~base_cycles c.c_outcome)
+             row.r_cells ))
+       rows);
   rows
 
 (** T4: static code size expansion (instruction counts of processed code
@@ -94,25 +102,17 @@ let size_table ?(machine = Machine.Machdesc.sparc10) ?(out = Format.std_formatte
         (w.Workloads.Registry.w_name, base.Build.b_size, sizes))
       Workloads.Registry.paper_suite
   in
-  Format.fprintf out "Object code size expansion vs -O (%s):@."
-    machine.Machine.Machdesc.md_name;
-  Format.fprintf out "  %-10s" "";
-  List.iter (fun c -> Format.fprintf out "%-14s" (Build.config_name c)) configs;
-  Format.fprintf out "@.";
-  List.iter
-    (fun (name, base_size, sizes) ->
-      Format.fprintf out "  %-10s" name;
-      List.iter
-        (fun (_, size) ->
-          let pct =
-            100.0
-            *. float_of_int (size - base_size)
-            /. float_of_int base_size
-          in
-          Format.fprintf out "%-14s" (Printf.sprintf "%.0f%%" pct))
-        sizes;
-      Format.fprintf out "@.")
-    results;
+  pp_table out
+    (Printf.sprintf "Object code size expansion vs -O (%s)"
+       machine.Machine.Machdesc.md_name)
+    (List.map Build.config_name configs)
+    (List.map
+       (fun (name, base_size, sizes) ->
+         ( name,
+           List.map
+             (fun (_, size) -> percent (size - base_size) base_size)
+             sizes ))
+       results);
   results
 
 (* ------------------------------------------------------------------ *)
@@ -168,12 +168,14 @@ let analysis_table ?(machine = Machine.Machdesc.sparc10)
       let base_cycles = Measure.base_cycles_exn r.a_base in
       Format.fprintf out "  %-10s%-10d%-10d%-10s%-14s%-14s@." r.a_workload
         r.a_keep_lives_none r.a_keep_lives_flow
-        (Printf.sprintf "%d%%"
+        (* the pruned share rounds down, as A5 has always printed it *)
+        (percent
            (if r.a_keep_lives_none = 0 then 0
             else
               100
               * (r.a_keep_lives_none - r.a_keep_lives_flow)
-              / r.a_keep_lives_none))
+              / r.a_keep_lives_none)
+           100)
         (Measure.slowdown_cell ~base_cycles r.a_safe_none)
         (Measure.slowdown_cell ~base_cycles r.a_safe_flow))
     rows;
@@ -197,20 +199,141 @@ let postprocessor_table ?(machine = Machine.Machdesc.sparc10)
         (w.Workloads.Registry.w_name, base, post, bb.Build.b_size, pb.Build.b_size))
       Workloads.Registry.paper_suite
   in
-  Format.fprintf out
-    "Safe + peephole postprocessor vs -O (%s):@."
-    machine.Machine.Machdesc.md_name;
-  Format.fprintf out "  %-10s%-14s%-14s@." "" "running time" "code size";
-  List.iter
-    (fun (name, base, post, base_size, post_size) ->
-      let base_cycles = Measure.base_cycles_exn base in
-      let time_cell = Measure.slowdown_cell ~base_cycles post in
-      let size_pct =
-        100.0
-        *. float_of_int (post_size - base_size)
-        /. float_of_int base_size
-      in
-      Format.fprintf out "  %-10s%-14s%-14s@." name time_cell
-        (Printf.sprintf "%.0f%%" size_pct))
-    results;
+  pp_table out
+    (Printf.sprintf "Safe + peephole postprocessor vs -O (%s)"
+       machine.Machine.Machdesc.md_name)
+    [ "running time"; "code size" ]
+    (List.map
+       (fun (name, base, post, base_size, post_size) ->
+         ( name,
+           [
+             Measure.slowdown_cell
+               ~base_cycles:(Measure.base_cycles_exn base)
+               post;
+             percent (post_size - base_size) base_size;
+           ] ))
+       results);
   results
+
+(* ------------------------------------------------------------------ *)
+
+(* Optimization (3)'s subject: a string-copy loop whose two bases vary
+   slowly. *)
+let string_copy_loop =
+  {|void copy(char *s, char *t) {
+  char *p; char *q;
+  p = s; q = t;
+  while (*p++ = *q++) ;
+}
+char buf[4096];
+char src_buf[4096];
+int main(void) {
+  int i; int rep;
+  for (i = 0; i < 4095; i++) src_buf[i] = 'a' + i % 26;
+  src_buf[4095] = 0;
+  for (rep = 0; rep < 60; rep++) copy(buf, src_buf);
+  printf("%d\n", (int)strlen(buf));
+  return 0;
+}|}
+
+(* KEEP_LIVEs inserted under annotation options [opts] *)
+let keep_lives opts src =
+  (Gcsafe.Annotate.run ~opts (Csyntax.Parser.parse_program src))
+    .Gcsafe.Annotate.keep_live_count
+
+(* the -O build with the pointer-disguising passes off: no [Build.config]
+   names it, so it is compiled here and never cached *)
+let undisguised_base ~machine src =
+  let ast = Csyntax.Parser.parse_program src in
+  ignore (Csyntax.Typecheck.check_program ast);
+  let irp = Ir.Compile.compile_program ~mode:Ir.Compile.opt_mode ast in
+  ignore
+    (Opt.Pipeline.run_program
+       {
+         Opt.Pipeline.default with
+         Opt.Pipeline.disguise_pointers = false;
+         Opt.Pipeline.nregs = machine.Machine.Machdesc.md_regs;
+       }
+       irp);
+  {
+    Build.b_config = Build.Base;
+    b_ir = irp;
+    b_keep_lives = 0;
+    b_size = Ir.Instr.program_size irp;
+  }
+
+(** A3: the paper's optimizations (1), (3) and (4) turned off, and what
+    the pointer-disguising passes buy.  Annotation counts are the
+    paper's algorithm's (analysis none). *)
+let ablation_table ?(machine = Machine.Machdesc.sparc10)
+    ?(out = Format.std_formatter) ?(pool = Exec.Pool.serial) () =
+  let paper = Gcsafe.Mode.default Gcsafe.Mode.Safe in
+  let rows =
+    Exec.Pool.map pool
+      (fun w ->
+        let src = w.Workloads.Registry.w_source in
+        let req = Request.make ~config:Build.Base ~machine src in
+        let _, disguised = measure_request req in
+        ( w.Workloads.Registry.w_name,
+          keep_lives paper src,
+          keep_lives { paper with Gcsafe.Mode.suppress_copies = false } src,
+          keep_lives { paper with Gcsafe.Mode.calls_only = true } src,
+          Measure.base_cycles_exn disguised,
+          Measure.base_cycles_exn
+            (Measure.exec req (undisguised_base ~machine src)) ))
+      Workloads.Registry.paper_suite
+  in
+  let loop_cycles ?(heuristic = false) machine config =
+    Measure.base_cycles_exn
+      (snd
+         (measure_request
+            (Request.make ~config ~machine ~loop_heuristic:heuristic
+               string_copy_loop)))
+  in
+  let on_off machine config =
+    (loop_cycles ~heuristic:true machine config, loop_cycles machine config)
+  in
+  let base = loop_cycles machine Build.Base in
+  let safe = on_off machine Build.Safe in
+  let peep = on_off machine Build.Safe_peephole in
+  (* the paper's caveat: under register pressure a base kept live across
+     the loop occupies a register the loop needs *)
+  let pressure = Machine.Machdesc.pentium90 in
+  let pressed = on_off pressure Build.Safe_peephole in
+  let ints = List.map string_of_int in
+  let change ~from c = percent ~decimals:2 ~signed:true (c - from) from in
+  Format.fprintf out "Ablations, each optimization on and off (%s):@."
+    machine.Machine.Machdesc.md_name;
+  pp_table out "(1) no KEEP_LIVE on copies, annotations (analysis none)"
+    [ "on"; "off"; "saved" ]
+    (List.map
+       (fun (name, kl, no_copies, _, _, _) ->
+         (name, ints [ kl; no_copies; no_copies - kl ]))
+       rows);
+  pp_table out
+    (Printf.sprintf
+       "(3) slowly-varying bases, string-copy loop vs -O (%d cycles)" base)
+    [ "on"; "off" ]
+    (List.map
+       (fun (config, (on, off)) ->
+         ( Build.config_id config,
+           [ change ~from:base on; change ~from:base off ] ))
+       [ (Build.Safe, safe); (Build.Safe_peephole, peep) ]);
+  pp_table out
+    (Printf.sprintf
+       "(3) under register pressure, safe-peep cycles (%d registers)"
+       pressure.Machine.Machdesc.md_regs)
+    [ "on"; "off" ]
+    [ (pressure.Machine.Machdesc.md_name, ints [ fst pressed; snd pressed ]) ];
+  pp_table out
+    "(4) collections only at call sites, annotations (analysis none)"
+    [ "off"; "on"; "fewer" ]
+    (List.map
+       (fun (name, kl, _, calls_only, _, _) ->
+         (name, ints [ kl; calls_only ] @ [ percent (kl - calls_only) kl ]))
+       rows);
+  pp_table out "Pointer-disguising passes, -O cycles" [ "on"; "off"; "change" ]
+    (List.map
+       (fun (name, _, _, _, disguised, plain) ->
+         (name, ints [ disguised; plain ] @ [ change ~from:plain disguised ]))
+       rows)

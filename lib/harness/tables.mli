@@ -1,6 +1,9 @@
-(** Rendering of the paper's tables (T1-T5) from fresh measurements.  Each
-    function recomputes its column set for the given machine, prints rows
-    in the paper's layout, and returns the raw numbers for assertions.
+(** Rendering of the paper's tables (T1-T5), the analysis ablation (A5)
+    and the ablations of the paper's optimizations (A3) from fresh
+    measurements.  Each function recomputes its column set for the given
+    machine and prints rows in the paper's layout; T1-T5 and A5 also
+    return the raw numbers for assertions ([test/tables.t] pins the
+    whole printed text).
 
     Measurement is separated from rendering: pass [?pool] to fan row
     measurement out over worker domains — builds go through the
@@ -14,12 +17,6 @@ type row = {
   r_base : Measure.outcome;
   r_cells : cell list;
 }
-
-val measure_row :
-  ?machine:Machine.Machdesc.t ->
-  configs:Build.config list ->
-  Workloads.Registry.workload ->
-  row
 
 val slowdown_table :
   ?machine:Machine.Machdesc.t ->
@@ -67,3 +64,17 @@ val postprocessor_table :
   (string * Measure.outcome * Measure.outcome * int * int) list
 (** T5: residual time/size of safe + peephole vs -O; returns
     [(workload, base outcome, postprocessed outcome, base size, size)]. *)
+
+val ablation_table :
+  ?machine:Machine.Machdesc.t ->
+  ?out:Format.formatter ->
+  ?pool:Exec.Pool.t ->
+  unit ->
+  unit
+(** A3: the paper's optimizations (1), (3) and (4) turned off, and what
+    the pointer-disguising passes buy.  (1) and (4) are KEEP_LIVE counts
+    of the paper's algorithm (analysis none) over the paper suite; (3)
+    is a string-copy loop's cycles with and without the loop heuristic
+    on [machine], and on the 8-register pentium90; the disguising
+    passes' rows compare each workload's -O cycles with those of the -O
+    build without them. *)
